@@ -45,10 +45,11 @@ from repro.device import (
     use_device,
 )
 from repro.graph.generators import rmat_edges
+from repro.packs import FRAMEWORKS
 from repro.tensor import CSRGraph, Tensor, matmul, ops as tops
 
 OPS = ("gspmm", "sddmm", "scatter_reduce", "gemm", "elementwise", "h2d")
-PACKS = ("pygx", "dglx")
+PACKS = FRAMEWORKS
 MODES = ("eager", "compiled")
 PRECISIONS = ("fp32", "fp16")
 

@@ -55,6 +55,7 @@ from repro.bench.serialize import (
 )
 from repro.datasets import FULL_MNIST_SIZE, compute_statistics, load_dataset
 from repro.models import MODEL_NAMES
+from repro.packs import FRAMEWORKS
 
 EXPERIMENTS = (
     "table1", "table4", "table5", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
@@ -69,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--models", nargs="+", default=list(MODEL_NAMES))
-    parser.add_argument("--frameworks", nargs="+", default=["pygx", "dglx"])
+    parser.add_argument("--frameworks", nargs="+", default=list(FRAMEWORKS))
     parser.add_argument("--datasets", nargs="+", default=None)
     parser.add_argument("--epochs", type=int, default=20)
     parser.add_argument("--batch-sizes", nargs="+", type=int, default=[64, 128, 256])

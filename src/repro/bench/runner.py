@@ -18,6 +18,7 @@ from repro.device import Device, use_device
 from repro.models import MODEL_NAMES, graph_config
 from repro.nn import cross_entropy
 from repro.optim import Adam
+from repro.packs import FRAMEWORKS, get_pack
 from repro.serve import DynamicBatcher, InferenceModel, ServeSimulator
 from repro.serve.metrics import ServingResult
 from repro.train import (
@@ -28,7 +29,6 @@ from repro.train import (
     multi_gpu_epoch_time,
 )
 
-FRAMEWORKS = ("pygx", "dglx")
 PHASE_ORDER = ("data_loading", "forward", "backward", "update", "other")
 
 
@@ -121,24 +121,9 @@ def breakdown_sweep(
 # ----------------------------------------------------------------------
 def _single_batch(framework: str, config, dataset, batch_size: int, rng: np.random.Generator):
     """(model, batched input, labels) for one training batch of ``dataset``."""
-    if framework == "pygx":
-        from repro.pygx import Batch, Data, build_model
-
-        net = build_model(config, rng)
-        inputs = Batch.from_data_list(
-            [Data.from_sample(g) for g in dataset.graphs[:batch_size]]
-        )
-        labels = inputs.y
-    elif framework == "dglx":
-        from repro.dglx import batch as dgl_batch
-        from repro.dglx import build_model
-
-        net = build_model(config, rng)
-        samples = dataset.graphs[:batch_size]
-        inputs = dgl_batch(samples)
-        labels = np.array([g.y for g in samples])
-    else:
-        raise ValueError(f"unknown framework {framework!r}")
+    pack = get_pack(framework)
+    net = pack.build_model(config, rng)
+    inputs, labels = pack.collate(dataset.graphs[:batch_size])
     return net, inputs, labels
 
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Sequence
 
 from repro.device import Device, use_device
 from repro.device.gpu import RTX_2080TI
+from repro.packs import FRAMEWORKS
 from repro.scale import (
     ScaleNodeDataset,
     degree_balanced_partition,
@@ -40,7 +41,7 @@ from repro.scale import (
 )
 from repro.train import NodeClassificationTrainer, SampledNodeTrainer
 
-SCALE_FRAMEWORKS = ("pygx", "dglx")
+SCALE_FRAMEWORKS = FRAMEWORKS
 SCALE_MODELS = ("gcn", "sage")
 
 #: Simulated device capacity for the million-node cells: 2 GB sits below

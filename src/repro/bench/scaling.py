@@ -35,13 +35,14 @@ from repro.datasets import GraphClassificationDataset
 from repro.device import Device
 from repro.device.fabric import LinkSpec, NVLINK
 from repro.dist import BatchConfig, COMM_PHASE
+from repro.packs import FRAMEWORKS
 from repro.train import (
     DDPTrainer,
     GraphClassificationTrainer,
     multi_gpu_epoch_time,
 )
 
-SCALING_FRAMEWORKS = ("pygx", "dglx")
+SCALING_FRAMEWORKS = FRAMEWORKS
 SCALING_MODELS = ("gcn", "gat")
 SCALING_REPLICAS = (1, 2, 4, 8)
 

@@ -33,10 +33,9 @@ import numpy as np
 from repro.device import current_device
 from repro.graph.big_graph import CSRBigGraph, gather_rows
 from repro.models import ModelConfig
+from repro.packs import get_pack
 from repro.scale.partition import Part, Partition
 from repro.tensor import Tensor, no_grad
-
-FRAMEWORKS = ("pygx", "dglx")
 
 
 def part_local_graph(
@@ -82,8 +81,7 @@ def partitioned_inference(
     logits as ``model(full_batch)`` in eval mode would produce, without
     the full graph ever fitting on the device.
     """
-    if framework not in FRAMEWORKS:
-        raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+    get_pack(framework)  # rejects an unknown framework
     device = current_device()
     model.eval()
     locals_cache = [part_local_graph(graph, part) for part in partition.parts]

@@ -19,18 +19,16 @@ from repro.device import current_device
 from repro.graph import GraphSample
 from repro.models import ModelConfig, graph_config
 from repro.nn import Module
+from repro.packs import get_pack
 from repro.tensor import Tensor, no_grad
 from repro.train.checkpoint import PathLike, load_model
-
-FRAMEWORKS = ("pygx", "dglx")
 
 
 class InferenceModel:
     """One loaded model serving inference for a fixed dataset schema."""
 
     def __init__(self, framework: str, model: Module, config: ModelConfig, dataset: str) -> None:
-        if framework not in FRAMEWORKS:
-            raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+        self.pack = get_pack(framework)
         self.framework = framework
         self.model = model.eval()
         self.config = config
@@ -72,13 +70,8 @@ class InferenceModel:
         device = current_device()
         with device.clock.phase("data_loading"):
             device.host(device.host_costs.fetch_per_graph * len(samples))
-            if self.framework == "pygx":
-                from repro.pygx import Batch, Data
-
-                return Batch.from_data_list([Data.from_sample(s) for s in samples])
-            from repro.dglx import batch as dgl_batch
-
-            return dgl_batch(list(samples))
+            inputs, _ = self.pack.collate(samples)
+            return inputs
 
     def forward(self, batch) -> Tensor:
         """Gradient-free forward pass under the ``forward`` phase."""
@@ -140,8 +133,7 @@ class ModelRegistry:
         Without an explicit ``config`` the registry derives the paper's
         Table III configuration from the dataset's feature/class counts.
         """
-        if framework not in FRAMEWORKS:
-            raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+        get_pack(framework)  # rejects an unknown framework up front
         if config is None:
             from repro.datasets import load_dataset
 

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.nn import Module
+from repro.packs import get_pack
 from repro.train.results import EpochRecord
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -164,12 +165,6 @@ def load_model(
     model keeps its default (training) mode; callers that serve it switch
     to ``eval()`` themselves.
     """
-    if framework == "pygx":
-        from repro.pygx import build_model
-    elif framework == "dglx":
-        from repro.dglx import build_model
-    else:
-        raise ValueError(f"unknown framework {framework!r}; options: ('pygx', 'dglx')")
-    model = build_model(config, rng or np.random.default_rng())
+    model = get_pack(framework).build_model(config, rng or np.random.default_rng())
     load_checkpoint(model, path)
     return model

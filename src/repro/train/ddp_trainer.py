@@ -28,7 +28,8 @@ scales each micro-loss by ``1/k``, making the accumulated gradient equal
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Iterator, List, Optional
+from itertools import islice
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -43,23 +44,12 @@ from repro.dist import (
 )
 from repro.models import ModelConfig
 from repro.nn import cross_entropy
-from repro.optim import Adam, ReduceLROnPlateau
-from repro.train.graph_trainer import GraphClassificationTrainer, _build
-from repro.train.results import EpochRecord, RunResult
+from repro.train.graph_trainer import GraphClassificationTrainer
+from repro.train.loop import train_step
+from repro.train.results import RunResult
 
 #: Phase breakdown of a DDP epoch (Fig. 1/2 phases plus gradient sync).
 DDP_PHASES = ("data_loading", "forward", "backward", "comm", "update")
-
-
-def _take(iterator: Iterator, k: int) -> List:
-    """Up to ``k`` items from ``iterator`` (fewer at the epoch tail)."""
-    out = []
-    for _ in range(k):
-        item = next(iterator, None)
-        if item is None:
-            break
-        out.append(item)
-    return out
 
 
 class DDPTrainer(GraphClassificationTrainer):
@@ -106,27 +96,6 @@ class DDPTrainer(GraphClassificationTrainer):
         self.ddp: Optional[DistributedDataParallel] = None
 
     # ------------------------------------------------------------------
-    def _shard_loader(self, graphs, rng, rank: int):
-        """Replica ``rank``'s training loader over its epoch shard."""
-        if self.framework == "pygx":
-            from repro.pygx import DataLoader
-            from repro.pygx import PrefetchDataLoader as Prefetch
-
-            loader = DataLoader(graphs, self.batch_size, shuffle=True,
-                                rng=rng, rank=rank,
-                                world_size=self.world_size)
-        else:
-            from repro.dglx import GraphDataLoader
-            from repro.dglx import PrefetchDataLoader as Prefetch
-
-            loader = GraphDataLoader(graphs, self.batch_size, shuffle=True,
-                                     rng=rng, rank=rank,
-                                     world_size=self.world_size)
-        # Prefetch pipelines replica 0 (the measured timeline); shadow
-        # replicas' loading time is discarded with their clocks anyway.
-        return Prefetch(loader) if (self.prefetch and rank == 0) else loader
-
-    # ------------------------------------------------------------------
     def run_fold(
         self,
         train_idx: np.ndarray,
@@ -143,146 +112,98 @@ class DDPTrainer(GraphClassificationTrainer):
         """
         if state_path is not None or resume:
             raise NotImplementedError("DDPTrainer does not checkpoint runs")
-        ds = self.dataset
+        return super().run_fold(train_idx, val_idx, test_idx, seed)
+
+    # ------------------------------------------------------------------
+    def _train_protocol(
+        self, model, optimizer, graphs, rng: np.random.Generator
+    ) -> Tuple[Callable, Callable]:
+        """``(batches, step)`` of the data-parallel protocol.
+
+        ``batches`` yields, per optimizer step, every replica's group of up
+        to ``grad_accumulation`` micro-batches from its shard loader;
+        ``step`` runs the shadow replicas, then replica 0's micro-steps
+        (synchronising on the last), then the update.
+        """
         world = self.world_size
         accum = self.batch.grad_accumulation
-        with use_device(self.device):
-            rng = np.random.default_rng(seed)
-            model = _build(self.framework, self.config, rng)
-            optimizer = Adam(model.parameters(), lr=self.config.lr)
-            scheduler = ReduceLROnPlateau(
-                optimizer,
-                factor=self.config.lr_reduce_factor,
-                patience=self.config.lr_patience,
-            )
-            train_subset = ds.subset(train_idx)
-            if world > 1:
-                # One draw seeds *identical* loader RNGs on every replica:
-                # same permutation everywhere, so the strided shards are
-                # disjoint (repro.graph.sharding).
-                loader_seed = int(rng.integers(2 ** 63))
-                train_loaders = [
-                    self._shard_loader(
-                        train_subset, rng=np.random.default_rng(loader_seed),
-                        rank=r)
-                    for r in range(world)
-                ]
-            else:
-                # Same RNG threading as the single-device trainer — the
-                # basis of the world_size=1 bitwise-parity guarantee.
-                train_loaders = [self._shard_loader(train_subset, rng=rng,
-                                                    rank=0)]
-            val_loader = self._loader(ds.subset(val_idx), shuffle=False, rng=rng)
-            test_loader = self._loader(ds.subset(test_idx), shuffle=False, rng=rng)
+        if world > 1:
+            # One draw seeds *identical* loader RNGs on every replica:
+            # same permutation everywhere, so the strided shards are
+            # disjoint (repro.graph.sharding).
+            loader_seed = int(rng.integers(2 ** 63))
+            rngs = [np.random.default_rng(loader_seed) for _ in range(world)]
+        else:
+            # Same RNG threading as the single-device trainer — the
+            # basis of the world_size=1 bitwise-parity guarantee.
+            rngs = [rng]
+        loaders = [
+            self.pack.graph_loader(graphs, self.batch_size, shuffle=True,
+                                   rng=rngs[r], rank=r, world_size=world)
+            for r in range(world)
+        ]
+        if self.prefetch:
+            # Prefetch pipelines replica 0 (the measured timeline); shadow
+            # replicas' loading time is discarded with their clocks anyway.
+            loaders[0] = self.pack.prefetch(loaders[0])
 
-            comm = Communicator(world, device=self.device, link=self.link,
-                                record_transfers=self.record_transfers)
-            ddp = DistributedDataParallel(model, comm,
-                                          bucket_bytes=self.bucket_bytes,
-                                          algorithm=self.algorithm)
-            self.communicator, self.ddp = comm, ddp
-            shadows = [Device(self.device.spec, self.device.host_costs)
-                       for _ in range(world - 1)]
-            clock = self.device.clock
-            self.device.memory.reset_peak()
-            inv_accum = 1.0 / accum
+        comm = Communicator(world, device=self.device, link=self.link,
+                            record_transfers=self.record_transfers)
+        ddp = DistributedDataParallel(model, comm,
+                                      bucket_bytes=self.bucket_bytes,
+                                      algorithm=self.algorithm)
+        self.communicator, self.ddp = comm, ddp
+        shadows = [Device(self.device.spec, self.device.host_costs)
+                   for _ in range(world - 1)]
+        clock = self.device.clock
+        named = list(model.named_parameters())
+        inv_accum = 1.0 / accum
 
-            def micro_step(inputs, labels, first):
-                with clock.phase("forward"):
-                    logits = model(inputs)
-                    loss = cross_entropy(logits, labels)
-                    if accum > 1:
-                        loss = loss * inv_accum
-                with clock.phase("backward"):
-                    if first:
-                        optimizer.zero_grad()
-                    loss.backward()
-                return loss
+        def loss_fn(logits, labels):
+            # Scaled by 1/accum so the accumulated gradient is the mean
+            # over the replica batch; reported losses are scaled back.
+            loss = cross_entropy(logits, labels)
+            return loss * inv_accum if accum > 1 else loss
 
-            def shadow_micro(inputs, labels, first):
-                logits = model(inputs)
-                loss = cross_entropy(logits, labels)
-                if accum > 1:
-                    loss = loss * inv_accum
-                if first:
-                    optimizer.zero_grad()
-                loss.backward()
-                return loss
+        # Forward + backward of one micro-batch; the update waits for the
+        # whole group.  Shadows always run eagerly (their clocks are
+        # discarded), replica 0 through the compiled step when asked.
+        shadow_micro = train_step(model, optimizer, clock, loss_fn, update=False)
+        micro = train_step(model, optimizer, clock, loss_fn,
+                           compile=self.compile, update=False)
+        self.compiled_step = micro if self.compile else None
 
-            if self.compile:
-                from repro.compile import CompiledStep
+        def batches(epoch):
+            iters = [map(self.pack.unpack, loader) for loader in loaders]
+            # Up to ``accum`` micro-batches per replica (fewer at the tail).
+            while True:
+                groups = [list(islice(iters[0], accum))]
+                if not groups[0]:
+                    return
+                for r in range(1, world):
+                    with use_device(shadows[r - 1]):
+                        groups.append(list(islice(iters[r], len(groups[0]))))
+                yield (groups,)
 
-                step = CompiledStep(micro_step)
-                self.compiled_step = step
-            else:
-                step = micro_step
+        def step(groups):
+            losses = []
+            # Shadow replicas first: their gradients must be staged
+            # before replica 0's synchronised backward fires hooks.
+            for r in range(1, world):
+                with use_device(shadows[r - 1]):
+                    with ddp.no_sync():
+                        for i, (inputs, labels) in enumerate(groups[r]):
+                            loss = shadow_micro(inputs, labels, zero_grad=i == 0)
+                            losses.append(loss.item() * accum)
+                    ddp.stage_remote_grads(r, collect_grads(named))
+            last = len(groups[0]) - 1
+            for i, (inputs, labels) in enumerate(groups[0]):
+                with ddp.no_sync() if world > 1 and i < last else nullcontext():
+                    loss = micro(inputs, labels, zero_grad=i == 0)
+                losses.append(loss.item() * accum)
+            with clock.phase("update"):
+                ddp.finish_backward()
+                optimizer.step()
+            return np.mean(losses)
 
-            named = list(model.named_parameters())
-            records: List[EpochRecord] = []
-            start = clock.snapshot()
-            for epoch in range(self.max_epochs):
-                model.train()
-                before = clock.snapshot()
-                epoch_losses = []
-                iters = [iter(self._iterate(loader)) for loader in train_loaders]
-                while True:
-                    group0 = _take(iters[0], accum)
-                    if not group0:
-                        break
-                    k = len(group0)
-                    step_losses = []
-                    # Shadow replicas first: their gradients must be staged
-                    # before replica 0's synchronised backward fires hooks.
-                    for r in range(1, world):
-                        with use_device(shadows[r - 1]):
-                            group_r = _take(iters[r], k)
-                            with ddp.no_sync():
-                                for i, (inputs, labels) in enumerate(group_r):
-                                    loss = shadow_micro(inputs, labels, i == 0)
-                                    step_losses.append(loss.item() * accum
-                                                       if accum > 1
-                                                       else loss.item())
-                            ddp.stage_remote_grads(r, collect_grads(named))
-                    for i, (inputs, labels) in enumerate(group0):
-                        sync_ctx = (ddp.no_sync()
-                                    if world > 1 and i < k - 1
-                                    else nullcontext())
-                        with sync_ctx:
-                            loss = step(inputs, labels, i == 0)
-                        step_losses.append(loss.item() * accum if accum > 1
-                                           else loss.item())
-                    with clock.phase("update"):
-                        ddp.finish_backward()
-                        optimizer.step()
-                    epoch_losses.append(float(np.mean(step_losses)))
-                train_delta = before.delta(clock)
-
-                before_eval = clock.snapshot()
-                val_loss, val_acc = self._evaluate(model, val_loader)
-                eval_delta = before_eval.delta(clock)
-                records.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        train_time=train_delta.elapsed,
-                        eval_time=eval_delta.elapsed,
-                        phase_times=train_delta.phase_elapsed,
-                        train_loss=float(np.mean(epoch_losses)),
-                        val_loss=val_loss,
-                        val_acc=val_acc,
-                    )
-                )
-                scheduler.step(val_loss)
-                # The paper's stopping rule: LR decayed to 1e-6.
-                if optimizer.lr <= self.config.min_lr:
-                    break
-
-            _, test_acc = self._evaluate(model, test_loader)
-            self.final_model = model
-            total = start.delta(clock).elapsed
-            return RunResult(
-                test_acc=test_acc,
-                epochs=records,
-                peak_memory=self.device.memory.peak,
-                gpu_utilization=clock.utilization(),
-                total_time=total,
-            )
+        return batches, step

@@ -13,35 +13,23 @@ directly from the simulated clock.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.datasets.base import GraphClassificationDataset
 from repro.datasets.splits import kfold_splits
-from repro.device import Device, OutOfMemoryError, use_device
+from repro.device import Device, OutOfMemoryError
 from repro.models import ModelConfig, graph_config
 from repro.nn import accuracy, cross_entropy
-from repro.optim import Adam, ReduceLROnPlateau
+from repro.optim import ReduceLROnPlateau
+from repro.packs import get_pack
 from repro.tensor import no_grad
 from repro.train.checkpoint import PathLike, load_run_state, save_run_state
-from repro.train.results import EpochRecord, ExperimentResult, RunResult
-
-FRAMEWORKS = ("pygx", "dglx")
-PHASES = ("data_loading", "forward", "backward", "update")
-
-
-def _build(framework: str, config: ModelConfig, rng: np.random.Generator):
-    if framework == "pygx":
-        from repro.pygx import build_model
-
-        return build_model(config, rng)
-    if framework == "dglx":
-        from repro.dglx import build_model
-
-        return build_model(config, rng)
-    raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+from repro.train.loop import Protocol, run_epochs, train_step
+from repro.train.results import ExperimentResult, RunResult
 
 
 @dataclass
@@ -70,10 +58,8 @@ class GraphClassificationTrainer:
         device: Optional[Device] = None,
         compile: bool = False,
         prefetch: bool = False,
-        precision: str = "fp32",
     ) -> None:
-        if framework not in FRAMEWORKS:
-            raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+        self.pack = get_pack(framework)
         self.framework = framework
         self.model_name = model_name
         self.dataset = dataset
@@ -82,12 +68,7 @@ class GraphClassificationTrainer:
         self.config = config or graph_config(
             model_name, in_dim=dataset.num_features, n_classes=dataset.num_classes
         )
-        #: Roofline precision mode of the training device: "fp16" halves
-        #: tensor bytes (2x bandwidth, half peak memory) with numerics
-        #: untouched, so losses match fp32 bitwise.  Ignored when an
-        #: explicit ``device`` is passed.
-        self.precision = precision if device is None else device.precision
-        self.device = device or Device(precision=precision)
+        self.device = device or Device()
         #: Capture-and-replay the per-batch train step through
         #: ``repro.compile`` (fewer kernel launches, fused schedule).
         self.compile = compile
@@ -104,36 +85,16 @@ class GraphClassificationTrainer:
         self.final_model = None
 
     # ------------------------------------------------------------------
-    # loaders
-    # ------------------------------------------------------------------
     def _loader(self, graphs, shuffle: bool, rng: np.random.Generator):
-        if self.framework == "pygx":
-            from repro.pygx import DataLoader
-            from repro.pygx import PrefetchDataLoader as Prefetch
+        loader = self.pack.graph_loader(graphs, self.batch_size, shuffle=shuffle, rng=rng)
+        return self.pack.prefetch(loader) if self.prefetch else loader
 
-            loader = DataLoader(graphs, self.batch_size, shuffle=shuffle, rng=rng)
-        else:
-            from repro.dglx import GraphDataLoader
-            from repro.dglx import PrefetchDataLoader as Prefetch
-
-            loader = GraphDataLoader(graphs, self.batch_size, shuffle=shuffle, rng=rng)
-        return Prefetch(loader) if self.prefetch else loader
-
-    def _iterate(self, loader):
-        """Yield ``(model_input, labels)`` uniformly for both frameworks."""
-        if self.framework == "pygx":
-            for batch in loader:
-                yield batch, batch.y
-        else:
-            yield from loader
-
-    # ------------------------------------------------------------------
     def _evaluate(self, model, loader) -> Tuple[float, float]:
         """(loss, accuracy) over a loader, gradient-free."""
         model.eval()
         losses, accs, weights = [], [], []
         with no_grad():
-            for inputs, labels in self._iterate(loader):
+            for inputs, labels in map(self.pack.unpack, loader):
                 logits = model(inputs)
                 losses.append(cross_entropy(logits, labels).item())
                 accs.append(accuracy(logits, labels))
@@ -142,6 +103,18 @@ class GraphClassificationTrainer:
         loss = float(np.dot(losses, weights) / total)
         acc = float(np.dot(accs, weights) / total)
         return loss, acc
+
+    def _train_protocol(
+        self, model, optimizer, graphs, rng: np.random.Generator
+    ) -> Tuple[Callable, Callable]:
+        """``(batches, step)`` of the single-device protocol: one shuffled
+        pass over ``graphs`` per epoch, one optimizer step per batch."""
+        loader = self._loader(graphs, shuffle=True, rng=rng)
+        step = train_step(
+            model, optimizer, self.device.clock, cross_entropy, compile=self.compile
+        )
+        self.compiled_step = step if self.compile else None
+        return (lambda epoch: map(self.pack.unpack, loader)), step
 
     # ------------------------------------------------------------------
     def run_fold(
@@ -162,100 +135,55 @@ class GraphClassificationTrainer:
         snapshot (if the file exists) and continues from the next epoch,
         reproducing the uninterrupted run bitwise.
         """
+        return self._train(
+            train_idx, val_idx, test_idx, seed, self.max_epochs, state_path, resume
+        )
+
+    def _train(
+        self, train_idx, val_idx, test_idx, seed, max_epochs, state_path=None, resume=False
+    ) -> RunResult:
         ds = self.dataset
-        with use_device(self.device):
-            rng = np.random.default_rng(seed)
-            model = _build(self.framework, self.config, rng)
-            optimizer = Adam(model.parameters(), lr=self.config.lr)
+
+        def protocol(model, optimizer, rng):
+            self.final_model = model
             scheduler = ReduceLROnPlateau(
                 optimizer,
                 factor=self.config.lr_reduce_factor,
                 patience=self.config.lr_patience,
             )
-            train_loader = self._loader(ds.subset(train_idx), shuffle=True, rng=rng)
+            batches, step = self._train_protocol(model, optimizer, ds.subset(train_idx), rng)
             val_loader = self._loader(ds.subset(val_idx), shuffle=False, rng=rng)
             test_loader = self._loader(ds.subset(test_idx), shuffle=False, rng=rng)
-            clock = self.device.clock
-            self.device.memory.reset_peak()
 
-            start_epoch = 0
-            stopped = False
-            restored: List[EpochRecord] = []
-            if state_path is not None and resume and os.path.exists(state_path):
-                state = load_run_state(state_path, model, optimizer, scheduler, rng)
-                start_epoch = state.epoch + 1
-                stopped = state.stopped
-                restored = list(state.records)
-            elif state_path is not None:
-                save_run_state(state_path, model, optimizer, scheduler, rng, epoch=-1)
-
-            def train_step(inputs, labels):
-                with clock.phase("forward"):
-                    logits = model(inputs)
-                    loss = cross_entropy(logits, labels)
-                with clock.phase("backward"):
-                    optimizer.zero_grad()
-                    loss.backward()
-                with clock.phase("update"):
-                    optimizer.step()
-                return loss
-
-            if self.compile:
-                from repro.compile import CompiledStep
-
-                step = CompiledStep(train_step)
-                self.compiled_step = step
-            else:
-                step = train_step
-
-            records: List[EpochRecord] = restored
-            start = clock.snapshot()
-            # A restored ``stopped`` means the stopping rule already fired;
-            # go straight to the test evaluation.
-            for epoch in range(start_epoch, start_epoch if stopped else self.max_epochs):
-                model.train()
-                before = clock.snapshot()
-                epoch_losses = []
-                for inputs, labels in self._iterate(train_loader):
-                    loss = step(inputs, labels)
-                    epoch_losses.append(loss.item())
-                train_delta = before.delta(clock)
-
-                before_eval = clock.snapshot()
-                val_loss, val_acc = self._evaluate(model, val_loader)
-                eval_delta = before_eval.delta(clock)
-                records.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        train_time=train_delta.elapsed,
-                        eval_time=eval_delta.elapsed,
-                        phase_times=train_delta.phase_elapsed,
-                        train_loss=float(np.mean(epoch_losses)),
-                        val_loss=val_loss,
-                        val_acc=val_acc,
-                    )
-                )
+            def stop(val_loss):
                 scheduler.step(val_loss)
                 # The paper's stopping rule: LR decayed to 1e-6.
-                stopped = optimizer.lr <= self.config.min_lr
-                if state_path is not None:
+                return optimizer.lr <= self.config.min_lr
+
+            state, checkpoint = None, None
+            if state_path is not None:
+                if resume and os.path.exists(state_path):
+                    state = load_run_state(state_path, model, optimizer, scheduler, rng)
+                else:
+                    save_run_state(state_path, model, optimizer, scheduler, rng, epoch=-1)
+
+                def checkpoint(epoch, records, stopped):
                     save_run_state(
                         state_path, model, optimizer, scheduler, rng,
                         epoch=epoch, records=records, stopped=stopped,
                     )
-                if stopped:
-                    break
 
-            _, test_acc = self._evaluate(model, test_loader)
-            self.final_model = model
-            total = start.delta(clock).elapsed
-            return RunResult(
-                test_acc=test_acc,
-                epochs=records,
-                peak_memory=self.device.memory.peak,
-                gpu_utilization=clock.utilization(),
-                total_time=total,
+            return Protocol(
+                batches=batches,
+                step=step,
+                evaluate=lambda epoch: self._evaluate(model, val_loader),
+                test=lambda epoch: self._evaluate(model, test_loader)[1],
+                stop=stop,
+                resume=state,
+                checkpoint=checkpoint,
             )
+
+        return run_epochs(self.device, self.pack, self.config, seed, max_epochs, protocol)
 
     # ------------------------------------------------------------------
     def run_fold_fault_tolerant(
@@ -291,13 +219,7 @@ class GraphClassificationTrainer:
         restarts = 0
         while True:
             try:
-                if injector is not None:
-                    with self.device.injecting(injector):
-                        result = self.run_fold(
-                            train_idx, val_idx, test_idx, seed=seed,
-                            state_path=state_path, resume=restarts > 0,
-                        )
-                else:
+                with self.device.injecting(injector) if injector is not None else nullcontext():
                     result = self.run_fold(
                         train_idx, val_idx, test_idx, seed=seed,
                         state_path=state_path, resume=restarts > 0,
@@ -327,16 +249,9 @@ class GraphClassificationTrainer:
             self.run_fold(train, val, test, seed=seed + i)
             for i, (train, val, test) in enumerate(splits)
         ]
-        accs = np.array([r.test_acc for r in runs])
-        return ExperimentResult(
-            framework=self.framework,
-            model=self.model_name,
-            dataset=self.dataset.name,
-            acc_mean=float(accs.mean()),
-            acc_std=float(accs.std()),
-            epoch_time=float(np.mean([r.mean_epoch_time for r in runs])),
-            total_time=float(np.mean([r.total_time for r in runs])),
-            runs=runs,
+        return ExperimentResult.from_runs(
+            self.framework, self.model_name, self.dataset.name, runs,
+            epoch_times=[r.mean_epoch_time for r in runs],
         )
 
     # ------------------------------------------------------------------
@@ -355,9 +270,5 @@ class GraphClassificationTrainer:
         train_idx = order[:n_train]
         rest = order[n_train:]
         half = max(len(rest) // 2, 1)
-        saved = self.max_epochs
-        self.max_epochs = n_epochs
-        try:
-            return self.run_fold(train_idx, rest[:half], rest[half:] if len(rest) > half else rest[:half], seed)
-        finally:
-            self.max_epochs = saved
+        test_idx = rest[half:] if len(rest) > half else rest[:half]
+        return self._train(train_idx, rest[:half], test_idx, seed, n_epochs)

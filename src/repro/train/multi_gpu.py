@@ -17,26 +17,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.datasets.base import GraphClassificationDataset
-from repro.device import DataParallelPlan, Device, charge_iteration_overhead, use_device
+from repro.device import DataParallelPlan, Device, charge_iteration_overhead
 from repro.models import ModelConfig, graph_config
 from repro.nn import cross_entropy
-from repro.optim import Adam
-
-FRAMEWORKS = ("pygx", "dglx")
-
-
-def _collate(framework: str, graphs):
-    if framework == "pygx":
-        from repro.pygx.data import Batch, Data
-
-        return Batch.from_data_list([Data.from_sample(g) for g in graphs])
-    from repro.dglx import batch as dgl_batch
-
-    g = dgl_batch(graphs)
-    return g
+from repro.packs import get_pack
+from repro.train.loop import Protocol, run_epochs, train_step
 
 
 def _batch_nbytes(graphs) -> int:
@@ -61,8 +47,7 @@ def multi_gpu_epoch_time(
     ``max_batches`` bounds the measured batches; the result is scaled back
     to a full epoch (every batch has the same expected cost).
     """
-    if framework not in FRAMEWORKS:
-        raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+    pack = get_pack(framework)
     if n_gpus < 1:
         raise ValueError("n_gpus must be >= 1")
     if batch_size < n_gpus:
@@ -71,79 +56,52 @@ def multi_gpu_epoch_time(
     config = config or graph_config(
         model_name, in_dim=dataset.num_features, n_classes=dataset.num_classes
     )
-    with use_device(device):
-        rng = np.random.default_rng(seed)
-        if framework == "pygx":
-            from repro.pygx import build_model
-        else:
-            from repro.dglx import build_model
-        model = build_model(config, rng)
-        optimizer = Adam(model.parameters(), lr=config.lr)
+    graphs: List = list(dataset.graphs)
+    n_batches_total = (len(graphs) + batch_size - 1) // batch_size
+    starts = range(0, len(graphs), batch_size)[:max_batches]
+    if not starts:
+        return 0.0
+    costs = device.host_costs
+    clock = device.clock
+
+    def protocol(model, optimizer, rng):
         param_bytes = model.param_bytes()
-        costs = device.host_costs
 
-        graphs: List = list(dataset.graphs)
-        n_batches_total = (len(graphs) + batch_size - 1) // batch_size
-        starts = range(0, len(graphs), batch_size)
-        if max_batches is not None:
-            starts = list(starts)[:max_batches]
+        def batches(epoch):
+            for start in starts:
+                chunk = graphs[start : start + batch_size]
+                per_gpu = max(len(chunk) // n_gpus, 1)
+                replica_graphs = chunk[:per_gpu]
 
-        clock = device.clock
-        begin = clock.snapshot()
-        n_measured = 0
-        for start in starts:
-            chunk = graphs[start : start + batch_size]
-            per_gpu = max(len(chunk) // n_gpus, 1)
-            replica_graphs = chunk[:per_gpu]
+                # Representative replica's collation (full simulated cost)...
+                with clock.phase("data_loading"):
+                    device.host(costs.fetch_per_graph * len(chunk))
+                    inputs, labels = pack.collate(replica_graphs)
+                    # ...plus the host cost of collating the other replicas'
+                    # shares (DataParallel collates serially on the host).
+                    others = len(chunk) - len(replica_graphs)
+                    if others > 0:
+                        other_bytes = _batch_nbytes(chunk[per_gpu:])
+                        extra = pack.collate_host_cost(costs, n_gpus - 1, others)
+                        device.host(extra + costs.batch_per_byte * other_bytes)
+                        device.transfer(other_bytes)
 
-            # Representative replica's collation (full simulated cost)...
-            with clock.phase("data_loading"):
-                device.host(costs.fetch_per_graph * len(chunk))
-                batch = _collate(framework, replica_graphs)
-                # ...plus the host cost of collating the other replicas'
-                # shares (DataParallel collates serially on the host).
-                others = len(chunk) - len(replica_graphs)
-                if others > 0:
-                    other_bytes = _batch_nbytes(chunk[per_gpu:])
-                    if framework == "pygx":
-                        extra = (
-                            (n_gpus - 1) * costs.pyg_batch_base
-                            + costs.pyg_batch_per_graph * others
-                        )
-                    else:
-                        extra = (
-                            (n_gpus - 1) * costs.dgl_batch_base
-                            + (costs.dgl_batch_per_graph + 2 * costs.dgl_batch_per_type)
-                            * others
-                        )
-                    device.host(extra + costs.batch_per_byte * other_bytes)
-                    device.transfer(other_bytes)
+                plan = DataParallelPlan(
+                    n_gpus=n_gpus,
+                    param_bytes=param_bytes,
+                    input_bytes=_batch_nbytes(chunk),
+                    output_bytes=4 * len(chunk) * config.n_classes,
+                )
+                charge_iteration_overhead(device, plan)
+                yield inputs, labels
 
-            plan = DataParallelPlan(
-                n_gpus=n_gpus,
-                param_bytes=param_bytes,
-                input_bytes=_batch_nbytes(chunk),
-                output_bytes=4 * len(chunk) * config.n_classes,
-            )
-            charge_iteration_overhead(device, plan)
+        # Timing only: one pass, nothing to validate or test.
+        return Protocol(
+            batches=batches,
+            step=train_step(model, optimizer, clock, cross_entropy),
+            evaluate=lambda epoch: (0.0, 0.0),
+            test=lambda epoch: 0.0,
+        )
 
-            model.train()
-            if framework == "pygx":
-                labels = batch.y
-                inputs = batch
-            else:
-                labels = np.array([g.y for g in replica_graphs])
-                inputs = batch
-            with clock.phase("forward"):
-                loss = cross_entropy(model(inputs), labels)
-            with clock.phase("backward"):
-                optimizer.zero_grad()
-                loss.backward()
-            with clock.phase("update"):
-                optimizer.step()
-            n_measured += 1
-
-        measured = begin.delta(clock).elapsed
-        if n_measured == 0:
-            return 0.0
-        return measured / n_measured * n_batches_total
+    measured = run_epochs(device, pack, config, seed, 1, protocol).total_time
+    return measured / len(starts) * n_batches_total

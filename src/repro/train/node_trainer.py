@@ -16,38 +16,13 @@ from typing import Optional
 import numpy as np
 
 from repro.datasets.base import NodeClassificationDataset
-from repro.device import Device, current_device, use_device
-from repro.graph import GraphSample
+from repro.device import Device
 from repro.models import ModelConfig, node_config
 from repro.nn import accuracy, cross_entropy
-from repro.optim import Adam
+from repro.packs import get_pack
 from repro.tensor import Tensor, index_rows, no_grad
-from repro.train.results import EpochRecord, ExperimentResult, RunResult
-
-FRAMEWORKS = ("pygx", "dglx")
-
-
-def _build(framework: str, config: ModelConfig, rng: np.random.Generator):
-    if framework == "pygx":
-        from repro.pygx import build_model
-
-        return build_model(config, rng)
-    if framework == "dglx":
-        from repro.dglx import build_model
-
-        return build_model(config, rng)
-    raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
-
-
-def _to_device(framework: str, graph: GraphSample):
-    """Move the full graph to the device (one-time cost, not per-epoch)."""
-    if framework == "pygx":
-        from repro.pygx import Batch, Data
-
-        return Batch.from_data_list([Data.from_sample(graph)])
-    from repro.dglx import batch as dgl_batch
-
-    return dgl_batch([graph])
+from repro.train.loop import Protocol, run_epochs, train_step
+from repro.train.results import ExperimentResult, RunResult
 
 
 class NodeClassificationTrainer:
@@ -61,10 +36,8 @@ class NodeClassificationTrainer:
         max_epochs: int = 200,
         config: Optional[ModelConfig] = None,
         device: Optional[Device] = None,
-        precision: str = "fp32",
     ) -> None:
-        if framework not in FRAMEWORKS:
-            raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+        self.pack = get_pack(framework)
         self.framework = framework
         self.model_name = model_name
         self.dataset = dataset
@@ -72,92 +45,58 @@ class NodeClassificationTrainer:
         self.config = config or node_config(
             model_name, in_dim=dataset.num_features, n_classes=dataset.num_classes
         )
-        #: "fp16" runs the device's fp16 roofline mode (halved tensor
-        #: bytes; numerics and losses bitwise-identical to fp32).
-        self.precision = precision if device is None else device.precision
-        self.device = device or Device(precision=precision)
+        self.device = device or Device()
 
     # ------------------------------------------------------------------
     def run(self, seed: int = 0) -> RunResult:
         """One training run; returns per-epoch records and the test acc."""
         ds = self.dataset
         labels = np.asarray(ds.graph.y)
-        with use_device(self.device):
-            rng = np.random.default_rng(seed)
-            model = _build(self.framework, self.config, rng)
-            optimizer = Adam(model.parameters(), lr=self.config.lr)
-            batch = _to_device(self.framework, ds.graph)
-            clock = self.device.clock
-            self.device.memory.reset_peak()
 
-            records = []
-            best_val, best_test = -1.0, 0.0
-            start = clock.snapshot()
-            for epoch in range(self.max_epochs):
-                model.train()
-                before = clock.snapshot()
-                with clock.phase("forward"):
-                    logits = model(batch)
-                    loss = cross_entropy(
-                        index_rows(logits, ds.train_idx), labels[ds.train_idx]
-                    )
-                with clock.phase("backward"):
-                    optimizer.zero_grad()
-                    loss.backward()
-                with clock.phase("update"):
-                    optimizer.step()
-                train_delta = before.delta(clock)
+        def protocol(model, optimizer, rng):
+            # The full graph moves to the device once, not per epoch.
+            batch, _ = self.pack.collate([ds.graph])
+            # Both logits tensors stay referenced until the next epoch
+            # replaces them, as they would in a training script's local
+            # variables, and so count toward the reported peak memory.
+            train_logits = val_logits = None
 
+            def loss_fn(logits):
+                nonlocal train_logits
+                train_logits = logits
+                return cross_entropy(index_rows(logits, ds.train_idx), labels[ds.train_idx])
+
+            def subset(idx):
+                return Tensor(val_logits.data[idx]), labels[idx]
+
+            def evaluate(epoch):
+                # One no-grad forward serves validation and, at a new best
+                # validation accuracy, the test split.
+                nonlocal val_logits
                 model.eval()
-                before_eval = clock.snapshot()
                 with no_grad():
                     val_logits = model(batch)
-                val_acc = accuracy(
-                    Tensor(val_logits.data[ds.val_idx]), labels[ds.val_idx]
-                )
+                val_acc = accuracy(*subset(ds.val_idx))
                 with no_grad():
-                    val_loss = cross_entropy(
-                        Tensor(val_logits.data[ds.val_idx]), labels[ds.val_idx]
-                    ).item()
-                eval_delta = before_eval.delta(clock)
+                    val_loss = cross_entropy(*subset(ds.val_idx)).item()
+                return val_loss, val_acc
 
-                if val_acc > best_val:
-                    best_val = val_acc
-                    best_test = accuracy(
-                        Tensor(val_logits.data[ds.test_idx]), labels[ds.test_idx]
-                    )
-                records.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        train_time=train_delta.elapsed,
-                        eval_time=eval_delta.elapsed,
-                        phase_times=train_delta.phase_elapsed,
-                        train_loss=loss.item(),
-                        val_loss=val_loss,
-                        val_acc=val_acc,
-                    )
-                )
-            total = start.delta(clock).elapsed
-            return RunResult(
-                test_acc=best_test,
-                epochs=records,
-                peak_memory=self.device.memory.peak,
-                gpu_utilization=clock.utilization(),
-                total_time=total,
+            return Protocol(
+                batches=lambda epoch: [(batch,)],
+                step=train_step(model, optimizer, self.device.clock, loss_fn),
+                evaluate=evaluate,
+                test=lambda epoch: accuracy(*subset(ds.test_idx)),
             )
+
+        return run_epochs(
+            self.device, self.pack, self.config, seed, self.max_epochs, protocol
+        )
 
     # ------------------------------------------------------------------
     def run_seeds(self, seeds=(0, 1, 2, 3)) -> ExperimentResult:
         """Aggregate multiple seeds into a Table IV cell."""
         runs = [self.run(seed) for seed in seeds]
-        accs = np.array([r.test_acc for r in runs])
-        return ExperimentResult(
-            framework=self.framework,
-            model=self.model_name,
-            dataset=self.dataset.name,
-            acc_mean=float(accs.mean()),
-            acc_std=float(accs.std()),
-            epoch_time=float(np.mean([r.mean_full_epoch_time for r in runs])),
-            total_time=float(np.mean([r.total_time for r in runs])),
-            runs=runs,
+        return ExperimentResult.from_runs(
+            self.framework, self.model_name, self.dataset.name, runs,
+            epoch_times=[r.mean_full_epoch_time for r in runs],
         )

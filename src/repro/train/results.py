@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 
 @dataclass
@@ -54,12 +56,13 @@ class RunResult:
         return sum(e.train_time + e.eval_time for e in self.epochs) / len(self.epochs)
 
     def mean_phase_times(self) -> Dict[str, float]:
-        """Per-phase mean time per epoch (Fig. 1/2 series)."""
-        if not self.epochs:
-            return {}
-        keys = set()
-        for e in self.epochs:
-            keys.update(e.phase_times)
+        """Per-phase mean time per epoch (Fig. 1/2 series).
+
+        Keys come in first-seen order — the first epoch's phases, then any
+        phase only a later epoch entered — so the dict iterates and
+        serialises identically in every process.
+        """
+        keys = dict.fromkeys(k for e in self.epochs for k in e.phase_times)
         return {
             k: sum(e.phase_times.get(k, 0.0) for e in self.epochs) / len(self.epochs)
             for k in keys
@@ -78,6 +81,29 @@ class ExperimentResult:
     epoch_time: float
     total_time: float
     runs: List[RunResult] = field(default_factory=list)
+
+    @classmethod
+    def from_runs(
+        cls,
+        framework: str,
+        model: str,
+        dataset: str,
+        runs: List[RunResult],
+        epoch_times: Sequence[float],
+    ) -> "ExperimentResult":
+        """Aggregate ``runs``; ``epoch_times`` is each run's "Epoch" figure
+        (train-only for Table V, train + validation for Table IV)."""
+        accs = np.array([r.test_acc for r in runs])
+        return cls(
+            framework=framework,
+            model=model,
+            dataset=dataset,
+            acc_mean=float(accs.mean()),
+            acc_std=float(accs.std()),
+            epoch_time=float(np.mean(epoch_times)),
+            total_time=float(np.mean([r.total_time for r in runs])),
+            runs=runs,
+        )
 
     def format_row(self) -> str:
         return (

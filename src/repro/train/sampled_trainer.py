@@ -18,32 +18,18 @@ plan — the structural-signature bucketing).  Epochs report the
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.device import Device, use_device
 from repro.models import ModelConfig, node_config
 from repro.nn import accuracy, cross_entropy
-from repro.optim import Adam
+from repro.packs import get_pack
 from repro.scale.dataset import ScaleNodeDataset
 from repro.tensor import index_rows, no_grad
-from repro.train.results import EpochRecord, RunResult
-
-FRAMEWORKS = ("pygx", "dglx")
-PHASES = ("sampling", "data_loading", "forward", "backward", "update")
-
-
-def _build(framework: str, config: ModelConfig, rng: np.random.Generator):
-    if framework == "pygx":
-        from repro.pygx import build_model
-
-        return build_model(config, rng)
-    if framework == "dglx":
-        from repro.dglx import build_model
-
-        return build_model(config, rng)
-    raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+from repro.train.loop import Protocol, run_epochs, train_step
+from repro.train.results import RunResult
 
 
 class SampledNodeTrainer:
@@ -72,8 +58,7 @@ class SampledNodeTrainer:
         ensure_self_loops: bool = False,
         full_graph_norm: bool = False,
     ) -> None:
-        if framework not in FRAMEWORKS:
-            raise ValueError(f"unknown framework {framework!r}; options: {FRAMEWORKS}")
+        self.pack = get_pack(framework)
         self.framework = framework
         self.model_name = model_name
         self.dataset = dataset
@@ -105,38 +90,21 @@ class SampledNodeTrainer:
         self.final_model = None
 
     # ------------------------------------------------------------------
-    # loaders
-    # ------------------------------------------------------------------
     def _loader(self, seeds, batch_size, shuffle: bool, rng, prefetch: bool):
-        if self.framework == "pygx":
-            from repro.pygx import NeighborLoader
-            from repro.pygx import PrefetchDataLoader as Prefetch
-        else:
-            from repro.dglx import NeighborLoader
-            from repro.dglx import PrefetchDataLoader as Prefetch
-        loader = NeighborLoader(
+        loader = self.pack.neighbor_loader(
             self.dataset.graph, seeds, self.fanouts, batch_size,
             shuffle=shuffle, rng=rng,
             ensure_self_loops=self.ensure_self_loops,
             full_graph_norm=self.full_graph_norm,
         )
-        return Prefetch(loader) if prefetch else loader
+        return self.pack.prefetch(loader) if prefetch else loader
 
-    def _iterate(self, loader):
-        """Yield ``(inputs, labels, n_seeds)`` uniformly for both packs."""
-        if self.framework == "pygx":
-            for batch in loader:
-                yield batch, batch.y, batch.n_seeds
-        else:
-            yield from loader
-
-    # ------------------------------------------------------------------
     def _evaluate(self, model, loader) -> float:
         """Seed-row accuracy over a loader, gradient-free."""
         model.eval()
         correct, total = 0.0, 0
         with no_grad():
-            for inputs, labels, n_seeds in self._iterate(loader):
+            for inputs, labels, n_seeds in map(self.pack.unpack, loader):
                 logits = model(inputs)
                 seed_rows = index_rows(logits, np.arange(n_seeds, dtype=np.int64))
                 correct += accuracy(seed_rows, labels) * n_seeds
@@ -152,10 +120,9 @@ class SampledNodeTrainer:
         full-batch trainer.  Deterministic for a fixed ``seed``.
         """
         ds = self.dataset
-        with use_device(self.device):
-            rng = np.random.default_rng(seed)
-            model = _build(self.framework, self.config, rng)
-            optimizer = Adam(model.parameters(), lr=self.config.lr)
+
+        def protocol(model, optimizer, rng):
+            self.final_model = model
             # The sampler gets its own RNG stream: sharing ``rng`` with the
             # model's dropout would make the numerics depend on *when*
             # batches are sampled, so prefetching (which pumps batches
@@ -167,84 +134,43 @@ class SampledNodeTrainer:
                 rng=np.random.default_rng(seed + 5_000),
                 prefetch=self.prefetch,
             )
-            clock = self.device.clock
-            self.device.memory.reset_peak()
-
-            def train_step(inputs, labels, seed_rows):
-                with clock.phase("forward"):
-                    logits = model(inputs)
-                    loss = cross_entropy(index_rows(logits, seed_rows), labels)
-                with clock.phase("backward"):
-                    optimizer.zero_grad()
-                    loss.backward()
-                with clock.phase("update"):
-                    optimizer.step()
-                return loss
-
-            if self.compile:
-                from repro.compile import CompiledStep
-
-                step = CompiledStep(train_step)
-                self.compiled_step = step
-            else:
-                step = train_step
-
-            records = []
-            best_val, best_test = -1.0, 0.0
-            start = clock.snapshot()
-            for epoch in range(self.max_epochs):
-                model.train()
-                before = clock.snapshot()
-                epoch_losses = []
-                for i, (inputs, labels, n_seeds) in enumerate(
-                    self._iterate(train_loader)
-                ):
-                    if self.max_batches is not None and i >= self.max_batches:
-                        break
-                    seed_rows = np.arange(n_seeds, dtype=np.int64)
-                    loss = step(inputs, labels, seed_rows)
-                    epoch_losses.append(loss.item())
-                train_delta = before.delta(clock)
-
-                before_eval = clock.snapshot()
-                # Fresh per-epoch eval rng: evaluation sampling stays
-                # deterministic and independent of how many training
-                # batches ran.
-                val_acc = self._evaluate(
-                    model,
-                    self._loader(ds.val_idx, self.eval_batch_size, shuffle=False,
-                                 rng=seed + 7_000 + epoch, prefetch=False),
-                )
-                eval_delta = before_eval.delta(clock)
-
-                if val_acc > best_val:
-                    best_val = val_acc
-                    best_test = self._evaluate(
-                        model,
-                        self._loader(ds.test_idx, self.eval_batch_size,
-                                     shuffle=False, rng=seed + 9_000 + epoch,
-                                     prefetch=False),
-                    )
-                records.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        train_time=train_delta.elapsed,
-                        eval_time=eval_delta.elapsed,
-                        phase_times=train_delta.phase_elapsed,
-                        train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                        val_loss=0.0,
-                        val_acc=val_acc,
-                    )
-                )
-            self.final_model = model
-            total = start.delta(clock).elapsed
-            return RunResult(
-                test_acc=best_test,
-                epochs=records,
-                peak_memory=self.device.memory.peak,
-                gpu_utilization=clock.utilization(),
-                total_time=total,
+            step = train_step(
+                model, optimizer, self.device.clock,
+                lambda logits, labels, seed_rows: cross_entropy(
+                    index_rows(logits, seed_rows), labels
+                ),
+                compile=self.compile,
             )
+            self.compiled_step = step if self.compile else None
+
+            def batches(epoch):
+                for i, (inputs, labels, n_seeds) in enumerate(
+                    map(self.pack.unpack, train_loader)
+                ):
+                    # The loader has already sampled and collated batch
+                    # number ``max_batches`` when the epoch is cut; that
+                    # cost is part of the committed BENCH_scale.json times.
+                    if self.max_batches is not None and i >= self.max_batches:
+                        return
+                    yield inputs, labels, np.arange(n_seeds, dtype=np.int64)
+
+            # Fresh per-epoch eval rng: evaluation sampling stays
+            # deterministic and independent of how many training
+            # batches ran.
+            return Protocol(
+                batches=batches,
+                step=step,
+                evaluate=lambda epoch: (
+                    0.0, self.sampled_accuracy(model, ds.val_idx, seed + 7_000 + epoch)
+                ),
+                test=lambda epoch: self.sampled_accuracy(
+                    model, ds.test_idx, seed + 9_000 + epoch
+                ),
+            )
+
+        return run_epochs(
+            self.device, self.pack, self.config, seed, self.max_epochs, protocol
+        )
 
     # ------------------------------------------------------------------
     def sampled_accuracy(self, model, seeds: np.ndarray, seed: int = 0) -> float:

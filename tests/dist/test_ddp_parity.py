@@ -8,8 +8,8 @@ from repro.device import Device, use_device
 from repro.dist import BatchConfig, Communicator, DistributedDataParallel, collect_grads
 from repro.models import graph_config
 from repro.nn import cross_entropy
+from repro.packs import get_pack
 from repro.train import DDPTrainer, GraphClassificationTrainer
-from repro.train.graph_trainer import _build
 
 
 @pytest.fixture(scope="module")
@@ -71,20 +71,14 @@ class TestGradAccumulation:
         cfg = graph_config("gcn", in_dim=dataset.num_features,
                            n_classes=dataset.num_classes)
         graphs = dataset.graphs[:32]
+        pack = get_pack(framework)
         with use_device(Device()):
-            model = _build(framework, cfg, np.random.default_rng(0))
+            model = pack.build_model(cfg, np.random.default_rng(0))
             named = list(model.named_parameters())
 
-            if framework == "pygx":
-                from repro.pygx import DataLoader as Loader
-            else:
-                from repro.dglx import GraphDataLoader as Loader
-
             def batches(batch_size):
-                loader = Loader(graphs, batch_size)
-                if framework == "pygx":
-                    return [(b, b.y) for b in loader]
-                return list(loader)
+                loader = pack.graph_loader(graphs, batch_size)
+                return [pack.unpack(item) for item in loader]
 
             model.zero_grad()
             ((inputs, labels),) = batches(32)
@@ -133,7 +127,7 @@ class TestMultiReplicaNumerics:
                            n_classes=dataset.num_classes)
         world = 3
         with use_device(Device()):
-            model = _build("pygx", cfg, np.random.default_rng(0))
+            model = get_pack("pygx").build_model(cfg, np.random.default_rng(0))
             named = list(model.named_parameters())
             comm = Communicator(world)
             ddp = DistributedDataParallel(model, comm, bucket_bytes=4096)
@@ -170,7 +164,7 @@ class TestMultiReplicaNumerics:
         cfg = graph_config("gcn", in_dim=dataset.num_features,
                            n_classes=dataset.num_classes)
         with use_device(Device()):
-            model = _build("pygx", cfg, np.random.default_rng(0))
+            model = get_pack("pygx").build_model(cfg, np.random.default_rng(0))
             ddp = DistributedDataParallel(model, Communicator(2))
             from repro.pygx import DataLoader
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.device import Device, use_device
 from repro.models import node_config
+from repro.packs import get_pack
 from repro.scale import (
     degree_balanced_partition,
     full_graph_training_memory_floor,
@@ -26,24 +27,16 @@ def dataset():
 def _build_model(framework, model_name, dataset, seed=0):
     config = node_config(model_name, in_dim=dataset.num_features,
                          n_classes=dataset.num_classes)
-    rng = np.random.default_rng(seed)
-    if framework == "pygx":
-        from repro.pygx import build_model
-
-        return build_model(config, rng)
-    from repro.dglx import build_model
-
-    return build_model(config, rng)
+    return get_pack(framework).build_model(config, np.random.default_rng(seed))
 
 
 def _full_forward(framework, model, dataset):
     """Reference logits: the whole graph resident in one device batch."""
-    from repro.train.node_trainer import _to_device
-
     sample = dataset.to_node_dataset().graph
     model.eval()
     with use_device(Device()):
-        return model(_to_device(framework, sample)).data
+        inputs, _ = get_pack(framework).collate([sample])
+        return model(inputs).data
 
 
 class TestPartLocalGraph:

@@ -23,7 +23,7 @@ def _graph_runs(model_name, framework, precisions=("fp32", "fp16")):
             model_name,
             enzymes(seed=0, num_graphs=16),
             batch_size=8,
-            precision=precision,
+            device=Device(precision=precision),
         )
         runs[precision] = trainer.measure_epoch(n_epochs=2, seed=0)
     return runs["fp32"], runs["fp16"]
@@ -59,7 +59,7 @@ class TestNodeTrainerParity:
                 model_name,
                 load_dataset("cora"),
                 max_epochs=3,
-                precision=precision,
+                device=Device(precision=precision),
             )
             results[precision] = trainer.run(seed=0)
         f32, f16 = results["fp32"], results["fp16"]
@@ -80,7 +80,7 @@ class TestDeviceByteScaling:
         trainer = GraphClassificationTrainer(
             "pygx", "gcn", enzymes(seed=0, num_graphs=8), device=device
         )
-        assert trainer.precision == "fp16"
+        assert trainer.device.precision == "fp16"
 
     def test_launch_bytes_scaled_by_half(self, rng):
         records = {}

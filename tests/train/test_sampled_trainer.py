@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.packs import get_pack
 from repro.scale import full_graph_training_memory_floor, make_scale_dataset
 from repro.train import SampledNodeTrainer
 
@@ -98,13 +99,17 @@ class TestStackComposition:
             assert ea.train_loss == eb.train_loss
 
     def test_full_graph_norm_flags_flow_to_loader(self, dataset):
-        trainer = make_trainer(dataset, ensure_self_loops=True,
-                               full_graph_norm=True)
-        loader = trainer._loader(dataset.train_idx, 32, shuffle=False,
-                                 rng=0, prefetch=False)
+        loader = get_pack("pygx").neighbor_loader(
+            dataset.graph, dataset.train_idx, (5, 5), 32, shuffle=False, rng=0,
+            ensure_self_loops=True, full_graph_norm=True,
+        )
         assert loader.ensure_self_loops and loader.full_graph_norm
-        result = trainer.run(seed=0)
-        assert 0.0 <= result.test_acc <= 1.0
+        plain = make_trainer(dataset).run(seed=0)
+        flagged = make_trainer(dataset, ensure_self_loops=True,
+                               full_graph_norm=True).run(seed=0)
+        assert 0.0 <= flagged.test_acc <= 1.0
+        # The trainer's flags reach its loaders: the batches differ.
+        assert flagged.epochs[0].train_loss != plain.epochs[0].train_loss
 
 
 class TestValidation:
