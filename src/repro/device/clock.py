@@ -18,6 +18,7 @@ Fig. 1 and Fig. 2 without any extra bookkeeping in model code.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import chain
 from typing import Dict, Iterator, List, Optional
 
 
@@ -168,7 +169,7 @@ class ClockSnapshot:
         """Return counters accumulated on ``clock`` since this snapshot."""
         phases = {
             name: clock.phase_elapsed.get(name, 0.0) - self.phase_elapsed.get(name, 0.0)
-            for name in set(self.phase_elapsed) | set(clock.phase_elapsed)
+            for name in dict.fromkeys(chain(self.phase_elapsed, clock.phase_elapsed))
         }
         return ClockSnapshot(
             elapsed=clock.elapsed - self.elapsed,

@@ -10,21 +10,23 @@ explicitly contrasts these two pooling paths in Section IV-C.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
+from repro.tensor._reduce import check_offsets, scatter_add_rows
+from repro.tensor.ops_sparse import _segment_max_csr
 from repro.tensor.tensor import Tensor, launch_backward, make_op
 
 _F32 = 4
 
 
-def _check_index(index: np.ndarray, length: int) -> np.ndarray:
+def _check_index(index: np.ndarray, length: int, num_rows: int) -> np.ndarray:
     index = np.asarray(index)
     if index.ndim != 1 or index.shape[0] != length:
         raise ValueError(f"index must be 1-D with length {length}, got {index.shape}")
     if not np.issubdtype(index.dtype, np.integer):
         raise TypeError("index must be an integer array")
+    if length and (index.min() < 0 or index.max() >= num_rows):
+        raise IndexError(f"index out of range for {num_rows} rows")
     return index
 
 
@@ -36,16 +38,14 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
 
     Used to materialise per-edge source/destination features.
     """
-    index = _check_index(index, len(index))
+    index = _check_index(index, len(index), len(x))
     out = x.data[index]
     flops = 0.0
     nbytes = float(_F32 * 2 * out.size)
 
     def backward(grad: np.ndarray):
         launch_backward("gather_backward_scatter_add", float(grad.size), _F32 * 3.0 * grad.size)
-        gx = np.zeros(x.shape, dtype=np.float32)
-        np.add.at(gx, index, grad)
-        return (gx,)
+        return (scatter_add_rows(grad, index, len(x)),)
 
     return make_op("gather", out, (x,), backward, flops, nbytes)
 
@@ -55,9 +55,8 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
 # ----------------------------------------------------------------------
 def scatter_sum(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     """Sum rows of ``src`` into ``dim_size`` bins given by ``index``."""
-    index = _check_index(index, len(src))
-    out = np.zeros((dim_size,) + src.shape[1:], dtype=np.float32)
-    np.add.at(out, index, src.data)
+    index = _check_index(index, len(src), dim_size)
+    out = scatter_add_rows(src.data, index, dim_size)
     flops = float(src.size)
     nbytes = float(_F32 * (src.size + out.size))
 
@@ -70,9 +69,8 @@ def scatter_sum(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
 
 def scatter_mean(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     """Mean-reduce rows of ``src`` into bins; empty bins yield zero."""
-    index = _check_index(index, len(src))
-    out = np.zeros((dim_size,) + src.shape[1:], dtype=np.float32)
-    np.add.at(out, index, src.data)
+    index = _check_index(index, len(src), dim_size)
+    out = scatter_add_rows(src.data, index, dim_size)
     count = np.bincount(index, minlength=dim_size).astype(np.float32)
     safe = np.maximum(count, 1.0)
     out = out / safe.reshape((dim_size,) + (1,) * (src.ndim - 1))
@@ -87,31 +85,33 @@ def scatter_mean(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     return make_op("scatter_mean", out, (src,), backward, flops, nbytes)
 
 
-def scatter_max(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
-    """Max-reduce rows of ``src`` into bins; empty bins yield zero.
+def _max_reduce(src: Tensor, out: np.ndarray, index: np.ndarray, kernel: str, bw: str) -> Tensor:
+    """Finish a max reduction from its raw per-bin maxima (``-inf`` where empty).
 
-    The backward pass routes the gradient to the maximal entries; exact ties
-    share the gradient equally (a valid subgradient).
+    Empty bins yield zero.  The backward pass routes the gradient to the
+    maximal entries; exact ties share it equally (a valid subgradient).
     """
-    index = _check_index(index, len(src))
-    out = np.full((dim_size,) + src.shape[1:], -np.inf, dtype=np.float32)
-    np.maximum.at(out, index, src.data)
     empty = ~np.isfinite(out)
     out = np.where(empty, 0.0, out).astype(np.float32)
-    flops = float(src.size)
-    nbytes = float(_F32 * (src.size + out.size))
-
-    gathered_max = out[index]
-    winners = (src.data == gathered_max) & ~empty[index]
-    tie_count = np.zeros((dim_size,) + src.shape[1:], dtype=np.float32)
-    np.add.at(tie_count, index, winners.astype(np.float32))
-    tie_count = np.maximum(tie_count, 1.0)
+    winners = (src.data == out[index]) & ~empty[index]
+    tie_count = np.maximum(scatter_add_rows(winners, index, len(out)), 1.0)
 
     def backward(grad: np.ndarray):
-        launch_backward("scatter_max_backward", float(src.size), _F32 * 3.0 * src.size)
+        launch_backward(bw, float(src.size), _F32 * 3.0 * src.size)
         return (winners * grad[index] / tie_count[index],)
 
-    return make_op("scatter_max", out, (src,), backward, flops, nbytes)
+    nbytes = float(_F32 * (src.size + out.size))
+    return make_op(kernel, out, (src,), backward, float(src.size), nbytes)
+
+
+def scatter_max(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
+    """Max-reduce rows of ``src`` into bins; empty bins yield zero, ties share the gradient."""
+    index = _check_index(index, len(src), dim_size)
+    out = np.full((dim_size,) + src.shape[1:], -np.inf, dtype=np.float32)
+    # The one ufunc.at left in src/repro: an unsorted max has no sparsetools
+    # kernel, and sorting first to use reduceat measured slower.
+    np.maximum.at(out, index, src.data)
+    return _max_reduce(src, out, index, "scatter_max", "scatter_max_backward")
 
 
 def scatter(src: Tensor, index: np.ndarray, dim_size: int, reduce: str = "sum") -> Tensor:
@@ -128,18 +128,9 @@ def scatter(src: Tensor, index: np.ndarray, dim_size: int, reduce: str = "sum") 
 # ----------------------------------------------------------------------
 # segment reductions (DGL style)
 # ----------------------------------------------------------------------
-def _check_offsets(offsets: np.ndarray, length: int) -> np.ndarray:
-    offsets = np.asarray(offsets)
-    if offsets.ndim != 1 or offsets[0] != 0 or offsets[-1] != length:
-        raise ValueError("offsets must start at 0 and end at the input length")
-    if np.any(np.diff(offsets) < 0):
-        raise ValueError("offsets must be non-decreasing")
-    return offsets
-
-
 def segment_sum(src: Tensor, offsets: np.ndarray) -> Tensor:
     """Sum contiguous row segments ``src[offsets[i]:offsets[i+1]]``."""
-    offsets = _check_offsets(offsets, len(src))
+    offsets = check_offsets(offsets, len(src))
     lengths = np.diff(offsets)
     # Exclusive prefix sums make every segment (including empty ones) exact.
     csum = np.zeros((len(src) + 1,) + src.shape[1:], dtype=np.float64)
@@ -157,11 +148,10 @@ def segment_sum(src: Tensor, offsets: np.ndarray) -> Tensor:
 
 def segment_mean(src: Tensor, offsets: np.ndarray) -> Tensor:
     """Mean over contiguous row segments; empty segments yield zero."""
-    offsets = _check_offsets(offsets, len(src))
+    offsets = check_offsets(offsets, len(src))
     lengths = np.diff(offsets).astype(np.float32)
     safe = np.maximum(lengths, 1.0).reshape((-1,) + (1,) * (src.ndim - 1))
     summed = segment_sum(src, offsets)
-    n_segments = len(offsets) - 1
     out = summed.data / safe
     flops = float(out.size)
     nbytes = float(_F32 * 2 * out.size)
@@ -171,35 +161,15 @@ def segment_mean(src: Tensor, offsets: np.ndarray) -> Tensor:
         return (grad / safe,)
 
     # Chain through segment_sum's autograd by dividing the Tensor directly.
-    result = make_op("segment_reduce_mean_div", out, (summed,), backward, flops, nbytes)
-    return result
+    return make_op("segment_reduce_mean_div", out, (summed,), backward, flops, nbytes)
 
 
 def segment_max(src: Tensor, offsets: np.ndarray) -> Tensor:
     """Max over contiguous row segments; empty segments yield zero."""
-    offsets = _check_offsets(offsets, len(src))
-    n_segments = len(offsets) - 1
-    lengths = np.diff(offsets)
-    index = np.repeat(np.arange(n_segments), lengths)
-    out = np.full((n_segments,) + src.shape[1:], -np.inf, dtype=np.float32)
-    if src.size:
-        np.maximum.at(out, index, src.data)
-    empty = ~np.isfinite(out)
-    out = np.where(empty, 0.0, out).astype(np.float32)
-    flops = float(src.size)
-    nbytes = float(_F32 * (src.size + out.size))
-
-    winners = (src.data == out[index]) & ~empty[index] if src.size else np.zeros_like(src.data, bool)
-    tie_count = np.zeros((n_segments,) + src.shape[1:], dtype=np.float32)
-    if src.size:
-        np.add.at(tie_count, index, winners.astype(np.float32))
-    tie_count = np.maximum(tie_count, 1.0)
-
-    def backward(grad: np.ndarray):
-        launch_backward("segment_max_backward", float(src.size), _F32 * 3.0 * src.size)
-        return (winners * grad[index] / tie_count[index],)
-
-    return make_op("segment_reduce_max", out, (src,), backward, flops, nbytes)
+    offsets = check_offsets(offsets, len(src))
+    index = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    out = _segment_max_csr(src.data, offsets)
+    return _max_reduce(src, out, index, "segment_reduce_max", "segment_max_backward")
 
 
 def segment_reduce(src: Tensor, offsets: np.ndarray, reduce: str = "sum") -> Tensor:

@@ -27,36 +27,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.device import current_device
+from repro.tensor._reduce import scatter_add_rows, segment_add_rows
 from repro.tensor.tensor import Tensor, launch_backward, make_op, unbroadcast
 
 _F32 = 4
 
 
-def _segment_sum_csr(values: np.ndarray, indptr: np.ndarray, num_segments: int) -> np.ndarray:
-    """Per-segment sum over CSR-contiguous ``values`` (vectorised).
-
-    ``values[indptr[i]:indptr[i+1]]`` belongs to segment ``i``.  Uses
-    ``np.add.reduceat`` over the non-empty segment starts — empty segments
-    contribute zero-width spans between consecutive non-empty starts, so
-    they stay at their zero initial value without a python loop.
-    """
-    out = np.zeros((num_segments,) + values.shape[1:], dtype=np.float32)
-    if len(values):
-        nonempty = np.diff(indptr) > 0
-        if nonempty.any():
-            out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=0)
-    return out
-
-
-def _segment_max_csr(
-    values: np.ndarray, indptr: np.ndarray, num_segments: int, fill: float = -np.inf
-) -> np.ndarray:
+def _segment_max_csr(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-segment max over CSR-contiguous ``values`` (vectorised).
 
-    Empty segments yield ``fill``.  Exact regardless of reduction order, so
-    this is bitwise-identical to the ``np.maximum.at`` loop it replaces.
+    Empty segments yield ``-inf``.  Exact regardless of reduction order, so
+    this is bitwise-identical to an ``np.maximum.at`` loop.
     """
-    out = np.full((num_segments,) + values.shape[1:], fill, dtype=np.float32)
+    out = np.full((len(indptr) - 1,) + values.shape[1:], -np.inf, dtype=np.float32)
     if len(values):
         nonempty = np.diff(indptr) > 0
         if nonempty.any():
@@ -108,10 +91,8 @@ class CSRGraph:
         if len(src) and (src.min() < 0 or src.max() >= num_src):
             raise ValueError("src index out of range")
         order = np.argsort(dst, kind="stable")
-        sorted_dst = dst[order]
         indptr = np.zeros(num_dst + 1, dtype=np.int64)
-        np.add.at(indptr, sorted_dst + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(dst, minlength=num_dst), out=indptr[1:])
         return cls(indptr, src[order], order, num_src)
 
     @property
@@ -178,6 +159,21 @@ def _as_scalar_weight(w: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
+def _edge_weight_grad(graph: CSRGraph, prod: np.ndarray, edge_weight: Tensor) -> np.ndarray:
+    """Reduce a CSR-ordered per-edge product to the weight's shape, in edge order.
+
+    Sums out the trailing feature axes the weight does not carry, then
+    unbroadcasts any remaining size-1 axes.
+    """
+    target_shape = (graph.num_edges,) + edge_weight.shape[1:]
+    extra = prod.ndim - len(target_shape)
+    if extra > 0:
+        prod = prod.sum(axis=tuple(range(prod.ndim - extra, prod.ndim)))
+    gw = np.zeros(edge_weight.shape, dtype=np.float32)
+    gw[graph.edge_ids] = unbroadcast(prod, target_shape)
+    return gw
+
+
 def gspmm(
     graph: CSRGraph,
     x: Tensor,
@@ -219,7 +215,7 @@ def gspmm(
         out = out.reshape((graph.num_dst,) + x.shape[1:])
     else:
         msgs = (w_sorted * x.data[graph.indices]).astype(np.float32)
-        out = _segment_sum_csr(msgs, graph.indptr, graph.num_dst)
+        out = segment_add_rows(msgs, graph.indptr)
     if reduce == "mean":
         out = out / degrees.reshape((-1,) + (1,) * (out.ndim - 1))
 
@@ -254,23 +250,12 @@ def gspmm(
         else:
             per_edge = (w_sorted * g[graph.rows]).astype(np.float32)
             per_edge = unbroadcast(per_edge, (e,) + x.shape[1:])
-            gx = np.zeros(x.shape, dtype=np.float32)
-            np.add.at(gx, graph.indices, per_edge)
+            gx = scatter_add_rows(per_edge, graph.indices, graph.num_src)
         if edge_weight is None:
             return (gx,)
         launch_backward("gspmm_backward_w", 2.0 * e * feat_dim, _F32 * (2 * e * feat_dim + e))
         prod = (g[graph.rows] * x.data[graph.indices]).astype(np.float32)
-        # Reduce the per-edge product back to the edge-weight shape: sum out
-        # trailing feature axes the weight does not carry, then unbroadcast
-        # any remaining size-1 axes.
-        target_shape = (e,) + edge_weight.shape[1:]
-        extra = prod.ndim - len(target_shape)
-        if extra > 0:
-            prod = prod.sum(axis=tuple(range(prod.ndim - extra, prod.ndim)))
-        gw_sorted = unbroadcast(prod, target_shape)
-        gw = np.zeros(edge_weight.shape, dtype=np.float32)
-        gw[graph.edge_ids] = gw_sorted
-        return (gx, gw)
+        return (gx, _edge_weight_grad(graph, prod, edge_weight))
 
     return make_op(_sparse_kernel_name(graph, "gspmm"), out, parents, backward, flops, nbytes)
 
@@ -305,12 +290,10 @@ def _gsddmm_scatter_grad(
     g_part = unbroadcast(g_sorted, (graph.num_edges,) + operand.shape[1:])
     g_part = g_part.astype(np.float32, copy=False)
     if target == "u":
-        gx = np.zeros(operand.shape, dtype=np.float32)
-        np.add.at(gx, graph.indices, g_part)
-        return gx
+        return scatter_add_rows(g_part, graph.indices, graph.num_src)
     if target == "v":
-        # CSR order is destination-contiguous: a vectorised segment sum.
-        return _segment_sum_csr(g_part, graph.indptr, graph.num_dst)
+        # CSR order is destination-contiguous: a segment sum.
+        return segment_add_rows(g_part, graph.indptr)
     gx = np.zeros(operand.shape, dtype=np.float32)
     gx[graph.edge_ids] = g_part
     return gx
@@ -440,17 +423,17 @@ def edge_softmax(graph: CSRGraph, logits: Tensor) -> Tensor:
     ``logits`` has shape ``(E, ...)`` in original edge order.  Forward is two
     kernels (segment max-subtract-exp, segment sum-divide); backward is two
     more — the fusion the paper contrasts with PyG's six-launch scatter
-    composition.  Segment reductions run vectorised over the CSR-contiguous
-    row order (``np.{add,maximum}.reduceat``).
+    composition.  Segment reductions run over the CSR-contiguous row order
+    (``segment_add_rows`` and ``np.maximum.reduceat``).
     """
     rows = graph.rows
     sorted_logits = logits.data[graph.edge_ids]
     trailing = sorted_logits.shape[1:]
 
-    maxes = _segment_max_csr(sorted_logits, graph.indptr, graph.num_dst)
+    maxes = _segment_max_csr(sorted_logits, graph.indptr)
     maxes = np.where(np.isfinite(maxes), maxes, 0.0).astype(np.float32)
     exp = np.exp(sorted_logits - maxes[rows])
-    denom = _segment_sum_csr(exp, graph.indptr, graph.num_dst)
+    denom = segment_add_rows(exp, graph.indptr)
     denom = np.maximum(denom, 1e-16)
     sorted_out = (exp / denom[rows]).astype(np.float32)
     out = np.empty_like(sorted_out)
@@ -468,7 +451,7 @@ def edge_softmax(graph: CSRGraph, logits: Tensor) -> Tensor:
         launch_backward("edge_softmax_backward_norm", 2.0 * grad.size, _F32 * 2.0 * grad.size)
         g_sorted = grad[graph.edge_ids]
         weighted = (g_sorted * sorted_out).astype(np.float32)
-        dot = _segment_sum_csr(weighted, graph.indptr, graph.num_dst)
+        dot = segment_add_rows(weighted, graph.indptr)
         g_logits_sorted = sorted_out * (g_sorted - dot[rows])
         g_logits = np.empty_like(g_logits_sorted)
         g_logits[graph.edge_ids] = g_logits_sorted
@@ -491,14 +474,13 @@ def _gspmm_max(graph: CSRGraph, x: Tensor, edge_weight: Optional[Tensor]) -> Ten
     else:
         w_sorted = None
         msgs = x.data[graph.indices]
-    out = _segment_max_csr(msgs, graph.indptr, graph.num_dst)
+    out = _segment_max_csr(msgs, graph.indptr)
     empty = ~np.isfinite(out)
     out = np.where(empty, 0.0, out).astype(np.float32)
 
     winners = (msgs == out[graph.rows]) & ~empty[graph.rows] if e else np.zeros_like(msgs, bool)
     # Sum of 0/1 indicators: exact in fp32 whatever the reduction order.
-    tie_count = _segment_sum_csr(winners.astype(np.float32), graph.indptr, graph.num_dst)
-    tie_count = np.maximum(tie_count, 1.0)
+    tie_count = np.maximum(segment_add_rows(winners, graph.indptr), 1.0)
 
     flops = float(e * feat_dim)
     nbytes = float(_F32 * (e * feat_dim + out.size)) + _sparse_index_bytes(graph)
@@ -514,17 +496,10 @@ def _gspmm_max(graph: CSRGraph, x: Tensor, edge_weight: Optional[Tensor]) -> Ten
         else:
             gx_edges = g_edges
         gx_edges = unbroadcast(gx_edges, (e,) + x.shape[1:])
-        gx = np.zeros(x.shape, dtype=np.float32)
-        np.add.at(gx, graph.indices, gx_edges)
+        gx = scatter_add_rows(gx_edges, graph.indices, graph.num_src)
         if edge_weight is None:
             return (gx,)
         prod = (g_edges * x.data[graph.indices]).astype(np.float32)
-        target_shape = (e,) + edge_weight.shape[1:]
-        extra = prod.ndim - len(target_shape)
-        if extra > 0:
-            prod = prod.sum(axis=tuple(range(prod.ndim - extra, prod.ndim)))
-        gw = np.zeros(edge_weight.shape, dtype=np.float32)
-        gw[graph.edge_ids] = unbroadcast(prod, target_shape)
-        return (gx, gw)
+        return (gx, _edge_weight_grad(graph, prod, edge_weight))
 
     return make_op(_sparse_kernel_name(graph, "gspmm_max"), out, parents, backward, flops, nbytes)

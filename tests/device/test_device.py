@@ -1,6 +1,9 @@
 """Simulated device: clock, memory pool, profiler, kernel cost model."""
 
 import gc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +90,41 @@ class TestClockAndLaunch:
         delta = snap.delta(dev.clock)
         assert delta.elapsed == pytest.approx(2.0)
         assert delta.phase_elapsed["forward"] == pytest.approx(2.0)
+
+    def test_snapshot_delta_keeps_phase_order(self):
+        dev = Device()
+        with dev.clock.phase("data_loading"):
+            dev.host(1.0)
+        snap = dev.clock.snapshot()
+        for name in ("forward", "backward", "update", "data_loading", "evaluate"):
+            with dev.clock.phase(name):
+                dev.host(1.0)
+        delta = snap.delta(dev.clock)
+        assert list(delta.phase_elapsed) == list(dev.clock.phase_elapsed)
+        assert list(delta.phase_elapsed)[0] == "data_loading"
+
+    def test_snapshot_delta_ignores_hash_seed(self):
+        script = (
+            "import json\n"
+            "from repro.device import Device\n"
+            "dev = Device()\n"
+            "snap = dev.clock.snapshot()\n"
+            "for name in 'data_loading forward backward update evaluate comm sampling'.split():\n"
+            "    with dev.clock.phase(name):\n"
+            "        dev.host(1.0)\n"
+            "print(json.dumps(snap.delta(dev.clock).phase_elapsed))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith('{"data_loading"')
 
     def test_negative_advance_rejected(self):
         dev = Device()

@@ -39,8 +39,23 @@ class TestGather:
         with pytest.raises(TypeError):
             index_rows(t([[1.0]]), np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_rejects_out_of_range_index(self, bad):
+        x = t([[1.0], [2.0], [3.0]])
+        with pytest.raises(IndexError, match="out of range for 3 rows"):
+            index_rows(x, np.array([0, bad]))
+
+    def test_empty_index_of_empty_input(self):
+        assert index_rows(t(np.zeros((0, 2))), np.array([], dtype=np.int64)).shape == (0, 2)
+
 
 class TestScatter:
+    @pytest.mark.parametrize("op", [scatter_sum, scatter_mean, scatter_max])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_out_of_range_index(self, op, bad):
+        with pytest.raises(IndexError, match="out of range for 2 rows"):
+            op(t([[1.0], [2.0]]), np.array([0, bad]), 2)
+
     def test_sum_values(self):
         out = scatter_sum(t([[1.0], [2.0], [3.0]]), np.array([0, 0, 2]), 3)
         np.testing.assert_allclose(out.data, [[3.0], [0.0], [3.0]])

@@ -1,0 +1,49 @@
+"""Guard: ``ufunc.at`` / ``ufunc.reduceat`` must not creep back into ``src/repro``.
+
+``np.add.at`` was 60 % of a ``train_pygx`` host lap before sum reductions
+moved onto ``repro.tensor._reduce`` (one scipy sparsetools call each).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: ``(file, enclosing function, call)`` — max reductions only; sums have a kernel.
+ALLOWED = {
+    ("tensor/ops_scatter.py", "scatter_max", "np.maximum.at"),
+    ("tensor/ops_sparse.py", "_segment_max_csr", "np.maximum.reduceat"),
+}
+
+
+def _ufunc_method_calls(path):
+    """Yield ``(enclosing function, "np.<ufunc>.<at|reduceat>")`` for each call."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("at", "reduceat")
+            and isinstance(node.func.value, ast.Attribute)
+        ):
+            yield function, ast.unparse(node.func)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text()), "<module>")
+
+
+def test_only_allow_listed_ufunc_at_and_reduceat():
+    found = {
+        (path.relative_to(SRC).as_posix(), function, call)
+        for path in sorted(SRC.rglob("*.py"))
+        for function, call in _ufunc_method_calls(path)
+    }
+    assert found == ALLOWED, (
+        f"unexpected: {sorted(found - ALLOWED)}, stale allow-list: {sorted(ALLOWED - found)}. "
+        "Sum reductions go through repro.tensor._reduce (scatter_add_rows / "
+        "segment_add_rows), not ufunc.at / ufunc.reduceat — see docs/kernels.md, "
+        "'Reduction numerics'."
+    )
