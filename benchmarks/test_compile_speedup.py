@@ -16,12 +16,11 @@ Writes ``benchmarks/results/compile_speedup.txt`` and the machine-readable
 ``BENCH_compile.json`` at the repo root.
 """
 
-import json
 import pathlib
 
 import numpy as np
 
-from repro.bench import compile_cell, format_table
+from repro.bench import compile_cell, document_to_json, format_table
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -69,7 +68,7 @@ def test_compile_speedup(benchmark, publish):
     )
     publish("compile_speedup", text)
     (REPO_ROOT / "BENCH_compile.json").write_text(
-        json.dumps({"experiment": "compile", "cells": cells}, indent=2) + "\n"
+        document_to_json("compile", {"cells": cells}) + "\n"
     )
 
     for c in cells:

@@ -33,7 +33,7 @@ from repro.bench.fleet import (
     fleet_report,
     fleet_row,
 )
-from repro.bench.serialize import fleet_to_json, validate_fleet_document
+from repro.bench.serialize import document_to_json, validate_document
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -53,7 +53,7 @@ def test_fleet_smoke(benchmark):
         )
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
-    validate_fleet_document(fleet_document(cells))
+    validate_document("fleet", fleet_document(cells))
     one, two = _by_key(cells)[("replicas", "p2c", 1)], _by_key(cells)[("replicas", "p2c", 2)]
     assert one["no_silent_loss"] and two["no_silent_loss"]
     assert two["completed"] > one["completed"]
@@ -66,7 +66,7 @@ def test_fleet_serving(benchmark, publish):
 
     publish("fleet_serving", fleet_report(cells))
     (REPO_ROOT / "BENCH_fleet.json").write_text(
-        fleet_to_json(fleet_document(cells)) + "\n"
+        document_to_json("fleet", fleet_document(cells)) + "\n"
     )
 
     # Every cell resolves every request, fleet-wide and per tenant.

@@ -16,7 +16,7 @@ clock, launch counts and bound classes against the committed copy).
 import pathlib
 
 from repro.bench.ops import bound_summary, ops_document, ops_grid, ops_report
-from repro.bench.serialize import ops_to_json
+from repro.bench.serialize import document_to_json
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -26,7 +26,7 @@ def test_ops_microbench(benchmark, publish):
 
     publish("ops_microbench", ops_report(cells))
     (REPO_ROOT / "BENCH_ops.json").write_text(
-        ops_to_json(ops_document(cells)) + "\n"
+        document_to_json("ops", ops_document(cells)) + "\n"
     )
 
     by_key = {

@@ -18,10 +18,15 @@ Writes ``benchmarks/results/overlap_pipeline.txt`` and the machine-readable
 ``tools/check_bench_regression.py``).
 """
 
-import json
 import pathlib
 
-from repro.bench import OVERLAP_COLUMNS, format_table, overlap_cell, overlap_row
+from repro.bench import (
+    OVERLAP_COLUMNS,
+    document_to_json,
+    format_table,
+    overlap_cell,
+    overlap_row,
+)
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -55,7 +60,7 @@ def test_overlap_pipeline(benchmark, publish):
     )
     publish("overlap_pipeline", text)
     (REPO_ROOT / "BENCH_overlap.json").write_text(
-        json.dumps({"experiment": "overlap", "cells": cells}, indent=2) + "\n"
+        document_to_json("overlap", {"cells": cells}) + "\n"
     )
 
     for c in cells:

@@ -24,7 +24,6 @@ Writes ``benchmarks/results/scale_sampling.txt`` and the machine-readable
 ``tools/check_bench_regression.py``).
 """
 
-import json
 import pathlib
 
 from repro.bench import (
@@ -34,6 +33,7 @@ from repro.bench import (
     SCALE_PARITY_COLUMNS,
     SCALE_PART_COLUMNS,
     SCALE_TRAIN_COLUMNS,
+    document_to_json,
     format_table,
     million_scale_dataset,
     scale_parity_cell,
@@ -133,15 +133,14 @@ def test_scale_million(benchmark, publish):
     ]
     publish("scale_sampling", "\n\n".join(sections))
     (REPO_ROOT / "BENCH_scale.json").write_text(
-        json.dumps(
+        document_to_json(
+            "scale",
             {
-                "experiment": "scale",
                 "memory_cap": MEMORY_CAP_BYTES,
                 "training": training,
                 "partitioned": partitioned,
                 "parity": parity,
             },
-            indent=2,
         )
         + "\n"
     )

@@ -21,7 +21,6 @@ Writes ``benchmarks/results/scaling_ddp.txt`` and the machine-readable
 ``tools/check_bench_regression.py``).
 """
 
-import json
 import pathlib
 
 from repro.bench import (
@@ -30,6 +29,7 @@ from repro.bench import (
     SCALING_MODELS,
     SCALING_PARITY_COLUMNS,
     SCALING_REPLICAS,
+    document_to_json,
     format_table,
     scaling_cell,
     scaling_parity_cell,
@@ -108,15 +108,14 @@ def test_scaling_ddp(benchmark, publish):
     ]
     publish("scaling_ddp", "\n\n".join(sections))
     (REPO_ROOT / "BENCH_scaling.json").write_text(
-        json.dumps(
+        document_to_json(
+            "scaling",
             {
-                "experiment": "scaling",
                 "num_graphs": NUM_GRAPHS,
                 "global_batch": GLOBAL_BATCH,
                 "cells": cells,
                 "parity": parity,
             },
-            indent=2,
         )
         + "\n"
     )

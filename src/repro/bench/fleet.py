@@ -381,10 +381,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.report or not args.out:
         print(fleet_report(cells))
     if args.out:
-        from repro.bench.serialize import fleet_to_json
+        from repro.bench.serialize import document_to_json
 
         with open(args.out, "w") as fh:
-            fh.write(fleet_to_json(fleet_document(cells)) + "\n")
+            fh.write(document_to_json("fleet", fleet_document(cells)) + "\n")
         print(f"wrote {args.out} ({len(cells)} cells)")
     if args.chrome_trace:
         print(f"wrote {args.chrome_trace}")

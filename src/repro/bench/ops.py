@@ -389,10 +389,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.report or not args.out:
         print(ops_report(cells))
     if args.out:
-        from repro.bench.serialize import ops_to_json
+        from repro.bench.serialize import document_to_json
 
         with open(args.out, "w") as fh:
-            fh.write(ops_to_json(ops_document(cells)) + "\n")
+            fh.write(document_to_json("ops", ops_document(cells)) + "\n")
         print(f"wrote {args.out} ({len(cells)} cells)")
     return 0
 

@@ -49,6 +49,7 @@ from repro.bench import (
 )
 from repro.bench.charts import stacked_bars
 from repro.bench.serialize import (
+    document_to_json,
     experiments_to_csv,
     experiments_to_json,
     servings_to_json,
@@ -69,11 +70,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--models", nargs="+", default=list(MODEL_NAMES))
+    parser.add_argument("--models", nargs="+", default=None)
     parser.add_argument("--frameworks", nargs="+", default=list(FRAMEWORKS))
     parser.add_argument("--datasets", nargs="+", default=None)
     parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--batch-sizes", nargs="+", type=int, default=[64, 128, 256])
+    parser.add_argument("--batch-sizes", nargs="+", type=int, default=None)
     parser.add_argument("--num-graphs", type=int, default=0)
     parser.add_argument("--folds", type=int, default=1)
     parser.add_argument("--json", default=None, help="write experiment JSON here")
@@ -87,7 +88,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--top", type=int, default=15, help="kernels: rows to show")
     parser.add_argument(
-        "--batch-size", type=int, default=128, help="compile/kernels: one-batch size"
+        "--batch-size", type=int, default=None,
+        help="compile/kernels/overlap: one-batch size"
     )
     parser.add_argument(
         "--fault-rates", nargs="+", type=float, default=[0.0, 0.002, 0.01],
@@ -97,6 +99,31 @@ def _parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=0, help="faults: FaultPlan seed"
     )
     return parser
+
+
+def _resolve_defaults(args) -> None:
+    """Fill in the flags whose default depends on the experiment.
+
+    They parse as ``None`` so that passing the common default explicitly
+    (``overlap --batch-size 128``) is not mistaken for "unset".
+    """
+    experiment = args.experiment
+    if args.models is None:
+        args.models = {
+            "serve": ["gcn"], "faults": ["gcn"], "kernels": ["gcn"],
+            "compile": ["gcn", "gin"], "overlap": ["gcn", "gin"],
+        }.get(experiment, list(MODEL_NAMES))
+    if args.batch_sizes is None:
+        args.batch_sizes = [128, 256, 512] if experiment == "fig6" else [64, 128, 256]
+    if args.batch_size is None:
+        args.batch_size = 16 if experiment == "overlap" else 128
+
+
+def _write_document(args, experiment: str, cells: List) -> None:
+    path = args.json or f"BENCH_{experiment}.json"
+    with open(path, "w") as fh:
+        fh.write(document_to_json(experiment, {"cells": cells}))
+    print(f"wrote {path}")
 
 
 def _write_outputs(args, results: List) -> None:
@@ -229,7 +256,7 @@ def _run_fig6(args) -> None:
     series = multigpu_series(
         models=[m for m in args.models if m in ("gcn", "gat")] or ["gcn", "gat"],
         frameworks=args.frameworks,
-        batch_sizes=args.batch_sizes if args.batch_sizes != [64, 128, 256] else [128, 256, 512],
+        batch_sizes=args.batch_sizes,
         num_graphs=args.num_graphs or 1000,
         max_batches=2,
     )
@@ -248,7 +275,7 @@ def _run_serve(args) -> None:
     results = []
     rows = []
     for dataset in args.datasets or ["enzymes"]:
-        for model in args.models if args.models != list(MODEL_NAMES) else ["gcn"]:
+        for model in args.models:
             for framework in args.frameworks:
                 trace = poisson_trace(args.requests, rate=args.rate, rng=0)
                 for max_batch in (1, args.max_batch_size):
@@ -280,11 +307,9 @@ def _run_serve(args) -> None:
 
 def _run_compile(args) -> int:
     """Eager vs compiled training: launches, epoch time, numerical parity."""
-    import json
-
     cells = []
     for dataset in args.datasets or ["enzymes"]:
-        for model in args.models if args.models != list(MODEL_NAMES) else ["gcn", "gin"]:
+        for model in args.models:
             for framework in args.frameworks:
                 cells.append(
                     compile_cell(
@@ -319,10 +344,7 @@ def _run_compile(args) -> int:
                   f"(batch {args.batch_size})",
         )
     )
-    path = args.json or "BENCH_compile.json"
-    with open(path, "w") as fh:
-        json.dump({"experiment": "compile", "cells": cells}, fh, indent=2)
-    print(f"wrote {path}")
+    _write_document(args, "compile", cells)
     if not all(c["parity"] for c in cells):
         print("ERROR: compiled numerics diverged from eager", file=sys.stderr)
         return 1
@@ -331,11 +353,9 @@ def _run_compile(args) -> int:
 
 def _run_overlap(args) -> int:
     """Executed prefetch pipelining vs the analytic overlap projection."""
-    import json
-
     cells = []
     for dataset in args.datasets or ["enzymes"]:
-        for model in args.models if args.models != list(MODEL_NAMES) else ["gcn", "gin"]:
+        for model in args.models:
             for framework in args.frameworks:
                 for compiled in (False, True):
                     cells.append(
@@ -343,7 +363,7 @@ def _run_overlap(args) -> int:
                             framework,
                             model,
                             dataset,
-                            batch_size=args.batch_size if args.batch_size != 128 else 16,
+                            batch_size=args.batch_size,
                             num_graphs=args.num_graphs,
                             n_epochs=2,
                             compiled=compiled,
@@ -356,10 +376,7 @@ def _run_overlap(args) -> int:
             title="Streams + prefetch: executed overlap vs Section IV-D projection",
         )
     )
-    path = args.json or "BENCH_overlap.json"
-    with open(path, "w") as fh:
-        json.dump({"experiment": "overlap", "cells": cells}, fh, indent=2)
-    print(f"wrote {path}")
+    _write_document(args, "overlap", cells)
     if not all(c["parity"] for c in cells):
         print("ERROR: prefetched numerics diverged from serial", file=sys.stderr)
         return 1
@@ -371,14 +388,12 @@ def _run_overlap(args) -> int:
 
 def _run_faults(args) -> None:
     """Goodput / retries / p99 as scheduled fault rates sweep upward."""
-    import json
-
     from repro.serve import poisson_trace
 
     cells = []
     rows = []
     for dataset in args.datasets or ["enzymes"]:
-        for model in args.models if args.models != list(MODEL_NAMES) else ["gcn"]:
+        for model in args.models:
             for framework in args.frameworks:
                 trace = poisson_trace(args.requests, rate=args.rate, rng=0)
                 for rate in args.fault_rates:
@@ -405,10 +420,7 @@ def _run_faults(args) -> None:
             ),
         )
     )
-    path = args.json or "BENCH_faults.json"
-    with open(path, "w") as fh:
-        json.dump({"experiment": "faults", "cells": cells}, fh, indent=2)
-    print(f"wrote {path}")
+    _write_document(args, "faults", cells)
 
 
 def _run_kernels(args) -> None:
@@ -416,7 +428,7 @@ def _run_kernels(args) -> None:
     from repro.device import kernel_stats
 
     for dataset in args.datasets or ["enzymes"]:
-        for model in args.models if args.models != list(MODEL_NAMES) else ["gcn"]:
+        for model in args.models:
             for framework in args.frameworks:
                 records = step_kernel_records(
                     framework,
@@ -471,6 +483,7 @@ def _run_fleet(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    _resolve_defaults(args)
     if args.experiment == "table1":
         _run_table1(args)
     elif args.experiment == "table4":

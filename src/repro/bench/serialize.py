@@ -12,6 +12,7 @@ import io
 import json
 from typing import Dict, Iterable, List
 
+from repro.bench.spec import SPECS, TENANT_COUNTS, Section, is_finite, tag_of
 from repro.serve.metrics import ServingResult
 from repro.train.results import EpochRecord, ExperimentResult, RunResult
 
@@ -152,187 +153,102 @@ def serving_from_dict(data: Dict) -> ServingResult:
 
 def servings_to_json(results: Iterable[ServingResult]) -> str:
     """Serialise serving runs to a JSON document (BENCH_serving.json shape)."""
-    return json.dumps([serving_to_dict(r) for r in results], indent=2)
+    return document_to_json("serving", [serving_to_dict(r) for r in results])
 
 
 def servings_from_json(text: str) -> List[ServingResult]:
-    return [serving_from_dict(d) for d in json.loads(text)]
+    return [serving_from_dict(d) for d in document_from_json("serving", text)]
 
 
 # ----------------------------------------------------------------------
-# repro.bench.ops documents (BENCH_ops.json)
+# BENCH_*.json documents (one spec each in repro.bench.spec)
 # ----------------------------------------------------------------------
-#: Required cell fields and their JSON types; ``bound`` is additionally
-#: constrained to the three roofline classes.
-OPS_CELL_SCHEMA = {
-    "op": str,
-    "pack": str,
-    "mode": str,
-    "precision": str,
-    "shape": str,
-    "n_nodes": int,
-    "n_edges": int,
-    "feat_dim": int,
-    "launches": int,
-    "flops": (int, float),
-    "bytes": (int, float),
-    "device_time": (int, float),
-    "wall_time": (int, float),
-    "intensity": (int, float),
-    "bound": str,
-    "frac_peak_flops": (int, float),
-    "frac_peak_bandwidth": (int, float),
-}
+def _validate_cell(section: Section, where: str, cell: Dict) -> None:
+    for name, types in section.schema.items():
+        if name not in cell:
+            raise ValueError(f"{where} is missing field {name!r}")
+        if not isinstance(cell[name], types):
+            raise ValueError(
+                f"{where} field {name!r} has type "
+                f"{type(cell[name]).__name__}, expected {types}"
+            )
+    for name, allowed in section.vocab.items():
+        if cell[name] not in allowed:
+            raise ValueError(
+                f"{where} has {name}={cell[name]!r}, expected one of {allowed}"
+            )
+    # What the gate reads -- (field, must it be a number?) -- straight
+    # from the gate table, so the two cannot drift apart.
+    gated = [(name, False) for name in section.keys] + [
+        (name, direction != "exact")
+        for metric, direction, _ in section.metrics
+        for name in section.sources(metric)
+    ]
+    for name, numeric in gated:
+        if name not in cell:
+            raise ValueError(f"{where} is missing field {name!r}")
+        if not is_finite(cell[name], numeric):
+            raise ValueError(
+                f"{where} field {name!r} is not a finite number "
+                f"({cell[name]!r})"
+            )
+    if section.balance is not None:
+        parts, total = section.balance
+        if sum(cell[p] for p in parts) != cell[total]:
+            raise ValueError(f"{where}: {' + '.join(parts)} != {total}")
+    if section.tenants is not None:
+        for tenant, entry in cell[section.tenants].items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where} tenant {tenant!r} is not a dict")
+            for name in TENANT_COUNTS:
+                if not isinstance(entry.get(name), int):
+                    raise ValueError(
+                        f"{where} tenant {tenant!r} is missing "
+                        f"integer field {name!r}"
+                    )
 
-_BOUND_CLASSES = ("launch", "bandwidth", "compute")
-_PRECISIONS = ("fp32", "fp16")
 
+def validate_document(experiment: str, doc):
+    """Validate a ``BENCH_<experiment>.json`` document against its spec.
 
-def validate_ops_document(doc: Dict) -> Dict:
-    """Validate a BENCH_ops.json document against the cell schema.
-
-    Raises :class:`ValueError` naming the first offending cell and field;
+    Every document: the shape and ``experiment`` tag match, each section
+    is a list, and every cell carries its key fields and the source
+    fields of its gated metrics with finite values.  Where the spec
+    declares them, also the required-field schema, closed vocabularies,
+    the resolution arithmetic and per-tenant counts.  Raises
+    :class:`ValueError` naming the first offending cell and field;
     returns the document unchanged when valid, so this composes as a
     pass-through in the to/from JSON round-trip.
     """
-    if doc.get("experiment") != "ops":
-        raise ValueError(f"not an ops document (experiment={doc.get('experiment')!r})")
-    if not isinstance(doc.get("cells"), list):
-        raise ValueError("ops document has no 'cells' list")
-    for i, cell in enumerate(doc["cells"]):
-        for field, types in OPS_CELL_SCHEMA.items():
-            if field not in cell:
-                raise ValueError(f"ops cell {i} is missing field {field!r}")
-            if not isinstance(cell[field], types):
-                raise ValueError(
-                    f"ops cell {i} field {field!r} has type "
-                    f"{type(cell[field]).__name__}, expected {types}"
-                )
-        if cell["bound"] not in _BOUND_CLASSES:
-            raise ValueError(
-                f"ops cell {i} has bound={cell['bound']!r}, "
-                f"expected one of {_BOUND_CLASSES}"
-            )
-        if cell["precision"] not in _PRECISIONS:
-            raise ValueError(
-                f"ops cell {i} has precision={cell['precision']!r}, "
-                f"expected one of {_PRECISIONS}"
-            )
-    return doc
-
-
-def ops_to_json(doc: Dict) -> str:
-    """Serialise an ops document (validated) to JSON."""
-    return json.dumps(validate_ops_document(doc), indent=2)
-
-
-def ops_from_json(text: str) -> Dict:
-    """Parse + validate a BENCH_ops.json document."""
-    return validate_ops_document(json.loads(text))
-
-
-# ----------------------------------------------------------------------
-# repro.bench.fleet documents (BENCH_fleet.json)
-# ----------------------------------------------------------------------
-#: Required fleet-cell fields and their JSON types; ``kind`` is further
-#: constrained to the benchmark's four sections and every tenant entry
-#: must carry its own resolution accounting.
-FLEET_CELL_SCHEMA = {
-    "kind": str,
-    "policy": str,
-    "replicas": int,
-    "peak_replicas": int,
-    "final_replicas": int,
-    "framework": str,
-    "model": str,
-    "dataset": str,
-    "trace_scale": (int, float),
-    "n_requests": int,
-    "completed": int,
-    "shed": int,
-    "failed": int,
-    "resolved": int,
-    "no_silent_loss": bool,
-    "goodput": (int, float),
-    "p50": (int, float),
-    "p95": (int, float),
-    "p99": (int, float),
-    "mean_latency": (int, float),
-    "mean_batch_size": (int, float),
-    "elapsed": (int, float),
-    "gpu_utilization": (int, float),
-    "cache_hits": int,
-    "cache_misses": int,
-    "cache_hit_rate": (int, float),
-    "retries": int,
-    "batch_splits": int,
-    "circuit_opens": int,
-    "reroutes": int,
-    "replica_losses": int,
-    "scale_ups": int,
-    "scale_downs": int,
-    "shed_by_reason": dict,
-    "failed_by_reason": dict,
-    "tenants": dict,
-}
-
-_FLEET_KINDS = ("replicas", "policy", "chaos", "autoscale")
-_TENANT_COUNTS = ("n_requests", "completed", "shed", "failed", "resolved")
-
-
-def validate_fleet_document(doc: Dict) -> Dict:
-    """Validate a BENCH_fleet.json document against the cell schema.
-
-    Beyond field presence/types, each cell's resolution arithmetic must
-    close (``completed + shed + failed == resolved``) and every tenant
-    entry must carry the count fields the no-silent-loss gate reads.
-    Raises :class:`ValueError` naming the first offending cell and field;
-    returns the document unchanged when valid.
-    """
-    if doc.get("experiment") != "fleet":
+    found = tag_of(doc)
+    if found != experiment:
+        article = "an" if experiment[0] in "aeiou" else "a"
         raise ValueError(
-            f"not a fleet document (experiment={doc.get('experiment')!r})"
+            f"not {article} {experiment} document (experiment={found!r})"
         )
-    if not isinstance(doc.get("cells"), list):
-        raise ValueError("fleet document has no 'cells' list")
-    for i, cell in enumerate(doc["cells"]):
-        for field, types in FLEET_CELL_SCHEMA.items():
-            if field not in cell:
-                raise ValueError(f"fleet cell {i} is missing field {field!r}")
-            if not isinstance(cell[field], types):
-                raise ValueError(
-                    f"fleet cell {i} field {field!r} has type "
-                    f"{type(cell[field]).__name__}, expected {types}"
-                )
-        if cell["kind"] not in _FLEET_KINDS:
-            raise ValueError(
-                f"fleet cell {i} has kind={cell['kind']!r}, "
-                f"expected one of {_FLEET_KINDS}"
-            )
-        if cell["completed"] + cell["shed"] + cell["failed"] != cell["resolved"]:
-            raise ValueError(
-                f"fleet cell {i}: completed + shed + failed != resolved"
-            )
-        for name, tenant in cell["tenants"].items():
-            if not isinstance(tenant, dict):
-                raise ValueError(f"fleet cell {i} tenant {name!r} is not a dict")
-            for key in _TENANT_COUNTS:
-                if not isinstance(tenant.get(key), int):
-                    raise ValueError(
-                        f"fleet cell {i} tenant {name!r} is missing "
-                        f"integer field {key!r}"
-                    )
+    for section in SPECS[experiment].sections:
+        cells = doc if section.path is None else doc.get(section.path)
+        if not isinstance(cells, list):
+            raise ValueError(f"{experiment} document has no {section.path!r} list")
+        for i, cell in enumerate(cells):
+            _validate_cell(section, f"{section.name} cell {i}", cell)
     return doc
 
 
-def fleet_to_json(doc: Dict) -> str:
-    """Serialise a fleet document (validated) to JSON."""
-    return json.dumps(validate_fleet_document(doc), indent=2)
+def document_to_json(experiment: str, body) -> str:
+    """Serialise the ``BENCH_<experiment>.json`` document (validated).
+
+    ``body`` is the document without its tag -- a dict of sections, or
+    the bare entry list of a serving document.  The writer names the
+    experiment; a body already tagged as another one is rejected.
+    """
+    doc = {"experiment": experiment, **body} if isinstance(body, dict) else body
+    return json.dumps(validate_document(experiment, doc), indent=2)
 
 
-def fleet_from_json(text: str) -> Dict:
-    """Parse + validate a BENCH_fleet.json document."""
-    return validate_fleet_document(json.loads(text))
+def document_from_json(experiment: str, text: str):
+    """Parse + validate a ``BENCH_<experiment>.json`` document."""
+    return validate_document(experiment, json.loads(text))
 
 
 def experiments_to_csv(results: Iterable[ExperimentResult]) -> str:

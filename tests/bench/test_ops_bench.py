@@ -22,11 +22,11 @@ from repro.bench.ops import (
     run_cell,
 )
 from repro.bench.serialize import (
-    OPS_CELL_SCHEMA,
-    ops_from_json,
-    ops_to_json,
-    validate_ops_document,
+    document_from_json,
+    document_to_json,
+    validate_document,
 )
+from repro.bench.spec import SPECS
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 REGRESSED_OPS = os.path.join(
@@ -40,7 +40,7 @@ ENZYMES = SHAPES["enzymes-b128"]
 class TestRunCell:
     def test_cell_carries_every_schema_field(self):
         cell = run_cell("gemm", ENZYMES, "pygx")
-        for field, types in OPS_CELL_SCHEMA.items():
+        for field, types in SPECS["ops"].sections[0].schema.items():
             assert field in cell
             assert isinstance(cell[field], types), field
 
@@ -107,22 +107,22 @@ class TestGridAndSchema:
 
     def test_document_round_trips_through_serialize(self):
         doc = ops_document(ops_grid(shapes=["enzymes-b128"], ops=["gemm", "h2d"]))
-        assert ops_from_json(ops_to_json(doc)) == doc
+        assert document_from_json("ops", document_to_json("ops", doc)) == doc
         assert doc["device"]["ridge_point"] > 0
 
     def test_validate_rejects_wrong_experiment(self):
         with pytest.raises(ValueError, match="not an ops document"):
-            validate_ops_document({"experiment": "compile", "cells": []})
+            validate_document("ops", {"experiment": "compile", "cells": []})
 
     def test_validate_rejects_missing_field_and_bad_bound(self):
         cell = run_cell("gemm", ENZYMES, "pygx")
         broken = dict(cell)
         del broken["intensity"]
         with pytest.raises(ValueError, match="missing field 'intensity'"):
-            validate_ops_document({"experiment": "ops", "cells": [broken]})
+            validate_document("ops", {"experiment": "ops", "cells": [broken]})
         flipped = dict(cell, bound="memory")
         with pytest.raises(ValueError, match="bound='memory'"):
-            validate_ops_document({"experiment": "ops", "cells": [flipped]})
+            validate_document("ops", {"experiment": "ops", "cells": [flipped]})
 
     def test_report_renders_every_cell_and_summary(self):
         cells = ops_grid(shapes=["enzymes-b128"], ops=["gspmm"])
@@ -138,7 +138,7 @@ class TestCli:
         rc = main(["--shapes", "enzymes-b128", "--ops", "gemm", "--out", str(out)])
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
-        doc = ops_from_json(out.read_text())
+        doc = document_from_json("ops", out.read_text())
         assert {c["shape"] for c in doc["cells"]} == {"enzymes-b128"}
 
     def test_cli_report_prints_table(self, capsys):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.report import EXPERIMENTS, main
+from repro.bench.report import EXPERIMENTS, _parser, _resolve_defaults, main
+from repro.models import MODEL_NAMES
 
 
 class TestReportCLI:
@@ -177,3 +178,54 @@ class TestReportCLI:
         assert set(EXPERIMENTS) >= {"table1", "table4", "table5", "fig1", "fig2",
                                     "fig3", "fig4", "fig5", "fig6", "serve",
                                     "compile", "kernels"}
+
+
+class TestExplicitDefaultsAreHonoured:
+    """Flags used to be compared against their default to decide whether
+    the user passed them, so passing the default explicitly was ignored."""
+
+    def test_serve_with_every_model_runs_every_model(self, capsys, tmp_path):
+        json_path = tmp_path / "serving.json"
+        code = main(
+            ["serve", "--models", *MODEL_NAMES, "--frameworks", "pygx",
+             "--requests", "10", "--num-graphs", "16", "--json", str(json_path)]
+        )
+        assert code == 0
+        served = [entry["model"] for entry in json.loads(json_path.read_text())]
+        assert served[::2] == list(MODEL_NAMES)  # one b1 + one b32 cell each
+
+    def test_overlap_batch_size_128_runs_batch_128(self, capsys, tmp_path):
+        json_path = tmp_path / "BENCH_overlap.json"
+        main(
+            ["overlap", "--models", "gcn", "--frameworks", "pygx",
+             "--num-graphs", "48", "--batch-size", "128", "--json", str(json_path)]
+        )
+        cells = json.loads(json_path.read_text())["cells"]
+        assert {c["batch_size"] for c in cells} == {128}
+
+    @pytest.mark.parametrize(
+        "experiment,models,batch_sizes,batch_size",
+        [
+            ("table4", list(MODEL_NAMES), [64, 128, 256], 128),
+            ("fig1", list(MODEL_NAMES), [64, 128, 256], 128),
+            ("fig6", list(MODEL_NAMES), [128, 256, 512], 128),
+            ("serve", ["gcn"], [64, 128, 256], 128),
+            ("faults", ["gcn"], [64, 128, 256], 128),
+            ("kernels", ["gcn"], [64, 128, 256], 128),
+            ("compile", ["gcn", "gin"], [64, 128, 256], 128),
+            ("overlap", ["gcn", "gin"], [64, 128, 256], 16),
+        ],
+    )
+    def test_unset_flags_keep_their_per_experiment_defaults(
+        self, experiment, models, batch_sizes, batch_size
+    ):
+        args = _parser().parse_args([experiment])
+        _resolve_defaults(args)
+        assert args.models == models
+        assert args.batch_sizes == batch_sizes
+        assert args.batch_size == batch_size
+
+    def test_fig6_explicit_common_batch_sizes_are_kept(self):
+        args = _parser().parse_args(["fig6", "--batch-sizes", "64", "128", "256"])
+        _resolve_defaults(args)
+        assert args.batch_sizes == [64, 128, 256]

@@ -1,19 +1,22 @@
 #!/usr/bin/env python
 """Gate bench regressions against committed BENCH_*.json baselines.
 
-CI regenerates the smoke benches (serving, compile, faults) into a scratch
-directory and then runs this script to diff the fresh metrics against the
-baselines committed at the repo root.  Only *deterministic, scale-free*
-metrics are gated -- kernel-launch counts, shed/failure fractions, numeric
-parity -- because wall-clock style numbers (epoch times, speedups) vary with
-the host and would make the gate flaky.
+CI regenerates all eight bench documents (serving, compile, faults,
+overlap, scale, scaling, ops, fleet) into a scratch directory and then runs
+this script to diff the fresh metrics against the baselines committed at
+the repo root.  What is gated -- per document: the cell lists, their key
+fields, the metrics with direction and absolute floor, the conservation
+invariants -- is declared once in ``repro.bench.spec``; this script only
+walks that table.
 
 A metric regresses when it moves in the "worse" direction by more than
 ``--tolerance`` (relative, default 10%) past a small absolute floor that
-keeps zero-valued baselines from tripping on noise.
+keeps zero-valued baselines from tripping on noise, or when its current
+value is not a finite number at all.
 
 Exit status: 0 when every gated metric holds, 1 when anything regressed,
-2 on usage errors (missing files, malformed JSON).
+2 on usage errors (missing files, malformed JSON, a baseline that is not a
+valid document of its kind).
 
 Usage::
 
@@ -31,86 +34,13 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Bench files the directory mode looks for.
-BENCH_FILES = ("BENCH_serving.json", "BENCH_compile.json", "BENCH_faults.json",
-               "BENCH_overlap.json", "BENCH_scale.json", "BENCH_scaling.json",
-               "BENCH_ops.json", "BENCH_fleet.json")
+# Runs as a plain script (no PYTHONPATH): the gate table lives in the library.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
-#: Gated metrics per experiment kind: (metric, direction, absolute floor).
-#: ``lower`` means a larger current value is a regression; ``higher`` the
-#: reverse; ``exact`` must match the baseline bit for bit.
-COMPILE_METRICS = (
-    ("eager_launches_per_step", "lower", 0.5),
-    ("compiled_launches_per_step", "lower", 0.5),
-    ("guard_failures", "lower", 0.5),
-    ("parity", "exact", 0.0),
-)
-SERVING_METRICS = (
-    ("shed_fraction", "lower", 0.01),
-    ("completed", "higher", 0.5),
-)
-FAULTS_METRICS = (
-    ("goodput", "higher", 1.0),
-    ("p99", "lower", 1e-4),
-    ("failed_fraction", "lower", 0.01),
-)
-#: Overlap cells are fully deterministic (simulated clock), so numeric
-#: parity and projection convergence gate exactly; the epoch speedup only
-#: guards against losing the overlap win outright.
-OVERLAP_METRICS = (
-    ("parity", "exact", 0.0),
-    ("within_projection", "exact", 0.0),
-    ("speedup", "higher", 0.01),
-)
-#: Scale cells run on the simulated clock and a capped memory pool, so
-#: all three sections are deterministic: the fit/parity booleans gate
-#: exactly, the accuracy gap and throughput within the relative tolerance.
-SCALE_TRAINING_METRICS = (
-    ("under_cap", "exact", 0.0),
-    ("full_graph_exceeds_cap", "exact", 0.0),
-    ("epochs_per_sec", "higher", 0.01),
-)
-SCALE_PARITY_METRICS = (
-    ("within_tolerance", "exact", 0.0),
-    ("gap", "lower", 0.005),
-)
-SCALE_PARTITIONED_METRICS = (
-    ("under_cap", "exact", 0.0),
-    ("test_acc", "higher", 0.01),
-)
-#: DDP scaling cells are deterministic (simulated clock + modelled
-#: fabric): the beat-the-baseline boolean and collective count gate
-#: exactly, the speedup within the relative tolerance so cost-model
-#: tweaks that shift both curves together do not trip the gate.
-SCALING_CELL_METRICS = (
-    ("beats_dataparallel", "exact", 0.0),
-    ("collectives", "exact", 0.0),
-    ("speedup_vs_dp", "higher", 0.05),
-)
-SCALING_PARITY_METRICS = (
-    ("loss_bitwise_identical", "exact", 0.0),
-    ("test_acc_equal", "exact", 0.0),
-)
-#: Operation-level cells run entirely on the simulated clock, so the
-#: roofline classification and launch counts gate exactly-ish (``lower``
-#: lets launch-count *improvements* through) and the wall clock within
-#: the relative tolerance — a >10% op slowdown or any bound-class flip
-#: (e.g. a kernel sliding from bandwidth- to launch-bound) fails CI.
-OPS_METRICS = (
-    ("bound", "exact", 0.0),
-    ("launches", "lower", 0.5),
-    ("wall_time", "lower", 1e-7),
-)
-#: Fleet cells run on the simulated clock from seeded traffic, routing
-#: and chaos streams, so goodput/completed/p99 are deterministic and gate
-#: within the relative tolerance; the per-tenant no-silent-loss invariant
-#: gates exactly (any silent drop fails CI regardless of magnitude).
-FLEET_METRICS = (
-    ("goodput", "higher", 1.0),
-    ("completed", "higher", 0.5),
-    ("p99", "lower", 1e-4),
-    ("no_silent_loss", "exact", 0.0),
-)
+from repro.bench.serialize import validate_document  # noqa: E402
+from repro.bench.spec import (  # noqa: E402
+    SPECS, Section, is_finite, spec_for, tag_of)
 
 
 @dataclass
@@ -158,246 +88,86 @@ def _is_worse(direction: str, baseline: float, current: float,
     return delta > max(tolerance * abs(baseline), floor)
 
 
-def _check_metrics(label: str, metrics: Sequence[Tuple[str, str, float]],
-                   baseline: Dict, current: Dict,
-                   tolerance: float) -> List[Regression]:
+def _check_metrics(label: str, section: Section, baseline: Dict,
+                   current: Dict, tolerance: float) -> List[Regression]:
     out: List[Regression] = []
-    for metric, direction, floor in metrics:
-        if metric not in baseline:
-            continue  # older baseline predates this metric: nothing to gate
-        if metric not in current:
-            out.append(Regression(label, metric, baseline[metric], None,
+    for metric, direction, floor in section.metrics:
+        base = section.value(metric, baseline)
+        sources = section.sources(metric)
+        if any(name not in current for name in sources):
+            out.append(Regression(label, metric, base, None,
                                   "metric missing from current run"))
             continue
-        if _is_worse(direction, baseline[metric], current[metric],
-                     tolerance, floor):
-            out.append(Regression(label, metric, baseline[metric],
-                                  current[metric]))
-    return out
-
-
-def _serving_view(entry: Dict) -> Dict:
-    n = max(entry.get("n_requests", 0), 1)
-    return {
-        "shed_fraction": entry.get("shed", 0) / n,
-        "completed": entry.get("completed", 0),
-    }
-
-
-def _faults_view(cell: Dict) -> Dict:
-    n = max(cell.get("n_requests", 0), 1)
-    view = {"failed_fraction": cell.get("failed", 0) / n}
-    for key in ("goodput", "p99"):
-        if key in cell:
-            view[key] = cell[key]
-    return view
-
-
-def check_compile(baseline: Dict, current: Dict,
-                  tolerance: float) -> List[Regression]:
-    def by_key(doc: Dict) -> Dict[Tuple[str, str, str], Dict]:
-        return {(c["framework"], c["model"], c["dataset"]): c
-                for c in doc.get("cells", [])}
-
-    base_cells, cur_cells = by_key(baseline), by_key(current)
-    out: List[Regression] = []
-    for key, cell in sorted(base_cells.items()):
-        label = "compile[%s/%s/%s]" % key
-        if key not in cur_cells:
-            out.append(Regression(label, "cell", "present", None,
-                                  "cell missing from current run"))
+        # ``exact`` compares any value; the ordered directions need numbers
+        # (NaN compares false both ways and would otherwise pass).
+        bad = [current[name] for name in sources
+               if direction != "exact" and not is_finite(current[name])]
+        if bad:
+            out.append(Regression(label, metric, base, bad[0],
+                                  "not a finite number"))
             continue
-        out.extend(_check_metrics(label, COMPILE_METRICS, cell,
-                                  cur_cells[key], tolerance))
+        cur = section.value(metric, current)
+        if _is_worse(direction, base, cur, tolerance, floor):
+            out.append(Regression(label, metric, base, cur))
     return out
 
 
-def check_overlap(baseline: Dict, current: Dict,
-                  tolerance: float) -> List[Regression]:
-    def by_key(doc: Dict) -> Dict[Tuple[str, str, str, bool], Dict]:
-        return {(c["framework"], c["model"], c["dataset"], c["compiled"]): c
-                for c in doc.get("cells", [])}
+def _check_conserved(label: str, prefix: str, note: str,
+                     fields: Tuple[str, str], entry: Dict) -> List[Regression]:
+    held, expected = fields
+    if entry.get(held) == entry.get(expected):
+        return []
+    return [Regression(label, prefix + held, entry.get(expected),
+                       entry.get(held), note)]
 
-    base_cells, cur_cells = by_key(baseline), by_key(current)
+
+def check_section(section: Section, baseline: object, current: object,
+                  tolerance: float, subset: bool) -> List[Regression]:
+    """Diff one cell list of a (validated) baseline against the current run."""
+    base_cells, cur_cells = section.cells(baseline), section.cells(current)
+    if section.positional:
+        noun, missing = "entry", "entry missing from current run"
+        pairs = [(cell, cur_cells[i] if i < len(cur_cells) else None)
+                 for i, cell in enumerate(base_cells)]
+    else:
+        noun, missing = "cell", "cell missing from current run"
+        by_key = {section.key(cell): cell for cell in cur_cells}
+        keyed = {section.key(cell): cell for cell in base_cells}
+        pairs = [(cell, by_key.get(key)) for key, cell in sorted(keyed.items())]
     out: List[Regression] = []
-    for key, cell in sorted(base_cells.items()):
-        label = "overlap[%s/%s/%s/%s]" % (
-            key[0], key[1], key[2], "compiled" if key[3] else "eager")
-        if key not in cur_cells:
-            out.append(Regression(label, "cell", "present", None,
-                                  "cell missing from current run"))
+    for index, (cell, cur) in enumerate(pairs):
+        label = section.label_of(cell, index)
+        if cur is None:
+            if not subset:  # reduced CI grid: ungenerated cells are not gated
+                out.append(Regression(label, noun, "present", None, missing))
             continue
-        out.extend(_check_metrics(label, OVERLAP_METRICS, cell,
-                                  cur_cells[key], tolerance))
-    return out
-
-
-def check_scale(baseline: Dict, current: Dict,
-                tolerance: float) -> List[Regression]:
-    sections = (
-        ("training", SCALE_TRAINING_METRICS,
-         lambda c: (c["framework"], c["model"])),
-        ("parity", SCALE_PARITY_METRICS,
-         lambda c: (c["framework"], c["model"])),
-        ("partitioned", SCALE_PARTITIONED_METRICS,
-         lambda c: (c["framework"], c["model"], c["k"])),
-    )
-    out: List[Regression] = []
-    for section, metrics, key_of in sections:
-        base_cells = {key_of(c): c for c in baseline.get(section, [])}
-        cur_cells = {key_of(c): c for c in current.get(section, [])}
-        for key, cell in sorted(base_cells.items()):
-            label = "scale.%s[%s]" % (section, "/".join(str(k) for k in key))
-            if key not in cur_cells:
-                out.append(Regression(label, "cell", "present", None,
-                                      "cell missing from current run"))
-                continue
-            out.extend(_check_metrics(label, metrics, cell,
-                                      cur_cells[key], tolerance))
-    return out
-
-
-def check_scaling(baseline: Dict, current: Dict,
-                  tolerance: float) -> List[Regression]:
-    sections = (
-        ("cells", SCALING_CELL_METRICS,
-         lambda c: (c["framework"], c["model"], c["replicas"])),
-        ("parity", SCALING_PARITY_METRICS,
-         lambda c: (c["framework"], c["model"], c["mode"])),
-    )
-    out: List[Regression] = []
-    for section, metrics, key_of in sections:
-        base_cells = {key_of(c): c for c in baseline.get(section, [])}
-        cur_cells = {key_of(c): c for c in current.get(section, [])}
-        for key, cell in sorted(base_cells.items()):
-            label = "scaling.%s[%s]" % (
-                section, "/".join(str(k) for k in key))
-            if key not in cur_cells:
-                out.append(Regression(label, "cell", "present", None,
-                                      "cell missing from current run"))
-                continue
-            out.extend(_check_metrics(label, metrics, cell,
-                                      cur_cells[key], tolerance))
-    return out
-
-
-def check_ops(baseline: Dict, current: Dict, tolerance: float,
-              subset: bool = False) -> List[Regression]:
-    def by_key(doc: Dict) -> Dict[Tuple[str, str, str, str, str], Dict]:
-        # ``precision`` joined the key with the fp16 roofline mode; older
-        # baselines without the field key as fp32.
-        return {(c["op"], c["pack"], c["mode"],
-                 c.get("precision", "fp32"), c["shape"]): c
-                for c in doc.get("cells", [])}
-
-    base_cells, cur_cells = by_key(baseline), by_key(current)
-    out: List[Regression] = []
-    for key, cell in sorted(base_cells.items()):
-        label = "ops[%s/%s/%s/%s/%s]" % key
-        if key not in cur_cells:
-            if subset:
-                continue  # reduced CI grid: ungenerated cells are not gated
-            out.append(Regression(label, "cell", "present", None,
-                                  "cell missing from current run"))
+        out.extend(_check_metrics(label, section, cell, cur, tolerance))
+        if section.conserved is None:
             continue
-        out.extend(_check_metrics(label, OPS_METRICS, cell,
-                                  cur_cells[key], tolerance))
+        out.extend(_check_conserved(label, "", "requests lost without resolution",
+                                    section.conserved, cur))
+        if section.tenants is not None:
+            for name, tenant in sorted(cur.get(section.tenants, {}).items()):
+                out.extend(_check_conserved(
+                    label, f"tenants[{name}].",
+                    "tenant requests lost without resolution",
+                    section.conserved, tenant))
     return out
 
 
-def check_fleet(baseline: Dict, current: Dict, tolerance: float,
-                subset: bool = False) -> List[Regression]:
-    def by_key(doc: Dict) -> Dict[Tuple[str, str, int], Dict]:
-        return {(c["kind"], c["policy"], c["replicas"]): c
-                for c in doc.get("cells", [])}
-
-    base_cells, cur_cells = by_key(baseline), by_key(current)
+def check_file(baseline: object, current: object, tolerance: float,
+               subset: bool) -> List[Regression]:
+    """Gate one document pair; ``ValueError`` when the baseline is not a
+    valid document of its kind or the current run is a different kind."""
+    spec = spec_for(baseline)
+    validate_document(spec.experiment, baseline)
+    if tag_of(current) != spec.experiment:
+        raise ValueError(f"current run is not a {spec.experiment} document")
     out: List[Regression] = []
-    for key, cell in sorted(base_cells.items()):
-        label = "fleet[%s/%s/x%d]" % key
-        if key not in cur_cells:
-            if subset:
-                continue  # reduced CI grid: ungenerated cells are not gated
-            out.append(Regression(label, "cell", "present", None,
-                                  "cell missing from current run"))
-            continue
-        cur = cur_cells[key]
-        out.extend(_check_metrics(label, FLEET_METRICS, cell, cur, tolerance))
-        if cur.get("resolved") != cur.get("n_requests"):
-            out.append(Regression(label, "resolved", cur.get("n_requests"),
-                                  cur.get("resolved"),
-                                  "requests lost without resolution"))
-        for name, tenant in sorted(cur.get("tenants", {}).items()):
-            if tenant.get("resolved") != tenant.get("n_requests"):
-                out.append(Regression(label, f"tenants[{name}].resolved",
-                                      tenant.get("n_requests"),
-                                      tenant.get("resolved"),
-                                      "tenant requests lost without resolution"))
+    for section in spec.sections:
+        out.extend(check_section(section, baseline, current, tolerance,
+                                 subset and spec.subset))
     return out
-
-
-def check_serving(baseline: List[Dict], current: List[Dict],
-                  tolerance: float) -> List[Regression]:
-    out: List[Regression] = []
-    for i, entry in enumerate(baseline):
-        label = "serving[%d:%s/%s/%s]" % (
-            i, entry.get("framework"), entry.get("model"), entry.get("dataset"))
-        if i >= len(current):
-            out.append(Regression(label, "entry", "present", None,
-                                  "entry missing from current run"))
-            continue
-        out.extend(_check_metrics(label, SERVING_METRICS,
-                                  _serving_view(entry),
-                                  _serving_view(current[i]), tolerance))
-    return out
-
-
-def check_faults(baseline: Dict, current: Dict,
-                 tolerance: float) -> List[Regression]:
-    def by_key(doc: Dict) -> Dict[Tuple, Dict]:
-        return {(c["framework"], c["model"], c["dataset"], c["fault_rate"]): c
-                for c in doc.get("cells", [])}
-
-    base_cells, cur_cells = by_key(baseline), by_key(current)
-    out: List[Regression] = []
-    for key, cell in sorted(base_cells.items()):
-        label = "faults[%s/%s/%s@%g]" % key
-        if key not in cur_cells:
-            out.append(Regression(label, "cell", "present", None,
-                                  "cell missing from current run"))
-            continue
-        cur = cur_cells[key]
-        out.extend(_check_metrics(label, FAULTS_METRICS, _faults_view(cell),
-                                  _faults_view(cur), tolerance))
-        if cur.get("resolved") != cur.get("n_requests"):
-            out.append(Regression(label, "resolved", cur.get("n_requests"),
-                                  cur.get("resolved"),
-                                  "requests lost without resolution"))
-    return out
-
-
-def check_file(name: str, baseline: object, current: object,
-               tolerance: float, subset: bool = False) -> List[Regression]:
-    """Dispatch on document shape: serving is a bare list, the report-CLI
-    experiments carry an ``experiment`` tag."""
-    if isinstance(baseline, list):
-        return check_serving(baseline, current, tolerance)
-    kind = baseline.get("experiment")
-    if kind == "compile":
-        return check_compile(baseline, current, tolerance)
-    if kind == "faults":
-        return check_faults(baseline, current, tolerance)
-    if kind == "overlap":
-        return check_overlap(baseline, current, tolerance)
-    if kind == "scale":
-        return check_scale(baseline, current, tolerance)
-    if kind == "scaling":
-        return check_scaling(baseline, current, tolerance)
-    if kind == "ops":
-        return check_ops(baseline, current, tolerance, subset=subset)
-    if kind == "fleet":
-        return check_fleet(baseline, current, tolerance, subset=subset)
-    raise ValueError(f"{name}: unrecognised bench document (experiment={kind!r})")
 
 
 def _load(path: str) -> object:
@@ -409,11 +179,11 @@ def _pairs(args: argparse.Namespace) -> List[Tuple[str, str, str]]:
     if args.baseline:
         return [(os.path.basename(args.baseline), args.baseline, args.current)]
     pairs = []
-    for name in BENCH_FILES:
-        base = os.path.join(args.baseline_dir, name)
-        cur = os.path.join(args.current_dir, name)
+    for spec in SPECS.values():
+        base = os.path.join(args.baseline_dir, spec.filename)
+        cur = os.path.join(args.current_dir, spec.filename)
         if os.path.exists(base):
-            pairs.append((name, base, cur))
+            pairs.append((spec.filename, base, cur))
     if not pairs:
         raise FileNotFoundError(
             f"no BENCH_*.json baselines found in {args.baseline_dir}")
@@ -450,8 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name, base_path, cur_path in pairs:
         try:
             baseline, current = _load(base_path), _load(cur_path)
-            found = check_file(name, baseline, current, args.tolerance,
-                               subset=args.subset)
+            found = check_file(baseline, current, args.tolerance, args.subset)
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 2
