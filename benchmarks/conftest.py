@@ -11,6 +11,9 @@ import pathlib
 
 import pytest
 
+from repro.bench.experiments import EXPERIMENTS, write_document
+
+REPO_ROOT = pathlib.Path(__file__).parent.parent
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
@@ -25,3 +28,21 @@ def publish():
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _publish
+
+
+@pytest.fixture
+def run_document(benchmark, publish):
+    """Return a function that runs a gated record on its own protocol,
+    publishes the rendering as ``artifact`` and writes the
+    ``BENCH_<experiment>.json`` at the repo root — the same bytes a bare
+    ``python -m repro.bench.report <experiment>`` writes — then hands the
+    body back for the bench's shape assertions."""
+
+    def _run_document(experiment: str, artifact: str):
+        record = EXPERIMENTS[experiment]
+        body = benchmark.pedantic(record.run, args=(record.protocol,), rounds=1, iterations=1)
+        publish(artifact, record.render(body, record.protocol))
+        write_document(experiment, body, REPO_ROOT / f"BENCH_{experiment}.json")
+        return body
+
+    return _run_document

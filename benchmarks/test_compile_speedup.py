@@ -16,60 +16,15 @@ Writes ``benchmarks/results/compile_speedup.txt`` and the machine-readable
 ``BENCH_compile.json`` at the repo root.
 """
 
-import pathlib
-
 import numpy as np
 
-from repro.bench import compile_cell, document_to_json, format_table
+from repro.bench.experiments import EXPERIMENTS
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-MODELS = ("gcn", "gin")
-FRAMEWORKS = ("pygx", "dglx")
-BATCH_SIZE = 128
-NUM_GRAPHS = 256
-N_EPOCHS = 2
+PROTOCOL = EXPERIMENTS["compile"].protocol
 
 
-def run_compile_matrix():
-    return [
-        compile_cell(framework, model, "enzymes", batch_size=BATCH_SIZE,
-                     num_graphs=NUM_GRAPHS, n_epochs=N_EPOCHS)
-        for model in MODELS
-        for framework in FRAMEWORKS
-    ]
-
-
-def test_compile_speedup(benchmark, publish):
-    cells = benchmark.pedantic(run_compile_matrix, rounds=1, iterations=1)
-
-    rows = [
-        [
-            c["model"],
-            c["framework"],
-            str(c["eager_launches_per_step"]),
-            str(c["compiled_launches_per_step"]),
-            f"{c['launch_reduction'] * 100:.0f}%",
-            f"{c['eager_epoch_time'] * 1e3:.2f}",
-            f"{c['compiled_epoch_time'] * 1e3:.2f}",
-            f"{c['speedup']:.2f}x",
-            "exact" if c["parity"] else "DIVERGED",
-        ]
-        for c in cells
-    ]
-    text = format_table(
-        ["model", "fw", "eager", "compiled", "saved", "eager(ms)",
-         "compiled(ms)", "speedup", "numerics"],
-        rows,
-        title=(
-            f"Compiled vs eager training step, ENZYMES batch {BATCH_SIZE} "
-            f"({N_EPOCHS} epochs, {NUM_GRAPHS} graphs)"
-        ),
-    )
-    publish("compile_speedup", text)
-    (REPO_ROOT / "BENCH_compile.json").write_text(
-        document_to_json("compile", {"cells": cells}) + "\n"
-    )
+def test_compile_speedup(run_document):
+    cells = run_document("compile", "compile_speedup")["cells"]
 
     for c in cells:
         key = (c["model"], c["framework"])
@@ -89,6 +44,6 @@ def test_compile_speedup(benchmark, publish):
     # The win is biggest where launch overhead dominates: elementwise-heavy
     # GIN sheds a larger launch fraction than GCN in the same framework.
     by_key = {(c["model"], c["framework"]): c for c in cells}
-    for framework in FRAMEWORKS:
+    for framework in PROTOCOL["frameworks"]:
         assert (by_key[("gin", framework)]["launch_reduction"]
                 >= by_key[("gcn", framework)]["launch_reduction"])

@@ -20,22 +20,14 @@ Writes ``benchmarks/results/fleet_serving.txt`` and the schema-validated
 ``tools/check_bench_regression.py``).
 """
 
-import pathlib
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.fleet import FLEET_TABLE, fleet_document, fleet_grid
+from repro.bench.serialize import validate_document
+from repro.bench.tables import render_table
 
-from repro.bench import format_table
-from repro.bench.fleet import (
-    FLEET_COLUMNS,
-    REPLICA_SWEEP,
-    TRACE_REQUESTS,
-    TRACE_SCALE,
-    fleet_document,
-    fleet_grid,
-    fleet_report,
-    fleet_row,
-)
-from repro.bench.serialize import document_to_json, validate_document
-
-REPO_ROOT = pathlib.Path(__file__).parent.parent
+PROTOCOL = EXPERIMENTS["fleet"].protocol
+REPLICA_SWEEP = PROTOCOL["replicas"]
+TRACE_REQUESTS = PROTOCOL["requests"]
 
 SMOKE_REQUESTS = 150
 
@@ -60,14 +52,9 @@ def test_fleet_smoke(benchmark):
     assert two["goodput"] > one["goodput"]
 
 
-def test_fleet_serving(benchmark, publish):
-    cells = benchmark.pedantic(fleet_grid, rounds=1, iterations=1)
+def test_fleet_serving(run_document):
+    cells = run_document("fleet", "fleet_serving")["cells"]
     by_key = _by_key(cells)
-
-    publish("fleet_serving", fleet_report(cells))
-    (REPO_ROOT / "BENCH_fleet.json").write_text(
-        document_to_json("fleet", fleet_document(cells)) + "\n"
-    )
 
     # Every cell resolves every request, fleet-wide and per tenant.
     for cell in cells:
@@ -123,12 +110,12 @@ def test_fleet_policy_table(publish):
     cells = fleet_grid(kinds=("policy",))
     publish(
         "fleet_policies",
-        format_table(
-            list(FLEET_COLUMNS),
-            [fleet_row(c) for c in cells],
+        render_table(
+            FLEET_TABLE,
+            cells,
             title=(
                 f"Routing policies at {max(REPLICA_SWEEP)} replicas "
-                f"(trace scale {TRACE_SCALE:g}, {TRACE_REQUESTS} requests)"
+                f"(trace scale {PROTOCOL['scale']:g}, {TRACE_REQUESTS} requests)"
             ),
         ),
     )

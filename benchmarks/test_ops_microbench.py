@@ -13,21 +13,11 @@ grid ``BENCH_ops.json`` at the repo root (the ops-bench CI gate diffs wall
 clock, launch counts and bound classes against the committed copy).
 """
 
-import pathlib
-
-from repro.bench.ops import bound_summary, ops_document, ops_grid, ops_report
-from repro.bench.serialize import document_to_json
-
-REPO_ROOT = pathlib.Path(__file__).parent.parent
+from repro.bench.ops import bound_summary
 
 
-def test_ops_microbench(benchmark, publish):
-    cells = benchmark.pedantic(ops_grid, rounds=1, iterations=1)
-
-    publish("ops_microbench", ops_report(cells))
-    (REPO_ROOT / "BENCH_ops.json").write_text(
-        document_to_json("ops", ops_document(cells)) + "\n"
-    )
+def test_ops_microbench(run_document):
+    cells = run_document("ops", "ops_microbench")["cells"]
 
     by_key = {
         (c["op"], c["pack"], c["mode"], c["shape"], c["precision"]): c

@@ -18,50 +18,13 @@ Writes ``benchmarks/results/overlap_pipeline.txt`` and the machine-readable
 ``tools/check_bench_regression.py``).
 """
 
-import pathlib
+from repro.bench.experiments import EXPERIMENTS
 
-from repro.bench import (
-    OVERLAP_COLUMNS,
-    document_to_json,
-    format_table,
-    overlap_cell,
-    overlap_row,
-)
-
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-MODELS = ("gcn", "gin")
-FRAMEWORKS = ("pygx", "dglx")
-BATCH_SIZE = 16
-N_EPOCHS = 2
-TOLERANCE = 0.05
+PROTOCOL = EXPERIMENTS["overlap"].protocol
 
 
-def run_overlap_matrix():
-    return [
-        overlap_cell(framework, model, "enzymes", batch_size=BATCH_SIZE,
-                     n_epochs=N_EPOCHS, compiled=compiled, tolerance=TOLERANCE)
-        for model in MODELS
-        for framework in FRAMEWORKS
-        for compiled in (False, True)
-    ]
-
-
-def test_overlap_pipeline(benchmark, publish):
-    cells = benchmark.pedantic(run_overlap_matrix, rounds=1, iterations=1)
-
-    text = format_table(
-        OVERLAP_COLUMNS,
-        [overlap_row(c) for c in cells],
-        title=(
-            f"Executed prefetch overlap vs projection, ENZYMES batch "
-            f"{BATCH_SIZE} ({N_EPOCHS} epochs)"
-        ),
-    )
-    publish("overlap_pipeline", text)
-    (REPO_ROOT / "BENCH_overlap.json").write_text(
-        document_to_json("overlap", {"cells": cells}) + "\n"
-    )
+def test_overlap_pipeline(run_document):
+    cells = run_document("overlap", "overlap_pipeline")["cells"]
 
     for c in cells:
         key = (c["model"], c["framework"], "compiled" if c["compiled"] else "eager")
@@ -74,7 +37,7 @@ def test_overlap_pipeline(benchmark, publish):
         # hides all loading behind compute; the pipeline leaks only the
         # first batch's fill, which amortises over the epoch's batches.
         assert c["within_projection"], (key, c["projection_gap"])
-        assert c["projection_gap"] <= TOLERANCE, key
+        assert c["projection_gap"] <= PROTOCOL["tolerance"], key
         # Hiding collation must actually save wall time and (Fig. 5's
         # lever) raise GPU utilisation — same work over less elapsed.
         assert c["speedup"] > 1.0, key
@@ -84,7 +47,7 @@ def test_overlap_pipeline(benchmark, publish):
     # more than PyG's vectorised batching, so hiding it buys dglx the
     # larger speedup in every (model, mode) pair.
     by_key = {(c["model"], c["framework"], c["compiled"]): c for c in cells}
-    for model in MODELS:
+    for model in PROTOCOL["models"]:
         for compiled in (False, True):
             assert (by_key[(model, "dglx", compiled)]["speedup"]
                     >= by_key[(model, "pygx", compiled)]["speedup"])

@@ -24,72 +24,20 @@ Writes ``benchmarks/results/scale_sampling.txt`` and the machine-readable
 ``tools/check_bench_regression.py``).
 """
 
-import pathlib
+from repro.bench.experiments import EXPERIMENTS, scale_parity_cells
 
-from repro.bench import (
-    MEMORY_CAP_BYTES,
-    SCALE_FRAMEWORKS,
-    SCALE_MODELS,
-    SCALE_PARITY_COLUMNS,
-    SCALE_PART_COLUMNS,
-    SCALE_TRAIN_COLUMNS,
-    document_to_json,
-    format_table,
-    million_scale_dataset,
-    scale_parity_cell,
-    scale_parity_row,
-    scale_partitioned_cell,
-    scale_partitioned_row,
-    scale_train_row,
-    scale_training_cell,
-    smoke_scale_dataset,
-)
-
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-SMOKE_NODES = 10_000
-MILLION_NODES = 1_000_000
-PARITY_TOLERANCE = 0.02
-PARTS = 32
-
-#: Parity cells are shared between the smoke test (which asserts them)
-#: and the full bench (which writes them into BENCH_scale.json); memoised
-#: so one pytest invocation never runs the protocol twice.
-_parity_cache = {}
-
-
-def run_parity_matrix():
-    if "cells" not in _parity_cache:
-        dataset = smoke_scale_dataset(SMOKE_NODES, seed=0)
-        _parity_cache["cells"] = [
-            scale_parity_cell(framework, model, dataset,
-                              tolerance=PARITY_TOLERANCE)
-            for model in SCALE_MODELS
-            for framework in SCALE_FRAMEWORKS
-        ]
-    return _parity_cache["cells"]
-
-
-def run_million_matrix():
-    dataset = million_scale_dataset(MILLION_NODES, seed=0)
-    training = [
-        scale_training_cell(framework, model, dataset)
-        for model in SCALE_MODELS
-        for framework in SCALE_FRAMEWORKS
-    ]
-    partitioned = [scale_partitioned_cell("pygx", "gcn", dataset, k=PARTS)]
-    return training, partitioned
+PROTOCOL = EXPERIMENTS["scale"].protocol
 
 
 def _assert_parity(cells):
-    assert len(cells) == len(SCALE_MODELS) * len(SCALE_FRAMEWORKS)
+    assert len(cells) == len(PROTOCOL["models"]) * len(PROTOCOL["frameworks"])
     for c in cells:
         key = (c["model"], c["framework"])
         # Sampled training evaluated through partitioned inference must
         # match the full-batch baseline: the sampled estimator is unbiased
         # (full-graph-degree normalisation) and the halo exchange is exact.
         assert c["within_tolerance"], (key, c["gap"])
-        assert c["gap"] <= PARITY_TOLERANCE, (key, c["gap"])
+        assert c["gap"] <= PROTOCOL["tolerance"], (key, c["gap"])
         # The regime only makes sense if sampling actually shrinks the
         # working set relative to the resident full graph.
         assert c["sampled_peak_mb"] < c["full_peak_mb"], key
@@ -97,53 +45,13 @@ def _assert_parity(cells):
 
 def test_scale_smoke_parity(benchmark):
     """Fast parity-only run (CI smoke job: ``-k smoke``)."""
-    cells = benchmark.pedantic(run_parity_matrix, rounds=1, iterations=1)
+    cells = benchmark.pedantic(scale_parity_cells, args=(PROTOCOL,), rounds=1, iterations=1)
     _assert_parity(cells)
 
 
-def test_scale_million(benchmark, publish):
-    training, partitioned = benchmark.pedantic(
-        run_million_matrix, rounds=1, iterations=1
-    )
-    parity = run_parity_matrix()
-
-    sections = [
-        format_table(
-            SCALE_TRAIN_COLUMNS,
-            [scale_train_row(c) for c in training],
-            title=(
-                f"Sampled training, {MILLION_NODES:,}-node R-MAT, "
-                f"{MEMORY_CAP_BYTES / 1e9:.0f} GB memory cap "
-                f"(fanout 10x10, batch 1024)"
-            ),
-        ),
-        format_table(
-            SCALE_PART_COLUMNS,
-            [scale_partitioned_row(c) for c in partitioned],
-            title="Partitioned full-graph inference (halo exchange, capped device)",
-        ),
-        format_table(
-            SCALE_PARITY_COLUMNS,
-            [scale_parity_row(c) for c in parity],
-            title=(
-                f"Sampled-vs-full accuracy parity, {SMOKE_NODES:,}-node "
-                f"R-MAT (tolerance {PARITY_TOLERANCE:.0%})"
-            ),
-        ),
-    ]
-    publish("scale_sampling", "\n\n".join(sections))
-    (REPO_ROOT / "BENCH_scale.json").write_text(
-        document_to_json(
-            "scale",
-            {
-                "memory_cap": MEMORY_CAP_BYTES,
-                "training": training,
-                "partitioned": partitioned,
-                "parity": parity,
-            },
-        )
-        + "\n"
-    )
+def test_scale_million(run_document):
+    body = run_document("scale", "scale_sampling")
+    training, partitioned, parity = body["training"], body["partitioned"], body["parity"]
 
     for c in training:
         key = (c["model"], c["framework"])

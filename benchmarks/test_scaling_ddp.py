@@ -21,44 +21,12 @@ Writes ``benchmarks/results/scaling_ddp.txt`` and the machine-readable
 ``tools/check_bench_regression.py``).
 """
 
-import pathlib
-
-from repro.bench import (
-    SCALING_COLUMNS,
-    SCALING_FRAMEWORKS,
-    SCALING_MODELS,
-    SCALING_PARITY_COLUMNS,
-    SCALING_REPLICAS,
-    document_to_json,
-    format_table,
-    scaling_cell,
-    scaling_parity_cell,
-    scaling_parity_row,
-    scaling_row,
-    scaling_series,
-)
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.scaling import scaling_cell, scaling_parity_cell
 from repro.datasets import load_dataset
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-NUM_GRAPHS = 1000
-GLOBAL_BATCH = 256
-SMOKE_GRAPHS = 128
+PROTOCOL = EXPERIMENTS["scaling"].protocol
 SMOKE_BATCH = 32
-
-
-def run_scaling_matrix():
-    dataset = load_dataset("mnist", num_graphs=NUM_GRAPHS)
-    return scaling_series(dataset, global_batch=GLOBAL_BATCH)
-
-
-def run_parity_matrix():
-    dataset = load_dataset("mnist", num_graphs=SMOKE_GRAPHS)
-    return [
-        scaling_parity_cell(framework, "gcn", dataset, compile=compiled)
-        for framework in SCALING_FRAMEWORKS
-        for compiled in (False, True)
-    ]
 
 
 def _assert_parity(cells):
@@ -72,7 +40,7 @@ def test_scaling_smoke(benchmark):
     """Fast single-cell run (CI smoke job: ``-k smoke``)."""
 
     def run():
-        dataset = load_dataset("mnist", num_graphs=SMOKE_GRAPHS)
+        dataset = load_dataset("mnist", num_graphs=PROTOCOL["parity_graphs"])
         cell = scaling_cell("pygx", "gcn", dataset, replicas=2,
                             global_batch=SMOKE_BATCH)
         parity = scaling_parity_cell("pygx", "gcn", dataset)
@@ -86,44 +54,14 @@ def test_scaling_smoke(benchmark):
     _assert_parity([parity])
 
 
-def test_scaling_ddp(benchmark, publish):
-    cells = benchmark.pedantic(run_scaling_matrix, rounds=1, iterations=1)
-    parity = run_parity_matrix()
-
-    sections = [
-        format_table(
-            SCALING_COLUMNS,
-            [scaling_row(c) for c in cells],
-            title=(
-                f"DDP vs DataParallel epoch time, MNIST "
-                f"({NUM_GRAPHS} graphs, global batch {GLOBAL_BATCH}, "
-                f"NVLink fabric)"
-            ),
-        ),
-        format_table(
-            SCALING_PARITY_COLUMNS,
-            [scaling_parity_row(c) for c in parity],
-            title="world_size=1 parity gate (DDP vs single-device, bitwise)",
-        ),
-    ]
-    publish("scaling_ddp", "\n\n".join(sections))
-    (REPO_ROOT / "BENCH_scaling.json").write_text(
-        document_to_json(
-            "scaling",
-            {
-                "num_graphs": NUM_GRAPHS,
-                "global_batch": GLOBAL_BATCH,
-                "cells": cells,
-                "parity": parity,
-            },
-        )
-        + "\n"
-    )
+def test_scaling_ddp(run_document):
+    body = run_document("scaling", "scaling_ddp")
+    cells, parity = body["cells"], body["parity"]
 
     by_key = {(c["model"], c["framework"], c["replicas"]): c for c in cells}
-    for model in SCALING_MODELS:
-        for framework in SCALING_FRAMEWORKS:
-            times = {r: by_key[(model, framework, r)] for r in SCALING_REPLICAS}
+    for model in PROTOCOL["models"]:
+        for framework in PROTOCOL["frameworks"]:
+            times = {r: by_key[(model, framework, r)] for r in PROTOCOL["replicas"]}
             for replicas, c in times.items():
                 # The acceptance criterion in executable form: real DDP
                 # training beats the serial-scatter DataParallel estimate

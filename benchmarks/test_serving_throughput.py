@@ -2,8 +2,8 @@
 
 The paper's training-side result (small-graph workloads are launch-bound,
 so batching nearly halves compute time per doubling of batch size) applied
-to the inference path: a 1000-request Poisson trace against trained
-GCN/ENZYMES checkpoints in both frameworks, served request-at-a-time
+to the inference path: a 1000-request Poisson trace against briefly-trained
+GCN/ENZYMES models in both frameworks, served request-at-a-time
 (``b1``) versus dynamically batched (``b32``).  A second, over-capacity
 bursty trace shows admission control shedding load instead of letting the
 queue grow without bound.
@@ -12,80 +12,20 @@ Writes ``benchmarks/results/serving_throughput.txt`` and the machine-
 readable trajectory file ``BENCH_serving.json`` at the repo root.
 """
 
-import pathlib
+from itertools import cycle
 
-import numpy as np
+from repro.bench.experiments import EXPERIMENTS
 
-from repro.bench import SERVING_COLUMNS, format_table, serving_row, trained_inference_model
-from repro.bench.serialize import servings_to_json
-from repro.datasets import load_dataset
-from repro.serve import DynamicBatcher, ModelRegistry, ServeSimulator, bursty_trace, poisson_trace
-from repro.train import checkpoint_name, save_checkpoint
-
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-N_REQUESTS = 1000
-RATE = 2000.0  # arrivals/s — saturates unbatched serving, batched keeps up
-QUEUE_CAPACITY = 128
-NUM_GRAPHS = 0  # full synthetic ENZYMES
+PROTOCOL = EXPERIMENTS["serving"].protocol
+N_REQUESTS = PROTOCOL["requests"]
 
 
-def run_serving(tmp_path):
-    """Checkpoint a trained model per framework, then replay the traces."""
-    registry = ModelRegistry()
-    dataset = load_dataset("enzymes", num_graphs=NUM_GRAPHS)
-    for framework in ("pygx", "dglx"):
-        trained = trained_inference_model(framework, "gcn", "enzymes", NUM_GRAPHS)
-        path = tmp_path / checkpoint_name(framework, "gcn", "enzymes")
-        save_checkpoint(trained.model, path)
-        registry.register_checkpoint(framework, "gcn", "enzymes", path, config=trained.config)
+def test_serving_throughput(run_document):
+    *served, overload = run_document("serving", "serving_throughput")
+    # Entries go by framework name, unbatched (b1) then batched (b32).
+    results = {(r.framework, b): r for r, b in zip(served, cycle((1, 32)))}
 
-    trace = poisson_trace(N_REQUESTS, rate=RATE, rng=0)
-    results = {}
-    for framework in ("pygx", "dglx"):
-        inference = registry.get(framework, "gcn", "enzymes")
-        for max_batch in (1, 32):
-            simulator = ServeSimulator(
-                inference,
-                DynamicBatcher(max_batch_size=max_batch, max_nodes=4096),
-                queue_capacity=QUEUE_CAPACITY,
-            )
-            results[(framework, max_batch)] = simulator.replay(dataset.graphs, trace)
-
-    # Over-capacity bursts against a small bounded queue: shedding, not
-    # unbounded queue growth, is the designed failure mode.
-    burst = bursty_trace(300, burst_size=150, burst_rate=20000.0, idle_gap=0.05, rng=1)
-    overload = ServeSimulator(
-        registry.get("pygx", "gcn", "enzymes"),
-        DynamicBatcher(max_batch_size=8, max_nodes=1024),
-        queue_capacity=32,
-        deadline=0.25,
-    ).replay(dataset.graphs, burst)
-    return results, overload
-
-
-def test_serving_throughput(benchmark, publish, tmp_path):
-    results, overload = benchmark.pedantic(run_serving, args=(tmp_path,), rounds=1, iterations=1)
-
-    rows = [
-        [f"b{max_batch}"] + serving_row(result)
-        for (_, max_batch), result in sorted(results.items())
-    ]
-    rows.append(["burst/b8"] + serving_row(overload))
-    text = format_table(
-        ["policy"] + SERVING_COLUMNS,
-        rows,
-        title=(
-            f"Serving: {N_REQUESTS}-request Poisson @ {RATE:.0f}/s, GCN/ENZYMES "
-            "(b1 = unbatched; burst = over-capacity trace, queue=32)"
-        ),
-    )
-    publish("serving_throughput", text)
-    (REPO_ROOT / "BENCH_serving.json").write_text(
-        servings_to_json([results[k] for k in sorted(results)] + [overload]) + "\n"
-    )
-
-    for framework in ("pygx", "dglx"):
+    for framework in PROTOCOL["frameworks"]:
         unbatched = results[(framework, 1)]
         batched = results[(framework, 32)]
         # Dynamic batching amortises launch overhead: measurably higher

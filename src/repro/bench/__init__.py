@@ -1,24 +1,18 @@
 """Experiment runners + renderers for the paper's tables and figures."""
 
 from repro.bench.runner import (
-    FAULTS_COLUMNS,
     FRAMEWORKS,
-    OVERLAP_COLUMNS,
     PHASE_ORDER,
-    SERVING_COLUMNS,
     breakdown_row,
     breakdown_sweep,
     compile_cell,
     epoch_profile,
     faults_cell,
-    faults_row,
     layerwise_profile,
     overlap_cell,
-    overlap_row,
     step_kernel_records,
     multigpu_series,
     serving_cell,
-    serving_row,
     table4_cell,
     table5_cell,
     trained_inference_model,
@@ -28,38 +22,27 @@ from repro.bench.scale import (
     MEMORY_CAP_BYTES,
     SCALE_FRAMEWORKS,
     SCALE_MODELS,
-    SCALE_PARITY_COLUMNS,
-    SCALE_PART_COLUMNS,
-    SCALE_TRAIN_COLUMNS,
     capped_device,
     million_scale_dataset,
     scale_parity_cell,
-    scale_parity_row,
     scale_partitioned_cell,
-    scale_partitioned_row,
-    scale_train_row,
     scale_training_cell,
     smoke_scale_dataset,
 )
 from repro.bench.scaling import (
-    SCALING_COLUMNS,
     SCALING_FRAMEWORKS,
     SCALING_MODELS,
-    SCALING_PARITY_COLUMNS,
     SCALING_REPLICAS,
     scaling_cell,
     scaling_parity_cell,
-    scaling_parity_row,
-    scaling_row,
     scaling_series,
 )
 from repro.bench.overlap import OverlapProjection, project_overlap
-# NOTE: repro.bench.ops and repro.bench.fleet are deliberately *not*
-# imported here: they are ``python -m`` CLI entry points, and importing
-# them from the package __init__ would trigger the double-import
-# RuntimeWarning runpy emits for modules already in sys.modules.  Use
-# ``from repro.bench import ops`` (lazy) or ``import repro.bench.ops``
-# directly.
+# NOTE: repro.bench.experiments (the EXPERIMENTS table, with the ops and
+# fleet benches it pulls in) and repro.bench.report (the ``python -m``
+# entry point) are deliberately *not* imported here: cell-function users
+# such as hostbench should not pay for the whole table.  Import them
+# directly: ``from repro.bench.experiments import EXPERIMENTS``.
 from repro.bench.serialize import (
     document_from_json,
     document_to_json,
@@ -95,43 +78,27 @@ __all__ = [
     "servings_to_json",
     "servings_from_json",
     "serving_cell",
-    "serving_row",
-    "SERVING_COLUMNS",
     "compile_cell",
     "step_kernel_records",
     "trained_inference_model",
     "faults_cell",
-    "faults_row",
-    "FAULTS_COLUMNS",
     "overlap_cell",
-    "overlap_row",
-    "OVERLAP_COLUMNS",
     "document_to_json",
     "document_from_json",
     "validate_document",
     "MEMORY_CAP_BYTES",
     "SCALE_FRAMEWORKS",
     "SCALE_MODELS",
-    "SCALE_PARITY_COLUMNS",
-    "SCALE_PART_COLUMNS",
-    "SCALE_TRAIN_COLUMNS",
     "capped_device",
     "million_scale_dataset",
     "scale_parity_cell",
-    "scale_parity_row",
     "scale_partitioned_cell",
-    "scale_partitioned_row",
-    "scale_train_row",
     "scale_training_cell",
     "smoke_scale_dataset",
-    "SCALING_COLUMNS",
     "SCALING_FRAMEWORKS",
     "SCALING_MODELS",
-    "SCALING_PARITY_COLUMNS",
     "SCALING_REPLICAS",
     "scaling_cell",
     "scaling_parity_cell",
-    "scaling_parity_row",
-    "scaling_row",
     "scaling_series",
 ]

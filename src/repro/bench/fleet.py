@@ -24,20 +24,18 @@ cell — goodput, percentiles, shed/failed counts, cache hit-rate — is
 exactly deterministic and CI gates it against the committed
 ``BENCH_fleet.json``.
 
-CLI (mirrors the other bench CLIs)::
+CLI (the ``fleet`` record of :mod:`repro.bench.experiments`)::
 
-    python -m repro.bench.fleet --report
-    python -m repro.bench.fleet --kinds replicas --replicas 1 2 --out out.json
-    python -m repro.bench.fleet --out BENCH_fleet.json --chrome-trace fleet.trace.json
+    python -m repro.bench.report fleet
+    python -m repro.bench.report fleet --kinds replicas --replicas 1 2 --json out.json
+    python -m repro.bench.report fleet --chrome-trace fleet.trace.json --json out.json
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.tables import format_table
+from repro.bench.tables import render_table
 from repro.fleet import (
     POLICY_NAMES,
     Arrival,
@@ -63,13 +61,6 @@ REPLICA_SWEEP = (1, 2, 4, 8)
 #: Trace pressure: rate multiplier over the canonical three-tenant trace.
 TRACE_SCALE = 8.0
 TRACE_REQUESTS = 500
-
-#: Columns of the per-cell report table.
-FLEET_COLUMNS = (
-    "kind", "policy", "reps", "peak", "done", "shed", "fail",
-    "goodput", "p50(ms)", "p99(ms)", "cache%", "nsl",
-)
-
 
 def fleet_trace(
     n_requests: int = TRACE_REQUESTS,
@@ -291,105 +282,54 @@ def fleet_document(cells: Sequence[Dict]) -> Dict:
 # ----------------------------------------------------------------------
 # report rendering
 # ----------------------------------------------------------------------
-def fleet_row(cell: Dict) -> List[str]:
-    return [
-        cell["kind"],
-        cell["policy"],
-        str(cell["replicas"]),
-        str(cell["peak_replicas"]),
-        str(cell["completed"]),
-        str(cell["shed"]),
-        str(cell["failed"]),
-        f"{cell['goodput']:.0f}",
-        f"{cell['p50'] * 1e3:.2f}",
-        f"{cell['p99'] * 1e3:.2f}",
-        f"{cell['cache_hit_rate'] * 100:.0f}",
-        "yes" if cell["no_silent_loss"] else "LOST",
-    ]
+#: The per-cell report table.
+FLEET_TABLE = [
+    ("kind", lambda c: c["kind"]),
+    ("policy", lambda c: c["policy"]),
+    ("reps", lambda c: c["replicas"]),
+    ("peak", lambda c: c["peak_replicas"]),
+    ("done", lambda c: c["completed"]),
+    ("shed", lambda c: c["shed"]),
+    ("fail", lambda c: c["failed"]),
+    ("goodput", lambda c: f"{c['goodput']:.0f}"),
+    ("p50(ms)", lambda c: f"{c['p50'] * 1e3:.2f}"),
+    ("p99(ms)", lambda c: f"{c['p99'] * 1e3:.2f}"),
+    ("cache%", lambda c: f"{c['cache_hit_rate'] * 100:.0f}"),
+    ("nsl", lambda c: "yes" if c["no_silent_loss"] else "LOST"),
+]
 
-
-def tenant_rows(cells: Sequence[Dict]) -> List[List[str]]:
-    """Per-tenant accounting rows for the chaos cells (if any)."""
-    rows = []
-    for cell in cells:
-        if cell["kind"] != "chaos":
-            continue
-        for name, t in sorted(cell["tenants"].items()):
-            rows.append(
-                [
-                    name,
-                    t["tier"],
-                    str(t["n_requests"]),
-                    str(t["completed"]),
-                    str(t["shed"]),
-                    str(t["failed"]),
-                    "yes" if t["resolved"] == t["n_requests"] else "LOST",
-                ]
-            )
-    return rows
+#: Per-tenant accounting of one chaos cell, over ``(name, tenant)`` items.
+TENANT_TABLE = [
+    ("tenant", lambda nt: nt[0]),
+    ("tier", lambda nt: nt[1]["tier"]),
+    ("requests", lambda nt: nt[1]["n_requests"]),
+    ("done", lambda nt: nt[1]["completed"]),
+    ("shed", lambda nt: nt[1]["shed"]),
+    ("fail", lambda nt: nt[1]["failed"]),
+    ("resolved", lambda nt: "yes" if nt[1]["resolved"] == nt[1]["n_requests"] else "LOST"),
+]
 
 
 def fleet_report(cells: Sequence[Dict]) -> str:
     """The fleet report: per-cell table + per-tenant chaos accounting."""
-    out = format_table(
-        list(FLEET_COLUMNS),
-        [fleet_row(c) for c in cells],
+    out = render_table(
+        FLEET_TABLE,
+        cells,
         title=(
             "repro.bench.fleet: goodput/p99 vs replicas, routing policies, "
             "chaos, autoscaling (DD/GCN, bursty 3-tenant trace)"
         ),
     )
-    rows = tenant_rows(cells)
-    if rows:
-        out += "\n" + format_table(
-            ["tenant", "tier", "requests", "done", "shed", "fail", "resolved"],
-            rows,
+    tenants = [
+        item
+        for cell in cells
+        if cell["kind"] == "chaos"
+        for item in sorted(cell["tenants"].items())
+    ]
+    if tenants:
+        out += "\n" + render_table(
+            TENANT_TABLE,
+            tenants,
             title="Per-tenant accounting under chaos (no silent loss)",
         )
     return out
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.fleet",
-        description="Multi-replica fleet serving benchmark.",
-    )
-    parser.add_argument("--kinds", nargs="+", choices=FLEET_KINDS, default=None)
-    parser.add_argument("--replicas", nargs="+", type=int, default=None)
-    parser.add_argument("--policies", nargs="+", choices=POLICY_NAMES, default=None)
-    parser.add_argument("--requests", type=int, default=TRACE_REQUESTS,
-                        help="trace length (default %(default)s)")
-    parser.add_argument("--scale", type=float, default=TRACE_SCALE,
-                        help="trace rate multiplier (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="write BENCH_fleet.json here")
-    parser.add_argument("--chrome-trace", default=None,
-                        help="write a Chrome trace of the largest fleet here")
-    parser.add_argument("--report", action="store_true",
-                        help="print the fleet report")
-    args = parser.parse_args(argv)
-
-    cells = fleet_grid(
-        kinds=args.kinds,
-        replicas=args.replicas,
-        policies=args.policies,
-        n_requests=args.requests,
-        scale=args.scale,
-        seed=args.seed,
-        chrome_trace=args.chrome_trace,
-    )
-    if args.report or not args.out:
-        print(fleet_report(cells))
-    if args.out:
-        from repro.bench.serialize import document_to_json
-
-        with open(args.out, "w") as fh:
-            fh.write(document_to_json("fleet", fleet_document(cells)) + "\n")
-        print(f"wrote {args.out} ({len(cells)} cells)")
-    if args.chrome_trace:
-        print(f"wrote {args.chrome_trace}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

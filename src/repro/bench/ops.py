@@ -17,25 +17,23 @@ Everything runs on the simulated clock, so every number — including the
 classification — is exactly deterministic; CI gates wall clock *and*
 classification against the committed ``BENCH_ops.json`` baseline.
 
-CLI (mirrors the other bench CLIs)::
+CLI (the ``ops`` record of :mod:`repro.bench.experiments`)::
 
-    python -m repro.bench.ops --report
-    python -m repro.bench.ops --shapes cora rmat-32k --packs pygx --report
-    python -m repro.bench.ops --ops sddmm gspmm --precisions fp16 --report
-    python -m repro.bench.ops --ops gspmm gemm --modes eager --out BENCH_ops.json
+    python -m repro.bench.report ops
+    python -m repro.bench.report ops --shapes cora rmat-32k --frameworks pygx
+    python -m repro.bench.report ops --ops sddmm gspmm --precisions fp16
+    python -m repro.bench.report ops --ops gspmm gemm --modes eager --json out.json
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.tables import format_table
+from repro.bench.tables import format_table, render_table
 from repro.compile import CompiledStep
 from repro.device import (
     Device,
@@ -52,12 +50,6 @@ OPS = ("gspmm", "sddmm", "scatter_reduce", "gemm", "elementwise", "h2d")
 PACKS = FRAMEWORKS
 MODES = ("eager", "compiled")
 PRECISIONS = ("fp32", "fp16")
-
-#: Columns of the per-cell attribution table.
-OPS_COLUMNS = (
-    "op", "pack", "mode", "prec", "shape", "launch#", "MFLOP", "MB", "AI",
-    "wall(us)", "%peakF", "%peakBW", "bound",
-)
 
 
 @dataclass(frozen=True)
@@ -318,22 +310,22 @@ def ops_document(cells: Sequence[Dict]) -> Dict:
 # ----------------------------------------------------------------------
 # report rendering
 # ----------------------------------------------------------------------
-def ops_row(cell: Dict) -> List[str]:
-    return [
-        cell["op"],
-        cell["pack"],
-        cell["mode"],
-        cell.get("precision", "fp32"),
-        cell["shape"],
-        str(cell["launches"]),
-        f"{cell['flops'] / 1e6:.2f}",
-        f"{cell['bytes'] / 1e6:.2f}",
-        f"{cell['intensity']:.2f}",
-        f"{cell['wall_time'] * 1e6:.1f}",
-        f"{cell['frac_peak_flops'] * 100:.2f}",
-        f"{cell['frac_peak_bandwidth'] * 100:.2f}",
-        cell["bound"],
-    ]
+#: The per-cell attribution table.
+OPS_TABLE = [
+    ("op", lambda c: c["op"]),
+    ("pack", lambda c: c["pack"]),
+    ("mode", lambda c: c["mode"]),
+    ("prec", lambda c: c.get("precision", "fp32")),
+    ("shape", lambda c: c["shape"]),
+    ("launch#", lambda c: c["launches"]),
+    ("MFLOP", lambda c: f"{c['flops'] / 1e6:.2f}"),
+    ("MB", lambda c: f"{c['bytes'] / 1e6:.2f}"),
+    ("AI", lambda c: f"{c['intensity']:.2f}"),
+    ("wall(us)", lambda c: f"{c['wall_time'] * 1e6:.1f}"),
+    ("%peakF", lambda c: f"{c['frac_peak_flops'] * 100:.2f}"),
+    ("%peakBW", lambda c: f"{c['frac_peak_bandwidth'] * 100:.2f}"),
+    ("bound", lambda c: c["bound"]),
+]
 
 
 def bound_summary(cells: Iterable[Dict]) -> Dict[Tuple[str, str], Dict[str, int]]:
@@ -348,9 +340,9 @@ def bound_summary(cells: Iterable[Dict]) -> Dict[Tuple[str, str], Dict[str, int]
 
 def ops_report(cells: Sequence[Dict]) -> str:
     """The bottleneck-attribution report: per-cell table + summary."""
-    table = format_table(
-        list(OPS_COLUMNS),
-        [ops_row(c) for c in cells],
+    table = render_table(
+        OPS_TABLE,
+        cells,
         title="repro.bench.ops: operation roofline attribution "
               "(simulated RTX 2080 Ti)",
     )
@@ -364,38 +356,3 @@ def ops_report(cells: Sequence[Dict]) -> str:
         title="Bottleneck summary (cells per bound class)",
     )
     return table + "\n" + summary
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.ops",
-        description="Operation-level microbenchmarks with roofline attribution.",
-    )
-    parser.add_argument("--shapes", nargs="+", choices=sorted(SHAPES), default=None)
-    parser.add_argument("--ops", nargs="+", choices=OPS, default=None)
-    parser.add_argument("--packs", nargs="+", choices=PACKS, default=None)
-    parser.add_argument("--modes", nargs="+", choices=MODES, default=None)
-    parser.add_argument(
-        "--precisions", nargs="+", choices=PRECISIONS, default=None,
-        help="default: fp32 everywhere plus fp16 on the eager cells",
-    )
-    parser.add_argument("--out", default=None, help="write BENCH_ops.json here")
-    parser.add_argument(
-        "--report", action="store_true", help="print the attribution report"
-    )
-    args = parser.parse_args(argv)
-
-    cells = ops_grid(args.shapes, args.ops, args.packs, args.modes, args.precisions)
-    if args.report or not args.out:
-        print(ops_report(cells))
-    if args.out:
-        from repro.bench.serialize import document_to_json
-
-        with open(args.out, "w") as fh:
-            fh.write(document_to_json("ops", ops_document(cells)) + "\n")
-        print(f"wrote {args.out} ({len(cells)} cells)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

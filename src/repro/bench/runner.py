@@ -9,7 +9,7 @@ index and section 7 for the scaling knobs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -295,6 +295,19 @@ def compile_cell(
     }
 
 
+COMPILE_TABLE = [
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("eager", lambda c: c["eager_launches_per_step"]),
+    ("compiled", lambda c: c["compiled_launches_per_step"]),
+    ("saved", lambda c: f"{c['launch_reduction'] * 100:.0f}%"),
+    ("eager(ms)", lambda c: f"{c['eager_epoch_time'] * 1e3:.2f}"),
+    ("compiled(ms)", lambda c: f"{c['compiled_epoch_time'] * 1e3:.2f}"),
+    ("speedup", lambda c: f"{c['speedup']:.2f}x"),
+    ("numerics", lambda c: "exact" if c["parity"] else "DIVERGED"),
+]
+
+
 # ----------------------------------------------------------------------
 # Overlap (streams + prefetch): executed pipelining vs the projection
 # ----------------------------------------------------------------------
@@ -365,34 +378,19 @@ def overlap_cell(
     }
 
 
-OVERLAP_COLUMNS = [
-    "model",
-    "fw",
-    "mode",
-    "serial(ms)",
-    "projected(ms)",
-    "executed(ms)",
-    "gap",
-    "speedup",
-    "util",
-    "numerics",
+OVERLAP_TABLE = [
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("mode", lambda c: "compiled" if c["compiled"] else "eager"),
+    ("serial(ms)", lambda c: f"{c['serial_epoch'] * 1e3:.2f}"),
+    ("projected(ms)", lambda c: f"{c['projected_epoch'] * 1e3:.2f}"),
+    ("executed(ms)", lambda c: f"{c['overlapped_epoch'] * 1e3:.2f}"),
+    ("gap", lambda c: f"{c['projection_gap'] * 100:.1f}%"),
+    ("speedup", lambda c: f"{c['speedup']:.2f}x"),
+    ("util", lambda c: f"{c['serial_utilization'] * 100:.0f}->"
+                       f"{c['overlapped_utilization'] * 100:.0f}%"),
+    ("numerics", lambda c: "exact" if c["parity"] else "DIVERGED"),
 ]
-
-
-def overlap_row(cell: Dict) -> List[str]:
-    """Human-readable table row for one overlap cell."""
-    return [
-        cell["model"],
-        cell["framework"],
-        "compiled" if cell["compiled"] else "eager",
-        f"{cell['serial_epoch'] * 1e3:.2f}",
-        f"{cell['projected_epoch'] * 1e3:.2f}",
-        f"{cell['overlapped_epoch'] * 1e3:.2f}",
-        f"{cell['projection_gap'] * 100:.1f}%",
-        f"{cell['speedup']:.2f}x",
-        f"{cell['serial_utilization'] * 100:.0f}->{cell['overlapped_utilization'] * 100:.0f}%",
-        "exact" if cell["parity"] else "DIVERGED",
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -446,33 +444,17 @@ def serving_cell(
     return simulator.replay(dataset.graphs, arrivals)
 
 
-def serving_row(result: ServingResult) -> List[str]:
-    """Human-readable table row for one serving run."""
-    return [
-        result.model,
-        result.framework,
-        str(result.completed),
-        str(result.shed),
-        f"{result.p50 * 1e3:.2f}",
-        f"{result.p95 * 1e3:.2f}",
-        f"{result.p99 * 1e3:.2f}",
-        f"{result.throughput:.0f}",
-        f"{result.mean_batch_size:.2f}",
-        str(result.max_queue_depth),
-    ]
-
-
-SERVING_COLUMNS = [
-    "model",
-    "fw",
-    "done",
-    "shed",
-    "p50(ms)",
-    "p95(ms)",
-    "p99(ms)",
-    "req/s",
-    "batch",
-    "maxq",
+SERVING_TABLE = [
+    ("model", lambda r: r.model),
+    ("fw", lambda r: r.framework),
+    ("done", lambda r: r.completed),
+    ("shed", lambda r: r.shed),
+    ("p50(ms)", lambda r: f"{r.p50 * 1e3:.2f}"),
+    ("p95(ms)", lambda r: f"{r.p95 * 1e3:.2f}"),
+    ("p99(ms)", lambda r: f"{r.p99 * 1e3:.2f}"),
+    ("req/s", lambda r: f"{r.throughput:.0f}"),
+    ("batch", lambda r: f"{r.mean_batch_size:.2f}"),
+    ("maxq", lambda r: r.max_queue_depth),
 ]
 
 
@@ -545,36 +527,19 @@ def faults_cell(
     }
 
 
-FAULTS_COLUMNS = [
-    "rate",
-    "model",
-    "fw",
-    "done",
-    "shed",
-    "failed",
-    "retries",
-    "splits",
-    "opens",
-    "goodput",
-    "p99(ms)",
+FAULTS_TABLE = [
+    ("rate", lambda c: f"{c['fault_rate']:.3f}"),
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("done", lambda c: c["completed"]),
+    ("shed", lambda c: c["shed"]),
+    ("failed", lambda c: c["failed"]),
+    ("retries", lambda c: c["retries"]),
+    ("splits", lambda c: c["batch_splits"]),
+    ("opens", lambda c: c["circuit_opens"]),
+    ("goodput", lambda c: f"{c['goodput']:.0f}"),
+    ("p99(ms)", lambda c: f"{c['p99'] * 1e3:.2f}"),
 ]
-
-
-def faults_row(cell: Dict) -> List[str]:
-    """Human-readable table row for one fault-sweep cell."""
-    return [
-        f"{cell['fault_rate']:.3f}",
-        cell["model"],
-        cell["framework"],
-        str(cell["completed"]),
-        str(cell["shed"]),
-        str(cell["failed"]),
-        str(cell["retries"]),
-        str(cell["batch_splits"]),
-        str(cell["circuit_opens"]),
-        f"{cell['goodput']:.0f}",
-        f"{cell['p99'] * 1e3:.2f}",
-    ]
 
 
 # ----------------------------------------------------------------------

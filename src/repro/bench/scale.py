@@ -27,7 +27,7 @@ so ``tools/check_bench_regression.py`` can gate them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.device import Device, use_device
 from repro.device.gpu import RTX_2080TI
@@ -311,58 +311,36 @@ def scale_partitioned_cell(
 # ----------------------------------------------------------------------
 # Table renderers
 # ----------------------------------------------------------------------
-SCALE_PARITY_COLUMNS = [
-    "model", "fw", "full acc", "sampled acc", "part acc", "gap", "parity",
+SCALE_TRAIN_TABLE = [
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("epoch(s)", lambda c: f"{c['epoch_time']:.3f}"),
+    ("ep/s", lambda c: f"{c['epochs_per_sec']:.2f}"),
+    ("sampling", lambda c: f"{c['sampling_fraction'] * 100:.0f}%"),
+    ("peak(MB)", lambda c: f"{c['peak_memory'] / 1e6:.0f}"),
+    ("cap(MB)", lambda c: f"{c['memory_cap'] / 1e6:.0f}"),
+    ("fits", lambda c: "yes" if c["under_cap"] else "OOM"),
+    ("full floor(GB)", lambda c: f"{c['full_graph_floor'] / 1e9:.2f}"),
+    ("full fits", lambda c: "no" if c["full_graph_exceeds_cap"] else "yes"),
 ]
 
-SCALE_TRAIN_COLUMNS = [
-    "model", "fw", "epoch(s)", "ep/s", "sampling", "peak(MB)", "cap(MB)",
-    "fits", "full floor(GB)", "full fits",
+SCALE_PART_TABLE = [
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("k", lambda c: c["k"]),
+    ("time(s)", lambda c: f"{c['inference_time']:.2f}"),
+    ("peak(MB)", lambda c: f"{c['peak_memory'] / 1e6:.0f}"),
+    ("cap(MB)", lambda c: f"{c['memory_cap'] / 1e6:.0f}"),
+    ("fits", lambda c: "yes" if c["under_cap"] else "OOM"),
+    ("test acc", lambda c: f"{c['test_acc']:.3f}"),
 ]
 
-SCALE_PART_COLUMNS = [
-    "model", "fw", "k", "time(s)", "peak(MB)", "cap(MB)", "fits", "test acc",
+SCALE_PARITY_TABLE = [
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("full acc", lambda c: f"{c['full_acc']:.3f}"),
+    ("sampled acc", lambda c: f"{c['sampled_acc']:.3f}"),
+    ("part acc", lambda c: f"{c['partitioned_acc']:.3f}"),
+    ("gap", lambda c: f"{c['gap']:.3f}"),
+    ("parity", lambda c: "ok" if c["within_tolerance"] else "DIVERGED"),
 ]
-
-
-def scale_parity_row(cell: Dict) -> List[str]:
-    """Human-readable table row for one parity cell."""
-    return [
-        cell["model"],
-        cell["framework"],
-        f"{cell['full_acc']:.3f}",
-        f"{cell['sampled_acc']:.3f}",
-        f"{cell['partitioned_acc']:.3f}",
-        f"{cell['gap']:.3f}",
-        "ok" if cell["within_tolerance"] else "DIVERGED",
-    ]
-
-
-def scale_train_row(cell: Dict) -> List[str]:
-    """Human-readable table row for one capped-training cell."""
-    return [
-        cell["model"],
-        cell["framework"],
-        f"{cell['epoch_time']:.3f}",
-        f"{cell['epochs_per_sec']:.2f}",
-        f"{cell['sampling_fraction'] * 100:.0f}%",
-        f"{cell['peak_memory'] / 1e6:.0f}",
-        f"{cell['memory_cap'] / 1e6:.0f}",
-        "yes" if cell["under_cap"] else "OOM",
-        f"{cell['full_graph_floor'] / 1e9:.2f}",
-        "no" if cell["full_graph_exceeds_cap"] else "yes",
-    ]
-
-
-def scale_partitioned_row(cell: Dict) -> List[str]:
-    """Human-readable table row for one partitioned-inference cell."""
-    return [
-        cell["model"],
-        cell["framework"],
-        str(cell["k"]),
-        f"{cell['inference_time']:.2f}",
-        f"{cell['peak_memory'] / 1e6:.0f}",
-        f"{cell['memory_cap'] / 1e6:.0f}",
-        "yes" if cell["under_cap"] else "OOM",
-        f"{cell['test_acc']:.3f}",
-    ]

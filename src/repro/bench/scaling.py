@@ -46,27 +46,6 @@ SCALING_FRAMEWORKS = FRAMEWORKS
 SCALING_MODELS = ("gcn", "gat")
 SCALING_REPLICAS = (1, 2, 4, 8)
 
-SCALING_COLUMNS = [
-    "model",
-    "fw",
-    "replicas",
-    "DP (ms)",
-    "DDP (ms)",
-    "speedup",
-    "comm (ms)",
-    "comm %",
-    "collectives",
-]
-
-SCALING_PARITY_COLUMNS = [
-    "model",
-    "fw",
-    "mode",
-    "losses bitwise",
-    "test acc equal",
-]
-
-
 def scaling_cell(
     framework: str,
     model: str,
@@ -183,25 +162,22 @@ def scaling_parity_cell(
     }
 
 
-def scaling_row(cell: Dict) -> List[str]:
-    return [
-        cell["model"],
-        cell["framework"],
-        str(cell["replicas"]),
-        f"{cell['dp_epoch_time'] * 1e3:.1f}",
-        f"{cell['ddp_epoch_time'] * 1e3:.1f}",
-        f"{cell['speedup_vs_dp']:.2f}x",
-        f"{cell['comm_time'] * 1e3:.2f}",
-        f"{cell['comm_fraction']:.1%}",
-        str(cell["collectives"]),
-    ]
+SCALING_TABLE = [
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("replicas", lambda c: c["replicas"]),
+    ("DP (ms)", lambda c: f"{c['dp_epoch_time'] * 1e3:.1f}"),
+    ("DDP (ms)", lambda c: f"{c['ddp_epoch_time'] * 1e3:.1f}"),
+    ("speedup", lambda c: f"{c['speedup_vs_dp']:.2f}x"),
+    ("comm (ms)", lambda c: f"{c['comm_time'] * 1e3:.2f}"),
+    ("comm %", lambda c: f"{c['comm_fraction']:.1%}"),
+    ("collectives", lambda c: c["collectives"]),
+]
 
-
-def scaling_parity_row(cell: Dict) -> List[str]:
-    return [
-        cell["model"],
-        cell["framework"],
-        cell["mode"],
-        "yes" if cell["loss_bitwise_identical"] else "NO",
-        "yes" if cell["test_acc_equal"] else "NO",
-    ]
+SCALING_PARITY_TABLE = [
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("mode", lambda c: c["mode"]),
+    ("losses bitwise", lambda c: "yes" if c["loss_bitwise_identical"] else "NO"),
+    ("test acc equal", lambda c: "yes" if c["test_acc_equal"] else "NO"),
+]

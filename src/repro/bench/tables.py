@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, Callable, List, Sequence, Tuple
+
+#: One table = one list of ``(header, cell -> value)`` pairs, so a column's
+#: heading and its formatter cannot drift apart (``format_table`` applies
+#: ``str`` to whatever the formatter returns).
+Columns = Sequence[Tuple[str, Callable[[Any], Any]]]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]], title: str = "") -> str:
@@ -17,6 +22,15 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]], title: s
     for row in rows:
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def render_table(columns: Columns, cells: Sequence[Any], title: str = "") -> str:
+    """:func:`format_table` over ``(header, cell -> value)`` pairs, one row per cell."""
+    return format_table(
+        [header for header, _ in columns],
+        [[fmt(cell) for _, fmt in columns] for cell in cells],
+        title=title,
+    )
 
 
 def format_seconds(seconds: float) -> str:

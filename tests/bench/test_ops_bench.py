@@ -1,5 +1,6 @@
 """repro.bench.ops: cell invariants, the BENCH_ops.json schema round-trip,
-the CLI, and the regression gate firing on the committed regressed fixture."""
+the ``report ops`` CLI, and the regression gate firing on the committed
+regressed fixture."""
 
 from __future__ import annotations
 
@@ -15,12 +16,12 @@ from repro.bench.ops import (
     OPS,
     PACKS,
     SHAPES,
-    main,
     ops_document,
     ops_grid,
     ops_report,
     run_cell,
 )
+from repro.bench.report import main
 from repro.bench.serialize import (
     document_from_json,
     document_to_json,
@@ -135,16 +136,19 @@ class TestGridAndSchema:
 class TestCli:
     def test_cli_writes_valid_document(self, tmp_path, capsys):
         out = tmp_path / "BENCH_ops.json"
-        rc = main(["--shapes", "enzymes-b128", "--ops", "gemm", "--out", str(out)])
+        rc = main(["ops", "--shapes", "enzymes-b128", "--ops", "gemm", "--json", str(out)])
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
         doc = document_from_json("ops", out.read_text())
         assert {c["shape"] for c in doc["cells"]} == {"enzymes-b128"}
 
-    def test_cli_report_prints_table(self, capsys):
-        rc = main(["--shapes", "enzymes-b128", "--ops", "h2d", "--report"])
+    def test_cli_always_prints_the_report(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["ops", "--shapes", "enzymes-b128", "--ops", "h2d", "--frameworks", "dglx"])
         assert rc == 0
-        assert "bound" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "bound" in out and "dglx" in out and "pygx" not in out
+        assert list(tmp_path.iterdir()) == []
 
 
 def _load_gate_tool():

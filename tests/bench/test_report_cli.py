@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.report import EXPERIMENTS, _parser, _resolve_defaults, main
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.report import main
 from repro.models import MODEL_NAMES
 
 
@@ -40,86 +41,6 @@ class TestReportCLI:
         assert csv_path.read_text().startswith("dataset,model,framework")
         assert "Table IV" in capsys.readouterr().out
 
-    def test_table5_quick(self, capsys):
-        code = main(
-            [
-                "table5",
-                "--datasets",
-                "enzymes",
-                "--models",
-                "gcn",
-                "--frameworks",
-                "pygx",
-                "--epochs",
-                "2",
-                "--num-graphs",
-                "24",
-                "--folds",
-                "1",
-            ]
-        )
-        assert code == 0
-        assert "Table V" in capsys.readouterr().out
-
-    def test_fig1_breakdown_chart(self, capsys):
-        code = main(
-            [
-                "fig1",
-                "--models",
-                "gcn",
-                "--frameworks",
-                "pygx",
-                "--batch-sizes",
-                "16",
-                "--num-graphs",
-                "24",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "legend:" in out
-        assert "data_loading" in out
-
-    def test_fig3_table(self, capsys):
-        code = main(
-            ["fig3", "--models", "gcn", "--frameworks", "pygx", "--num-graphs", "32"]
-        )
-        assert code == 0
-        assert "conv1" in capsys.readouterr().out
-
-    def test_fig2_small(self, capsys):
-        code = main(
-            [
-                "fig2",
-                "--models",
-                "gcn",
-                "--frameworks",
-                "dglx",
-                "--batch-sizes",
-                "8",
-                "--num-graphs",
-                "16",
-            ]
-        )
-        assert code == 0
-        assert "dd" in capsys.readouterr().out.lower()
-
-    def test_fig6_small(self, capsys):
-        code = main(["fig6", "--models", "gcn", "--frameworks", "pygx", "--num-graphs", "40",
-                     "--batch-sizes", "16"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "8gpu" in out
-
-    @pytest.mark.parametrize("experiment,token", [("fig4", "memory"), ("fig5", "utilisation")])
-    def test_resource_figures(self, capsys, experiment, token):
-        code = main(
-            [experiment, "--models", "gcn", "--frameworks", "pygx",
-             "--batch-sizes", "8", "--num-graphs", "16"]
-        )
-        assert code == 0
-        assert token in capsys.readouterr().out
-
     def test_compile_experiment_writes_json(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         json_path = tmp_path / "BENCH_compile.json"
@@ -140,7 +61,7 @@ class TestReportCLI:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "repro.compile" in out
+        assert "Compiled vs eager" in out
         assert "exact" in out
         data = json.loads(json_path.read_text())
         cell = data["cells"][0]
@@ -148,14 +69,19 @@ class TestReportCLI:
         assert cell["eager_launches_per_step"] > cell["compiled_launches_per_step"]
         assert cell["launch_reduction"] > 0
 
-    def test_compile_default_output_name(self, capsys, tmp_path, monkeypatch):
+    def test_overridden_run_does_not_write_the_default_document(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A quick reduced run must not clobber a committed baseline: the
+        # default BENCH_<name>.json path is for the bare protocol only.
         monkeypatch.chdir(tmp_path)
         code = main(
             ["compile", "--models", "gcn", "--frameworks", "dglx",
              "--num-graphs", "32", "--batch-size", "16"]
         )
         assert code == 0
-        assert (tmp_path / "BENCH_compile.json").exists()
+        assert "Compiled vs eager" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("extra", [[], ["--compiled"]])
     def test_kernels_top_table(self, capsys, extra):
@@ -174,25 +100,55 @@ class TestReportCLI:
         with pytest.raises(SystemExit):
             main(["fig9"])
 
-    def test_experiment_registry(self):
-        assert set(EXPERIMENTS) >= {"table1", "table4", "table5", "fig1", "fig2",
-                                    "fig3", "fig4", "fig5", "fig6", "serve",
-                                    "compile", "kernels"}
+    def test_serve_is_now_serving(self):
+        # Record names are the SPECS tags; there is no alias.
+        with pytest.raises(SystemExit):
+            main(["serve"])
+        assert "serving" in EXPERIMENTS
+
+
+class TestFlagsThatDoNotApplyAreUsageErrors:
+    """Flags used to be accepted and silently ignored by experiments that
+    never read them (``fig3 --json``, ``table1 --fault-rates``)."""
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["table1", "--fault-rates", "0.5"], ["--fault-rates", "'table1'"]),
+            (["fig1", "--datasets", "dd"], ["--datasets", "'fig1'"]),
+            (["ops", "--num-graphs", "8"], ["--num-graphs", "'ops'"]),
+            (["compile", "--compiled"], ["--compiled", "'compile'"]),
+            (["fig3", "--json", "out.json"], ["--json", "'fig3'"]),
+            (["kernels", "--csv", "out.csv"], ["--csv", "'kernels'"]),
+            (["compile", "--csv", "out.csv"], ["--csv", "'compile'"]),
+        ],
+    )
+    def test_exit_2_naming_flag_and_experiment(self, argv, named, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(token in err for token in named), err
+        assert list(tmp_path.iterdir()) == []  # rejected before anything ran
 
 
 class TestExplicitDefaultsAreHonoured:
     """Flags used to be compared against their default to decide whether
-    the user passed them, so passing the default explicitly was ignored."""
+    the user passed them, so passing the default explicitly was ignored.
+    Now a record's ``protocol`` holds its defaults and only the flags the
+    user passed are overlaid on it."""
 
-    def test_serve_with_every_model_runs_every_model(self, capsys, tmp_path):
+    def test_serving_with_every_model_runs_every_model(self, capsys, tmp_path):
         json_path = tmp_path / "serving.json"
         code = main(
-            ["serve", "--models", *MODEL_NAMES, "--frameworks", "pygx",
+            ["serving", "--models", *MODEL_NAMES, "--frameworks", "pygx",
              "--requests", "10", "--num-graphs", "16", "--json", str(json_path)]
         )
         assert code == 0
-        served = [entry["model"] for entry in json.loads(json_path.read_text())]
-        assert served[::2] == list(MODEL_NAMES)  # one b1 + one b32 cell each
+        *served, burst = json.loads(json_path.read_text())
+        assert [entry["model"] for entry in served][::2] == list(MODEL_NAMES)  # b1 + b32 each
+        assert burst["model"] == MODEL_NAMES[0]
 
     def test_overlap_batch_size_128_runs_batch_128(self, capsys, tmp_path):
         json_path = tmp_path / "BENCH_overlap.json"
@@ -206,26 +162,29 @@ class TestExplicitDefaultsAreHonoured:
     @pytest.mark.parametrize(
         "experiment,models,batch_sizes,batch_size",
         [
-            ("table4", list(MODEL_NAMES), [64, 128, 256], 128),
-            ("fig1", list(MODEL_NAMES), [64, 128, 256], 128),
-            ("fig6", list(MODEL_NAMES), [128, 256, 512], 128),
-            ("serve", ["gcn"], [64, 128, 256], 128),
-            ("faults", ["gcn"], [64, 128, 256], 128),
-            ("kernels", ["gcn"], [64, 128, 256], 128),
-            ("compile", ["gcn", "gin"], [64, 128, 256], 128),
-            ("overlap", ["gcn", "gin"], [64, 128, 256], 16),
+            ("table4", MODEL_NAMES, None, None),
+            ("fig1", MODEL_NAMES, (64, 128, 256), None),
+            ("fig6", ("gcn", "gat"), (128, 256, 512), None),
+            ("serving", ("gcn",), None, None),
+            ("faults", ("gcn",), None, None),
+            ("kernels", ("gcn",), None, 128),
+            ("compile", ("gcn", "gin"), None, 128),
+            ("overlap", ("gcn", "gin"), None, 16),
         ],
     )
-    def test_unset_flags_keep_their_per_experiment_defaults(
+    def test_protocols_keep_their_per_experiment_defaults(
         self, experiment, models, batch_sizes, batch_size
     ):
-        args = _parser().parse_args([experiment])
-        _resolve_defaults(args)
-        assert args.models == models
-        assert args.batch_sizes == batch_sizes
-        assert args.batch_size == batch_size
+        # A key a record does not read is absent, not defaulted: the flag
+        # for it is a usage error (TestFlagsThatDoNotApplyAreUsageErrors).
+        protocol = EXPERIMENTS[experiment].protocol
+        assert protocol["models"] == models
+        assert protocol.get("batch_sizes") == batch_sizes
+        assert protocol.get("batch_size") == batch_size
 
-    def test_fig6_explicit_common_batch_sizes_are_kept(self):
-        args = _parser().parse_args(["fig6", "--batch-sizes", "64", "128", "256"])
-        _resolve_defaults(args)
-        assert args.batch_sizes == [64, 128, 256]
+    def test_fig6_explicit_common_batch_sizes_are_kept(self, capsys):
+        code = main(["fig6", "--models", "gcn", "--frameworks", "pygx", "--num-graphs", "40",
+                     "--batch-sizes", "64", "128", "256"])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
+        assert [row[2] for row in rows] == ["64", "128", "256"]  # not fig6's own 128/256/512
