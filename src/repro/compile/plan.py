@@ -257,6 +257,8 @@ class ReplaySession:
         if group is None:
             return
         self._open = None
+        if not device.profiler.enabled:
+            return
         if group.stream is None:
             timestamp, stream_id = device.clock.elapsed, 0
         else:

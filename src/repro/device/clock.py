@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import chain
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 
 class SimClock:
@@ -30,7 +30,9 @@ class SimClock:
         self.gpu_busy: float = 0.0
         self.idle: float = 0.0
         self.wait: float = 0.0
-        self._phase_stack: List[str] = []
+        #: Innermost active phase, kept current by :meth:`phase` so every
+        #: advance reads it without walking a stack.
+        self._phase: Optional[str] = None
         self.phase_elapsed: Dict[str, float] = {}
         self.phase_gpu_busy: Dict[str, float] = {}
 
@@ -42,7 +44,7 @@ class SimClock:
         if seconds < 0:
             raise ValueError(f"cannot advance the clock by {seconds!r}s")
         self.elapsed += seconds
-        phase = self.current_phase
+        phase = self._phase
         if phase is not None:
             self.phase_elapsed[phase] = self.phase_elapsed.get(phase, 0.0) + seconds
 
@@ -58,7 +60,7 @@ class SimClock:
             raise ValueError(f"cannot advance the clock by {seconds!r}s")
         self.elapsed += seconds
         self.idle += seconds
-        phase = self.current_phase
+        phase = self._phase
         if phase is not None:
             self.phase_elapsed[phase] = self.phase_elapsed.get(phase, 0.0) + seconds
 
@@ -68,7 +70,7 @@ class SimClock:
             raise ValueError(f"cannot advance the clock by {seconds!r}s")
         self.elapsed += seconds
         self.gpu_busy += seconds
-        phase = self.current_phase
+        phase = self._phase
         if phase is not None:
             self.phase_elapsed[phase] = self.phase_elapsed.get(phase, 0.0) + seconds
             self.phase_gpu_busy[phase] = self.phase_gpu_busy.get(phase, 0.0) + seconds
@@ -84,7 +86,7 @@ class SimClock:
         if seconds < 0:
             raise ValueError(f"cannot account {seconds!r}s of GPU work")
         self.gpu_busy += seconds
-        phase = self.current_phase
+        phase = self._phase
         if phase is not None:
             self.phase_gpu_busy[phase] = self.phase_gpu_busy.get(phase, 0.0) + seconds
 
@@ -100,7 +102,7 @@ class SimClock:
             raise ValueError(f"cannot advance the clock by {seconds!r}s")
         self.elapsed += seconds
         self.wait += seconds
-        phase = self.current_phase
+        phase = self._phase
         if phase is not None:
             self.phase_elapsed[phase] = self.phase_elapsed.get(phase, 0.0) + seconds
 
@@ -110,17 +112,17 @@ class SimClock:
     @property
     def current_phase(self) -> Optional[str]:
         """The innermost active phase, or ``None`` outside any phase."""
-        return self._phase_stack[-1] if self._phase_stack else None
+        return self._phase
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Attribute all time advanced inside the block to ``name``."""
-        self._phase_stack.append(name)
+        enclosing = self._phase
+        self._phase = name
         try:
             yield
         finally:
-            popped = self._phase_stack.pop()
-            assert popped == name
+            self._phase = enclosing
 
     # ------------------------------------------------------------------
     # queries
@@ -147,7 +149,7 @@ class SimClock:
 
     def reset(self) -> None:
         """Zero all counters.  Phase stack must be empty."""
-        if self._phase_stack:
+        if self._phase is not None:
             raise RuntimeError("cannot reset the clock inside an active phase")
         self.elapsed = 0.0
         self.gpu_busy = 0.0

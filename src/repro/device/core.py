@@ -54,7 +54,10 @@ class Device:
         self.clock = SimClock()
         self.memory = MemoryPool(spec.memory_bytes)
         self.profiler = Profiler()
-        self._scope_stack: List[str] = []
+        #: Names of the active :meth:`scope` blocks, outermost first.  Kept
+        #: as the tuple records and :attr:`scope_elapsed` are keyed by, so a
+        #: launch reads it instead of rebuilding it.
+        self._scope: Tuple[str, ...] = ()
         #: Wall time (host + GPU) attributed to each active scope stack —
         #: the layer-execution-time observable of the paper's Fig. 3.
         self.scope_elapsed: dict = {}
@@ -129,23 +132,26 @@ class Device:
         stream: Optional[Stream] = None,
     ) -> float:
         """Charge one kernel launch at its eager cost."""
-        offloaded = self._offload is not None and stream is not None and stream is not self.default_stream
+        spec, clock, default = self.spec, self.clock, self.default_stream
+        overhead = spec.launch_overhead
+        serial = stream is None or stream is default
+        offloaded = self._offload is not None and not serial
         if offloaded:
             # A host *worker* (an offloaded replica/loader process) issues
             # the launch: the overhead lands on the worker's timeline, not
             # the shared frontend clock, and the kernel cannot start before
             # the worker has issued it.
-            self._offload.enqueue(self.spec.launch_overhead)
+            self._offload.enqueue(overhead)
         else:
-            self.clock.advance_host(self.spec.launch_overhead)
-        duration = self.spec.kernel_time(flops, bytes_moved, kernel_efficiency(name))
-        if stream is None or stream is self.default_stream:
-            self.clock.advance_gpu(duration)
-            self._attribute_scope(self.spec.launch_overhead + duration)
-            timestamp = self.clock.elapsed
-            stream_id = self.default_stream.id
-            self.default_stream.busy += duration
-            self.default_stream.ready = timestamp
+            clock.advance_host(overhead)
+        duration = spec.kernel_time(flops, bytes_moved, kernel_efficiency(name))
+        if serial:
+            clock.advance_gpu(duration)
+            self._attribute_scope(overhead + duration)
+            timestamp = clock.elapsed
+            stream_id = default.id
+            default.busy += duration
+            default.ready = timestamp
         else:
             # Async: the stream carries the duration; the host only paid
             # the launch overhead, so only that much wall time is
@@ -153,14 +159,32 @@ class Device:
             timestamp = stream.enqueue(
                 duration, after=self._offload.ready if offloaded else None
             )
-            self.clock.account_gpu_async(duration)
+            clock.account_gpu_async(duration)
             if not offloaded:
-                self._attribute_scope(self.spec.launch_overhead)
+                self._attribute_scope(overhead)
             stream_id = stream.id
+        if self.profiler.enabled:
+            self._record(name, duration, flops, bytes_moved, timestamp, stream_id)
+        return duration
+
+    def _record(
+        self,
+        name: str,
+        duration: float,
+        flops: float,
+        bytes_moved: float,
+        timestamp: float,
+        stream_id: int,
+    ) -> None:
+        """Hand one launch to the profiler.
+
+        Callers check ``profiler.enabled`` first: the record is only worth
+        building when it will be kept.
+        """
         self.profiler.record(
             KernelRecord(
                 name=name,
-                scope=tuple(self._scope_stack),
+                scope=self._scope,
                 duration=duration,
                 flops=flops,
                 bytes_moved=bytes_moved,
@@ -170,7 +194,6 @@ class Device:
                 phase=self.clock.current_phase or "",
             )
         )
-        return duration
 
     # ------------------------------------------------------------------
     # streams and events
@@ -347,8 +370,8 @@ class Device:
         self._attribute_scope(seconds)
 
     def _attribute_scope(self, seconds: float) -> None:
-        if self._scope_stack:
-            key = tuple(self._scope_stack)
+        key = self._scope
+        if key:
             self.scope_elapsed[key] = self.scope_elapsed.get(key, 0.0) + seconds
 
     def scope_component_time(self, component: str, since: Optional[dict] = None) -> float:
@@ -380,28 +403,12 @@ class Device:
         duration = self.spec.transfer_time(nbytes)
         if self._offload is not None:
             copy = self._offload_copy or self._offload
-            timestamp = copy.enqueue(duration, after=self._offload.ready)
-            self._record_transfer(nbytes, duration, timestamp, copy.id)
-            return
-        self.clock.advance_host(duration)
-        self._record_transfer(nbytes, duration, self.clock.elapsed, self.default_stream.id)
-
-    def _record_transfer(
-        self, nbytes: float, duration: float, timestamp: float, stream_id: int
-    ) -> None:
-        self.profiler.record(
-            KernelRecord(
-                name="memcpy_h2d",
-                scope=tuple(self._scope_stack),
-                duration=duration,
-                flops=0.0,
-                bytes_moved=float(nbytes),
-                timestamp=timestamp,
-                memory=self.memory.current,
-                stream=stream_id,
-                phase=self.clock.current_phase or "",
-            )
-        )
+            timestamp, stream_id = copy.enqueue(duration, after=self._offload.ready), copy.id
+        else:
+            self.clock.advance_host(duration)
+            timestamp, stream_id = self.clock.elapsed, self.default_stream.id
+        if self.profiler.enabled:
+            self._record("memcpy_h2d", duration, 0.0, float(nbytes), timestamp, stream_id)
 
     # ------------------------------------------------------------------
     # scopes (used by nn.Module for Fig. 3 layer-wise attribution)
@@ -409,15 +416,16 @@ class Device:
     @contextmanager
     def scope(self, name: str) -> Iterator[None]:
         """Tag kernels launched inside the block with ``name``."""
-        self._scope_stack.append(name)
+        enclosing = self._scope
+        self._scope = enclosing + (name,)
         try:
             yield
         finally:
-            self._scope_stack.pop()
+            self._scope = enclosing
 
     @property
     def current_scope(self) -> Tuple[str, ...]:
-        return tuple(self._scope_stack)
+        return self._scope
 
     # ------------------------------------------------------------------
     # memory

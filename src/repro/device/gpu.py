@@ -10,6 +10,7 @@ of microseconds).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 
@@ -114,6 +115,7 @@ FORMAT_EFFICIENCY = {"coo": 1.15, "csr": 1.0, "bcsr": 1.75}
 _FORMAT_EFFICIENCY_CAP = 0.95
 
 
+@lru_cache(maxsize=1024)
 def kernel_efficiency(name: str) -> float:
     """Look up the roofline efficiency for a kernel by name prefix.
 
@@ -121,6 +123,9 @@ def kernel_efficiency(name: str) -> float:
     prefix first, then scales by :data:`FORMAT_EFFICIENCY`, capped below
     peak — a blocked-CSR GSpMM achieves a higher fraction of the roofline
     than the same kernel on unblocked CSR, never more than a dense kernel.
+
+    Memoised per name: every launch asks, and the answer is a pure
+    function of the two constant tables above.
     """
     base, _, fmt = name.partition("@")
     eff = 0.85

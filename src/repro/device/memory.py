@@ -15,11 +15,17 @@ The paper reads peak usage off ``nvidia-smi``; benchmarks here read it off
 from __future__ import annotations
 
 import weakref
-from typing import Any
+from typing import Any, Dict
 
 
 class OutOfMemoryError(RuntimeError):
     """Raised when an allocation would exceed the device capacity."""
+
+
+class _TrackedRef(weakref.ref):
+    """Weak reference to a tracked array, carrying what its death gives back."""
+
+    __slots__ = ("key", "nbytes")
 
 
 class MemoryPool:
@@ -34,10 +40,11 @@ class MemoryPool:
         #: Active :class:`~repro.faults.FaultInjector`, installed by
         #: :meth:`Device.injecting`; consulted on every :meth:`alloc`.
         self.injector = None
-        # numpy arrays are unhashable, so track identities; the finalizer
-        # removes the id at the same moment the bytes are freed, which makes
-        # CPython id reuse safe.
-        self._tracked: set = set()
+        # numpy arrays are unhashable, so track identities: id -> the weak
+        # reference whose callback frees the bytes.  The callback runs while
+        # the array is being collected, before its id can be handed out
+        # again, and removes only its own entry — CPython id reuse is safe.
+        self._tracked: Dict[int, _TrackedRef] = {}
 
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int) -> None:
@@ -74,12 +81,15 @@ class MemoryPool:
             return
         nbytes = int(array.nbytes * scale)
         self.alloc(nbytes)
-        self._tracked.add(key)
-        weakref.finalize(array, self._release, key, nbytes)
+        ref = _TrackedRef(array, self._release)
+        ref.key = key
+        ref.nbytes = nbytes
+        self._tracked[key] = ref
 
-    def _release(self, key: int, nbytes: int) -> None:
-        self._tracked.discard(key)
-        self.free(nbytes)
+    def _release(self, ref: _TrackedRef) -> None:
+        if self._tracked.get(ref.key) is ref:
+            del self._tracked[ref.key]
+        self.free(ref.nbytes)
 
     # ------------------------------------------------------------------
     @property

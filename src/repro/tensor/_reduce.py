@@ -1,55 +1,129 @@
 """The sum-reduction kernels under every scatter / segment / GSpMM sum.
 
-Both are one ``scipy.sparse`` mat-mat product with a 0/1 selection matrix —
-a single C loop (``csc_matvecs`` / ``csr_matvecs``) that accumulates in
-float32 in storage order, row ``i`` of ``values`` after row ``i - 1``.
-scipy's ``(data, indices, indptr)`` constructors do not bounds-check, so
-each kernel validates its index before the matrix is built: a bad index
-must raise here, never write out of bounds in C.
+Each is one call of the C loop ``scipy.sparse`` itself runs for a
+compressed matrix times a dense block (``csc_matvecs`` / ``csr_matvecs``,
+exactly as ``_matmul_multivector`` calls them), without the matrix object:
+the loop accumulates in float32 in storage order, row ``i`` of the operand
+after row ``i - 1``.  This module holds the only ``_sparsetools`` import.
+
+The C side checks nothing, so this module is the single validator of what
+reaches it: a bad index must raise here, never write out of bounds in C,
+and the ops built on the kernels do not repeat the scan.  Two traps of the
+C thunk are held by construction and asserted in :func:`_matvecs`: it
+silently *copies* an argument that is not C-contiguous or not of the dtype
+its siblings fix (for the output buffer that means computing into a
+temporary), and the two index arrays must share one integer dtype (int64,
+normalised once by the validators).
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 
-def _select_sum(select: sp.spmatrix, values: np.ndarray) -> np.ndarray:
-    """``select @ values`` over C-contiguous float32 rows, trailing shape restored."""
-    values = np.asarray(values)
-    width = int(np.prod(values.shape[1:], dtype=np.int64))
-    rows = np.ascontiguousarray(values, dtype=np.float32).reshape(len(values), width)
-    return (select @ rows).reshape(select.shape[:1] + values.shape[1:])
-
-
-def scatter_add_rows(values: np.ndarray, index: np.ndarray, dim_size: int) -> np.ndarray:
-    """``out[index[i]] += values[i]`` over ``dim_size`` zero-initialised rows."""
+def check_index(index: np.ndarray, n: int, num_rows: int) -> np.ndarray:
+    """``index`` as contiguous int64, or raise unless it is ``n`` integers in ``[0, num_rows)``."""
     index = np.asarray(index)
-    n = len(values)
     if index.shape != (n,):
         raise ValueError(f"index must be 1-D with length {n}, got {index.shape}")
-    if n and (index.min() < 0 or index.max() >= dim_size):
-        raise IndexError(f"index out of range for {dim_size} rows")
-    select = sp.csc_matrix(
-        (np.ones(n, np.float32), index, np.arange(n + 1)), shape=(dim_size, n)
-    )
-    return _select_sum(select, values)
+    if index.dtype.kind not in "iu":
+        raise TypeError("index must be an integer array")
+    index = np.ascontiguousarray(index, dtype=np.int64)
+    # One unsigned scan covers both ends: a negative int64 reads as >= 2**63.
+    if n and index.view(np.uint64).max() >= num_rows:
+        raise IndexError(f"index out of range for {num_rows} rows")
+    return index
 
 
 def check_offsets(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Segment offsets over ``n`` rows as an array; ``ValueError`` unless CSR-valid."""
+    """Segment offsets over ``n`` rows as contiguous int64; ``ValueError`` unless CSR-valid."""
     offsets = np.asarray(offsets)
     bad_ends = offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != n
-    if bad_ends or np.any(offsets[1:] < offsets[:-1]):
+    if bad_ends or (offsets[1:] < offsets[:-1]).any():
         raise ValueError(f"segment offsets must rise monotonically from 0 to {n}")
-    return offsets
+    if offsets.dtype.kind not in "iu":
+        raise TypeError("segment offsets must be an integer array")
+    return np.ascontiguousarray(offsets, dtype=np.int64)
+
+
+def _matvecs(kernel, num_rows, num_cols, indptr, indices, data, x) -> np.ndarray:
+    """``kernel`` (one sparsetools loop) over validated arrays, into a fresh buffer.
+
+    Returns ``num_rows`` float32 rows with the trailing shape of ``x``.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    out = np.zeros((num_rows,) + x.shape[1:], dtype=np.float32)
+    if out.size and len(data):
+        assert indptr.dtype == indices.dtype == np.int64, "index arrays must share int64"
+        assert data.dtype == np.float32 and data.flags.c_contiguous, "data must be dense float32"
+        assert out.flags.c_contiguous, "a copied output buffer would lose the result"
+        width = out.size // num_rows
+        kernel(num_rows, num_cols, width, indptr, indices, data, x.ravel(), out.ravel())
+    return out
+
+
+def scatter_add_rows(values: np.ndarray, index: np.ndarray, dim_size: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` over ``dim_size`` zero-initialised rows.
+
+    A CSC product with the 0/1 selection matrix whose column ``i`` holds its
+    one entry in row ``index[i]``.
+    """
+    n = len(values)
+    index = check_index(index, n, dim_size)
+    ones, starts = np.ones(n, dtype=np.float32), np.arange(n + 1, dtype=np.int64)
+    return _matvecs(csc_matvecs, dim_size, n, starts, index, ones, values)
 
 
 def segment_add_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """``out[s] = values[indptr[s]:indptr[s + 1]].sum(0)``; empty segments are zero."""
+    """``out[s] = values[indptr[s]:indptr[s + 1]].sum(0)``; empty segments are zero.
+
+    The CSR twin: row ``s`` of the selection matrix holds columns
+    ``indptr[s]:indptr[s + 1]``.
+    """
     n = len(values)
     indptr = check_offsets(indptr, n)
-    select = sp.csr_matrix(
-        (np.ones(n, np.float32), np.arange(n), indptr), shape=(len(indptr) - 1, n)
-    )
-    return _select_sum(select, values)
+    ones, columns = np.ones(n, dtype=np.float32), np.arange(n, dtype=np.int64)
+    return _matvecs(csr_matvecs, len(indptr) - 1, n, indptr, columns, ones, values)
+
+
+def csr_product(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: Optional[np.ndarray],
+    x: np.ndarray,
+    num_rows: int,
+    transpose: bool = False,
+) -> np.ndarray:
+    """``A @ x``, or ``A.T @ x``, for the CSR matrix ``A = (data, indices, indptr)``.
+
+    ``num_rows`` is the row count of the result: the rows of ``A``, or with
+    ``transpose`` its columns (which the three arrays alone do not fix).
+    The transposed product reads the *same* arrays as the CSC form of
+    ``A.T``, so neither direction builds a second layout.  ``data=None`` is
+    the unweighted (all-ones) matrix.  Accumulation is in storage order
+    either way: ``out[r] += data[k] * x[indices[k]]`` for ``k`` ascending
+    within row ``r``, or ``out[indices[k]] += data[k] * x[r]`` for ``k``
+    ascending overall.
+    """
+    nnz = len(indices)
+    indptr = check_offsets(indptr, nnz)
+    stored_rows = len(indptr) - 1
+    # One row of the matrix per row of A.T's operand, or of A's result.
+    if (len(x) if transpose else num_rows) != stored_rows:
+        raise ValueError(
+            f"matrix stores {stored_rows} rows, got x with {len(x)} rows for {num_rows} "
+            f"result rows (transpose={transpose})"
+        )
+    indices = check_index(indices, nnz, num_rows if transpose else len(x))
+    if data is None:
+        data = np.ones(nnz, dtype=np.float32)
+    else:
+        data = np.ascontiguousarray(data, dtype=np.float32)
+        if data.shape != (nnz,):
+            raise ValueError(f"data must be 1-D with length {nnz}, got {data.shape}")
+    if transpose:
+        return _matvecs(csc_matvecs, num_rows, stored_rows, indptr, indices, data, x)
+    return _matvecs(csr_matvecs, num_rows, len(x), indptr, indices, data, x)

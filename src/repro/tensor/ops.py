@@ -382,10 +382,10 @@ def clamp_min(a: Tensor, minimum: float) -> Tensor:
 
 def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout; identity (and no kernel) when not training or p=0."""
-    if not training or p <= 0.0:
-        return a
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return a
     rng = rng or np.random.default_rng()
     mask = (rng.random(a.shape) >= p).astype(np.float32) / np.float32(1.0 - p)
     out = a.data * mask

@@ -12,22 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor._reduce import check_offsets, scatter_add_rows
+from repro.tensor._reduce import check_index, check_offsets, scatter_add_rows
 from repro.tensor.ops_sparse import _segment_max_csr
 from repro.tensor.tensor import Tensor, launch_backward, make_op
 
 _F32 = 4
-
-
-def _check_index(index: np.ndarray, length: int, num_rows: int) -> np.ndarray:
-    index = np.asarray(index)
-    if index.ndim != 1 or index.shape[0] != length:
-        raise ValueError(f"index must be 1-D with length {length}, got {index.shape}")
-    if not np.issubdtype(index.dtype, np.integer):
-        raise TypeError("index must be an integer array")
-    if length and (index.min() < 0 or index.max() >= num_rows):
-        raise IndexError(f"index out of range for {num_rows} rows")
-    return index
 
 
 # ----------------------------------------------------------------------
@@ -38,7 +27,9 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
 
     Used to materialise per-edge source/destination features.
     """
-    index = _check_index(index, len(index), len(x))
+    # A gather reads through the index before any kernel sees it (and numpy
+    # would wrap a negative one), so it asks the kernels' validator itself.
+    index = check_index(index, len(index), len(x))
     out = x.data[index]
     flops = 0.0
     nbytes = float(_F32 * 2 * out.size)
@@ -55,8 +46,7 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
 # ----------------------------------------------------------------------
 def scatter_sum(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     """Sum rows of ``src`` into ``dim_size`` bins given by ``index``."""
-    index = _check_index(index, len(src), dim_size)
-    out = scatter_add_rows(src.data, index, dim_size)
+    out = scatter_add_rows(src.data, index, dim_size)  # validates ``index``
     flops = float(src.size)
     nbytes = float(_F32 * (src.size + out.size))
 
@@ -69,8 +59,7 @@ def scatter_sum(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
 
 def scatter_mean(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     """Mean-reduce rows of ``src`` into bins; empty bins yield zero."""
-    index = _check_index(index, len(src), dim_size)
-    out = scatter_add_rows(src.data, index, dim_size)
+    out = scatter_add_rows(src.data, index, dim_size)  # validates ``index``
     count = np.bincount(index, minlength=dim_size).astype(np.float32)
     safe = np.maximum(count, 1.0)
     out = out / safe.reshape((dim_size,) + (1,) * (src.ndim - 1))
@@ -106,7 +95,7 @@ def _max_reduce(src: Tensor, out: np.ndarray, index: np.ndarray, kernel: str, bw
 
 def scatter_max(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     """Max-reduce rows of ``src`` into bins; empty bins yield zero, ties share the gradient."""
-    index = _check_index(index, len(src), dim_size)
+    index = check_index(index, len(src), dim_size)  # ufunc.at would wrap a negative index
     out = np.full((dim_size,) + src.shape[1:], -np.inf, dtype=np.float32)
     # The one ufunc.at left in src/repro: an unsorted max has no sparsetools
     # kernel, and sorting first to use reduceat measured slower.

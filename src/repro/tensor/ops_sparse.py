@@ -21,13 +21,13 @@ index traffic and efficiency.  The kernel contract is documented in
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.device import current_device
-from repro.tensor._reduce import scatter_add_rows, segment_add_rows
+from repro.tensor._reduce import csr_product, scatter_add_rows, segment_add_rows
 from repro.tensor.tensor import Tensor, launch_backward, make_op, unbroadcast
 
 _F32 = 4
@@ -107,12 +107,6 @@ class CSRGraph:
         """Out-degree of each source node."""
         return np.bincount(self.indices, minlength=self.num_src)
 
-    def _matrix(self, weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
-        data = np.ones(self.num_edges, np.float32) if weights is None else weights
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr), shape=(self.num_dst, self.num_src)
-        )
-
     def set_format(self, fmt: Optional[str]) -> "CSRGraph":
         """Pin the sparse format the cost model charges for this graph."""
         from repro.tensor.formats import FORMATS
@@ -159,6 +153,28 @@ def _as_scalar_weight(w: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
+def _per_head_product(
+    graph: CSRGraph, w_sorted: np.ndarray, feat: np.ndarray, num_rows: int, transpose: bool
+) -> np.ndarray:
+    """``A_h @ feat[:, h]`` (or ``A_h.T @``) for every head ``h``, as ``(num_rows, H, D)``.
+
+    ``A_h`` is the adjacency weighted by head ``h`` of the CSR-ordered
+    ``(E, H, 1)`` weights.  One :func:`csr_product` per head over head-major
+    contiguous copies multiplies inside the reduction loop — the fusion
+    GSpMM is named for — instead of materialising ``(E, H, D)`` messages;
+    products and accumulation order are those of the materialised path.
+    """
+    heads = w_sorted.shape[1]
+    w_heads = np.ascontiguousarray(w_sorted[:, :, 0].T)
+    feat_heads = np.ascontiguousarray(feat.transpose(1, 0, 2), dtype=np.float32)
+    out = np.empty((num_rows, heads, feat.shape[2]), dtype=np.float32)
+    for h in range(heads):
+        out[:, h] = csr_product(
+            graph.indptr, graph.indices, w_heads[h], feat_heads[h], num_rows, transpose
+        )
+    return out
+
+
 def _edge_weight_grad(graph: CSRGraph, prod: np.ndarray, edge_weight: Tensor) -> np.ndarray:
     """Reduce a CSR-ordered per-edge product to the weight's shape, in edge order.
 
@@ -195,7 +211,7 @@ def gspmm(
     if len(x) != graph.num_src:
         raise ValueError(f"x has {len(x)} rows, graph expects {graph.num_src}")
     e = graph.num_edges
-    feat_dim = int(np.prod(x.shape[1:], dtype=np.int64)) if x.ndim > 1 else 1
+    feat_dim = math.prod(x.shape[1:])
     degrees = np.maximum(graph.in_degrees(), 1).astype(np.float32)
 
     w_csr_scalar: Optional[np.ndarray] = None
@@ -209,10 +225,12 @@ def gspmm(
         else:
             w_sorted = edge_weight.data[graph.edge_ids]
 
-    if edge_weight is None or w_csr_scalar is not None:
-        x2 = x.data.reshape(len(x), feat_dim)
-        out = np.asarray(graph._matrix(w_csr_scalar) @ x2, dtype=np.float32)
-        out = out.reshape((graph.num_dst,) + x.shape[1:])
+    # Per-head weights (E, H, 1) over (N, H, D) features: GAT's attention.
+    per_head = w_sorted is not None and x.ndim == 3 and w_sorted.shape[1:] == (x.shape[1], 1)
+    if w_sorted is None:
+        out = csr_product(graph.indptr, graph.indices, w_csr_scalar, x.data, graph.num_dst)
+    elif per_head:
+        out = _per_head_product(graph, w_sorted, x.data, graph.num_dst, transpose=False)
     else:
         msgs = (w_sorted * x.data[graph.indices]).astype(np.float32)
         out = segment_add_rows(msgs, graph.indptr)
@@ -244,9 +262,12 @@ def gspmm(
         if reduce == "mean":
             g = g / degrees.reshape((-1,) + (1,) * (g.ndim - 1))
         launch_backward("gspmm_backward_x", 2.0 * e * feat_dim, _F32 * (e * feat_dim + g.size + x.size))
-        if edge_weight is None or w_csr_scalar is not None:
-            g2 = g.reshape(graph.num_dst, feat_dim)
-            gx = np.asarray(graph._matrix(w_csr_scalar).T @ g2, np.float32).reshape(x.shape)
+        if w_sorted is None:
+            gx = csr_product(
+                graph.indptr, graph.indices, w_csr_scalar, g, graph.num_src, transpose=True
+            )
+        elif per_head:
+            gx = _per_head_product(graph, w_sorted, g, graph.num_src, transpose=True)
         else:
             per_edge = (w_sorted * g[graph.rows]).astype(np.float32)
             per_edge = unbroadcast(per_edge, (e,) + x.shape[1:])
@@ -254,7 +275,7 @@ def gspmm(
         if edge_weight is None:
             return (gx,)
         launch_backward("gspmm_backward_w", 2.0 * e * feat_dim, _F32 * (2 * e * feat_dim + e))
-        prod = (g[graph.rows] * x.data[graph.indices]).astype(np.float32)
+        prod = g[graph.rows] * x.data[graph.indices]
         return (gx, _edge_weight_grad(graph, prod, edge_weight))
 
     return make_op(_sparse_kernel_name(graph, "gspmm"), out, parents, backward, flops, nbytes)
@@ -467,7 +488,7 @@ def _gspmm_max(graph: CSRGraph, x: Tensor, edge_weight: Optional[Tensor]) -> Ten
     scatter-based max reductions.
     """
     e = graph.num_edges
-    feat_dim = int(np.prod(x.shape[1:], dtype=np.int64)) if x.ndim > 1 else 1
+    feat_dim = math.prod(x.shape[1:])
     if edge_weight is not None:
         w_sorted = edge_weight.data[graph.edge_ids]
         msgs = (w_sorted * x.data[graph.indices]).astype(np.float32)

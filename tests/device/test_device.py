@@ -164,6 +164,66 @@ class TestMemoryPool:
         gc.collect()
         assert pool.current == 0
 
+    def test_many_track_collect_cycles_leave_nothing_behind(self):
+        pool = MemoryPool(10**6)
+        for _ in range(10**5):
+            pool.track(np.empty(4, np.float32))  # collected as soon as track returns
+        assert pool._tracked == {}
+        assert pool.current == 0
+        assert pool.peak == 16
+
+    def test_recycled_id_is_charged_again(self):
+        pool = MemoryPool(10**6)
+        seen = set()
+        for _ in range(1000):
+            arr = np.empty(8, np.float32)
+            recycled = id(arr) in seen
+            seen.add(id(arr))
+            pool.track(arr)
+            assert pool.current == 32
+            del arr
+            assert pool.current == 0
+            if recycled:
+                return
+        pytest.skip("the allocator never handed an id out twice")
+
+    def test_stale_release_leaves_the_new_owner_of_an_id_tracked(self):
+        pool = MemoryPool(10**6)
+        first, second = np.empty(4, np.float32), np.empty(8, np.float32)
+        pool.track(first)
+        pool.track(second)
+        stale = pool._tracked.pop(id(first))
+        # As if ``second`` had been handed ``first``'s id before the callback ran.
+        pool._tracked[stale.key] = pool._tracked.pop(id(second))
+        pool._release(stale)
+        assert list(pool._tracked) == [stale.key] and pool._tracked[stale.key] is not stale
+        assert pool.current == 32
+
+    def test_out_of_memory_registers_nothing(self):
+        pool = MemoryPool(100)
+        arr = np.zeros(100, np.float32)
+        with pytest.raises(OutOfMemoryError):
+            pool.track(arr)
+        assert pool._tracked == {} and pool.current == 0
+        del arr
+        gc.collect()
+        assert pool.current == 0
+
+    def test_injected_fault_registers_nothing(self):
+        class RefuseAll:
+            def on_alloc(self, pool, nbytes):
+                raise OutOfMemoryError("injected")
+
+        pool = MemoryPool(10**6)
+        pool.injector = RefuseAll()
+        arr = np.zeros(10, np.float32)
+        with pytest.raises(OutOfMemoryError, match="injected"):
+            pool.track(arr)
+        assert pool._tracked == {} and pool.current == 0
+        pool.injector = None
+        pool.track(arr)  # not remembered as tracked by the failed attempt
+        assert pool.current == 40
+
     def test_track_dedupes(self):
         pool = MemoryPool(10**6)
         arr = np.zeros(10, np.float32)

@@ -134,6 +134,11 @@ class TestDropout:
         with pytest.raises(ValueError):
             ops.dropout(t([1.0]), 1.0, training=True)
 
+    @pytest.mark.parametrize("p, training", [(-0.5, True), (1.5, False)])
+    def test_probability_is_validated_before_the_identity_early_out(self, p, training):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\)"):
+            ops.dropout(t([1.0]), p, training=training)
+
     def test_mask_reused_in_backward(self, rng):
         x = Tensor(np.ones(1000, np.float32), requires_grad=True)
         out = ops.dropout(x, 0.5, training=True, rng=rng)

@@ -1,7 +1,10 @@
 """Guard: ``ufunc.at`` / ``ufunc.reduceat`` must not creep back into ``src/repro``.
 
 ``np.add.at`` was 60 % of a ``train_pygx`` host lap before sum reductions
-moved onto ``repro.tensor._reduce`` (one scipy sparsetools call each).
+moved onto ``repro.tensor._reduce`` (one scipy sparsetools call each); a
+``scipy.sparse`` matrix object built around each of those calls was a
+seventh of a ``serve_replay`` lap before ``_reduce`` called the C loops
+directly.
 """
 
 import ast
@@ -46,4 +49,34 @@ def test_only_allow_listed_ufunc_at_and_reduceat():
         "Sum reductions go through repro.tensor._reduce (scatter_add_rows / "
         "segment_add_rows), not ufunc.at / ufunc.reduceat — see docs/kernels.md, "
         "'Reduction numerics'."
+    )
+
+
+#: The one module that may touch scipy's private C loops, and its one use.
+SPARSETOOLS_HOME = {("tensor/_reduce.py", "_sparsetools import")}
+MATRIX_CONSTRUCTORS = ("csr_matrix", "csc_matrix", "coo_matrix")
+
+
+def _sparse_matrix_uses(path):
+    """Yield a label per scipy matrix construction and per ``_sparsetools`` import."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            called = ast.unparse(node.func).rsplit(".", 1)[-1]
+            if called in MATRIX_CONSTRUCTORS:
+                yield f"{called}( call"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "_sparsetools" in ast.unparse(node):
+            yield "_sparsetools import"
+
+
+def test_no_scipy_matrix_objects_and_one_sparsetools_import():
+    found = {
+        (path.relative_to(SRC).as_posix(), use)
+        for path in sorted(SRC.rglob("*.py"))
+        for use in _sparse_matrix_uses(path)
+    }
+    assert found == SPARSETOOLS_HOME, (
+        f"unexpected: {sorted(found - SPARSETOOLS_HOME)}. Sparse products go through "
+        "repro.tensor._reduce (scatter_add_rows / segment_add_rows / csr_product), which "
+        "calls the sparsetools loops without building a scipy matrix — see "
+        "docs/kernels.md, 'Reduction numerics'."
     )
