@@ -57,8 +57,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(grad: np.ndarray):
         launch_backward("mul_backward", *_ew_cost(grad))
         return (
-            unbroadcast(grad * b.data, a.shape),
-            unbroadcast(grad * a.data, b.shape),
+            unbroadcast(grad * b.data, a.shape) if a.requires_grad else None,
+            unbroadcast(grad * a.data, b.shape) if b.requires_grad else None,
         )
 
     return make_op("mul", out, (a, b), backward, flops, nbytes)
@@ -147,7 +147,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(grad: np.ndarray):
         launch_backward("matmul_backward_a", 2.0 * n * m * k, _F32 * (n * m + k * m + n * k))
         launch_backward("matmul_backward_b", 2.0 * k * n * m, _F32 * (n * k + n * m + k * m))
-        return grad @ b.data.T, a.data.T @ grad
+        return (
+            grad @ b.data.T if a.requires_grad else None,
+            a.data.T @ grad if b.requires_grad else None,
+        )
 
     return make_op("matmul", out, (a, b), backward, flops, nbytes)
 

@@ -118,16 +118,18 @@ class Tensor:
                 continue
             parent_grads = node._backward(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None:
+                key = id(parent)
+                if key not in grads:
+                    # ``None``: the op skipped a gradient nobody reads.  The
+                    # entry still marks the parent as reached, so a constant
+                    # consumed twice keeps the accumulate kernel it is charged.
+                    grads[key] = pgrad
                     continue
-                existing = grads.get(id(parent))
-                if existing is None:
-                    grads[id(parent)] = pgrad
-                else:
-                    current_device().launch(
-                        "grad_accumulate", flops=pgrad.size, bytes_moved=3 * pgrad.nbytes
-                    )
-                    grads[id(parent)] = existing + pgrad
+                current_device().launch(
+                    "grad_accumulate", flops=parent.size, bytes_moved=3 * parent.nbytes
+                )
+                if pgrad is not None:
+                    grads[key] = pgrad if grads[key] is None else grads[key] + pgrad
             # Drop the tape reference so activations can be collected, like
             # PyTorch freeing saved buffers after use.
             node._backward = None

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,12 @@ class AccuracyComparison:
 def compare_accuracies(
     accs_a: Sequence[float], accs_b: Sequence[float]
 ) -> AccuracyComparison:
-    """Welch t-test between two sets of per-run accuracies."""
-    a = np.asarray(accs_a, dtype=np.float64)
-    b = np.asarray(accs_b, dtype=np.float64)
+    """Welch t-test between two sets of per-run accuracies.
+
+    Raises ``ValueError`` for an empty sample or a non-finite accuracy.
+    """
+    a = _sample("accs_a", accs_a)
+    b = _sample("accs_b", accs_b)
     if len(a) < 2 or len(b) < 2:
         # Degenerate samples: fall back to a mean comparison with p=1 when
         # equal, p=0.5 otherwise (no variance information available).
@@ -58,10 +60,32 @@ def compare_accuracies(
             t_statistic=0.0 if same else np.inf,
             p_value=1.0 if same else 0.0,
         )
-    t_stat, p_value = scipy_stats.ttest_ind(a, b, equal_var=False)
+    # Welch's statistic in closed form, as ``ttest_ind(a, b, equal_var=False)``
+    # evaluates it: importing the whole stats package for this one call was
+    # half of every process's start-up (docs/architecture.md, "What a process
+    # costs before its first step").
+    from scipy.special import stdtr
+
+    va = a.var(ddof=1) / len(a)
+    vb = b.var(ddof=1) / len(b)
+    t_stat = (a.mean() - b.mean()) / np.sqrt(va + vb)
+    df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
     return AccuracyComparison(
         mean_a=float(a.mean()),
         mean_b=float(b.mean()),
         t_statistic=float(t_stat),
-        p_value=float(p_value),
+        p_value=float(2.0 * stdtr(df, -abs(t_stat))),
     )
+
+
+def _sample(name: str, values: Sequence[float]) -> np.ndarray:
+    """``values`` as a float64 array; ``name`` is the argument it came in as."""
+    sample = np.asarray(values, dtype=np.float64)
+    if sample.size == 0:
+        raise ValueError(f"{name} is empty: a comparison needs at least one accuracy")
+    bad = np.flatnonzero(~np.isfinite(sample))
+    if bad.size:
+        raise ValueError(
+            f"{name}[{bad[0]}] is {sample.flat[bad[0]]}: accuracies must be finite"
+        )
+    return sample

@@ -4,10 +4,12 @@
 moved onto ``repro.tensor._reduce`` (one scipy sparsetools call each); a
 ``scipy.sparse`` matrix object built around each of those calls was a
 seventh of a ``serve_replay`` lap before ``_reduce`` called the C loops
-directly.
+directly; a module-level ``from scipy import stats`` was half of every
+process's start-up.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -79,4 +81,42 @@ def test_no_scipy_matrix_objects_and_one_sparsetools_import():
         "repro.tensor._reduce (scatter_add_rows / segment_add_rows / csr_product), which "
         "calls the sparsetools loops without building a scipy matrix — see "
         "docs/kernels.md, 'Reduction numerics'."
+    )
+
+
+#: ``(file, enclosing function)`` of every scipy import: the kernel module pays
+#: for ``scipy.sparse`` at import time, the t-test for ``scipy.special`` when called.
+SCIPY_IMPORTS = {
+    ("tensor/_reduce.py", "<module>"),
+    ("train/stats.py", "compare_accuracies"),
+}
+
+
+def _scipy_imports(path):
+    """Yield the enclosing function (or ``"<module>"``) of each scipy import."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and re.search(r"\bscipy\b", ast.unparse(node)):
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text()), "<module>")
+
+
+def test_scipy_is_imported_by_the_kernel_module_and_inside_one_function():
+    found = {
+        (path.relative_to(SRC).as_posix(), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for function in _scipy_imports(path)
+    }
+    assert found == SCIPY_IMPORTS, (
+        f"unexpected: {sorted(found - SCIPY_IMPORTS)}, stale allow-list: "
+        f"{sorted(SCIPY_IMPORTS - found)}. A module-level scipy import is paid by every "
+        "process that imports repro (scipy.stats was half of hostbench's setup_s): keep "
+        "scipy.sparse in tensor/_reduce.py and import anything else inside the function "
+        "that calls it — see docs/architecture.md, 'What a process costs before its first "
+        "step'; tests/test_import_graph.py measures the same thing in a fresh interpreter."
     )
