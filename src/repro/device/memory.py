@@ -10,12 +10,64 @@ PyTorch's peak sits.
 
 The paper reads peak usage off ``nvidia-smi``; benchmarks here read it off
 :meth:`MemoryPool.peak`.
+
+The host underneath is told to behave the same way.  glibc's defaults hand
+large arrays to ``mmap`` and trim the heap top the moment a step's tape is
+freed, so each training step faulted its ~150 MB of activations back in
+page by page.  Importing this module raises both thresholds once per
+process (:data:`HOST_HEAP_RETAINED`), so freed activations stay mapped for
+the next step — what a caching allocator does.
+``MALLOC_TRIM_THRESHOLD_`` and the other glibc malloc settings in the
+environment switch this off; see docs/architecture.md, "What a step pays
+for memory it already had".
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import weakref
 from typing import Any, Dict
+
+# <malloc.h> parameter numbers, and what they are raised to: no trimming
+# below 1 GiB of free heap top, and ``mmap`` only past 32 MiB — the ceiling
+# glibc's own dynamic threshold stops at, above any activation in the tree.
+_M_TRIM_THRESHOLD, _TRIM_BYTES = -1, 1 << 30
+_M_MMAP_THRESHOLD, _MMAP_BYTES = -3, 32 << 20
+
+# An operator who set any of these has already tuned the allocator: that
+# existing glibc interface is the opt-out.
+_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+def _retain_host_heap() -> bool:
+    """Raise glibc's trim and mmap thresholds; ``True`` when both took effect.
+
+    Both or neither: setting either one switches off glibc's dynamic
+    threshold adjustment, and each alone measured slower than the defaults.
+    A no-op (``False``) where ``mallopt`` is absent or refuses — musl returns
+    0, macOS has no such symbol, Windows no such library.
+    """
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return False
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # The mmap threshold first: it is the call glibc can refuse (32-bit
+    # builds cap it lower), and refusing it must leave the trim threshold alone.
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES) and mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES))
+
+
+# Decided once per process: ``importlib.reload`` re-runs this module in the
+# same namespace and must not retune the allocator.
+if "HOST_HEAP_RETAINED" not in globals():
+    #: Whether freed host memory stays mapped for the next step (read-only fact).
+    HOST_HEAP_RETAINED: bool = _retain_host_heap()
 
 
 class OutOfMemoryError(RuntimeError):

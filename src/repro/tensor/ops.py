@@ -170,32 +170,61 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, negative_slope: float = 0.01) -> Tensor:
-    out = np.where(a.data > 0.0, a.data, negative_slope * a.data)
+    """Leaky ReLU, branch-free: ``max(x, 0) + slope * min(x, 0)``.
+
+    One of the two terms is a zero for every element, so the result has the
+    bits of ``where(x > 0, x, slope * x)`` without a select on a sign that is
+    a coin flip per element (docs/kernels.md, "Activation numerics").
+    """
+    x = a.data
+    out = np.minimum(x, 0.0)
+    out *= negative_slope
+    out += np.maximum(x, 0.0)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("leaky_relu_backward", *_ew_cost(grad, 1))
-        return (grad * np.where(a.data > 0.0, 1.0, negative_slope).astype(np.float32),)
+        positive = x > 0.0
+        local = np.multiply(~positive, np.float32(negative_slope), dtype=np.float32)
+        local += positive
+        local *= grad
+        return (local,)
 
     return make_op("leaky_relu", out, (a,), backward, flops, nbytes)
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    out = np.where(a.data > 0.0, a.data, alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0))
-    out = out.astype(np.float32)
+    """ELU, branch-free: ``max(x, 0) + alpha * (exp(min(x, 0)) - 1)``.
+
+    The second term is exactly 0 where ``x > 0``, so the result has the bits
+    of the ``where(x > 0, x, ...)`` form.  The backward factor is
+    ``(min(out, 0) + alpha) * (1 - [x > 0]) + [x > 0]``: finite for every
+    input (``+inf`` included) and exact for ``alpha >= 0``, which is all this
+    tree uses (docs/kernels.md, "Activation numerics").
+    """
+    x = a.data
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out -= 1.0
+    out *= alpha
+    out += np.maximum(x, 0.0)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("elu_backward", *_ew_cost(grad, 1))
-        local = np.where(a.data > 0.0, 1.0, out + alpha).astype(np.float32)
-        return (grad * local,)
+        positive = x > 0.0
+        local = np.minimum(out, 0.0)
+        local += alpha
+        local *= ~positive
+        local += positive
+        local *= grad
+        return (local,)
 
     return make_op("elu", out, (a,), backward, flops, nbytes)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    out = out.astype(np.float32)
+    out = (1.0 / (1.0 + np.exp(-a.data))).astype(np.float32, copy=False)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
@@ -219,7 +248,7 @@ def tanh(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = (e / e.sum(axis=axis, keepdims=True)).astype(np.float32)
+    out = (e / e.sum(axis=axis, keepdims=True)).astype(np.float32, copy=False)
     flops = 4.0 * out.size
     nbytes = float(_F32 * 2 * out.size)
 
@@ -234,7 +263,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = (shifted - log_sum).astype(np.float32)
+    out = (shifted - log_sum).astype(np.float32, copy=False)
     flops = 4.0 * out.size
     nbytes = float(_F32 * 2 * out.size)
 
@@ -447,7 +476,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Select ``a`` where ``condition`` else ``b`` (condition is data)."""
     condition = np.asarray(condition, dtype=bool)
-    out = np.where(condition, a.data, b.data).astype(np.float32)
+    out = np.where(condition, a.data, b.data).astype(np.float32, copy=False)
     flops, nbytes = _ew_cost(out)
 
     def backward(grad: np.ndarray):

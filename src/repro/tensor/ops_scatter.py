@@ -81,7 +81,7 @@ def _max_reduce(src: Tensor, out: np.ndarray, index: np.ndarray, kernel: str, bw
     maximal entries; exact ties share it equally (a valid subgradient).
     """
     empty = ~np.isfinite(out)
-    out = np.where(empty, 0.0, out).astype(np.float32)
+    out = np.where(empty, 0.0, out).astype(np.float32, copy=False)
     winners = (src.data == out[index]) & ~empty[index]
     tie_count = np.maximum(scatter_add_rows(winners, index, len(out)), 1.0)
 
@@ -130,7 +130,7 @@ def segment_sum(src: Tensor, offsets: np.ndarray) -> Tensor:
 
     def backward(grad: np.ndarray):
         launch_backward("segment_sum_backward", 0.0, _F32 * 2.0 * src.size)
-        return (np.repeat(grad, lengths, axis=0).astype(np.float32),)
+        return (np.repeat(grad, lengths, axis=0).astype(np.float32, copy=False),)
 
     return make_op("segment_reduce_sum", out, (src,), backward, flops, nbytes)
 

@@ -452,11 +452,11 @@ def edge_softmax(graph: CSRGraph, logits: Tensor) -> Tensor:
     trailing = sorted_logits.shape[1:]
 
     maxes = _segment_max_csr(sorted_logits, graph.indptr)
-    maxes = np.where(np.isfinite(maxes), maxes, 0.0).astype(np.float32)
+    maxes = np.where(np.isfinite(maxes), maxes, 0.0).astype(np.float32, copy=False)
     exp = np.exp(sorted_logits - maxes[rows])
     denom = segment_add_rows(exp, graph.indptr)
     denom = np.maximum(denom, 1e-16)
-    sorted_out = (exp / denom[rows]).astype(np.float32)
+    sorted_out = (exp / denom[rows]).astype(np.float32, copy=False)
     out = np.empty_like(sorted_out)
     out[graph.edge_ids] = sorted_out
     # The CSR-ordered softmax output is saved for backward (device memory).

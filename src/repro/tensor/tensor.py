@@ -106,6 +106,13 @@ class Tensor:
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=np.float32)
+            if grad.shape != self.shape:
+                # numpy broadcasting plus ``unbroadcast`` would otherwise sum a
+                # mis-shaped seed into gradients of the right shape, silently.
+                raise ValueError(
+                    f"Mismatch in shape: grad_output has shape {grad.shape}, "
+                    f"output has shape {self.shape}"
+                )
 
         order = self._topological_order()
         grads: dict = {id(self): grad}

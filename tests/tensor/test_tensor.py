@@ -59,6 +59,19 @@ class TestBackward:
         out2.backward(np.ones(2, np.float32))
         assert a.grad == pytest.approx([2.0, 2.0])
 
+    @pytest.mark.parametrize("seed_shape", [(4, 2, 3), (3,), (1, 3), (), (2, 3, 1)])
+    def test_backward_rejects_a_seed_gradient_of_another_shape(self, seed_shape):
+        # Broadcasting plus unbroadcast used to sum a (4, 2, 3) seed into a
+        # (2, 3) gradient four times too large, silently.
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        y = x * 2.0
+        with pytest.raises(ValueError, match=r"Mismatch in shape.*\(2, 3\)") as raised:
+            y.backward(np.ones(seed_shape))
+        assert str(seed_shape) in str(raised.value)
+        assert x.grad is None
+        y.backward(np.ones((2, 3)))  # the right shape, any float dtype, still runs
+        assert x.grad.shape == (2, 3) and x.grad.dtype == np.float32
+
     def test_diamond_graph_accumulates_once_per_path(self):
         # y = (a + a*a); dy/da = 1 + 2a
         a = Tensor([2.0], requires_grad=True)

@@ -5,7 +5,8 @@ moved onto ``repro.tensor._reduce`` (one scipy sparsetools call each); a
 ``scipy.sparse`` matrix object built around each of those calls was a
 seventh of a ``serve_replay`` lap before ``_reduce`` called the C loops
 directly; a module-level ``from scipy import stats`` was half of every
-process's start-up.
+process's start-up; ``np.where`` on the sign of an activation — a coin flip
+per element — was 63 ms of a 0.42 s ``train_pygx`` lap.
 """
 
 import ast
@@ -119,4 +120,47 @@ def test_scipy_is_imported_by_the_kernel_module_and_inside_one_function():
         "scipy.sparse in tensor/_reduce.py and import anything else inside the function "
         "that calls it — see docs/architecture.md, 'What a process costs before its first "
         "step'; tests/test_import_graph.py measures the same thing in a fresh interpreter."
+    )
+
+
+#: ``(file, enclosing function)`` of every ``np.where`` in the kernels and layers:
+#: the ``where`` op itself, and the empty-bin masks of the max reductions and
+#: ``edge_softmax``, whose condition is false for almost every element.
+WHERE_DIRS = ("tensor", "nn")
+WHERE_ALLOWED = {
+    ("tensor/ops.py", "where"),
+    ("tensor/ops_scatter.py", "_max_reduce"),
+    ("tensor/ops_sparse.py", "edge_softmax"),
+    ("tensor/ops_sparse.py", "_gspmm_max"),
+}
+
+
+def _np_where_calls(path):
+    """Yield the enclosing function (or ``"<module>"``) of each ``np.where(`` call."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.where":
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text()), "<module>")
+
+
+def test_np_where_only_on_predictable_conditions():
+    found = {
+        (path.relative_to(SRC).as_posix(), function)
+        for directory in WHERE_DIRS
+        for path in sorted((SRC / directory).rglob("*.py"))
+        for function in _np_where_calls(path)
+    }
+    assert found == WHERE_ALLOWED, (
+        f"unexpected: {sorted(found - WHERE_ALLOWED)}, stale allow-list: "
+        f"{sorted(WHERE_ALLOWED - found)}. np.where on a data-dependent sign mispredicts "
+        "every other element (2.5 ms vs 0.43 ms on a GAT activation): write an activation "
+        "branch-free as max(x, 0) + f(min(x, 0)) — see docs/kernels.md, 'Activation "
+        "numerics'; tests/tensor/test_activation_kernels.py holds the np.where forms as "
+        "the oracle."
     )
