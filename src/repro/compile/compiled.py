@@ -151,6 +151,7 @@ class CompiledStep:
             result = self.fn(*args, **kwargs)
         ir = tracer.finish(outputs=result)
         decisions, stats = run_passes(ir, self.passes, self.fusion)
+        ir.release_arrays()
         plan = build_plan(ir, decisions, stats)
         if len(self.plans) >= self.max_plans:
             oldest = next(iter(self.plans))

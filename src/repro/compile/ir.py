@@ -15,7 +15,7 @@ adjacency).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -26,6 +26,9 @@ class IRNode:
     of the Tensor objects, kept alive by the tracer for the duration of the
     capture so they cannot be recycled).  ``out_id`` is ``None`` for opaque
     nodes (backward/optimizer kernels launched outside ``make_op``).
+    ``out_data`` is the output array itself, kept only until the passes have
+    run (:meth:`GraphIR.release_arrays`): CSE fingerprints it into
+    ``out_hash`` for the nodes it could eliminate, and for no others.
     """
 
     index: int
@@ -37,6 +40,7 @@ class IRNode:
     out_shape: Optional[Tuple[int, ...]] = None
     out_size: int = 0
     out_hash: Optional[str] = None
+    out_data: Optional[Any] = field(default=None, repr=False, compare=False)
     requires_grad: bool = False
     parent_ids: Tuple[int, ...] = ()
 
@@ -98,6 +102,11 @@ class GraphIR:
             return False
         resolved_outputs = {self.resolve(t) for t in self.output_ids}
         return self.resolve(node.out_id) in resolved_outputs
+
+    def release_arrays(self) -> None:
+        """Drop the captured output arrays; a cached plan must not pin a step's activations."""
+        for node in self.nodes:
+            node.out_data = None
 
     # ------------------------------------------------------------------
     @property

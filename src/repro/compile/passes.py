@@ -20,10 +20,12 @@ with a kernel stream it cannot introspect.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.compile.ir import GraphIR, IRNode, PassStats
+from repro.compile.tracer import content_hash
 
 ACTION_EAGER = "eager"
 ACTION_SKIP = "skip"
@@ -138,23 +140,32 @@ def common_subexpression_elimination(
     every layer from the same edge index (what PyG's ``cached=True``
     avoids).
     """
-    seen: Dict[tuple, IRNode] = {}
-    for node in ir.nodes:
-        if not node.has_dataflow or decisions[node.index].action == ACTION_SKIP:
+    candidates = [
+        node
+        for node in ir.nodes
+        if node.has_dataflow
+        and decisions[node.index].action != ACTION_SKIP
+        and not node.requires_grad
+        and node.name != "dropout"  # RNG: never deduplicate
+        and not ir.is_output(node)
+    ]
+    # Fingerprinting is the cost of this pass, so only a node that shares its
+    # kernel and shape with another candidate is hashed at all.
+    shapes = Counter((node.name, node.out_shape) for node in candidates)
+    seen: Set[tuple] = set()
+    for node in candidates:
+        if shapes[node.name, node.out_shape] < 2:
             continue
-        if (
-            node.requires_grad
-            or node.out_hash is None
-            or node.name == "dropout"  # RNG: never deduplicate
-            or ir.is_output(node)
-        ):
+        if node.out_hash is None and node.out_data is not None:
+            node.out_hash = content_hash(node.out_data)
+        if node.out_hash is None:
             continue
         key = (node.name, node.out_shape, node.out_hash)
         if key in seen:
             decisions[node.index].action = ACTION_SKIP
             stats.cse_removed += 1
         else:
-            seen[key] = node
+            seen.add(key)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Capture works like CUDA-graph stream capture: the step executes *eagerly*
 (real numpy results, real clock charges — the capture step costs what an
-eager step costs) while the device forwards every kernel launch to the
-active tracer.  :func:`repro.tensor.make_op` additionally annotates the
-launch it just made with the output/parent tensors, giving the IR its
-dataflow edges.
+eager step costs, on the simulated clock and on the host: nothing is
+hashed or copied while the step runs) while the device forwards every
+kernel launch to the active tracer.  :func:`repro.tensor.make_op`
+additionally annotates the launch it just made with the output/parent
+tensors, giving the IR its dataflow edges, and the output array, which CSE
+fingerprints afterwards for the few nodes it could eliminate.
 
 The tracer holds strong references to every tensor it sees so CPython
 cannot recycle an ``id()`` mid-capture; the references are dropped when the
@@ -13,8 +15,6 @@ capture context exits.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -31,11 +31,12 @@ def content_hash(array) -> Optional[str]:
     """Cheap content fingerprint of a numpy array, or None if too large."""
     if array.nbytes > MAX_HASH_BYTES:
         return None
+    import hashlib  # only a capture that finds CSE candidates pays for it
+
     digest = hashlib.sha1()
     digest.update(str(array.shape).encode())
     digest.update(str(array.dtype).encode())
-    data = array if array.flags.c_contiguous else np.ascontiguousarray(array)
-    digest.update(data.tobytes())
+    digest.update(array if array.flags.c_contiguous else np.ascontiguousarray(array))
     return digest.hexdigest()
 
 
@@ -77,7 +78,7 @@ class Tracer:
         node.out_id = id(out)
         node.out_shape = tuple(out.shape)
         node.out_size = int(out.size)
-        node.out_hash = content_hash(out.data)
+        node.out_data = out.data
         node.requires_grad = bool(out.requires_grad)
         node.parent_ids = tuple(id(p) for p in parents)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._random import random_blocks
 from repro.datasets.base import NodeClassificationDataset
 from repro.datasets.splits import planetoid_split
 from repro.graph import GraphSample, planted_partition, undirected_edge_index
@@ -90,7 +91,10 @@ def make_citation_dataset(spec: CitationSpec, seed: int = 0) -> NodeClassificati
     edge_index = undirected_edge_index(src, dst)
 
     # Bag-of-words features: class topics + background noise.
-    x = (rng.random((n, spec.num_features)) < spec.p_background).astype(np.float32)
+    x = np.empty((n, spec.num_features), dtype=np.float32)
+    flat = x.ravel()
+    for start, stop, uniform in random_blocks(rng, x.size):
+        np.less(uniform, spec.p_background, out=flat[start:stop])
     words_per_class = spec.topic_words
     for c in range(spec.num_classes):
         members = np.flatnonzero(labels == c)

@@ -4,7 +4,9 @@ Each is one call of the C loop ``scipy.sparse`` itself runs for a
 compressed matrix times a dense block (``csc_matvecs`` / ``csr_matvecs``,
 exactly as ``_matmul_multivector`` calls them), without the matrix object:
 the loop accumulates in float32 in storage order, row ``i`` of the operand
-after row ``i - 1``.  This module holds the only ``_sparsetools`` import.
+after row ``i - 1``.  This module holds the only ``_sparsetools`` import, and
+loads that one extension file without the ``scipy.sparse`` package around
+it (:func:`_load_sparsetools`).
 
 The C side checks nothing, so this module is the single validator of what
 reaches it: a bad index must raise here, never write out of bounds in C,
@@ -18,10 +20,48 @@ normalised once by the validators).
 
 from __future__ import annotations
 
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+
+
+def _load_sparsetools():
+    """The ``scipy.sparse._sparsetools`` module, from its extension file alone.
+
+    ``import scipy.sparse._sparsetools`` first runs ``scipy/__init__`` and
+    ``scipy/sparse/__init__`` — some 550 modules for the two C loops used
+    here.  ``find_spec("scipy")`` locates the package without importing it;
+    the file is then loaded under its real name, so a later ``import
+    scipy.sparse`` finds it in ``sys.modules`` and shares the one module
+    object (through ``import`` / ``from`` forms, all scipy uses; the import
+    system binds a submodule as an attribute of its package only when it
+    loads it, so ``scipy.sparse._sparsetools`` stays unset).  Whatever goes
+    wrong on the way (another scipy layout, a frozen or zipped install), the
+    plain import is the answer.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        sparse = Path(find_spec("scipy").submodule_search_locations[0], "sparse")
+        files = (sparse / ("_sparsetools" + suffix) for suffix in EXTENSION_SUFFIXES)
+        path = str(next(file for file in files if file.is_file()))
+        spec = spec_from_file_location(name, path, loader=ExtensionFileLoader(name, path))
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:
+        import scipy.sparse._sparsetools as module
+    else:
+        sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
+csc_matvecs, csr_matvecs = _sparsetools.csc_matvecs, _sparsetools.csr_matvecs
 
 
 def check_index(index: np.ndarray, n: int, num_rows: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro._random import random_blocks
 from repro.device import current_device
 from repro.tensor.tensor import Tensor, launch_backward, make_op, unbroadcast
 
@@ -419,8 +420,14 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     if not training or p == 0.0:
         return a
     rng = rng or np.random.default_rng()
-    mask = (rng.random(a.shape) >= p).astype(np.float32) / np.float32(1.0 - p)
-    out = a.data * mask
+    # mask = (rng.random(a.shape) >= p) / float32(1 - p) and out = a.data * mask,
+    # block by block: the full-size float64 draw is never requested.
+    keep = np.float32(1.0) / np.float32(1.0 - p)
+    mask, out = np.empty(a.shape, dtype=np.float32), np.empty(a.shape, dtype=np.float32)
+    flat_in, flat_mask, flat_out = np.ascontiguousarray(a.data).ravel(), mask.ravel(), out.ravel()
+    for start, stop, uniform in random_blocks(rng, a.size):
+        np.multiply(uniform >= p, keep, out=flat_mask[start:stop])
+        np.multiply(flat_in[start:stop], flat_mask[start:stop], out=flat_out[start:stop])
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):

@@ -1,5 +1,8 @@
 """Optimization passes over synthetic and captured IRs."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.compile import (
     ACTION_FUSE_HEAD,
     ACTION_FUSE_MEMBER,
     ACTION_SKIP,
+    CompiledStep,
     FusionConfig,
     GraphIR,
     IRNode,
@@ -130,6 +134,43 @@ class TestCSE:
         _, ir = capture(step)
         decisions, stats = run_passes(ir, passes=("cse",))
         assert stats.cse_removed == 2  # second clamp_min + second pow
+
+    def test_capture_hashes_nothing_and_cse_only_possible_duplicates(self):
+        deg = Tensor(np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32))
+        w = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+
+        def step():
+            a = ops.clamp_min(deg, 1.0)
+            b = ops.clamp_min(deg, 1.0)  # same kernel, same shape: a candidate pair
+            c = ops.exp(deg)  # the only exp: nothing to compare it with
+            d = ops.mul(w, deg)  # in the autograd graph: never eligible
+            e = ops.mul(w, deg)
+            return ops.add(ops.add(a, b), ops.add(c, ops.add(d, e)))
+
+        _, ir = capture(step)
+        assert all(node.out_hash is None for node in ir.nodes)
+        assert all(node.out_data.shape == node.out_shape for node in ir.nodes)
+        decisions, stats = run_passes(ir, passes=("cse",))
+        assert stats.cse_removed == 1 and decisions[1].action == ACTION_SKIP
+        hashed = [node.name for node in ir.nodes if node.out_hash is not None]
+        assert hashed == ["clamp_min", "clamp_min"]
+        ir.release_arrays()
+        assert all(node.out_data is None for node in ir.nodes)
+
+    def test_a_cached_plan_does_not_pin_the_steps_activations(self):
+        x = Tensor(np.ones((8, 8), dtype=np.float32))
+        activations = []
+
+        def step():
+            hidden = ops.exp(x)
+            activations.append(weakref.ref(hidden.data))
+            return ops.sum(hidden)
+
+        compiled = CompiledStep(step)
+        compiled()
+        gc.collect()
+        assert len(compiled.plans) == 1
+        assert activations[0]() is None
 
 
 class TestConstantFolding:

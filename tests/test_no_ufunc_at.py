@@ -85,10 +85,11 @@ def test_no_scipy_matrix_objects_and_one_sparsetools_import():
     )
 
 
-#: ``(file, enclosing function)`` of every scipy import: the kernel module pays
-#: for ``scipy.sparse`` at import time, the t-test for ``scipy.special`` when called.
+#: ``(file, enclosing function)`` of every scipy import: the kernel module's
+#: loader falls back to the package import only when it cannot load the one
+#: extension file directly, the t-test pays for ``scipy.special`` when called.
 SCIPY_IMPORTS = {
-    ("tensor/_reduce.py", "<module>"),
+    ("tensor/_reduce.py", "_load_sparsetools"),
     ("train/stats.py", "compare_accuracies"),
 }
 
@@ -116,10 +117,12 @@ def test_scipy_is_imported_by_the_kernel_module_and_inside_one_function():
     assert found == SCIPY_IMPORTS, (
         f"unexpected: {sorted(found - SCIPY_IMPORTS)}, stale allow-list: "
         f"{sorted(SCIPY_IMPORTS - found)}. A module-level scipy import is paid by every "
-        "process that imports repro (scipy.stats was half of hostbench's setup_s): keep "
-        "scipy.sparse in tensor/_reduce.py and import anything else inside the function "
-        "that calls it — see docs/architecture.md, 'What a process costs before its first "
-        "step'; tests/test_import_graph.py measures the same thing in a fresh interpreter."
+        "process that imports repro (scipy.stats was half of hostbench's setup_s, the "
+        "scipy.sparse package a third of what was left): nothing in src/ imports a scipy "
+        "package at module level — tensor/_reduce.py loads one extension file, anything "
+        "else is imported inside the function that calls it. See docs/architecture.md, "
+        "'What a process costs before its first step'; tests/test_import_graph.py measures "
+        "the same thing in a fresh interpreter."
     )
 
 
