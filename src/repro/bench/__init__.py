@@ -1,23 +1,19 @@
-"""Experiment runners + renderers for the paper's tables and figures."""
+"""Cell functions, serialisers and table rendering behind the experiment records."""
 
 from repro.bench.runner import (
-    FRAMEWORKS,
     PHASE_ORDER,
     breakdown_row,
-    breakdown_sweep,
     compile_cell,
     epoch_profile,
     faults_cell,
     layerwise_profile,
     overlap_cell,
     step_kernel_records,
-    multigpu_series,
     serving_cell,
     table4_cell,
     table5_cell,
     trained_inference_model,
 )
-from repro.bench.charts import horizontal_bars, series_table, stacked_bars
 from repro.bench.scale import (
     MEMORY_CAP_BYTES,
     SCALE_FRAMEWORKS,
@@ -44,16 +40,15 @@ from repro.bench.overlap import OverlapProjection, project_overlap
 # such as hostbench should not pay for the whole table.  Import them
 # directly: ``from repro.bench.experiments import EXPERIMENTS``.
 from repro.bench.serialize import (
+    cells_to_csv,
     document_from_json,
     document_to_json,
-    experiments_from_json,
-    experiments_to_csv,
-    experiments_to_json,
     servings_from_json,
     servings_to_json,
     validate_document,
 )
 from repro.bench.tables import format_seconds, format_table
+from repro.packs import FRAMEWORKS
 
 __all__ = [
     "FRAMEWORKS",
@@ -62,19 +57,12 @@ __all__ = [
     "table5_cell",
     "epoch_profile",
     "breakdown_row",
-    "breakdown_sweep",
     "layerwise_profile",
-    "multigpu_series",
     "format_table",
     "format_seconds",
-    "horizontal_bars",
-    "stacked_bars",
-    "series_table",
     "project_overlap",
     "OverlapProjection",
-    "experiments_to_json",
-    "experiments_from_json",
-    "experiments_to_csv",
+    "cells_to_csv",
     "servings_to_json",
     "servings_from_json",
     "serving_cell",

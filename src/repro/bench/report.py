@@ -10,13 +10,18 @@ Runs any record of the ``EXPERIMENTS`` table from a shell, without pytest::
     python -m repro.bench.report serving --requests 500 --rate 1500 --json serving.json
     python -m repro.bench.report ops --shapes cora pubmed --json ops_subset.json
     python -m repro.bench.report faults          # regenerates BENCH_faults.json
+    python -m repro.bench.report paper           # regenerates BENCH_paper.json (~14 min)
 
-Every experiment prints its paper-style table (or ASCII chart).  A flag
-overrides one key of the record's ``protocol``; a flag the record has no
-key for is a usage error.  With no override, a record that backs a
-committed ``BENCH_<name>.json`` rewrites that file in the working
-directory; with any override, output goes only where ``--json``/``--csv``
-say, so a quick reduced run cannot clobber a baseline.
+Every experiment prints its paper-style table, then checks the record's
+claims against what it measured: each claim the run contradicts is printed
+as ``ERROR: <sentence> -- fails for <cells>`` and makes the exit status 1.
+A claim only speaks about cells whose counterpart is in the run, so a run
+reduced to one framework or one batch size has nothing to compare and
+exits 0.  A flag overrides one key of the record's ``protocol``; a flag
+the record has no key for is a usage error.  With no override, a record
+that backs a committed ``BENCH_<name>.json`` rewrites that file in the
+working directory; with any override, output goes only where
+``--json``/``--csv`` say, so a quick reduced run cannot clobber a baseline.
 """
 
 from __future__ import annotations

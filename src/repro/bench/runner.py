@@ -1,24 +1,24 @@
-"""Experiment runners shared by the benchmark suite.
+"""Cell functions shared by the experiment records.
 
-Each function reproduces one observable of the paper; the ``benchmarks/``
-tests call these with documented (reduced) parameters and print the same
-rows/series the paper reports.  See DESIGN.md section 4 for the experiment
-index and section 7 for the scaling knobs.
+Each function produces one observable of the paper or of an extension; the
+records of :mod:`repro.bench.experiments` call these under their documented
+(reduced) protocols.  See DESIGN.md section 4 for the experiment index and
+section 7 for the scaling knobs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.datasets import load_dataset
 from repro.device import Device, use_device
-from repro.models import MODEL_NAMES, graph_config
+from repro.models import graph_config
 from repro.nn import cross_entropy
 from repro.optim import Adam
-from repro.packs import FRAMEWORKS, get_pack
+from repro.packs import get_pack
 from repro.serve import DynamicBatcher, InferenceModel, ServeSimulator
 from repro.serve.metrics import ServingResult
 from repro.train import (
@@ -26,7 +26,6 @@ from repro.train import (
     GraphClassificationTrainer,
     NodeClassificationTrainer,
     RunResult,
-    multi_gpu_epoch_time,
 )
 
 PHASE_ORDER = ("data_loading", "forward", "backward", "update", "other")
@@ -82,7 +81,7 @@ def epoch_profile(
 
     Results are cached per process: the Fig. 1/2 grids and the Fig. 4/5
     grids are the same runs read through different observables, so one
-    ``pytest benchmarks/`` invocation executes each configuration once.
+    process executes each configuration once.
     """
     dataset = load_dataset(dataset_name, num_graphs=num_graphs)
     trainer = GraphClassificationTrainer(framework, model, dataset, batch_size=batch_size)
@@ -95,25 +94,6 @@ def breakdown_row(result: RunResult) -> Dict[str, float]:
     row = {name: phases.get(name, 0.0) for name in PHASE_ORDER if name != "other"}
     row["other"] = max(result.mean_epoch_time - sum(row.values()), 0.0)
     return row
-
-
-def breakdown_sweep(
-    dataset_name: str,
-    batch_sizes: Iterable[int],
-    models: Sequence[str] = MODEL_NAMES,
-    frameworks: Sequence[str] = FRAMEWORKS,
-    num_graphs: int = 0,
-    n_epochs: int = 2,
-) -> Dict[Tuple[str, str, int], RunResult]:
-    """Run the full (model, framework, batch size) grid used by Fig. 1/2/4/5."""
-    results: Dict[Tuple[str, str, int], RunResult] = {}
-    for model in models:
-        for framework in frameworks:
-            for batch_size in batch_sizes:
-                results[(framework, model, batch_size)] = epoch_profile(
-                    framework, model, dataset_name, batch_size, num_graphs, n_epochs
-                )
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -444,17 +424,18 @@ def serving_cell(
     return simulator.replay(dataset.graphs, arrivals)
 
 
+#: Over serving cells (``serialize.serving_to_dict``), as BENCH_serving.json holds them.
 SERVING_TABLE = [
-    ("model", lambda r: r.model),
-    ("fw", lambda r: r.framework),
-    ("done", lambda r: r.completed),
-    ("shed", lambda r: r.shed),
-    ("p50(ms)", lambda r: f"{r.p50 * 1e3:.2f}"),
-    ("p95(ms)", lambda r: f"{r.p95 * 1e3:.2f}"),
-    ("p99(ms)", lambda r: f"{r.p99 * 1e3:.2f}"),
-    ("req/s", lambda r: f"{r.throughput:.0f}"),
-    ("batch", lambda r: f"{r.mean_batch_size:.2f}"),
-    ("maxq", lambda r: r.max_queue_depth),
+    ("model", lambda c: c["model"]),
+    ("fw", lambda c: c["framework"]),
+    ("done", lambda c: c["completed"]),
+    ("shed", lambda c: c["shed"]),
+    ("p50(ms)", lambda c: f"{c['latency_percentiles']['50.0'] * 1e3:.2f}"),
+    ("p95(ms)", lambda c: f"{c['latency_percentiles']['95.0'] * 1e3:.2f}"),
+    ("p99(ms)", lambda c: f"{c['latency_percentiles']['99.0'] * 1e3:.2f}"),
+    ("req/s", lambda c: f"{c['throughput']:.0f}"),
+    ("batch", lambda c: f"{c['mean_batch_size']:.2f}"),
+    ("maxq", lambda c: c["max_queue_depth"]),
 ]
 
 
@@ -540,32 +521,3 @@ FAULTS_TABLE = [
     ("goodput", lambda c: f"{c['goodput']:.0f}"),
     ("p99(ms)", lambda c: f"{c['p99'] * 1e3:.2f}"),
 ]
-
-
-# ----------------------------------------------------------------------
-# Fig. 6 (multi-GPU)
-# ----------------------------------------------------------------------
-def multigpu_series(
-    models: Sequence[str] = ("gcn", "gat"),
-    frameworks: Sequence[str] = FRAMEWORKS,
-    batch_sizes: Sequence[int] = (128, 256, 512),
-    gpu_counts: Sequence[int] = (1, 2, 4, 8),
-    num_graphs: int = 2000,
-    max_batches: Optional[int] = 3,
-) -> Dict[Tuple[str, str, int, int], float]:
-    """Per-epoch time for the (model, framework, batch, GPUs) grid of Fig. 6."""
-    dataset = load_dataset("mnist", num_graphs=num_graphs)
-    out: Dict[Tuple[str, str, int, int], float] = {}
-    for model in models:
-        for framework in frameworks:
-            for batch_size in batch_sizes:
-                for n_gpus in gpu_counts:
-                    out[(framework, model, batch_size, n_gpus)] = multi_gpu_epoch_time(
-                        framework,
-                        model,
-                        dataset,
-                        batch_size=batch_size,
-                        n_gpus=n_gpus,
-                        max_batches=max_batches,
-                    )
-    return out

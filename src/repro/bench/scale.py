@@ -1,7 +1,7 @@
 """Million-node scale benches: sampled training under a memory cap and
 sampled-vs-full accuracy parity.
 
-Three cell kinds back ``benchmarks/test_scale_sampling.py``:
+Three cell kinds back the ``scale`` record of :mod:`repro.bench.experiments`:
 
 * :func:`scale_parity_cell` — smoke-scale accuracy protocol.  A full-batch
   baseline (:class:`~repro.train.NodeClassificationTrainer` over the

@@ -1,6 +1,6 @@
 """repro.dist scaling bench: DDP vs DataParallel epoch time on MNIST.
 
-Two cell kinds back ``benchmarks/test_scaling_ddp.py``:
+Two cell kinds back the ``scaling`` record of :mod:`repro.bench.experiments`:
 
 * :func:`scaling_cell` — one (framework, model, replicas) point of the
   Fig. 6 reproduce-and-extend curve.  The baseline is the paper-faithful

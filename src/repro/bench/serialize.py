@@ -1,8 +1,10 @@
 """Serialisation of experiment results to JSON/CSV.
 
-Benches print human-readable tables; downstream analysis (plotting the
-figures, diffing runs) wants machine-readable records.  These helpers
-convert the result dataclasses losslessly to plain dicts and back.
+Experiments print human-readable tables; downstream analysis (plotting
+the figures, diffing runs, the regression gate) wants machine-readable
+records.  Experiment bodies are JSON-able cells already; these helpers
+flatten serving results losslessly to such cells and back, and validate
+every ``BENCH_*.json`` document against its spec on the way in and out.
 """
 
 from __future__ import annotations
@@ -14,78 +16,6 @@ from typing import Dict, Iterable, List
 
 from repro.bench.spec import SPECS, TENANT_COUNTS, Section, is_finite, tag_of
 from repro.serve.metrics import ServingResult
-from repro.train.results import EpochRecord, ExperimentResult, RunResult
-
-
-def epoch_to_dict(record: EpochRecord) -> Dict:
-    return {
-        "epoch": record.epoch,
-        "train_time": record.train_time,
-        "eval_time": record.eval_time,
-        "phase_times": dict(record.phase_times),
-        "train_loss": record.train_loss,
-        "val_loss": record.val_loss,
-        "val_acc": record.val_acc,
-    }
-
-
-def run_to_dict(run: RunResult) -> Dict:
-    return {
-        "test_acc": run.test_acc,
-        "peak_memory": run.peak_memory,
-        "gpu_utilization": run.gpu_utilization,
-        "total_time": run.total_time,
-        "epochs": [epoch_to_dict(e) for e in run.epochs],
-    }
-
-
-def experiment_to_dict(result: ExperimentResult, include_runs: bool = True) -> Dict:
-    out = {
-        "framework": result.framework,
-        "model": result.model,
-        "dataset": result.dataset,
-        "acc_mean": result.acc_mean,
-        "acc_std": result.acc_std,
-        "epoch_time": result.epoch_time,
-        "total_time": result.total_time,
-    }
-    if include_runs:
-        out["runs"] = [run_to_dict(r) for r in result.runs]
-    return out
-
-
-def experiment_from_dict(data: Dict) -> ExperimentResult:
-    runs = [
-        RunResult(
-            test_acc=r["test_acc"],
-            peak_memory=r["peak_memory"],
-            gpu_utilization=r["gpu_utilization"],
-            total_time=r["total_time"],
-            epochs=[EpochRecord(**e) for e in r.get("epochs", [])],
-        )
-        for r in data.get("runs", [])
-    ]
-    return ExperimentResult(
-        framework=data["framework"],
-        model=data["model"],
-        dataset=data["dataset"],
-        acc_mean=data["acc_mean"],
-        acc_std=data["acc_std"],
-        epoch_time=data["epoch_time"],
-        total_time=data["total_time"],
-        runs=runs,
-    )
-
-
-def experiments_to_json(results: Iterable[ExperimentResult], include_runs: bool = False) -> str:
-    """Serialise a result collection to a JSON document."""
-    return json.dumps(
-        [experiment_to_dict(r, include_runs=include_runs) for r in results], indent=2
-    )
-
-
-def experiments_from_json(text: str) -> List[ExperimentResult]:
-    return [experiment_from_dict(d) for d in json.loads(text)]
 
 
 def serving_to_dict(result: ServingResult) -> Dict:
@@ -251,15 +181,12 @@ def document_from_json(experiment: str, text: str):
     return validate_document(experiment, json.loads(text))
 
 
-def experiments_to_csv(results: Iterable[ExperimentResult]) -> str:
-    """Flat CSV of the summary columns (one row per experiment cell)."""
+def cells_to_csv(cells: Iterable[Dict]) -> str:
+    """Flat CSV of the scalar fields of JSON-able cells (one row per cell)."""
+    cells = list(cells)
+    columns = [k for k, v in cells[0].items() if not isinstance(v, (list, dict))] if cells else []
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(
-        ["dataset", "model", "framework", "acc_mean", "acc_std", "epoch_time", "total_time"]
-    )
-    for r in results:
-        writer.writerow(
-            [r.dataset, r.model, r.framework, r.acc_mean, r.acc_std, r.epoch_time, r.total_time]
-        )
+    writer.writerow(columns)
+    writer.writerows([cell[k] for k in columns] for cell in cells)
     return buffer.getvalue()

@@ -8,8 +8,8 @@ would on a plain tensor framework with no graph support — a materialised
 (block-diagonal) dense adjacency matrix and `A @ X` matmuls.
 
 It is correct, simple, and pays O(N^2) memory and compute per batch, which
-is exactly why specialised GNN frameworks exist; the ablation bench
-`benchmarks/test_ablation_dense_baseline.py` quantifies the gap.
+is exactly why specialised GNN frameworks exist; the
+`ablation_dense_baseline` record quantifies the gap.
 """
 
 from repro.densex.data import DenseBatch, dense_batch

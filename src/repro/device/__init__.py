@@ -26,7 +26,6 @@ from repro.device.gpu import FORMAT_EFFICIENCY, GPUSpec, RTX_2080TI, TOY_GPU, ke
 from repro.device.host import DEFAULT_HOST_COSTS, HostCostModel
 from repro.device.kernel import KernelRecord, Profiler
 from repro.device.memory import MemoryPool, OutOfMemoryError
-from repro.device.multigpu import DataParallelPlan, charge_iteration_overhead
 from repro.device.prefetch import PrefetchLoader, prefetch_streams
 from repro.device.roofline import (
     BOUND_CLASSES,
@@ -74,8 +73,6 @@ __all__ = [
     "Profiler",
     "MemoryPool",
     "OutOfMemoryError",
-    "DataParallelPlan",
-    "charge_iteration_overhead",
     "Stream",
     "Event",
     "DEFAULT_STREAM_ID",

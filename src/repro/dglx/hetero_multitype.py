@@ -7,7 +7,7 @@ types ``(src_type, relation, dst_type)``, per-type frames and per-relation
 message passing — which is precisely the machinery whose bookkeeping the
 homogeneous graphs still pay for during batching (Section IV-C).
 
-The ablation bench ``test_ablation_heterograph_types`` uses this class to
+The ``ablation_heterograph_types`` record uses this class to
 show the batching cost growing with the number of types even when the
 underlying structure is identical.
 """

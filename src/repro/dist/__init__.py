@@ -14,7 +14,7 @@ package supplies the modern alternative the ROADMAP calls for:
 
 The trainer that drives all three lives in
 :class:`repro.train.DDPTrainer`; the scaling deliverable is
-``BENCH_scaling.json`` (see ``benchmarks/test_scaling_ddp.py``).
+``BENCH_scaling.json`` (the ``scaling`` record of :mod:`repro.bench.experiments`).
 """
 
 from repro.dist.batch_config import BatchConfig

@@ -4,9 +4,13 @@ Section IV-E: GCN and GAT on MNIST superpixels, data parallelism via
 PyTorch's ``DataParallel``, 1/2/4/8 GPUs, several batch sizes.  Per
 iteration the mini-batch is split across replicas; since replicas are
 symmetric, the wall time of the compute phase equals one replica's time on
-``batch_size / n_gpus`` graphs, plus the parameter broadcast, input
-scatter, output gather and gradient reduction modelled by
-:mod:`repro.device.multigpu`.
+``batch_size / n_gpus`` graphs — obtained by *actually running* the model
+on one representative sub-batch — plus the parameter broadcast, input
+scatter, output gather and gradient reduction of
+:func:`charge_iteration_overhead`.  ``DataParallel`` loops over the
+replicas sequentially for each of those, so the overhead grows with the
+GPU count: what flattens and then reverses the scaling between 4 and 8
+GPUs in Fig. 6.
 
 Data loading (collation) stays on the host process and is *not* divided by
 the GPU count — exactly why the paper finds that "training models on
@@ -15,14 +19,52 @@ multiple GPUs can only reduce the computing time" while loading dominates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.datasets.base import GraphClassificationDataset
-from repro.device import DataParallelPlan, Device, charge_iteration_overhead
+from repro.device import Device
 from repro.models import ModelConfig, graph_config
 from repro.nn import cross_entropy
 from repro.packs import get_pack
 from repro.train.loop import Protocol, run_epochs, train_step
+
+
+@dataclass(frozen=True)
+class DataParallelPlan:
+    """Communication plan for one DataParallel iteration."""
+
+    n_gpus: int
+    param_bytes: int
+    input_bytes: int
+    output_bytes: int
+
+    def __post_init__(self) -> None:
+        if self.n_gpus < 1:
+            raise ValueError("n_gpus must be >= 1")
+
+
+def charge_iteration_overhead(device: Device, plan: DataParallelPlan) -> float:
+    """Charge the communication cost of one DataParallel iteration.
+
+    Returns the seconds charged.  With one GPU there is no communication,
+    matching ``DataParallel``'s single-device fast path.
+    """
+    if plan.n_gpus == 1:
+        return 0.0
+    n = plan.n_gpus
+    spec = device.spec
+    seconds = 0.0
+    # Broadcast parameters to each non-root replica (sequential copies).
+    seconds += (n - 1) * spec.transfer_time(plan.param_bytes)
+    # Scatter: each replica receives 1/n of the batch.
+    seconds += n * spec.transfer_time(plan.input_bytes / n)
+    # Gather outputs back to the root.
+    seconds += n * spec.transfer_time(plan.output_bytes / n)
+    # Reduce gradients (same size as parameters) from each replica.
+    seconds += (n - 1) * spec.transfer_time(plan.param_bytes)
+    device.host(seconds)
+    return seconds
 
 
 def _batch_nbytes(graphs) -> int:

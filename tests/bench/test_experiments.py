@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.bench import experiments, ops, tables
+from repro.bench import ops, tables
 from repro.bench.experiments import EXPERIMENTS, write_document
 from repro.bench.report import main
 from repro.bench.spec import SPECS
@@ -30,7 +30,7 @@ def _values(cells, key):
 
 class TestLockStep:
     def test_table_lists_every_experiment_once(self):
-        assert len(EXPERIMENTS) == 18
+        assert len(EXPERIMENTS) == 27
         assert all(name == record.name for name, record in EXPERIMENTS.items())
 
     def test_gated_records_are_the_specs_are_the_committed_files(self):
@@ -66,7 +66,7 @@ class TestLockStep:
         assert _values(served, "n_requests") == {p["requests"]}
         assert [e["framework"] for e in served] == sorted(p["frameworks"] * 2)
         assert len(entries) == 2 * len(p["frameworks"]) * len(p["models"]) + 1
-        assert burst["n_requests"] == 300
+        assert burst["n_requests"] == p["burst"]["requests"]
 
     def test_scaling_protocol_matches_its_document(self):
         p, doc = EXPERIMENTS["scaling"].protocol, _committed("scaling")
@@ -105,8 +105,9 @@ class TestLockStep:
 
 #: name -> (a tiny override every flag of which the record accepts, a token
 #: of the rendering).  Protocol keys no flag reaches (node counts, the global
-#: batch, the projection tolerance a 3-batch epoch cannot meet) are shrunk by
-#: patching the record.
+#: batch, the projection tolerance a 3-batch epoch cannot meet, the sections
+#: ``paper`` runs) are shrunk by patching records: SHRUNK[name] maps each
+#: record to patch to its protocol overrides.
 TINY = {
     "table1": (["--datasets", "cora", "enzymes"], "ENZYMES"),
     "table4": (["--datasets", "cora", "--models", "gcn", "--frameworks", "pygx",
@@ -114,9 +115,9 @@ TINY = {
     "table5": (["--models", "gcn", "--frameworks", "pygx", "--epochs", "2",
                 "--num-graphs", "24", "--folds", "1"], "Table V"),
     "fig1": (["--models", "gcn", "--frameworks", "pygx", "--batch-sizes", "16",
-              "--num-graphs", "24"], "legend:"),
+              "--num-graphs", "24"], "Fig. 1"),
     "fig2": (["--models", "gcn", "--frameworks", "dglx", "--batch-sizes", "8",
-              "--num-graphs", "16"], "per epoch, dd"),
+              "--num-graphs", "16"], "breakdown, DD"),
     "fig3": (["--models", "gcn", "--frameworks", "pygx", "--num-graphs", "32"], "conv1"),
     "fig4": (["--models", "gcn", "--frameworks", "pygx", "--batch-sizes", "8",
               "--num-graphs", "16"], "memory"),
@@ -124,6 +125,17 @@ TINY = {
               "--num-graphs", "16"], "utilisation"),
     "fig6": (["--models", "gcn", "--frameworks", "pygx", "--num-graphs", "40",
               "--batch-sizes", "16"], "8gpu"),
+    "ablation_batching": (["--batch-sizes", "16", "--num-graphs", "32"], "dgl/pyg"),
+    "ablation_spmm_fusion": (["--num-graphs", "16"], "unfused"),
+    "ablation_gatedgcn_edgefeat": (["--batch-sizes", "8"], "mem ratio"),
+    "ablation_launch_overhead": (["--batch-sizes", "16", "--num-graphs", "32"],
+                                 "launch overhead (us)"),
+    "ablation_dense_baseline": (["--batch-sizes", "2"], "dense"),
+    "ablation_gpu_specs": (["--datasets", "enzymes", "--num-graphs", "32",
+                            "--batch-size", "16"], "speedup vs 1.0x"),
+    "ablation_heterograph_types": (["--num-graphs", "16", "--batch-size", "8"], "vs 1 type"),
+    "extension_batching_optimizations": (["--epochs", "2", "--num-graphs", "64"],
+                                         "pipelined loader"),
     "serving": (["--frameworks", "pygx", "--requests", "10", "--num-graphs", "16"], "burst/b8"),
     "compile": (["--models", "gcn", "--frameworks", "pygx", "--num-graphs", "48",
                  "--batch-size", "32"], "exact"),
@@ -138,11 +150,21 @@ TINY = {
     "scale": (["--models", "gcn", "--frameworks", "pygx"], "Partitioned full-graph"),
     "scaling": (["--models", "gcn", "--frameworks", "pygx", "--replicas", "1", "2",
                  "--num-graphs", "64"], "world_size=1"),
+    "paper": ([], "Fig. 5"),
 }
+_TINY_SWEEP = {"models": ("gcn",), "batch_sizes": (8,), "num_graphs": 16}
 SHRUNK = {
-    "overlap": {"tolerance": 1.0},
-    "scale": {"n_nodes": 4000, "smoke_nodes": 600, "parts": 4, "tolerance": 1.0},
-    "scaling": {"global_batch": 16, "parity_graphs": 32},
+    "overlap": {"overlap": {"tolerance": 1.0}},
+    "scale": {"scale": {"n_nodes": 4000, "smoke_nodes": 600, "parts": 4, "tolerance": 1.0}},
+    "scaling": {"scaling": {"global_batch": 16, "parity_graphs": 32}},
+    # One shared sweep (four views) and one ablation: every path of the
+    # document, none of its fifteen minutes.
+    "paper": {
+        "paper": {"sections": {"sweep": ("fig4", "fig1", "fig2", "fig5"),
+                               "ablation_spmm_fusion": ("ablation_spmm_fusion",)}},
+        **{name: _TINY_SWEEP for name in ("fig1", "fig2", "fig4", "fig5")},
+        "ablation_spmm_fusion": {"num_graphs": 16},
+    },
 }
 
 
@@ -154,10 +176,15 @@ class TestEveryRecordRuns:
     def test_runs_through_the_cli_and_rows_match_headers(
         self, name, capsys, tmp_path, monkeypatch
     ):
-        record = EXPERIMENTS[name]
-        if name in SHRUNK:
-            shrunk = dataclasses.replace(record, protocol={**record.protocol, **SHRUNK[name]})
-            monkeypatch.setitem(EXPERIMENTS, name, shrunk)
+        for patched, overrides in SHRUNK.get(name, {}).items():
+            record = EXPERIMENTS[patched]
+            monkeypatch.setitem(EXPERIMENTS, patched, dataclasses.replace(
+                record, protocol={**record.protocol, **overrides}))
+        if name == "paper":  # ... and its spec with it, so the document still validates
+            ran = set(EXPERIMENTS["paper"].protocol["sections"]) | {"claims"}
+            monkeypatch.setitem(SPECS, "paper", dataclasses.replace(
+                SPECS["paper"],
+                sections=tuple(s for s in SPECS["paper"].sections if s.path in ran)))
         widths = []
         format_table = tables.format_table
 
@@ -165,16 +192,16 @@ class TestEveryRecordRuns:
             widths.extend((len(headers), len(row)) for row in rows)
             return format_table(headers, rows, title=title)
 
-        for module in (tables, experiments, ops):  # every importer of the name
+        for module in (tables, ops):  # every importer of the name
             monkeypatch.setattr(module, "format_table", checked)
         monkeypatch.chdir(tmp_path)
         argv, token = TINY[name]
         assert main([name, *argv]) == 0
         assert token in capsys.readouterr().out
-        assert widths or name in ("fig1", "fig2")  # the two ASCII charts
-        assert all(header == row for header, row in widths)
-        # An overridden protocol never lands on a committed document's name.
-        assert os.listdir(tmp_path) == []
+        assert widths and all(header == row for header, row in widths)
+        # An overridden protocol never lands on a committed document's name;
+        # the bare (shrunk) paper run is the one that writes its document.
+        assert os.listdir(tmp_path) == (["BENCH_paper.json"] if name == "paper" else [])
 
 
     def test_a_finished_run_with_failures_exits_1(self, capsys):
@@ -184,7 +211,8 @@ class TestEveryRecordRuns:
         assert main(["overlap", *argv]) == 1
         captured = capsys.readouterr()
         assert "projected" in captured.out  # the table is still printed
-        assert "ERROR: executed overlap missed the projection bound: gcn/pygx" in captured.err
+        assert ("ERROR: The executed overlapped epoch lands within the tolerance of the "
+                "projection -- fails for gcn/pygx/False, gcn/pygx/True") in captured.err
 
 
 class TestWriteDocument:

@@ -115,7 +115,7 @@ class TestFlagsThatDoNotApplyAreUsageErrors:
         "argv,named",
         [
             (["table1", "--fault-rates", "0.5"], ["--fault-rates", "'table1'"]),
-            (["fig1", "--datasets", "dd"], ["--datasets", "'fig1'"]),
+            (["fig1", "--folds", "2"], ["--folds", "'fig1'"]),
             (["ops", "--num-graphs", "8"], ["--num-graphs", "'ops'"]),
             (["compile", "--compiled"], ["--compiled", "'compile'"]),
             (["fig3", "--json", "out.json"], ["--json", "'fig3'"]),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.device import DataParallelPlan, Device, charge_iteration_overhead
+from repro.device import Device
+from repro.train.multi_gpu import DataParallelPlan, charge_iteration_overhead
 
 
 def make_plan(n_gpus, param_bytes=4_000_000, input_bytes=8_000_000, output_bytes=40_000):

@@ -43,7 +43,7 @@ class TestLockStep:
         committed = {os.path.basename(p)
                      for p in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))}
         assert committed == {spec.filename for spec in SPECS.values()}
-        assert len(committed) == len(SPECS) == 8
+        assert len(committed) == len(SPECS) == 9
 
     def test_every_spec_has_a_regressed_fixture(self):
         assert set(os.listdir(FIXTURE_DIR)) == {
@@ -127,7 +127,7 @@ class TestWriterNamesTheExperiment:
 
 
 class TestFleetSchema:
-    """What only benchmarks/test_fleet_serving.py exercised before."""
+    """Schema violations the fleet validator must reject."""
 
     @pytest.fixture
     def doc(self):

@@ -224,6 +224,42 @@ def test_fleet_missing_cell_is_a_regression(tmp_path):
     assert tool.main(["--baseline", base, "--current", str(cur)]) == 1
 
 
+def test_paper_fixture_regressions_flagged(capsys):
+    """The paper fixture flips the PyG/DGL winner in one Table IV and one
+    Table V cell (times and the claims they contradict) and slows one
+    sweep cell by 20%."""
+    base = os.path.join(REPO_ROOT, "BENCH_paper.json")
+    bad = os.path.join(FIXTURE_DIR, "BENCH_paper.json")
+    assert tool.main(["--baseline", base, "--current", bad]) == 1
+    out = capsys.readouterr().out
+    assert "paper.table4[pygx/gcn/cora]  measured" in out
+    assert "paper.table5[pygx/gin/enzymes]  measured" in out
+    assert "paper.sweep[pygx/gat/enzymes/128]  epoch_time" in out
+    assert "paper.claims[table4: PyG trains faster than DGL" in out
+    assert "holds: baseline=True -> current=False" in out
+
+
+def test_paper_claim_flip_is_exact_gated_without_metric_drift(tmp_path):
+    """A claim that stops holding fails the gate even when every time is
+    within tolerance (a winner flipped by a 1% margin)."""
+    base = os.path.join(REPO_ROOT, "BENCH_paper.json")
+    doc = json.load(open(base))
+    assert doc["claims"][0]["holds"] is True
+    doc["claims"][0]["holds"] = False
+    cur = tmp_path / "BENCH_paper.json"
+    cur.write_text(json.dumps(doc))
+    assert tool.main(["--baseline", base, "--current", str(cur)]) == 1
+
+
+def test_paper_missing_section_cell_is_a_regression(tmp_path):
+    base = os.path.join(REPO_ROOT, "BENCH_paper.json")
+    doc = json.load(open(base))
+    doc["fig6"] = doc["fig6"][1:]
+    cur = tmp_path / "BENCH_paper.json"
+    cur.write_text(json.dumps(doc))
+    assert tool.main(["--baseline", base, "--current", str(cur)]) == 1
+
+
 def test_usage_error_on_missing_baseline_dir(tmp_path):
     rc = tool.main(["--baseline-dir", str(tmp_path), "--current-dir", str(tmp_path)])
     assert rc == 2

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Gate bench regressions against committed BENCH_*.json baselines.
 
-CI regenerates all eight bench documents (serving, compile, faults,
-overlap, scale, scaling, ops, fleet) into a scratch directory and then runs
-this script to diff the fresh metrics against the baselines committed at
-the repo root.  What is gated -- per document: the cell lists, their key
+CI regenerates all nine bench documents (serving, compile, faults,
+overlap, scale, scaling, ops, fleet, paper) and then runs this script to
+diff the fresh metrics against the baselines committed at the repo root.  What is gated -- per document: the cell lists, their key
 fields, the metrics with direction and absolute floor, the conservation
 invariants -- is declared once in ``repro.bench.spec``; this script only
 walks that table.
