@@ -37,7 +37,7 @@ from repro.fleet.routing import (
     routable,
 )
 from repro.fleet.simulator import FleetSimulator
-from repro.fleet.tiers import TenantQuota, TieredQueue
+from repro.fleet.tiers import TenantQuota
 from repro.fleet.traffic import (
     Arrival,
     bursty_multitenant_trace,
@@ -72,7 +72,6 @@ __all__ = [
     "Tenant",
     "TenantQuota",
     "TenantSummary",
-    "TieredQueue",
     "UP",
     "WARMING",
     "bursty_multitenant_trace",

@@ -1,7 +1,8 @@
 """One serving replica of the fleet.
 
 A replica is a :class:`~repro.serve.InferenceModel` behind its own local
-:class:`~repro.fleet.tiers.TieredQueue`, executing forwards on a dedicated
+:class:`~repro.serve.RequestQueue` (one lane per SLA tier, drained
+highest-priority-first), executing forwards on a dedicated
 device stream (``replica<i>``) of the *shared* simulated device — the
 same per-replica-stream construction ``repro.dist`` uses for DDP, applied
 to serving.  Kernel durations land on the replica's stream timeline
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.device import Device, KernelRecord
-from repro.fleet.request import FleetRequest
-from repro.fleet.tiers import TieredQueue
+from repro.fleet.request import SLA_TIERS, FleetRequest
+from repro.serve.queue import RequestQueue
 from repro.serve.registry import InferenceModel
 from repro.serve.resilience import CircuitBreaker
 
@@ -75,7 +76,7 @@ class Replica:
         #: :meth:`Device.offload`) and overlaps with every other replica —
         #: only routing/admission serialise on the shared frontend clock.
         self.host_stream = device.stream(f"replica{replica_id}.host")
-        self.queue = TieredQueue(queue_capacity)
+        self.queue = RequestQueue(queue_capacity, lanes=len(SLA_TIERS))
         self.breaker = breaker or CircuitBreaker()
         self.state = state
         #: Fleet-relative time a warming replica comes up.

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Set, Union
 
 import numpy as np
 
-from repro.device import Device, OutOfMemoryError, use_device
+from repro.device import Device, use_device
 from repro.device.timeline import write_chrome_trace
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.cache import ResultCache
@@ -48,22 +48,10 @@ from repro.fleet.traffic import Arrival
 from repro.graph import GraphSample
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.request import Overloaded
-from repro.serve.resilience import RetryPolicy
+from repro.serve.resilience import RetryPolicy, serve_with_recovery
+from repro.serve.simulator import validate_arrivals
 
 _NEVER = float("inf")
-
-
-class _Liveness:
-    """Deadline check shim with the ``AdmissionController`` surface.
-
-    The fleet admits straight into per-replica tiered queues, so the only
-    thing :meth:`DynamicBatcher.next_batch` needs at dispatch is the
-    deadline predicate.
-    """
-
-    @staticmethod
-    def still_live(request: FleetRequest, now: float) -> bool:
-        return not request.expired(now)
 
 
 class FleetSimulator:
@@ -105,7 +93,6 @@ class FleetSimulator:
             for i in range(n_replicas)
         ]
         self._initial_replicas = n_replicas
-        self._liveness = _Liveness()
 
     # ------------------------------------------------------------------
     # replay
@@ -115,11 +102,7 @@ class FleetSimulator:
     ) -> FleetResult:
         if not samples:
             raise ValueError("need at least one graph sample to serve")
-        if not arrivals:
-            raise ValueError("arrival trace is empty")
-        times = [a.time for a in arrivals]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("arrival times must be non-decreasing")
+        validate_arrivals([a.time for a in arrivals])
 
         requests = [
             FleetRequest(
@@ -330,7 +313,7 @@ class FleetSimulator:
     ) -> None:
         clock = self.device.clock
         now = clock.elapsed - t0
-        batch, expired = self.batcher.next_batch(replica.queue, self._liveness, now)
+        batch, expired = self.batcher.next_batch(replica.queue, now)
         if expired:
             metrics.record_shed("deadline", expired)
             for request in expired:
@@ -345,73 +328,49 @@ class FleetSimulator:
         pending = PendingBatch(dispatch_time=now)
         for request in batch:
             request.dispatches += 1
-        self._execute(replica, batch, pending, metrics, quota, t0)
+
+        def fail(reason: str, failed: List[FleetRequest]) -> None:
+            metrics.record_failure(reason, failed)
+            for request in failed:
+                quota.release(request.tenant)
+
+        serve_with_recovery(
+            batch,
+            run=lambda part: self._run_batch(replica, part, pending, t0),
+            # Backoff burns the replica's host, not the frontend's.
+            backoff=replica.host_stream.enqueue,
+            fail=fail,
+            metrics=metrics,
+            retry_policy=self.retry_policy,
+            breaker=replica.breaker,
+            now=lambda: clock.elapsed - t0,
+        )
         if pending.completions:
             replica.inflight = pending
 
-    def _execute(
+    def _run_batch(
         self,
         replica: Replica,
         batch: List[FleetRequest],
         pending: PendingBatch,
-        metrics: FleetMetrics,
-        quota: TenantQuota,
         t0: float,
     ) -> None:
-        """Run one (sub-)batch to enqueued kernels or an explicit failure.
+        """One attempt at a (sub-)batch: enqueue its kernels, join ``pending``.
 
-        Mirrors the single-server dispatch path: transient kernel faults
-        retry with exponential backoff, OOM batches split in half and both
-        halves are served, terminal failures count against the replica's
-        circuit breaker.  Successful forwards land on the replica's stream;
-        their completion timestamps join ``pending``.
+        The replica is its own machine: collation and kernel launches run
+        on its host timeline (offload), kernels on its compute stream —
+        both overlap across replicas; only the dispatch call serialises on
+        the frontend clock.  Completion is read off the replica's stream.
         """
-        from repro.faults import KernelFault
-
-        clock = self.device.clock
-        attempt = 0
-        while True:
-            try:
-                # The replica is its own machine: collation and kernel
-                # launches run on its host timeline (offload), kernels on
-                # its compute stream — both overlap across replicas; only
-                # this dispatch call serialises on the frontend clock.
-                with self.device.offload(replica.host_stream):
-                    collated = self.inference.collate([r.sample for r in batch])
-                    with self.device.on(replica.stream):
-                        logits = self.inference.forward(collated)
-                done = replica.stream.record()
-            except KernelFault:
-                if attempt < self.retry_policy.max_retries:
-                    metrics.record_retry()
-                    # Backoff burns the replica's host, not the frontend's.
-                    replica.host_stream.enqueue(self.retry_policy.delay(attempt))
-                    attempt += 1
-                    continue
-                metrics.record_failure("kernel_fault", batch)
-                for request in batch:
-                    quota.release(request.tenant)
-                replica.breaker.record_failure(clock.elapsed - t0)
-                return
-            except OutOfMemoryError:
-                if len(batch) > 1:
-                    metrics.record_split()
-                    first, second = DynamicBatcher.split(batch)
-                    self._execute(replica, first, pending, metrics, quota, t0)
-                    self._execute(replica, second, pending, metrics, quota, t0)
-                    return
-                metrics.record_failure("oom", batch)
-                quota.release(batch[0].tenant)
-                replica.breaker.record_failure(clock.elapsed - t0)
-                return
-            completion = done.timestamp - t0
-            predictions = np.argmax(logits.data, axis=1)
-            pending.completions.extend(
-                (request, int(p), completion)
-                for request, p in zip(batch, predictions)
-            )
-            replica.breaker.record_success()
-            return
+        with self.device.offload(replica.host_stream):
+            collated = self.inference.collate([r.sample for r in batch])
+            with self.device.on(replica.stream):
+                logits = self.inference.forward(collated)
+        completion = replica.stream.record().timestamp - t0
+        predictions = np.argmax(logits.data, axis=1)
+        pending.completions.extend(
+            (request, int(p), completion) for request, p in zip(batch, predictions)
+        )
 
     def _retire(
         self,

@@ -1,11 +1,4 @@
-"""SLA-tiered priority queues and per-tenant admission quotas.
-
-Each replica owns a :class:`TieredQueue`: one bounded FIFO lane per SLA
-tier, drained highest-priority-first.  The queue exposes the same
-``peek``/``pop``/``__len__`` surface as :class:`repro.serve.RequestQueue`,
-so the existing :class:`~repro.serve.DynamicBatcher` coalesces fleet
-batches unchanged (a batch may mix tiers — priority decides *order*, the
-node/edge budget decides *size*).
+"""Per-tenant admission quotas.
 
 :class:`TenantQuota` is the fleet-wide admission counter: each tenant may
 have at most ``quota`` requests outstanding (queued anywhere in the
@@ -15,69 +8,9 @@ backpressure, so one tenant's burst cannot monopolise every queue.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
-from repro.fleet.request import SLA_TIERS, FleetRequest, Tenant
-from repro.serve.request import Overloaded
-
-
-class TieredQueue:
-    """Bounded priority queue: one FIFO lane per SLA tier."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("queue capacity must be positive")
-        self.capacity = capacity
-        self._lanes: List[Deque[FleetRequest]] = [
-            deque() for _ in range(len(SLA_TIERS))
-        ]
-
-    def __len__(self) -> int:
-        return sum(len(lane) for lane in self._lanes)
-
-    def __iter__(self) -> Iterator[FleetRequest]:
-        for lane in self._lanes:
-            yield from lane
-
-    @property
-    def full(self) -> bool:
-        return len(self) >= self.capacity
-
-    def push(self, request: FleetRequest) -> None:
-        if self.full:
-            raise Overloaded(
-                f"tiered queue full at depth {len(self)}", queue_depth=len(self)
-            )
-        self._lanes[request.priority].append(request)
-
-    def peek(self) -> Optional[FleetRequest]:
-        for lane in self._lanes:
-            if lane:
-                return lane[0]
-        return None
-
-    def pop(self) -> FleetRequest:
-        for lane in self._lanes:
-            if lane:
-                return lane.popleft()
-        raise IndexError("pop from an empty tiered queue")
-
-    def drain(self) -> List[FleetRequest]:
-        """Remove and return everything queued, priority-then-FIFO order.
-
-        Used when a replica is lost or scaled away: its backlog gets
-        re-routed, never dropped.
-        """
-        out: List[FleetRequest] = []
-        for lane in self._lanes:
-            out.extend(lane)
-            lane.clear()
-        return out
-
-    def depth_by_tier(self) -> Dict[str, int]:
-        names = sorted(SLA_TIERS, key=SLA_TIERS.get)
-        return {name: len(self._lanes[SLA_TIERS[name]]) for name in names}
+from repro.fleet.request import Tenant
 
 
 class TenantQuota:
@@ -109,4 +42,4 @@ class TenantQuota:
         self._outstanding[tenant.name] = held - 1
 
 
-__all__ = ["TieredQueue", "TenantQuota"]
+__all__ = ["TenantQuota"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.serve.queue import AdmissionController, RequestQueue
+from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest
 
 
@@ -63,14 +63,11 @@ class DynamicBatcher:
         return list(batch[:mid]), list(batch[mid:])
 
     def next_batch(
-        self,
-        queue: RequestQueue,
-        admission: AdmissionController,
-        now: float,
+        self, queue: RequestQueue, now: float
     ) -> Tuple[List[InferenceRequest], List[InferenceRequest]]:
         """Pop one micro-batch; returns ``(batch, expired)``.
 
-        FIFO order is preserved (no reordering across requests).  Requests
+        Queue order is preserved (FIFO within a priority lane).  Requests
         whose deadline lapsed while queued are popped and returned in
         ``expired`` for the caller to count as shed.  The head request is
         always taken even if it alone exceeds the node/edge budget — a
@@ -82,7 +79,7 @@ class DynamicBatcher:
         edges = 0
         while len(queue) > 0:
             head = queue.peek()
-            if not admission.still_live(head, now):
+            if head.expired(now):
                 expired.append(queue.pop())
                 continue
             if batch and not self._fits(nodes + head.num_nodes, edges + head.num_edges, len(batch)):

@@ -10,45 +10,74 @@ admission-control posture for latency-sensitive inference services.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, Optional
+from typing import Deque, Iterator, List, Optional
 
 from repro.serve.request import InferenceRequest, Overloaded
 
 
 class RequestQueue:
-    """FIFO queue of pending requests with a hard capacity."""
+    """Bounded queue of pending requests: one FIFO lane per priority.
 
-    def __init__(self, capacity: int) -> None:
+    ``lanes=1`` is the single server's plain FIFO; a fleet replica has one
+    lane per SLA tier, drained lowest ``request.priority`` first (priority
+    decides *order*, the batcher's node/edge budget decides *size*, so a
+    batch may mix tiers).  The capacity is shared across lanes.
+    """
+
+    def __init__(self, capacity: int, lanes: int = 1) -> None:
         if capacity <= 0:
             raise ValueError("queue capacity must be positive")
+        if lanes <= 0:
+            raise ValueError("a queue needs at least one lane")
         self.capacity = capacity
-        self._pending: Deque[InferenceRequest] = deque()
+        self._lanes: List[Deque[InferenceRequest]] = [deque() for _ in range(lanes)]
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return self._size
 
     def __iter__(self) -> Iterator[InferenceRequest]:
-        return iter(self._pending)
+        for lane in self._lanes:
+            yield from lane
 
     @property
     def full(self) -> bool:
-        return len(self._pending) >= self.capacity
+        return self._size >= self.capacity
 
     def push(self, request: InferenceRequest) -> None:
         if self.full:
-            raise Overloaded(
-                f"queue full at depth {len(self._pending)}",
-                queue_depth=len(self._pending),
-            )
-        self._pending.append(request)
+            raise Overloaded(f"queue full at depth {self._size}", queue_depth=self._size)
+        self._lanes[request.priority].append(request)
+        self._size += 1
 
     def peek(self) -> Optional[InferenceRequest]:
-        return self._pending[0] if self._pending else None
+        for lane in self._lanes:
+            if lane:
+                return lane[0]
+        return None
 
     def pop(self) -> InferenceRequest:
-        if not self._pending:
-            raise IndexError("pop from an empty request queue")
-        return self._pending.popleft()
+        for lane in self._lanes:
+            if lane:
+                self._size -= 1
+                return lane.popleft()
+        raise IndexError("pop from an empty request queue")
+
+    def drain(self) -> List[InferenceRequest]:
+        """Remove and return everything queued, priority-then-FIFO order.
+
+        Used when a replica is lost or scaled away: its backlog gets
+        re-routed, never dropped.
+        """
+        out = list(self)
+        for lane in self._lanes:
+            lane.clear()
+        self._size = 0
+        return out
+
+    def depth_by_tier(self) -> List[int]:
+        """Queued requests per lane, indexed by ``request.priority``."""
+        return [len(lane) for lane in self._lanes]
 
 
 class AdmissionController:
@@ -58,9 +87,10 @@ class AdmissionController:
 
     * **at admission** — the bounded queue is full: raise
       :class:`Overloaded` (``reason='queue_full'``) back to the client;
-    * **at dispatch** — the request's deadline passed while it queued:
-      drop it (``reason='deadline'``) rather than spend service capacity
-      on an answer nobody is waiting for.
+    * **at dispatch** — the request's deadline passed while it queued
+      (``request.expired(now)``): :meth:`DynamicBatcher.next_batch` drops
+      it (``reason='deadline'``) rather than spend service capacity on an
+      answer nobody is waiting for.
     """
 
     def __init__(self, queue: RequestQueue, default_deadline: Optional[float] = None) -> None:
@@ -80,7 +110,3 @@ class AdmissionController:
                 reason="deadline",
             )
         self.queue.push(request)
-
-    def still_live(self, request: InferenceRequest, now: float) -> bool:
-        """Dispatch-time check: ``False`` means shed as a deadline miss."""
-        return not request.expired(now)

@@ -35,6 +35,11 @@ class InferenceRequest:
     def num_edges(self) -> int:
         return self.sample.num_edges
 
+    @property
+    def priority(self) -> int:
+        """Queue lane, lower dispatches first; the single server has one."""
+        return 0
+
     def expired(self, now: float) -> bool:
         """Whether the request's deadline has passed at simulated ``now``."""
         return self.deadline is not None and now - self.arrival_time > self.deadline

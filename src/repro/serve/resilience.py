@@ -6,12 +6,20 @@ retried with exponential backoff, repeated model failures trip a circuit
 breaker that fails fast instead of burning service capacity, and
 out-of-memory batches are split in half and retried rather than dropped.
 These pieces are deliberately tiny state machines over the *simulated*
-clock, so their behaviour is deterministic and unit-testable.
+clock, so their behaviour is deterministic and unit-testable;
+:func:`serve_with_recovery` composes them into the one dispatch-time
+recovery path both :class:`~repro.serve.ServeSimulator` and
+:class:`~repro.fleet.FleetSimulator` run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, List
+
+from repro.device import OutOfMemoryError
+from repro.faults.errors import KernelFault
+from repro.serve.batcher import DynamicBatcher
 
 
 @dataclass(frozen=True)
@@ -93,3 +101,58 @@ class CircuitBreaker:
             f"CircuitBreaker({self.state}, failures={self.consecutive_failures}/"
             f"{self.failure_threshold}, opens={self.opens})"
         )
+
+
+def serve_with_recovery(
+    batch: List,
+    run: Callable[[List], None],
+    backoff: Callable[[float], None],
+    fail: Callable[[str, List], None],
+    metrics,
+    retry_policy: RetryPolicy,
+    breaker: CircuitBreaker,
+    now: Callable[[], float],
+) -> None:
+    """Serve one dispatched batch to an explicit outcome per request.
+
+    ``run(batch)`` attempts the batch and records its responses.  A
+    transient :class:`~repro.faults.KernelFault` retries it after
+    ``backoff(delay)``, with exponentially growing delays, up to
+    ``retry_policy.max_retries`` times; an
+    :class:`~repro.device.OutOfMemoryError` splits the batch in half and
+    serves both halves (recursively), so nothing is dropped for being
+    batched too greedily.  Retries exhausted, or a single request that
+    still does not fit, is a terminal failure: ``fail(reason, batch)``
+    records it and it counts against ``breaker`` at simulated ``now()``.
+
+    The callers differ only in the three callables: the single server
+    collates and backs off on the caller's clock, a fleet replica on its
+    own host stream.  ``metrics`` counts retries and splits
+    (``record_retry`` / ``record_split``).
+    """
+    attempt = 0
+    while True:
+        try:
+            run(batch)
+        except KernelFault:
+            if attempt < retry_policy.max_retries:
+                metrics.record_retry()
+                backoff(retry_policy.delay(attempt))
+                attempt += 1
+                continue
+            reason = "kernel_fault"
+        except OutOfMemoryError:
+            if len(batch) > 1:
+                metrics.record_split()
+                for half in DynamicBatcher.split(batch):
+                    serve_with_recovery(
+                        half, run, backoff, fail, metrics, retry_policy, breaker, now
+                    )
+                return
+            reason = "oom"
+        else:
+            breaker.record_success()
+            return
+        fail(reason, batch)
+        breaker.record_failure(now())
+        return

@@ -10,20 +10,20 @@ produces the paper's Figs. 1-2 breakdowns.
 
 The dispatch path degrades gracefully under faults (injected via a
 ``repro.faults`` :class:`FaultPlan`, or anything that raises the same
-errors): transient kernel faults retry with exponential backoff, OOM
-batches split in half and retry, and repeated failures trip a circuit
-breaker.  Every admitted request ends in exactly one of *response*,
-*shed* or *explicit failure* — nothing is silently lost.
+errors) through :func:`repro.serve.resilience.serve_with_recovery`.
+Every admitted request ends in exactly one of *response*, *shed* or
+*explicit failure* — nothing is silently lost.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.device import Device, OutOfMemoryError, use_device
+from repro.device import Device, use_device
 from repro.graph import GraphSample, as_generator
 from repro.graph.graph import RngLike
 from repro.serve.batcher import DynamicBatcher
@@ -31,7 +31,7 @@ from repro.serve.metrics import ServerMetrics, ServingResult
 from repro.serve.queue import AdmissionController, RequestQueue
 from repro.serve.registry import InferenceModel
 from repro.serve.request import InferenceRequest, InferenceResponse, Overloaded
-from repro.serve.resilience import CircuitBreaker, RetryPolicy
+from repro.serve.resilience import CircuitBreaker, RetryPolicy, serve_with_recovery
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +74,32 @@ def bursty_trace(
             times.append(t)
         t += idle_gap
     return np.array(times)
+
+
+def validate_arrivals(arrival_times: Sequence[float]) -> np.ndarray:
+    """The trace as float64, or a ``ValueError`` naming its first bad entry.
+
+    Both replay loops fast-forward the clock to the next arrival.  A NaN
+    there compares False with everything, so the loop would neither admit
+    the request nor advance — checked here, before the first event.
+    """
+    arrivals = np.asarray(arrival_times, dtype=np.float64)
+    if arrivals.size == 0:
+        raise ValueError("arrival trace is empty")
+    finite = np.isfinite(arrivals)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(
+            f"arrival times must be finite: arrival_times[{index}] = {arrivals[index]}"
+        )
+    drops = np.diff(arrivals) < 0
+    if drops.any():
+        index = int(np.argmax(drops)) + 1
+        raise ValueError(
+            f"arrival times must be non-decreasing: arrival_times[{index}] = "
+            f"{arrivals[index]} follows {arrivals[index - 1]}"
+        )
+    return arrivals
 
 
 # ----------------------------------------------------------------------
@@ -124,11 +150,7 @@ class ServeSimulator:
         and — when the queue is empty — fast-forwarding the clock to the
         next arrival.
         """
-        arrivals = np.asarray(arrival_times, dtype=np.float64)
-        if arrivals.size == 0:
-            raise ValueError("arrival trace is empty")
-        if np.any(np.diff(arrivals) < 0):
-            raise ValueError("arrival times must be non-decreasing")
+        arrivals = validate_arrivals(arrival_times)
         if not samples:
             raise ValueError("need at least one graph sample to serve")
         requests = [
@@ -151,6 +173,18 @@ class ServeSimulator:
             start = clock.snapshot()
             t0 = clock.elapsed
             idle0 = clock.idle
+            serve = partial(
+                serve_with_recovery,
+                run=lambda part: self._run_batch(part, metrics, clock, t0, compute),
+                backoff=self._backoff,
+                fail=lambda reason, part: metrics.record_failure(
+                    reason, [r.request_id for r in part]
+                ),
+                metrics=metrics,
+                retry_policy=self.retry_policy,
+                breaker=self.breaker,
+                now=lambda: clock.elapsed - t0,
+            )
             n = len(requests)
             i = 0  # next request not yet offered to admission
             while True:
@@ -179,7 +213,7 @@ class ServeSimulator:
                         with clock.phase("idle"):
                             clock.advance_idle(gap)
                     continue
-                batch, expired = self.batcher.next_batch(queue, admission, now)
+                batch, expired = self.batcher.next_batch(queue, now)
                 if expired:
                     metrics.record_shed(
                         "deadline", len(expired), request_ids=[r.request_id for r in expired]
@@ -193,7 +227,7 @@ class ServeSimulator:
                         "circuit_open", len(batch), request_ids=[r.request_id for r in batch]
                     )
                     continue
-                self._serve_batch(batch, metrics, clock, t0, compute)
+                serve(batch)
 
             if self.overlap:
                 # Drain the compute stream so elapsed covers the tail of
@@ -215,20 +249,15 @@ class ServeSimulator:
             )
 
     # ------------------------------------------------------------------
-    def _serve_batch(
+    def _run_batch(
         self,
         batch: List[InferenceRequest],
         metrics: ServerMetrics,
         clock,
         t0: float,
-        compute=None,
+        compute,
     ) -> None:
-        """Serve one dispatched batch to an explicit outcome per request.
-
-        Transient kernel faults retry with exponential backoff; an OOM
-        splits the batch in half and serves both halves (recursively) —
-        a single over-sized request that still OOMs fails explicitly.
-        Either terminal failure counts against the circuit breaker.
+        """One attempt at ``batch``: collate, forward, record the responses.
 
         With :attr:`overlap` set, collation runs on the host while the
         *previous* batch's kernels still execute on ``compute``; the host
@@ -236,58 +265,34 @@ class ServeSimulator:
         this one (one batch in flight — double buffering), and this
         batch's completion time is read off a stream event.
         """
-        from repro.faults import KernelFault
+        dispatch = clock.elapsed - t0
+        collated = self.inference.collate([r.sample for r in batch])
+        if self.overlap:
+            if self._inflight is not None:
+                self.device.wait_event(self._inflight)
+                self._inflight = None
+            with self.device.on(compute):
+                logits = self.inference.forward(collated)
+            self._inflight = compute.record()
+            completion = self._inflight.timestamp - t0
+        else:
+            logits = self.inference.forward(collated)
+            completion = clock.elapsed - t0
+        predictions = np.argmax(logits.data, axis=1)
+        metrics.record_batch(
+            [
+                InferenceResponse(
+                    request_id=r.request_id,
+                    prediction=int(p),
+                    arrival_time=r.arrival_time,
+                    dispatch_time=dispatch,
+                    completion_time=completion,
+                    batch_size=len(batch),
+                )
+                for r, p in zip(batch, predictions)
+            ]
+        )
 
-        overlapped = self.overlap and compute is not None
-        attempt = 0
-        while True:
-            dispatch = clock.elapsed - t0
-            try:
-                collated = self.inference.collate([r.sample for r in batch])
-                if overlapped:
-                    if self._inflight is not None:
-                        self.device.wait_event(self._inflight)
-                        self._inflight = None
-                    with self.device.on(compute):
-                        logits = self.inference.forward(collated)
-                    done = compute.record()
-                    self._inflight = done
-                else:
-                    logits = self.inference.forward(collated)
-            except KernelFault:
-                if attempt < self.retry_policy.max_retries:
-                    metrics.record_retry()
-                    with clock.phase("backoff"):
-                        self.device.host(self.retry_policy.delay(attempt))
-                    attempt += 1
-                    continue
-                metrics.record_failure("kernel_fault", [r.request_id for r in batch])
-                self.breaker.record_failure(clock.elapsed - t0)
-                return
-            except OutOfMemoryError:
-                if len(batch) > 1:
-                    metrics.record_split()
-                    first, second = DynamicBatcher.split(batch)
-                    self._serve_batch(first, metrics, clock, t0, compute)
-                    self._serve_batch(second, metrics, clock, t0, compute)
-                    return
-                metrics.record_failure("oom", [batch[0].request_id])
-                self.breaker.record_failure(clock.elapsed - t0)
-                return
-            completion = (done.timestamp if overlapped else clock.elapsed) - t0
-            predictions = np.argmax(logits.data, axis=1)
-            metrics.record_batch(
-                [
-                    InferenceResponse(
-                        request_id=r.request_id,
-                        prediction=int(p),
-                        arrival_time=r.arrival_time,
-                        dispatch_time=dispatch,
-                        completion_time=completion,
-                        batch_size=len(batch),
-                    )
-                    for r, p in zip(batch, predictions)
-                ]
-            )
-            self.breaker.record_success()
-            return
+    def _backoff(self, delay: float) -> None:
+        with self.device.clock.phase("backoff"):
+            self.device.host(delay)

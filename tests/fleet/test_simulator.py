@@ -16,7 +16,7 @@ from repro.fleet import (
     Tenant,
 )
 from repro.models import graph_config
-from repro.serve import DynamicBatcher, InferenceModel
+from repro.serve import DynamicBatcher, InferenceModel, ServeSimulator
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,30 @@ class TestReplayBasics:
         backwards = list(reversed(_trace(3)))
         with pytest.raises(ValueError, match="non-decreasing"):
             simulator.replay(dataset.graphs, backwards)
+
+
+#: Traces no replay loop can run: on a NaN arrival time both loops used to
+#: spin forever (NaN compares False with everything, so the request is never
+#: admitted and the clock never advances).
+BAD_TRACES = {
+    "empty": ([], "arrival trace is empty"),
+    "nan": ([0.001, float("nan"), 0.003], r"must be finite: arrival_times\[1\] = nan"),
+    "inf": ([0.001, 0.002, float("inf")], r"must be finite: arrival_times\[2\] = inf"),
+    "decreasing": (
+        [0.001, 0.003, 0.002],
+        r"must be non-decreasing: arrival_times\[2\] = 0.002 follows 0.003",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TRACES)
+def test_both_simulators_reject_a_bad_trace_with_one_message(name, dataset, inference):
+    times, message = BAD_TRACES[name]
+    with pytest.raises(ValueError, match=message):
+        ServeSimulator(inference).replay(dataset.graphs, times)
+    arrivals = [Arrival(t, Tenant("t"), i) for i, t in enumerate(times)]
+    with pytest.raises(ValueError, match=message):
+        FleetSimulator(inference, n_replicas=1).replay(dataset.graphs, arrivals)
 
 
 class TestCache:

@@ -1,12 +1,17 @@
-"""SLA-tiered queues and per-tenant admission quotas."""
+"""SLA lanes of a replica's queue and per-tenant admission quotas.
+
+What the queue does whatever its lane count (capacity, peek/pop on
+empty, the ``Overloaded`` it raises) is in
+``tests/serve/test_queue_admission.py``, run at one lane and at three.
+"""
 
 import numpy as np
 import pytest
 
-from repro.fleet import Tenant, TenantQuota, TieredQueue
+from repro.fleet import SLA_TIERS, Tenant, TenantQuota
 from repro.fleet.request import FleetRequest
 from repro.graph import GraphSample
-from repro.serve.request import Overloaded
+from repro.serve import Overloaded, RequestQueue
 
 GOLD = Tenant("g", tier="gold")
 SILVER = Tenant("s", tier="silver")
@@ -24,13 +29,14 @@ def _request(request_id, tenant=None):
     )
 
 
-class TestTieredQueue:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TieredQueue(0)
+def replica_queue(capacity):
+    """The queue as :class:`repro.fleet.Replica` builds it."""
+    return RequestQueue(capacity, lanes=len(SLA_TIERS))
 
+
+class TestSlaLanes:
     def test_pop_is_priority_then_fifo(self):
-        queue = TieredQueue(8)
+        queue = replica_queue(8)
         queue.push(_request(0, BRONZE))
         queue.push(_request(1, GOLD))
         queue.push(_request(2, SILVER))
@@ -38,36 +44,23 @@ class TestTieredQueue:
         order = [queue.pop().request_id for _ in range(4)]
         assert order == [1, 3, 2, 0]
 
-    def test_peek_does_not_remove(self):
-        queue = TieredQueue(4)
+    def test_peek_is_the_highest_priority_head(self):
+        queue = replica_queue(4)
         queue.push(_request(0, SILVER))
-        assert queue.peek().request_id == 0
-        assert len(queue) == 1
-
-    def test_peek_empty_is_none(self):
-        assert TieredQueue(4).peek() is None
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            TieredQueue(4).pop()
+        queue.push(_request(1, GOLD))
+        assert queue.peek().request_id == 1
+        assert len(queue) == 2
 
     def test_capacity_is_shared_across_tiers(self):
-        queue = TieredQueue(2)
+        queue = replica_queue(2)
         queue.push(_request(0, GOLD))
         queue.push(_request(1, BRONZE))
         assert queue.full
         with pytest.raises(Overloaded):
             queue.push(_request(2, GOLD))
 
-    def test_overloaded_carries_queue_depth(self):
-        queue = TieredQueue(1)
-        queue.push(_request(0))
-        with pytest.raises(Overloaded) as excinfo:
-            queue.push(_request(1))
-        assert excinfo.value.queue_depth == 1
-
     def test_drain_returns_priority_order_and_empties(self):
-        queue = TieredQueue(8)
+        queue = replica_queue(8)
         queue.push(_request(0, BRONZE))
         queue.push(_request(1, GOLD))
         drained = queue.drain()
@@ -75,22 +68,22 @@ class TestTieredQueue:
         assert len(queue) == 0
 
     def test_depth_by_tier(self):
-        queue = TieredQueue(8)
+        queue = replica_queue(8)
         queue.push(_request(0, GOLD))
         queue.push(_request(1, GOLD))
         queue.push(_request(2, BRONZE))
-        assert queue.depth_by_tier() == {"gold": 2, "silver": 0, "bronze": 1}
+        assert queue.depth_by_tier() == [2, 0, 1]  # indexed by SLA_TIERS[tier]
 
     def test_iteration_yields_priority_order(self):
-        queue = TieredQueue(8)
+        queue = replica_queue(8)
         queue.push(_request(0, BRONZE))
         queue.push(_request(1, GOLD))
         assert [r.request_id for r in queue] == [1, 0]
 
     def test_tenantless_requests_queue_as_bronze(self):
-        queue = TieredQueue(8)
+        queue = replica_queue(8)
         queue.push(_request(0))
-        assert queue.depth_by_tier()["bronze"] == 1
+        assert queue.depth_by_tier()[SLA_TIERS["bronze"]] == 1
 
 
 class TestTenantQuota:

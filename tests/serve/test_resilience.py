@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import enzymes
-from repro.device import Device
-from repro.faults import FaultPlan
+from repro.device import Device, OutOfMemoryError
+from repro.faults import FaultPlan, KernelFault
 from repro.models import graph_config
 from repro.serve import (
     CircuitBreaker,
@@ -17,9 +17,11 @@ from repro.serve import (
     InferenceModel,
     RetryPolicy,
     ServeSimulator,
+    ServerMetrics,
     bursty_trace,
     poisson_trace,
 )
+from repro.serve.resilience import serve_with_recovery
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,135 @@ class TestBatchSplit:
     def test_split_requires_two(self):
         with pytest.raises(ValueError):
             DynamicBatcher.split([1])
+
+
+class ScriptedServer:
+    """The three callables of :func:`serve_with_recovery`, scripted.
+
+    ``run`` raises an OOM for any batch larger than ``oom_above``, else a
+    ``KernelFault`` while ``faults`` (one bool per remaining call) says so,
+    else serves the batch.  Every call advances a fake clock by 1 s, every
+    backoff by its delay, so breaker timestamps are checkable.
+    """
+
+    def __init__(self, faults=(), oom_above=None):
+        self.faults = iter(faults)
+        self.oom_above = oom_above
+        self.clock = 0.0
+        self.attempts = []  # request ids of every run() call, in order
+        self.delays = []
+        self.served = []
+        self.failed = []  # (reason, ids) per fail() call
+
+    def run(self, batch):
+        self.attempts.append(list(batch))
+        self.clock += 1.0
+        if self.oom_above is not None and len(batch) > self.oom_above:
+            raise OutOfMemoryError("scripted")
+        if next(self.faults, False):
+            raise KernelFault("scripted", len(self.attempts))
+        self.served.extend(batch)
+
+    def backoff(self, delay):
+        self.delays.append(delay)
+        self.clock += delay
+
+    def fail(self, reason, batch):
+        self.failed.append((reason, list(batch)))
+
+    def serve(self, batch, max_retries=3, failure_threshold=5):
+        metrics = ServerMetrics()
+        breaker = CircuitBreaker(failure_threshold=failure_threshold, cooldown=100.0)
+        serve_with_recovery(
+            batch,
+            run=self.run,
+            backoff=self.backoff,
+            fail=self.fail,
+            metrics=metrics,
+            retry_policy=RetryPolicy(max_retries=max_retries, backoff=0.25, multiplier=2.0),
+            breaker=breaker,
+            now=lambda: self.clock,
+        )
+        return metrics, breaker
+
+
+ALWAYS = [True] * 99
+
+#: name -> (script, serve kwargs, batch size), then what must come out:
+#: attempts, backoff delays, served ids, fail() calls, retries, splits.
+RECOVERY_TABLE = {
+    "clean batch is one attempt": (
+        ({}, {}, 3),
+        ([[0, 1, 2]], [], [0, 1, 2], [], 0, 0),
+    ),
+    "two transient faults, then success": (
+        ({"faults": [True, True]}, {}, 3),
+        ([[0, 1, 2]] * 3, [0.25, 0.5], [0, 1, 2], [], 2, 0),
+    ),
+    "faults past max_retries fail the whole batch once": (
+        ({"faults": ALWAYS}, {"max_retries": 2}, 2),
+        ([[0, 1]] * 3, [0.25, 0.5], [], [("kernel_fault", [0, 1])], 2, 0),
+    ),
+    "max_retries=0 never backs off": (
+        ({"faults": ALWAYS}, {"max_retries": 0}, 2),
+        ([[0, 1]], [], [], [("kernel_fault", [0, 1])], 0, 0),
+    ),
+    "oom halves until it fits, FIFO kept, nothing dropped": (
+        ({"oom_above": 2}, {}, 5),
+        ([[0, 1, 2, 3, 4], [0, 1, 2], [0, 1], [2], [3, 4]], [], [0, 1, 2, 3, 4], [], 0, 2),
+    ),
+    "oom down to unsplittable singles fails each explicitly": (
+        ({"oom_above": 0}, {}, 3),
+        (
+            [[0, 1, 2], [0, 1], [0], [1], [2]],
+            [],
+            [],
+            [("oom", [0]), ("oom", [1]), ("oom", [2])],
+            0,
+            2,
+        ),
+    ),
+    "a half that faults retries on its own": (
+        ({"oom_above": 1, "faults": [True, False, False]}, {}, 2),
+        ([[0, 1], [0], [0], [1]], [0.25], [0, 1], [], 1, 1),
+    ),
+}
+
+
+class TestServeWithRecovery:
+    @pytest.mark.parametrize("name", RECOVERY_TABLE)
+    def test_table(self, name):
+        (script, kwargs, size), expected = RECOVERY_TABLE[name]
+        server = ScriptedServer(**script)
+        metrics, _ = server.serve(list(range(size)), **kwargs)
+        attempts, delays, served, failed, retries, splits = expected
+        assert server.attempts == attempts
+        assert server.delays == delays
+        assert server.served == served
+        assert server.failed == failed
+        assert (metrics.retries, metrics.batch_splits) == (retries, splits)
+        # Exactly one outcome per request id.
+        outcomes = served + [i for _, ids in failed for i in ids]
+        assert sorted(outcomes) == list(range(size))
+
+    def test_success_and_failure_reach_the_breaker(self):
+        server = ScriptedServer(faults=ALWAYS)
+        _, breaker = server.serve([0], max_retries=1)
+        assert breaker.consecutive_failures == 1
+        _, breaker = ScriptedServer().serve([0])
+        assert breaker.consecutive_failures == 0 and breaker.state == CircuitBreaker.CLOSED
+
+    def test_breaker_opening_mid_sequence_loses_nothing(self):
+        # Four unsplittable OOMs against a threshold of two: the breaker
+        # opens after the second, while halves are still outstanding; they
+        # are still driven to an explicit outcome, and the breaker records
+        # when each streak completed on the caller's clock.
+        server = ScriptedServer(oom_above=0)
+        _, breaker = server.serve([0, 1, 2, 3], failure_threshold=2)
+        assert [ids for _, ids in server.failed] == [[0], [1], [2], [3]]
+        assert breaker.state == CircuitBreaker.OPEN
+        assert breaker.opens == 2
+        assert breaker.opened_at == server.clock == 7.0  # 3 splits + 4 singles
 
 
 def _resolved_invariant(result):

@@ -12,6 +12,7 @@ from repro.serve import (
     bursty_trace,
     poisson_trace,
 )
+from repro.serve.simulator import validate_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,30 @@ class TestTraces:
             poisson_trace(10, 0.0)
         with pytest.raises(ValueError):
             bursty_trace(10, burst_size=0, burst_rate=1.0, idle_gap=0.1)
+
+
+class TestValidateArrivals:
+    def test_returns_the_trace_as_float64(self):
+        out = validate_arrivals([0, 1, 1, 2])
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [0.0, 1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "trace, message",
+        [
+            ([], "arrival trace is empty"),
+            ([0.1, float("nan"), 0.3], r"must be finite: arrival_times\[1\] = nan"),
+            ([0.1, 0.2, float("inf")], r"must be finite: arrival_times\[2\] = inf"),
+            ([float("-inf"), 0.2], r"must be finite: arrival_times\[0\] = -inf"),
+            (
+                [0.1, 0.5, 0.4, 0.3],
+                r"must be non-decreasing: arrival_times\[2\] = 0.4 follows 0.5",
+            ),
+        ],
+    )
+    def test_names_the_first_offending_entry(self, trace, message):
+        with pytest.raises(ValueError, match=message):
+            validate_arrivals(trace)
 
 
 class TestServeSimulator:
