@@ -9,14 +9,15 @@ Replay mirrors CUDA-graph replay: the step's Python re-executes (so the
 numerics are eager-exact by construction) while the device routes every
 ``launch`` call through a :class:`ReplaySession`.  The session verifies
 that the incoming kernel stream still matches the plan — a *guard*, like
-torch.compile's — and accounts clock, profiler and scope time for the
-fused schedule instead of the eager one.  On any divergence it fails open:
-the rest of the step is charged eagerly and the caller recaptures.
+torch.compile's — and decides what the fused schedule launches instead of
+the eager one; the device charges it by its one kernel rule.  On any
+divergence it fails open: the rest of the step is charged eagerly and the
+caller recaptures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.compile.ir import GraphIR, PassStats
@@ -27,8 +28,6 @@ from repro.compile.passes import (
     ACTION_SKIP,
     NodeDecision,
 )
-from repro.device.gpu import kernel_efficiency
-from repro.device.kernel import KernelRecord
 
 #: Cap on how many member names appear in a fused kernel's display name.
 _NAME_MEMBERS = 4
@@ -140,7 +139,7 @@ class _OpenGroup:
     duration: float = 0.0
     flops: float = 0.0
     bytes_moved: float = 0.0
-    #: Stream the fused kernel executes on (``None`` = default, serial).
+    #: Stream the fused kernel executes on: its head's (``None`` = serial).
     stream: object = None
 
 
@@ -167,64 +166,41 @@ class ReplaySession:
 
     # ------------------------------------------------------------------
     def on_launch(
-        self, device, name: str, flops: float, bytes_moved: float, stream=None
-    ) -> float:
+        self, device, name: str, flops: float, bytes_moved: float, stream, charge
+    ) -> Optional[float]:
         """Account one incoming kernel launch against the plan.
 
         ``stream`` is the (already resolved) target stream from
         :meth:`~repro.device.Device.launch` — ``None`` means the default
-        stream's serial semantics.  Fused groups charge their members to
-        their head's stream so a compiled step launched inside a
-        ``device.on(stream)`` block overlaps exactly like its eager twin.
+        stream's serial semantics — and ``charge(name, flops, bytes_moved,
+        stream, issued)`` is the device's own kernel charge.  Returns the
+        duration charged, or ``None`` to hand the launch back to the device
+        to run eagerly: the plan says so, the guard failed, or a member
+        arrived without its head.  A fused head pays one launch overhead,
+        its members none, and members run on their head's stream so a
+        compiled step launched inside a ``device.on(stream)`` block
+        overlaps exactly like its eager twin.
         """
-        if self.failed:
-            self.launches_issued += 1
-            return device._launch_eager(name, flops, bytes_moved, stream)
-        if self.position >= len(self.plan.nodes):
-            self._fail(device, expected=None, got=name)
-            self.launches_issued += 1
-            return device._launch_eager(name, flops, bytes_moved, stream)
-        node = self.plan.nodes[self.position]
-        if node.name != name:
-            self._fail(device, expected=node.name, got=name)
-            self.launches_issued += 1
-            return device._launch_eager(name, flops, bytes_moved, stream)
-        self.position += 1
-
-        if node.action == ACTION_SKIP:
+        node = self._match(device, name)
+        if node is not None and node.action == ACTION_SKIP:
             self.launches_skipped += 1
             return 0.0
-        if node.action == ACTION_EAGER:
+        group = self._open
+        member = (
+            node is not None
+            and node.action == ACTION_FUSE_MEMBER
+            and group is not None
+            and group.group == node.group
+        )
+        if not member:
             self.launches_issued += 1
-            return device._launch_eager(name, flops, bytes_moved, stream)
-
-        # Fused head or member.
-        spec = device.spec
-        if stream is device.default_stream:
-            stream = None
-        head = node.action == ACTION_FUSE_HEAD
-        if head:
-            self.launches_issued += 1
-            device.clock.advance_host(spec.launch_overhead)
-            self._open = _OpenGroup(
+            if node is None or node.action != ACTION_FUSE_HEAD:
+                return None
+            group = self._open = _OpenGroup(
                 group=node.group, scope=device.current_scope, stream=stream
             )
-        elif self._open is None or self._open.group != node.group:
-            # Member without its head (should not happen with a well-formed
-            # plan, but stay safe): treat as eager.
-            self.launches_issued += 1
-            return device._launch_eager(name, flops, bytes_moved, stream)
-        group = self._open
         scaled_bytes = bytes_moved * node.byte_scale
-        duration = spec.kernel_time(flops, scaled_bytes, kernel_efficiency(name))
-        if group.stream is None:
-            device.clock.advance_gpu(duration)
-            device._attribute_scope(duration + (spec.launch_overhead if head else 0.0))
-        else:
-            group.stream.enqueue(duration)
-            device.clock.account_gpu_async(duration)
-            if head:
-                device._attribute_scope(spec.launch_overhead)
+        duration = charge(name, flops, scaled_bytes, group.stream, not member)
         group.duration += duration
         group.flops += flops
         group.bytes_moved += scaled_bytes
@@ -232,6 +208,18 @@ class ReplaySession:
             group.name = node.group_name or "fused"
             self._emit_group(device)
         return duration
+
+    def _match(self, device, name: str) -> Optional[PlanNode]:
+        """The plan node ``name`` matches, or ``None`` once the guard failed."""
+        if self.failed:
+            return None
+        nodes = self.plan.nodes
+        node = nodes[self.position] if self.position < len(nodes) else None
+        if node is None or node.name != name:
+            self._fail(device, expected=None if node is None else node.name, got=name)
+            return None
+        self.position += 1
+        return node
 
     # ------------------------------------------------------------------
     def finish(self, device) -> None:
@@ -257,22 +245,7 @@ class ReplaySession:
         if group is None:
             return
         self._open = None
-        if not device.profiler.enabled:
-            return
-        if group.stream is None:
-            timestamp, stream_id = device.clock.elapsed, 0
-        else:
-            timestamp, stream_id = group.stream.ready, group.stream.id
-        device.profiler.record(
-            KernelRecord(
-                name=group.name,
-                scope=group.scope,
-                duration=group.duration,
-                flops=group.flops,
-                bytes_moved=group.bytes_moved,
-                timestamp=timestamp,
-                memory=device.memory.current,
-                stream=stream_id,
-                phase=device.clock.current_phase or "",
-            )
+        device.record_kernel(
+            group.name, group.duration, group.flops, group.bytes_moved,
+            scope=group.scope, stream=group.stream,
         )

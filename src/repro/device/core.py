@@ -99,16 +99,14 @@ class Device:
         overhead, the stream's timeline carries the duration, and wall time
         only meets it at a synchronisation point.
 
-        Under compiled replay the launch is routed through the active
-        :class:`~repro.compile.plan.ReplaySession`, which charges the fused
-        schedule instead; under capture the launch additionally streams into
-        the active tracer.
-
-        With a fault injector installed (:meth:`injecting`), the injector
-        is consulted *before* routing: it may charge a host stall or raise
-        a :class:`~repro.faults.KernelFault`.  The hook sits above the
-        capture/replay dispatch so eager and compiled execution see the
-        same fault-decision stream.
+        A launch is :meth:`_charge` plus one profiler record.  The hooks
+        only decide: a fault injector (:meth:`injecting`) is consulted
+        first, so eager and compiled execution see the same fault-decision
+        stream, and its stall or failed dispatch is charged here; under
+        compiled replay the :class:`~repro.compile.plan.ReplaySession`
+        charges fused kernels through :meth:`_charge` or hands the launch
+        back to run eagerly; under capture the launch additionally streams
+        into the active tracer.
         """
         if stream is None:
             stream = self._current_stream
@@ -116,82 +114,116 @@ class Device:
         # and replayed launches all see the same (scaled) byte counts.
         bytes_moved = bytes_moved * self._byte_scale
         if self._faults is not None:
-            self._faults.on_launch(self, name)
+            self._inject(name, stream)
         if self._replay is not None:
-            return self._replay.on_launch(self, name, flops, bytes_moved, stream)
-        duration = self._launch_eager(name, flops, bytes_moved, stream)
+            duration = self._replay.on_launch(self, name, flops, bytes_moved, stream, self._charge)
+            if duration is not None:
+                return duration
+        duration = self._charge(name, flops, bytes_moved, stream)
+        if self.profiler.enabled:
+            self.record_kernel(name, duration, flops, bytes_moved, stream=stream)
         if self._tracer is not None:
             self._tracer.on_launch(name, flops, bytes_moved, self.current_scope)
         return duration
 
-    def _launch_eager(
+    def _charge(
         self,
         name: str,
         flops: float,
         bytes_moved: float,
-        stream: Optional[Stream] = None,
+        stream: Optional[Stream],
+        issued: bool = True,
     ) -> float:
-        """Charge one kernel launch at its eager cost."""
+        """Charge one kernel on ``stream``; returns its duration.
+
+        An ``issued`` kernel first pays the launch overhead on the host
+        that issues it; a fused kernel's members ride on their head's
+        launch and pay none.  The serial / :meth:`on` / :meth:`offload`
+        rule below is the only place a kernel turns into time.
+        """
         spec, clock, default = self.spec, self.clock, self.default_stream
-        overhead = spec.launch_overhead
+        overhead = spec.launch_overhead if issued else 0.0
         serial = stream is None or stream is default
         offloaded = self._offload is not None and not serial
-        if offloaded:
+        if issued and offloaded:
             # A host *worker* (an offloaded replica/loader process) issues
             # the launch: the overhead lands on the worker's timeline, not
             # the shared frontend clock, and the kernel cannot start before
             # the worker has issued it.
             self._offload.enqueue(overhead)
-        else:
+        elif issued:
             clock.advance_host(overhead)
         duration = spec.kernel_time(flops, bytes_moved, kernel_efficiency(name))
         if serial:
             clock.advance_gpu(duration)
             self._attribute_scope(overhead + duration)
-            timestamp = clock.elapsed
-            stream_id = default.id
             default.busy += duration
-            default.ready = timestamp
+            default.ready = clock.elapsed
         else:
             # Async: the stream carries the duration; the host only paid
             # the launch overhead, so only that much wall time is
             # attributable to the enclosing scope.
-            timestamp = stream.enqueue(
-                duration, after=self._offload.ready if offloaded else None
-            )
+            stream.enqueue(duration, after=self._offload.ready if offloaded else None)
             clock.account_gpu_async(duration)
-            if not offloaded:
+            if issued and not offloaded:
                 self._attribute_scope(overhead)
-            stream_id = stream.id
-        if self.profiler.enabled:
-            self._record(name, duration, flops, bytes_moved, timestamp, stream_id)
         return duration
 
-    def _record(
+    def _inject(self, name: str, stream: Optional[Stream]) -> None:
+        """Charge the fault injector's decision for one launch.
+
+        A stall and a failed dispatch cost host time where this launch's
+        overhead would land (see :meth:`_charge`): the frontend clock, or
+        the offload worker's timeline for a kernel on an explicit stream.
+        A failed dispatch then raises its :class:`~repro.faults.KernelFault`.
+        """
+        stall, fault = self._faults.on_launch(name)
+        worker = None if stream is None or stream is self.default_stream else self._offload
+        for seconds in (stall, self.spec.launch_overhead if fault is not None else 0.0):
+            if seconds and worker is not None:
+                worker.enqueue(seconds)
+            elif seconds:
+                self.clock.advance_host(seconds)
+                self._attribute_scope(seconds)
+        if fault is not None:
+            raise fault
+
+    def record_kernel(
         self,
         name: str,
         duration: float,
         flops: float,
         bytes_moved: float,
-        timestamp: float,
-        stream_id: int,
+        *,
+        scope: Optional[Tuple[str, ...]] = None,
+        phase: Optional[str] = None,
+        stream: Optional[Stream] = None,
     ) -> None:
-        """Hand one launch to the profiler.
+        """Hand one kernel's :class:`KernelRecord` to the profiler.
 
-        Callers check ``profiler.enabled`` first: the record is only worth
-        building when it will be kept.
+        The record is stamped when ``stream`` (default: the default stream)
+        completes — the clock for the default stream, ``stream.ready``
+        otherwise — so call it right after charging the work.  ``scope``
+        and ``phase`` default to the active :meth:`scope` stack and clock
+        phase.  Does nothing while the profiler is disabled.
         """
+        if not self.profiler.enabled:
+            return
+        if stream is None or stream is self.default_stream:
+            timestamp, stream_id = self.clock.elapsed, self.default_stream.id
+        else:
+            timestamp, stream_id = stream.ready, stream.id
         self.profiler.record(
             KernelRecord(
                 name=name,
-                scope=self._scope,
+                scope=self._scope if scope is None else scope,
                 duration=duration,
                 flops=flops,
                 bytes_moved=bytes_moved,
                 timestamp=timestamp,
                 memory=self.memory.current,
                 stream=stream_id,
-                phase=self.clock.current_phase or "",
+                phase=(self.clock.current_phase or "") if phase is None else phase,
             )
         )
 
@@ -403,12 +435,11 @@ class Device:
         duration = self.spec.transfer_time(nbytes)
         if self._offload is not None:
             copy = self._offload_copy or self._offload
-            timestamp, stream_id = copy.enqueue(duration, after=self._offload.ready), copy.id
+            copy.enqueue(duration, after=self._offload.ready)
         else:
             self.clock.advance_host(duration)
-            timestamp, stream_id = self.clock.elapsed, self.default_stream.id
-        if self.profiler.enabled:
-            self._record("memcpy_h2d", duration, 0.0, float(nbytes), timestamp, stream_id)
+            copy = None
+        self.record_kernel("memcpy_h2d", duration, 0.0, float(nbytes), stream=copy)
 
     # ------------------------------------------------------------------
     # scopes (used by nn.Module for Fig. 3 layer-wise attribution)

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.device import Device, Fabric, LinkSpec, NVLINK, current_device
 from repro.device.gpu import kernel_efficiency
-from repro.device.kernel import KernelRecord
 
 #: Phase name comm work is attributed to (see ``Profiler.time_by_phase``).
 COMM_PHASE = "comm"
@@ -138,18 +137,9 @@ class Communicator:
         for rank, stream in enumerate(self.streams):
             if stream.ready <= started[rank]:
                 continue  # this rank did nothing (e.g. broadcast leaf round)
-            self.device.profiler.record(
-                KernelRecord(
-                    name=f"nccl:{kind}",
-                    scope=self.device.current_scope,
-                    duration=stream.ready - started[rank],
-                    flops=0.0,
-                    bytes_moved=float(nbytes),
-                    timestamp=stream.ready,
-                    memory=self.device.memory.current,
-                    stream=stream.id,
-                    phase=COMM_PHASE,
-                )
+            self.device.record_kernel(
+                f"nccl:{kind}", stream.ready - started[rank], 0.0, float(nbytes),
+                phase=COMM_PHASE, stream=stream,
             )
 
     def _stream_marks(self) -> List[float]:

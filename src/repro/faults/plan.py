@@ -24,7 +24,7 @@ Fault kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -110,28 +110,28 @@ class FaultInjector:
         cap = self.plan.max_faults
         return cap is None or self.stats.errors_injected < cap
 
-    def on_launch(self, device, name: str) -> None:
-        """Consulted at the top of :meth:`Device.launch`.
+    def on_launch(self, name: str) -> Tuple[float, Optional[KernelFault]]:
+        """Decide one launch: ``(stall seconds, failure or None)``.
 
-        May charge a host stall, and may raise :class:`KernelFault` after
-        charging the (wasted) launch overhead of the failed dispatch.
+        Consulted at the top of :meth:`Device.launch`, which charges the
+        stall and the failed dispatch's (wasted) launch overhead, then
+        raises the failure.
         """
         plan = self.plan
         self.stats.launches_seen += 1
+        stall = 0.0
         if plan.stall_rate and self._launch_rng.random() < plan.stall_rate:
             self.stats.stalls_injected += 1
             self.stats.stall_seconds_total += plan.stall_seconds
-            device.clock.advance_host(plan.stall_seconds)
-            device._attribute_scope(plan.stall_seconds)
+            stall = plan.stall_seconds
         if (
             plan.kernel_fault_rate
             and self._budget_left()
             and self._launch_rng.random() < plan.kernel_fault_rate
         ):
             self.stats.kernel_faults_injected += 1
-            device.clock.advance_host(device.spec.launch_overhead)
-            device._attribute_scope(device.spec.launch_overhead)
-            raise KernelFault(name, self.stats.launches_seen - 1)
+            return stall, KernelFault(name, self.stats.launches_seen - 1)
+        return stall, None
 
     def on_alloc(self, pool, nbytes: int) -> None:
         """Consulted by :meth:`MemoryPool.alloc`; may raise an injected OOM."""

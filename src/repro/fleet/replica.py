@@ -5,9 +5,10 @@ A replica is a :class:`~repro.serve.InferenceModel` behind its own local
 highest-priority-first), executing forwards on a dedicated
 device stream (``replica<i>``) of the *shared* simulated device — the
 same per-replica-stream construction ``repro.dist`` uses for DDP, applied
-to serving.  Kernel durations land on the replica's stream timeline
-(parallel across replicas), host dispatch/collation cost stays on the
-shared frontend clock, and completions are read off stream events.
+to serving.  Kernel durations land on the replica's stream timeline and
+collation, launch overhead, fault stalls and retry backoff on its host
+stream (both parallel across replicas); only routing and admission stay
+on the shared frontend clock, and completions are read off stream events.
 
 Replicas are also the unit of elasticity and chaos: a scaled-up replica
 *warms* first (checkpoint weights crossing PCIe, charged via the device
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.device import Device, KernelRecord
+from repro.device import Device
 from repro.fleet.request import SLA_TIERS, FleetRequest
 from repro.serve.queue import RequestQueue
 from repro.serve.registry import InferenceModel
@@ -128,18 +129,9 @@ class Replica:
         self.ready_at = now + warm
         weight_bytes = 4.0 * self.inference.model.num_parameters()
         self.stream.enqueue(warm)
-        self.device.profiler.record(
-            KernelRecord(
-                name="replica_warmup",
-                scope=("fleet", f"replica{self.id}"),
-                duration=warm,
-                flops=0.0,
-                bytes_moved=weight_bytes,
-                timestamp=self.stream.ready,
-                memory=self.device.memory.current,
-                stream=self.stream.id,
-                phase="warmup",
-            )
+        self.device.record_kernel(
+            "replica_warmup", warm, 0.0, weight_bytes,
+            scope=("fleet", f"replica{self.id}"), phase="warmup", stream=self.stream,
         )
         return self.ready_at
 

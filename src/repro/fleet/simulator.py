@@ -268,9 +268,9 @@ class FleetSimulator:
         now: float,
     ) -> None:
         metrics.record_arrival(request)
-        self.device.clock.advance_host(self.route_seconds)
+        self.device.host(self.route_seconds)
         if self.cache is not None:
-            self.device.clock.advance_host(self.cache_lookup_seconds)
+            self.device.host(self.cache_lookup_seconds)
             hit = self.cache.get(request.sample_idx)
             if hit is not None:
                 metrics.record_responses(

@@ -72,6 +72,30 @@ class TestLaunchInjection:
         assert inj.stats.stalls_injected == 5
         assert stalled >= 5 * 0.01
 
+    @pytest.mark.parametrize(
+        "plan, raises",
+        [
+            (FaultPlan(seed=0, kernel_fault_rate=1.0), True),
+            (FaultPlan(seed=0, stall_rate=1.0, stall_seconds=0.01), False),
+        ],
+        ids=["kernel_fault", "stall"],
+    )
+    def test_offloaded_launch_pays_faults_on_the_worker(self, plan, raises):
+        """Inside ``offload`` + ``on`` the worker issues the launch, so the
+        worker pays what the fault wasted, never the frontend clock."""
+        device = Device()
+        worker = device.stream("worker")
+        with device.injecting(plan), device.offload(worker), device.on(device.stream("s")):
+            if raises:
+                with pytest.raises(KernelFault):
+                    device.launch("k")
+                wasted = device.spec.launch_overhead
+            else:
+                device.launch("k")
+                wasted = plan.stall_seconds + device.spec.launch_overhead
+        assert device.clock.elapsed == 0.0
+        assert worker.ready == pytest.approx(wasted)
+
     def test_tensor_ops_hit_the_alloc_hook(self):
         """Injected OOM surfaces through ordinary tensor allocation."""
         device = Device()

@@ -30,17 +30,10 @@ class TestFaultPlanValidation:
         assert "spmm" in str(err)
 
 
-def _launch_decisions(plan, n, device=None):
+def _launch_decisions(plan, n):
     """Run ``n`` launches through a fresh injector; True = fault injected."""
-    device = device or Device()
     injector = plan.start()
-    decisions = []
-    for _ in range(n):
-        try:
-            injector.on_launch(device, "k")
-            decisions.append(False)
-        except KernelFault:
-            decisions.append(True)
+    decisions = [injector.on_launch("k")[1] is not None for _ in range(n)]
     return decisions, injector
 
 
@@ -78,10 +71,7 @@ class TestDeterminism:
 
         noisy = plan.start()
         for _ in range(57):  # different launch history...
-            try:
-                noisy.on_launch(device, "k")
-            except KernelFault:
-                pass
+            noisy.on_launch("k")
         assert _alloc_decisions(noisy, device, 100) == baseline  # ...same allocs
 
 
@@ -106,26 +96,34 @@ class TestStatsAndBudget:
 
     def test_zero_rate_plan_is_a_no_op(self):
         device = Device()
-        decisions, injector = _launch_decisions(FaultPlan(), 20, device)
+        decisions, injector = _launch_decisions(FaultPlan(), 20)
         assert not any(decisions)
         assert _alloc_decisions(injector, device, 20) == [False] * 20
 
     def test_stall_charges_host_time(self):
         device = Device()
         plan = FaultPlan(seed=0, stall_rate=1.0, stall_seconds=0.5)
-        injector = plan.start()
-        before = device.clock.elapsed
-        injector.on_launch(device, "k")
-        assert device.clock.elapsed - before == pytest.approx(0.5)
+        with device.injecting(plan) as injector:
+            duration = device.launch("k")
+        assert device.clock.elapsed == pytest.approx(
+            0.5 + device.spec.launch_overhead + duration
+        )
         assert injector.stats.stall_seconds_total == pytest.approx(0.5)
 
     def test_kernel_fault_charges_launch_overhead(self):
         """A failed launch still burns dispatch time on the host."""
         device = Device()
-        injector = FaultPlan(seed=0, kernel_fault_rate=1.0).start()
-        before = device.clock.elapsed
-        with pytest.raises(KernelFault):
-            injector.on_launch(device, "k")
-        assert device.clock.elapsed - before == pytest.approx(
-            device.spec.launch_overhead
-        )
+        with device.injecting(FaultPlan(seed=0, kernel_fault_rate=1.0)):
+            with pytest.raises(KernelFault):
+                device.launch("k")
+        assert device.clock.elapsed == pytest.approx(device.spec.launch_overhead)
+
+    def test_injector_decides_and_charges_nothing(self):
+        """The stall length and the failure are decisions; the device
+        charges them (tests/faults/test_injection.py)."""
+        injector = FaultPlan(seed=0, stall_rate=1.0, stall_seconds=0.5).start()
+        assert injector.on_launch("k") == (0.5, None)
+        assert injector.stats.stall_seconds_total == pytest.approx(0.5)
+        stall, fault = FaultPlan(seed=0, kernel_fault_rate=1.0).start().on_launch("spmm")
+        assert stall == 0.0
+        assert isinstance(fault, KernelFault) and (fault.kernel, fault.index) == ("spmm", 0)
