@@ -3,10 +3,13 @@
 Every tensor (and gradient buffer) that the engine materialises "on the GPU"
 registers its byte size here.  Buffers are released when the owning numpy
 array is garbage collected, which mirrors the lifetime behaviour of a real
-caching allocator closely enough for the paper's purposes: activations stay
-alive through the backward pass because the autograd graph references them,
-so the peak naturally lands at the end of the forward pass, exactly where
-PyTorch's peak sits.
+caching allocator closely enough for the paper's purposes.  The autograd
+tape holds grad nodes, and each node holds only the arrays its backward
+reads, as PyTorch's saved tensors do.  An activation no backward reads is
+freed as soon as the forward stops using it, and a saved one is freed once
+backward has propagated through its node.  So the peak lands at the end of
+the forward pass, where PyTorch's peak sits, at the size of what the step
+saves rather than of everything it computed.
 
 The paper reads peak usage off ``nvidia-smi``; benchmarks here read it off
 :meth:`MemoryPool.peak`.

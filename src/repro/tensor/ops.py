@@ -14,7 +14,8 @@ import numpy as np
 
 from repro._random import random_blocks
 from repro.device import current_device
-from repro.tensor.tensor import Tensor, launch_backward, make_op, unbroadcast
+from repro.tensor.autograd import grad_enabled
+from repro.tensor.tensor import Tensor, _attach_node, launch_backward, make_op, unbroadcast
 
 Axis = Union[None, int, Tuple[int, ...]]
 
@@ -32,10 +33,11 @@ def _ew_cost(out: np.ndarray, n_inputs: int = 2) -> Tuple[float, float]:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     flops, nbytes = _ew_cost(out)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(grad: np.ndarray):
         launch_backward("add_backward", *_ew_cost(grad))
-        return unbroadcast(grad, a.shape), unbroadcast(grad, b.shape)
+        return unbroadcast(grad, a_shape), unbroadcast(grad, b_shape)
 
     return make_op("add", out, (a, b), backward, flops, nbytes)
 
@@ -43,10 +45,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
     flops, nbytes = _ew_cost(out)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(grad: np.ndarray):
         launch_backward("sub_backward", *_ew_cost(grad))
-        return unbroadcast(grad, a.shape), unbroadcast(-grad, b.shape)
+        return unbroadcast(grad, a_shape), unbroadcast(-grad, b_shape)
 
     return make_op("sub", out, (a, b), backward, flops, nbytes)
 
@@ -54,12 +57,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     flops, nbytes = _ew_cost(out)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # Each operand is saved only for the other's gradient.
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(grad: np.ndarray):
         launch_backward("mul_backward", *_ew_cost(grad))
         return (
-            unbroadcast(grad * b.data, a.shape) if a.requires_grad else None,
-            unbroadcast(grad * a.data, b.shape) if b.requires_grad else None,
+            None if b_data is None else unbroadcast(grad * b_data, a_shape),
+            None if a_data is None else unbroadcast(grad * a_data, b_shape),
         )
 
     return make_op("mul", out, (a, b), backward, flops, nbytes)
@@ -68,12 +75,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
     flops, nbytes = _ew_cost(out)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # The divisor is read by both gradients, the dividend only by the divisor's.
+    a_live, b_data = a.requires_grad, b.data
+    a_data = a.data if b.requires_grad else None
 
     def backward(grad: np.ndarray):
         launch_backward("div_backward", *_ew_cost(grad))
         return (
-            unbroadcast(grad / b.data, a.shape),
-            unbroadcast(-grad * a.data / (b.data * b.data), b.shape),
+            unbroadcast(grad / b_data, a_shape) if a_live else None,
+            None if a_data is None else unbroadcast(-grad * a_data / (b_data * b_data), b_shape),
         )
 
     return make_op("div", out, (a, b), backward, flops, nbytes)
@@ -91,12 +102,13 @@ def neg(a: Tensor) -> Tensor:
 
 
 def pow_scalar(a: Tensor, exponent: float) -> Tensor:
-    out = a.data**exponent
+    x = a.data
+    out = x**exponent
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("pow_backward", *_ew_cost(grad, 1))
-        return (grad * exponent * a.data ** (exponent - 1.0),)
+        return (grad * exponent * x ** (exponent - 1.0),)
 
     return make_op("pow", out, (a,), backward, flops, nbytes)
 
@@ -113,12 +125,13 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
+    x = a.data
+    out = np.log(x)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("log_backward", *_ew_cost(grad, 1))
-        return (grad / a.data,)
+        return (grad / x,)
 
     return make_op("log", out, (a,), backward, flops, nbytes)
 
@@ -144,13 +157,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
     flops = 2.0 * n * k * m
     nbytes = float(_F32 * (n * k + k * m + n * m))
+    # Each operand is saved only for the other's gradient.
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(grad: np.ndarray):
         launch_backward("matmul_backward_a", 2.0 * n * m * k, _F32 * (n * m + k * m + n * k))
         launch_backward("matmul_backward_b", 2.0 * k * n * m, _F32 * (n * k + n * m + k * m))
         return (
-            grad @ b.data.T if a.requires_grad else None,
-            a.data.T @ grad if b.requires_grad else None,
+            None if b_data is None else grad @ b_data.T,
+            None if a_data is None else a_data.T @ grad,
         )
 
     return make_op("matmul", out, (a, b), backward, flops, nbytes)
@@ -165,7 +181,8 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray):
         launch_backward("relu_backward", *_ew_cost(grad, 1))
-        return (grad * (a.data > 0.0),)
+        # ``out > 0`` exactly where ``a > 0``: the output is saved, not the input.
+        return (grad * (out > 0.0),)
 
     return make_op("relu", out, (a,), backward, flops, nbytes)
 
@@ -282,12 +299,13 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 def sum(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32)
     out = np.asarray(out, dtype=np.float32)
-    flops = float(a.size)
-    nbytes = float(_F32 * (a.size + out.size))
+    shape, size = a.data.shape, a.data.size
+    flops = float(size)
+    nbytes = float(_F32 * (size + out.size))
 
     def backward(grad: np.ndarray):
-        launch_backward("sum_backward", float(a.size), _F32 * 2.0 * a.size)
-        expanded = _expand_reduced_grad(grad, a.shape, axis, keepdims)
+        launch_backward("sum_backward", float(size), _F32 * 2.0 * size)
+        expanded = _expand_reduced_grad(grad, shape, axis, keepdims)
         return (expanded,)
 
     return make_op("sum", out, (a,), backward, flops, nbytes)
@@ -296,13 +314,14 @@ def sum(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa
 def mean(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32)
     out = np.asarray(out, dtype=np.float32)
-    count = a.size // out.size if out.size else 1  # NB: builtins.max is shadowed here
-    flops = float(a.size)
-    nbytes = float(_F32 * (a.size + out.size))
+    shape, size = a.data.shape, a.data.size
+    count = size // out.size if out.size else 1  # NB: builtins.max is shadowed here
+    flops = float(size)
+    nbytes = float(_F32 * (size + out.size))
 
     def backward(grad: np.ndarray):
-        launch_backward("mean_backward", float(a.size), _F32 * 2.0 * a.size)
-        expanded = _expand_reduced_grad(grad, a.shape, axis, keepdims)
+        launch_backward("mean_backward", float(size), _F32 * 2.0 * size)
+        expanded = _expand_reduced_grad(grad, shape, axis, keepdims)
         return (expanded / np.float32(count),)
 
     return make_op("mean", out, (a,), backward, flops, nbytes)
@@ -311,12 +330,13 @@ def mean(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
 def max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:  # noqa: A001
     out = a.data.max(axis=axis, keepdims=keepdims)
     argmax = a.data.argmax(axis=axis)
-    flops = float(a.size)
-    nbytes = float(_F32 * (a.size + out.size))
+    shape, size = a.data.shape, a.data.size
+    flops = float(size)
+    nbytes = float(_F32 * (size + out.size))
 
     def backward(grad: np.ndarray):
-        launch_backward("max_backward", float(a.size), _F32 * 2.0 * a.size)
-        full = np.zeros(a.shape, dtype=np.float32)
+        launch_backward("max_backward", float(size), _F32 * 2.0 * size)
+        full = np.zeros(shape, dtype=np.float32)
         grad_arr = grad if keepdims else np.expand_dims(grad, axis)
         np.put_along_axis(full, np.expand_dims(argmax, axis), grad_arr, axis=axis)
         return (full,)
@@ -350,13 +370,9 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if tracer is not None:
         # No kernel, but the dataflow edge must survive into the IR.
         tracer.alias(result, a)
-    if a.requires_grad:
-        from repro.tensor.autograd import grad_enabled
-
-        if grad_enabled():
-            result.requires_grad = True
-            result._parents = (a,)
-            result._backward = lambda grad: (grad.reshape(a.shape),)
+    if a.requires_grad and grad_enabled():
+        a_shape = a.data.shape
+        _attach_node(result, (a,), lambda grad: (grad.reshape(a_shape),))
     return result
 
 
@@ -393,22 +409,24 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = np.stack([t.data for t in tensors], axis=axis)
     flops = 0.0
     nbytes = float(_F32 * 2 * out.size)
+    count = len(tensors)
 
     def backward(grad: np.ndarray):
         launch_backward("stack_backward", 0.0, _F32 * 2.0 * grad.size)
-        parts = np.split(grad, len(tensors), axis=axis)
+        parts = np.split(grad, count, axis=axis)
         return tuple(np.ascontiguousarray(p.squeeze(axis)) for p in parts)
 
     return make_op("stack", out, tuple(tensors), backward, flops, nbytes)
 
 
 def clamp_min(a: Tensor, minimum: float) -> Tensor:
-    out = np.maximum(a.data, minimum)
+    x = a.data
+    out = np.maximum(x, minimum)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("clamp_backward", *_ew_cost(grad, 1))
-        return (grad * (a.data >= minimum),)
+        return (grad * (x >= minimum),)
 
     return make_op("clamp_min", out, (a,), backward, flops, nbytes)
 
@@ -438,27 +456,29 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 
 
 def abs(a: Tensor) -> Tensor:  # noqa: A001
-    out = np.abs(a.data)
+    x = a.data
+    out = np.abs(x)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("abs_backward", *_ew_cost(grad, 1))
-        return (grad * np.sign(a.data),)
+        return (grad * np.sign(x),)
 
     return make_op("abs", out, (a,), backward, flops, nbytes)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; exact ties send the gradient to the first operand."""
-    out = np.maximum(a.data, b.data)
+    x, y = a.data, b.data
+    out = np.maximum(x, y)
     flops, nbytes = _ew_cost(out)
 
     def backward(grad: np.ndarray):
         launch_backward("maximum_backward", *_ew_cost(grad))
-        a_wins = a.data >= b.data
+        a_wins = x >= y
         return (
-            unbroadcast(grad * a_wins, a.shape),
-            unbroadcast(grad * ~a_wins, b.shape),
+            unbroadcast(grad * a_wins, x.shape),
+            unbroadcast(grad * ~a_wins, y.shape),
         )
 
     return make_op("maximum", out, (a, b), backward, flops, nbytes)
@@ -466,15 +486,16 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; exact ties send the gradient to the first operand."""
-    out = np.minimum(a.data, b.data)
+    x, y = a.data, b.data
+    out = np.minimum(x, y)
     flops, nbytes = _ew_cost(out)
 
     def backward(grad: np.ndarray):
         launch_backward("minimum_backward", *_ew_cost(grad))
-        a_wins = a.data <= b.data
+        a_wins = x <= y
         return (
-            unbroadcast(grad * a_wins, a.shape),
-            unbroadcast(grad * ~a_wins, b.shape),
+            unbroadcast(grad * a_wins, x.shape),
+            unbroadcast(grad * ~a_wins, y.shape),
         )
 
     return make_op("minimum", out, (a, b), backward, flops, nbytes)
@@ -485,23 +506,25 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     condition = np.asarray(condition, dtype=bool)
     out = np.where(condition, a.data, b.data).astype(np.float32, copy=False)
     flops, nbytes = _ew_cost(out)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(grad: np.ndarray):
         launch_backward("where_backward", *_ew_cost(grad))
         return (
-            unbroadcast(grad * condition, a.shape),
-            unbroadcast(grad * ~condition, b.shape),
+            unbroadcast(grad * condition, a_shape),
+            unbroadcast(grad * ~condition, b_shape),
         )
 
     return make_op("where", out, (a, b), backward, flops, nbytes)
 
 
 def log1p(a: Tensor) -> Tensor:
-    out = np.log1p(a.data)
+    x = a.data
+    out = np.log1p(x)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("log1p_backward", *_ew_cost(grad, 1))
-        return (grad / (1.0 + a.data),)
+        return (grad / (1.0 + x),)
 
     return make_op("log1p", out, (a,), backward, flops, nbytes)

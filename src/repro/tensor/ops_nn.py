@@ -51,7 +51,8 @@ def batch_norm(
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (x.data - mean) * inv_std
-    out = (gamma.data * x_hat + beta.data).astype(np.float32)
+    gamma_data = gamma.data
+    out = (gamma_data * x_hat + beta.data).astype(np.float32)
     flops = 8.0 * x.size
     nbytes = float(_F32 * 3 * x.size)
 
@@ -61,13 +62,13 @@ def batch_norm(
         g_beta = grad.sum(axis=0).astype(np.float32)
         if training:
             gx = (
-                gamma.data
+                gamma_data
                 * inv_std
                 / n
                 * (n * grad - g_beta - x_hat * g_gamma)
             ).astype(np.float32)
         else:
-            gx = (grad * gamma.data * inv_std).astype(np.float32)
+            gx = (grad * gamma_data * inv_std).astype(np.float32)
         return gx, g_gamma, g_beta
 
     return make_op("batch_norm", out, (x, gamma, beta), backward, flops, nbytes)

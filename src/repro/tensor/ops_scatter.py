@@ -29,14 +29,15 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """
     # A gather reads through the index before any kernel sees it (and numpy
     # would wrap a negative one), so it asks the kernels' validator itself.
-    index = check_index(index, len(index), len(x))
+    num_rows = len(x)
+    index = check_index(index, len(index), num_rows)
     out = x.data[index]
     flops = 0.0
     nbytes = float(_F32 * 2 * out.size)
 
     def backward(grad: np.ndarray):
         launch_backward("gather_backward_scatter_add", float(grad.size), _F32 * 3.0 * grad.size)
-        return (scatter_add_rows(grad, index, len(x)),)
+        return (scatter_add_rows(grad, index, num_rows),)
 
     return make_op("gather", out, (x,), backward, flops, nbytes)
 
@@ -47,11 +48,12 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
 def scatter_sum(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     """Sum rows of ``src`` into ``dim_size`` bins given by ``index``."""
     out = scatter_add_rows(src.data, index, dim_size)  # validates ``index``
-    flops = float(src.size)
-    nbytes = float(_F32 * (src.size + out.size))
+    size = src.data.size
+    flops = float(size)
+    nbytes = float(_F32 * (size + out.size))
 
     def backward(grad: np.ndarray):
-        launch_backward("scatter_sum_backward_gather", 0.0, _F32 * 2.0 * src.size)
+        launch_backward("scatter_sum_backward_gather", 0.0, _F32 * 2.0 * size)
         return (grad[index],)
 
     return make_op("scatter_sum", out, (src,), backward, flops, nbytes)
@@ -62,13 +64,14 @@ def scatter_mean(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     out = scatter_add_rows(src.data, index, dim_size)  # validates ``index``
     count = np.bincount(index, minlength=dim_size).astype(np.float32)
     safe = np.maximum(count, 1.0)
-    out = out / safe.reshape((dim_size,) + (1,) * (src.ndim - 1))
-    flops = float(src.size + out.size)
-    nbytes = float(_F32 * (src.size + out.size))
+    size, trailing = src.data.size, (1,) * (src.data.ndim - 1)
+    out = out / safe.reshape((dim_size,) + trailing)
+    flops = float(size + out.size)
+    nbytes = float(_F32 * (size + out.size))
 
     def backward(grad: np.ndarray):
-        launch_backward("scatter_mean_backward", float(grad.size), _F32 * 2.0 * src.size)
-        scale = (1.0 / safe)[index].reshape((len(index),) + (1,) * (src.ndim - 1))
+        launch_backward("scatter_mean_backward", float(grad.size), _F32 * 2.0 * size)
+        scale = (1.0 / safe)[index].reshape((len(index),) + trailing)
         return (grad[index] * scale,)
 
     return make_op("scatter_mean", out, (src,), backward, flops, nbytes)
@@ -84,13 +87,14 @@ def _max_reduce(src: Tensor, out: np.ndarray, index: np.ndarray, kernel: str, bw
     out = np.where(empty, 0.0, out).astype(np.float32, copy=False)
     winners = (src.data == out[index]) & ~empty[index]
     tie_count = np.maximum(scatter_add_rows(winners, index, len(out)), 1.0)
+    size = src.data.size
 
     def backward(grad: np.ndarray):
-        launch_backward(bw, float(src.size), _F32 * 3.0 * src.size)
+        launch_backward(bw, float(size), _F32 * 3.0 * size)
         return (winners * grad[index] / tie_count[index],)
 
-    nbytes = float(_F32 * (src.size + out.size))
-    return make_op(kernel, out, (src,), backward, float(src.size), nbytes)
+    nbytes = float(_F32 * (size + out.size))
+    return make_op(kernel, out, (src,), backward, float(size), nbytes)
 
 
 def scatter_max(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
@@ -125,11 +129,12 @@ def segment_sum(src: Tensor, offsets: np.ndarray) -> Tensor:
     csum = np.zeros((len(src) + 1,) + src.shape[1:], dtype=np.float64)
     np.cumsum(src.data, axis=0, dtype=np.float64, out=csum[1:])
     out = (csum[offsets[1:]] - csum[offsets[:-1]]).astype(np.float32)
-    flops = float(src.size)
-    nbytes = float(_F32 * (src.size + out.size))
+    size = src.data.size
+    flops = float(size)
+    nbytes = float(_F32 * (size + out.size))
 
     def backward(grad: np.ndarray):
-        launch_backward("segment_sum_backward", 0.0, _F32 * 2.0 * src.size)
+        launch_backward("segment_sum_backward", 0.0, _F32 * 2.0 * size)
         return (np.repeat(grad, lengths, axis=0).astype(np.float32, copy=False),)
 
     return make_op("segment_reduce_sum", out, (src,), backward, flops, nbytes)

@@ -175,17 +175,17 @@ def _per_head_product(
     return out
 
 
-def _edge_weight_grad(graph: CSRGraph, prod: np.ndarray, edge_weight: Tensor) -> np.ndarray:
+def _edge_weight_grad(graph: CSRGraph, prod: np.ndarray, w_shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce a CSR-ordered per-edge product to the weight's shape, in edge order.
 
     Sums out the trailing feature axes the weight does not carry, then
     unbroadcasts any remaining size-1 axes.
     """
-    target_shape = (graph.num_edges,) + edge_weight.shape[1:]
+    target_shape = (graph.num_edges,) + w_shape[1:]
     extra = prod.ndim - len(target_shape)
     if extra > 0:
         prod = prod.sum(axis=tuple(range(prod.ndim - extra, prod.ndim)))
-    gw = np.zeros(edge_weight.shape, dtype=np.float32)
+    gw = np.zeros(w_shape, dtype=np.float32)
     gw[graph.edge_ids] = unbroadcast(prod, target_shape)
     return gw
 
@@ -243,6 +243,10 @@ def gspmm(
     # arrays when the graph has been format-tuned.
     nbytes = float(_F32 * (e * feat_dim + e + x.size + out.size)) + _sparse_index_bytes(graph)
     parents: Tuple[Tensor, ...] = (x,) if edge_weight is None else (x, edge_weight)
+    x_size, x_trailing = x.data.size, x.data.shape[1:]
+    # The features are read back only for the weight's gradient.
+    w_shape = None if edge_weight is None else edge_weight.data.shape
+    x_data = x.data if edge_weight is not None and edge_weight.requires_grad else None
 
     # DGL's GSpMM materialises a message-frame workspace of one value per
     # edge per feature (plus CSR-ordered weight copies); it stays allocated
@@ -261,7 +265,7 @@ def gspmm(
         g = grad.astype(np.float32, copy=False)
         if reduce == "mean":
             g = g / degrees.reshape((-1,) + (1,) * (g.ndim - 1))
-        launch_backward("gspmm_backward_x", 2.0 * e * feat_dim, _F32 * (e * feat_dim + g.size + x.size))
+        launch_backward("gspmm_backward_x", 2.0 * e * feat_dim, _F32 * (e * feat_dim + g.size + x_size))
         if w_sorted is None:
             gx = csr_product(
                 graph.indptr, graph.indices, w_csr_scalar, g, graph.num_src, transpose=True
@@ -270,13 +274,15 @@ def gspmm(
             gx = _per_head_product(graph, w_sorted, g, graph.num_src, transpose=True)
         else:
             per_edge = (w_sorted * g[graph.rows]).astype(np.float32)
-            per_edge = unbroadcast(per_edge, (e,) + x.shape[1:])
+            per_edge = unbroadcast(per_edge, (e,) + x_trailing)
             gx = scatter_add_rows(per_edge, graph.indices, graph.num_src)
-        if edge_weight is None:
+        if w_shape is None:
             return (gx,)
         launch_backward("gspmm_backward_w", 2.0 * e * feat_dim, _F32 * (2 * e * feat_dim + e))
-        prod = g[graph.rows] * x.data[graph.indices]
-        return (gx, _edge_weight_grad(graph, prod, edge_weight))
+        if x_data is None:
+            return (gx, None)
+        prod = g[graph.rows] * x_data[graph.indices]
+        return (gx, _edge_weight_grad(graph, prod, w_shape))
 
     return make_op(_sparse_kernel_name(graph, "gspmm"), out, parents, backward, flops, nbytes)
 
@@ -305,17 +311,17 @@ def _gsddmm_gather(graph: CSRGraph, data: np.ndarray, target: str) -> np.ndarray
 
 
 def _gsddmm_scatter_grad(
-    graph: CSRGraph, g_sorted: np.ndarray, operand: Tensor, target: str
+    graph: CSRGraph, g_sorted: np.ndarray, shape: Tuple[int, ...], target: str
 ) -> np.ndarray:
-    """Reduce a CSR-ordered per-edge gradient back onto an operand."""
-    g_part = unbroadcast(g_sorted, (graph.num_edges,) + operand.shape[1:])
+    """Reduce a CSR-ordered per-edge gradient back onto an operand of ``shape``."""
+    g_part = unbroadcast(g_sorted, (graph.num_edges,) + shape[1:])
     g_part = g_part.astype(np.float32, copy=False)
     if target == "u":
         return scatter_add_rows(g_part, graph.indices, graph.num_src)
     if target == "v":
         # CSR order is destination-contiguous: a segment sum.
         return segment_add_rows(g_part, graph.indptr)
-    gx = np.zeros(operand.shape, dtype=np.float32)
+    gx = np.zeros(shape, dtype=np.float32)
     gx[graph.edge_ids] = g_part
     return gx
 
@@ -398,6 +404,11 @@ def gsddmm(
         bw_flops, bw_bytes = float(out.size), _F32 * 3.0 * out.size
     nbytes += _sparse_index_bytes(graph)
     parents: Tuple[Tensor, ...] = (lhs,) if rhs is None else (lhs, rhs)
+    l_shape = lhs.data.shape
+    r_shape = None if rhs is None else rhs.data.shape
+    if op not in ("mul", "div", "dot"):
+        # add / sub / copy_lhs pass the gradient through: nothing to save.
+        l_sorted = r_sorted = None
 
     def backward(grad: np.ndarray):
         launch_backward(f"gsddmm_{op}_backward", bw_flops, bw_bytes)
@@ -410,8 +421,8 @@ def gsddmm(
             gl_sorted = (g_sorted / r_sorted).astype(np.float32)
         else:  # mul, dot
             gl_sorted = (g_sorted * r_sorted).astype(np.float32)
-        gl = _gsddmm_scatter_grad(graph, gl_sorted, lhs, lhs_target)
-        if rhs is None:
+        gl = _gsddmm_scatter_grad(graph, gl_sorted, l_shape, lhs_target)
+        if r_shape is None:
             return (gl,)
         if op == "add":
             gr_sorted = g_sorted
@@ -421,7 +432,7 @@ def gsddmm(
             gr_sorted = (-g_sorted * l_sorted / (r_sorted * r_sorted)).astype(np.float32)
         else:  # mul, dot
             gr_sorted = (g_sorted * l_sorted).astype(np.float32)
-        gr = _gsddmm_scatter_grad(graph, gr_sorted, rhs, rhs_target)
+        gr = _gsddmm_scatter_grad(graph, gr_sorted, r_shape, rhs_target)
         return gl, gr
 
     name = _sparse_kernel_name(graph, f"gsddmm_{op}")
@@ -508,19 +519,25 @@ def _gspmm_max(graph: CSRGraph, x: Tensor, edge_weight: Optional[Tensor]) -> Ten
     parents: Tuple[Tensor, ...] = (x,) if edge_weight is None else (x, edge_weight)
     device = current_device()
     device.track(msgs)
+    x_trailing = x.data.shape[1:]
+    # The features are read back only for the weight's gradient.
+    w_shape = None if edge_weight is None else edge_weight.data.shape
+    x_data = x.data if edge_weight is not None and edge_weight.requires_grad else None
 
     def backward(grad: np.ndarray):
         launch_backward("gspmm_max_backward", float(e * feat_dim), _F32 * 3.0 * e * feat_dim)
         g_edges = (winners * grad[graph.rows] / tie_count[graph.rows]).astype(np.float32)
-        if edge_weight is not None:
+        if w_sorted is not None:
             gx_edges = (w_sorted * g_edges).astype(np.float32)
         else:
             gx_edges = g_edges
-        gx_edges = unbroadcast(gx_edges, (e,) + x.shape[1:])
+        gx_edges = unbroadcast(gx_edges, (e,) + x_trailing)
         gx = scatter_add_rows(gx_edges, graph.indices, graph.num_src)
-        if edge_weight is None:
+        if w_shape is None:
             return (gx,)
-        prod = (g_edges * x.data[graph.indices]).astype(np.float32)
-        return (gx, _edge_weight_grad(graph, prod, edge_weight))
+        if x_data is None:
+            return (gx, None)
+        prod = (g_edges * x_data[graph.indices]).astype(np.float32)
+        return (gx, _edge_weight_grad(graph, prod, w_shape))
 
     return make_op(_sparse_kernel_name(graph, "gspmm_max"), out, parents, backward, flops, nbytes)

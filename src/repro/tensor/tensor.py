@@ -30,11 +30,30 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 BackwardFn = Callable[[np.ndarray], Tuple[Optional[np.ndarray], ...]]
 
 
+class _GradNode:
+    """One op's entry on the autograd tape — the role of PyTorch's ``grad_fn``.
+
+    The tape holds these, never the op's output Tensor: ``backward`` closes
+    over only what its gradient formula reads, ``parents`` are the vertices
+    the gradient flows to (another op's node, or a leaf / constant Tensor,
+    which is its own vertex), and ``size`` / ``nbytes`` describe the output so
+    a second gradient arriving here is charged its ``grad_accumulate``
+    without the output array being kept alive.
+    """
+
+    __slots__ = ("backward", "parents", "size", "nbytes")
+
+    def __init__(self, backward: BackwardFn, parents: Tuple[object, ...], size: int, nbytes: int) -> None:
+        self.backward: Optional[BackwardFn] = backward
+        self.parents = parents
+        self.size = size
+        self.nbytes = nbytes
+
+
 class Tensor:
     """A numpy array with a reverse-mode autograd tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
-                 "_post_accumulate_hooks", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_post_accumulate_hooks", "__weakref__")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
@@ -44,8 +63,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad: bool = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self._parents: Tuple["Tensor", ...] = ()
-        self._backward: Optional[BackwardFn] = None
+        self._node: Optional[_GradNode] = None
         self._post_accumulate_hooks: Optional[List[Callable[["Tensor"], None]]] = None
 
     # ------------------------------------------------------------------
@@ -114,17 +132,25 @@ class Tensor:
                     f"output has shape {self.shape}"
                 )
 
-        order = self._topological_order()
-        grads: dict = {id(self): grad}
-        for node in order:
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
+        root = self if self._node is None else self._node
+        # Popped from the end, so each node is dropped once it has propagated.
+        order = _postorder(root)
+        grads: dict = {id(root): grad}
+        while order:
+            vertex = order.pop()
+            vertex_grad = grads.pop(id(vertex), None)
+            if vertex_grad is None:
                 continue
-            if node._backward is None:
-                _accumulate_leaf(node, node_grad)
+            if not isinstance(vertex, _GradNode):
+                _accumulate_leaf(vertex, vertex_grad)
                 continue
-            parent_grads = node._backward(node_grad)
-            for parent, pgrad in zip(node._parents, parent_grads):
+            if vertex.backward is None:
+                raise RuntimeError(
+                    "backward through a graph a second time: its nodes were freed "
+                    "by the first backward()"
+                )
+            parent_grads = vertex.backward(vertex_grad)
+            for parent, pgrad in zip(vertex.parents, parent_grads):
                 key = id(parent)
                 if key not in grads:
                     # ``None``: the op skipped a gradient nobody reads.  The
@@ -137,30 +163,10 @@ class Tensor:
                 )
                 if pgrad is not None:
                     grads[key] = pgrad if grads[key] is None else grads[key] + pgrad
-            # Drop the tape reference so activations can be collected, like
-            # PyTorch freeing saved buffers after use.
-            node._backward = None
-            node._parents = ()
-
-    def _topological_order(self) -> List["Tensor"]:
-        """Reverse topological order of the graph rooted at ``self``."""
-        order: List[Tensor] = []
-        visited = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        order.reverse()
-        return order
+            # Free what the closure saved, like PyTorch releasing saved
+            # tensors once their gradient has been used.
+            vertex.backward = None
+            vertex.parents = ()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -284,6 +290,31 @@ def _coerce(value: ArrayLike) -> Tensor:
     return out
 
 
+def _postorder(root: object) -> List[object]:
+    """Vertices reachable from ``root``, each after its parents (DFS post-order).
+
+    Popped from the end this is the backward walk's topological order: a
+    node propagates only once every consumer of its output has sent a gradient.
+    """
+    order: List[object] = []
+    visited = set()
+    stack: List[Tuple[object, bool]] = [(root, False)]
+    while stack:
+        vertex, processed = stack.pop()
+        if processed:
+            order.append(vertex)
+            continue
+        if id(vertex) in visited:
+            continue
+        visited.add(id(vertex))
+        stack.append((vertex, True))
+        if isinstance(vertex, _GradNode):
+            for parent in vertex.parents:
+                if id(parent) not in visited:
+                    stack.append((parent, False))
+    return order
+
+
 def _accumulate_leaf(tensor: Tensor, grad: np.ndarray) -> None:
     """Accumulate ``grad`` into a leaf tensor's ``.grad`` buffer."""
     if not tensor.requires_grad:
@@ -314,18 +345,30 @@ def make_op(
 
     ``backward`` receives the gradient w.r.t. the output and must return one
     gradient (or ``None``) per parent; it is responsible for reporting its
-    own kernels to the device when it runs.
+    own kernels to the device when it runs.  It is kept on the tape until it
+    has run, so it must close over what its gradient formula reads — arrays,
+    shapes, flags fixed at forward time — and never over a Tensor, whose
+    ``.data`` it would keep alive whether the formula reads it or not.
     """
     device = current_device()
     device.launch(name, flops=flops, bytes_moved=bytes_moved)
     out = Tensor(out_data)
     if grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        _attach_node(out, parents, backward)
     if device.tracer is not None:
         device.tracer.annotate_op(out, parents)
     return out
+
+
+def _attach_node(out: Tensor, parents: Sequence[Tensor], backward: BackwardFn) -> None:
+    """Put ``out`` on the tape: a node with ``backward`` and its parents' vertices."""
+    out.requires_grad = True
+    out._node = _GradNode(
+        backward,
+        tuple(p if p._node is None else p._node for p in parents),
+        out.data.size,
+        out.data.nbytes,
+    )
 
 
 def launch_backward(name: str, flops: float = 0.0, bytes_moved: float = 0.0) -> None:

@@ -182,7 +182,7 @@ DOCTORS = {
     ],
     "ablation_dense_baseline": [
         _put(scaled("step_time", 0.1), ["dense/32", "pygx/32"], kind="dense", batch_size=32),
-        _put(scaled("peak_memory", 0.5), ["dense/32", "pygx/32"], kind="dense", batch_size=32),
+        _put(scaled("peak_memory", 0.1), ["dense/32", "pygx/32"], kind="dense", batch_size=32),
         _put(scaled("peak_memory", 3.0), ["dense/16", "pygx/16", "dense/32", "pygx/32"],
              kind="dense", batch_size=16),
     ],

@@ -22,12 +22,12 @@ OPERANDS = {ops.matmul: ((5, 4), (4, 3)), ops.mul: ((5, 4), (5, 1))}
 
 
 def _parent_grads(op, live):
-    """``out._backward(g)`` with ``requires_grad`` set on the ``live`` positions."""
+    """The output node's ``backward(g)`` with ``requires_grad`` set on the ``live`` positions."""
     rng = np.random.default_rng(0)
     arrays = [rng.standard_normal(shape) for shape in OPERANDS[op]]
     operands = [Tensor(a, requires_grad=i in live) for i, a in enumerate(arrays)]
     out = op(*operands)
-    return out._backward(np.ones_like(out.data))
+    return out._node.backward(np.ones_like(out.data))
 
 
 @pytest.mark.parametrize("op", OPERANDS, ids=lambda op: op.__name__)

@@ -33,7 +33,7 @@ class TestCreation:
         a = Tensor([1.0], requires_grad=True)
         b = (a * 2.0).detach()
         assert not b.requires_grad
-        assert b._backward is None
+        assert b._node is None
 
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
@@ -104,8 +104,8 @@ class TestBackward:
         b = a * 2.0
         out = b.sum()
         out.backward()
-        assert out._backward is None
-        assert out._parents == ()
+        assert out._node.backward is None
+        assert out._node.parents == ()
 
 
 class TestNoGrad:
@@ -114,7 +114,7 @@ class TestNoGrad:
         with no_grad():
             out = a * 2.0
         assert not out.requires_grad
-        assert out._backward is None
+        assert out._node is None
 
     def test_restores_mode_on_exception(self):
         from repro.tensor import grad_enabled

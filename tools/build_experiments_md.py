@@ -96,11 +96,11 @@ time attributed to module scopes (the nvprof/NVTX analogue).""",
     ),
     "fig4": (
         "Fig. 4 — peak memory vs batch size",
-        """Reduction: the Fig. 1/2 sweeps (200-graph DD subset).  Deviation from
-the paper: for GAT/MoNet our DGL memory is comparable to (not consistently
-above) PyG — fused GSpMM avoids materialising (E, H, D) messages that the
-PyG-style gather pipeline holds for backward, and the modelled DGL
-workspace/frame overhead does not always outweigh that saving.""",
+        """Reduction: the Fig. 1/2 sweeps (200-graph DD subset).  As in the paper,
+DGL's peak is above PyG's in every cell.  The tape saves only what each
+backward reads, so the PyG-style pipeline's scattered (E, H, D) messages
+are freed during the forward.  DGL's modelled GSpMM workspace/frame stays
+allocated until its backward runs.""",
     ),
     "fig5": (
         "Fig. 5 — GPU compute utilisation (Eq. 5)",
