@@ -43,8 +43,6 @@ from repro.bench.serialize import (
     cells_to_csv,
     document_from_json,
     document_to_json,
-    servings_from_json,
-    servings_to_json,
     validate_document,
 )
 from repro.bench.tables import format_seconds, format_table
@@ -63,8 +61,6 @@ __all__ = [
     "project_overlap",
     "OverlapProjection",
     "cells_to_csv",
-    "servings_to_json",
-    "servings_from_json",
     "serving_cell",
     "compile_cell",
     "step_kernel_records",

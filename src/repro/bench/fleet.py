@@ -131,9 +131,9 @@ def fleet_cell_dict(kind: str, result: FleetResult, trace_scale: float) -> Dict:
         "replicas": result.initial_replicas,
         "peak_replicas": result.peak_replicas,
         "final_replicas": result.final_replicas,
-        "framework": FLEET_FRAMEWORK,
-        "model": FLEET_MODEL,
-        "dataset": FLEET_DATASET,
+        "framework": result.framework,
+        "model": result.model,
+        "dataset": result.dataset,
         "trace_scale": trace_scale,
         "n_requests": result.n_requests,
         "completed": result.completed,
@@ -163,7 +163,7 @@ def fleet_cell_dict(kind: str, result: FleetResult, trace_scale: float) -> Dict:
         "failed_by_reason": dict(result.failed_by_reason),
         "tenants": {
             name: {
-                "tier": t.tier,
+                "tier": result.tiers[name],
                 "n_requests": t.n_requests,
                 "completed": t.completed,
                 "shed": t.shed,

@@ -3,8 +3,8 @@
 Experiments print human-readable tables; downstream analysis (plotting
 the figures, diffing runs, the regression gate) wants machine-readable
 records.  Experiment bodies are JSON-able cells already; these helpers
-flatten serving results losslessly to such cells and back, and validate
-every ``BENCH_*.json`` document against its spec on the way in and out.
+flatten serving results to such cells, and validate every
+``BENCH_*.json`` document against its spec on the way in and out.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.bench.spec import SPECS, TENANT_COUNTS, Section, is_finite, tag_of
 from repro.serve.metrics import ServingResult
 
 
 def serving_to_dict(result: ServingResult) -> Dict:
-    """Losslessly flatten a serving run (JSON object keys become strings)."""
+    """Flatten a serving run to a ``BENCH_serving.json`` cell (string keys)."""
     return {
         "framework": result.framework,
         "model": result.model,
@@ -46,48 +46,6 @@ def serving_to_dict(result: ServingResult) -> Dict:
         "batch_splits": result.batch_splits,
         "circuit_opens": result.circuit_opens,
     }
-
-
-def serving_from_dict(data: Dict) -> ServingResult:
-    return ServingResult(
-        framework=data["framework"],
-        model=data["model"],
-        dataset=data["dataset"],
-        n_requests=data["n_requests"],
-        completed=data["completed"],
-        shed=data["shed"],
-        shed_by_reason=dict(data.get("shed_by_reason", {})),
-        latency_percentiles={
-            float(p): v for p, v in data["latency_percentiles"].items()
-        },
-        mean_latency=data["mean_latency"],
-        mean_queue_delay=data["mean_queue_delay"],
-        throughput=data["throughput"],
-        mean_batch_size=data["mean_batch_size"],
-        batch_size_histogram={
-            int(k): v for k, v in data.get("batch_size_histogram", {}).items()
-        },
-        max_queue_depth=data["max_queue_depth"],
-        mean_queue_depth=data["mean_queue_depth"],
-        elapsed=data["elapsed"],
-        gpu_utilization=data["gpu_utilization"],
-        busy_fraction=data["busy_fraction"],
-        phase_times=dict(data.get("phase_times", {})),
-        failed=data.get("failed", 0),
-        failed_by_reason=dict(data.get("failed_by_reason", {})),
-        retries=data.get("retries", 0),
-        batch_splits=data.get("batch_splits", 0),
-        circuit_opens=data.get("circuit_opens", 0),
-    )
-
-
-def servings_to_json(results: Iterable[ServingResult]) -> str:
-    """Serialise serving runs to a JSON document (BENCH_serving.json shape)."""
-    return document_to_json("serving", [serving_to_dict(r) for r in results])
-
-
-def servings_from_json(text: str) -> List[ServingResult]:
-    return [serving_from_dict(d) for d in document_from_json("serving", text)]
 
 
 # ----------------------------------------------------------------------

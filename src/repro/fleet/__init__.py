@@ -19,12 +19,7 @@ flash crowd) are reproducible, CI-gated measurements.
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.cache import ResultCache
 from repro.fleet.chaos import ChaosPlan, ChaosSchedule
-from repro.fleet.metrics import (
-    FleetMetrics,
-    FleetResult,
-    ReplicaSummary,
-    TenantSummary,
-)
+from repro.fleet.metrics import FleetMetrics, FleetResult, ReplicaSummary
 from repro.fleet.replica import DOWN, UP, WARMING, PendingBatch, Replica
 from repro.fleet.request import SLA_TIERS, FleetRequest, FleetResponse, Tenant
 from repro.fleet.routing import (
@@ -71,7 +66,6 @@ __all__ = [
     "SLA_TIERS",
     "Tenant",
     "TenantQuota",
-    "TenantSummary",
     "UP",
     "WARMING",
     "bursty_multitenant_trace",

@@ -1,46 +1,23 @@
 """Fleet-wide observability: per-tenant accounting over shared replicas.
 
-Reuses :class:`~repro.serve.ServerMetrics` as the accounting primitive —
-one instance for the fleet aggregate, one per tenant — so the no-silent-
-loss bookkeeping (``resolved_ids``) that made single-server chaos testable
-extends to every tenant individually: after a replay, ``completed + shed +
-failed == n`` must hold *per tenant*, whatever the chaos schedule did.
+:class:`FleetMetrics` *is* a :class:`~repro.serve.ServerMetrics` for the
+fleet aggregate that also records every outcome into one ``ServerMetrics``
+window per tenant, and :class:`FleetResult` *is* a
+:class:`~repro.serve.ServingResult` whose ``tenants`` are the windows'
+summaries.  So the no-silent-loss bookkeeping (``resolved_ids``) that made
+single-server chaos testable extends to every tenant individually: after
+a replay, each request must be resolved exactly once, ``completed + shed +
+failed == n``, *per tenant*, whatever the chaos schedule did.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence
 
-from repro.fleet.request import FleetRequest, FleetResponse, Tenant
-from repro.serve.metrics import LATENCY_PERCENTILES, ServerMetrics
-
-
-@dataclass
-class TenantSummary:
-    """One tenant's slice of a fleet replay."""
-
-    tenant: str
-    tier: str
-    n_requests: int
-    completed: int
-    shed: int
-    failed: int
-    shed_by_reason: Dict[str, int]
-    failed_by_reason: Dict[str, int]
-    latency_percentiles: Dict[float, float]
-
-    @property
-    def resolved(self) -> int:
-        return self.completed + self.shed + self.failed
-
-    @property
-    def p50(self) -> float:
-        return self.latency_percentiles[50.0]
-
-    @property
-    def p99(self) -> float:
-        return self.latency_percentiles[99.0]
+from repro.fleet.request import FleetRequest, FleetResponse
+from repro.serve.metrics import LATENCY_PERCENTILES, ServerMetrics, ServingResult
 
 
 @dataclass
@@ -55,211 +32,100 @@ class ReplicaSummary:
     circuit_opens: int
 
 
-@dataclass
-class FleetResult:
-    """Summary of one fleet replay (policy x replicas x trace)."""
+@dataclass(kw_only=True)
+class FleetResult(ServingResult):
+    """Summary of one fleet replay (policy x replicas x trace).
+
+    The fleet-wide :class:`ServingResult` plus what only a fleet has.  Each
+    of ``tenants`` is a ``ServingResult`` over the fleet's elapsed time and
+    utilisation; queue depth, retries and splits are fleet-wide and read
+    zero on a slice.
+    """
 
     policy: str
     initial_replicas: int
     peak_replicas: int
     final_replicas: int
-    n_requests: int
-    completed: int
-    shed: int
-    failed: int
-    shed_by_reason: Dict[str, int]
-    failed_by_reason: Dict[str, int]
-    latency_percentiles: Dict[float, float]
-    mean_latency: float
-    mean_queue_delay: float
-    mean_batch_size: float
-    elapsed: float
-    gpu_utilization: float
-    busy_fraction: float
-    phase_times: Dict[str, float]
-    tenants: Dict[str, TenantSummary]
     replicas: List[ReplicaSummary]
     cache_hits: int
     cache_misses: int
-    retries: int
-    batch_splits: int
-    circuit_opens: int
     reroutes: int
     replica_losses: int
     scale_ups: int
     scale_downs: int
-
-    @property
-    def resolved(self) -> int:
-        return self.completed + self.shed + self.failed
-
-    @property
-    def goodput(self) -> float:
-        """Successful responses per simulated second."""
-        return self.completed / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def p50(self) -> float:
-        return self.latency_percentiles[50.0]
-
-    @property
-    def p95(self) -> float:
-        return self.latency_percentiles[95.0]
-
-    @property
-    def p99(self) -> float:
-        return self.latency_percentiles[99.0]
+    #: Tenant name -> SLA tier, one entry per slice in ``tenants``.
+    tiers: Dict[str, str]
 
     @property
     def cache_hit_rate(self) -> float:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
-    @property
-    def no_silent_loss(self) -> bool:
-        """Every request resolved, fleet-wide *and* within every tenant."""
-        if self.resolved != self.n_requests:
-            return False
-        return all(t.resolved == t.n_requests for t in self.tenants.values())
 
-
-class FleetMetrics:
+@dataclass
+class FleetMetrics(ServerMetrics):
     """Accumulates fleet observations, fanned out per tenant."""
 
-    def __init__(self) -> None:
-        self.overall = ServerMetrics()
-        self._tenants: Dict[str, ServerMetrics] = {}
-        self._tenant_meta: Dict[str, Tenant] = {}
-        self._tenant_arrivals: Dict[str, int] = {}
-        self.reroutes = 0
-
-    # ------------------------------------------------------------------
-    def _tenant(self, tenant: Optional[Tenant]) -> ServerMetrics:
-        name = tenant.name if tenant is not None else ""
-        if name not in self._tenants:
-            self._tenants[name] = ServerMetrics()
-            if tenant is not None:
-                self._tenant_meta[name] = tenant
-        return self._tenants[name]
+    #: Tenant name -> the window of that tenant's outcomes.
+    windows: Dict[str, ServerMetrics] = field(default_factory=lambda: defaultdict(ServerMetrics))
+    tiers: Dict[str, str] = field(default_factory=dict)
+    arrivals: Counter = field(default_factory=Counter)
+    reroutes: int = 0
 
     def record_arrival(self, request: FleetRequest) -> None:
-        self._tenant(request.tenant)
         name = request.tenant_name
-        self._tenant_arrivals[name] = self._tenant_arrivals.get(name, 0) + 1
+        self.tiers[name] = request.tenant.tier if request.tenant is not None else "bronze"
+        self.arrivals[name] += 1
 
-    def record_responses(self, responses: List[FleetResponse]) -> None:
-        self.overall.record_batch(responses)
-        for response in responses:
-            self._tenants[response.tenant].record_batch([response])
+    def record_batch(self, responses: List[FleetResponse]) -> None:
+        super().record_batch(responses)
+        # A tenant's window sees its own share of each batch.
+        for name in dict.fromkeys(r.tenant for r in responses):
+            self.windows[name].record_batch([r for r in responses if r.tenant == name])
 
-    def record_shed(self, reason: str, requests: Iterable[FleetRequest]) -> None:
+    def record_shed(self, reason: str, requests: Sequence[FleetRequest]) -> None:
+        super().record_shed(reason, requests)
         for request in requests:
-            self.overall.record_shed(reason, request_ids=[request.request_id])
-            self._tenant(request.tenant).record_shed(
-                reason, request_ids=[request.request_id]
-            )
+            self.windows[request.tenant_name].record_shed(reason, [request])
 
-    def record_failure(self, reason: str, requests: Iterable[FleetRequest]) -> None:
+    def record_failure(self, reason: str, requests: Sequence[FleetRequest]) -> None:
+        super().record_failure(reason, requests)
         for request in requests:
-            self.overall.record_failure(reason, [request.request_id])
-            self._tenant(request.tenant).record_failure(reason, [request.request_id])
-
-    def record_retry(self, count: int = 1) -> None:
-        self.overall.record_retry(count)
-
-    def record_split(self) -> None:
-        self.overall.record_split()
+            self.windows[request.tenant_name].record_failure(reason, [request])
 
     def record_reroute(self, count: int = 1) -> None:
         self.reroutes += count
 
-    def sample_queue_depth(self, depth: int) -> None:
-        self.overall.sample_queue_depth(depth)
-
-    def window_p99(self, window: int) -> float:
-        """Sliding-window p99 — the autoscaler's latency signal."""
-        return self.overall.window_latency_percentiles(window)[99.0]
-
-    # ------------------------------------------------------------------
-    def tenant_summaries(self) -> Dict[str, TenantSummary]:
-        out: Dict[str, TenantSummary] = {}
-        for name, metrics in sorted(self._tenants.items()):
-            meta = self._tenant_meta.get(name)
-            out[name] = TenantSummary(
-                tenant=name,
-                tier=meta.tier if meta is not None else "bronze",
-                n_requests=self._tenant_arrivals.get(name, 0),
-                completed=metrics.completed,
-                shed=metrics.shed,
-                failed=metrics.failed,
-                shed_by_reason=dict(metrics.shed_by_reason),
-                failed_by_reason=dict(metrics.failed_by_reason),
-                latency_percentiles=metrics.latency_percentiles(),
-            )
-        return out
-
     def summary(
         self,
-        policy: str,
-        initial_replicas: int,
-        peak_replicas: int,
-        final_replicas: int,
+        framework: str,
+        model: str,
+        dataset: str,
         n_requests: int,
         elapsed: float,
         gpu_utilization: float,
         busy_fraction: float,
         phase_times: Dict[str, float],
-        replicas: List[ReplicaSummary],
-        cache_hits: int,
-        cache_misses: int,
-        replica_losses: int,
-        scale_ups: int,
-        scale_downs: int,
+        circuit_opens: int = 0,
+        **fleet,
     ) -> FleetResult:
-        metrics = self.overall
-        latencies = metrics.latencies()
-        delays = [r.queue_delay for r in metrics.responses]
-        return FleetResult(
-            policy=policy,
-            initial_replicas=initial_replicas,
-            peak_replicas=peak_replicas,
-            final_replicas=final_replicas,
-            n_requests=n_requests,
-            completed=metrics.completed,
-            shed=metrics.shed,
-            failed=metrics.failed,
-            shed_by_reason=dict(metrics.shed_by_reason),
-            failed_by_reason=dict(metrics.failed_by_reason),
-            latency_percentiles=metrics.latency_percentiles(),
-            mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-            mean_queue_delay=sum(delays) / len(delays) if delays else 0.0,
-            mean_batch_size=(
-                sum(metrics.batch_sizes) / len(metrics.batch_sizes)
-                if metrics.batch_sizes
-                else 0.0
-            ),
-            elapsed=elapsed,
-            gpu_utilization=gpu_utilization,
-            busy_fraction=busy_fraction,
-            phase_times=dict(phase_times),
-            tenants=self.tenant_summaries(),
-            replicas=replicas,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            retries=metrics.retries,
-            batch_splits=metrics.batch_splits,
-            circuit_opens=sum(r.circuit_opens for r in replicas),
-            reroutes=self.reroutes,
-            replica_losses=replica_losses,
-            scale_ups=scale_ups,
-            scale_downs=scale_downs,
+        """The fleet-wide summary, its tenant slices, and ``fleet``'s fields."""
+        run = dict(
+            framework=framework, model=model, dataset=dataset, elapsed=elapsed,
+            gpu_utilization=gpu_utilization, busy_fraction=busy_fraction,
+            phase_times=phase_times,
         )
+        result = super().summary(n_requests=n_requests, circuit_opens=circuit_opens, **run)
+        result.tenants = {
+            name: self.windows[name].summary(n_requests=self.arrivals[name], **run)
+            for name in sorted(self.arrivals)
+        }
+        return FleetResult(**vars(result), tiers=dict(self.tiers), reroutes=self.reroutes, **fleet)
 
 
 __all__ = [
     "LATENCY_PERCENTILES",
     "FleetMetrics",
     "FleetResult",
-    "TenantSummary",
     "ReplicaSummary",
 ]

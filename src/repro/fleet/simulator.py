@@ -175,7 +175,9 @@ class FleetSimulator:
                 # 5. autoscaler tick.
                 if scaler is not None and now >= scaler.next_eval:
                     decision = scaler.decide(
-                        now, self.replicas, metrics.window_p99(scaler.config.window)
+                        now,
+                        self.replicas,
+                        metrics.window_latency_percentiles(scaler.config.window)[99.0],
                     )
                     if decision > 0:
                         self._scale_up(scaler, retired, now)
@@ -227,15 +229,19 @@ class FleetSimulator:
             idle = clock.idle - idle0
             elapsed = delta.elapsed
             return metrics.summary(
-                policy=self.policy.name,
-                initial_replicas=self._initial_replicas,
-                peak_replicas=peak,
-                final_replicas=self._population(),
+                framework=self.inference.framework,
+                model=self.inference.config.model,
+                dataset=self.inference.dataset,
                 n_requests=n,
                 elapsed=elapsed,
                 gpu_utilization=delta.gpu_busy / elapsed if elapsed > 0 else 0.0,
                 busy_fraction=(elapsed - idle) / elapsed if elapsed > 0 else 0.0,
                 phase_times=delta.phase_elapsed,
+                circuit_opens=sum(r.breaker.opens for r in self.replicas),
+                policy=self.policy.name,
+                initial_replicas=self._initial_replicas,
+                peak_replicas=peak,
+                final_replicas=self._population(),
                 replicas=[
                     ReplicaSummary(
                         replica_id=r.id,
@@ -273,7 +279,8 @@ class FleetSimulator:
             self.device.host(self.cache_lookup_seconds)
             hit = self.cache.get(request.sample_idx)
             if hit is not None:
-                metrics.record_responses(
+                # A hit counts as a batch of one in ``mean_batch_size``.
+                metrics.record_batch(
                     [
                         FleetResponse(
                             request_id=request.request_id,
@@ -392,7 +399,7 @@ class FleetSimulator:
             )
             for request, prediction, completion in pending.completions
         ]
-        metrics.record_responses(responses)
+        metrics.record_batch(responses)
         for request, prediction, _ in pending.completions:
             if self.cache is not None:
                 self.cache.put(request.sample_idx, prediction)

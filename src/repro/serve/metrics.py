@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
-from repro.serve.request import InferenceResponse
+from repro.serve.request import InferenceRequest, InferenceResponse
 
 LATENCY_PERCENTILES = (50.0, 95.0, 99.0)
 
@@ -39,7 +39,12 @@ def nearest_rank_percentile(values, p: float) -> float:
 
 @dataclass
 class ServingResult:
-    """Summary of one serving run (one model under one traffic trace)."""
+    """Summary of one serving run (one model under one traffic trace).
+
+    The one result type of ``repro.serve`` and ``repro.fleet``: a
+    :class:`~repro.fleet.FleetResult` is one, and so is each tenant's
+    slice of a fleet replay in ``tenants``.
+    """
 
     framework: str
     model: str
@@ -78,6 +83,11 @@ class ServingResult:
     batch_splits: int = 0
     #: Times the circuit breaker tripped open during the run.
     circuit_opens: int = 0
+    #: Distinct request ids among the resolved; below ``resolved`` when
+    #: some request got two outcomes.
+    distinct_resolved: int = 0
+    #: Tenant name -> that tenant's slice of the run (empty off a fleet).
+    tenants: Dict[str, ServingResult] = field(default_factory=dict)
 
     @property
     def p50(self) -> float:
@@ -109,6 +119,13 @@ class ServingResult:
         """Successful responses per simulated second (completed only)."""
         return self.throughput
 
+    @property
+    def no_silent_loss(self) -> bool:
+        """Every request resolved exactly once, and so within every tenant."""
+        return self.resolved == self.n_requests == self.distinct_resolved and all(
+            tenant.no_silent_loss for tenant in self.tenants.values()
+        )
+
 
 @dataclass
 class ServerMetrics:
@@ -122,8 +139,8 @@ class ServerMetrics:
     retries: int = 0
     batch_splits: int = 0
     #: Every request id that reached an explicit outcome (completed, shed
-    #: or failed).  The no-silent-loss invariant: after a run, this equals
-    #: the full set of admitted-or-rejected request ids.
+    #: or failed).  The no-silent-loss invariant: after a run it holds
+    #: ``completed + shed + failed`` ids, so no request resolved twice.
     resolved_ids: Set[int] = field(default_factory=set)
 
     # ------------------------------------------------------------------
@@ -134,15 +151,14 @@ class ServerMetrics:
         self.batch_sizes.append(len(responses))
         self.resolved_ids.update(r.request_id for r in responses)
 
-    def record_shed(self, reason: str, count: int = 1, request_ids: Iterable[int] = ()) -> None:
-        self.shed_by_reason[reason] += count
-        self.resolved_ids.update(request_ids)
+    def record_shed(self, reason: str, requests: Sequence[InferenceRequest]) -> None:
+        self.shed_by_reason[reason] += len(requests)
+        self.resolved_ids.update(r.request_id for r in requests)
 
-    def record_failure(self, reason: str, request_ids: Iterable[int]) -> None:
-        """An explicit failure outcome for each id (retries exhausted, OOM)."""
-        ids = list(request_ids)
-        self.failed_by_reason[reason] += len(ids)
-        self.resolved_ids.update(ids)
+    def record_failure(self, reason: str, requests: Sequence[InferenceRequest]) -> None:
+        """An explicit failure outcome for each request (retries exhausted, OOM)."""
+        self.failed_by_reason[reason] += len(requests)
+        self.resolved_ids.update(r.request_id for r in requests)
 
     def record_retry(self, count: int = 1) -> None:
         self.retries += count
@@ -175,10 +191,6 @@ class ServerMetrics:
         lat = self.latencies()
         if lat.size == 0:
             return {p: 0.0 for p in LATENCY_PERCENTILES}
-        if lat.size == 1:
-            # One observation: every percentile is that sample (interpolating
-            # estimators agree, but make the edge case explicit and exact).
-            return {p: float(lat[0]) for p in LATENCY_PERCENTILES}
         return {p: float(np.percentile(lat, p)) for p in LATENCY_PERCENTILES}
 
     def window_latency_percentiles(self, window: int) -> Dict[float, float]:
@@ -236,4 +248,5 @@ class ServerMetrics:
             retries=self.retries,
             batch_splits=self.batch_splits,
             circuit_opens=circuit_opens,
+            distinct_resolved=len(self.resolved_ids),
         )

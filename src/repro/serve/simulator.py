@@ -177,9 +177,7 @@ class ServeSimulator:
                 serve_with_recovery,
                 run=lambda part: self._run_batch(part, metrics, clock, t0, compute),
                 backoff=self._backoff,
-                fail=lambda reason, part: metrics.record_failure(
-                    reason, [r.request_id for r in part]
-                ),
+                fail=metrics.record_failure,
                 metrics=metrics,
                 retry_policy=self.retry_policy,
                 breaker=self.breaker,
@@ -193,9 +191,7 @@ class ServeSimulator:
                     try:
                         admission.admit(requests[i], now)
                     except Overloaded as rejection:
-                        metrics.record_shed(
-                            rejection.reason, request_ids=[requests[i].request_id]
-                        )
+                        metrics.record_shed(rejection.reason, [requests[i]])
                     i += 1
                 metrics.sample_queue_depth(len(queue))
                 if len(queue) == 0:
@@ -215,17 +211,13 @@ class ServeSimulator:
                     continue
                 batch, expired = self.batcher.next_batch(queue, now)
                 if expired:
-                    metrics.record_shed(
-                        "deadline", len(expired), request_ids=[r.request_id for r in expired]
-                    )
+                    metrics.record_shed("deadline", expired)
                 if not batch:
                     continue
                 if not self.breaker.allow(clock.elapsed - t0):
                     # Open circuit: fail fast at the dispatch point instead
                     # of hammering a model that keeps failing.
-                    metrics.record_shed(
-                        "circuit_open", len(batch), request_ids=[r.request_id for r in batch]
-                    )
+                    metrics.record_shed("circuit_open", batch)
                     continue
                 serve(batch)
 

@@ -1,16 +1,10 @@
 """Fleet metrics: per-tenant fan-out and the no-silent-loss invariant."""
 
-import numpy as np
-import pytest
+from dataclasses import replace
 
-from repro.fleet import (
-    FleetMetrics,
-    FleetRequest,
-    FleetResponse,
-    FleetResult,
-    Tenant,
-    TenantSummary,
-)
+import numpy as np
+
+from repro.fleet import FleetMetrics, FleetRequest, FleetResponse, Tenant
 from repro.graph import GraphSample
 
 GOLD = Tenant("acme", tier="gold")
@@ -36,31 +30,13 @@ def _response(request_id, tenant, latency=0.01):
     )
 
 
-def _summary(**overrides):
-    defaults = dict(
-        tenant="t", tier="bronze", n_requests=10, completed=10, shed=0,
-        failed=0, shed_by_reason={}, failed_by_reason={},
-        latency_percentiles={50.0: 0.01, 95.0: 0.02, 99.0: 0.03},
-    )
-    defaults.update(overrides)
-    return TenantSummary(**defaults)
-
-
-def _result(**overrides):
-    defaults = dict(
+def _summary(metrics, cache_hits=0, cache_misses=0):
+    return metrics.summary(
+        "pygx", "gcn", "enzymes", sum(metrics.arrivals.values()), 2.0, 0.5, 0.5, {},
         policy="p2c", initial_replicas=2, peak_replicas=2, final_replicas=2,
-        n_requests=10, completed=10, shed=0, failed=0,
-        shed_by_reason={}, failed_by_reason={},
-        latency_percentiles={50.0: 0.01, 95.0: 0.02, 99.0: 0.03},
-        mean_latency=0.01, mean_queue_delay=0.001, mean_batch_size=4.0,
-        elapsed=2.0, gpu_utilization=0.5, busy_fraction=0.5,
-        phase_times={}, tenants={}, replicas=[],
-        cache_hits=3, cache_misses=7, retries=0, batch_splits=0,
-        circuit_opens=0, reroutes=0, replica_losses=0,
-        scale_ups=0, scale_downs=0,
+        replicas=[], cache_hits=cache_hits, cache_misses=cache_misses,
+        replica_losses=0, scale_ups=0, scale_downs=0,
     )
-    defaults.update(overrides)
-    return FleetResult(**defaults)
 
 
 class TestFleetMetrics:
@@ -68,14 +44,17 @@ class TestFleetMetrics:
         metrics = FleetMetrics()
         for i, tenant in enumerate([GOLD, GOLD, BRONZE]):
             metrics.record_arrival(_request(i, tenant))
-        metrics.record_responses(
+        metrics.record_batch(
             [_response(0, GOLD), _response(1, GOLD), _response(2, BRONZE)]
         )
-        summaries = metrics.tenant_summaries()
-        assert summaries["acme"].completed == 2
-        assert summaries["hooli"].completed == 1
-        assert summaries["acme"].tier == "gold"
-        assert metrics.overall.completed == 3
+        result = _summary(metrics)
+        assert result.tenants["acme"].completed == 2
+        assert result.tenants["hooli"].completed == 1
+        assert result.tiers == {"acme": "gold", "hooli": "bronze"}
+        assert result.completed == 3
+        # A tenant's window sees its own share of each batch.
+        assert result.batch_size_histogram == {3: 1}
+        assert result.tenants["acme"].batch_size_histogram == {2: 1}
 
     def test_shed_and_failed_fan_out_with_reasons(self):
         metrics = FleetMetrics()
@@ -83,59 +62,62 @@ class TestFleetMetrics:
         metrics.record_arrival(_request(1, BRONZE))
         metrics.record_shed("quota", [_request(0, GOLD)])
         metrics.record_failure("replica_lost", [_request(1, BRONZE)])
-        summaries = metrics.tenant_summaries()
-        assert summaries["acme"].shed_by_reason == {"quota": 1}
-        assert summaries["hooli"].failed_by_reason == {"replica_lost": 1}
-        assert summaries["acme"].resolved == 1
-        assert summaries["hooli"].resolved == 1
+        tenants = _summary(metrics).tenants
+        assert tenants["acme"].shed_by_reason == {"quota": 1}
+        assert tenants["hooli"].failed_by_reason == {"replica_lost": 1}
+        assert tenants["acme"].resolved == 1
+        assert tenants["hooli"].resolved == 1
 
     def test_summaries_count_arrivals_per_tenant(self):
         metrics = FleetMetrics()
         for i in range(3):
             metrics.record_arrival(_request(i, GOLD))
-        assert metrics.tenant_summaries()["acme"].n_requests == 3
+        assert _summary(metrics).tenants["acme"].n_requests == 3
 
-    def test_window_p99_with_no_responses_is_zero(self):
-        assert FleetMetrics().window_p99(16) == 0.0
+    def test_queue_depth_retries_and_splits_are_fleet_wide(self):
+        metrics = FleetMetrics()
+        metrics.record_arrival(_request(0, GOLD))
+        metrics.sample_queue_depth(5)
+        metrics.record_retry()
+        metrics.record_split()
+        result = _summary(metrics)
+        assert (result.max_queue_depth, result.retries, result.batch_splits) == (5, 1, 1)
+        slice_ = result.tenants["acme"]
+        assert (slice_.max_queue_depth, slice_.retries, slice_.batch_splits) == (0, 0, 0)
 
     def test_reroute_counter(self):
         metrics = FleetMetrics()
         metrics.record_reroute()
         metrics.record_reroute(2)
         assert metrics.reroutes == 3
-
-
-class TestTenantSummary:
-    def test_resolved_and_percentile_properties(self):
-        summary = _summary(completed=7, shed=2, failed=1)
-        assert summary.resolved == 10
-        assert summary.p50 == 0.01
-        assert summary.p99 == 0.03
-
-
-class TestFleetResult:
-    def test_resolved_and_goodput(self):
-        result = _result(completed=8, shed=1, failed=1, elapsed=2.0)
-        assert result.resolved == 10
-        assert result.goodput == pytest.approx(4.0)
-
-    def test_goodput_with_zero_elapsed(self):
-        assert _result(elapsed=0.0).goodput == 0.0
+        assert _summary(metrics).reroutes == 3
 
     def test_cache_hit_rate(self):
-        assert _result(cache_hits=3, cache_misses=7).cache_hit_rate == 0.3
-        assert _result(cache_hits=0, cache_misses=0).cache_hit_rate == 0.0
+        metrics = FleetMetrics()
+        assert _summary(metrics, cache_hits=3, cache_misses=7).cache_hit_rate == 0.3
+        assert _summary(metrics).cache_hit_rate == 0.0
 
-    def test_no_silent_loss_requires_fleet_total(self):
-        assert _result().no_silent_loss
-        assert not _result(completed=9).no_silent_loss
 
-    def test_no_silent_loss_requires_every_tenant(self):
-        good = _result(tenants={"t": _summary()})
-        assert good.no_silent_loss
-        leaky = _result(tenants={"t": _summary(completed=9)})
-        assert not leaky.no_silent_loss
+class TestNoSilentLoss:
+    def test_a_request_resolved_twice_is_not_an_answer_for_another(self):
+        # Request 7 completes and then also fails; request 8 is never
+        # resolved.  completed + shed + failed == n still balances.
+        metrics = FleetMetrics()
+        metrics.record_arrival(_request(7, GOLD))
+        metrics.record_arrival(_request(8, GOLD))
+        metrics.record_batch([_response(7, GOLD)])
+        metrics.record_failure("oom", [_request(7, GOLD)])
+        result = _summary(metrics)
+        assert result.resolved == result.n_requests == 2
+        assert not result.no_silent_loss
+        assert not result.tenants["acme"].no_silent_loss
 
-    def test_percentile_properties(self):
-        result = _result()
-        assert (result.p50, result.p95, result.p99) == (0.01, 0.02, 0.03)
+    def test_requires_every_tenant(self):
+        metrics = FleetMetrics()
+        for i, tenant in enumerate([GOLD, BRONZE]):
+            metrics.record_arrival(_request(i, tenant))
+        metrics.record_batch([_response(0, GOLD), _response(1, BRONZE)])
+        result = _summary(metrics)
+        assert result.no_silent_loss
+        result.tenants["hooli"] = replace(result.tenants["hooli"], completed=0)
+        assert not result.no_silent_loss

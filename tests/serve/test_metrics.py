@@ -1,9 +1,22 @@
 """Serving metrics: percentiles, histogram, throughput, shed accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.serve import InferenceResponse, ServerMetrics
+from repro.fleet import FleetMetrics, FleetRequest, FleetResponse, Tenant
+from repro.graph import GraphSample
+from repro.serve import LATENCY_PERCENTILES, InferenceResponse, ServerMetrics
+
+SAMPLE = GraphSample(
+    edge_index=np.zeros((2, 1), dtype=np.int64), x=np.zeros((2, 3), dtype=np.float32), y=0
+)
+TENANT = Tenant("t")
+
+
+def request(request_id):
+    return FleetRequest(request_id=request_id, sample=SAMPLE, arrival_time=0.0, tenant=TENANT)
 
 
 def response(request_id, arrival, dispatch, completion, batch_size=1):
@@ -54,10 +67,11 @@ class TestServerMetrics:
 
     def test_shed_accounting_by_reason(self):
         metrics = ServerMetrics()
-        metrics.record_shed("queue_full")
-        metrics.record_shed("queue_full")
-        metrics.record_shed("deadline", count=3)
+        metrics.record_shed("queue_full", [request(0)])
+        metrics.record_shed("queue_full", [request(1)])
+        metrics.record_shed("deadline", [request(2), request(3), request(4)])
         assert metrics.shed == 5
+        assert metrics.resolved_ids == {0, 1, 2, 3, 4}
         summary = metrics.summary("pygx", "gcn", "enzymes", 10, 1.0, 0.0, 1.0, {})
         assert summary.shed_by_reason == {"queue_full": 2, "deadline": 3}
         assert summary.shed_fraction == pytest.approx(0.5)
@@ -76,10 +90,70 @@ class TestServerMetrics:
         assert summary.max_queue_depth == 7
         assert summary.mean_queue_depth == pytest.approx(3.0)
 
-    def test_p_properties_match_percentile_dict(self):
-        metrics = ServerMetrics()
-        metrics.record_batch([response(i, 0.0, 0.0, 0.5) for i in range(4)])
-        summary = metrics.summary("pygx", "gcn", "enzymes", 4, 1.0, 0.0, 1.0, {})
-        assert summary.p50 == summary.latency_percentiles[50.0] == pytest.approx(0.5)
-        assert summary.p95 == pytest.approx(0.5)
-        assert summary.p99 == pytest.approx(0.5)
+
+# ----------------------------------------------------------------------
+# One property table over the one result type: the same ten requests (8
+# completed, 1 shed, 1 failed) summarised by the single server, by the
+# fleet, and as the fleet's slice for their tenant.
+# ----------------------------------------------------------------------
+LATENCIES = [0.01 * (i + 1) for i in range(8)]
+FLEET_FIELDS = dict(
+    policy="p2c", initial_replicas=1, peak_replicas=1, final_replicas=1, replicas=[],
+    cache_hits=0, cache_misses=0, replica_losses=0, scale_ups=0, scale_downs=0,
+)
+
+
+def _summarise(metrics, elapsed, **fleet):
+    metrics.record_batch(
+        [
+            FleetResponse(
+                request_id=i, prediction=0, arrival_time=0.0, dispatch_time=0.0,
+                completion_time=latency, batch_size=8, tenant=TENANT.name,
+            )
+            for i, latency in enumerate(LATENCIES)
+        ]
+    )
+    metrics.record_shed("queue_full", [request(8)])
+    metrics.record_failure("oom", [request(9)])
+    return metrics.summary("pygx", "gcn", "enzymes", 10, elapsed, 0.0, 1.0, {}, **fleet)
+
+
+def _fleet(elapsed):
+    metrics = FleetMetrics()
+    for i in range(10):
+        metrics.record_arrival(request(i))
+    return _summarise(metrics, elapsed, **FLEET_FIELDS)
+
+
+RESULTS = {
+    "serve": lambda elapsed: _summarise(ServerMetrics(), elapsed),
+    "fleet": _fleet,
+    "tenant": lambda elapsed: _fleet(elapsed).tenants[TENANT.name],
+}
+
+
+@pytest.mark.parametrize("build", RESULTS.values(), ids=list(RESULTS))
+class TestResultProperties:
+    def test_resolved(self, build):
+        result = build(2.0)
+        assert (result.completed, result.shed, result.failed) == (8, 1, 1)
+        assert result.resolved == 10
+
+    def test_goodput_is_completed_per_elapsed(self, build):
+        assert build(2.0).goodput == pytest.approx(4.0)
+
+    def test_goodput_with_zero_elapsed(self, build):
+        assert build(0.0).goodput == 0.0
+
+    def test_p_properties_match_percentile_dict(self, build):
+        result = build(2.0)
+        assert [result.p50, result.p95, result.p99] == [
+            result.latency_percentiles[p] for p in LATENCY_PERCENTILES
+        ]
+        assert result.p50 == pytest.approx(float(np.percentile(LATENCIES, 50.0)))
+
+    def test_no_silent_loss_requires_every_request_resolved(self, build):
+        result = build(2.0)
+        assert result.no_silent_loss
+        assert not replace(result, completed=7).no_silent_loss
+        assert not replace(result, n_requests=11).no_silent_loss
