@@ -29,18 +29,14 @@ from repro.device.memory import MemoryPool, OutOfMemoryError
 from repro.device.prefetch import PrefetchLoader, prefetch_streams
 from repro.device.roofline import (
     BOUND_CLASSES,
-    RooflinePoint,
-    bound_histogram,
     classify_kernel,
     classify_records,
     classify_transfer,
-    roofline_attribution,
 )
 from repro.device.streams import DEFAULT_STREAM_ID, Event, Stream
 from repro.device.timeline import to_chrome_trace, write_chrome_trace
 from repro.device.trace_analysis import (
     KernelStats,
-    duration_percentiles,
     kernel_stats,
     launch_bound_fraction,
     overlap_bound,
@@ -84,13 +80,9 @@ __all__ = [
     "kernel_stats",
     "top_kernels",
     "launch_bound_fraction",
-    "duration_percentiles",
     "overlap_bound",
     "BOUND_CLASSES",
-    "RooflinePoint",
-    "bound_histogram",
     "classify_kernel",
     "classify_records",
     "classify_transfer",
-    "roofline_attribution",
 ]

@@ -11,7 +11,7 @@ active at launch time.  Model layers push their name onto the scope stack in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -64,50 +64,10 @@ class Profiler:
         self.records.clear()
 
     # ------------------------------------------------------------------
-    # aggregation helpers used by the Fig. 3 bench
+    # aggregation used by the Fig. 3 bench
     # ------------------------------------------------------------------
     def total_time(self, prefix: Optional[Sequence[str]] = None) -> float:
         """Sum of kernel durations, optionally restricted to a scope prefix."""
         if prefix is None:
             return sum(r.duration for r in self.records)
         return sum(r.duration for r in self.records if r.in_scope(prefix))
-
-    def time_by_top_scope(self, depth: int = 1) -> Dict[Tuple[str, ...], float]:
-        """Aggregate kernel time by the first ``depth`` scope components."""
-        out: Dict[Tuple[str, ...], float] = {}
-        for r in self.records:
-            key = r.scope[:depth]
-            out[key] = out.get(key, 0.0) + r.duration
-        return out
-
-    def time_by_kernel(self) -> Dict[str, float]:
-        """Aggregate kernel time by kernel name (e.g. ``gspmm``)."""
-        out: Dict[str, float] = {}
-        for r in self.records:
-            out[r.name] = out.get(r.name, 0.0) + r.duration
-        return out
-
-    def time_by_scope_component(self, component: str) -> float:
-        """Kernel time for records whose scope contains ``component``."""
-        return sum(r.duration for r in self.records if component in r.scope)
-
-    def time_by_stream(self) -> Dict[int, float]:
-        """Aggregate kernel time by stream id (0 = default stream)."""
-        out: Dict[int, float] = {}
-        for r in self.records:
-            out[r.stream] = out.get(r.stream, 0.0) + r.duration
-        return out
-
-    def time_by_phase(self) -> Dict[str, float]:
-        """Aggregate kernel time by training-loop phase.
-
-        Records launched outside any clock phase land under ``"other"``.
-        Sampled-training profiles use this to separate "sampling" cost
-        from "data_loading" and the compute phases; DDP training adds a
-        "comm" phase carrying the collective (``nccl:*``) kernels.
-        """
-        out: Dict[str, float] = {}
-        for r in self.records:
-            key = r.phase or "other"
-            out[key] = out.get(key, 0.0) + r.duration
-        return out

@@ -23,8 +23,7 @@ per launch, so classification is exact and deterministic — CI gates on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.device.gpu import GPUSpec, kernel_efficiency
 from repro.device.kernel import KernelRecord
@@ -97,75 +96,3 @@ def classify_records(spec: GPUSpec, records: Sequence[KernelRecord]) -> str:
     if dispatch >= body:
         return "launch"
     return "compute" if compute_t >= memory_t else "bandwidth"
-
-
-@dataclass(frozen=True)
-class RooflinePoint:
-    """One kernel family placed on the roofline.
-
-    ``achieved_*`` rates divide the charged FLOPs / bytes by the *wall*
-    time including the host launch overhead per launch, so a launch-bound
-    kernel shows the small achieved fraction the paper's profiles show;
-    ``frac_peak_*`` normalise by the device peaks.
-    """
-
-    name: str
-    launches: int
-    flops: float
-    bytes_moved: float
-    device_time: float
-    bound: str
-
-    #: FLOPs per byte of the kernel's aggregate work (0 for pure copies).
-    intensity: float
-    achieved_flops: float
-    achieved_bandwidth: float
-    frac_peak_flops: float
-    frac_peak_bandwidth: float
-
-
-def roofline_attribution(
-    spec: GPUSpec, records: Sequence[KernelRecord]
-) -> List[RooflinePoint]:
-    """Aggregate records per kernel name into roofline points.
-
-    Sorted by total wall time (device body + launch overhead) descending,
-    the order a bottleneck report wants.
-    """
-    grouped: Dict[str, List[KernelRecord]] = {}
-    for r in records:
-        grouped.setdefault(r.name, []).append(r)
-    points = []
-    for name, group in grouped.items():
-        launches = len(group)
-        flops = sum(r.flops for r in group)
-        nbytes = sum(r.bytes_moved for r in group)
-        device_time = sum(r.duration for r in group)
-        wall = device_time + launches * spec.launch_overhead
-        points.append(
-            RooflinePoint(
-                name=name,
-                launches=launches,
-                flops=flops,
-                bytes_moved=nbytes,
-                device_time=device_time,
-                bound=classify_records(spec, group),
-                intensity=flops / nbytes if nbytes else 0.0,
-                achieved_flops=flops / wall,
-                achieved_bandwidth=nbytes / wall,
-                frac_peak_flops=(flops / wall) / spec.peak_flops,
-                frac_peak_bandwidth=(nbytes / wall) / spec.mem_bandwidth,
-            )
-        )
-    points.sort(
-        key=lambda p: p.device_time + p.launches * spec.launch_overhead, reverse=True
-    )
-    return points
-
-
-def bound_histogram(points: Sequence[RooflinePoint]) -> Dict[str, int]:
-    """Count roofline points per bound class (all three keys present)."""
-    out = {cls: 0 for cls in BOUND_CLASSES}
-    for p in points:
-        out[p.bound] += 1
-    return out

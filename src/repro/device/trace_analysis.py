@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.device.kernel import KernelRecord
 
 
@@ -73,16 +71,6 @@ def launch_bound_fraction(
     kernel_time = sum(r.duration for r in records)
     launch_time = launch_overhead * len(records)
     return launch_time / (kernel_time + launch_time)
-
-
-def duration_percentiles(
-    records: Sequence[KernelRecord], percentiles: Sequence[float] = (50, 90, 99)
-) -> Dict[float, float]:
-    """Kernel-duration percentiles in seconds."""
-    if not records:
-        return {p: 0.0 for p in percentiles}
-    durations = np.array([r.duration for r in records])
-    return {p: float(np.percentile(durations, p)) for p in percentiles}
 
 
 def overlap_bound(gpu_busy: float, elapsed: float) -> Tuple[float, float]:

@@ -2,73 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.device import current_device
 from repro.dglx.batch import batch as dgl_batch
 from repro.dglx.heterograph import DGLGraph
-from repro.graph import GraphSample, as_generator
-from repro.graph.graph import RngLike
-from repro.graph.sharding import check_shard, shard_order
+from repro.graph import GraphSample
+from repro.loader import GraphLoader
 
 
-class GraphDataLoader:
+def collate(samples: Sequence[GraphSample]) -> Tuple[DGLGraph, np.ndarray]:
+    """``(batched_graph, labels)`` of host graphs: DGL's per-type batching."""
+    return dgl_batch(samples), np.array([s.y for s in samples])
+
+
+class GraphDataLoader(GraphLoader):
     """Yields ``(batched_graph, labels)`` pairs, DGL style.
 
-    Collation runs under the ``data_loading`` clock phase so the Fig. 1/2
-    breakdown attributes its (heterograph, per-type) cost correctly.
-
-    With ``world_size > 1`` the loader yields only replica ``rank``'s
-    shard of each epoch's order (see :mod:`repro.graph.sharding`):
-    identically seeded RNGs on all replicas give disjoint, equal-sized,
-    drop-remainder shards.
+    The epoch loop (order, shuffle, sharding, ``drop_last``, the
+    ``data_loading`` phase) is :class:`repro.loader.GraphLoader`'s; this
+    loader supplies DGL's collation (heterograph, per-type frames).
     """
 
-    def __init__(
-        self,
-        graphs: Sequence[GraphSample],
-        batch_size: int,
-        shuffle: bool = False,
-        rng: RngLike = None,
-        drop_last: bool = False,
-        with_pos: bool = False,
-        rank: int = 0,
-        world_size: int = 1,
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.graphs: List[GraphSample] = list(graphs)
-        shard_len = check_shard(len(self.graphs), batch_size, drop_last,
-                                rank, world_size)
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.rng = as_generator(rng)
-        self.drop_last = drop_last
-        self.with_pos = with_pos
-        self.rank = rank
-        self.world_size = world_size
-        self._shard_len = shard_len
-
-    def __len__(self) -> int:
-        if self.drop_last:
-            return self._shard_len // self.batch_size
-        return (self._shard_len + self.batch_size - 1) // self.batch_size
-
     def __iter__(self) -> Iterator[Tuple[DGLGraph, np.ndarray]]:
-        device = current_device()
-        order = np.arange(len(self.graphs))
-        if self.shuffle:
-            order = self.rng.permutation(len(self.graphs))
-        order = shard_order(order, self.rank, self.world_size)
-        for start in range(0, len(order), self.batch_size):
-            indices = order[start : start + self.batch_size]
-            if self.drop_last and len(indices) < self.batch_size:
-                break
-            with device.clock.phase("data_loading"):
-                device.host(device.host_costs.fetch_per_graph * len(indices))
-                samples = [self.graphs[i] for i in indices]
-                g = dgl_batch(samples, with_pos=self.with_pos)
-                labels = np.array([s.y for s in samples])
-            yield g, labels
+        return self._epoch(collate)

@@ -14,93 +14,45 @@ clock phase, collation/H2D under ``"data_loading"``.  Compatible with
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.device import current_device
 from repro.dglx.heterograph import DGLGraph
-from repro.graph.big_graph import CSRBigGraph, gather_rows
-from repro.graph.graph import RngLike, as_generator
-from repro.scale.sample import NeighborSampler
+from repro.graph.big_graph import gather_rows
+from repro.loader import SeedLoader
 from repro.tensor import Tensor
 
 
-class NeighborLoader:
-    """Iterates ``(DGLGraph, labels, n_seeds)`` over seed-node chunks."""
+class NeighborLoader(SeedLoader):
+    """Iterates ``(DGLGraph, labels, n_seeds)`` over seed-node chunks.
 
-    def __init__(
-        self,
-        graph: CSRBigGraph,
-        seeds: np.ndarray,
-        fanouts: Sequence[int],
-        batch_size: int,
-        shuffle: bool = False,
-        rng: RngLike = None,
-        labels: Optional[np.ndarray] = None,
-        ensure_self_loops: bool = False,
-        full_graph_norm: bool = False,
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if labels is None:
-            labels = graph.y
-        if labels is None:
-            raise ValueError("graph has no labels; pass labels= explicitly")
-        self.graph = graph
-        self.seeds = np.asarray(seeds, dtype=np.int64)
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.rng = as_generator(rng)
-        self.labels = np.asarray(labels)
-        self.ensure_self_loops = ensure_self_loops
-        self.full_graph_norm = full_graph_norm
-        self.sampler = NeighborSampler(graph, fanouts, rng=self.rng)
+    The seed loop is :class:`repro.loader.SeedLoader`'s; this loader
+    supplies the DGL-style heterograph around each sampled subgraph.
+    """
 
-    def __len__(self) -> int:
-        return (len(self.seeds) + self.batch_size - 1) // self.batch_size
-
-    def __iter__(self) -> Iterator[Tuple[DGLGraph, np.ndarray, int]]:
-        device = current_device()
+    def _collate(
+        self, device, fetch, chunk, sub, src, dst
+    ) -> Tuple[DGLGraph, np.ndarray, int]:
         costs = device.host_costs
-        order = np.arange(len(self.seeds))
-        if self.shuffle:
-            order = self.rng.permutation(len(self.seeds))
-        for start in range(0, len(order), self.batch_size):
-            chunk = self.seeds[order[start:start + self.batch_size]]
-            sub = self.sampler.sample(chunk)  # charged under "sampling"
-            src_e, dst_e = sub.src, sub.dst
-            if self.ensure_self_loops:
-                # dgl.add_self_loop after sampling: GraphConv has no built-in
-                # self-loops, so fanout truncation randomly dropping a hub's
-                # self-edge would make the sampled training regime diverge
-                # from full-graph inference.
-                keep = src_e != dst_e
-                loops = np.arange(sub.num_nodes, dtype=np.int64)
-                src_e = np.concatenate([src_e[keep], loops])
-                dst_e = np.concatenate([dst_e[keep], loops])
-            with device.clock.phase("data_loading"):
-                x = gather_rows(self.graph.x, sub.nodes)
-                nbytes = x.nbytes + src_e.nbytes + dst_e.nbytes
-                # Heterograph construction cost: base + per-type frames,
-                # the DGL data-path overhead of Section IV-C.
-                device.host(
-                    costs.fetch_per_graph * len(chunk)
-                    + costs.dgl_batch_base
-                    + costs.dgl_batch_per_type
-                    + costs.batch_per_byte * nbytes
-                )
-                device.transfer(nbytes)
-                device.track(src_e)
-                device.track(dst_e)
-                g = DGLGraph(src_e, dst_e, sub.num_nodes)
-                g.ndata["feat"] = Tensor(x)
-                if self.full_graph_norm:
-                    # Full-graph in-degrees of the sampled nodes: GraphConv
-                    # uses them to debias fanout truncation (see
-                    # repro.dglx.models.gcn).
-                    true = np.maximum(np.diff(self.graph.indptr)[sub.nodes], 1)
-                    g.ndata["true_in_deg"] = Tensor(
-                        true.astype(np.float32).reshape(-1, 1)
-                    )
-            yield g, self.labels[chunk], sub.n_seeds
+        x = gather_rows(self.graph.x, sub.nodes)
+        nbytes = x.nbytes + src.nbytes + dst.nbytes
+        # Heterograph construction cost: base + per-type frames, the DGL
+        # data-path overhead of Section IV-C.
+        device.host(
+            fetch
+            + costs.dgl_batch_base
+            + costs.dgl_batch_per_type
+            + costs.batch_per_byte * nbytes
+        )
+        device.transfer(nbytes)
+        device.track(src)
+        device.track(dst)
+        g = DGLGraph(src, dst, sub.num_nodes)
+        g.ndata["feat"] = Tensor(x)
+        if self.full_graph_norm:
+            # Full-graph in-degrees of the sampled nodes: GraphConv uses
+            # them to debias fanout truncation (see repro.dglx.models.gcn).
+            true = np.maximum(np.diff(self.graph.indptr)[sub.nodes], 1)
+            g.ndata["true_in_deg"] = Tensor(true.astype(np.float32).reshape(-1, 1))
+        return g, self.labels[chunk], sub.n_seeds

@@ -34,7 +34,7 @@ import numpy as np
 from repro.device import Device, Fabric, LinkSpec, NVLINK, current_device
 from repro.device.gpu import kernel_efficiency
 
-#: Phase name comm work is attributed to (see ``Profiler.time_by_phase``).
+#: Phase name comm work is attributed to (``KernelRecord.phase`` of ``nccl:*``).
 COMM_PHASE = "comm"
 
 

@@ -13,14 +13,11 @@ from repro.graph.generators import (
     star_motif,
 )
 from repro.graph.graph import GraphSample, as_generator, dedupe_edges, undirected_edge_index
-from repro.graph.sharding import check_shard, shard_order
 
 __all__ = [
     "GraphSample",
     "CSRBigGraph",
     "as_generator",
-    "check_shard",
-    "shard_order",
     "undirected_edge_index",
     "dedupe_edges",
     "compact_edges",

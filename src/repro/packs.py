@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 #: The framework packs, in the order the paper's tables list them.
 FRAMEWORKS = ("pygx", "dglx")
 
@@ -77,10 +75,7 @@ def _pygx() -> Pack:
 
 def _dglx() -> Pack:
     from repro import dglx
-
-    def collate(samples):
-        samples = list(samples)
-        return dglx.batch(samples), np.array([s.y for s in samples])
+    from repro.dglx.loader import collate
 
     def collate_host_cost(costs, n_batches, n_graphs):
         # One node type and one edge type of per-graph bookkeeping.

@@ -16,16 +16,21 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence
 
-import numpy as np
-
 from repro.device import current_device
 from repro.graph import GraphSample, as_generator
 from repro.graph.graph import RngLike
-from repro.pygx.data import Batch, Data
+from repro.loader import GraphLoader, loading
+from repro.pygx.data import Batch
+from repro.pygx.loader import collate
 
 
-class CachedDataLoader:
-    """Collate once, replay every epoch (fixed batch partition)."""
+class CachedDataLoader(GraphLoader):
+    """Collate once, replay every epoch (fixed batch partition).
+
+    The cache is committed only after a complete pass: a first pass that
+    is abandoned partway is collated again by the next iteration instead
+    of becoming every later epoch.
+    """
 
     def __init__(
         self,
@@ -33,34 +38,25 @@ class CachedDataLoader:
         batch_size: int,
         rng: RngLike = None,
     ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.batch_size = batch_size
-        order = as_generator(rng).permutation(len(graphs))
-        self._data = [Data.from_sample(graphs[i]) for i in order]
+        rng = as_generator(rng)
+        order = rng.permutation(len(graphs))
+        super().__init__([graphs[i] for i in order], batch_size, rng=rng)
         self._cache: List[Batch] = []
 
-    def __len__(self) -> int:
-        n = len(self._data)
-        return (n + self.batch_size - 1) // self.batch_size
-
     def __iter__(self) -> Iterator[Batch]:
-        device = current_device()
         if not self._cache:
-            for start in range(0, len(self._data), self.batch_size):
-                with device.clock.phase("data_loading"):
-                    chunk = self._data[start : start + self.batch_size]
-                    device.host(device.host_costs.fetch_per_graph * len(chunk))
-                    batch = Batch.from_data_list(chunk)
-                self._cache.append(batch)
+            filled = []
+            for batch in self._epoch(collate):
+                filled.append(batch)
                 yield batch
+            self._cache = filled
             return
+        device = current_device()
         for batch in self._cache:
-            with device.clock.phase("data_loading"):
-                # replay: only the per-batch fetch bookkeeping remains
-                device.host(device.host_costs.fetch_per_graph)
+            with loading(device, 1):
+                pass  # replay: only the per-batch fetch bookkeeping remains
             yield batch
 
     def cached_bytes(self) -> int:
-        """Device memory held by the cached batches."""
+        """Device memory held by the cached batches (0 until a full pass)."""
         return sum(b.x.nbytes + b.edge_index.nbytes for b in self._cache)

@@ -2,68 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, Sequence
 
-import numpy as np
-
-from repro.device import current_device
-from repro.graph import GraphSample, as_generator
-from repro.graph.graph import RngLike
-from repro.graph.sharding import check_shard, shard_order
+from repro.graph import GraphSample
+from repro.loader import GraphLoader
 from repro.pygx.data import Batch, Data
 
 
-class DataLoader:
+def collate(samples: Sequence[GraphSample]) -> Batch:
+    """One :class:`Batch` from host graphs: PyG's ``Batch.from_data_list``."""
+    return Batch.from_data_list([Data.from_sample(s) for s in samples])
+
+
+class DataLoader(GraphLoader):
     """Iterates PyG-style :class:`Batch` objects over a list of graphs.
 
-    Collation happens under the clock's ``data_loading`` phase so trainers
-    get the Fig. 1/2 breakdown for free.
-
-    With ``world_size > 1`` the loader yields only replica ``rank``'s
-    shard of each epoch's order (see :mod:`repro.graph.sharding`):
-    identically seeded RNGs on all replicas give disjoint, equal-sized,
-    drop-remainder shards.
+    The epoch loop (order, shuffle, sharding, ``drop_last``, the
+    ``data_loading`` phase) is :class:`repro.loader.GraphLoader`'s; this
+    loader supplies PyG's collation.
     """
 
-    def __init__(
-        self,
-        graphs: Sequence[GraphSample],
-        batch_size: int,
-        shuffle: bool = False,
-        rng: RngLike = None,
-        drop_last: bool = False,
-        rank: int = 0,
-        world_size: int = 1,
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.data: List[Data] = [Data.from_sample(g) for g in graphs]
-        shard_len = check_shard(len(self.data), batch_size, drop_last,
-                                rank, world_size)
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.rng = as_generator(rng)
-        self.drop_last = drop_last
-        self.rank = rank
-        self.world_size = world_size
-        self._shard_len = shard_len
-
-    def __len__(self) -> int:
-        if self.drop_last:
-            return self._shard_len // self.batch_size
-        return (self._shard_len + self.batch_size - 1) // self.batch_size
-
     def __iter__(self) -> Iterator[Batch]:
-        device = current_device()
-        order = np.arange(len(self.data))
-        if self.shuffle:
-            order = self.rng.permutation(len(self.data))
-        order = shard_order(order, self.rank, self.world_size)
-        for start in range(0, len(order), self.batch_size):
-            indices = order[start : start + self.batch_size]
-            if self.drop_last and len(indices) < self.batch_size:
-                break
-            with device.clock.phase("data_loading"):
-                device.host(device.host_costs.fetch_per_graph * len(indices))
-                batch = Batch.from_data_list([self.data[i] for i in indices])
-            yield batch
+        return self._epoch(collate)

@@ -15,14 +15,12 @@ sampling+collation.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.device import current_device
-from repro.graph.big_graph import CSRBigGraph, gather_rows
-from repro.graph.graph import RngLike, as_generator
-from repro.scale.sample import NeighborSampler
+from repro.graph.big_graph import gather_rows
+from repro.loader import SeedLoader
 from repro.tensor import Tensor
 
 
@@ -59,78 +57,29 @@ class NeighborBatch:
         return self.edge_index.shape[1]
 
 
-class NeighborLoader:
-    """Iterates :class:`NeighborBatch` objects over seed-node chunks."""
+class NeighborLoader(SeedLoader):
+    """Iterates :class:`NeighborBatch` objects over seed-node chunks.
 
-    def __init__(
-        self,
-        graph: CSRBigGraph,
-        seeds: np.ndarray,
-        fanouts: Sequence[int],
-        batch_size: int,
-        shuffle: bool = False,
-        rng: RngLike = None,
-        labels: Optional[np.ndarray] = None,
-        ensure_self_loops: bool = False,
-        full_graph_norm: bool = False,
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if labels is None:
-            labels = graph.y
-        if labels is None:
-            raise ValueError("graph has no labels; pass labels= explicitly")
-        self.graph = graph
-        self.seeds = np.asarray(seeds, dtype=np.int64)
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.rng = as_generator(rng)
-        self.labels = np.asarray(labels)
-        self.ensure_self_loops = ensure_self_loops
-        self.full_graph_norm = full_graph_norm
-        self.sampler = NeighborSampler(graph, fanouts, rng=self.rng)
+    The seed loop is :class:`repro.loader.SeedLoader`'s; this loader
+    supplies the PyG-style batch (one COO ``edge_index``).
+    """
 
-    def __len__(self) -> int:
-        return (len(self.seeds) + self.batch_size - 1) // self.batch_size
-
-    def __iter__(self) -> Iterator[NeighborBatch]:
-        device = current_device()
-        costs = device.host_costs
-        order = np.arange(len(self.seeds))
-        if self.shuffle:
-            order = self.rng.permutation(len(self.seeds))
-        for start in range(0, len(order), self.batch_size):
-            chunk = self.seeds[order[start:start + self.batch_size]]
-            sub = self.sampler.sample(chunk)  # charged under "sampling"
-            src_e, dst_e = sub.src, sub.dst
-            if self.ensure_self_loops:
-                # add_self_loop-after-sampling: fanout truncation must not
-                # randomly drop a high-degree node's own feature, or the
-                # training regime diverges from full-graph inference.
-                keep = src_e != dst_e
-                loops = np.arange(sub.num_nodes, dtype=np.int64)
-                src_e = np.concatenate([src_e[keep], loops])
-                dst_e = np.concatenate([dst_e[keep], loops])
-            with device.clock.phase("data_loading"):
-                x = gather_rows(self.graph.x, sub.nodes)
-                edge_index = np.stack([src_e, dst_e])
-                nbytes = x.nbytes + edge_index.nbytes
-                device.host(
-                    costs.fetch_per_graph * len(chunk)
-                    + costs.batch_per_byte * nbytes
-                )
-                device.transfer(nbytes)
-                device.track(edge_index)
-                true_deg = None
-                if self.full_graph_norm:
-                    true_deg = np.diff(self.graph.indptr)[sub.nodes]
-                    device.track(true_deg)
-                batch = NeighborBatch(
-                    x=Tensor(x),
-                    edge_index=edge_index,
-                    n_seeds=sub.n_seeds,
-                    seed_nodes=chunk,
-                    y=self.labels[chunk],
-                    true_in_degrees=true_deg,
-                )
-            yield batch
+    def _collate(self, device, fetch, chunk, sub, src, dst) -> NeighborBatch:
+        x = gather_rows(self.graph.x, sub.nodes)
+        edge_index = np.stack([src, dst])
+        nbytes = x.nbytes + edge_index.nbytes
+        device.host(fetch + device.host_costs.batch_per_byte * nbytes)
+        device.transfer(nbytes)
+        device.track(edge_index)
+        true_deg = None
+        if self.full_graph_norm:
+            true_deg = np.diff(self.graph.indptr)[sub.nodes]
+            device.track(true_deg)
+        return NeighborBatch(
+            x=Tensor(x),
+            edge_index=edge_index,
+            n_seeds=sub.n_seeds,
+            seed_nodes=chunk,
+            y=self.labels[chunk],
+            true_in_degrees=true_deg,
+        )

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.device import current_device
 from repro.graph import GraphSample
+from repro.loader import loading
 from repro.models import ModelConfig, graph_config
 from repro.nn import Module
 from repro.packs import get_pack
@@ -67,11 +68,9 @@ class InferenceModel:
         Runs under the ``data_loading`` phase: serving-time batching is the
         same CPU-side collation work the paper charges to data loading.
         """
-        device = current_device()
-        with device.clock.phase("data_loading"):
-            device.host(device.host_costs.fetch_per_graph * len(samples))
+        with loading(current_device(), len(samples)):
             inputs, _ = self.pack.collate(samples)
-            return inputs
+        return inputs
 
     def forward(self, batch) -> Tensor:
         """Gradient-free forward pass under the ``forward`` phase."""

@@ -130,7 +130,7 @@ class DDPTrainer(GraphClassificationTrainer):
         if world > 1:
             # One draw seeds *identical* loader RNGs on every replica:
             # same permutation everywhere, so the strided shards are
-            # disjoint (repro.graph.sharding).
+            # disjoint (repro.loader.shard_order).
             loader_seed = int(rng.integers(2 ** 63))
             rngs = [np.random.default_rng(loader_seed) for _ in range(world)]
         else:

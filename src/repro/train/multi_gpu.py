@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from repro.datasets.base import GraphClassificationDataset
 from repro.device import Device
+from repro.loader import loading
 from repro.models import ModelConfig, graph_config
 from repro.nn import cross_entropy
 from repro.packs import get_pack
@@ -116,8 +117,7 @@ def multi_gpu_epoch_time(
                 replica_graphs = chunk[:per_gpu]
 
                 # Representative replica's collation (full simulated cost)...
-                with clock.phase("data_loading"):
-                    device.host(costs.fetch_per_graph * len(chunk))
+                with loading(device, len(chunk)):
                     inputs, labels = pack.collate(replica_graphs)
                     # ...plus the host cost of collating the other replicas'
                     # shares (DataParallel collates serially on the host).

@@ -1,4 +1,4 @@
-"""Kernel records carry the active clock phase; the profiler and the
+"""Kernel records carry the active clock phase; the records and the
 Chrome trace expose the sampling/loading/compute attribution."""
 
 import json
@@ -32,7 +32,7 @@ class TestPhaseAttribution:
         assert "forward" in phases
         assert "" in phases
 
-    def test_time_by_phase_buckets(self):
+    def test_each_record_carries_the_phase_it_launched_in(self):
         device = Device()
         device.profiler.enabled = True
         with use_device(device):
@@ -42,16 +42,9 @@ class TestPhaseAttribution:
             with device.clock.phase("forward"):
                 _matmul(32)
             _matmul()
-        by_phase = device.profiler.time_by_phase()
-        assert set(by_phase) == {"sampling", "forward", "other"}
-        assert by_phase["forward"] > 0
-        # Two sampling kernels outweigh the single un-phased one.
-        assert by_phase["sampling"] > by_phase["other"]
-        total = sum(r.duration for r in device.profiler.records)
-        assert sum(by_phase.values()) == total
-
-    def test_empty_profiler(self):
-        assert Device().profiler.time_by_phase() == {}
+        records = device.profiler.records
+        assert [r.phase for r in records] == ["sampling", "sampling", "forward", ""]
+        assert all(r.duration > 0 for r in records)
 
     def test_chrome_trace_events_carry_phase(self):
         device = Device()

@@ -124,14 +124,13 @@ class TestReentrantModuleScopes:
             block(Tensor(np.ones((2, 4))))
             assert device.current_scope == ()
 
-    def test_time_by_top_scope_aggregates_reentrant_calls(self, rng):
+    def test_reentrant_calls_share_the_top_scope(self, rng):
         device = Device()
         device.profiler.enabled = True
         with use_device(device):
             block = _Recursive(rng)
             block(Tensor(np.ones((2, 4))))
-        by_scope = device.profiler.time_by_top_scope(depth=1)
-        assert set(by_scope) == {("_Recursive",)}
-        assert by_scope[("_Recursive",)] == pytest.approx(
+        assert {r.scope[:1] for r in device.profiler.records} == {("_Recursive",)}
+        assert device.profiler.total_time(("_Recursive",)) == pytest.approx(
             device.profiler.total_time()
         )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.device import (
     Device,
-    duration_percentiles,
     kernel_stats,
     launch_bound_fraction,
     overlap_bound,
@@ -74,14 +73,7 @@ class TestLaunchBound:
         assert launch_bound_fraction([], 1e-5) == 0.0
 
 
-class TestPercentilesAndOverlap:
-    def test_percentiles_ordered(self, records):
-        p = duration_percentiles(records, (50, 90, 99))
-        assert p[50] <= p[90] <= p[99]
-
-    def test_percentiles_empty(self):
-        assert duration_percentiles([], (50,)) == {50: 0.0}
-
+class TestOverlapBound:
     def test_overlap_bound_balanced(self):
         ideal, speedup = overlap_bound(gpu_busy=1.0, elapsed=2.0)
         assert ideal == pytest.approx(1.0)

@@ -182,7 +182,7 @@ class TestTimingModel:
                    if r.name.startswith("nccl:")]
         assert {r.phase for r in records} == {COMM_PHASE}
         assert {r.stream for r in records} == {s.id for s in comm.streams}
-        assert device.profiler.time_by_phase()[COMM_PHASE] > 0
+        assert sum(r.duration for r in records) > 0
 
     def test_fabric_must_be_large_enough(self):
         with pytest.raises(ValueError):

@@ -53,15 +53,29 @@ class TestCachedLoader:
         expected = sum(b.x.nbytes + b.edge_index.nbytes for b in batches)
         assert loader.cached_bytes() == expected
 
-    def test_cached_bytes_grows_during_fill_then_stays(self, graphs):
+    def test_cached_bytes_zero_until_the_fill_completes_then_stays(self, graphs):
         loader = CachedDataLoader(graphs, batch_size=8, rng=np.random.default_rng(0))
-        sizes = []
-        for _ in loader:
-            sizes.append(loader.cached_bytes())
-        assert sizes == sorted(sizes) and sizes[0] > 0
+        sizes = [loader.cached_bytes() for _ in loader]
+        assert sizes == [0, 0, 0]
         filled = loader.cached_bytes()
+        assert filled > 0
         list(loader)  # replay epoch: cache unchanged
         assert loader.cached_bytes() == filled
+
+    def test_abandoned_first_pass_is_not_replayed(self):
+        """A first pass stopped partway is collated again, not replayed as
+        the epoch: every later epoch still yields every graph."""
+        graphs = enzymes(seed=0, num_graphs=40).graphs
+        loader = CachedDataLoader(graphs, batch_size=8, rng=np.random.default_rng(0))
+        assert len(loader) == 5
+        partial = iter(loader)
+        next(partial)
+        next(partial)
+        for _ in range(2):
+            epoch = list(loader)
+            assert len(epoch) == len(loader)
+            assert sum(b.num_graphs for b in epoch) == 40
+        assert all(a is b for a, b in zip(epoch, loader))
 
     def test_cached_bytes_scales_with_batch_count(self, graphs):
         small = CachedDataLoader(graphs[:8], batch_size=8, rng=np.random.default_rng(0))

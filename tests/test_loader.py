@@ -1,0 +1,152 @@
+"""The shared epoch loop: sharding helpers and per-replica sharding in both
+packs' graph loaders (one loop, so one set of cases parametrised over the
+packs)."""
+
+import numpy as np
+import pytest
+
+from repro.graph import GraphSample
+from repro.loader import check_shard, shard_order
+from repro.packs import FRAMEWORKS, get_pack
+
+
+class TestShardOrder:
+    def test_world_one_returns_order_unchanged(self):
+        order = np.arange(7)
+        assert shard_order(order, 0, 1) is order
+
+    @pytest.mark.parametrize("n,world", [(10, 2), (10, 3), (17, 4), (8, 8)])
+    def test_shards_are_disjoint_equal_and_cover_the_truncated_order(
+        self, n, world
+    ):
+        order = np.random.default_rng(0).permutation(n)
+        shards = [shard_order(order, rank, world) for rank in range(world)]
+        assert all(len(s) == n // world for s in shards)
+        flat = np.concatenate(shards)
+        assert len(set(flat.tolist())) == len(flat)
+        assert set(flat.tolist()) == set(order[: (n // world) * world].tolist())
+
+    def test_remainder_graphs_are_dropped(self):
+        order = np.arange(10)
+        shards = [shard_order(order, rank, 3) for rank in range(3)]
+        assert sorted(np.concatenate(shards).tolist()) == list(range(9))
+
+    def test_same_order_gives_same_shards(self):
+        order = np.random.default_rng(3).permutation(20)
+        again = shard_order(order.copy(), 1, 4)
+        np.testing.assert_array_equal(shard_order(order, 1, 4), again)
+
+
+class TestCheckShard:
+    def test_returns_shard_length(self):
+        assert check_shard(10, 2, False, 0, 3) == 3
+        assert check_shard(10, 2, False, 0, 1) == 10
+
+    def test_rejects_bad_rank_or_world(self):
+        with pytest.raises(ValueError):
+            check_shard(10, 2, False, 0, 0)
+        with pytest.raises(ValueError):
+            check_shard(10, 2, False, 2, 2)
+        with pytest.raises(ValueError):
+            check_shard(10, 2, False, -1, 2)
+
+    def test_empty_shard_rejected_only_when_distributed(self):
+        # An unsharded loader over zero graphs stays legal (the trainers
+        # build empty val loaders when train_fraction=1.0).
+        assert check_shard(0, 4, False, 0, 1) == 0
+        with pytest.raises(ValueError, match="empty shard"):
+            check_shard(3, 2, False, 0, 4)
+
+    def test_drop_last_zero_batches_message_matches_unsharded_error(self):
+        with pytest.raises(ValueError, match="would yield zero batches"):
+            check_shard(10, 16, True, 0, 1)
+        with pytest.raises(ValueError, match="would yield zero batches"):
+            check_shard(30, 16, True, 1, 2)
+        assert check_shard(32, 16, True, 1, 2) == 16
+
+
+def _graphs(n):
+    # y == index so batches reveal exactly which graphs they contain.
+    edge = np.array([[0], [1]])
+    return [GraphSample(edge, np.ones((2, 3), np.float32), i) for i in range(n)]
+
+
+def _loader(framework, graphs, batch_size, **kwargs):
+    return get_pack(framework).graph_loader(graphs, batch_size, **kwargs)
+
+
+def _labels(framework, loader):
+    unpack = get_pack(framework).unpack
+    return [int(y) for item in loader for y in unpack(item)[1]]
+
+
+@pytest.mark.parametrize("framework", FRAMEWORKS)
+class TestLoaderSharding:
+    def test_default_is_unsharded(self, framework):
+        loader = _loader(framework, _graphs(10), 4)
+        assert loader.world_size == 1
+        assert _labels(framework, loader) == list(range(10))
+        assert len(loader) == 3
+
+    @pytest.mark.parametrize("world", [2, 3, 4])
+    def test_identically_seeded_replicas_get_disjoint_equal_shards(self, framework, world):
+        graphs = _graphs(21)
+        shards = [
+            _labels(framework, _loader(framework, graphs, 2, shuffle=True,
+                                       rng=np.random.default_rng(7),
+                                       rank=rank, world_size=world))
+            for rank in range(world)
+        ]
+        assert {len(s) for s in shards} == {21 // world}
+        seen = [y for s in shards for y in s]
+        assert len(seen) == len(set(seen))
+
+    def test_sharding_is_seed_deterministic(self, framework):
+        graphs = _graphs(16)
+        first, second = (
+            _labels(framework, _loader(framework, graphs, 4, shuffle=True,
+                                       rng=np.random.default_rng(3),
+                                       rank=1, world_size=4))
+            for _ in range(2)
+        )
+        assert first == second
+
+    def test_remainder_graphs_dropped_before_sharding(self, framework):
+        graphs = _graphs(10)
+        seen = []
+        for rank in range(3):
+            seen += _labels(framework, _loader(framework, graphs, 2, rank=rank, world_size=3))
+        assert sorted(seen) == list(range(9))
+
+    def test_len_counts_shard_batches(self, framework):
+        loader = _loader(framework, _graphs(20), 4, rank=0, world_size=2)
+        assert len(loader) == 3  # ceil(10 / 4)
+        loader = _loader(framework, _graphs(20), 4, drop_last=True, rank=0, world_size=2)
+        assert len(loader) == 2
+
+    def test_empty_shard_rejected(self, framework):
+        with pytest.raises(ValueError, match="empty shard"):
+            _loader(framework, _graphs(3), 2, rank=0, world_size=4)
+
+    def test_drop_last_zero_batches_rejected_per_shard(self, framework):
+        with pytest.raises(ValueError, match="would yield zero batches"):
+            _loader(framework, _graphs(30), 16, drop_last=True, rank=0, world_size=2)
+
+
+@pytest.mark.parametrize("drop_last", [False, True])
+@pytest.mark.parametrize("rank,world", [(0, 1), (1, 3)])
+def test_both_packs_yield_the_same_graph_order(rank, world, drop_last):
+    """Ordering is the shared loop's, not a pack's: the same rng, rank,
+    world size and drop_last give the same graphs in the same batches."""
+    orders = {
+        framework: [
+            [int(y) for y in get_pack(framework).unpack(item)[1]]
+            for item in _loader(framework, _graphs(23), 3, shuffle=True,
+                                rng=np.random.default_rng(5), drop_last=drop_last,
+                                rank=rank, world_size=world)
+        ]
+        for framework in FRAMEWORKS
+    }
+    assert orders["pygx"] == orders["dglx"]
+    assert len(orders["pygx"]) == len(_loader("pygx", _graphs(23), 3, drop_last=drop_last,
+                                              rank=rank, world_size=world))
