@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._random import random_blocks
+from repro._random import BLOCK, random_blocks
 from repro.device import current_device
 from repro.tensor.autograd import grad_enabled
 from repro.tensor.tensor import Tensor, _attach_node, launch_backward, make_op, unbroadcast
@@ -64,10 +64,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray):
         launch_backward("mul_backward", *_ew_cost(grad))
-        return (
-            None if b_data is None else unbroadcast(grad * b_data, a_shape),
-            None if a_data is None else unbroadcast(grad * a_data, b_shape),
-        )
+        # A broadcast operand's gradient comes first: its full-size product is
+        # reduced and freed before the other full-size gradient is allocated.
+        gb = None
+        if a_data is not None and b_shape != grad.shape:
+            gb = unbroadcast(grad * a_data, b_shape)
+        ga = None if b_data is None else unbroadcast(grad * b_data, a_shape)
+        if a_data is not None and gb is None:
+            gb = unbroadcast(grad * a_data, b_shape)
+        return ga, gb
 
     return make_op("mul", out, (a, b), backward, flops, nbytes)
 
@@ -82,10 +87,14 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray):
         launch_backward("div_backward", *_ew_cost(grad))
-        return (
-            unbroadcast(grad / b_data, a_shape) if a_live else None,
-            None if a_data is None else unbroadcast(-grad * a_data / (b_data * b_data), b_shape),
-        )
+        # As in mul, a broadcast operand's gradient is reduced first.
+        gb = None
+        if a_data is not None and b_shape != grad.shape:
+            gb = unbroadcast(-grad * a_data / (b_data * b_data), b_shape)
+        ga = unbroadcast(grad / b_data, a_shape) if a_live else None
+        if a_data is not None and gb is None:
+            gb = unbroadcast(-grad * a_data / (b_data * b_data), b_shape)
+        return ga, gb
 
     return make_op("div", out, (a, b), backward, flops, nbytes)
 
@@ -439,18 +448,32 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
         return a
     rng = rng or np.random.default_rng()
     # mask = (rng.random(a.shape) >= p) / float32(1 - p) and out = a.data * mask,
-    # block by block: the full-size float64 draw is never requested.
+    # block by block: the full-size float64 draw is never requested.  Each
+    # float32 mask block is built in the output's slot and multiplied in
+    # place; only the bool keep mask is saved, and only when backward reads it.
     keep = np.float32(1.0) / np.float32(1.0 - p)
-    mask, out = np.empty(a.shape, dtype=np.float32), np.empty(a.shape, dtype=np.float32)
-    flat_in, flat_mask, flat_out = np.ascontiguousarray(a.data).ravel(), mask.ravel(), out.ravel()
+    out = np.empty(a.shape, dtype=np.float32)
+    saved = grad_enabled() and a.requires_grad
+    kept = np.empty(a.size if saved else min(a.size, BLOCK), dtype=bool)
+    flat_in, flat_out = np.ascontiguousarray(a.data).ravel(), out.ravel()
     for start, stop, uniform in random_blocks(rng, a.size):
-        np.multiply(uniform >= p, keep, out=flat_mask[start:stop])
-        np.multiply(flat_in[start:stop], flat_mask[start:stop], out=flat_out[start:stop])
+        block_kept = kept[start:stop] if saved else kept[: stop - start]
+        mask = flat_out[start:stop]
+        np.greater_equal(uniform, p, out=block_kept)
+        np.multiply(block_kept, keep, out=mask)
+        np.multiply(flat_in[start:stop], mask, out=mask)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
         launch_backward("dropout_backward", *_ew_cost(grad, 1))
-        return (grad * mask,)
+        # grad * (kept * keep), the float32 mask rebuilt a block at a time.
+        g_out = np.empty(grad.shape, dtype=np.promote_types(grad.dtype, np.float32))
+        flat_grad, flat_g = np.ascontiguousarray(grad).ravel(), g_out.ravel()
+        for start in range(0, flat_g.size, BLOCK):
+            mask = flat_g[start : start + BLOCK]
+            np.multiply(kept[start : start + BLOCK], keep, out=mask)
+            np.multiply(flat_grad[start : start + BLOCK], mask, out=mask)
+        return (g_out,)
 
     return make_op("dropout", out, (a,), backward, flops, nbytes)
 

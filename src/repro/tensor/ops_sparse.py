@@ -204,21 +204,21 @@ def gspmm(
     ``x``'s trailing shape (e.g. ``(E,)``, ``(E, 1)``, ``(E, H, 1)`` against
     node features ``(N, H, D)``).
     """
-    if reduce == "max":
-        return _gspmm_max(graph, x, edge_weight)
-    if reduce not in ("sum", "mean"):
+    if reduce not in ("sum", "mean", "max"):
         raise ValueError(f"gspmm supports sum/mean/max, got {reduce!r}")
     if len(x) != graph.num_src:
         raise ValueError(f"x has {len(x)} rows, graph expects {graph.num_src}")
     e = graph.num_edges
+    if edge_weight is not None and len(edge_weight) != e:
+        raise ValueError(f"edge_weight has {len(edge_weight)} rows, graph has {e} edges")
+    if reduce == "max":
+        return _gspmm_max(graph, x, edge_weight)
     feat_dim = math.prod(x.shape[1:])
     degrees = np.maximum(graph.in_degrees(), 1).astype(np.float32)
 
     w_csr_scalar: Optional[np.ndarray] = None
     w_sorted: Optional[np.ndarray] = None
     if edge_weight is not None:
-        if len(edge_weight) != e:
-            raise ValueError("edge_weight must have one row per edge")
         scalar = _as_scalar_weight(edge_weight.data)
         if scalar is not None:
             w_csr_scalar = scalar[graph.edge_ids]
@@ -251,9 +251,11 @@ def gspmm(
     # DGL's GSpMM materialises a message-frame workspace of one value per
     # edge per feature (plus CSR-ordered weight copies); it stays allocated
     # while the autograd graph holds this kernel's backward closure, which
-    # is what pushes DGL's peak memory above PyG's in Fig. 4.
+    # is what pushes DGL's peak memory above PyG's in Fig. 4.  Nothing reads
+    # or writes it, so the pool is charged its full ``nbytes`` through a
+    # zero-stride view of one float and the host holds four bytes.
     device = current_device()
-    workspace = np.empty((2, e, feat_dim), dtype=np.float32)
+    workspace = np.ndarray((2, e, feat_dim), np.float32, np.empty(1, np.float32), strides=(0, 0, 0))
     device.track(workspace)
     if w_csr_scalar is not None:
         device.track(w_csr_scalar)
@@ -458,6 +460,8 @@ def edge_softmax(graph: CSRGraph, logits: Tensor) -> Tensor:
     composition.  Segment reductions run over the CSR-contiguous row order
     (``segment_add_rows`` and ``np.maximum.reduceat``).
     """
+    if len(logits) != graph.num_edges:
+        raise ValueError(f"logits have {len(logits)} rows, graph has {graph.num_edges} edges")
     rows = graph.rows
     sorted_logits = logits.data[graph.edge_ids]
     trailing = sorted_logits.shape[1:]

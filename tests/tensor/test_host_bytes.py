@@ -1,0 +1,96 @@
+"""The host holds only the bytes an op computes with.
+
+The simulated pool charges what the modelled framework would allocate; the
+host should not pay for those bytes as well when nothing reads them.  Each
+case measures host allocations with ``tracemalloc`` and, where a charge is
+involved, checks that the simulated pool still sees the full request.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro._random import BLOCK
+from repro.tensor import CSRGraph, Tensor, gspmm, ops
+
+_F32 = 4
+
+
+def _traced_peak(fn):
+    """``(result, bytes)``: what ``fn()`` returns and the most it had allocated at once."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+def test_gspmm_charges_its_workspace_without_the_host_holding_it(fresh_device):
+    n, e, feat = 1024, 65536, 16
+    workspace = 2 * e * feat * _F32
+    assert workspace >= 8 * 2**20
+    rng = np.random.default_rng(0)
+    graph = CSRGraph.from_edge_index(rng.integers(0, n, e), rng.integers(0, n, e), n, n)
+    x = Tensor(rng.standard_normal((n, feat)).astype(np.float32), requires_grad=True)
+    charged_before = fresh_device.memory.current
+
+    out, host = _traced_peak(lambda: gspmm(graph, x))
+
+    assert host < workspace / 8, f"the host allocated {host} bytes for a {workspace}-byte workspace"
+    # The pool is charged what it always was: the output plus the modelled workspace.
+    assert fresh_device.memory.current - charged_before == out.data.nbytes + workspace
+    assert fresh_device.memory.peak >= charged_before + workspace
+    del out
+    assert fresh_device.memory.current == charged_before, "the workspace outlived its closure"
+
+
+def _closure_arrays(tensor):
+    backward = tensor._node.backward
+    return [cell.cell_contents for cell in backward.__closure__ or ()
+            if isinstance(cell.cell_contents, np.ndarray)]
+
+
+def test_a_recorded_dropout_keeps_a_bool_mask_not_a_float32_one():
+    x = Tensor(np.ones((300, 70), np.float32), requires_grad=True)
+    out = ops.dropout(x, 0.5, training=True, rng=np.random.default_rng(0))
+    saved = _closure_arrays(out)
+    assert not [a for a in saved if a.dtype == np.float32 and a.size == x.size]
+    assert [a.dtype for a in saved if a.size == x.size] == [np.dtype(bool)]
+
+
+def test_an_unrecorded_dropout_allocates_its_output_and_one_block():
+    x = Tensor(np.ones((2708, 1433), np.float32))  # a constant: backward never reads a mask
+    out, host = _traced_peak(lambda: ops.dropout(x, 0.5, training=True, rng=np.random.default_rng(0)))
+    assert out._node is None
+    # The float64 draw block, one bool block and slack; no full-size mask.
+    assert host <= out.data.nbytes + 9 * BLOCK + 2**18, host
+
+
+@pytest.mark.parametrize(
+    "op, products",
+    # div's gradient of the divisor holds one more full-size temporary.
+    [(ops.mul, 1), (ops.div, 2)],
+    ids=["mul", "div"],
+)
+def test_a_broadcast_operands_gradient_is_reduced_before_the_other_is_allocated(op, products):
+    e, h, d = 20000, 4, 16
+    rng = np.random.default_rng(0)
+    messages = Tensor(rng.standard_normal((e, h, d)).astype(np.float32), requires_grad=True)
+    attention = Tensor(rng.uniform(1.0, 2.0, (e, h, 1)).astype(np.float32), requires_grad=True)
+    out = op(messages, attention)
+    grad = np.ones(out.shape, np.float32)
+    backward = out._node.backward
+
+    (g_messages, g_attention), host = _traced_peak(lambda: backward(grad))
+
+    assert g_messages.shape == (e, h, d) and g_attention.shape == (e, h, 1)
+    product = e * h * d * _F32
+    # On top of the incoming gradient: the full-size products the formula
+    # needs at once, the reduced gradient and slack — the broadcast operand's
+    # product is gone before the other operand's gradient is allocated.
+    assert host <= products * product + e * h * _F32 + 2**16, host

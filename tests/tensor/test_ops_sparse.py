@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor import CSRGraph, Tensor, gsddmm_dot, gspmm
+from repro.tensor import CSRGraph, Tensor, edge_softmax, gsddmm_dot, gspmm
 
 
 def random_graph(rng, n_src=6, n_dst=5, n_edges=12):
@@ -130,6 +130,22 @@ class TestGSpMM:
         _, _, g = random_graph(rng)
         with pytest.raises(ValueError):
             gspmm(g, Tensor(np.zeros((3, 2))))
+
+    @pytest.mark.parametrize("reduce", ["sum", "mean", "max"])
+    @pytest.mark.parametrize(
+        "x_rows, w_rows, sizes",
+        [(5, None, "x has 5 rows, graph expects 3"), (3, 4, "edge_weight has 4 rows, graph has 3 edges")],
+    )
+    def test_every_reduce_rejects_a_row_mismatch_naming_both_sizes(self, reduce, x_rows, w_rows, sizes):
+        g = CSRGraph.from_edge_index(np.array([0, 1, 2]), np.array([1, 2, 0]), 3, 3)
+        w = None if w_rows is None else Tensor(np.ones(w_rows, np.float32))
+        with pytest.raises(ValueError, match=sizes):
+            gspmm(g, Tensor(np.ones((x_rows, 2), np.float32)), w, reduce=reduce)
+
+    def test_edge_softmax_rejects_a_logit_count_naming_both_sizes(self):
+        g = CSRGraph.from_edge_index(np.array([0, 1, 2]), np.array([1, 2, 0]), 3, 3)
+        with pytest.raises(ValueError, match="logits have 5 rows, graph has 3 edges"):
+            edge_softmax(g, Tensor(np.ones((5, 2), np.float32)))
 
     def test_is_single_forward_kernel(self, rng, fresh_device):
         _, _, g = random_graph(rng)
