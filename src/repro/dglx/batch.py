@@ -21,6 +21,7 @@ import numpy as np
 from repro.device import current_device
 from repro.dglx.heterograph import DGLGraph
 from repro.graph import GraphSample
+from repro.graph.graph import collate_arrays
 from repro.tensor import Tensor
 
 
@@ -56,8 +57,9 @@ def batch(
     offset = 0
     # Per-graph python loop: the backend-agnostic path DGL takes.
     for i, sample in enumerate(samples):
-        src_parts.append(sample.edge_index[0] + offset)
-        dst_parts.append(sample.edge_index[1] + offset)
+        u, v = sample.edge_index
+        src_parts.append(u + offset if offset else u)
+        dst_parts.append(v + offset if offset else v)
         x_parts.append(sample.x)
         if with_pos:
             if sample.pos is None:
@@ -67,9 +69,10 @@ def batch(
         batch_num_edges[i] = sample.num_edges
         offset += sample.num_nodes
 
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    x = np.concatenate(x_parts, axis=0)
+    # A lone graph's batch is its own arrays (see collate_arrays).
+    src = collate_arrays(src_parts)
+    dst = collate_arrays(dst_parts)
+    x = collate_arrays(x_parts)
     nbytes = x.nbytes + src.nbytes + dst.nbytes
     device.host(costs.batch_per_byte * nbytes)
     device.transfer(nbytes)
@@ -79,5 +82,5 @@ def batch(
     g = DGLGraph(src, dst, int(offset), batch_num_nodes, batch_num_edges)
     g.ndata["feat"] = Tensor(x)
     if with_pos:
-        g.ndata["pos"] = Tensor(np.concatenate(pos_parts, axis=0))
+        g.ndata["pos"] = Tensor(collate_arrays(pos_parts))
     return g

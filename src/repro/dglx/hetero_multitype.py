@@ -21,6 +21,7 @@ import numpy as np
 from repro.device import current_device
 from repro.dglx.function import MessageFunc, ReduceFunc
 from repro.dglx.heterograph import Frame
+from repro.graph.graph import collate_arrays
 from repro.tensor import CSRGraph, Tensor, gspmm
 
 CanonicalEtype = Tuple[str, str, str]
@@ -159,10 +160,10 @@ def batch_hetero(graphs: Sequence[HeteroDGLGraph]) -> HeteroDGLGraph:
         src_parts, dst_parts = [], []
         for g, off in zip(graphs, offsets):
             src, dst = g._edges[etype]
-            src_parts.append(src + off[src_type])
-            dst_parts.append(dst + off[dst_type])
-        src_cat = np.concatenate(src_parts)
-        dst_cat = np.concatenate(dst_parts)
+            src_parts.append(src + off[src_type] if off[src_type] else src)
+            dst_parts.append(dst + off[dst_type] if off[dst_type] else dst)
+        src_cat = collate_arrays(src_parts)
+        dst_cat = collate_arrays(dst_parts)
         total_bytes += src_cat.nbytes + dst_cat.nbytes
         edges[etype] = (src_cat, dst_cat)
 
@@ -174,7 +175,7 @@ def batch_hetero(graphs: Sequence[HeteroDGLGraph]) -> HeteroDGLGraph:
             common &= set(g.nodes_frames[t])
         for field in common:
             arrays = [g.nodes_frames[t][field].data for g in graphs]
-            stacked = np.concatenate(arrays, axis=0)
+            stacked = collate_arrays(arrays)
             total_bytes += stacked.nbytes
             batched.nodes_frames[t][field] = Tensor(stacked)
     device.host(costs.batch_per_byte * total_bytes)

@@ -9,12 +9,13 @@ import numpy as np
 from repro.dglx.batch import batch as dgl_batch
 from repro.dglx.heterograph import DGLGraph
 from repro.graph import GraphSample
+from repro.graph.graph import collate_labels
 from repro.loader import GraphLoader
 
 
 def collate(samples: Sequence[GraphSample]) -> Tuple[DGLGraph, np.ndarray]:
     """``(batched_graph, labels)`` of host graphs: DGL's per-type batching."""
-    return dgl_batch(samples), np.array([s.y for s in samples])
+    return dgl_batch(samples), collate_labels([s.y for s in samples])
 
 
 class GraphDataLoader(GraphLoader):

@@ -8,7 +8,7 @@ datasets play for PyG and DGL.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -96,6 +96,35 @@ class GraphSample:
             f"GraphSample(nodes={self.num_nodes}, edges={self.num_edges}, "
             f"features={self.num_features})"
         )
+
+
+def collate_arrays(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+    """One read-only batch array from per-graph parts.
+
+    Several parts are concatenated.  A lone part is not copied: the batch
+    gets a fresh read-only view of it, the same bytes under a new array
+    object.  Fresh, because the device pool keys a tracked array by its
+    identity, so each collation charges its own view and frees it with its
+    batch, as it did the copy.  Read-only, because the batch now shares its
+    memory with the dataset; every batch is, so a write into one fails on
+    a mini-batch exactly as it would on a lone graph.
+    """
+    out = parts[0].view() if len(parts) == 1 else np.concatenate(parts, axis=axis)
+    out.flags.writeable = False
+    return out
+
+
+def collate_labels(labels: Sequence) -> np.ndarray:
+    """The labels of a batch: one per graph, or one per node.
+
+    Graph-level labels stack into ``(B,)``.  Per-node label arrays
+    concatenate into one label per batched node, in the row order of the
+    batch's features, as PyG batches a node-level ``y``; a lone graph's
+    labels are then its own (see :func:`collate_arrays`).
+    """
+    if np.ndim(labels[0]) == 0:
+        return np.array(labels)
+    return collate_arrays([np.asarray(y) for y in labels])
 
 
 def undirected_edge_index(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

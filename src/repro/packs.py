@@ -52,7 +52,7 @@ def _pygx() -> Pack:
     from repro import pygx
 
     def collate(samples):
-        batch = pygx.Batch.from_data_list([pygx.Data.from_sample(s) for s in samples])
+        batch = pygx.loader.collate(samples)
         return batch, batch.y
 
     def unpack(batch):

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.device import current_device
 from repro.graph import GraphSample
+from repro.graph.graph import collate_arrays, collate_labels
 from repro.tensor import Tensor
 
 
@@ -85,16 +86,18 @@ class Batch:
 
         node_counts = np.array([d.num_nodes for d in data_list], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(node_counts)[:-1]])
-        x = np.concatenate([d.x for d in data_list], axis=0)
-        edge_index = np.concatenate(
-            [d.edge_index + off for d, off in zip(data_list, offsets)], axis=1
+        # A lone graph's batch is its own arrays (see collate_arrays).
+        x = collate_arrays([d.x for d in data_list])
+        edge_index = collate_arrays(
+            [d.edge_index + off if off else d.edge_index for d, off in zip(data_list, offsets)],
+            axis=1,
         )
         batch_vec = np.repeat(np.arange(len(data_list)), node_counts)
-        y = np.array([d.y for d in data_list])
+        y = collate_labels([d.y for d in data_list])
         pos_arrays = [d.pos for d in data_list]
         pos = None
         if all(p is not None for p in pos_arrays):
-            pos = np.concatenate(pos_arrays, axis=0)
+            pos = collate_arrays(pos_arrays)
 
         # Simulated CPU cost of the collation (see HostCostModel).
         nbytes = x.nbytes + edge_index.nbytes

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.datasets.base import NodeClassificationDataset
 from repro.device import Device
 from repro.models import ModelConfig, node_config
@@ -51,11 +49,12 @@ class NodeClassificationTrainer:
     def run(self, seed: int = 0) -> RunResult:
         """One training run; returns per-epoch records and the test acc."""
         ds = self.dataset
-        labels = np.asarray(ds.graph.y)
 
         def protocol(model, optimizer, rng):
-            # The full graph moves to the device once, not per epoch.
-            batch, _ = self.pack.collate([ds.graph])
+            # The full graph moves to the device once, not per epoch.  A
+            # one-graph batch is the graph: its features, edges and per-node
+            # labels are read-only views of the dataset's arrays.
+            batch, labels = self.pack.collate([ds.graph])
             # Both logits tensors stay referenced until the next epoch
             # replaces them, as they would in a training script's local
             # variables, and so count toward the reported peak memory.
