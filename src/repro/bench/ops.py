@@ -44,7 +44,17 @@ from repro.device import (
 )
 from repro.graph.generators import rmat_edges
 from repro.packs import FRAMEWORKS
-from repro.tensor import CSRGraph, Tensor, matmul, ops as tops
+from repro.tensor import (
+    CSRGraph,
+    Tensor,
+    gsddmm_dot,
+    gspmm,
+    index_rows,
+    matmul,
+    ops as tops,
+    scatter_sum,
+    segment_sum,
+)
 
 OPS = ("gspmm", "sddmm", "scatter_reduce", "gemm", "elementwise", "h2d")
 PACKS = FRAMEWORKS
@@ -111,10 +121,12 @@ def _features(shape: OpShape) -> np.ndarray:
 # op implementations, dispatched per framework pack
 # ----------------------------------------------------------------------
 def _build(op: str, shape: OpShape, pack: str):
-    """Build (fn, args) for one cell; construction is untimed."""
-    from repro.dglx import kernels as dglx_kernels
-    from repro.pygx import kernels as pygx_kernels
+    """Build (fn, args) for one cell; construction is untimed.
 
+    Each pack runs its own lowering: DGL's fused kernels from
+    :mod:`repro.tensor`, PyG's compositions of gathers and scatters over the
+    same ``index_rows`` / ``scatter_sum`` its message passing launches.
+    """
     x = Tensor(_features(shape))
 
     if op == "gspmm":
@@ -123,8 +135,16 @@ def _build(op: str, shape: OpShape, pack: str):
             graph = CSRGraph.from_edge_index(
                 edge_index[0], edge_index[1], shape.n_nodes, shape.n_nodes
             )
-            return dglx_kernels.spmm, (graph, x)
-        return pygx_kernels.spmm, (edge_index, x, shape.n_nodes)
+            return gspmm, (graph, x)
+
+        # Two launches, not one fused GSpMM: a gather materialises the (E, D)
+        # per-edge messages, then a scatter_add reduces them onto destinations
+        # -- more launches and more edge-level traffic, the gap Section IV-C
+        # attributes.
+        def spmm(edge_index: np.ndarray, x: Tensor, num_nodes: int) -> Tensor:
+            return scatter_sum(index_rows(x, edge_index[0]), edge_index[1], num_nodes)
+
+        return spmm, (edge_index, x, shape.n_nodes)
 
     if op == "sddmm":
         # The attention-logit kernel (Magnifying Glass's SDDMM shape):
@@ -135,8 +155,14 @@ def _build(op: str, shape: OpShape, pack: str):
             graph = CSRGraph.from_edge_index(
                 edge_index[0], edge_index[1], shape.n_nodes, shape.n_nodes
             )
-            return dglx_kernels.sddmm, (graph, x, x)
-        return pygx_kernels.sddmm, (edge_index, x, x)
+            return gsddmm_dot, (graph, x, x)
+
+        # Both (E, D) endpoint tensors are materialised before the multiply
+        # and the reduction run as kernels of their own: 2 x E rows of traffic.
+        def sddmm(edge_index: np.ndarray, u: Tensor, v: Tensor) -> Tensor:
+            return tops.mul(index_rows(u, edge_index[0]), index_rows(v, edge_index[1])).sum(axis=-1)
+
+        return sddmm, (edge_index, x, x)
 
     if op == "scatter_reduce":
         # Pool edge-sized rows into node bins: PyG scatters by an index
@@ -153,9 +179,9 @@ def _build(op: str, shape: OpShape, pack: str):
         )
         if pack == "dglx":
             offsets = np.concatenate([[0], np.cumsum(sizes)])
-            return dglx_kernels.reduce_rows, (rows, offsets)
+            return segment_sum, (rows, offsets)
         index = np.repeat(np.arange(shape.n_nodes, dtype=np.int64), sizes)
-        return pygx_kernels.reduce_rows, (rows, index, shape.n_nodes)
+        return scatter_sum, (rows, index, shape.n_nodes)
 
     if op == "gemm":
         # The per-layer dense update: (N, D) @ (D, H) at the model's

@@ -20,7 +20,7 @@ deployments use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.compile.passes import DEFAULT_PASSES, FusionConfig, run_passes
@@ -173,18 +173,6 @@ class CompiledStep:
         else:
             self.stats.replays += 1
         return result
-
-    # ------------------------------------------------------------------
-    def plan_for(self, *args: Any, **kwargs: Any) -> Optional[ExecutionPlan]:
-        """The cached plan these inputs would replay, if any."""
-        try:
-            return self.plans.get(self.signature_fn(args, kwargs))
-        except TypeError:
-            return None
-
-    def invalidate(self) -> None:
-        """Drop every cached plan (e.g. after mutating the model)."""
-        self.plans.clear()
 
     def __repr__(self) -> str:
         return f"CompiledStep({getattr(self.fn, '__name__', 'fn')!r}, plans={len(self.plans)}, {self.stats!r})"

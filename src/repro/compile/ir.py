@@ -64,7 +64,7 @@ class GraphIR:
         #: Tensor ids the step returned (its observable results).
         self.output_ids = set(output_ids)
         #: View aliases: tensor id -> the id of the tensor it shares data
-        #: with (reshape/detach produce no kernel but must not break edges).
+        #: with (a reshape produces no kernel but must not break edges).
         self.aliases = dict(aliases or {})
         #: Leaf tensor ids declared constant for the lifetime of the plan.
         self.constant_ids = set(constant_ids or ())
@@ -108,11 +108,6 @@ class GraphIR:
         for node in self.nodes:
             node.out_data = None
 
-    # ------------------------------------------------------------------
-    @property
-    def launch_count(self) -> int:
-        return len(self.nodes)
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -134,12 +129,6 @@ class PassStats:
     #: (a subset of ``fused_groups``, produced by the ``attention`` pass).
     attention_groups: int = 0
     extra: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def launches_removed(self) -> int:
-        """Kernel launches eliminated relative to the eager stream."""
-        # Each fused group of k members collapses k launches into one.
-        return self.dce_removed + self.cse_removed + self.folded + self.fused_members
 
     def summary(self) -> str:
         return (

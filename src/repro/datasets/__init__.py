@@ -1,21 +1,11 @@
 """Synthetic stand-ins for the paper's five datasets (Table I)."""
 
-from repro.datasets.analysis import (
-    GraphProfile,
-    degree_histogram,
-    edge_homophily,
-    feature_class_separation,
-    label_entropy,
-    profile_graph,
-)
 from repro.datasets.base import GraphClassificationDataset, NodeClassificationDataset
-from repro.datasets.io import load_saved_dataset, save_dataset
 from repro.datasets.citation import CORA_SPEC, PUBMED_SPEC, cora, make_citation_dataset, pubmed
 from repro.datasets.registry import (
     ALL_DATASETS,
     GRAPH_DATASETS,
     NODE_DATASETS,
-    clear_cache,
     load_dataset,
 )
 from repro.datasets.splits import kfold_splits, planetoid_split, stratified_folds
@@ -39,7 +29,6 @@ __all__ = [
     "mnist_superpixels",
     "FULL_MNIST_SIZE",
     "load_dataset",
-    "clear_cache",
     "ALL_DATASETS",
     "NODE_DATASETS",
     "GRAPH_DATASETS",
@@ -48,12 +37,4 @@ __all__ = [
     "stratified_folds",
     "compute_statistics",
     "DatasetStatistics",
-    "GraphProfile",
-    "profile_graph",
-    "edge_homophily",
-    "degree_histogram",
-    "label_entropy",
-    "feature_class_separation",
-    "save_dataset",
-    "load_saved_dataset",
 ]

@@ -47,8 +47,3 @@ def load_dataset(name: str, seed: int = 0, num_graphs: int = 0) -> Dataset:
         raise KeyError(f"unknown dataset {name!r}; options: {ALL_DATASETS}")
     _CACHE[key] = ds
     return ds
-
-
-def clear_cache() -> None:
-    """Drop all cached datasets (tests use this to bound memory)."""
-    _CACHE.clear()

@@ -10,7 +10,6 @@ from repro.device.core import (
     Device,
     PRECISION_BYTE_SCALE,
     current_device,
-    set_device,
     use_device,
 )
 from repro.device.fabric import (
@@ -26,10 +25,9 @@ from repro.device.gpu import FORMAT_EFFICIENCY, GPUSpec, RTX_2080TI, TOY_GPU, ke
 from repro.device.host import DEFAULT_HOST_COSTS, HostCostModel
 from repro.device.kernel import KernelRecord, Profiler
 from repro.device.memory import MemoryPool, OutOfMemoryError
-from repro.device.prefetch import PrefetchLoader, prefetch_streams
+from repro.device.prefetch import PrefetchLoader
 from repro.device.roofline import (
     BOUND_CLASSES,
-    classify_kernel,
     classify_records,
     classify_transfer,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "Device",
     "PRECISION_BYTE_SCALE",
     "current_device",
-    "set_device",
     "use_device",
     "Fabric",
     "FabricStats",
@@ -73,7 +70,6 @@ __all__ = [
     "Event",
     "DEFAULT_STREAM_ID",
     "PrefetchLoader",
-    "prefetch_streams",
     "to_chrome_trace",
     "write_chrome_trace",
     "KernelStats",
@@ -82,7 +78,6 @@ __all__ = [
     "launch_bound_fraction",
     "overlap_bound",
     "BOUND_CLASSES",
-    "classify_kernel",
     "classify_records",
     "classify_transfer",
 ]

@@ -253,11 +253,6 @@ class Device:
         """Mapping of stream id to name (for the Chrome-trace tracks)."""
         return {s.id: s.name for s in self._streams.values()}
 
-    @property
-    def current_stream(self) -> Stream:
-        """The stream launches currently target (default outside :meth:`on`)."""
-        return self._current_stream or self.default_stream
-
     @contextmanager
     def on(self, stream: Stream) -> Iterator[Stream]:
         """Launch every kernel in the block asynchronously on ``stream``.
@@ -490,12 +485,6 @@ _CURRENT: Device = Device()
 def current_device() -> Device:
     """Return the active simulated device."""
     return _CURRENT
-
-
-def set_device(device: Device) -> None:
-    """Replace the active simulated device."""
-    global _CURRENT
-    _CURRENT = device
 
 
 @contextmanager

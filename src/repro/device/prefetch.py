@@ -25,9 +25,9 @@ to iterating the inner loader directly — only the time accounting changes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterator, Tuple
+from typing import Any, Iterator
 
-from repro.device.core import Device, current_device
+from repro.device.core import current_device
 from repro.device.streams import Event
 
 #: Stream names used by every prefetching loader on a device.  Reusing
@@ -86,8 +86,3 @@ class PrefetchLoader:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.inner!r}, depth={self.depth})"
-
-
-def prefetch_streams(device: Device) -> Tuple[object, object]:
-    """The (worker, copy) stream pair prefetching loaders use on ``device``."""
-    return device.stream(WORKER_STREAM), device.stream(COPY_STREAM)

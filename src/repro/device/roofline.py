@@ -32,25 +32,6 @@ from repro.device.kernel import KernelRecord
 BOUND_CLASSES = ("launch", "bandwidth", "compute")
 
 
-def classify_kernel(
-    spec: GPUSpec, flops: float, bytes_moved: float, efficiency: float = 1.0
-) -> str:
-    """Classify one kernel launch against the roofline of ``spec``.
-
-    The device-side body is ``max(compute_leg, memory_leg,
-    min_kernel_time)`` — exactly :meth:`GPUSpec.kernel_time`.  When that
-    body does not exceed the host launch overhead the launch is
-    *launch-bound* regardless of its intensity: a zero-FLOP, zero-byte
-    kernel lands here via the ``min_kernel_time`` floor.  Otherwise the
-    longer roofline leg names the bound, with ties going to ``compute``.
-    """
-    compute_leg, memory_leg = spec.roofline_times(flops, bytes_moved, efficiency)
-    body = max(compute_leg, memory_leg, spec.min_kernel_time)
-    if body <= spec.launch_overhead:
-        return "launch"
-    return "compute" if compute_leg >= memory_leg else "bandwidth"
-
-
 def classify_transfer(spec: GPUSpec, nbytes: float) -> str:
     """Classify a PCIe copy: latency- (``launch``) or bandwidth-bound.
 
@@ -65,15 +46,15 @@ def classify_transfer(spec: GPUSpec, nbytes: float) -> str:
 def classify_records(spec: GPUSpec, records: Sequence[KernelRecord]) -> str:
     """Classify an *operation* — a short sequence of launches — as a whole.
 
-    The cell-level generalisation of :func:`classify_kernel`: if the host
-    spent at least as long dispatching the launches as the device spent
-    executing their bodies, the op is launch-bound (faster kernels will
-    not move it).  Otherwise the dominant roofline leg, summed per launch
+    If the host spent at least as long dispatching the launches as the
+    device spent executing their bodies, the op is launch-bound (faster
+    kernels will not move it); a single launch whose body, floored at
+    ``min_kernel_time``, does not exceed ``launch_overhead`` lands here even
+    with zero work.  Otherwise the dominant roofline leg, summed per launch
     at each kernel's achieved efficiency, names the bound.  ``memcpy_*``
     records are placed on the PCIe roofline instead (wire time as the
     memory leg, per-transfer latency as the dispatch cost), keeping this
-    consistent with both :func:`classify_kernel` and
-    :func:`classify_transfer` for a single record.
+    consistent with :func:`classify_transfer` for a single record.
     """
     if not records:
         raise ValueError("cannot classify an empty record sequence")

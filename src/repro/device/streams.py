@@ -43,11 +43,6 @@ class Event:
     #: Id of the stream the event was recorded on (informational).
     stream_id: int = DEFAULT_STREAM_ID
 
-    def query(self, clock: SimClock) -> bool:
-        """True if the event has completed at the clock's current time."""
-        return self.timestamp <= clock.elapsed
-
-
 class Stream:
     """An ordered work queue with its own completion timeline.
 
@@ -94,10 +89,6 @@ class Stream:
         nothing; it only pushes this stream's earliest start time forward.
         """
         self.ready = max(self.ready, event.timestamp)
-
-    def query(self) -> bool:
-        """True if the stream has drained at the clock's current time."""
-        return self.ready <= self._clock.elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,14 +25,6 @@ class KernelStats:
     total_flops: float
     total_bytes: float
 
-    @property
-    def mean_bandwidth(self) -> float:
-        """Achieved bytes/s across all launches (0 when no bytes recorded)."""
-        if self.total_time == 0.0:
-            return 0.0
-        return self.total_bytes / self.total_time
-
-
 def kernel_stats(records: Sequence[KernelRecord]) -> List[KernelStats]:
     """Per-kernel-name aggregates, sorted by total time descending."""
     buckets: Dict[str, List[KernelRecord]] = {}

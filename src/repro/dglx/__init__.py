@@ -13,7 +13,6 @@ from repro.dglx import function, models
 from repro.dglx.batch import batch
 from repro.dglx.hetero_multitype import HeteroDGLGraph, as_k_type_graph, batch_hetero
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.kernels import edge_softmax_fused, gsddmm_u_add_v, reduce_rows, sddmm, spmm
 from repro.dglx.loader import GraphDataLoader
 from repro.dglx.models import build_model
 from repro.dglx.neighbor_loader import NeighborLoader
@@ -35,9 +34,4 @@ __all__ = [
     "mean_nodes",
     "sum_nodes",
     "max_nodes",
-    "edge_softmax_fused",
-    "gsddmm_u_add_v",
-    "reduce_rows",
-    "sddmm",
-    "spmm",
 ]

@@ -95,33 +95,3 @@ def max(msg_field: str, out_field: str) -> ReduceFunc:  # noqa: A001
 def u_add_v(src_field: str, dst_field: str, out_field: str) -> EdgeFunc:
     """Per-edge sum of source and destination node features."""
     return EdgeFunc("u_add_v", src_field, dst_field, out_field)
-
-
-def u_sub_v(src_field: str, dst_field: str, out_field: str) -> EdgeFunc:
-    """Per-edge difference of source and destination node features."""
-    return EdgeFunc("u_sub_v", src_field, dst_field, out_field)
-
-
-def u_mul_v(src_field: str, dst_field: str, out_field: str) -> EdgeFunc:
-    """Per-edge product of source and destination node features."""
-    return EdgeFunc("u_mul_v", src_field, dst_field, out_field)
-
-
-def u_div_v(src_field: str, dst_field: str, out_field: str) -> EdgeFunc:
-    """Per-edge quotient of source and destination node features."""
-    return EdgeFunc("u_div_v", src_field, dst_field, out_field)
-
-
-def u_dot_v(src_field: str, dst_field: str, out_field: str) -> EdgeFunc:
-    """Per-edge dot product of source and destination node features."""
-    return EdgeFunc("u_dot_v", src_field, dst_field, out_field)
-
-
-def u_add_e(src_field: str, edge_field: str, out_field: str) -> EdgeFunc:
-    """Per-edge sum of the source node feature and an edge feature."""
-    return EdgeFunc("u_add_e", src_field, edge_field, out_field)
-
-
-def v_add_e(dst_field: str, edge_field: str, out_field: str) -> EdgeFunc:
-    """Per-edge sum of the destination node feature and an edge feature."""
-    return EdgeFunc("v_add_e", dst_field, edge_field, out_field)

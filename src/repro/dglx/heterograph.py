@@ -14,14 +14,14 @@ over a cached CSR representation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.device import current_device
 from repro.dglx.function import EdgeFunc, MessageFunc, ReduceFunc
 from repro.graph import GraphSample
-from repro.tensor import CSRGraph, Tensor, gsddmm, gspmm
+from repro.tensor import CSRGraph, gsddmm, gspmm
 
 DEFAULT_NTYPE = "_N"
 DEFAULT_ETYPE = ("_N", "_E", "_N")
@@ -94,9 +94,6 @@ class DGLGraph:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self._dst, minlength=self._num_nodes)
 
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self._src, minlength=self._num_nodes)
-
     def batch_size(self) -> int:
         return len(self._batch_num_nodes)
 
@@ -125,15 +122,6 @@ class DGLGraph:
                 self._src, self._dst, self._num_nodes, self._num_nodes
             )
         return self._csr
-
-    def autotune_formats(self) -> str:
-        """Select the sparse format the cost model charges for this graph.
-
-        Delegates to :meth:`repro.tensor.CSRGraph.autotune_format` (cached,
-        deterministic); subsequent GSpMM/GSDDMM launches carry the chosen
-        ``@fmt`` suffix and its index-traffic/efficiency charging.
-        """
-        return self.csr.autotune_format()
 
     # ------------------------------------------------------------------
     # message passing (lowered to fused kernels)
@@ -175,11 +163,6 @@ class DGLGraph:
             lhs_target=lhs_target,
             rhs_target=rhs_target,
         )
-
-    def clear_frames(self) -> None:
-        """Drop all stored features (between training iterations)."""
-        self.ndata.clear()
-        self.edata.clear()
 
     def __repr__(self) -> str:
         return (

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.kernels import edge_softmax_fused
 from repro.dglx.models.base import DGLXNet
 from repro.models import ModelConfig
 from repro.nn import Linear, Module, Parameter
-from repro.tensor import Tensor, elu, leaky_relu, ops
+from repro.tensor import Tensor, edge_softmax, elu, leaky_relu, ops
 from repro.tensor.creation import randn
 
 
@@ -51,7 +48,7 @@ class GATConv(Module):
         g.ndata["er"] = er
         g.apply_edges(fn.u_add_v("el", "er", "e"))  # fused GSDDMM
         logits = leaky_relu(g.edata["e"], negative_slope=0.2)  # (E, H, 1)
-        g.edata["a"] = edge_softmax_fused(g.csr, logits)
+        g.edata["a"] = edge_softmax(g.csr, logits)  # fused
         g.ndata["z"] = z
         g.update_all(fn.u_mul_e("z", "a", "m"), fn.sum("m", "h_out"))  # fused GSpMM
         out = g.ndata["h_out"]  # (N, H, D)

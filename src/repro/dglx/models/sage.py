@@ -8,8 +8,6 @@ concatenation, with the neighbour mean computed by a fused GSpMM.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
 from repro.dglx.models.base import DGLXNet

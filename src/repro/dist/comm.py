@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -215,54 +215,6 @@ class Communicator:
         self._tree_broadcast_schedule(nbytes, label, root=root)
         self._record("tree_broadcast", started, nbytes)
         return array
-
-    def all_gather(self, arrays: Sequence[np.ndarray],
-                   label: str = "all_gather") -> List[np.ndarray]:
-        """Every replica ends with every replica's buffer (ring rotation)."""
-        self._check_world(arrays)
-        out = [np.asarray(a, dtype=np.float32) for a in arrays]
-        if self.world_size == 1:
-            return out
-        n = self.world_size
-        nbytes = int(sum(a.nbytes for a in out))
-        self._begin("ring_all_gather", nbytes)
-        started = self._stream_marks()
-        # N-1 rotation steps; at step s, rank r forwards the block it
-        # received at step s-1 (originating at rank (r - s) mod N).
-        for step in range(n - 1):
-            marks = self._stream_marks()
-            for rank in range(n):
-                origin = (rank - step) % n
-                self._hop_snapshot(rank, (rank + 1) % n, out[origin].nbytes,
-                                   reduce_after=False, label=label,
-                                   sender_ready=marks[rank])
-        self._record("ring_all_gather", started, nbytes)
-        return out
-
-    def reduce_scatter(
-        self,
-        arrays: Sequence[np.ndarray],
-        op: str = "sum",
-        label: str = "reduce_scatter",
-    ) -> List[np.ndarray]:
-        """Reduce across replicas; rank ``r`` ends with chunk ``r``.
-
-        Chunking follows ``np.array_split`` over the flattened buffer, so
-        uneven sizes are allowed and the chunks concatenate back to the
-        full fixed-order reduction bitwise.
-        """
-        self._check_world(arrays)
-        reduced = reduce_fixed_order(arrays, op=op)
-        chunks = np.array_split(reduced.reshape(-1), self.world_size)
-        if self.world_size == 1:
-            return [chunks[0]]
-        nbytes = int(reduced.nbytes)
-        self._begin("ring_reduce_scatter", nbytes)
-        started = self._stream_marks()
-        self._ring_reduce_scatter_schedule(
-            [int(c.nbytes) for c in chunks], label)
-        self._record("ring_reduce_scatter", started, nbytes)
-        return list(chunks)
 
     # ------------------------------------------------------------------
     # timing schedules

@@ -257,13 +257,6 @@ class DistributedDataParallel:
         for bucket in self.buckets:
             bucket.reset()
 
-    # ------------------------------------------------------------------
-    def remove_hooks(self) -> None:
-        """Detach all grad hooks (the module reverts to plain training)."""
-        for handle in self._hook_handles:
-            handle()
-        self._hook_handles.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DistributedDataParallel(world_size={self.world_size}, "
                 f"buckets={len(self.buckets)})")

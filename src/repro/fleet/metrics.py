@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.fleet.request import FleetRequest, FleetResponse
-from repro.serve.metrics import LATENCY_PERCENTILES, ServerMetrics, ServingResult
+from repro.serve.metrics import ServerMetrics, ServingResult
 
 
 @dataclass
@@ -124,7 +124,6 @@ class FleetMetrics(ServerMetrics):
 
 
 __all__ = [
-    "LATENCY_PERCENTILES",
     "FleetMetrics",
     "FleetResult",
     "ReplicaSummary",

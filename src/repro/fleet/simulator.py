@@ -40,7 +40,7 @@ from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.cache import ResultCache
 from repro.fleet.chaos import ChaosPlan, ChaosSchedule
 from repro.fleet.metrics import FleetMetrics, FleetResult, ReplicaSummary
-from repro.fleet.replica import DOWN, UP, WARMING, PendingBatch, Replica
+from repro.fleet.replica import DOWN, WARMING, PendingBatch, Replica
 from repro.fleet.request import FleetRequest, FleetResponse
 from repro.fleet.routing import RoutingPolicy, make_policy, routable
 from repro.fleet.tiers import TenantQuota

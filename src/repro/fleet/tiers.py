@@ -19,9 +19,6 @@ class TenantQuota:
     def __init__(self) -> None:
         self._outstanding: Dict[str, int] = {}
 
-    def outstanding(self, tenant: Tenant) -> int:
-        return self._outstanding.get(tenant.name, 0)
-
     def try_acquire(self, tenant: Optional[Tenant]) -> bool:
         """Reserve one slot for ``tenant``; False when its quota is spent."""
         if tenant is None:

@@ -1,13 +1,12 @@
 """Framework-neutral graph containers and random structure generators."""
 
-from repro.graph.big_graph import CSRBigGraph, compact_edges, gather_rows
+from repro.graph.big_graph import CSRBigGraph, gather_rows
 from repro.graph.generators import (
     chung_lu_edges,
     clique_motif,
     connected_chain_backbone,
     knn_edges,
     planted_partition,
-    random_regularish,
     ring_motif,
     rmat_edges,
     star_motif,
@@ -20,10 +19,8 @@ __all__ = [
     "as_generator",
     "undirected_edge_index",
     "dedupe_edges",
-    "compact_edges",
     "gather_rows",
     "planted_partition",
-    "random_regularish",
     "rmat_edges",
     "chung_lu_edges",
     "connected_chain_backbone",

@@ -12,7 +12,7 @@ ever transferred to the simulated device.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -111,12 +111,6 @@ class CSRBigGraph:
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.indices, minlength=self.num_nodes)
-
-    def in_neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
     def edge_index(self) -> np.ndarray:
         """Materialise the ``(2, E)`` COO edge index (src row 0, dst row 1).
 
@@ -146,17 +140,3 @@ class CSRBigGraph:
 def gather_rows(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Contiguous float32 feature rows for ``nodes`` (host-side gather)."""
     return np.ascontiguousarray(x[nodes], dtype=np.float32)
-
-
-def compact_edges(
-    src_global: np.ndarray, nodes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Relabel ``src_global`` into positions within ``nodes``.
-
-    ``nodes`` need not be sorted; returns the local ids plus the sorter
-    used (handy when callers relabel several arrays against one node set).
-    Every entry of ``src_global`` must be present in ``nodes``.
-    """
-    sorter = np.argsort(nodes, kind="stable")
-    pos = np.searchsorted(nodes, src_global, sorter=sorter)
-    return sorter[pos].astype(np.int64), sorter

@@ -75,26 +75,6 @@ def planted_partition(
     return dedupe_edges(src, dst, n)
 
 
-def random_regularish(
-    n_nodes: int, avg_degree: float, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sparse Erdos-Renyi-style graph with the given average degree.
-
-    Degenerate inputs return an explicit empty edge list: a zero (or
-    negative) average degree asks for no edges, and fewer than two nodes
-    cannot carry an undirected self-loop-free edge.
-    """
-    if n_nodes < 0:
-        raise ValueError(f"n_nodes must be non-negative, got {n_nodes}")
-    if n_nodes <= 1 or avg_degree <= 0:
-        return _EMPTY, _EMPTY
-    n_edges = max(1, int(round(n_nodes * avg_degree / 2.0)))
-    src = rng.integers(0, n_nodes, size=2 * n_edges)
-    dst = rng.integers(0, n_nodes, size=2 * n_edges)
-    s, d = dedupe_edges(src, dst, n_nodes)
-    return s[:n_edges], d[:n_edges]
-
-
 def _first_occurrence_unique(keys: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each key, in arrival order."""
     _, first = np.unique(keys, return_index=True)

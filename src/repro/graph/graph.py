@@ -79,18 +79,6 @@ class GraphSample:
         """In-degree of every node."""
         return np.bincount(self.edge_index[1], minlength=self.num_nodes)
 
-    def out_degrees(self) -> np.ndarray:
-        """Out-degree of every node."""
-        return np.bincount(self.edge_index[0], minlength=self.num_nodes)
-
-    def with_self_loops(self) -> "GraphSample":
-        """Return a copy with one self loop added to every node."""
-        loops = np.arange(self.num_nodes, dtype=np.int64)
-        edge_index = np.concatenate(
-            [self.edge_index, np.stack([loops, loops])], axis=1
-        )
-        return GraphSample(edge_index, self.x, self.y, self.pos)
-
     def __repr__(self) -> str:
         return (
             f"GraphSample(nodes={self.num_nodes}, edges={self.num_edges}, "

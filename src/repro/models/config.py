@@ -54,11 +54,6 @@ class ModelConfig:
         if self.n_layers < 1:
             raise ValueError("need at least one layer")
 
-    @property
-    def is_anisotropic(self) -> bool:
-        return self.model in ANISOTROPIC
-
-
 #: Table II — node classification: (hidden, lr) plus fixed extras.
 _NODE_TABLE: Dict[str, Tuple[int, float]] = {
     "gcn": (80, 0.01),

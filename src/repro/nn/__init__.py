@@ -1,8 +1,8 @@
 """Neural-network modules built on the tensor engine."""
 
 from repro.nn import functional, init
-from repro.nn.activation import ELU, LeakyReLU, ReLU, Sigmoid, Tanh
-from repro.nn.container import ModuleList, Sequential
+from repro.nn.activation import ReLU
+from repro.nn.container import ModuleList
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.loss import accuracy, cross_entropy
@@ -18,11 +18,6 @@ __all__ = [
     "BatchNorm1d",
     "Dropout",
     "ReLU",
-    "LeakyReLU",
-    "ELU",
-    "Sigmoid",
-    "Tanh",
-    "Sequential",
     "ModuleList",
     "cross_entropy",
     "accuracy",

@@ -9,31 +9,3 @@ from repro.tensor import Tensor, ops
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(x)
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.leaky_relu(x, self.negative_slope)
-
-
-class ELU(Module):
-    def __init__(self, alpha: float = 1.0) -> None:
-        super().__init__()
-        self.alpha = alpha
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.elu(x, self.alpha)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.tanh(x)

@@ -1,37 +1,10 @@
-"""Module containers: Sequential and ModuleList."""
+"""Module container: ModuleList."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List
 
 from repro.nn.module import Module
-from repro.tensor import Tensor
-
-
-class Sequential(Module):
-    """Run sub-modules in order, feeding each the previous output."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._order: List[str] = []
-        for i, module in enumerate(modules):
-            name = str(i)
-            setattr(self, name, module)
-            self._order.append(name)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for name in self._order:
-            x = getattr(self, name)(x)
-        return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return (getattr(self, name) for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return getattr(self, self._order[index])
 
 
 class ModuleList(Module):

@@ -16,9 +16,3 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     squared = ops.mul(x, x)
     norm = ops.sqrt(squared.sum(axis=-1, keepdims=True))
     return ops.div(x, ops.clamp_min(norm, eps))
-
-
-def degree_normalize(x: Tensor, degrees: Tensor) -> Tensor:
-    """Scale rows by ``1/sqrt(deg)`` (the symmetric GCN normalisation)."""
-    inv_sqrt = ops.pow_scalar(ops.clamp_min(degrees, 1.0), -0.5)
-    return ops.mul(x, inv_sqrt)

@@ -20,13 +20,6 @@ def glorot_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
-def kaiming_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform initialisation (PyTorch's Linear default)."""
-    fan_in = shape[0]
-    limit = math.sqrt(1.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 

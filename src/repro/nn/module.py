@@ -12,7 +12,7 @@ Mirrors ``torch.nn.Module`` in the ways the reproduction needs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 

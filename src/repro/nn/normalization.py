@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor

@@ -3,6 +3,5 @@
 from repro.optim.adam import Adam
 from repro.optim.lr_scheduler import ReduceLROnPlateau
 from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
 
-__all__ = ["Optimizer", "Adam", "SGD", "ReduceLROnPlateau"]
+__all__ = ["Optimizer", "Adam", "ReduceLROnPlateau"]

@@ -9,7 +9,7 @@ Architectural traits mirrored from PyTorch Geometric (and contrasted with
 * edge softmax composed from scatter/gather launches.
 """
 
-from repro.pygx import kernels, models
+from repro.pygx import models
 from repro.pygx.cached_loader import CachedDataLoader
 from repro.pygx.data import Batch, Data
 from repro.pygx.loader import DataLoader
@@ -35,5 +35,4 @@ __all__ = [
     "global_add_pool",
     "global_max_pool",
     "edge_softmax",
-    "kernels",
 ]

@@ -56,7 +56,3 @@ class CachedDataLoader(GraphLoader):
             with loading(device, 1):
                 pass  # replay: only the per-batch fetch bookkeeping remains
             yield batch
-
-    def cached_bytes(self) -> int:
-        """Device memory held by the cached batches (0 until a full pass)."""
-        return sum(b.x.nbytes + b.edge_index.nbytes for b in self._cache)

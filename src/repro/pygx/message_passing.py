@@ -1,8 +1,9 @@
 """PyG-style message passing base class.
 
-The gather -> message -> scatter pipeline: per-edge source (and optionally
-destination) features are *materialised* with gather kernels, transformed by
-``message``, and aggregated with a scatter kernel.  This is the unfused
+Every pygx convolution runs the gather -> message -> scatter pipeline in its
+own ``forward``: per-edge source (and optionally destination) features are
+*materialised* with gather kernels (``index_rows``), combined into messages,
+and aggregated with a scatter kernel (``scatter``).  This is the unfused
 counterpart of DGL's GSpMM (see :mod:`repro.tensor.ops_sparse`) — more
 kernel launches and more edge-level memory traffic, but each step is a
 highly tuned dense primitive, which is the trade PyG makes.
@@ -10,46 +11,14 @@ highly tuned dense primitive, which is the trade PyG makes.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.nn import Module
-from repro.tensor import Tensor, index_rows, scatter
 
 
 class MessagePassing(Module):
-    """Base class: subclasses override :meth:`message` (and call propagate)."""
+    """Base class of the pack's convolutions: holds the validated aggregation."""
 
     def __init__(self, aggr: str = "sum") -> None:
         super().__init__()
         if aggr not in ("sum", "mean", "max"):
             raise ValueError(f"unsupported aggregation {aggr!r}")
         self.aggr = aggr
-
-    def propagate(
-        self,
-        edge_index: np.ndarray,
-        x: Tensor,
-        num_nodes: Optional[int] = None,
-        **edge_kwargs,
-    ) -> Tensor:
-        """Run one round of message passing over ``edge_index``.
-
-        ``edge_kwargs`` are per-edge tensors forwarded to :meth:`message`
-        (e.g. attention coefficients or Gaussian kernel weights).
-        """
-        src, dst = edge_index[0], edge_index[1]
-        num_nodes = num_nodes if num_nodes is not None else len(x)
-        x_j = index_rows(x, src)  # gather kernel: source features per edge
-        x_i = index_rows(x, dst) if self.needs_destination() else None
-        messages = self.message(x_j, x_i, **edge_kwargs)
-        return scatter(messages, dst, num_nodes, reduce=self.aggr)
-
-    def needs_destination(self) -> bool:
-        """Whether :meth:`message` uses destination features (x_i)."""
-        return False
-
-    def message(self, x_j: Tensor, x_i: Optional[Tensor], **kwargs) -> Tensor:
-        """Compute per-edge messages; default copies source features."""
-        return x_j

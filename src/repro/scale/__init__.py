@@ -25,7 +25,6 @@ from repro.scale.partition import (
     degree_balanced_partition,
 )
 from repro.scale.sample import (
-    Block,
     NeighborSampler,
     SampledSubgraph,
     sample_in_edges,
@@ -39,7 +38,6 @@ __all__ = [
     "Partition",
     "PartitionStats",
     "degree_balanced_partition",
-    "Block",
     "NeighborSampler",
     "SampledSubgraph",
     "sample_in_edges",

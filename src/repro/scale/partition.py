@@ -49,11 +49,6 @@ class Part:
         """Owned plus ghost nodes — the part's working-set node count."""
         return self.num_owned + len(self.halo)
 
-    def owns(self, nodes: np.ndarray) -> np.ndarray:
-        nodes = np.asarray(nodes)
-        return (nodes >= self.lo) & (nodes < self.hi)
-
-
 @dataclass(frozen=True)
 class PartitionStats:
     """Balance/communication summary of one partition."""

@@ -27,34 +27,6 @@ from repro.graph.graph import RngLike, as_generator
 
 
 @dataclass(frozen=True)
-class Block:
-    """One layer's bipartite block: messages flow ``src_nodes -> dst_nodes``.
-
-    ``src_nodes`` holds global node ids; its first ``num_dst`` entries are
-    the destination nodes, so destination local ids index into
-    ``src_nodes`` too (DGL's block convention).  ``src``/``dst`` are local
-    edge endpoints (``dst < num_dst``).
-    """
-
-    src_nodes: np.ndarray
-    num_dst: int
-    src: np.ndarray
-    dst: np.ndarray
-
-    @property
-    def num_src(self) -> int:
-        return len(self.src_nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.src)
-
-    @property
-    def dst_nodes(self) -> np.ndarray:
-        return self.src_nodes[: self.num_dst]
-
-
-@dataclass(frozen=True)
 class SampledSubgraph:
     """Merged union subgraph of all hops, seeds first (PyG convention).
 
@@ -172,31 +144,6 @@ class NeighborSampler:
             frontier = np.unique(np.concatenate([frontier, src]))
             frontiers.append(frontier)
         return hop_edges, frontiers
-
-    # ------------------------------------------------------------------
-    def sample_blocks(self, seeds: np.ndarray) -> List[Block]:
-        """Per-layer blocks, input layer first (DGL block convention).
-
-        ``blocks[-1]`` has the seeds as destinations; ``blocks[0]`` spans
-        the widest frontier and feeds the first conv layer.
-        """
-        seeds = np.asarray(seeds, dtype=np.int64)
-        hop_edges, frontiers = self._hops(seeds)
-        blocks: List[Block] = []
-        for (src, dst), dst_nodes in zip(hop_edges, frontiers):
-            extra = np.setdiff1d(src, dst_nodes)
-            src_nodes = np.concatenate([dst_nodes, extra])
-            blocks.append(
-                Block(
-                    src_nodes=src_nodes,
-                    num_dst=len(dst_nodes),
-                    src=_locate(src_nodes, src),
-                    dst=_locate(dst_nodes, dst),
-                )
-            )
-        blocks.reverse()
-        self._charge(len(seeds), sum(b.num_edges for b in blocks))
-        return blocks
 
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
         """Merged union subgraph of all hops, seeds first (PyG style).

@@ -75,11 +75,6 @@ class RequestQueue:
         self._size = 0
         return out
 
-    def depth_by_tier(self) -> List[int]:
-        """Queued requests per lane, indexed by ``request.priority``."""
-        return [len(lane) for lane in self._lanes]
-
-
 class AdmissionController:
     """Decides, per request, between enqueueing and shedding.
 

@@ -2,8 +2,8 @@
 
 Serving must not care whether a model came from the PyG-style or DGL-style
 pack: the registry loads a checkpoint for any ``(framework, model,
-dataset)`` key, puts the network in ``eval`` mode, and exposes a single
-``predict`` entry point.  Collation goes through the same code paths as the
+dataset)`` key, puts the network in ``eval`` mode, and exposes one
+``collate`` / ``forward`` pair.  Collation goes through the same code paths as the
 training loaders (``Batch.from_data_list`` / ``dglx.batch``), so the cost
 of serving-time batching lands in the clock's ``data_loading`` phase and a
 serving run decomposes exactly like Figs. 1-2.
@@ -12,8 +12,6 @@ serving run decomposes exactly like Figs. 1-2.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.device import current_device
 from repro.graph import GraphSample
@@ -51,11 +49,6 @@ class InferenceModel:
         self._compiled = CompiledStep(self.model, **kwargs)
         return self
 
-    def disable_compile(self) -> "InferenceModel":
-        """Return to eager execution (drops cached plans)."""
-        self._compiled = None
-        return self
-
     @property
     def compiled(self):
         """The active :class:`~repro.compile.CompiledStep`, or ``None``."""
@@ -80,13 +73,6 @@ class InferenceModel:
                 return self._compiled(batch)
             return self.model(batch)
 
-    def predict(self, samples: Sequence[GraphSample]) -> np.ndarray:
-        """Predicted class per input graph."""
-        if not samples:
-            raise ValueError("predict needs at least one graph")
-        logits = self.forward(self.collate(samples))
-        return np.argmax(logits.data, axis=1)
-
     def __repr__(self) -> str:
         return (
             f"InferenceModel({self.framework}/{self.config.model}/{self.dataset}, "
@@ -110,14 +96,6 @@ class ModelRegistry:
     @staticmethod
     def _key(framework: str, model_name: str, dataset: str) -> Tuple[str, str, str]:
         return (framework, model_name.lower(), dataset.lower())
-
-    def register(
-        self, framework: str, model_name: str, dataset: str, model: Module, config: ModelConfig
-    ) -> InferenceModel:
-        """Register an already-built (trained) model instance."""
-        entry = InferenceModel(framework, model, config, dataset.lower())
-        self._loaded[self._key(framework, model_name, dataset)] = entry
-        return entry
 
     def register_checkpoint(
         self,

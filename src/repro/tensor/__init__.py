@@ -6,12 +6,12 @@ Public surface:
 * :mod:`repro.tensor.ops` — dense ops (also exposed here for convenience).
 * :mod:`repro.tensor.ops_scatter` — gather/scatter/segment kernels.
 * :mod:`repro.tensor.ops_sparse` — fused GSpMM/GSDDMM kernels + CSR graphs.
-* :func:`no_grad` / :func:`enable_grad` gradient-mode switches.
+* :func:`no_grad`, the gradient-mode switch.
 """
 
 from repro.tensor import ops
-from repro.tensor.autograd import enable_grad, grad_enabled, no_grad
-from repro.tensor.gradcheck import GradcheckError, gradcheck, gradcheck_quiet
+from repro.tensor.autograd import grad_enabled, no_grad
+from repro.tensor.gradcheck import GradcheckError, gradcheck
 from repro.tensor.creation import full, ones, randn, uniform, zeros
 from repro.tensor.ops import (  # noqa: A004 - mirrors numpy naming
     abs,
@@ -31,7 +31,6 @@ from repro.tensor.ops import (  # noqa: A004 - mirrors numpy naming
     mul,
     relu,
     sigmoid,
-    softmax,
     sqrt,
     stack,
     sub,
@@ -71,10 +70,8 @@ __all__ = [
     "Tensor",
     "ops",
     "no_grad",
-    "enable_grad",
     "grad_enabled",
     "gradcheck",
-    "gradcheck_quiet",
     "GradcheckError",
     "zeros",
     "ones",
@@ -99,7 +96,6 @@ __all__ = [
     "elu",
     "sigmoid",
     "tanh",
-    "softmax",
     "log_softmax",
     "concat",
     "stack",

@@ -28,15 +28,3 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-@contextmanager
-def enable_grad() -> Iterator[None]:
-    """Re-enable autograd graph recording inside the block."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = True
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous

@@ -25,7 +25,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.device.gpu import FORMAT_EFFICIENCY  # noqa: F401  (re-export)
 
 #: Supported sparse formats, in documentation order.
 FORMATS = ("coo", "csr", "bcsr")

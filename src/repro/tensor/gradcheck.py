@@ -8,7 +8,7 @@ engine's own test suite uses.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -63,14 +63,3 @@ def gradcheck(
                     f"vs numeric {numeric:.6f}"
                 )
     return True
-
-
-def gradcheck_quiet(
-    fn: Callable[..., Tensor], inputs: Sequence[np.ndarray], **kwargs
-) -> Tuple[bool, str]:
-    """Like :func:`gradcheck` but returns ``(ok, message)`` instead of raising."""
-    try:
-        gradcheck(fn, inputs, **kwargs)
-        return True, ""
-    except GradcheckError as exc:
-        return False, str(exc)

@@ -272,21 +272,6 @@ def tanh(a: Tensor) -> Tensor:
     return make_op("tanh", out, (a,), backward, flops, nbytes)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = (e / e.sum(axis=axis, keepdims=True)).astype(np.float32, copy=False)
-    flops = 4.0 * out.size
-    nbytes = float(_F32 * 2 * out.size)
-
-    def backward(grad: np.ndarray):
-        launch_backward("softmax_backward", 4.0 * grad.size, _F32 * 3 * grad.size)
-        dot = (grad * out).sum(axis=axis, keepdims=True)
-        return ((grad - dot) * out,)
-
-    return make_op("softmax", out, (a,), backward, flops, nbytes)
-
-
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))

@@ -8,8 +8,6 @@ this reproduction (they drive the simulated launch overhead).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.tensor.tensor import Tensor, launch_backward, make_op

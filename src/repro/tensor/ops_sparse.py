@@ -103,10 +103,6 @@ class CSRGraph:
         """In-degree of each destination node."""
         return np.diff(self.indptr)
 
-    def out_degrees(self) -> np.ndarray:
-        """Out-degree of each source node."""
-        return np.bincount(self.indices, minlength=self.num_src)
-
     def set_format(self, fmt: Optional[str]) -> "CSRGraph":
         """Pin the sparse format the cost model charges for this graph."""
         from repro.tensor.formats import FORMATS

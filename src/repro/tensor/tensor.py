@@ -92,14 +92,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """A view of the same data cut off from the autograd graph."""
-        out = Tensor(self.data)
-        tracer = current_device().tracer
-        if tracer is not None:
-            tracer.alias(out, self)
-        return out
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"

@@ -3,7 +3,6 @@
 from repro.train.checkpoint import (
     RunState,
     checkpoint_name,
-    checkpoint_nbytes,
     load_checkpoint,
     load_model,
     load_run_state,
@@ -36,7 +35,6 @@ __all__ = [
     "load_checkpoint",
     "load_model",
     "checkpoint_name",
-    "checkpoint_nbytes",
     "compare_accuracies",
     "AccuracyComparison",
 ]

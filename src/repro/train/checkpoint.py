@@ -42,11 +42,6 @@ def load_checkpoint(model: Module, path: PathLike) -> None:
     model.load_state_dict(state)
 
 
-def checkpoint_nbytes(model: Module) -> int:
-    """Size of a checkpoint's tensor payload in bytes."""
-    return sum(array.nbytes for array in model.state_dict().values())
-
-
 def checkpoint_name(framework: str, model_name: str, dataset: str) -> str:
     """Canonical file name for a ``(framework, model, dataset)`` checkpoint."""
     return f"{framework}_{model_name}_{dataset}.npz"

@@ -104,10 +104,3 @@ class ExperimentResult:
             total_time=float(np.mean([r.total_time for r in runs])),
             runs=runs,
         )
-
-    def format_row(self) -> str:
-        return (
-            f"{self.dataset:8s} {self.model:9s} {self.framework:5s} "
-            f"{self.epoch_time:9.4f}s/{self.total_time:8.2f}s "
-            f"{self.acc_mean * 100:5.1f}+-{self.acc_std * 100:.1f}"
-        )

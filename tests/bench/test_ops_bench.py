@@ -9,6 +9,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from repro.bench.ops import (
@@ -16,6 +17,7 @@ from repro.bench.ops import (
     OPS,
     PACKS,
     SHAPES,
+    _build,
     ops_document,
     ops_grid,
     ops_report,
@@ -28,6 +30,7 @@ from repro.bench.serialize import (
     validate_document,
 )
 from repro.bench.spec import SPECS
+from repro.device import Device, use_device
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 REGRESSED_OPS = os.path.join(
@@ -87,6 +90,51 @@ class TestRunCell:
         assert run_cell("gspmm", ENZYMES, "dglx") == run_cell(
             "gspmm", ENZYMES, "dglx"
         )
+
+
+#: The kernels one eager cell launches, in order.  PyG materialises per-edge
+#: rows with gathers and reduces them with scatters; DGL runs one fused
+#: kernel.  These lists are what BENCH_ops.json's launch counts summarise.
+LAUNCHES = {
+    ("gspmm", "pygx"): ["gather", "scatter_sum"],
+    ("gspmm", "dglx"): ["gspmm"],
+    ("sddmm", "pygx"): ["gather", "gather", "mul", "sum"],
+    ("sddmm", "dglx"): ["gsddmm_dot"],
+    ("scatter_reduce", "pygx"): ["scatter_sum"],
+    ("scatter_reduce", "dglx"): ["segment_reduce_sum"],
+    ("gemm", "pygx"): ["matmul"],
+    ("gemm", "dglx"): ["matmul"],
+    ("elementwise", "pygx"): ["add", "mul", "relu", "add"],
+    ("elementwise", "dglx"): ["add", "mul", "relu", "add"],
+    ("h2d", "pygx"): ["memcpy_h2d"],
+    ("h2d", "dglx"): ["memcpy_h2d"],
+}
+
+
+class TestLowerings:
+    def test_every_cell_has_a_launch_list(self):
+        assert set(LAUNCHES) == {(op, pack) for op in OPS for pack in PACKS}
+
+    @pytest.mark.parametrize("op, pack", list(LAUNCHES))
+    def test_cell_launches_its_packs_lowering(self, op, pack):
+        device = Device()
+        with use_device(device):
+            fn, args = _build(op, ENZYMES, pack)
+            fn(*args)  # lazy state is built on the first call, as in run_cell
+            device.reset()
+            device.profiler.enabled = True
+            fn(*args)
+        assert [r.name for r in device.profiler.records] == LAUNCHES[op, pack]
+
+    @pytest.mark.parametrize("op", ["gspmm", "sddmm", "scatter_reduce"])
+    def test_both_packs_compute_the_same_values(self, op):
+        # The two lowerings differ in launches and traffic, not in result.
+        outputs = []
+        for pack in PACKS:
+            with use_device(Device()):
+                fn, args = _build(op, ENZYMES, pack)
+                outputs.append(fn(*args).data)
+        np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-5, atol=1e-5)
 
 
 class TestGridAndSchema:

@@ -55,10 +55,9 @@ class TestGraphIR:
         ir = GraphIR([a], output_ids={5}, aliases={5: 1})
         assert ir.is_output(a)
 
-    def test_len_and_launch_count(self):
+    def test_len(self):
         ir = GraphIR([_node(0, "x"), _node(1, "y")], output_ids=set())
         assert len(ir) == 2
-        assert ir.launch_count == 2
 
 
 class TestTracer:
@@ -93,11 +92,6 @@ class TestTracer:
         assert [n.name for n in ir.nodes] == ["exp"]
         assert ir.resolve(ir.nodes[0].parent_ids[0]) == id(x)
 
-    def test_capture_sees_detach_alias(self):
-        x = Tensor(np.ones(4), requires_grad=True)
-        result, ir = capture(lambda: ops.exp(x.detach()))
-        assert ir.resolve(ir.nodes[0].parent_ids[0]) == id(x)
-
     def test_content_hash_distinguishes_values_and_caps_size(self):
         a = np.arange(8, dtype=np.float32)
         b = np.arange(8, dtype=np.float32) + 1
@@ -115,7 +109,8 @@ class TestTracer:
 
 
 class TestPassStats:
-    def test_launches_removed_counts_all_sources(self):
+    def test_summary_names_each_pass(self):
         stats = PassStats(dce_removed=2, cse_removed=3, folded=1, fused_groups=2, fused_members=5)
-        assert stats.launches_removed == 11
-        assert "dce=2" in stats.summary()
+        assert stats.summary() == (
+            "dce=2 cse=3 fold=1 fusion=2 groups (5 launches saved, 0 attention pipelines)"
+        )

@@ -5,16 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.device import Device, set_device
+from repro.device import Device, use_device
 
 
 @pytest.fixture(autouse=True)
 def fresh_device():
     """Isolate the global device so clock/memory state never leaks."""
-    device = Device()
-    set_device(device)
-    yield device
-    set_device(Device())
+    with use_device(Device()) as device:
+        yield device
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from repro.datasets import (
     ENZYMES_SPEC,
     GraphClassificationDataset,
     NodeClassificationDataset,
-    clear_cache,
     compute_statistics,
     cora,
     enzymes,
@@ -189,7 +188,6 @@ class TestRegistry:
             )
 
     def test_cache_returns_same_object(self):
-        clear_cache()
         a = load_dataset("enzymes", num_graphs=30)
         b = load_dataset("enzymes", num_graphs=30)
         assert a is b

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.device import PrefetchLoader, current_device, prefetch_streams
+from repro.device import PrefetchLoader, current_device
+from repro.device.prefetch import COPY_STREAM, WORKER_STREAM
 
 
 class FakeLoader:
@@ -85,10 +86,12 @@ class TestPrefetchLoader:
 
     def test_reuses_named_streams(self, fresh_device):
         list(PrefetchLoader(FakeLoader(3, 0.01)))
-        worker, copy = prefetch_streams(fresh_device)
+        names = fresh_device.stream_names()
+        worker = fresh_device.stream(WORKER_STREAM)
         assert worker.busy > 0.0
         list(PrefetchLoader(FakeLoader(3, 0.01)))
-        assert prefetch_streams(fresh_device) == (worker, copy)
+        assert fresh_device.stream_names() == names
+        assert set(names.values()) == {"default", WORKER_STREAM, COPY_STREAM}
 
     def test_empty_inner_loader(self):
         assert list(PrefetchLoader(FakeLoader(0, 0.01))) == []

@@ -7,15 +7,14 @@ from repro.dglx import (
     DGLGraph,
     GraphDataLoader,
     batch,
-    edge_softmax_fused,
     function as fn,
-    gsddmm_u_add_v,
     max_nodes,
     mean_nodes,
     sum_nodes,
 )
+from repro.dglx.function import EDGE_BINARY_OPS, EDGE_TARGETS, EdgeFunc
 from repro.graph import GraphSample
-from repro.tensor import Tensor
+from repro.tensor import Tensor, edge_softmax, gsddmm
 
 
 def sample(n_nodes=3, label=0, seed=0):
@@ -104,18 +103,63 @@ class TestApplyEdges:
         g = DGLGraph.from_sample(sample(3))
         g.ndata["a"] = Tensor(np.eye(3, dtype=np.float32))
         g.ndata["b"] = Tensor(np.eye(3, dtype=np.float32))
-        g.apply_edges(fn.u_dot_v("a", "b", "e"))
+        g.apply_edges(EdgeFunc("u_dot_v", "a", "b", "e"))
         np.testing.assert_allclose(g.edata["e"].data, [0.0, 0.0, 0.0])
 
     def test_unknown_op(self):
         g = DGLGraph.from_sample(sample(3))
         g.ndata["a"] = Tensor(np.ones((3, 1), np.float32))
-        from repro.dglx.function import EdgeFunc
-
         with pytest.raises(ValueError):
             g.apply_edges(EdgeFunc("u_pow_v", "a", "a", "e"))
         with pytest.raises(ValueError):
             g.apply_edges(EdgeFunc("bogus", "a", "a", "e"))
+
+    @pytest.mark.parametrize("lhs", EDGE_TARGETS)
+    @pytest.mark.parametrize("rhs", EDGE_TARGETS)
+    def test_each_target_reads_its_frame(self, lhs, rhs, fresh_device):
+        # u / v read a node field at the edge's source / destination, e reads
+        # the edge field itself; "sub" keeps the operand order visible.
+        g = DGLGraph.from_sample(sample(3))  # edges 0->1, 1->2, 2->0
+        src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
+        frames = {
+            "a": (np.array([[1.0], [2.0], [3.0]], np.float32),
+                  np.array([[10.0], [20.0], [30.0]], np.float32)),
+            "b": (np.array([[100.0], [200.0], [300.0]], np.float32),
+                  np.array([[1000.0], [2000.0], [3000.0]], np.float32)),
+        }
+        for field, (nodes, edges) in frames.items():
+            g.ndata[field] = Tensor(nodes)
+            g.edata[field] = Tensor(edges)
+
+        def operand(target, field):
+            nodes, edges = frames[field]
+            return {"u": nodes[src], "v": nodes[dst], "e": edges}[target]
+
+        g.csr  # the one-off COO -> CSR build is not part of the edge op
+        fresh_device.profiler.enabled = True
+        g.apply_edges(EdgeFunc(f"{lhs}_sub_{rhs}", "a", "b", "out"))
+        np.testing.assert_array_equal(
+            g.edata["out"].data, operand(lhs, "a") - operand(rhs, "b")
+        )
+        assert [r.name for r in fresh_device.profiler.records] == ["gsddmm_sub"]
+
+    @pytest.mark.parametrize("binop", EDGE_BINARY_OPS)
+    def test_each_binop_lowers_to_one_gsddmm(self, binop, fresh_device):
+        g = DGLGraph.from_sample(sample(3))  # edges 0->1, 1->2, 2->0
+        a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], np.float32)
+        b = np.array([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]], np.float32)
+        g.ndata["a"], g.ndata["b"] = Tensor(a), Tensor(b)
+        u, v = a[[0, 1, 2]], b[[1, 2, 0]]
+        expected = {
+            "add": u + v, "sub": u - v, "mul": u * v, "div": u / v,
+            "dot": (u * v).sum(axis=-1),
+        }[binop]
+
+        g.csr  # the one-off COO -> CSR build is not part of the edge op
+        fresh_device.profiler.enabled = True
+        g.apply_edges(EdgeFunc(f"u_{binop}_v", "a", "b", "e"))
+        np.testing.assert_allclose(g.edata["e"].data, expected, rtol=1e-6)
+        assert [r.name for r in fresh_device.profiler.records] == [f"gsddmm_{binop}"]
 
 
 class TestFusedKernels:
@@ -127,7 +171,7 @@ class TestFusedKernels:
         g = CSRGraph.from_edge_index(src, dst, 3, 3)
         a = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
-        gsddmm_u_add_v(g, a, b).sum().backward()
+        gsddmm(g, "add", a, b).sum().backward()
         np.testing.assert_allclose(a.grad, np.array([[1, 1], [2, 2], [0, 0]], np.float32))
         np.testing.assert_allclose(b.grad, np.array([[1, 1], [1, 1], [1, 1]], np.float32))
 
@@ -139,7 +183,7 @@ class TestFusedKernels:
         dst = rng.integers(0, 5, size=12)
         g = CSRGraph.from_edge_index(src, dst, 5, 5)
         logits = rng.normal(size=(12, 3)).astype(np.float32)
-        fused = edge_softmax_fused(g, Tensor(logits)).data
+        fused = edge_softmax(g, Tensor(logits)).data
         composed = pygx_softmax(Tensor(logits), dst, 5).data
         np.testing.assert_allclose(fused, composed, atol=1e-5)
 
@@ -149,7 +193,7 @@ class TestFusedKernels:
         dst = np.array([0, 0, 1, 1])
         g = CSRGraph.from_edge_index(np.array([0, 1, 2, 3]), dst, 4, 2)
         logits = Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True)
-        edge_softmax_fused(g, logits).sum().backward()
+        edge_softmax(g, logits).sum().backward()
         np.testing.assert_allclose(logits.grad, np.zeros(4), atol=1e-5)
 
     def test_fused_softmax_fewer_launches_than_composed(self, fresh_device, rng):
@@ -162,7 +206,7 @@ class TestFusedKernels:
         prof = fresh_device.profiler
         prof.enabled = True
         prof.clear()
-        edge_softmax_fused(g, logits)
+        edge_softmax(g, logits)
         fused_launches = len(prof.records)
         prof.clear()
         pygx_softmax(logits, dst, 2)

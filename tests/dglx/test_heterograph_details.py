@@ -19,13 +19,6 @@ def sample(n=3, seed=0):
 
 
 class TestFrames:
-    def test_clear_frames(self):
-        g = DGLGraph.from_sample(sample())
-        g.ndata["h"] = Tensor(np.ones((3, 1), np.float32))
-        g.edata["e"] = Tensor(np.ones((3, 1), np.float32))
-        g.clear_frames()
-        assert not g.ndata and not g.edata
-
     def test_frame_overwrite_replaces(self):
         g = DGLGraph.from_sample(sample())
         g.ndata["h"] = Tensor(np.ones((3, 1), np.float32))

@@ -89,20 +89,6 @@ class TestAllReduceBitwise:
 
 
 class TestOtherCollectives:
-    @pytest.mark.parametrize("world", [2, 3, 5])
-    def test_reduce_scatter_chunks_concatenate_to_reduction(self, world):
-        arrays = _buffers(world, n=29)  # 29 % world != 0: uneven chunks
-        comm = Communicator(world)
-        chunks = comm.reduce_scatter(arrays)
-        assert len(chunks) == world
-        assert np.array_equal(np.concatenate(chunks),
-                              reduce_fixed_order(arrays))
-
-    def test_all_gather_returns_every_buffer(self):
-        arrays = _buffers(3)
-        gathered = Communicator(3).all_gather(arrays)
-        assert all(np.array_equal(a, b) for a, b in zip(gathered, arrays))
-
     def test_broadcast_returns_root_buffer(self):
         arrays = _buffers(4)
         comm = Communicator(4)

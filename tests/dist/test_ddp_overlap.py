@@ -98,18 +98,6 @@ class TestHooks:
         ddp.finish_backward()
         assert comm.stats.collectives == 0
 
-    def test_remove_hooks_detaches_from_params(self):
-        model = _model()
-        ddp = DistributedDataParallel(model, Communicator(2))
-        assert any(p._post_accumulate_hooks
-                   for _, p in model.named_parameters())
-        ddp.remove_hooks()
-        with ddp.no_sync():
-            pass
-        _backward(model)  # would raise RuntimeError("staged") if hooks live
-        assert all(not p._post_accumulate_hooks
-                   for _, p in model.named_parameters())
-
     def test_stage_remote_grads_validates_rank_and_names(self):
         model = _model()
         ddp = DistributedDataParallel(model, Communicator(2))

@@ -7,7 +7,6 @@ import pytest
 from repro.graph import (
     chung_lu_edges,
     planted_partition,
-    random_regularish,
     rmat_edges,
 )
 from repro.graph.graph import dedupe_edges
@@ -99,25 +98,6 @@ class TestPlantedPartitionVectorised:
         s, d = planted_partition(np.zeros(5, int), 0, 0.5,
                                  np.random.default_rng(0))
         assert len(s) == 0 and len(d) == 0
-
-
-class TestRandomRegularishEdgeCases:
-    def test_zero_avg_degree(self, rng):
-        s, d = random_regularish(100, 0.0, rng)
-        assert len(s) == 0 and len(d) == 0
-        assert s.dtype == np.int64
-
-    def test_single_node(self, rng):
-        s, d = random_regularish(1, 4.0, rng)
-        assert len(s) == 0 and len(d) == 0
-
-    def test_zero_nodes(self, rng):
-        s, d = random_regularish(0, 4.0, rng)
-        assert len(s) == 0 and len(d) == 0
-
-    def test_negative_nodes_raise(self, rng):
-        with pytest.raises(ValueError):
-            random_regularish(-1, 4.0, rng)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from repro.device import Device, use_device
 from repro.nn import Module, Parameter
-from repro.optim import SGD
 from repro.tensor import Tensor, ops
 
 
@@ -19,16 +18,6 @@ class TestDeviceTransfer:
         dev = Device()
         dev.transfer(1e6)
         assert dev.clock.gpu_busy == 0.0
-
-
-class TestSGDWeightDecay:
-    def test_decay_applied(self):
-        p = Parameter(np.array([2.0], np.float32))
-        opt = SGD([p], lr=0.5, weight_decay=1.0)
-        p.grad = np.zeros(1, np.float32)
-        opt.step()
-        # effective grad = 0 + wd * w = 2 -> step = -1
-        assert p.data[0] == pytest.approx(1.0)
 
 
 class TestModuleBuffers:
@@ -72,14 +61,6 @@ class TestAdamUnderNoGrad:
             opt.step()
             # Adam state lives on the device
             assert dev.memory.current > 0
-
-
-class TestCSRDegrees:
-    def test_out_degrees(self):
-        from repro.tensor import CSRGraph
-
-        g = CSRGraph.from_edge_index(np.array([0, 0, 1]), np.array([1, 2, 2]), 3, 3)
-        np.testing.assert_array_equal(g.out_degrees(), [2, 1, 0])
 
 
 class TestMLPReadoutVariants:

@@ -89,10 +89,6 @@ class TestConfigValidation:
         assert set(ISOTROPIC) | set(ANISOTROPIC) == set(MODEL_NAMES)
         assert not set(ISOTROPIC) & set(ANISOTROPIC)
 
-    def test_anisotropic_flag(self):
-        assert graph_config("gat", 4, 2).is_anisotropic
-        assert not graph_config("gcn", 4, 2).is_anisotropic
-
     def test_unknown_model(self):
         with pytest.raises(KeyError):
             node_config("mlp", 4, 2)

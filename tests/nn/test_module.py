@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.device import current_device
-from repro.nn import BatchNorm1d, Dropout, Linear, Module, ModuleList, Parameter, Sequential
+from repro.nn import BatchNorm1d, Dropout, Linear, Module, ModuleList, Parameter
 from repro.tensor import Tensor
 
 
@@ -109,18 +109,6 @@ class TestScopes:
 
 
 class TestContainers:
-    def test_sequential_applies_in_order(self):
-        rng = np.random.default_rng(0)
-        seq = Sequential(Linear(4, 3, rng=rng), Linear(3, 2, rng=rng))
-        out = seq(Tensor(np.ones((1, 4), np.float32)))
-        assert out.shape == (1, 2)
-        assert len(seq) == 2
-        assert isinstance(seq[0], Linear)
-
-    def test_sequential_registers_parameters(self):
-        seq = Sequential(Linear(2, 2), Linear(2, 2))
-        assert len(list(seq.parameters())) == 4
-
     def test_module_list(self):
         ml = ModuleList([Linear(2, 2), Linear(2, 2)])
         ml.append(Linear(2, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import SGD, Adam, ReduceLROnPlateau
+from repro.optim import Adam, ReduceLROnPlateau
 
 
 def quadratic_param(start=5.0):
@@ -55,32 +55,6 @@ class TestAdam:
     def test_invalid_lr_rejected(self):
         with pytest.raises(ValueError):
             Adam([quadratic_param()], lr=0.0)
-
-
-class TestSGD:
-    def test_plain_step(self):
-        p = quadratic_param(1.0)
-        opt = SGD([p], lr=0.5)
-        p.grad = np.array([1.0], np.float32)
-        opt.step()
-        assert p.data[0] == pytest.approx(0.5)
-
-    def test_momentum_accumulates(self):
-        p = quadratic_param(0.0)
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        for _ in range(2):
-            p.grad = np.array([1.0], np.float32)
-            opt.step()
-        # steps: -1, then -(0.9 + 1) => total -2.9
-        assert p.data[0] == pytest.approx(-2.9)
-
-    def test_minimises_quadratic(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            p.grad = 2.0 * p.data
-            opt.step()
-        assert abs(p.data[0]) < 1e-3
 
 
 class TestReduceLROnPlateau:

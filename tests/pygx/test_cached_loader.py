@@ -41,27 +41,6 @@ class TestCachedLoader:
     def test_len(self, graphs):
         assert len(CachedDataLoader(graphs, batch_size=10)) == 3
 
-    def test_cached_bytes_after_fill(self, graphs):
-        loader = CachedDataLoader(graphs, batch_size=8, rng=np.random.default_rng(0))
-        assert loader.cached_bytes() == 0
-        list(loader)
-        assert loader.cached_bytes() > 0
-
-    def test_cached_bytes_sums_batch_buffers(self, graphs):
-        loader = CachedDataLoader(graphs, batch_size=8, rng=np.random.default_rng(0))
-        batches = list(loader)
-        expected = sum(b.x.nbytes + b.edge_index.nbytes for b in batches)
-        assert loader.cached_bytes() == expected
-
-    def test_cached_bytes_zero_until_the_fill_completes_then_stays(self, graphs):
-        loader = CachedDataLoader(graphs, batch_size=8, rng=np.random.default_rng(0))
-        sizes = [loader.cached_bytes() for _ in loader]
-        assert sizes == [0, 0, 0]
-        filled = loader.cached_bytes()
-        assert filled > 0
-        list(loader)  # replay epoch: cache unchanged
-        assert loader.cached_bytes() == filled
-
     def test_abandoned_first_pass_is_not_replayed(self):
         """A first pass stopped partway is collated again, not replayed as
         the epoch: every later epoch still yields every graph."""
@@ -76,13 +55,6 @@ class TestCachedLoader:
             assert len(epoch) == len(loader)
             assert sum(b.num_graphs for b in epoch) == 40
         assert all(a is b for a, b in zip(epoch, loader))
-
-    def test_cached_bytes_scales_with_batch_count(self, graphs):
-        small = CachedDataLoader(graphs[:8], batch_size=8, rng=np.random.default_rng(0))
-        large = CachedDataLoader(graphs, batch_size=8, rng=np.random.default_rng(0))
-        list(small)
-        list(large)
-        assert large.cached_bytes() > small.cached_bytes()
 
     def test_invalid_batch_size(self, graphs):
         with pytest.raises(ValueError):

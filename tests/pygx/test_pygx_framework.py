@@ -112,32 +112,9 @@ class TestDataLoader:
 
 
 class TestMessagePassing:
-    def test_default_copies_and_sums(self):
-        mp = MessagePassing(aggr="sum")
-        x = Tensor(np.array([[1.0], [10.0], [100.0]], np.float32))
-        edge_index = np.array([[0, 1, 2], [1, 2, 0]])
-        out = mp.propagate(edge_index, x)
-        np.testing.assert_allclose(out.data, [[100.0], [1.0], [10.0]])
-
-    def test_mean_aggregation(self):
-        mp = MessagePassing(aggr="mean")
-        x = Tensor(np.array([[2.0], [4.0], [0.0]], np.float32))
-        edge_index = np.array([[0, 1], [2, 2]])
-        out = mp.propagate(edge_index, x)
-        np.testing.assert_allclose(out.data, [[0.0], [0.0], [3.0]])
-
     def test_invalid_aggregation(self):
         with pytest.raises(ValueError):
             MessagePassing(aggr="median")
-
-    def test_custom_message(self):
-        class Doubler(MessagePassing):
-            def message(self, x_j, x_i, **kw):
-                return x_j * 2.0
-
-        x = Tensor(np.array([[3.0], [0.0]], np.float32))
-        out = Doubler(aggr="sum").propagate(np.array([[0], [1]]), x)
-        np.testing.assert_allclose(out.data, [[0.0], [6.0]])
 
 
 class TestEdgeSoftmax:

@@ -57,7 +57,7 @@ class TestPartLocalGraph:
             for v in range(part.lo, min(part.lo + 20, part.hi)):
                 np.testing.assert_array_equal(
                     np.sort(src_g[dst_g == v]),
-                    np.sort(graph.in_neighbors(v)),
+                    np.sort(graph.indices[graph.indptr[v]:graph.indptr[v + 1]]),
                 )
 
 

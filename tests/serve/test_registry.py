@@ -28,11 +28,15 @@ def config(dataset):
     return graph_config("gcn", in_dim=dataset.num_features, n_classes=dataset.num_classes)
 
 
+def _predict(inference, graphs):
+    return np.argmax(inference.forward(inference.collate(graphs)).data, axis=1)
+
+
 class TestInferenceModel:
     @pytest.mark.parametrize("framework", ["pygx", "dglx"])
     def test_predict_shape_and_range(self, framework, dataset, config):
         inference = InferenceModel(framework, build(framework, config), config, "enzymes")
-        predictions = inference.predict(dataset.graphs[:5])
+        predictions = _predict(inference, dataset.graphs[:5])
         assert predictions.shape == (5,)
         assert np.all((predictions >= 0) & (predictions < dataset.num_classes))
 
@@ -44,7 +48,7 @@ class TestInferenceModel:
 
     def test_collate_charged_to_data_loading_phase(self, fresh_device, dataset, config):
         inference = InferenceModel("pygx", build("pygx", config), config, "enzymes")
-        inference.predict(dataset.graphs[:4])
+        _predict(inference, dataset.graphs[:4])
         phases = fresh_device.clock.phase_elapsed
         assert phases.get("data_loading", 0.0) > 0.0
         assert phases.get("forward", 0.0) > 0.0
@@ -57,11 +61,6 @@ class TestInferenceModel:
     def test_unknown_framework_rejected(self, config):
         with pytest.raises(ValueError):
             InferenceModel("tfx", build("pygx", config), config, "enzymes")
-
-    def test_empty_predict_rejected(self, dataset, config):
-        inference = InferenceModel("pygx", build("pygx", config), config, "enzymes")
-        with pytest.raises(ValueError):
-            inference.predict([])
 
 
 class TestModelRegistry:
@@ -80,7 +79,7 @@ class TestModelRegistry:
         model.eval()
         with no_grad():
             expected = np.argmax(model(inference.collate(dataset.graphs[:6])).data, axis=1)
-        np.testing.assert_array_equal(inference.predict(dataset.graphs[:6]), expected)
+        np.testing.assert_array_equal(_predict(inference, dataset.graphs[:6]), expected)
 
     def test_lazy_load_cached(self, dataset, config, tmp_path):
         path = tmp_path / "m.npz"
@@ -89,21 +88,21 @@ class TestModelRegistry:
         registry.register_checkpoint("pygx", "gcn", "enzymes", path, config=config)
         assert registry.get("pygx", "gcn", "enzymes") is registry.get("pygx", "gcn", "enzymes")
 
-    def test_register_in_memory(self, config):
+    def test_unknown_key_lists_known(self, config, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(build("pygx", config), path)
         registry = ModelRegistry()
-        returned = registry.register("pygx", "gcn", "enzymes", build("pygx", config), config)
-        assert registry.get("pygx", "GCN", "ENZYMES") is returned  # case-insensitive key
-
-    def test_unknown_key_lists_known(self, config):
-        registry = ModelRegistry()
-        registry.register("pygx", "gcn", "enzymes", build("pygx", config), config)
+        registry.register_checkpoint("pygx", "gcn", "enzymes", path, config=config)
+        assert registry.get("pygx", "GCN", "ENZYMES") is registry.get("pygx", "gcn", "enzymes")
         with pytest.raises(KeyError, match="pygx"):
             registry.get("dglx", "gcn", "enzymes")
 
     def test_contains_and_len(self, config, tmp_path):
         registry = ModelRegistry()
         assert ("pygx", "gcn", "enzymes") not in registry
-        registry.register("pygx", "gcn", "enzymes", build("pygx", config), config)
+        path = tmp_path / "p.npz"
+        save_checkpoint(build("pygx", config), path)
+        registry.register_checkpoint("pygx", "gcn", "enzymes", path, config=config)
         path = tmp_path / "d.npz"
         save_checkpoint(build("dglx", config), path)
         registry.register_checkpoint("dglx", "gcn", "enzymes", path, config=config)

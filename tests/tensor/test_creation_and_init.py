@@ -48,10 +48,6 @@ class TestInit:
         w = init.glorot_uniform((64, 64), np.random.default_rng(0))
         assert w.std() > 0.01
 
-    def test_kaiming_limits(self):
-        w = init.kaiming_uniform((100, 10), np.random.default_rng(0))
-        assert np.abs(w).max() <= np.sqrt(1.0 / 100)
-
     def test_zeros_ones(self):
         assert init.zeros((3,)).sum() == 0
         assert init.ones((3,)).sum() == 3

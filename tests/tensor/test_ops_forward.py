@@ -54,18 +54,19 @@ class TestActivations:
         assert out.data[1] == pytest.approx(0.5)
         assert out.data[2] == pytest.approx(1.0, abs=1e-6)
 
-    def test_softmax_rows_sum_to_one(self, rng):
-        out = ops.softmax(t(rng.normal(size=(4, 6))), axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), rtol=1e-5)
+    def test_log_softmax_rows_exp_sum_to_one(self, rng):
+        out = ops.log_softmax(t(rng.normal(size=(4, 6))), axis=-1)
+        np.testing.assert_allclose(np.exp(out.data).sum(axis=-1), np.ones(4), rtol=1e-5)
 
-    def test_softmax_stable_for_large_logits(self):
-        out = ops.softmax(t([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+    def test_log_softmax_stable_for_large_logits(self):
+        out = ops.log_softmax(t([[1000.0, 1000.0]]))
+        np.testing.assert_allclose(out.data, [[np.log(0.5), np.log(0.5)]])
 
     def test_log_softmax_matches_log_of_softmax(self, rng):
         x = rng.normal(size=(3, 4)).astype(np.float32)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
         np.testing.assert_allclose(
-            ops.log_softmax(t(x)).data, np.log(ops.softmax(t(x)).data), atol=1e-5
+            ops.log_softmax(t(x)).data, np.log(e / e.sum(axis=-1, keepdims=True)), atol=1e-5
         )
 
 

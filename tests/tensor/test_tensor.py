@@ -29,12 +29,6 @@ class TestCreation:
     def test_item_scalar(self):
         assert Tensor([2.5]).item() == pytest.approx(2.5)
 
-    def test_detach_shares_data_but_drops_graph(self):
-        a = Tensor([1.0], requires_grad=True)
-        b = (a * 2.0).detach()
-        assert not b.requires_grad
-        assert b._node is None
-
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
         assert "requires_grad" not in repr(Tensor([1.0]))

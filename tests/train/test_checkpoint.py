@@ -9,7 +9,6 @@ from repro.pygx import Batch, Data, build_model
 from repro.tensor import no_grad
 from repro.train import (
     checkpoint_name,
-    checkpoint_nbytes,
     load_checkpoint,
     load_model,
     save_checkpoint,
@@ -53,11 +52,6 @@ class TestCheckpoint:
         model.eval()
         other.eval()
         np.testing.assert_allclose(model(batch).data, other(batch).data, atol=1e-6)
-
-    def test_checkpoint_nbytes_matches_state(self, model):
-        assert checkpoint_nbytes(model) == sum(
-            a.nbytes for a in model.state_dict().values()
-        )
 
     def test_mismatched_architecture_rejected(self, model, tmp_path):
         path = tmp_path / "m.npz"

@@ -76,17 +76,3 @@ class TestExperimentResult:
         assert result.epoch_time == pytest.approx(0.2)
         assert result.total_time == pytest.approx(2.0)
         assert result.runs is runs
-
-    def test_format_row_contains_fields(self):
-        result = ExperimentResult(
-            framework="pygx",
-            model="gcn",
-            dataset="Cora",
-            acc_mean=0.81,
-            acc_std=0.013,
-            epoch_time=0.0049,
-            total_time=5.82,
-        )
-        row = result.format_row()
-        assert "Cora" in row and "gcn" in row and "pygx" in row
-        assert "81.0" in row
