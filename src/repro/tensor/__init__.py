@@ -7,9 +7,12 @@ Public surface:
 * :mod:`repro.tensor.ops_scatter` — gather/scatter/segment kernels.
 * :mod:`repro.tensor.ops_sparse` — fused GSpMM/GSDDMM kernels + CSR graphs.
 * :func:`no_grad`, the gradient-mode switch.
+* :func:`declare_sparse`, which lets dropout and matmul compute a read-only
+  input on its nonzeros while the device is charged the dense kernels.
 """
 
 from repro.tensor import ops
+from repro.tensor._declared import declare_sparse
 from repro.tensor.autograd import grad_enabled, no_grad
 from repro.tensor.gradcheck import GradcheckError, gradcheck
 from repro.tensor.creation import full, ones, randn, uniform, zeros
@@ -70,6 +73,7 @@ __all__ = [
     "Tensor",
     "ops",
     "no_grad",
+    "declare_sparse",
     "grad_enabled",
     "gradcheck",
     "GradcheckError",

@@ -1,0 +1,105 @@
+"""Declared-sparse arrays: the CSR of a read-only 2-D float32 array, kept beside it.
+
+A bag-of-words feature matrix is ~96 % zeros, and the dense kernels a GPU
+framework runs on it (input dropout, the first projection) are what the
+simulated device is charged.  The host need not pay for the zeros too:
+:func:`declare_sparse` builds the array's CSR once, and ``ops.dropout`` /
+``ops.matmul`` compute on it when their input resolves to declared rows
+(:func:`sparse_rows`), while charging exactly the dense kernels
+(docs/cost_model.md, "Declared-sparse inputs").
+
+The registry is weak: an entry lives as long as its array.  Declaring makes
+the array read-only, so the CSR cannot go stale under it.
+"""
+
+from __future__ import annotations
+
+import weakref
+from typing import Dict, Optional
+
+import numpy as np
+
+from repro._random import BLOCK
+
+
+class SparseRows:
+    """Row-major CSR of a 2-D float32 array.
+
+    Every element whose bits are not those of ``+0.0`` is stored (``-0.0``,
+    inf and NaN included), so the array is exactly its stored entries over a
+    ``+0.0`` background.  ``positions`` are the stored flat indices,
+    ascending; ``bounds[b]:bounds[b + 1]`` are the entries inside draw block
+    ``b`` of ``repro._random.random_blocks``.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "positions", "bounds")
+
+    def __init__(self, indptr, indices, data, positions, bounds) -> None:
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.positions, self.bounds = positions, bounds
+
+    def select(self, mask: np.ndarray, data: np.ndarray) -> "SparseRows":
+        """The entries where ``mask`` holds, with new values ``data[mask]``."""
+        chosen = np.flatnonzero(mask)
+        # A row or block starting at entry ``k`` starts at the count of chosen entries before ``k``.
+        return SparseRows(
+            np.searchsorted(chosen, self.indptr),
+            self.indices.take(chosen),
+            data.take(chosen),
+            self.positions.take(chosen),
+            np.searchsorted(chosen, self.bounds),
+        )
+
+
+class _Entry(weakref.ref):
+    """A declared array's registry slot; dropped when the array is collected."""
+
+    __slots__ = ("rows",)
+
+
+_DECLARED: Dict[int, _Entry] = {}
+
+
+def declare_sparse(x: np.ndarray) -> None:
+    """Declare ``x`` sparse: build its CSR once and make ``x`` read-only.
+
+    ``x`` must be a 2-D float32 array (``TypeError`` / ``ValueError``
+    otherwise) that owns its memory (``ValueError``), so no writable base
+    can change it behind the registry.
+    """
+    if not isinstance(x, np.ndarray) or x.dtype != np.float32:
+        raise TypeError(f"only a float32 array can be declared sparse, got {getattr(x, 'dtype', type(x))}")
+    if x.ndim != 2:
+        raise ValueError(f"only a 2-D array can be declared sparse, got shape {x.shape}")
+    if x.base is not None:
+        raise ValueError("only an array that owns its memory can be declared sparse")
+    n_rows, n_cols = x.shape
+    positions = np.flatnonzero(x.view(np.uint32))
+    # Row ``r`` (draw block ``b``) starts at the first entry at or after its first element.
+    indptr = np.searchsorted(positions, np.arange(n_rows + 1) * n_cols)
+    bounds = np.searchsorted(positions, np.arange(0, x.size + BLOCK, BLOCK))
+    indices = positions % max(n_cols, 1)
+    _register(x, SparseRows(indptr, indices, x.reshape(-1)[positions], positions, bounds))
+
+
+def _register(x: np.ndarray, rows: SparseRows) -> None:
+    """Hold ``rows`` as the CSR of ``x`` (a fresh array) while ``x`` lives."""
+    x.flags.writeable = False
+    key = id(x)
+    entry = _Entry(x, lambda _, key=key: _DECLARED.pop(key, None))
+    entry.rows = rows
+    _DECLARED[key] = entry
+
+
+def sparse_rows(array: np.ndarray) -> Optional[SparseRows]:
+    """The CSR of a declared array, or of a full-shape view of one; else ``None``."""
+    entry = _DECLARED.get(id(array))
+    if entry is None:
+        base = array.base
+        if base is None:
+            return None
+        entry = _DECLARED.get(id(base))
+        # A view of an owner with the owner's shape and strides starts where it does.
+        if entry is None or (array.shape, array.strides, array.dtype) != (base.shape, base.strides, base.dtype):
+            return None
+    return entry.rows

@@ -14,6 +14,8 @@ import numpy as np
 
 from repro._random import BLOCK, random_blocks
 from repro.device import current_device
+from repro.tensor._declared import SparseRows, _register, sparse_rows
+from repro.tensor._reduce import csr_product
 from repro.tensor.autograd import grad_enabled
 from repro.tensor.tensor import Tensor, _attach_node, launch_backward, make_op, unbroadcast
 
@@ -163,20 +165,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k2, m = b.shape
     if k != k2:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    # A declared-sparse lhs is multiplied on its nonzeros and charged as the
+    # dense GEMM (docs/cost_model.md, "Declared-sparse inputs").
+    rows = sparse_rows(a.data)
+    if rows is None:
+        out = a.data @ b.data
+    else:
+        out = csr_product(rows.indptr, rows.indices, rows.data, b.data, n)
     flops = 2.0 * n * k * m
     nbytes = float(_F32 * (n * k + k * m + n * m))
-    # Each operand is saved only for the other's gradient.
+    # Each operand is saved only for the other's gradient; a sparse lhs is
+    # saved as well, unread, so the pool frees its dense bytes when it would.
     a_data = a.data if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
 
     def backward(grad: np.ndarray):
         launch_backward("matmul_backward_a", 2.0 * n * m * k, _F32 * (n * m + k * m + n * k))
         launch_backward("matmul_backward_b", 2.0 * k * n * m, _F32 * (n * k + n * m + k * m))
-        return (
-            None if b_data is None else grad @ b_data.T,
-            None if a_data is None else a_data.T @ grad,
-        )
+        if a_data is None:
+            gb = None
+        elif rows is None:
+            gb = a_data.T @ grad
+        else:
+            gb = csr_product(rows.indptr, rows.indices, rows.data, grad, k, transpose=True)
+        return None if b_data is None else grad @ b_data.T, gb
 
     return make_op("matmul", out, (a, b), backward, flops, nbytes)
 
@@ -432,11 +444,16 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     if not training or p == 0.0:
         return a
     rng = rng or np.random.default_rng()
+    keep = np.float32(1.0) / np.float32(1.0 - p)
+    rows = None if a.requires_grad else sparse_rows(a.data)
+    if rows is not None:
+        # No gradient can reach ``a``, so no backward runs.
+        out = _dropout_nonzeros(rows, a.shape, p, keep, rng)
+        return make_op("dropout", out, (a,), None, *_ew_cost(out, 1))
     # mask = (rng.random(a.shape) >= p) / float32(1 - p) and out = a.data * mask,
     # block by block: the full-size float64 draw is never requested.  Each
     # float32 mask block is built in the output's slot and multiplied in
     # place; only the bool keep mask is saved, and only when backward reads it.
-    keep = np.float32(1.0) / np.float32(1.0 - p)
     out = np.empty(a.shape, dtype=np.float32)
     saved = grad_enabled() and a.requires_grad
     kept = np.empty(a.size if saved else min(a.size, BLOCK), dtype=bool)
@@ -461,6 +478,30 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
         return (g_out,)
 
     return make_op("dropout", out, (a,), backward, flops, nbytes)
+
+
+def _dropout_nonzeros(
+    rows: SparseRows, shape: Tuple[int, ...], p: float, keep: np.float32, rng: np.random.Generator
+) -> np.ndarray:
+    """``dropout``'s output for a declared-sparse input, bit for bit.
+
+    The dense path's uniforms are drawn, block by block, so the generator
+    ends where it would; only the draws at stored positions are read.  Each
+    stored element gets the dense path's ``x * mask``, and every other
+    element is ``+0.0`` there and here.  The output is declared with the
+    CSR of what it stores: the input's entries less the dropped ones.
+    """
+    positions, bounds = rows.positions, rows.bounds
+    out = np.zeros(shape, dtype=np.float32)
+    kept = np.empty(len(positions), dtype=bool)
+    blocks = random_blocks(rng, out.size)
+    for (start, _, uniform), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        np.greater_equal(uniform[positions[lo:hi] - start], p, out=kept[lo:hi])
+    values = np.multiply(kept, keep, dtype=np.float32)
+    values *= rows.data
+    out.reshape(-1)[positions] = values
+    _register(out, rows.select(values.view(np.uint32) != 0, values))
+    return out
 
 
 def abs(a: Tensor) -> Tensor:  # noqa: A001

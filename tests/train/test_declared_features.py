@@ -1,0 +1,71 @@
+"""Declared-sparse features are computed sparse and charged dense.
+
+Cora's bag-of-words ``x`` is declared sparse when the dataset is built, so
+input dropout and the first projection run on its nonzeros on the host.
+The simulated device must not notice: one training epoch (a step and the
+no-grad validation forward) per pack x {GCN, GAT} is run on the declared
+features and on a writable, undeclared copy of them, and both runs must
+launch the same kernels with the same FLOPs, bytes and pool bytes, end on
+the same clock bit for bit and reach the same losses up to the CSR
+summation order.
+"""
+
+import numpy as np
+import pytest
+
+from repro.datasets import cora
+from repro.datasets.base import NodeClassificationDataset
+from repro.device import Device
+from repro.graph import GraphSample
+from repro.tensor import ops
+from repro.train import NodeClassificationTrainer
+
+
+@pytest.fixture(scope="module")
+def declared_and_copy():
+    declared = cora(0)
+    graph = declared.graph
+    copy = NodeClassificationDataset(
+        declared.name,
+        GraphSample(graph.edge_index, graph.x.copy(), graph.y),
+        declared.num_classes,
+        declared.train_idx,
+        declared.val_idx,
+        declared.test_idx,
+    )
+    return declared, copy
+
+
+def _one_epoch(monkeypatch, framework, model, dataset):
+    """What one epoch left on a fresh device, and how many lookups hit declared rows."""
+    hits, lookup = [], ops.sparse_rows
+
+    def spy(array):
+        rows = lookup(array)
+        hits.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(ops, "sparse_rows", spy)
+    device = Device()
+    device.profiler.enabled = True
+    result = NodeClassificationTrainer(framework, model, dataset, max_epochs=1, device=device).run()
+    monkeypatch.setattr(ops, "sparse_rows", lookup)
+    launches = [(r.name, r.flops, r.bytes_moved, r.memory) for r in device.profiler.records]
+    epoch = result.epochs[0]
+    return sum(hits), launches, device.memory.peak, device.clock.elapsed, (epoch.train_loss, epoch.val_loss)
+
+
+@pytest.mark.parametrize("model", ["gcn", "gat"])
+@pytest.mark.parametrize("framework", ["pygx", "dglx"])
+def test_declared_features_are_charged_as_the_dense_copy(monkeypatch, declared_and_copy, framework, model):
+    declared, copy = declared_and_copy
+    assert not declared.graph.x.flags.writeable and copy.graph.x.flags.writeable
+    sparse = _one_epoch(monkeypatch, framework, model, declared)
+    dense = _one_epoch(monkeypatch, framework, model, copy)
+    assert sparse[0] > 0 and dense[0] == 0, "only the declared run computes on the nonzeros"
+    launches, dense_launches = sparse[1], dense[1]
+    assert len(launches) == len(dense_launches) > 0
+    assert launches == dense_launches
+    assert sparse[2] == dense[2]
+    assert sparse[3].hex() == dense[3].hex()
+    np.testing.assert_allclose(sparse[4], dense[4], rtol=1e-6, atol=0)
