@@ -3,10 +3,10 @@
 A bag-of-words feature matrix is ~96 % zeros, and the dense kernels a GPU
 framework runs on it (input dropout, the first projection) are what the
 simulated device is charged.  The host need not pay for the zeros too:
-:func:`declare_sparse` builds the array's CSR once, and ``ops.dropout`` /
-``ops.matmul`` compute on it when their input resolves to declared rows
-(:func:`sparse_rows`), while charging exactly the dense kernels
-(docs/cost_model.md, "Declared-sparse inputs").
+:func:`declare_sparse` builds the array's CSR once, and ``ops.dropout``,
+``ops.mul`` (row scaling) and ``ops.matmul`` compute on it when their input
+resolves to declared rows (:func:`sparse_rows`), while charging exactly the
+dense kernels (docs/cost_model.md, "Declared-sparse inputs").
 
 The registry is weak: an entry lives as long as its array.  Declaring makes
 the array read-only, so the CSR cannot go stale under it.
@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro._random import BLOCK
+from repro._random import PCG64Jumps
 
 
 class SparseRows:
@@ -28,26 +28,26 @@ class SparseRows:
     Every element whose bits are not those of ``+0.0`` is stored (``-0.0``,
     inf and NaN included), so the array is exactly its stored entries over a
     ``+0.0`` background.  ``positions`` are the stored flat indices,
-    ascending; ``bounds[b]:bounds[b + 1]`` are the entries inside draw block
-    ``b`` of ``repro._random.random_blocks``.
+    ascending; ``jumps`` are the ``PCG64`` jump tables of the array's shape
+    (``repro._random.random_at``), shared by every array of that lineage.
     """
 
-    __slots__ = ("indptr", "indices", "data", "positions", "bounds")
+    __slots__ = ("indptr", "indices", "data", "positions", "jumps")
 
-    def __init__(self, indptr, indices, data, positions, bounds) -> None:
+    def __init__(self, indptr, indices, data, positions, jumps) -> None:
         self.indptr, self.indices, self.data = indptr, indices, data
-        self.positions, self.bounds = positions, bounds
+        self.positions, self.jumps = positions, jumps
 
     def select(self, mask: np.ndarray, data: np.ndarray) -> "SparseRows":
         """The entries where ``mask`` holds, with new values ``data[mask]``."""
         chosen = np.flatnonzero(mask)
-        # A row or block starting at entry ``k`` starts at the count of chosen entries before ``k``.
+        # A row starting at entry ``k`` starts at the count of chosen entries before ``k``.
         return SparseRows(
             np.searchsorted(chosen, self.indptr),
             self.indices.take(chosen),
             data.take(chosen),
             self.positions.take(chosen),
-            np.searchsorted(chosen, self.bounds),
+            self.jumps,
         )
 
 
@@ -75,11 +75,11 @@ def declare_sparse(x: np.ndarray) -> None:
         raise ValueError("only an array that owns its memory can be declared sparse")
     n_rows, n_cols = x.shape
     positions = np.flatnonzero(x.view(np.uint32))
-    # Row ``r`` (draw block ``b``) starts at the first entry at or after its first element.
+    # Row ``r`` starts at the first entry at or after its first element.
     indptr = np.searchsorted(positions, np.arange(n_rows + 1) * n_cols)
-    bounds = np.searchsorted(positions, np.arange(0, x.size + BLOCK, BLOCK))
     indices = positions % max(n_cols, 1)
-    _register(x, SparseRows(indptr, indices, x.reshape(-1)[positions], positions, bounds))
+    jumps = PCG64Jumps(n_rows, n_cols)
+    _register(x, SparseRows(indptr, indices, x.reshape(-1)[positions], positions, jumps))
 
 
 def _register(x: np.ndarray, rows: SparseRows) -> None:

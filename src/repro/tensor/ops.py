@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._random import BLOCK, random_blocks
+from repro._random import BLOCK, random_at, random_blocks
 from repro.device import current_device
 from repro.tensor._declared import SparseRows, _register, sparse_rows
 from repro.tensor._reduce import csr_product
@@ -22,6 +22,8 @@ from repro.tensor.tensor import Tensor, _attach_node, launch_backward, make_op, 
 Axis = Union[None, int, Tuple[int, ...]]
 
 _F32 = 4  # bytes per element
+#: Bits of float32 +inf: a float32 is finite with its sign bit clear iff its bits are below.
+_F32_INF_BITS = 0x7F800000
 
 
 def _ew_cost(out: np.ndarray, n_inputs: int = 2) -> Tuple[float, float]:
@@ -57,6 +59,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    # A declared-sparse lhs scaled row by row by a column that is finite and
+    # non-negative (dglx GraphConv's ``h * norm``) stays declared: its zeros
+    # stay +0.0 (docs/cost_model.md, "Declared-sparse inputs").
+    rows = None
+    if b.data.shape == a.data.shape[:1] + (1,) and not (a.requires_grad or b.requires_grad):
+        rows = sparse_rows(a.data)
+    if rows is not None and b.data.dtype == np.float32 and np.all(b.data.view(np.uint32) < _F32_INF_BITS):
+        values = rows.data * np.repeat(b.data.reshape(-1), np.diff(rows.indptr))
+        out = _declared_output(rows, a.data.shape, values)
+        return make_op("mul", out, (a, b), None, *_ew_cost(out))
     out = a.data * b.data
     flops, nbytes = _ew_cost(out)
     a_shape, b_shape = a.data.shape, b.data.shape
@@ -446,7 +458,7 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     rng = rng or np.random.default_rng()
     keep = np.float32(1.0) / np.float32(1.0 - p)
     rows = None if a.requires_grad else sparse_rows(a.data)
-    if rows is not None:
+    if rows is not None and type(rng.bit_generator) is np.random.PCG64:
         # No gradient can reach ``a``, so no backward runs.
         out = _dropout_nonzeros(rows, a.shape, p, keep, rng)
         return make_op("dropout", out, (a,), None, *_ew_cost(out, 1))
@@ -485,21 +497,21 @@ def _dropout_nonzeros(
 ) -> np.ndarray:
     """``dropout``'s output for a declared-sparse input, bit for bit.
 
-    The dense path's uniforms are drawn, block by block, so the generator
-    ends where it would; only the draws at stored positions are read.  Each
-    stored element gets the dense path's ``x * mask``, and every other
-    element is ``+0.0`` there and here.  The output is declared with the
-    CSR of what it stores: the input's entries less the dropped ones.
+    Only the uniforms at stored positions are drawn, by jumping ``PCG64``
+    to each (``random_at``), and the generator ends where the dense draw
+    leaves it.  Each stored element gets the dense path's ``x * mask``, and
+    every other element is ``+0.0`` there and here.
     """
-    positions, bounds = rows.positions, rows.bounds
-    out = np.zeros(shape, dtype=np.float32)
-    kept = np.empty(len(positions), dtype=bool)
-    blocks = random_blocks(rng, out.size)
-    for (start, _, uniform), lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-        np.greater_equal(uniform[positions[lo:hi] - start], p, out=kept[lo:hi])
+    kept = random_at(rng, rows.jumps, rows.positions) >= p
     values = np.multiply(kept, keep, dtype=np.float32)
     values *= rows.data
-    out.reshape(-1)[positions] = values
+    return _declared_output(rows, shape, values)
+
+
+def _declared_output(rows: SparseRows, shape: Tuple[int, ...], values: np.ndarray) -> np.ndarray:
+    """``values`` at the positions of ``rows`` over ``+0.0``, declared with the CSR of its other entries."""
+    out = np.zeros(shape, dtype=np.float32)
+    out.reshape(-1)[rows.positions] = values
     _register(out, rows.select(values.view(np.uint32) != 0, values))
     return out
 

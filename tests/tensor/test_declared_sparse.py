@@ -1,13 +1,16 @@
-"""Oracle for declared-sparse inputs: dropout and matmul on their nonzeros.
+"""Oracle for declared-sparse inputs: dropout, row scaling and matmul on their nonzeros.
 
-``declare_sparse`` lets ``ops.dropout`` and ``ops.matmul`` compute a
-read-only 2-D float32 array on its CSR.  Dropout must stay the dense path bit
-for bit (same output bits, same generator state afterwards); the product and
-the weight gradient are CSR sums in storage order, so they must match the
-dense float32 GEMM within the float32-epsilon bound of docs/kernels.md
-("Reduction numerics").  The cases are the matrices that break sparse code:
-empty rows and columns, nothing stored, one entry, and a size whose draw
-spans several ``random_blocks`` blocks and ends in a partial one.
+``declare_sparse`` lets ``ops.dropout``, ``ops.mul`` (scaling rows by a
+non-negative finite column) and ``ops.matmul`` compute a read-only 2-D
+float32 array on its CSR.  Dropout, which jumps PCG64 to the nonzeros
+(``repro._random.random_at``, with its own oracle in ``test_random_at.py``),
+and row scaling must stay the dense path bit for bit (same output bits, same
+generator state afterwards); the product and the weight gradient are CSR
+sums in storage order, so they must match the dense float32 GEMM within the
+float32-epsilon bound of docs/kernels.md ("Reduction numerics").  The cases
+are the matrices that break sparse code: empty rows and columns, nothing
+stored, one entry, and nonzeros enough for several jump chunks, the last a
+partial one.
 """
 
 import numpy as np
@@ -173,3 +176,60 @@ def test_the_registry_lets_go_of_a_collected_array():
     assert key in _declared._DECLARED
     del x
     assert key not in _declared._DECLARED
+
+
+def _column(n, seed):
+    """A finite non-negative column with +0.0 rows and rows whose products underflow."""
+    column = np.random.default_rng(seed).uniform(0.0, 3.0, (n, 1)).astype(np.float32)
+    column[::5] = 0.0
+    column[1::7] = np.float32(1e-45)  # the smallest subnormal: x < 0.75 rounds to +0.0
+    return column
+
+
+@pytest.mark.parametrize(
+    "build", [*CASES.values(), _signed_zeros_and_non_finite],
+    ids=[*CASES, "signed_zeros_and_non_finite"],
+)
+def test_row_scaling_is_the_dense_product_and_stays_declared(fresh_device, build):
+    x, copy = _declared_and_copy(build)
+    column = _column(x.shape[0], 9)
+    with np.errstate(invalid="ignore"):  # inf * 0 on both paths
+        out = ops.mul(Tensor(x.view()), Tensor(column))
+        dense = ops.mul(Tensor(copy), Tensor(column))
+    assert sparse_rows(dense.data) is None
+    assert np.array_equal(out.data.view(np.uint32), dense.data.view(np.uint32))
+    rows = sparse_rows(out.data)
+    assert rows is not None and not out.data.flags.writeable
+    assert np.array_equal(_stored_as_dense(rows, x.shape).view(np.uint32), out.data.view(np.uint32))
+    assert np.all(rows.data.view(np.uint32) != 0), "a +0.0 product stays stored"
+    assert rows.indptr[-1] == len(rows.indices) == len(rows.data) <= len(sparse_rows(x).data)
+
+
+def _with(column, row, value):
+    column = column.copy()
+    column[row, 0] = value
+    return column
+
+
+#: ``name -> (rhs, lhs needs a gradient, rhs needs a gradient)`` for the 40 x 30 case.
+DENSE_SCALINGS = {
+    "negative": (_with(_column(40, 9), 3, -0.5), False, False),
+    "negative_zero": (_with(_column(40, 9), 3, -0.0), False, False),
+    "inf": (_with(_column(40, 9), 3, np.inf), False, False),
+    "nan": (_with(_column(40, 9), 3, np.nan), False, False),
+    "lhs_needs_grad": (_column(40, 9), True, False),
+    "rhs_needs_grad": (_column(40, 9), False, True),
+    "row_vector": (_column(30, 9).T.copy(), False, False),
+    "full_matrix": (np.random.default_rng(9).uniform(0.0, 3.0, (40, 30)).astype(np.float32), False, False),
+}
+
+
+@pytest.mark.parametrize("rhs, lhs_grad, rhs_grad", DENSE_SCALINGS.values(), ids=DENSE_SCALINGS)
+def test_any_other_scaling_takes_the_dense_path(fresh_device, rhs, lhs_grad, rhs_grad):
+    x, copy = _declared_and_copy(CASES["zero_rows_and_columns"])
+    assert x.shape == (40, 30)
+    with np.errstate(invalid="ignore"):  # inf * 0 and nan on both paths
+        out = ops.mul(Tensor(x, requires_grad=lhs_grad), Tensor(rhs, requires_grad=rhs_grad))
+        dense = ops.mul(Tensor(copy, requires_grad=lhs_grad), Tensor(rhs, requires_grad=rhs_grad))
+    assert sparse_rows(out.data) is None
+    assert np.array_equal(out.data.view(np.uint32), dense.data.view(np.uint32))

@@ -69,3 +69,17 @@ def test_declared_features_are_charged_as_the_dense_copy(monkeypatch, declared_a
     assert sparse[2] == dense[2]
     assert sparse[3].hex() == dense[3].hex()
     np.testing.assert_allclose(sparse[4], dense[4], rtol=1e-6, atol=0)
+
+
+def test_dglx_gcn_projects_declared_rows(monkeypatch, declared_and_copy):
+    # GraphConv scales the dropped input by deg^-1/2 before its Linear; the
+    # scaling keeps it declared, so the first projection is a CSR product.
+    resolved, matmul = [], ops.matmul
+
+    def spy(a, b):
+        resolved.append(ops.sparse_rows(a.data) is not None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ops, "matmul", spy)
+    NodeClassificationTrainer("dglx", "gcn", declared_and_copy[0], max_epochs=1, device=Device()).run()
+    assert resolved[0], "dglx GCN's first matmul computed the dense input"
