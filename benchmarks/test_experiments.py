@@ -2,11 +2,13 @@
 
 ``pytest benchmarks/ -k BENCH_`` regenerates the nine committed documents
 at the repo root (what the ``bench-regression`` CI job runs; ``paper`` alone
-is ~14 min, it runs every table, figure and ablation of the source paper);
-``-k <name>`` runs one record.  A record passes when its body bears out
-every claim it makes -- the protocol, the table and the claims all live in
-the record, nothing here restates them.  The three ``smoke`` tests are the
-reduced per-PR twins CI selects with ``-k smoke``.
+is ~14 min, it runs every table, figure and ablation of the source paper)
+and must run under ``repro.bench.spec.NUMERIC_ENV``, or ``write_document``
+refuses to write them; ``-k <name>`` runs one record.  A record passes
+when its body bears out every claim it makes -- the protocol, the table
+and the claims all live in the record, nothing here restates them.  The
+three ``smoke`` tests are the reduced per-PR twins CI selects with
+``-k smoke``.
 """
 
 import pathlib

@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.bench import ablations, fleet, ops, runner, scale, scaling
 from repro.bench.claims import Claim, among, each, extreme, on, paired, where
 from repro.bench.serialize import cells_to_csv, document_to_json, serving_to_dict
+from repro.bench.spec import unpinned_settings
 from repro.bench.tables import format_seconds, render_table
 from repro.datasets import FULL_MNIST_SIZE, compute_statistics, load_dataset
 from repro.device import kernel_stats
@@ -38,6 +39,9 @@ from repro.models import ANISOTROPIC, MODEL_NAMES
 from repro.packs import FRAMEWORKS
 from repro.serve import bursty_trace, poisson_trace
 from repro.train import compare_accuracies, multi_gpu_epoch_time
+
+#: Where the committed ``BENCH_*.json`` documents live (a source checkout).
+_REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 
 
 @dataclass(frozen=True)
@@ -717,8 +721,8 @@ _BATCHING_OPT_CLAIMS = (
 # ----------------------------------------------------------------------
 def _run_serving(p):
     trace = tuple(poisson_trace(p["requests"], rate=p["rate"], rng=0))
-    # BENCH_serving.json is gated by position: entries go by framework name,
-    # unbatched then batched.
+    # BENCH_serving.json lists its entries by framework name, unbatched then
+    # batched.
     results = [
         runner.serving_cell(f, m, d, trace, max_batch_size=max_batch,
                             queue_capacity=p["queue_capacity"], num_graphs=p["num_graphs"])
@@ -1406,6 +1410,18 @@ def write_document(name: str, body, path) -> None:
     """Serialise ``body`` as experiment ``name``'s JSON, newline-terminated.
 
     The one ``BENCH_*.json`` writer: a gated record's serialiser validates
-    the document against :mod:`repro.bench.spec` on the way out.
+    the document against :mod:`repro.bench.spec` on the way out.  The
+    repository's own ``BENCH_<name>.json`` is written only from a process
+    running under :data:`~repro.bench.spec.NUMERIC_ENV`, so its bytes do not
+    depend on the box; any other path is written as asked.
     """
-    pathlib.Path(path).write_text(EXPERIMENTS[name].to_json(body) + "\n")
+    path = pathlib.Path(path)
+    if path.resolve() == _REPO_ROOT / f"BENCH_{name}.json":
+        unpinned = unpinned_settings()
+        if unpinned:
+            raise RuntimeError(
+                f"refusing to write the committed {path.name} outside the "
+                f"pinned numeric environment: set {', '.join(unpinned)} before "
+                f"the process starts (python -m repro.bench.report does it itself)"
+            )
+    path.write_text(EXPERIMENTS[name].to_json(body) + "\n")

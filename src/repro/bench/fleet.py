@@ -21,7 +21,7 @@ round-robin is already an optimal count-balancer.
 
 Everything runs on the simulated clock from seeded RNG streams, so every
 cell — goodput, percentiles, shed/failed counts, cache hit-rate — is
-exactly deterministic and CI gates it against the committed
+exactly deterministic and CI diffs it byte for byte against the committed
 ``BENCH_fleet.json``.
 
 CLI (the ``fleet`` record of :mod:`repro.bench.experiments`)::

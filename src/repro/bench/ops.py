@@ -14,8 +14,8 @@ FLOP/bandwidth from the device cost model and classifies the op as
 launch-, bandwidth- or compute-bound (:mod:`repro.device.roofline`).
 
 Everything runs on the simulated clock, so every number — including the
-classification — is exactly deterministic; CI gates wall clock *and*
-classification against the committed ``BENCH_ops.json`` baseline.
+classification — is exactly deterministic; CI diffs it byte for byte
+against the committed ``BENCH_ops.json``.
 
 CLI (the ``ops`` record of :mod:`repro.bench.experiments`)::
 

@@ -22,17 +22,23 @@ the record has no key for is a usage error.  With no override, a record
 that backs a committed ``BENCH_<name>.json`` rewrites that file in the
 working directory; with any override, output goes only where
 ``--json``/``--csv`` say, so a quick reduced run cannot clobber a baseline.
+
+Run as ``python -m``, the CLI first re-executes itself under
+:data:`repro.bench.spec.NUMERIC_ENV` when the environment lacks it: BLAS
+and numpy read those variables when they load, and every committed
+document is written under them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 from repro.bench import fleet, ops
 from repro.bench.experiments import EXPERIMENTS, write_document
-from repro.bench.spec import SPECS
+from repro.bench.spec import NUMERIC_ENV, SPECS, unpinned_settings
 from repro.fleet import POLICY_NAMES
 
 
@@ -110,4 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    if unpinned_settings():
+        os.execve(sys.executable, sys.orig_argv, {**os.environ, **NUMERIC_ENV})
     sys.exit(main())

@@ -21,7 +21,7 @@ Three cell kinds back the ``scale`` record of :mod:`repro.bench.experiments`:
 
 Everything is a deterministic function of the seeds: the simulated clock
 and memory pool make the timing/peak metrics reproducible across hosts,
-so ``tools/check_bench_regression.py`` can gate them.
+so CI diffs ``BENCH_scale.json`` byte for byte.
 """
 
 from __future__ import annotations

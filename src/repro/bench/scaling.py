@@ -21,8 +21,8 @@ Two cell kinds back the ``scaling`` record of :mod:`repro.bench.experiments`:
 
 Everything is a deterministic function of the seeds — simulated clock,
 roofline kernels, modelled fabric — so the JSON this feeds
-(``BENCH_scaling.json``) is reproducible across hosts and gated by
-``tools/check_bench_regression.py``.
+(``BENCH_scaling.json``) is reproducible across hosts under
+:data:`repro.bench.spec.NUMERIC_ENV`, and CI diffs it byte for byte.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Serialisation of experiment results to JSON/CSV.
 
 Experiments print human-readable tables; downstream analysis (plotting
-the figures, diffing runs, the regression gate) wants machine-readable
-records.  Experiment bodies are JSON-able cells already; these helpers
-flatten serving results to such cells, and validate every
-``BENCH_*.json`` document against its spec on the way in and out.
+the figures, diffing runs) wants machine-readable records.  Experiment
+bodies are JSON-able cells already; these helpers flatten serving
+results to such cells, and validate every ``BENCH_*.json`` document
+against its spec on the way in and out.
 """
 
 from __future__ import annotations
@@ -65,14 +65,9 @@ def _validate_cell(section: Section, where: str, cell: Dict) -> None:
             raise ValueError(
                 f"{where} has {name}={cell[name]!r}, expected one of {allowed}"
             )
-    # What the gate reads -- (field, must it be a number?) -- straight
-    # from the gate table, so the two cannot drift apart.
-    gated = [(name, False) for name in section.keys] + [
-        (name, direction != "exact")
-        for metric, direction, _ in section.metrics
-        for name in section.sources(metric)
-    ]
-    for name, numeric in gated:
+    required = [(name, False) for name in section.keys] + [
+        (name, True) for name in section.metrics]
+    for name, numeric in required:
         if name not in cell:
             raise ValueError(f"{where} is missing field {name!r}")
         if not is_finite(cell[name], numeric):
@@ -84,6 +79,7 @@ def _validate_cell(section: Section, where: str, cell: Dict) -> None:
         parts, total = section.balance
         if sum(cell[p] for p in parts) != cell[total]:
             raise ValueError(f"{where}: {' + '.join(parts)} != {total}")
+    _check_conserved(section, where, cell)
     if section.tenants is not None:
         for tenant, entry in cell[section.tenants].items():
             if not isinstance(entry, dict):
@@ -94,19 +90,32 @@ def _validate_cell(section: Section, where: str, cell: Dict) -> None:
                         f"{where} tenant {tenant!r} is missing "
                         f"integer field {name!r}"
                     )
+            _check_conserved(section, f"{where} tenant {tenant!r}", entry)
+
+
+def _check_conserved(section: Section, where: str, entry: Dict) -> None:
+    if section.conserved is None:
+        return
+    held, expected = section.conserved
+    if entry[held] != entry[expected]:
+        raise ValueError(
+            f"{where}: {held} {entry[held]} != {expected} {entry[expected]} "
+            f"(requests lost without resolution)"
+        )
 
 
 def validate_document(experiment: str, doc):
     """Validate a ``BENCH_<experiment>.json`` document against its spec.
 
     Every document: the shape and ``experiment`` tag match, each section
-    is a list, and every cell carries its key fields and the source
-    fields of its gated metrics with finite values.  Where the spec
-    declares them, also the required-field schema, closed vocabularies,
-    the resolution arithmetic and per-tenant counts.  Raises
-    :class:`ValueError` naming the first offending cell and field;
-    returns the document unchanged when valid, so this composes as a
-    pass-through in the to/from JSON round-trip.
+    is a list, and every cell carries its key fields and its metrics as
+    finite numbers.  Where the spec declares them, also the required-field
+    schema, closed vocabularies, the resolution arithmetic, request
+    conservation (``resolved == n_requests``, per cell and per tenant) and
+    per-tenant counts.  Raises :class:`ValueError` naming the first
+    offending cell (and tenant) and field; returns the document unchanged
+    when valid, so this composes as a pass-through in the to/from JSON
+    round-trip.
     """
     found = tag_of(doc)
     if found != experiment:

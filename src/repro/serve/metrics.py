@@ -102,14 +102,6 @@ class ServingResult:
         return self.latency_percentiles[99.0]
 
     @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.n_requests if self.n_requests else 0.0
-
-    @property
-    def failed_fraction(self) -> float:
-        return self.failed / self.n_requests if self.n_requests else 0.0
-
-    @property
     def resolved(self) -> int:
         """Requests that got *some* explicit outcome (the lot, ideally)."""
         return self.completed + self.shed + self.failed

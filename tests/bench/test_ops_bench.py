@@ -1,13 +1,7 @@
-"""repro.bench.ops: cell invariants, the BENCH_ops.json schema round-trip,
-the ``report ops`` CLI, and the regression gate firing on the committed
-regressed fixture."""
+"""repro.bench.ops: cell invariants, the BENCH_ops.json schema round-trip
+and the ``report ops`` CLI."""
 
 from __future__ import annotations
-
-import importlib.util
-import json
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -32,10 +26,6 @@ from repro.bench.serialize import (
 from repro.bench.spec import SPECS
 from repro.device import Device, use_device
 
-REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-REGRESSED_OPS = os.path.join(
-    REPO_ROOT, "tests", "fixtures", "bench_regression", "regressed", "BENCH_ops.json"
-)
 
 CORA = SHAPES["cora"]
 ENZYMES = SHAPES["enzymes-b128"]
@@ -197,46 +187,3 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bound" in out and "dglx" in out and "pygx" not in out
         assert list(tmp_path.iterdir()) == []
-
-
-def _load_gate_tool():
-    path = os.path.join(REPO_ROOT, "tools", "check_bench_regression.py")
-    spec = importlib.util.spec_from_file_location("check_bench_regression_ops", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestRegressionGate:
-    def test_gate_fires_on_regressed_fixture(self, capsys):
-        # The committed fixture carries +20% wall clocks, one flipped
-        # bound class, and a launch-count bump; the gate must reject it
-        # with per-metric diffs.
-        tool = _load_gate_tool()
-        baseline = os.path.join(REPO_ROOT, "BENCH_ops.json")
-        rc = tool.main(["--baseline", baseline, "--current", REGRESSED_OPS])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "wall_time: baseline=" in out
-        assert "bound: baseline='bandwidth' -> current='launch'" in out
-        assert "launches: baseline=" in out
-
-    def test_gate_passes_baseline_against_itself_with_subset(self, capsys):
-        # --subset lets a reduced CI grid gate against the full baseline:
-        # a current document holding a strict subset of cells passes.
-        tool = _load_gate_tool()
-        baseline = os.path.join(REPO_ROOT, "BENCH_ops.json")
-        doc = json.load(open(baseline))
-        doc["cells"] = doc["cells"][: len(doc["cells"]) // 2]
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            subset_path = os.path.join(tmp, "BENCH_ops.json")
-            with open(subset_path, "w") as fh:
-                json.dump(doc, fh)
-            args = ["--baseline", baseline, "--current", subset_path]
-            assert tool.main(args + ["--subset"]) == 0
-            assert tool.main(args) == 1  # without the flag: missing cells
-        out = capsys.readouterr().out
-        assert "cell missing from current run" in out

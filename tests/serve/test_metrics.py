@@ -74,7 +74,7 @@ class TestServerMetrics:
         assert metrics.resolved_ids == {0, 1, 2, 3, 4}
         summary = metrics.summary("pygx", "gcn", "enzymes", 10, 1.0, 0.0, 1.0, {})
         assert summary.shed_by_reason == {"queue_full": 2, "deadline": 3}
-        assert summary.shed_fraction == pytest.approx(0.5)
+        assert (summary.shed, summary.n_requests) == (5, 10)
 
     def test_throughput_is_completed_per_elapsed(self):
         metrics = ServerMetrics()

@@ -1,5 +1,5 @@
-"""repro.bench.spec in lock-step with the committed baselines, the regressed
-fixtures, the gate and the validator -- and the gate's NaN / null handling."""
+"""repro.bench.spec in lock-step with the committed documents, and the
+write-time validator rejecting what no committed document may hold."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import ast
 import copy
 import glob
 import json
-import math
 import os
 import sys
 
@@ -19,8 +18,8 @@ from repro.bench.serialize import (
     validate_document,
 )
 from repro.bench.spec import SPECS
-from tests.tools.test_check_bench_regression import FIXTURE_DIR, REPO_ROOT, tool
 
+REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 EXPERIMENTS = sorted(SPECS)
 
 
@@ -29,25 +28,12 @@ def _committed(experiment):
         return json.load(fh)
 
 
-def _gate(tmp_path, experiment, current, *flags):
-    """Run the gate in single-file mode: committed baseline vs ``current``."""
-    spec = SPECS[experiment]
-    path = tmp_path / spec.filename
-    path.write_text(json.dumps(current))
-    return tool.main(["--baseline", os.path.join(REPO_ROOT, spec.filename),
-                      "--current", str(path), *flags])
-
-
 class TestLockStep:
     def test_every_committed_document_has_exactly_one_spec(self):
         committed = {os.path.basename(p)
                      for p in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))}
         assert committed == {spec.filename for spec in SPECS.values()}
         assert len(committed) == len(SPECS) == 9
-
-    def test_every_spec_has_a_regressed_fixture(self):
-        assert set(os.listdir(FIXTURE_DIR)) == {
-            spec.filename for spec in SPECS.values()}
 
     def test_spec_module_is_stdlib_only(self):
         import repro.bench.spec as module
@@ -63,14 +49,6 @@ class TestLockStep:
         assert imported <= set(sys.stdlib_module_names), imported
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_gate_accepts_baseline_and_rejects_fixture(self, experiment):
-        name = SPECS[experiment].filename
-        base = os.path.join(REPO_ROOT, name)
-        assert tool.main(["--baseline", base, "--current", base]) == 0
-        bad = os.path.join(FIXTURE_DIR, name)
-        assert tool.main(["--baseline", base, "--current", bad]) == 1
-
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_committed_document_validates_and_round_trips(self, experiment):
         doc = _committed(experiment)
         assert validate_document(experiment, doc) is doc
@@ -82,13 +60,9 @@ class TestLockStep:
         for section in SPECS[experiment].sections:
             cells = section.cells(doc)
             assert cells, section.name
-            wanted = set(section.keys) | {
-                name for metric, _, _ in section.metrics
-                for name in section.sources(metric)}
+            wanted = set(section.keys) | set(section.metrics) | set(section.schema)
             for i, cell in enumerate(cells):
                 assert wanted <= set(cell), (section.name, i, wanted - set(cell))
-                # Every label renders (the format spec fits the value).
-                assert section.label_of(cell, i).startswith(section.name + "[")
 
 
 class TestWriterNamesTheExperiment:
@@ -118,6 +92,19 @@ class TestWriterNamesTheExperiment:
         doc["cells"][3]["speedup_vs_dp"] = value
         with pytest.raises(ValueError, match=r"scaling.cells cell 3 field 'speedup_vs_dp'"):
             document_to_json("scaling", doc)
+
+    @pytest.mark.parametrize("experiment, section, index, field, value", [
+        ("scaling", "cells", 0, "collectives", float("nan")),
+        ("compile", "cells", 1, "parity", None),
+        ("paper", "claims", 4, "holds", "yes"),
+    ])
+    def test_flag_or_count_of_the_wrong_type_cannot_be_written(
+        self, experiment, section, index, field, value
+    ):
+        doc = _committed(experiment)
+        doc[section][index][field] = value
+        with pytest.raises(ValueError, match=rf"cell {index} field '{field}'"):
+            document_to_json(experiment, doc)
 
     def test_missing_key_field_names_cell_and_field(self):
         doc = _committed("serving")
@@ -170,53 +157,30 @@ class TestFleetSchema:
             validate_document("fleet", doc)
 
 
-class TestGateOnNonFiniteValues:
-    """NaN compares false both ways, so it used to pass the gate; ``null``
-    used to crash it with a TypeError traceback."""
+class TestConservation:
+    """A document that loses a request cannot be written."""
 
-    @pytest.mark.parametrize("value", [float("nan"), None, "fast"])
-    def test_non_finite_current_metric_is_a_regression(self, tmp_path, capsys, value):
+    def test_faults_cell_short_by_one_request(self):
         doc = _committed("faults")
-        doc["cells"][0]["goodput"] = doc["cells"][0]["p99"] = value
-        assert _gate(tmp_path, "faults", doc) == 1
-        out = capsys.readouterr().out
-        assert out.count("[not a finite number]") == 2
-        assert "goodput" in out and "p99" in out
+        doc["cells"][2]["resolved"] -= 1
+        with pytest.raises(ValueError, match=r"faults cell 2: resolved \d+ != n_requests"):
+            document_to_json("faults", doc)
 
-    def test_non_finite_source_of_a_derived_metric_is_a_regression(
-        self, tmp_path, capsys
-    ):
-        doc = _committed("serving")
-        doc[1]["shed"] = None
-        assert _gate(tmp_path, "serving", doc) == 1
-        assert "shed_fraction: " in capsys.readouterr().out
+    def test_fleet_cell_short_by_one_request(self):
+        doc = _committed("fleet")
+        cell = doc["cells"][3]
+        cell["completed"] -= 1
+        cell["resolved"] -= 1  # the resolution arithmetic still closes
+        with pytest.raises(ValueError, match=r"fleet cell 3: resolved \d+ != n_requests"):
+            document_to_json("fleet", doc)
 
-    def test_nan_on_an_exact_metric_is_a_regression(self, tmp_path):
-        doc = _committed("scaling")
-        doc["cells"][0]["collectives"] = math.nan
-        assert _gate(tmp_path, "scaling", doc) == 1
-
-    @pytest.mark.parametrize("value", [float("nan"), None])
-    def test_malformed_baseline_is_a_usage_error(self, tmp_path, capsys, value):
-        good = os.path.join(REPO_ROOT, "BENCH_faults.json")
-        doc = _committed("faults")
-        doc["cells"][0]["goodput"] = value
-        bad = tmp_path / "BENCH_faults.json"
-        bad.write_text(json.dumps(doc))
-        assert tool.main(["--baseline", str(bad), "--current", good]) == 2
-        err = capsys.readouterr().err
-        assert "BENCH_faults.json" in err
-        assert "faults cell 0 field 'goodput'" in err
-
-    def test_baseline_without_a_gated_field_is_a_usage_error(self, tmp_path, capsys):
-        good = os.path.join(REPO_ROOT, "BENCH_ops.json")
-        doc = _committed("ops")
-        del doc["cells"][5]["precision"]
-        bad = tmp_path / "BENCH_ops.json"
-        bad.write_text(json.dumps(doc))
-        assert tool.main(["--baseline", str(bad), "--current", good]) == 2
-        assert "ops cell 5 is missing field 'precision'" in capsys.readouterr().err
-
-    def test_current_of_another_kind_is_a_usage_error(self, tmp_path, capsys):
-        assert _gate(tmp_path, "compile", _committed("serving")) == 2
-        assert "not a compile document" in capsys.readouterr().err
+    def test_fleet_tenant_short_by_one_request(self):
+        doc = _committed("fleet")
+        name = sorted(doc["cells"][0]["tenants"])[-1]
+        tenant = doc["cells"][0]["tenants"][name]
+        tenant["completed"] -= 1
+        tenant["resolved"] -= 1
+        with pytest.raises(
+            ValueError, match=rf"fleet cell 0 tenant '{name}': resolved \d+ != n_requests"
+        ):
+            document_to_json("fleet", doc)

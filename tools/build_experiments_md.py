@@ -34,7 +34,8 @@ rendered by `tools/build_experiments_md.py` from the nine committed
 `BENCH_*.json` documents and nothing else: each table below is what
 `python -m repro.bench.report <name>` prints for the record named in its
 heading, and the claims under it are the ones that command checks (exit 1
-on a contradiction) and `tools/check_bench_regression.py` gates in CI.
+on a contradiction); CI regenerates every document and diffs it byte for
+byte against the committed one.
 
 **Reading guide.** All times and memory figures are *simulated device
 observables* (DESIGN.md section 2): they come from a calibrated cost model
