@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.bench import ablations, fleet, ops, runner, scale, scaling
 from repro.bench.claims import Claim, among, each, extreme, on, paired, where
 from repro.bench.serialize import cells_to_csv, document_to_json, serving_to_dict
-from repro.bench.spec import unpinned_settings
+from repro.bench.spec import SPECS, unpinned_settings
 from repro.bench.tables import format_seconds, render_table
 from repro.datasets import FULL_MNIST_SIZE, compute_statistics, load_dataset
 from repro.device import kernel_stats
@@ -1411,12 +1411,13 @@ def write_document(name: str, body, path) -> None:
 
     The one ``BENCH_*.json`` writer: a gated record's serialiser validates
     the document against :mod:`repro.bench.spec` on the way out.  The
-    repository's own ``BENCH_<name>.json`` is written only from a process
-    running under :data:`~repro.bench.spec.NUMERIC_ENV`, so its bytes do not
-    depend on the box; any other path is written as asked.
+    repository's own ``BENCH_*.json`` documents, under whatever name ``path``
+    spells them, are written only from a process running under
+    :data:`~repro.bench.spec.NUMERIC_ENV`, so their bytes do not depend on
+    the box; any other path is written as asked.
     """
     path = pathlib.Path(path)
-    if path.resolve() == _REPO_ROOT / f"BENCH_{name}.json":
+    if path.resolve() in {_REPO_ROOT / spec.filename for spec in SPECS.values()}:
         unpinned = unpinned_settings()
         if unpinned:
             raise RuntimeError(

@@ -13,7 +13,7 @@ import pytest
 from repro.bench import ops, tables
 from repro.bench.experiments import EXPERIMENTS, write_document
 from repro.bench.report import main
-from repro.bench.spec import SPECS
+from repro.bench.spec import NUMERIC_ENV, SPECS
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 GATED = [name for name in EXPERIMENTS if name in SPECS]
@@ -239,3 +239,52 @@ class TestWriteDocument:
     def test_writer_validates_against_the_spec(self, tmp_path):
         with pytest.raises(ValueError, match="missing field"):
             write_document("compile", {"cells": [{"model": "gcn"}]}, tmp_path / "x.json")
+
+    @pytest.mark.parametrize("name", GATED)
+    def test_committed_document_is_the_writers_bytes(self, name, tmp_path):
+        # CI diffs a regenerated document against the committed one byte
+        # for byte, so the committed copy must be exactly what the writer
+        # emits: a hand edit or another JSON layout would show as a diff.
+        with open(os.path.join(REPO_ROOT, f"BENCH_{name}.json"), "rb") as fh:
+            committed = fh.read()
+        out = tmp_path / f"BENCH_{name}.json"
+        write_document(name, json.loads(committed), out)
+        assert out.read_bytes() == committed
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, None) for key in NUMERIC_ENV),
+        ("OPENBLAS_NUM_THREADS", "2"),
+        ("OMP_NUM_THREADS", "4"),
+        ("MKL_NUM_THREADS", "0"),
+        ("OPENBLAS_CORETYPE", "SkylakeX"),
+        ("NPY_DISABLE_CPU_FEATURES", "X86_V4"),
+    ], ids=lambda v: "unset" if v is None else v)
+    def test_committed_document_needs_every_setting(self, key, value, monkeypatch):
+        # Each setting is required on its own, at exactly its pinned value;
+        # the refusal names only what is off.
+        for name, pinned in NUMERIC_ENV.items():
+            monkeypatch.setenv(name, pinned)
+        if value is None:
+            monkeypatch.delenv(key)
+        else:
+            monkeypatch.setenv(key, value)
+        committed = os.path.join(REPO_ROOT, "BENCH_scale.json")
+        with pytest.raises(RuntimeError, match="committed BENCH_scale.json") as refused:
+            write_document("scale", _committed("scale"), committed)
+        message = str(refused.value)
+        assert f"{key}={NUMERIC_ENV[key]!r}" in message
+        assert all(name not in message for name in NUMERIC_ENV if name != key)
+
+    def test_committed_document_is_refused_under_any_spelling(self, monkeypatch):
+        # Neither a relative path nor another experiment's name writes a
+        # committed document from an unpinned process.
+        for name in NUMERIC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.chdir(os.path.join(REPO_ROOT, "src"))
+        before = open(os.path.join(REPO_ROOT, "BENCH_compile.json"), "rb").read()
+        with pytest.raises(RuntimeError, match="committed BENCH_compile.json"):
+            write_document("compile", _committed("compile"), "../BENCH_compile.json")
+        with pytest.raises(RuntimeError, match="committed BENCH_compile.json"):
+            write_document("serving", _committed("serving"),
+                           os.path.join(REPO_ROOT, "BENCH_compile.json"))
+        assert open(os.path.join(REPO_ROOT, "BENCH_compile.json"), "rb").read() == before

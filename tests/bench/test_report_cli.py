@@ -1,12 +1,19 @@
 """The command-line report tool (python -m repro.bench.report)."""
 
 import json
+import os
+import runpy
+import subprocess
+import sys
 
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.report import main
+from repro.bench.spec import NUMERIC_ENV
 from repro.models import MODEL_NAMES
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 class TestReportCLI:
@@ -188,3 +195,57 @@ class TestExplicitDefaultsAreHonoured:
         assert code == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
         assert [row[2] for row in rows] == ["64", "128", "256"]  # not fig6's own 128/256/512
+
+
+class _Execed(Exception):
+    pass
+
+
+class TestPinnedEntryPoint:
+    """``python -m repro.bench.report`` runs under ``NUMERIC_ENV`` whatever
+    the shell exported: BLAS and numpy read it at load time, so the CLI
+    re-executes itself rather than setting it in process."""
+
+    @pytest.fixture
+    def execve(self, monkeypatch):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            raise _Execed
+
+        monkeypatch.setattr(os, "execve", record)
+        # A fresh module body per run, as ``python -m`` would execute it.
+        monkeypatch.delitem(sys.modules, "repro.bench.report")
+        return calls
+
+    def test_unpinned_run_reexecutes_itself_under_the_constant(self, execve, monkeypatch):
+        for key in NUMERIC_ENV:
+            monkeypatch.delenv(key, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        monkeypatch.setenv("REPRO_UNRELATED", "kept")
+        with pytest.raises(_Execed):
+            runpy.run_module("repro.bench.report", run_name="__main__")
+        [(executable, argv, env)] = execve
+        assert (executable, argv) == (sys.executable, sys.orig_argv)
+        assert {key: env[key] for key in NUMERIC_ENV} == NUMERIC_ENV
+        assert env["REPRO_UNRELATED"] == "kept"
+
+    def test_pinned_run_stays_in_process(self, execve, monkeypatch, capsys):
+        for key, value in NUMERIC_ENV.items():
+            monkeypatch.setenv(key, value)
+        monkeypatch.setattr(sys, "argv", ["report", "table1", "--datasets", "cora"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("repro.bench.report", run_name="__main__")
+        assert done.value.code == 0 and execve == []
+        assert "Cora" in capsys.readouterr().out
+
+    def test_reexecuted_run_does_not_loop(self):
+        env = {key: value for key, value in os.environ.items() if key not in NUMERIC_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.bench.report", "--help"],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage:")

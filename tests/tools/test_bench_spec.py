@@ -106,6 +106,45 @@ class TestWriterNamesTheExperiment:
         with pytest.raises(ValueError, match=rf"cell {index} field '{field}'"):
             document_to_json(experiment, doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), None, "fast"])
+    def test_non_finite_faults_metric_cannot_be_written(self, value):
+        for name in ("goodput", "p99"):
+            doc = _committed("faults")
+            doc["cells"][0][name] = value
+            with pytest.raises(ValueError, match=rf"faults cell 0 field '{name}'"):
+                document_to_json("faults", doc)
+
+    def test_non_finite_serving_count_cannot_be_written(self):
+        doc = _committed("serving")
+        doc[1]["shed"] = None
+        with pytest.raises(ValueError, match="serving cell 1 field 'shed' is not a finite"):
+            document_to_json("serving", doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), None])
+    def test_malformed_document_read_back_names_cell_and_field(self, value):
+        doc = _committed("faults")
+        doc["cells"][0]["goodput"] = value
+        with pytest.raises(ValueError, match="faults cell 0 field 'goodput'"):
+            document_from_json("faults", json.dumps(doc))
+
+    def test_ops_cell_without_its_precision_cannot_be_written(self):
+        doc = _committed("ops")
+        del doc["cells"][5]["precision"]
+        with pytest.raises(ValueError, match="ops cell 5 is missing field 'precision'"):
+            document_to_json("ops", doc)
+
+    def test_ops_precision_outside_the_vocabulary_cannot_be_written(self):
+        doc = _committed("ops")
+        doc["cells"][5]["precision"] = "bf16"
+        with pytest.raises(ValueError, match="ops cell 5 has precision='bf16'"):
+            document_to_json("ops", doc)
+
+    def test_paper_without_one_of_its_sections_cannot_be_written(self):
+        doc = _committed("paper")
+        del doc["fig6"]
+        with pytest.raises(ValueError, match="paper document has no 'fig6' list"):
+            document_to_json("paper", doc)
+
     def test_missing_key_field_names_cell_and_field(self):
         doc = _committed("serving")
         del doc[2]["dataset"]
@@ -182,5 +221,23 @@ class TestConservation:
         tenant["resolved"] -= 1
         with pytest.raises(
             ValueError, match=rf"fleet cell 0 tenant '{name}': resolved \d+ != n_requests"
+        ):
+            document_to_json("fleet", doc)
+
+    def test_faults_cell_over_by_one_request(self):
+        # A request counted twice is as much a bookkeeping error as a lost one.
+        doc = _committed("faults")
+        doc["cells"][2]["resolved"] += 1
+        with pytest.raises(ValueError, match=r"faults cell 2: resolved \d+ != n_requests"):
+            document_to_json("faults", doc)
+
+    def test_fleet_tenant_over_by_one_request(self):
+        doc = _committed("fleet")
+        name = sorted(doc["cells"][1]["tenants"])[0]
+        tenant = doc["cells"][1]["tenants"][name]
+        tenant["completed"] += 1
+        tenant["resolved"] += 1
+        with pytest.raises(
+            ValueError, match=rf"fleet cell 1 tenant '{name}': resolved \d+ != n_requests"
         ):
             document_to_json("fleet", doc)

@@ -44,13 +44,26 @@ def test_ci_regenerates_under_the_constant():
     assert _step_env(workflow, REGENERATE_STEP) == NUMERIC_ENV
 
 
-def test_numpy_dispatches_every_disabled_feature():
-    env = {**os.environ, **NUMERIC_ENV}
-    done = subprocess.run(
+def _import_numpy_strictly(env: dict) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy, scipy"],
         env=env, capture_output=True, text=True, check=False,
     )
+
+
+def test_numpy_dispatches_every_disabled_feature():
+    done = _import_numpy_strictly({**os.environ, **NUMERIC_ENV})
     assert done.returncode == 0, done.stderr
+
+
+def test_numpy_rejects_a_feature_it_does_not_dispatch():
+    # The control for the test above: a name outside numpy's dispatch list
+    # is an ImportWarning, so a pin that drifts from the numpy build fails.
+    pinned = NUMERIC_ENV["NPY_DISABLE_CPU_FEATURES"]
+    env = {**os.environ, **NUMERIC_ENV, "NPY_DISABLE_CPU_FEATURES": f"{pinned} NOT_A_FEATURE"}
+    done = _import_numpy_strictly(env)
+    assert done.returncode != 0
+    assert "NOT_A_FEATURE" in done.stderr
 
 
 def test_committed_document_is_written_only_when_pinned(tmp_path, monkeypatch):
