@@ -14,7 +14,9 @@ import io
 import json
 from typing import Dict, Iterable
 
-from repro.bench.spec import SPECS, TENANT_COUNTS, Section, is_finite, tag_of
+from repro.bench.spec import (
+    NUMERIC_TYPES, SPECS, TENANT_COUNTS, Section, is_finite, tag_of,
+)
 from repro.serve.metrics import ServingResult
 
 
@@ -52,28 +54,31 @@ def serving_to_dict(result: ServingResult) -> Dict:
 # BENCH_*.json documents (one spec each in repro.bench.spec)
 # ----------------------------------------------------------------------
 def _validate_cell(section: Section, where: str, cell: Dict) -> None:
+    for name in section.keys:
+        if name not in cell:
+            raise ValueError(f"{where} is missing field {name!r}")
+        if not is_finite(cell[name], numeric=False):
+            raise ValueError(
+                f"{where} field {name!r} is not a finite number ({cell[name]!r})"
+            )
     for name, types in section.schema.items():
         if name not in cell:
             raise ValueError(f"{where} is missing field {name!r}")
-        if not isinstance(cell[name], types):
+        value, numeric = cell[name], types in NUMERIC_TYPES
+        # A null number is a missing measurement, not a field of another type.
+        if not (numeric and value is None) and not isinstance(value, types):
             raise ValueError(
                 f"{where} field {name!r} has type "
-                f"{type(cell[name]).__name__}, expected {types}"
+                f"{type(value).__name__}, expected {types}"
+            )
+        if numeric and not is_finite(value):
+            raise ValueError(
+                f"{where} field {name!r} is not a finite number ({value!r})"
             )
     for name, allowed in section.vocab.items():
         if cell[name] not in allowed:
             raise ValueError(
                 f"{where} has {name}={cell[name]!r}, expected one of {allowed}"
-            )
-    required = [(name, False) for name in section.keys] + [
-        (name, True) for name in section.metrics]
-    for name, numeric in required:
-        if name not in cell:
-            raise ValueError(f"{where} is missing field {name!r}")
-        if not is_finite(cell[name], numeric):
-            raise ValueError(
-                f"{where} field {name!r} is not a finite number "
-                f"({cell[name]!r})"
             )
     if section.balance is not None:
         parts, total = section.balance
@@ -108,9 +113,9 @@ def validate_document(experiment: str, doc):
     """Validate a ``BENCH_<experiment>.json`` document against its spec.
 
     Every document: the shape and ``experiment`` tag match, each section
-    is a list, and every cell carries its key fields and its metrics as
-    finite numbers.  Where the spec declares them, also the required-field
-    schema, closed vocabularies, the resolution arithmetic, request
+    is a list, and every cell carries its key fields and its schema's
+    fields, each of its type and every number finite.  Where the spec
+    declares them, also closed vocabularies, the resolution arithmetic, request
     conservation (``resolved == n_requests``, per cell and per tenant) and
     per-tenant counts.  Raises :class:`ValueError` naming the first
     offending cell (and tenant) and field; returns the document unchanged

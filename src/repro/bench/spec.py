@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 _NUMBER = (int, float)
+#: Schema types whose fields must also hold a finite number.
+NUMERIC_TYPES = (int, _NUMBER)
 
 #: Count fields every per-tenant entry of a fleet cell carries.
 TENANT_COUNTS = ("n_requests", "completed", "shed", "failed", "resolved")
@@ -67,8 +69,6 @@ class Section:
     name: str
     #: Fields identifying a cell: present and neither ``None`` nor NaN.
     keys: Tuple[str, ...]
-    #: Measured fields: each a finite number.
-    metrics: Tuple[str, ...] = ()
     #: Document key of the cell list; ``None`` when the document *is* it.
     path: Optional[str] = "cells"
     #: These two fields of every cell (and of every tenant entry) must be
@@ -79,7 +79,8 @@ class Section:
     tenants: Optional[str] = None
     #: ``(parts, total)`` -- the parts must sum to the total.
     balance: Optional[Tuple[Tuple[str, ...], str]] = None
-    #: Required field -> JSON type(s).
+    #: Required field -> JSON type(s); a field of a :data:`NUMERIC_TYPES`
+    #: type must also be finite (no ``null``, NaN or infinity).
     schema: Mapping[str, object] = field(default_factory=dict)
     #: Closed vocabularies, field -> allowed values.
     vocab: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -167,49 +168,50 @@ _FLEET_SCHEMA = {
 #: Every committed bench document.
 SPECS: Dict[str, BenchSpec] = {spec.experiment: spec for spec in (
     BenchSpec("serving", (
-        Section("serving", _RUN, ("shed", "n_requests", "completed"), path=None),
+        Section("serving", _RUN, path=None,
+                schema=dict.fromkeys(("shed", "n_requests", "completed"), int)),
     )),
     BenchSpec("compile", (
         Section("compile", _RUN,
-                ("eager_launches_per_step", "compiled_launches_per_step",
-                 "guard_failures"),
-                schema={"parity": bool}),
+                schema={"eager_launches_per_step": int,
+                        "compiled_launches_per_step": int,
+                        "guard_failures": int, "parity": bool}),
     )),
     BenchSpec("faults", (
-        Section("faults", _RUN + ("fault_rate",),
-                ("goodput", "p99", "failed", "n_requests", "resolved"),
-                conserved=_NO_LOSS),
+        Section("faults", _RUN + ("fault_rate",), conserved=_NO_LOSS,
+                schema={"goodput": _NUMBER, "p99": _NUMBER, "failed": int,
+                        "n_requests": int, "resolved": int}),
     )),
     BenchSpec("overlap", (
-        Section("overlap", _RUN + ("compiled",), ("speedup",),
-                schema={"parity": bool, "within_projection": bool}),
+        Section("overlap", _RUN + ("compiled",),
+                schema={"speedup": _NUMBER, "parity": bool,
+                        "within_projection": bool}),
     )),
     BenchSpec("scale", (
-        Section("scale.training", ("framework", "model"), ("epochs_per_sec",),
-                path="training",
-                schema={"under_cap": bool, "full_graph_exceeds_cap": bool}),
-        Section("scale.parity", ("framework", "model"), ("gap",),
-                path="parity", schema={"within_tolerance": bool}),
-        Section("scale.partitioned", ("framework", "model", "k"), ("test_acc",),
-                path="partitioned", schema={"under_cap": bool}),
+        Section("scale.training", ("framework", "model"), path="training",
+                schema={"epochs_per_sec": _NUMBER, "under_cap": bool,
+                        "full_graph_exceeds_cap": bool}),
+        Section("scale.parity", ("framework", "model"), path="parity",
+                schema={"gap": _NUMBER, "within_tolerance": bool}),
+        Section("scale.partitioned", ("framework", "model", "k"),
+                path="partitioned",
+                schema={"test_acc": _NUMBER, "under_cap": bool}),
     )),
     BenchSpec("scaling", (
         Section("scaling.cells", ("framework", "model", "replicas"),
-                ("collectives", "speedup_vs_dp"),
-                schema={"beats_dataparallel": bool}),
+                schema={"collectives": int, "speedup_vs_dp": _NUMBER,
+                        "beats_dataparallel": bool}),
         Section("scaling.parity", ("framework", "model", "mode"), path="parity",
                 schema={"loss_bitwise_identical": bool, "test_acc_equal": bool}),
     )),
     BenchSpec("ops", (
         Section("ops", ("op", "pack", "mode", "precision", "shape"),
-                ("launches", "wall_time"),
                 schema=_OPS_SCHEMA,
                 vocab={"bound": ("launch", "bandwidth", "compute"),
                        "precision": ("fp32", "fp16")}),
     )),
     BenchSpec("fleet", (
         Section("fleet", ("kind", "policy", "replicas"),
-                ("goodput", "completed", "p99"),
                 conserved=_NO_LOSS, tenants="tenants",
                 balance=(("completed", "shed", "failed"), "resolved"),
                 schema=_FLEET_SCHEMA,
@@ -218,8 +220,9 @@ SPECS: Dict[str, BenchSpec] = {spec.experiment: spec for spec in (
     # The source paper's own tables, figures and ablations on their reduced
     # protocols; every observation is one boolean row of ``claims``.
     BenchSpec("paper", tuple(
-        Section(f"paper.{path}", keys, metrics, path=path)
-        for path, keys, metrics in (
+        Section(f"paper.{path}", keys, path=path,
+                schema=dict.fromkeys(numbers, _NUMBER))
+        for path, keys, numbers in (
             ("table1", ("dataset",), ()),
             ("table4", _RUN, ("measured",)),
             ("table5", _RUN, ("measured",)),

@@ -60,7 +60,7 @@ class TestLockStep:
         for section in SPECS[experiment].sections:
             cells = section.cells(doc)
             assert cells, section.name
-            wanted = set(section.keys) | set(section.metrics) | set(section.schema)
+            wanted = set(section.keys) | set(section.schema)
             for i, cell in enumerate(cells):
                 assert wanted <= set(cell), (section.name, i, wanted - set(cell))
 
