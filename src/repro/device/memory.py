@@ -141,6 +141,21 @@ class MemoryPool:
         ref.nbytes = nbytes
         self._tracked[key] = ref
 
+    def hand_over(self, holder: Any, array: Any) -> None:
+        """Move ``holder``'s charge to ``array``, to be freed when ``array`` is.
+
+        Neither an alloc nor a free: the bytes stay charged and only the
+        object whose collection frees them changes.  For an object that
+        builds its array lazily and then keeps it (``DeclaredTensor``), so the
+        charge lasts until both are gone.  ``holder`` must be tracked here.
+        """
+        old = self._tracked.pop(id(holder))
+        # ``old`` dies with this frame, so its callback never runs.
+        ref = _TrackedRef(array, self._release)
+        ref.key = id(array)
+        ref.nbytes = old.nbytes
+        self._tracked[ref.key] = ref
+
     def _release(self, ref: _TrackedRef) -> None:
         if self._tracked.get(ref.key) is ref:
             del self._tracked[ref.key]

@@ -6,7 +6,9 @@ simulated device is charged.  The host need not pay for the zeros too:
 :func:`declare_sparse` builds the array's CSR once, and ``ops.dropout``,
 ``ops.mul`` (row scaling) and ``ops.matmul`` compute on it when their input
 resolves to declared rows (:func:`sparse_rows`), while charging exactly the
-dense kernels (docs/cost_model.md, "Declared-sparse inputs").
+dense kernels (docs/cost_model.md, "Declared-sparse inputs").  What
+dropout and row scaling return for such an input is a :class:`DeclaredTensor`:
+its CSR and shape, with the dense array built only if something reads it.
 
 The registry is weak: an entry lives as long as its array.  Declaring makes
 the array read-only, so the CSR cannot go stale under it.
@@ -14,12 +16,15 @@ the array read-only, so the CSR cannot go stale under it.
 
 from __future__ import annotations
 
+import math
 import weakref
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro._random import PCG64Jumps
+from repro.device import current_device
+from repro.tensor.tensor import Tensor
 
 
 class SparseRows:
@@ -40,6 +45,8 @@ class SparseRows:
 
     def select(self, mask: np.ndarray, data: np.ndarray) -> "SparseRows":
         """The entries where ``mask`` holds, with new values ``data[mask]``."""
+        if mask.all():
+            return SparseRows(self.indptr, self.indices, data, self.positions, self.jumps)
         chosen = np.flatnonzero(mask)
         # A row starting at entry ``k`` starts at the count of chosen entries before ``k``.
         return SparseRows(
@@ -103,3 +110,65 @@ def sparse_rows(array: np.ndarray) -> Optional[SparseRows]:
         if entry is None or (array.shape, array.strides, array.dtype) != (base.shape, base.strides, base.dtype):
             return None
     return entry.rows
+
+
+class DeclaredTensor(Tensor):
+    """An op's output held as its CSR: the dense array is built on first read.
+
+    ``ops.dropout`` and ``ops.mul``'s row scaling return one for a declared
+    input, and ``ops.dropout`` / ``ops.mul`` / ``ops.matmul`` compute on
+    :attr:`rows` directly.  ``shape``, ``ndim``, ``len``, ``size`` and
+    ``nbytes`` come from the stored shape.  Reading :attr:`data` builds the
+    dense array once (the stored entries over ``+0.0``), declares it with
+    :attr:`rows` and keeps it.
+
+    The pool is charged the dense bytes from creation until the last holder
+    is gone, as for the dense output it stands for: the object itself is
+    charged, and the first read hands that charge to the array it builds,
+    which this object then keeps alive (no second alloc, no free).
+    """
+
+    __slots__ = ("rows", "_shape", "_pool", "_dense")
+
+    def __init__(self, rows: SparseRows, shape: Tuple[int, ...]) -> None:
+        self.rows = rows
+        self._shape = shape
+        self._dense: Optional[np.ndarray] = None
+        self.requires_grad = False
+        self.grad = None
+        self._node = None
+        self._post_accumulate_hooks = None
+        device = current_device()
+        self._pool = device.memory
+        device.track(self)
+
+    @property
+    def data(self) -> np.ndarray:
+        dense = self._dense
+        if dense is None:
+            rows = self.rows
+            dense = np.zeros(self._shape, dtype=np.float32)
+            dense.reshape(-1)[rows.positions] = rows.data
+            _register(dense, rows)
+            self._pool.hand_over(self, dense)
+            self._dense = dense
+        return dense
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self._shape
+
+    @property
+    def ndim(self) -> int:
+        return len(self._shape)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self._shape)
+
+    @property
+    def nbytes(self) -> int:
+        return 4 * math.prod(self._shape)
+
+    def __len__(self) -> int:
+        return self._shape[0]

@@ -8,13 +8,14 @@ and output once; a matmul of ``(n, k) @ (k, m)`` costs ``2nkm`` FLOPs.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._random import BLOCK, random_at, random_blocks
 from repro.device import current_device
-from repro.tensor._declared import SparseRows, _register, sparse_rows
+from repro.tensor._declared import DeclaredTensor, SparseRows, sparse_rows
 from repro.tensor._reduce import csr_product
 from repro.tensor.autograd import grad_enabled
 from repro.tensor.tensor import Tensor, _attach_node, launch_backward, make_op, unbroadcast
@@ -62,16 +63,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     # A declared-sparse lhs scaled row by row by a column that is finite and
     # non-negative (dglx GraphConv's ``h * norm``) stays declared: its zeros
     # stay +0.0 (docs/cost_model.md, "Declared-sparse inputs").
+    declared = type(a) is DeclaredTensor
+    a_shape = a.shape if declared else a.data.shape
     rows = None
-    if b.data.shape == a.data.shape[:1] + (1,) and not (a.requires_grad or b.requires_grad):
-        rows = sparse_rows(a.data)
+    if b.data.shape == a_shape[:1] + (1,) and not (a.requires_grad or b.requires_grad):
+        rows = a.rows if declared else sparse_rows(a.data)
     if rows is not None and b.data.dtype == np.float32 and np.all(b.data.view(np.uint32) < _F32_INF_BITS):
         values = rows.data * np.repeat(b.data.reshape(-1), np.diff(rows.indptr))
-        out = _declared_output(rows, a.data.shape, values)
-        return make_op("mul", out, (a, b), None, *_ew_cost(out))
+        return _declared_op("mul", rows, a_shape, values, (a, b))
     out = a.data * b.data
     flops, nbytes = _ew_cost(out)
-    a_shape, b_shape = a.data.shape, b.data.shape
+    b_shape = b.data.shape
     # Each operand is saved only for the other's gradient.
     a_data = a.data if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
@@ -179,7 +181,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     # A declared-sparse lhs is multiplied on its nonzeros and charged as the
     # dense GEMM (docs/cost_model.md, "Declared-sparse inputs").
-    rows = sparse_rows(a.data)
+    declared = type(a) is DeclaredTensor
+    rows = a.rows if declared else sparse_rows(a.data)
     if rows is None:
         out = a.data @ b.data
     else:
@@ -187,8 +190,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     flops = 2.0 * n * k * m
     nbytes = float(_F32 * (n * k + k * m + n * m))
     # Each operand is saved only for the other's gradient; a sparse lhs is
-    # saved as well, unread, so the pool frees its dense bytes when it would.
-    a_data = a.data if b.requires_grad else None
+    # saved as well, unread, so the pool frees its dense bytes when it would
+    # (a declared output as itself, which holds that charge, not a dense copy).
+    a_data = (a if declared else a.data) if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
 
     def backward(grad: np.ndarray):
@@ -457,11 +461,12 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
         return a
     rng = rng or np.random.default_rng()
     keep = np.float32(1.0) / np.float32(1.0 - p)
-    rows = None if a.requires_grad else sparse_rows(a.data)
+    rows = None
+    if not a.requires_grad:
+        rows = a.rows if type(a) is DeclaredTensor else sparse_rows(a.data)
     if rows is not None and type(rng.bit_generator) is np.random.PCG64:
         # No gradient can reach ``a``, so no backward runs.
-        out = _dropout_nonzeros(rows, a.shape, p, keep, rng)
-        return make_op("dropout", out, (a,), None, *_ew_cost(out, 1))
+        return _declared_op("dropout", rows, a.shape, _dropout_nonzeros(rows, p, keep, rng), (a,))
     # mask = (rng.random(a.shape) >= p) / float32(1 - p) and out = a.data * mask,
     # block by block: the full-size float64 draw is never requested.  Each
     # float32 mask block is built in the output's slot and multiplied in
@@ -492,10 +497,8 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     return make_op("dropout", out, (a,), backward, flops, nbytes)
 
 
-def _dropout_nonzeros(
-    rows: SparseRows, shape: Tuple[int, ...], p: float, keep: np.float32, rng: np.random.Generator
-) -> np.ndarray:
-    """``dropout``'s output for a declared-sparse input, bit for bit.
+def _dropout_nonzeros(rows: SparseRows, p: float, keep: np.float32, rng: np.random.Generator) -> np.ndarray:
+    """``dropout``'s output values at the stored positions of a declared input, bit for bit.
 
     Only the uniforms at stored positions are drawn, by jumping ``PCG64``
     to each (``random_at``), and the generator ends where the dense draw
@@ -505,14 +508,23 @@ def _dropout_nonzeros(
     kept = random_at(rng, rows.jumps, rows.positions) >= p
     values = np.multiply(kept, keep, dtype=np.float32)
     values *= rows.data
-    return _declared_output(rows, shape, values)
+    return values
 
 
-def _declared_output(rows: SparseRows, shape: Tuple[int, ...], values: np.ndarray) -> np.ndarray:
-    """``values`` at the positions of ``rows`` over ``+0.0``, declared with the CSR of its other entries."""
-    out = np.zeros(shape, dtype=np.float32)
-    out.reshape(-1)[rows.positions] = values
-    _register(out, rows.select(values.view(np.uint32) != 0, values))
+def _declared_op(
+    name: str, rows: SparseRows, shape: Tuple[int, ...], values: np.ndarray, parents: Sequence[Tensor]
+) -> DeclaredTensor:
+    """Launch ``name`` as its dense elementwise kernel over ``parents``; no backward.
+
+    The output is ``values`` at the positions of ``rows`` over ``+0.0``, held
+    as the CSR of its entries whose bits are not ``+0.0``'s.
+    """
+    device = current_device()
+    size = math.prod(shape)
+    device.launch(name, flops=float(size), bytes_moved=float(_F32 * (len(parents) + 1) * size))
+    out = DeclaredTensor(rows.select(values.view(np.uint32) != 0, values), shape)
+    if device.tracer is not None:
+        device.tracer.annotate_op(out, parents)
     return out
 
 

@@ -5,9 +5,11 @@ the number of Python-level calls ``cProfile`` sees does not — it repeats
 exactly.  Each case below profiles one call of a warm function and holds
 the count under a budget of roughly 1.15x what it measured when the budget
 was set (slack for the call-count differences across CPython 3.10-3.12 and
-numpy releases).  In file order the six cases measured 12 / 26 / 20 / 21 /
-50 / 84 when the budgets were set, and 20 / 49 / 147 / 150 / 214 / 212 at
-the commit before.
+numpy releases).  In file order the first six cases measured 12 / 26 / 20 /
+21 / 50 / 84 when the budgets were set, and 20 / 49 / 147 / 150 / 214 / 212
+at the commit before.  The row-scaling ``mul`` and the ``matmul`` cases
+measured 29 / 32 before a declared output could reach either op, and still
+do: that type check is not a call.
 """
 
 import cProfile
@@ -68,6 +70,23 @@ def test_add_forward_under_no_grad():
     with no_grad():
         calls = python_calls(lambda: ops.add(a, b))
     assert calls <= 30, f"{calls} calls per elementwise op. {DISPATCH_OWNER}"
+
+
+def test_row_scaling_mul_under_no_grad(serve_sized):
+    # An (n, 1) column on an undeclared lhs: the shape that looks for declared rows.
+    _, _, values, _ = serve_sized
+    a, column = Tensor(values[:230]), Tensor(np.ones((230, 1), np.float32))
+    with no_grad():
+        calls = python_calls(lambda: ops.mul(a, column))
+    assert calls <= 33, f"{calls} calls per row-scaling mul. {DISPATCH_OWNER}"
+
+
+def test_matmul_under_no_grad(serve_sized):
+    _, _, values, _ = serve_sized
+    a, weight = Tensor(values[:230]), Tensor(np.ones((64, 16), np.float32))
+    with no_grad():
+        calls = python_calls(lambda: ops.matmul(a, weight))
+    assert calls <= 37, f"{calls} calls per matmul. {DISPATCH_OWNER}"
 
 
 def test_scatter_add_rows(serve_sized):

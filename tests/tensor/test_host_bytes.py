@@ -11,8 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro._random import BLOCK
+from repro._random import BLOCK, random_at
+from repro.datasets import cora
 from repro.tensor import CSRGraph, Tensor, gspmm, ops
+from repro.tensor._declared import DeclaredTensor, sparse_rows
 
 _F32 = 4
 
@@ -94,3 +96,33 @@ def test_a_broadcast_operands_gradient_is_reduced_before_the_other_is_allocated(
     # needs at once, the reduced gradient and slack — the broadcast operand's
     # product is gone before the other operand's gradient is allocated.
     assert host <= products * product + e * h * _F32 + 2**16, host
+
+
+#: ``name -> (op on Cora's features and a column, share of the dense output bytes the host may allocate)``.
+#: Dropout keeps half the nonzeros: their CSR alone is 1/11 of the dense bytes,
+#: and its temporaries take it to 1/6; a dense bool mask would be 1/4 more.
+DECLARED_OUTPUTS = {
+    "dropout": (lambda x, column: ops.dropout(x, 0.5, training=True, rng=np.random.default_rng(0)), 1 / 5),
+    "row_scaling": (lambda x, column: ops.mul(x, column), 1 / 8),
+}
+
+
+@pytest.mark.parametrize("op, share", DECLARED_OUTPUTS.values(), ids=DECLARED_OUTPUTS)
+def test_a_declared_output_is_charged_dense_without_the_host_writing_it(fresh_device, monkeypatch, op, share):
+    features = Tensor(cora(0).graph.x)  # declared sparse, 2 708 x 1 433
+    column = Tensor(np.random.default_rng(0).uniform(0.1, 1.0, (len(features), 1)).astype(np.float32))
+    dense = features.nbytes
+    # The draw is random_at's own (a float64 uniform per nonzero and its
+    # 2**14-position chunks: 3.8 MB here), so it is taken before tracing.
+    rows = sparse_rows(features.data)
+    uniforms = random_at(np.random.default_rng(0), rows.jumps, rows.positions)
+    monkeypatch.setattr(ops, "random_at", lambda rng, jumps, positions: uniforms)
+    charged_before = fresh_device.memory.current
+
+    out, host = _traced_peak(lambda: op(features, column))
+
+    assert type(out) is DeclaredTensor
+    assert host < dense * share, f"the host allocated {host} bytes for a {dense}-byte output"
+    assert fresh_device.memory.current - charged_before == dense
+    del out
+    assert fresh_device.memory.current == charged_before

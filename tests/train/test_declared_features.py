@@ -7,7 +7,8 @@ no-grad validation forward) per pack x {GCN, GAT} is run on the declared
 features and on a writable, undeclared copy of them, and both runs must
 launch the same kernels with the same FLOPs, bytes and pool bytes, end on
 the same clock bit for bit and reach the same losses up to the CSR
-summation order.
+summation order.  No dropped or row-scaled input is ever built dense: each
+stays a ``DeclaredTensor`` that nothing reads ``.data`` from.
 """
 
 import numpy as np
@@ -16,8 +17,10 @@ import pytest
 from repro.datasets import cora
 from repro.datasets.base import NodeClassificationDataset
 from repro.device import Device
+from repro.device.memory import MemoryPool
 from repro.graph import GraphSample
 from repro.tensor import ops
+from repro.tensor._declared import DeclaredTensor
 from repro.train import NodeClassificationTrainer
 
 
@@ -38,7 +41,7 @@ def declared_and_copy():
 
 def _one_epoch(monkeypatch, framework, model, dataset):
     """What one epoch left on a fresh device, and how many lookups hit declared rows."""
-    hits, lookup = [], ops.sparse_rows
+    hits, lookup, built = [], ops.sparse_rows, []
 
     def spy(array):
         rows = lookup(array)
@@ -46,10 +49,13 @@ def _one_epoch(monkeypatch, framework, model, dataset):
         return rows
 
     monkeypatch.setattr(ops, "sparse_rows", spy)
+    # A declared output hands its charge over exactly when it builds its dense array.
+    monkeypatch.setattr(MemoryPool, "hand_over", lambda pool, holder, array: built.append(holder))
     device = Device()
     device.profiler.enabled = True
     result = NodeClassificationTrainer(framework, model, dataset, max_epochs=1, device=device).run()
-    monkeypatch.setattr(ops, "sparse_rows", lookup)
+    monkeypatch.undo()
+    assert built == [], "a declared output was built dense"
     launches = [(r.name, r.flops, r.bytes_moved, r.memory) for r in device.profiler.records]
     epoch = result.epochs[0]
     return sum(hits), launches, device.memory.peak, device.clock.elapsed, (epoch.train_loss, epoch.val_loss)
@@ -77,7 +83,7 @@ def test_dglx_gcn_projects_declared_rows(monkeypatch, declared_and_copy):
     resolved, matmul = [], ops.matmul
 
     def spy(a, b):
-        resolved.append(ops.sparse_rows(a.data) is not None)
+        resolved.append(type(a) is DeclaredTensor)
         return matmul(a, b)
 
     monkeypatch.setattr(ops, "matmul", spy)
