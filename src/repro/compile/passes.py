@@ -238,20 +238,19 @@ def fuse_attention(
     for node in ir.nodes:
         if decisions[node.index].action == ACTION_SKIP:
             continue
-        # Format-tuned sparse kernels carry an "@fmt" suffix; match the base.
-        base = node.name.partition("@")[0]
-        is_backward = "backward" in base
-        if base.startswith("gsddmm") and not is_backward:
+        name = node.name
+        is_backward = "backward" in name
+        if name.startswith("gsddmm") and not is_backward:
             chain = [node]  # (re)start a candidate pipeline at the SDDMM
             saw_softmax = False
             continue
         if not chain:
             continue
-        if base.startswith("edge_softmax") and not is_backward:
+        if name.startswith("edge_softmax") and not is_backward:
             saw_softmax = True
             chain.append(node)
         elif (
-            base.startswith("gspmm")
+            name.startswith("gspmm")
             and not is_backward
             and saw_softmax
             and len(chain) < config.max_group
@@ -265,7 +264,7 @@ def fuse_attention(
             chain = []
             saw_softmax = False
             continue
-        elif config.is_elementwise(base) and not config.is_barrier(base):
+        elif config.is_elementwise(name) and not config.is_barrier(name):
             chain.append(node)
         else:
             chain = []

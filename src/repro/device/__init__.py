@@ -21,7 +21,7 @@ from repro.device.fabric import (
     NVLINK,
     PCIE_P2P,
 )
-from repro.device.gpu import FORMAT_EFFICIENCY, GPUSpec, RTX_2080TI, TOY_GPU, kernel_efficiency
+from repro.device.gpu import GPUSpec, RTX_2080TI, TOY_GPU, kernel_efficiency
 from repro.device.host import DEFAULT_HOST_COSTS, HostCostModel
 from repro.device.kernel import KernelRecord, Profiler
 from repro.device.memory import MemoryPool, OutOfMemoryError
@@ -58,7 +58,6 @@ __all__ = [
     "GPUSpec",
     "RTX_2080TI",
     "TOY_GPU",
-    "FORMAT_EFFICIENCY",
     "kernel_efficiency",
     "HostCostModel",
     "DEFAULT_HOST_COSTS",

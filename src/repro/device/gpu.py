@@ -104,38 +104,17 @@ KERNEL_EFFICIENCY = (
 )
 
 
-#: Relative efficiency of each sparse format versus plain CSR, applied when
-#: a kernel name carries an ``@fmt`` suffix (a format-tuned graph, see
-#: :mod:`repro.tensor.formats`).  Blocked CSR streams contiguous blocks
-#: (fewer, wider loads); COO trades extra index traffic for perfect
-#: edge-level load balance on skewed graphs.
-FORMAT_EFFICIENCY = {"coo": 1.15, "csr": 1.0, "bcsr": 1.75}
-
-#: Format scaling never pushes a sparse kernel past this achieved fraction.
-_FORMAT_EFFICIENCY_CAP = 0.95
-
-
 @lru_cache(maxsize=1024)
 def kernel_efficiency(name: str) -> float:
     """Look up the roofline efficiency for a kernel by name prefix.
 
-    A ``base@fmt`` name (format-tuned sparse kernel) resolves the base
-    prefix first, then scales by :data:`FORMAT_EFFICIENCY`, capped below
-    peak — a blocked-CSR GSpMM achieves a higher fraction of the roofline
-    than the same kernel on unblocked CSR, never more than a dense kernel.
-
     Memoised per name: every launch asks, and the answer is a pure
-    function of the two constant tables above.
+    function of the constant table above.
     """
-    base, _, fmt = name.partition("@")
-    eff = 0.85
     for prefix, prefix_eff in KERNEL_EFFICIENCY:
-        if base.startswith(prefix):
-            eff = prefix_eff
-            break
-    if fmt:
-        eff = min(_FORMAT_EFFICIENCY_CAP, eff * FORMAT_EFFICIENCY.get(fmt, 1.0))
-    return eff
+        if name.startswith(prefix):
+            return prefix_eff
+    return 0.85
 
 
 #: The card used throughout the paper's evaluation (Section IV).

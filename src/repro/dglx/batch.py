@@ -25,14 +25,11 @@ from repro.graph.graph import collate_arrays
 from repro.tensor import Tensor
 
 
-def batch(
-    samples: Sequence[GraphSample], with_pos: bool = False
-) -> DGLGraph:
+def batch(samples: Sequence[GraphSample]) -> DGLGraph:
     """Collate host graphs into one device-resident batched heterograph.
 
-    Node features land in ``ndata['feat']`` (and ``ndata['pos']`` when
-    requested); graph labels are returned via the loader, matching DGL's
-    ``GraphDataLoader`` collate behaviour.
+    Node features land in ``ndata['feat']``; graph labels are returned via
+    the loader, matching DGL's ``GraphDataLoader`` collate behaviour.
     """
     if not samples:
         raise ValueError("cannot batch an empty list of graphs")
@@ -51,7 +48,6 @@ def batch(
     src_parts: List[np.ndarray] = []
     dst_parts: List[np.ndarray] = []
     x_parts: List[np.ndarray] = []
-    pos_parts: List[np.ndarray] = []
     batch_num_nodes = np.empty(len(samples), dtype=np.int64)
     batch_num_edges = np.empty(len(samples), dtype=np.int64)
     offset = 0
@@ -61,10 +57,6 @@ def batch(
         src_parts.append(u + offset if offset else u)
         dst_parts.append(v + offset if offset else v)
         x_parts.append(sample.x)
-        if with_pos:
-            if sample.pos is None:
-                raise ValueError("with_pos=True but a graph has no positions")
-            pos_parts.append(sample.pos)
         batch_num_nodes[i] = sample.num_nodes
         batch_num_edges[i] = sample.num_edges
         offset += sample.num_nodes
@@ -81,6 +73,4 @@ def batch(
 
     g = DGLGraph(src, dst, int(offset), batch_num_nodes, batch_num_edges)
     g.ndata["feat"] = Tensor(x)
-    if with_pos:
-        g.ndata["pos"] = Tensor(collate_arrays(pos_parts))
     return g

@@ -21,9 +21,9 @@ def collate(samples: Sequence[GraphSample]) -> Tuple[DGLGraph, np.ndarray]:
 class GraphDataLoader(GraphLoader):
     """Yields ``(batched_graph, labels)`` pairs, DGL style.
 
-    The epoch loop (order, shuffle, sharding, ``drop_last``, the
-    ``data_loading`` phase) is :class:`repro.loader.GraphLoader`'s; this
-    loader supplies DGL's collation (heterograph, per-type frames).
+    The epoch loop (order, shuffle, sharding, the ``data_loading`` phase) is
+    :class:`repro.loader.GraphLoader`'s; this loader supplies DGL's
+    collation (heterograph, per-type frames).
     """
 
     def __iter__(self) -> Iterator[Tuple[DGLGraph, np.ndarray]]:

@@ -32,7 +32,7 @@ class GatedGCNConv(Module):
     """One DGL-style GatedGCN layer with explicit edge features."""
 
     def __init__(
-        self, d_in: int, d_out: int, rng, residual: bool = True, activation: bool = True
+        self, d_in: int, d_out: int, rng, activation: bool = True
     ) -> None:
         super().__init__()
         self.activation = activation
@@ -44,7 +44,7 @@ class GatedGCNConv(Module):
         self.fc_e = Linear(d_in, d_out, rng=rng)
         self.bn_h = BatchNorm1d(d_out)
         self.bn_e = BatchNorm1d(d_out)
-        self.residual = residual and d_in == d_out
+        self.residual = d_in == d_out
 
     def forward(self, g: DGLGraph, h: Tensor) -> Tensor:
         e = g.edata["e_feat"]

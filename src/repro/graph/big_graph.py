@@ -69,17 +69,16 @@ class CSRBigGraph:
         num_nodes: int,
         x: Optional[np.ndarray] = None,
         y: Optional[np.ndarray] = None,
-        symmetrize: bool = True,
     ) -> "CSRBigGraph":
         """Build from a directed COO edge list via a stable counting sort.
 
-        With ``symmetrize=True`` every edge is mirrored (and the union
-        deduplicated) so message passing sees an undirected graph, which is
-        what the citation-style node-classification tasks assume.
+        Every edge is mirrored (and the union deduplicated) so message
+        passing sees an undirected graph, which is what the citation-style
+        node-classification tasks assume.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        if symmetrize and len(src):
+        if len(src):
             s = np.concatenate([src, dst])
             d = np.concatenate([dst, src])
             keys = s * num_nodes + d

@@ -35,13 +35,11 @@ from repro.graph.graph import RngLike, as_generator
 from repro.scale.sample import NeighborSampler, SampledSubgraph
 
 
-def check_shard(n: int, batch_size: int, drop_last: bool,
-                rank: int, world_size: int) -> int:
+def check_shard(n: int, rank: int, world_size: int) -> int:
     """Validate sharding arguments against ``n`` samples; returns shard size.
 
-    Raises ``ValueError`` eagerly at loader construction — mirroring the
-    existing ``drop_last`` zero-batch error — when the shard would be
-    empty or when ``drop_last`` would drop every batch of the shard.
+    Raises ``ValueError`` eagerly at loader construction when the shard
+    would be empty.
     """
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
@@ -55,11 +53,6 @@ def check_shard(n: int, batch_size: int, drop_last: bool,
         raise ValueError(
             f"world_size={world_size} would yield an empty shard "
             f"over {n} graphs"
-        )
-    if drop_last and shard_len < batch_size:
-        raise ValueError(
-            f"drop_last=True with batch_size={batch_size} would yield zero "
-            f"batches over {shard_len} graphs"
         )
     return shard_len
 
@@ -102,24 +95,19 @@ class GraphLoader:
         batch_size: int,
         shuffle: bool = False,
         rng: RngLike = None,
-        drop_last: bool = False,
         rank: int = 0,
         world_size: int = 1,
     ) -> None:
         _check_batch_size(batch_size)
         self.graphs: List = list(graphs)
-        self._shard_len = check_shard(len(self.graphs), batch_size, drop_last,
-                                      rank, world_size)
+        self._shard_len = check_shard(len(self.graphs), rank, world_size)
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = as_generator(rng)
-        self.drop_last = drop_last
         self.rank = rank
         self.world_size = world_size
 
     def __len__(self) -> int:
-        if self.drop_last:
-            return self._shard_len // self.batch_size
         return (self._shard_len + self.batch_size - 1) // self.batch_size
 
     def _epoch(self, collate: Callable[[list], object]) -> Iterator:
@@ -131,8 +119,6 @@ class GraphLoader:
         order = shard_order(order, self.rank, self.world_size)
         for start in range(0, len(order), self.batch_size):
             indices = order[start : start + self.batch_size]
-            if self.drop_last and len(indices) < self.batch_size:
-                break
             with loading(device, len(indices)):
                 batch = collate([self.graphs[i] for i in indices])
             yield batch

@@ -17,9 +17,9 @@ def collate(samples: Sequence[GraphSample]) -> Batch:
 class DataLoader(GraphLoader):
     """Iterates PyG-style :class:`Batch` objects over a list of graphs.
 
-    The epoch loop (order, shuffle, sharding, ``drop_last``, the
-    ``data_loading`` phase) is :class:`repro.loader.GraphLoader`'s; this
-    loader supplies PyG's collation.
+    The epoch loop (order, shuffle, sharding, the ``data_loading`` phase) is
+    :class:`repro.loader.GraphLoader`'s; this loader supplies PyG's
+    collation.
     """
 
     def __iter__(self) -> Iterator[Batch]:

@@ -14,36 +14,17 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.device import current_device
 from repro.models import ModelConfig
 from repro.nn import Linear, Parameter
 from repro.pygx.message_passing import MessagePassing
 from repro.pygx.models.base import PyGXNet
 from repro.pygx.softmax import edge_softmax
-from repro.tensor import (
-    CSRGraph,
-    Tensor,
-    elu,
-    gsddmm,
-    gspmm,
-    index_rows,
-    leaky_relu,
-    ops,
-    scatter_sum,
-)
-from repro.tensor import edge_softmax as edge_softmax_csr
+from repro.tensor import Tensor, elu, index_rows, leaky_relu, ops, scatter_sum
 from repro.tensor.creation import randn
 
 
 class GATConv(MessagePassing):
-    """One multi-head GAT layer; output width is ``heads * head_dim``.
-
-    ``fused=True`` lowers the attention pipeline through the generalized
-    sparse kernels (GSDDMM logits → fused edge softmax → GSpMM aggregate)
-    the way PyG does when handed a sparse adjacency — trading the per-layer
-    COO→CSR conversion for far fewer edge-level launches.  The default is
-    the paper's unfused gather/scatter composition.
-    """
+    """One multi-head GAT layer; output width is ``heads * head_dim``."""
 
     def __init__(
         self,
@@ -52,13 +33,11 @@ class GATConv(MessagePassing):
         heads: int,
         rng,
         concat_heads: bool = True,
-        fused: bool = False,
     ) -> None:
         super().__init__(aggr="sum")
         self.heads = heads
         self.head_dim = head_dim
         self.concat_heads = concat_heads
-        self.fused = fused
         self.fc = Linear(d_in, heads * head_dim, bias=False, rng=rng)
         self.attn_src = Parameter(randn((1, heads, head_dim), rng=rng, std=0.1))
         self.attn_dst = Parameter(randn((1, heads, head_dim), rng=rng, std=0.1))
@@ -69,8 +48,6 @@ class GATConv(MessagePassing):
         # Node-level attention halves, gathered per edge and added.
         alpha_src = ops.mul(z, self.attn_src).sum(axis=-1)  # (N, H)
         alpha_dst = ops.mul(z, self.attn_dst).sum(axis=-1)
-        if self.fused:
-            return self._forward_fused(z, alpha_src, alpha_dst, edge_index, num_nodes)
         logits = leaky_relu(
             ops.add(index_rows(alpha_src, src), index_rows(alpha_dst, dst)),
             negative_slope=0.2,
@@ -79,35 +56,6 @@ class GATConv(MessagePassing):
         z_j = index_rows(z, src)  # (E, H, D)
         messages = ops.mul(z_j, attention.reshape(len(src), self.heads, 1))
         out = scatter_sum(messages, dst, num_nodes)  # (N, H, D)
-        return self._finish(out, num_nodes)
-
-    def _forward_fused(
-        self,
-        z: Tensor,
-        alpha_src: Tensor,
-        alpha_dst: Tensor,
-        edge_index: np.ndarray,
-        num_nodes: int,
-    ) -> Tensor:
-        # Sparse conversion is a real kernel (PyG's SparseTensor build).
-        current_device().launch(
-            "coo_to_csr",
-            flops=float(edge_index.shape[1]),
-            bytes_moved=16.0 * edge_index.shape[1],
-        )
-        graph = CSRGraph.from_edge_index(
-            edge_index[0], edge_index[1], num_nodes, num_nodes
-        )
-        logits = leaky_relu(
-            gsddmm(graph, "add", alpha_src, alpha_dst), negative_slope=0.2
-        )
-        attention = edge_softmax_csr(graph, logits)  # (E, H)
-        out = gspmm(
-            graph, z, attention.reshape(graph.num_edges, self.heads, 1)
-        )  # (N, H, D)
-        return self._finish(out, num_nodes)
-
-    def _finish(self, out: Tensor, num_nodes: int) -> Tensor:
         if self.concat_heads:
             return elu(out.reshape(num_nodes, self.heads * self.head_dim))
         return out.mean(axis=1)  # average heads: final layer logits

@@ -28,7 +28,7 @@ class GatedGCNConv(MessagePassing):
     """One GatedGCN layer without explicit edge features."""
 
     def __init__(
-        self, d_in: int, d_out: int, rng, residual: bool = True, activation: bool = True
+        self, d_in: int, d_out: int, rng, activation: bool = True
     ) -> None:
         super().__init__(aggr="sum")
         self.activation = activation
@@ -37,7 +37,7 @@ class GatedGCNConv(MessagePassing):
         self.fc_a = Linear(d_in, d_out, rng=rng)
         self.fc_b = Linear(d_in, d_out, rng=rng)
         self.bn = BatchNorm1d(d_out)
-        self.residual = residual and d_in == d_out
+        self.residual = d_in == d_out
 
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
         src, dst = edge_index[0], edge_index[1]

@@ -18,7 +18,7 @@ class PrefetchDataLoader(PrefetchLoader):
     """A :class:`~repro.pygx.loader.DataLoader` with pipelined collation.
 
     Wraps an already-constructed loader so all batching knobs (batch size,
-    shuffle rng, ``drop_last``) stay in one place::
+    shuffle rng, sharding) stay in one place::
 
         loader = PrefetchDataLoader(DataLoader(graphs, batch_size=16))
     """

@@ -122,9 +122,7 @@ def make_scale_dataset(
     centroids = rng.normal(0.0, 1.0, size=(n_classes, n_features))
     x = centroids[y] * feature_signal + rng.normal(0.0, 1.0, size=(n_nodes, n_features))
 
-    graph = CSRBigGraph.from_edges(
-        src, dst, n_nodes, x=x.astype(np.float32), y=y, symmetrize=True
-    )
+    graph = CSRBigGraph.from_edges(src, dst, n_nodes, x=x.astype(np.float32), y=y)
 
     order = rng.permutation(n_nodes)
     n_train = max(int(n_nodes * train_fraction), 1)

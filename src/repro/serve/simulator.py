@@ -118,7 +118,6 @@ class ServeSimulator:
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         fault_plan=None,
-        overlap: bool = False,
     ) -> None:
         self.inference = inference
         self.batcher = batcher or DynamicBatcher()
@@ -132,13 +131,6 @@ class ServeSimulator:
         #: Optional :class:`~repro.faults.FaultPlan` injected for the whole
         #: replay (seeded — the same plan reproduces the same run exactly).
         self.fault_plan = fault_plan
-        #: Run forwards asynchronously on a compute stream so the host can
-        #: collate batch *i+1* while batch *i*'s kernels execute.  One
-        #: batch may be in flight at a time (double buffering); completion
-        #: times come from stream events, and predictions are identical to
-        #: the serial path.
-        self.overlap = overlap
-        self._inflight = None
 
     def replay(
         self, samples: Sequence[GraphSample], arrival_times: Sequence[float]
@@ -165,8 +157,6 @@ class ServeSimulator:
         )
         with use_device(self.device), injecting:
             clock = self.device.clock
-            compute = self.device.stream("compute") if self.overlap else self.device.default_stream
-            self._inflight = None
             queue = RequestQueue(self.queue_capacity)
             admission = AdmissionController(queue, default_deadline=self.deadline)
             metrics = ServerMetrics()
@@ -175,7 +165,7 @@ class ServeSimulator:
             idle0 = clock.idle
             serve = partial(
                 serve_with_recovery,
-                run=lambda part: self._run_batch(part, metrics, clock, t0, compute),
+                run=lambda part: self._run_batch(part, metrics, clock, t0),
                 backoff=self._backoff,
                 fail=metrics.record_failure,
                 metrics=metrics,
@@ -197,14 +187,7 @@ class ServeSimulator:
                 if len(queue) == 0:
                     if i >= n:
                         break
-                    target = t0 + requests[i].arrival_time
-                    if self.overlap:
-                        # The quiet period is only idle once the compute
-                        # stream has drained; until then the machine is busy.
-                        pending = min(compute.ready, target)
-                        if pending > clock.elapsed:
-                            clock.advance_wait(pending - clock.elapsed)
-                    gap = target - clock.elapsed
+                    gap = t0 + requests[i].arrival_time - clock.elapsed
                     if gap > 0:
                         with clock.phase("idle"):
                             clock.advance_idle(gap)
@@ -220,11 +203,6 @@ class ServeSimulator:
                     metrics.record_shed("circuit_open", batch)
                     continue
                 serve(batch)
-
-            if self.overlap:
-                # Drain the compute stream so elapsed covers the tail of
-                # in-flight work and utilisation stays a true ratio.
-                self.device.synchronize(compute)
             delta = start.delta(clock)
             idle = clock.idle - idle0
             elapsed = delta.elapsed
@@ -247,29 +225,12 @@ class ServeSimulator:
         metrics: ServerMetrics,
         clock,
         t0: float,
-        compute,
     ) -> None:
-        """One attempt at ``batch``: collate, forward, record the responses.
-
-        With :attr:`overlap` set, collation runs on the host while the
-        *previous* batch's kernels still execute on ``compute``; the host
-        only blocks on that earlier batch's event right before launching
-        this one (one batch in flight — double buffering), and this
-        batch's completion time is read off a stream event.
-        """
+        """One attempt at ``batch``: collate, forward, record the responses."""
         dispatch = clock.elapsed - t0
         collated = self.inference.collate([r.sample for r in batch])
-        if self.overlap:
-            if self._inflight is not None:
-                self.device.wait_event(self._inflight)
-                self._inflight = None
-            with self.device.on(compute):
-                logits = self.inference.forward(collated)
-            self._inflight = compute.record()
-            completion = self._inflight.timestamp - t0
-        else:
-            logits = self.inference.forward(collated)
-            completion = clock.elapsed - t0
+        logits = self.inference.forward(collated)
+        completion = clock.elapsed - t0
         predictions = np.argmax(logits.data, axis=1)
         metrics.record_batch(
             [

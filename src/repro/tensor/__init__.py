@@ -53,13 +53,6 @@ from repro.tensor.ops_scatter import (
     segment_reduce,
     segment_sum,
 )
-from repro.tensor.formats import (
-    FORMATS,
-    FormatDecision,
-    degree_stats,
-    format_index_bytes,
-    select_format,
-)
 from repro.tensor.ops_sparse import (
     CSRGraph,
     edge_softmax,
@@ -121,9 +114,4 @@ __all__ = [
     "gsddmm",
     "gsddmm_dot",
     "edge_softmax",
-    "FORMATS",
-    "FormatDecision",
-    "degree_stats",
-    "format_index_bytes",
-    "select_format",
 ]

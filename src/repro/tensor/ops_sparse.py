@@ -12,11 +12,7 @@ values from node/edge operands (attention logits, gated edge features) in a
 single fused launch; :func:`gsddmm_dot` is the legacy dot-product entry
 point, now a thin wrapper.
 
-Both kernels honour the graph's sparse-format choice (``CSRGraph.fmt``, see
-:mod:`repro.tensor.formats`): when a format has been selected the kernel name
-carries an ``@fmt`` suffix and the device cost model charges the format's
-index traffic and efficiency.  The kernel contract is documented in
-``docs/kernels.md``.
+The kernel contract is documented in ``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -68,10 +64,6 @@ class CSRGraph:
             raise ValueError("indices and edge_ids must have equal length")
         # Destination node of each CSR slot (row expansion), used by backward.
         self.rows = np.repeat(np.arange(self.num_dst), np.diff(self.indptr))
-        # Sparse-format choice for the cost model (None = format-agnostic
-        # legacy charging).  Set via set_format()/autotune_format().
-        self.fmt: Optional[str] = None
-        self._format_decision = None
         # Sparse formats live in device memory (DGL keeps COO + CSR copies).
         device = current_device()
         for array in (self.indptr, self.indices, self.edge_ids, self.rows):
@@ -102,42 +94,6 @@ class CSRGraph:
     def in_degrees(self) -> np.ndarray:
         """In-degree of each destination node."""
         return np.diff(self.indptr)
-
-    def set_format(self, fmt: Optional[str]) -> "CSRGraph":
-        """Pin the sparse format the cost model charges for this graph."""
-        from repro.tensor.formats import FORMATS
-
-        if fmt is not None and fmt not in FORMATS:
-            raise ValueError(f"unknown sparse format {fmt!r}, expected one of {FORMATS}")
-        self.fmt = fmt
-        return self
-
-    def autotune_format(self) -> str:
-        """Select and cache the sparse format from this graph's degree stats.
-
-        Idempotent: the decision is computed once per graph and cached
-        (see :func:`repro.tensor.formats.select_format` for the rules).
-        """
-        from repro.tensor.formats import select_format
-
-        if self._format_decision is None:
-            self._format_decision = select_format(self)
-        self.fmt = self._format_decision.fmt
-        return self.fmt
-
-
-def _sparse_kernel_name(graph: CSRGraph, base: str) -> str:
-    """Kernel name for a sparse launch, carrying the format suffix."""
-    return base if graph.fmt is None else f"{base}@{graph.fmt}"
-
-
-def _sparse_index_bytes(graph: CSRGraph) -> float:
-    """Extra index traffic the selected format moves (0 when format-agnostic)."""
-    if graph.fmt is None:
-        return 0.0
-    from repro.tensor.formats import format_index_bytes
-
-    return format_index_bytes(graph, graph.fmt)
 
 
 def _as_scalar_weight(w: np.ndarray) -> Optional[np.ndarray]:
@@ -237,7 +193,7 @@ def gspmm(
     # The kernel reads one source row per edge (random access), the weight
     # per edge, and writes the output — plus the selected format's index
     # arrays when the graph has been format-tuned.
-    nbytes = float(_F32 * (e * feat_dim + e + x.size + out.size)) + _sparse_index_bytes(graph)
+    nbytes = float(_F32 * (e * feat_dim + e + x.size + out.size))
     parents: Tuple[Tensor, ...] = (x,) if edge_weight is None else (x, edge_weight)
     x_size, x_trailing = x.data.size, x.data.shape[1:]
     # The features are read back only for the weight's gradient.
@@ -282,7 +238,7 @@ def gspmm(
         prod = g[graph.rows] * x_data[graph.indices]
         return (gx, _edge_weight_grad(graph, prod, w_shape))
 
-    return make_op(_sparse_kernel_name(graph, "gspmm"), out, parents, backward, flops, nbytes)
+    return make_op("gspmm", out, parents, backward, flops, nbytes)
 
 
 #: Binary combinators the generalized GSDDMM kernel supports.  ``copy_lhs``
@@ -400,7 +356,6 @@ def gsddmm(
         flops = float(out.size)
         nbytes = float(_F32 * (lhs.size + rhs.size + out.size))
         bw_flops, bw_bytes = float(out.size), _F32 * 3.0 * out.size
-    nbytes += _sparse_index_bytes(graph)
     parents: Tuple[Tensor, ...] = (lhs,) if rhs is None else (lhs, rhs)
     l_shape = lhs.data.shape
     r_shape = None if rhs is None else rhs.data.shape
@@ -433,8 +388,7 @@ def gsddmm(
         gr = _gsddmm_scatter_grad(graph, gr_sorted, r_shape, rhs_target)
         return gl, gr
 
-    name = _sparse_kernel_name(graph, f"gsddmm_{op}")
-    return make_op(name, out, parents, backward, flops, nbytes)
+    return make_op(f"gsddmm_{op}", out, parents, backward, flops, nbytes)
 
 
 def gsddmm_dot(graph: CSRGraph, src_feat: Tensor, dst_feat: Tensor) -> Tensor:
@@ -515,7 +469,7 @@ def _gspmm_max(graph: CSRGraph, x: Tensor, edge_weight: Optional[Tensor]) -> Ten
     tie_count = np.maximum(segment_add_rows(winners, graph.indptr), 1.0)
 
     flops = float(e * feat_dim)
-    nbytes = float(_F32 * (e * feat_dim + out.size)) + _sparse_index_bytes(graph)
+    nbytes = float(_F32 * (e * feat_dim + out.size))
     parents: Tuple[Tensor, ...] = (x,) if edge_weight is None else (x, edge_weight)
     device = current_device()
     device.track(msgs)
@@ -540,4 +494,4 @@ def _gspmm_max(graph: CSRGraph, x: Tensor, edge_weight: Optional[Tensor]) -> Ten
         prod = (g_edges * x_data[graph.indices]).astype(np.float32)
         return (gx, _edge_weight_grad(graph, prod, w_shape))
 
-    return make_op(_sparse_kernel_name(graph, "gspmm_max"), out, parents, backward, flops, nbytes)
+    return make_op("gspmm_max", out, parents, backward, flops, nbytes)

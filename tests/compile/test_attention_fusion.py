@@ -1,10 +1,10 @@
 """The attention fusion pass: SDDMM -> edge softmax -> SpMM pipelines.
 
 docs/kernels.md's fusion-eligibility contract on real model streams: the
-pass finds every attention pipeline in a GAT step on both framework
-packs (the pygx pack via its fused GATConv lowering), cuts per-step
-launches >= 40%, and replay stays bitwise-identical to eager — while
-models without attention kernels compile exactly as before.
+pass finds every attention pipeline in a dglx GAT step and none in pygx's
+gather/scatter one, cuts per-step launches >= 40%, and replay stays
+bitwise-identical to eager — while models without attention kernels
+compile exactly as before.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ import pytest
 from repro.compile import CompiledStep
 from repro.compile.ir import GraphIR, IRNode, PassStats
 from repro.compile.passes import (
-    ACTION_FUSE_HEAD,
-    ACTION_FUSE_MEMBER,
     NodeDecision,
     fuse_attention,
     fuse_elementwise,
@@ -25,7 +23,7 @@ from repro.models import graph_config
 from repro.nn import cross_entropy
 
 
-def _build_step(framework, model_name, seed=7, fused_attention=False):
+def _build_step(framework, model_name, seed=7):
     dataset = load_dataset("enzymes", num_graphs=60)
     config = graph_config(
         model_name, in_dim=dataset.num_features, n_classes=dataset.num_classes
@@ -33,13 +31,8 @@ def _build_step(framework, model_name, seed=7, fused_attention=False):
     rng = np.random.default_rng(seed)
     if framework == "pygx":
         from repro.pygx import Batch, Data, build_model
-        from repro.pygx.models.gat import GATConv
 
         net = build_model(config, rng)
-        if fused_attention:
-            for module in net.modules():
-                if isinstance(module, GATConv):
-                    module.fused = True
         inputs = Batch.from_data_list(
             [Data.from_sample(g) for g in dataset.graphs[:32]]
         )
@@ -66,37 +59,39 @@ def _compile(net, inputs, labels):
     return compiled, next(iter(compiled.plans.values()))
 
 
-class TestGATPipelines:
-    @pytest.mark.parametrize("framework", ("pygx", "dglx"))
-    def test_launch_reduction_and_bitwise_parity(self, framework):
-        net, inputs, labels = _build_step(
-            framework, "gat", fused_attention=True
-        )
+def _assert_replay_matches_eager(net, inputs, labels):
+    """Capture then replay one step; loss and grads must equal eager's bitwise."""
+    for p in net.parameters():
+        p.zero_grad()
+    eager_loss = cross_entropy(net(inputs), labels)
+    eager_loss.backward()
+    eager = eager_loss.item()
+    eager_grads = [np.array(p.grad) for p in net.parameters()]
 
+    def step(batch):
+        loss = cross_entropy(net(batch), labels)
+        loss.backward()
+        return loss
+
+    compiled = CompiledStep(step)
+    for expected_stat in ("captures", "replays"):
         for p in net.parameters():
             p.zero_grad()
-        eager_loss = cross_entropy(net(inputs), labels)
-        eager_loss.backward()
-        eager = eager_loss.item()
-        eager_grads = [np.array(p.grad) for p in net.parameters()]
+        loss = compiled(inputs)
+        assert loss.item() == eager
+        for grad, ref in zip(
+            [p.grad for p in net.parameters()], eager_grads
+        ):
+            np.testing.assert_array_equal(grad, ref)
+        assert getattr(compiled.stats, expected_stat) == 1
+    assert compiled.stats.guard_failures == 0
+    return compiled
 
-        def step(batch):
-            loss = cross_entropy(net(batch), labels)
-            loss.backward()
-            return loss
 
-        compiled = CompiledStep(step)
-        for expected_stat in ("captures", "replays"):
-            for p in net.parameters():
-                p.zero_grad()
-            loss = compiled(inputs)
-            assert loss.item() == eager
-            for grad, ref in zip(
-                [p.grad for p in net.parameters()], eager_grads
-            ):
-                np.testing.assert_array_equal(grad, ref)
-            assert getattr(compiled.stats, expected_stat) == 1
-        assert compiled.stats.guard_failures == 0
+class TestGATPipelines:
+    def test_launch_reduction_and_bitwise_parity(self):
+        net, inputs, labels = _build_step("dglx", "gat")
+        compiled = _assert_replay_matches_eager(net, inputs, labels)
 
         plan = next(iter(compiled.plans.values()))
         # One pipeline per GAT layer, all closed by the pass.
@@ -106,11 +101,15 @@ class TestGATPipelines:
         assert plan.launch_reduction >= 0.40
 
     def test_unfused_pygx_stream_has_no_pipelines(self):
-        # The default pygx GATConv composes scatter softmax: no gsddmm
+        # pygx's GATConv composes scatter softmax: no gsddmm
         # heads, so the attention pass must find nothing.
         net, inputs, labels = _build_step("pygx", "gat")
         _, plan = _compile(net, inputs, labels)
         assert plan.stats.attention_groups == 0
+
+    def test_unfused_pygx_replay_is_bitwise_identical(self):
+        net, inputs, labels = _build_step("pygx", "gat")
+        _assert_replay_matches_eager(net, inputs, labels)
 
     @pytest.mark.parametrize("model_name", ("gcn", "gin"))
     def test_models_without_attention_are_untouched(self, model_name):
@@ -144,22 +143,6 @@ def _attention_stream():
 
 
 class TestPassMechanics:
-    def test_pattern_is_fused_with_format_suffixes(self):
-        ir = GraphIR(
-            [
-                _node(0, "gsddmm_dot@coo", out_id=1),
-                _node(1, "edge_softmax@coo", out_id=2, parents=(1,)),
-                _node(2, "gspmm@coo", out_id=3, parents=(2,)),
-            ],
-            output_ids={3},
-        )
-        decisions = [NodeDecision() for _ in ir.nodes]
-        stats = PassStats()
-        fuse_attention(ir, decisions, stats)
-        assert stats.attention_groups == 1
-        assert decisions[0].action == ACTION_FUSE_HEAD
-        assert [d.action for d in decisions[1:]] == [ACTION_FUSE_MEMBER] * 2
-
     def test_chain_without_softmax_is_not_fused(self):
         ir = GraphIR(
             [

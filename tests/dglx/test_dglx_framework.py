@@ -246,10 +246,6 @@ class TestBatching:
         dgl_cost = fresh_device.clock.elapsed - before
         assert dgl_cost > pyg_cost
 
-    def test_with_pos_requires_positions(self):
-        with pytest.raises(ValueError):
-            batch(self.graphs(2), with_pos=True)
-
 
 class TestReadout:
     def make_batched(self):
@@ -293,11 +289,6 @@ class TestGraphDataLoader:
         second = GraphDataLoader(gs, batch_size=8, shuffle=True, rng=11)
         (_, labels_a), (_, labels_b) = next(iter(first)), next(iter(second))
         np.testing.assert_array_equal(labels_a, labels_b)
-
-    def test_drop_last_zero_batches_rejected(self):
-        gs = [sample(3, seed=i) for i in range(3)]
-        with pytest.raises(ValueError, match="zero"):
-            GraphDataLoader(gs, batch_size=8, drop_last=True)
 
     def test_frame_set_charges_host_time(self, fresh_device):
         g = DGLGraph.from_sample(sample(3))

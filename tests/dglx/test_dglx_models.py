@@ -162,3 +162,26 @@ class TestGCNNormalisationCost:
         conv(g, h)
         names = [r.name for r in prof.records]
         assert names.count("mul") >= 2  # two degree-normalisation multiplies
+
+
+class TestGATLowering:
+    def test_attention_lowers_to_gsddmm_softmax_gspmm(self, tiny, fresh_device):
+        # DGL's lowering: edge scores, softmax and aggregation are fused
+        # sparse kernels; no per-edge gather/scatter runs.
+        cfg = graph_config("gat", in_dim=tiny.num_features, n_classes=tiny.num_classes)
+        model = build_model(cfg, np.random.default_rng(0))
+        g, _ = batched(tiny)
+        fresh_device.profiler.enabled = True
+        model(g)
+        names = {r.name for r in fresh_device.profiler.records}
+        assert {"gsddmm_add", "edge_softmax", "gspmm"} <= names
+        assert not [n for n in names if n.startswith(("gather", "scatter"))]
+
+
+class TestGatedGCNSemantics:
+    def test_residual_requires_matching_dims(self):
+        from repro.dglx.models.gatedgcn import GatedGCNConv
+
+        rng = np.random.default_rng(0)
+        assert GatedGCNConv(4, 4, rng).residual
+        assert not GatedGCNConv(4, 8, rng).residual

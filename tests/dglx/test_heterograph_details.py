@@ -42,7 +42,8 @@ class TestBatchEdgeCases:
         g = batch([sample(3), sample(4)])
         np.testing.assert_array_equal(g.batch_num_edges(), [3, 4])
 
-    def test_pos_collated_when_requested(self):
+    def test_only_features_are_collated(self):
+        # Node positions ride on the samples but no model reads them.
         rng = np.random.default_rng(0)
         graphs = []
         for i in range(2):
@@ -50,8 +51,9 @@ class TestBatchEdgeCases:
             graphs.append(
                 GraphSample(base.edge_index, base.x, 0, pos=rng.random((3, 2)).astype(np.float32))
             )
-        g = batch(graphs, with_pos=True)
-        assert g.ndata["pos"].shape == (6, 2)
+        g = batch(graphs)
+        assert list(g.ndata) == ["feat"]
+        assert g.ndata["feat"].shape == (6, 2)
 
     def test_isolated_nodes_supported(self):
         lonely = GraphSample(np.zeros((2, 0), np.int64), np.ones((4, 2), np.float32), 0)

@@ -11,7 +11,7 @@ def _in_neighbors(g, node):
 
 
 def small_graph(**kwargs):
-    # 0 -> 1, 1 -> 2, 3 -> 2 directed; symmetrized by default.
+    # 0 -> 1, 1 -> 2, 3 -> 2 directed; from_edges mirrors each edge.
     return CSRBigGraph.from_edges(
         np.array([0, 1, 3]), np.array([1, 2, 2]), 4, **kwargs
     )
@@ -25,10 +25,14 @@ class TestConstruction:
         np.testing.assert_array_equal(np.sort(_in_neighbors(g, 2)), [1, 3])
         np.testing.assert_array_equal(np.sort(_in_neighbors(g, 1)), [0, 2])
 
-    def test_from_edges_directed(self):
-        g = small_graph(symmetrize=False)
-        assert g.num_edges == 3
-        np.testing.assert_array_equal(g.in_degrees(), [0, 1, 2, 0])
+    def test_in_degrees_count_each_mirror(self):
+        np.testing.assert_array_equal(small_graph().in_degrees(), [1, 2, 2, 1])
+
+    def test_from_edges_output_is_symmetric(self):
+        rng = np.random.default_rng(0)
+        g = CSRBigGraph.from_edges(rng.integers(0, 20, 60), rng.integers(0, 20, 60), 20)
+        edges = set(map(tuple, g.edge_index().T.tolist()))
+        assert edges == {(v, u) for u, v in edges}
 
     def test_symmetrize_dedupes_mirrors(self):
         # Both directions given explicitly must not double the edge.
@@ -42,7 +46,7 @@ class TestConstruction:
     def test_edge_index_round_trip(self):
         g = small_graph()
         ei = g.edge_index()
-        g2 = CSRBigGraph.from_edges(ei[0], ei[1], 4, symmetrize=False)
+        g2 = CSRBigGraph.from_edges(ei[0], ei[1], 4)
         np.testing.assert_array_equal(g.indptr, g2.indptr)
         np.testing.assert_array_equal(g.indices, g2.indices)
 

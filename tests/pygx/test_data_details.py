@@ -57,9 +57,3 @@ class TestLoaderCoverage:
         loader = DataLoader(graphs, batch_size=5, shuffle=True, rng=np.random.default_rng(0))
         seen = np.concatenate([b.y for b in loader])
         np.testing.assert_array_equal(np.sort(seen), np.arange(17))
-
-    def test_drop_last_skips_remainder_only(self):
-        graphs = [sample(label=i, seed=i) for i in range(17)]
-        loader = DataLoader(graphs, batch_size=5, drop_last=True)
-        seen = np.concatenate([b.y for b in loader])
-        assert len(seen) == 15

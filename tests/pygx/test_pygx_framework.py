@@ -74,11 +74,6 @@ class TestDataLoader:
         sizes = [b.num_graphs for b in loader]
         assert sizes == [4, 4, 2]
 
-    def test_drop_last(self):
-        loader = DataLoader(self.graphs(10), batch_size=4, drop_last=True)
-        assert len(loader) == 2
-        assert [b.num_graphs for b in loader] == [4, 4]
-
     def test_shuffle_changes_order(self):
         rng = np.random.default_rng(0)
         loader = DataLoader(self.graphs(64), batch_size=64, shuffle=True, rng=rng)
@@ -101,10 +96,6 @@ class TestDataLoader:
         first = DataLoader(self.graphs(16), batch_size=16, shuffle=True, rng=7)
         second = DataLoader(self.graphs(16), batch_size=16, shuffle=True, rng=7)
         np.testing.assert_array_equal(next(iter(first)).y, next(iter(second)).y)
-
-    def test_drop_last_zero_batches_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            DataLoader(self.graphs(3), batch_size=8, drop_last=True)
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):

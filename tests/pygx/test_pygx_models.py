@@ -124,6 +124,19 @@ class TestGATSemantics:
         np.testing.assert_allclose(got, expected, rtol=1e-4)
 
 
+    def test_attention_lowers_to_gather_softmax_scatter(self, tiny_batch, fresh_device):
+        # The paper's PyG lowering: per-edge messages are gathered and
+        # scattered; no fused GSDDMM / GSpMM kernel runs.
+        ds, batch = tiny_batch
+        cfg = graph_config("gat", in_dim=ds.num_features, n_classes=ds.num_classes)
+        model = build_model(cfg, np.random.default_rng(0))
+        fresh_device.profiler.enabled = True
+        model(batch)
+        names = {r.name for r in fresh_device.profiler.records}
+        assert {"gather", "scatter_max", "scatter_sum"} <= names
+        assert not [n for n in names if n.startswith(("gsddmm", "gspmm", "edge_softmax"))]
+
+
 class TestGatedGCNSemantics:
     def test_residual_requires_matching_dims(self):
         from repro.pygx.models.gatedgcn import GatedGCNConv

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import enzymes
+from repro.device import Device
 from repro.models import graph_config
 from repro.serve import (
     DynamicBatcher,
@@ -96,6 +97,20 @@ class TestServeSimulator:
         # low load means the server mostly waits
         assert result.busy_fraction < 1.0
         assert result.phase_times.get("idle", 0.0) > 0.0
+
+    def test_serves_on_the_default_stream_only(self, dataset):
+        device = Device()
+        simulator = ServeSimulator(inference_for("pygx", dataset), device=device)
+        simulator.replay(dataset.graphs, poisson_trace(20, rate=400.0, rng=7))
+        assert device.stream_names() == {0: "default"}
+
+    @pytest.mark.parametrize("framework", ["pygx", "dglx"])
+    def test_gpu_busy_never_exceeds_elapsed(self, framework, dataset):
+        device = Device()
+        simulator = ServeSimulator(inference_for(framework, dataset), device=device)
+        result = simulator.replay(dataset.graphs, poisson_trace(60, rate=400.0, rng=7))
+        assert result.completed + result.shed + result.failed == result.n_requests
+        assert 0.0 < device.clock.gpu_busy <= device.clock.elapsed
 
     def test_phase_breakdown_matches_training_phases(self, dataset):
         simulator = ServeSimulator(inference_for("pygx", dataset), queue_capacity=64)

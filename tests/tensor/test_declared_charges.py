@@ -85,7 +85,10 @@ def _wrapped_again(x, op, probe):
 
 
 def _reshaped(x, op, probe):
-    """(d) A reshape is a view, charged again (ROADMAP item 2, left as it is), that holds its base."""
+    """(d) A reshape is a view, charged again, that holds its base.
+
+    Left as it is until ROADMAP's "Re-record once, on purpose" stops charging views.
+    """
     out = op(x)
     flat = out.reshape(-1)
     probe()

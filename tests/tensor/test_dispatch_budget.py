@@ -22,9 +22,10 @@ from repro.tensor import CSRGraph, Tensor, gspmm, no_grad, ops, scatter_sum
 from repro.tensor._reduce import scatter_add_rows, segment_add_rows
 
 LAUNCH_OWNER = (
-    "ROADMAP item 1 holds Device.launch harmless: hooks return decisions and "
-    "Device._charge charges them (docs/architecture.md), and whatever is added "
-    "to the chokepoint is paid for out of this budget"
+    "Device.launch stays harmless: hooks return decisions and Device._charge "
+    "charges them (docs/architecture.md, 'Everything meets at Device.launch, and "
+    "only Device charges'), and whatever is added to the chokepoint is paid for "
+    "out of this budget"
 )
 DISPATCH_OWNER = (
     "ROADMAP aim 1 names autograd dispatch and device accounting as layers a perf "

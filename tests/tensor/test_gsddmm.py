@@ -114,14 +114,6 @@ class TestLaunchesAndNaming:
         names = [r.name for r in fresh_device.profiler.records]
         assert names.count("gsddmm_add_backward") == 1
 
-    def test_format_suffix_on_tuned_graph(self, rng, fresh_device):
-        _, _, g = random_graph(rng)
-        g.set_format("coo")
-        a, b = Tensor(feats(rng, 7, 4)), Tensor(feats(rng, 6, 4))
-        fresh_device.profiler.enabled = True
-        gsddmm(g, "dot", a, b)
-        assert [r.name for r in fresh_device.profiler.records] == ["gsddmm_dot@coo"]
-
 
 class TestValidation:
     def test_rejects_unknown_op(self, rng):

@@ -39,30 +39,26 @@ class TestShardOrder:
 
 class TestCheckShard:
     def test_returns_shard_length(self):
-        assert check_shard(10, 2, False, 0, 3) == 3
-        assert check_shard(10, 2, False, 0, 1) == 10
+        assert check_shard(10, 0, 3) == 3
+        assert check_shard(10, 0, 1) == 10
 
     def test_rejects_bad_rank_or_world(self):
         with pytest.raises(ValueError):
-            check_shard(10, 2, False, 0, 0)
+            check_shard(10, 0, 0)
         with pytest.raises(ValueError):
-            check_shard(10, 2, False, 2, 2)
+            check_shard(10, 2, 2)
         with pytest.raises(ValueError):
-            check_shard(10, 2, False, -1, 2)
+            check_shard(10, -1, 2)
 
     def test_empty_shard_rejected_only_when_distributed(self):
         # An unsharded loader over zero graphs stays legal (the trainers
         # build empty val loaders when train_fraction=1.0).
-        assert check_shard(0, 4, False, 0, 1) == 0
+        assert check_shard(0, 0, 1) == 0
         with pytest.raises(ValueError, match="empty shard"):
-            check_shard(3, 2, False, 0, 4)
+            check_shard(3, 0, 4)
 
-    def test_drop_last_zero_batches_message_matches_unsharded_error(self):
-        with pytest.raises(ValueError, match="would yield zero batches"):
-            check_shard(10, 16, True, 0, 1)
-        with pytest.raises(ValueError, match="would yield zero batches"):
-            check_shard(30, 16, True, 1, 2)
-        assert check_shard(32, 16, True, 1, 2) == 16
+    def test_shard_length_is_the_same_on_every_rank(self):
+        assert {check_shard(10, rank, 3) for rank in range(3)} == {3}
 
 
 def _graphs(n):
@@ -121,32 +117,42 @@ class TestLoaderSharding:
     def test_len_counts_shard_batches(self, framework):
         loader = _loader(framework, _graphs(20), 4, rank=0, world_size=2)
         assert len(loader) == 3  # ceil(10 / 4)
-        loader = _loader(framework, _graphs(20), 4, drop_last=True, rank=0, world_size=2)
-        assert len(loader) == 2
 
     def test_empty_shard_rejected(self, framework):
         with pytest.raises(ValueError, match="empty shard"):
             _loader(framework, _graphs(3), 2, rank=0, world_size=4)
 
-    def test_drop_last_zero_batches_rejected_per_shard(self, framework):
-        with pytest.raises(ValueError, match="would yield zero batches"):
-            _loader(framework, _graphs(30), 16, drop_last=True, rank=0, world_size=2)
+    def test_last_partial_batch_is_kept(self, framework):
+        loader = _loader(framework, _graphs(10), 4)
+        unpack = get_pack(framework).unpack
+        assert [len(unpack(item)[1]) for item in loader] == [4, 4, 2]
+
+    def test_batch_larger_than_the_data_yields_one_batch(self, framework):
+        loader = _loader(framework, _graphs(3), 8)
+        assert len(loader) == 1
+        assert _labels(framework, loader) == [0, 1, 2]
+
+    def test_short_shard_yields_one_partial_batch(self, framework):
+        # 30 graphs over 2 replicas: each shard of 15 fits one batch of 16.
+        loader = _loader(framework, _graphs(30), 16, rank=1, world_size=2)
+        assert len(loader) == 1
+        assert _labels(framework, loader) == list(range(1, 30, 2))
 
 
-@pytest.mark.parametrize("drop_last", [False, True])
+@pytest.mark.parametrize("shuffle", [False, True])
 @pytest.mark.parametrize("rank,world", [(0, 1), (1, 3)])
-def test_both_packs_yield_the_same_graph_order(rank, world, drop_last):
+def test_both_packs_yield_the_same_graph_order(rank, world, shuffle):
     """Ordering is the shared loop's, not a pack's: the same rng, rank,
-    world size and drop_last give the same graphs in the same batches."""
+    world size and shuffle give the same graphs in the same batches."""
     orders = {
         framework: [
             [int(y) for y in get_pack(framework).unpack(item)[1]]
-            for item in _loader(framework, _graphs(23), 3, shuffle=True,
-                                rng=np.random.default_rng(5), drop_last=drop_last,
+            for item in _loader(framework, _graphs(23), 3, shuffle=shuffle,
+                                rng=np.random.default_rng(5),
                                 rank=rank, world_size=world)
         ]
         for framework in FRAMEWORKS
     }
     assert orders["pygx"] == orders["dglx"]
-    assert len(orders["pygx"]) == len(_loader("pygx", _graphs(23), 3, drop_last=drop_last,
+    assert len(orders["pygx"]) == len(_loader("pygx", _graphs(23), 3,
                                               rank=rank, world_size=world))

@@ -1,4 +1,4 @@
-"""Guard: no public ``src`` name is reached only from tests.
+"""Guard: no public ``src`` name or switch is reached only from tests.
 
 A public name is a module-level ``def`` / ``class`` under ``src/repro`` whose
 name has no leading underscore, or such a method of a public class.  It is
@@ -13,8 +13,20 @@ by name) in a real caller:
 - a ``python`` fence in ``docs/`` that ``tools/check_docs.py`` executes.
 
 Tests are not callers: code only they reach is deleted with them, unless
-:data:`ALLOWED` names it with its reason.  The second rule keeps the modules
-free of unused imports, which the critical-only ruff gate does not look for.
+:data:`ALLOWED` names it with its reason.
+
+The option rule applies the same callers to switches: a ``True`` / ``False``
+default of a public ``def`` (``__init__`` and the methods of public classes
+included) must be set off its default by some real call, or the switch
+selects a mode only tests run; :data:`ALLOWED_OPTIONS` takes exceptions with
+their reasons.  A call sets a switch when it passes a keyword of the
+switch's name any value but the default constant.  Like the name rule, this
+matches names, not callees: the packs call their loaders through aliases
+(``pack.graph_loader(...)``).  A value passed by position or through
+``**kwargs`` is not seen, so pass a switch by keyword.
+
+The last rule keeps the modules free of unused imports, which the
+critical-only ruff gate does not look for.
 """
 
 import ast
@@ -29,9 +41,6 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: ``"<module under src/repro>::<qualified name>"`` -> why it stays.
 ALLOWED = {
-    "tensor/ops_sparse.py::CSRGraph.set_format": (
-        "test seam: pins each format that autotune_format picks in production"
-    ),
     "serve/registry.py::InferenceModel.enable_compile": (
         "the README presents compiled serving; stays until a RunProfile replaces it"
     ),
@@ -42,6 +51,9 @@ ALLOWED = {
         "the README presents fault-tolerant training; the train-parity recorder runs it"
     ),
 }
+
+#: ``"<module under src/repro>::<callable>(<parameter>=)"`` -> why it stays.
+ALLOWED_OPTIONS = {}
 
 
 def _load_check_docs():
@@ -97,17 +109,23 @@ def _units(src):
     return units, other
 
 
-def unreached(root, allowed=()):
-    """``{key: lines}`` for the public names under ``root/src/repro`` nothing reaches."""
-    units, reached = _units(root / "src" / "repro")
+def _caller_trees(root):
+    """The parsed real callers outside ``src``: caller folders and executed docs fences."""
     for folder in CALLER_DIRS:
         for path in sorted((root / folder).rglob("*.py")):
             if "tests" not in path.relative_to(root).parts:
-                reached.update(_names([ast.parse(path.read_text())]))
+                yield ast.parse(path.read_text())
     check_docs = _load_check_docs()
     for doc in sorted((root / "docs").glob("*.md")):
         for _, source in check_docs.python_snippets(doc):
-            reached.update(_names([ast.parse(source)]))
+            yield ast.parse(source)
+
+
+def unreached(root, allowed=()):
+    """``{key: lines}`` for the public names under ``root/src/repro`` nothing reaches."""
+    units, reached = _units(root / "src" / "repro")
+    for tree in _caller_trees(root):
+        reached.update(_names([tree]))
     done, frontier = set(), [k for k, unit in units.items() if k in allowed or unit[0] in reached]
     while frontier:
         done.update(frontier)
@@ -241,6 +259,125 @@ def test_private_names_and_nested_classes_are_not_units(tmp_path):
 def test_a_class_and_each_public_method_are_reached_separately(tmp_path):
     files = {"src/repro/pkg/mod.py": CLASSES, "tools/run.py": "obj.method()\n"}
     assert unreached(_tree(tmp_path, files)) == {"pkg/mod.py::Public": 9}
+
+
+def _switches(src):
+    """``{key: (parameter, default)}`` for each ``True`` / ``False`` default of a public
+    ``def``, method or ``__init__`` under ``src``."""
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for node in ast.parse(path.read_text()).body:
+            if not _is_public(node):
+                continue
+            funcs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                funcs = [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and (_is_public(m) or m.name == "__init__")]
+            for qual, func in funcs:
+                args = func.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                pairs += zip(args.kwonlyargs, args.kw_defaults)
+                for arg, default in pairs:
+                    if isinstance(default, ast.Constant) and isinstance(default.value, bool):
+                        found[f"{rel}::{qual}({arg.arg}=)"] = (arg.arg, default.value)
+    return found
+
+
+def dead_options(root, allowed=()):
+    """Sorted keys of the switches under ``root/src/repro`` no real call sets off default."""
+    src = root / "src" / "repro"
+    trees = [ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))]
+    passed = {}
+    for tree in [*trees, *_caller_trees(root)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg:
+                passed.setdefault(node.arg, []).append(node.value)
+    return sorted(
+        key
+        for key, (param, default) in _switches(src).items()
+        if key not in allowed
+        and all(isinstance(v, ast.Constant) and v.value is default for v in passed.get(param, ()))
+    )
+
+
+def test_no_public_switch_is_set_only_from_tests():
+    found = dead_options(ROOT, ALLOWED_OPTIONS)
+    assert found == [], (
+        f"{len(found)} boolean options that no src, tools, benchmarks, examples, "
+        f"hostbench or executed docs snippet sets off its default: {found}. Delete "
+        "the mode each selects with its tests and keep the default's behaviour; "
+        "ALLOWED_OPTIONS is for the few with a reason."
+    )
+    assert set(ALLOWED_OPTIONS) <= set(dead_options(ROOT)), "an ALLOWED_OPTIONS entry is unused"
+
+
+SWITCHES = {"src/repro/pkg/mod.py": (
+    "def run(x, fast=False, *, loud=True, name=None):\n    return x\n\n\n"
+    "class Engine:\n    def __init__(self, cached=False):\n        pass\n\n"
+    "    def go(self, eager=True):\n        pass\n\n"
+    "    def _stop(self, force=False):\n        pass\n\n\n"
+    "class _Hidden:\n    def __init__(self, flag=False):\n        pass\n\n\n"
+    "def _private(flag=False):\n    pass\n"
+)}
+EVERY_SWITCH = [
+    "pkg/mod.py::Engine.__init__(cached=)", "pkg/mod.py::Engine.go(eager=)",
+    "pkg/mod.py::run(fast=)", "pkg/mod.py::run(loud=)",
+]
+
+#: One real call each, and the switch it sets.
+SETTING = {
+    "keyword": ("run(1, fast=True)\n", "pkg/mod.py::run(fast=)"),
+    "keyword-only": ("run(1, loud=False)\n", "pkg/mod.py::run(loud=)"),
+    "non-constant": ("run(1, fast=flag)\n", "pkg/mod.py::run(fast=)"),
+    "__init__ through its class": ("Engine(cached=True)\n", "pkg/mod.py::Engine.__init__(cached=)"),
+    "method": ("engine.go(eager=False)\n", "pkg/mod.py::Engine.go(eager=)"),
+    "an alias of the callee": ("loader = pack.engine(cached=True)\n",
+                               "pkg/mod.py::Engine.__init__(cached=)"),
+}
+
+#: Calls that set no switch off its default.
+NOT_SETTING = {
+    "the default spelled out": "run(1, fast=False, loud=True)\nEngine(cached=False)\n",
+    "positional": "run(1, True)\nengine.go(False)\n",
+    "**kwargs": "run(1, **{'fast': True})\n",
+    "another keyword": "run(1, name=True)\n",
+}
+
+
+@pytest.mark.parametrize("source, key", SETTING.values(), ids=list(SETTING))
+def test_a_real_call_sets_a_switch(tmp_path, source, key):
+    root = _tree(tmp_path, {**SWITCHES, "tools/run.py": source})
+    assert dead_options(root) == [k for k in EVERY_SWITCH if k != key]
+
+
+@pytest.mark.parametrize("source", NOT_SETTING.values(), ids=list(NOT_SETTING))
+def test_a_call_that_keeps_the_default_sets_nothing(tmp_path, source):
+    assert dead_options(_tree(tmp_path, {**SWITCHES, "tools/run.py": source})) == EVERY_SWITCH
+
+
+SET = "target(fast=True)\n"
+
+#: Files that call ``target(fast=True)``, and whether they are real callers.
+SWITCH_CALLERS = {
+    "src body": ({"src/repro/pkg/user.py": f"def _main():\n    return {SET}"}, True),
+    "example": ({"examples/demo.py": SET}, True),
+    "hostbench": ({"hostbench/run.py": SET}, True),
+    "executed docs fence": ({"docs/guide.md": f"```python\n{SET}```\n"}, True),
+    "tests": ({"tests/test_mod.py": SET}, False),
+    "a caller folder's tests": ({"hostbench/tests/test_run.py": SET}, False),
+    "no-run docs fence": ({"docs/guide.md": f"```python no-run\n{SET}```\n"}, False),
+    "README fence": ({"README.md": f"```python\n{SET}```\n"}, False),
+}
+
+
+@pytest.mark.parametrize("files, real", SWITCH_CALLERS.values(), ids=list(SWITCH_CALLERS))
+def test_the_switch_rule_has_the_name_rules_callers(tmp_path, files, real):
+    target = {"src/repro/pkg/mod.py": "def target(fast=False):\n    return 1\n"}
+    found = dead_options(_tree(tmp_path, {**target, **files}))
+    assert found == ([] if real else ["pkg/mod.py::target(fast=)"])
 
 
 def _unused_imports(tree):

@@ -1,6 +1,6 @@
 """Guard: a mini-batch is loaded in one place.
 
-The code around collation — order, shuffle, shard, chunk, ``drop_last``,
+The code around collation — order, shuffle, shard, chunk,
 the ``data_loading`` phase and the per-graph fetch charge — is the same for
 both framework packs and lives in ``repro.loader``; a pack supplies only
 its collation.  It was once written out in six modules (both packs' graph
