@@ -449,7 +449,6 @@ def faults_cell(
     arrivals: Sequence[float],
     fault_rate: float = 0.0,
     fault_seed: int = 0,
-    stall_rate: Optional[float] = None,
     max_batch_size: int = 32,
     queue_capacity: int = 128,
     num_graphs: int = 0,
@@ -458,10 +457,10 @@ def faults_cell(
 ) -> Dict:
     """One serving run under a seeded fault schedule.
 
-    ``fault_rate`` is applied as both the per-alloc OOM probability and
-    the per-launch transient-kernel-fault probability; ``stall_rate``
-    defaults to the same value.  ``fault_rate=0`` is the fault-free
-    baseline the sweep is compared against.
+    ``fault_rate`` is applied as the per-alloc OOM probability, the
+    per-launch transient-kernel-fault probability and the per-launch stall
+    probability.  ``fault_rate=0`` is the fault-free baseline the sweep is
+    compared against.
     """
     from repro.faults import FaultPlan
 
@@ -469,12 +468,12 @@ def faults_cell(
         framework, model, dataset_name, num_graphs, train_epochs, seed
     )
     plan = None
-    if fault_rate or stall_rate:
+    if fault_rate:
         plan = FaultPlan(
             seed=fault_seed,
             oom_rate=fault_rate,
             kernel_fault_rate=fault_rate,
-            stall_rate=fault_rate if stall_rate is None else stall_rate,
+            stall_rate=fault_rate,
         )
     simulator = ServeSimulator(
         inference,

@@ -27,9 +27,7 @@ from repro.compile.passes import (
     ACTION_FUSE_HEAD,
     ACTION_FUSE_MEMBER,
     ACTION_SKIP,
-    DEFAULT_PASSES,
     ELEMENTWISE_KERNELS,
-    FusionConfig,
     NodeDecision,
     run_passes,
 )
@@ -37,11 +35,11 @@ from repro.compile.plan import ExecutionPlan, GuardFailure, PlanNode, ReplaySess
 from repro.compile.tracer import Tracer, content_hash
 
 
-def capture(fn, *args, constants=(), **kwargs):
+def capture(fn, *args, **kwargs):
     """Run ``fn`` once under capture; returns ``(result, GraphIR)``."""
     from repro.device import current_device
 
-    tracer = Tracer(constants=constants)
+    tracer = Tracer()
     with current_device().capturing(tracer):
         result = fn(*args, **kwargs)
     return result, tracer.finish(outputs=result)
@@ -54,10 +52,8 @@ __all__ = [
     "ACTION_SKIP",
     "CompiledStep",
     "CompileStats",
-    "DEFAULT_PASSES",
     "ELEMENTWISE_KERNELS",
     "ExecutionPlan",
-    "FusionConfig",
     "GraphIR",
     "GuardFailure",
     "IRNode",

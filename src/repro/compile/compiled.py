@@ -12,10 +12,9 @@ callable (a training step, an inference forward) and call it as before:
   open*: the rest of the step is charged eagerly, the stale plan is
   dropped, and the next call recaptures.
 
-Signatures are structural by default (tensor rank + feature width, not
-exact shapes) because GNN batches vary in node/edge counts while the
-kernel sequence stays fixed — the same bucketing trick CUDA Graphs
-deployments use.
+Signatures are structural (tensor rank + feature width, not exact shapes)
+because GNN batches vary in node/edge counts while the kernel sequence
+stays fixed — the same bucketing trick CUDA Graphs deployments use.
 """
 
 from __future__ import annotations
@@ -23,10 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.compile.passes import DEFAULT_PASSES, FusionConfig, run_passes
+from repro.compile.passes import run_passes
 from repro.compile.plan import ExecutionPlan, ReplaySession, build_plan
 from repro.compile.tracer import Tracer
 from repro.device import current_device
+
+#: Upper bound on cached plans; a new one evicts the oldest (FIFO), bounding
+#: memory like CUDA-graph bucket pools.
+MAX_PLANS = 16
 
 
 def default_signature(args: Sequence[Any], kwargs: Dict[str, Any]) -> Tuple:
@@ -82,45 +85,13 @@ class CompileStats:
 class CompiledStep:
     """Capture-and-replay wrapper around a step function.
 
-    Parameters
-    ----------
-    fn:
-        The step callable.  Its returned tensors become the outputs of the
-        captured graph (roots for dead-code elimination).
-    passes:
-        Which optimisation passes to run, in order (default: dce, cse,
-        fold, fuse).
-    fusion:
-        Fusion knobs (:class:`~repro.compile.passes.FusionConfig`).
-    signature_fn:
-        Maps ``(args, kwargs)`` to a hashable plan key; defaults to
-        :func:`default_signature`.
-    constants:
-        Tensors whose values are fixed for the lifetime of the plan
-        (weights are *not* constants — they train — but e.g. a
-        precomputed normalisation tensor is).
-    max_plans:
-        Upper bound on cached plans; exceeding it evicts the oldest
-        (FIFO), bounding memory like CUDA-graph bucket pools.
+    ``fn`` is the step callable.  Its returned tensors become the outputs
+    of the captured graph (roots for dead-code elimination).  Plans are
+    keyed by :func:`default_signature`.
     """
 
-    def __init__(
-        self,
-        fn: Callable,
-        passes: Sequence[str] = DEFAULT_PASSES,
-        fusion: Optional[FusionConfig] = None,
-        signature_fn: Optional[Callable[[Sequence, Dict], Tuple]] = None,
-        constants: Sequence[Any] = (),
-        max_plans: int = 16,
-    ) -> None:
-        if max_plans < 1:
-            raise ValueError("max_plans must be positive")
+    def __init__(self, fn: Callable) -> None:
         self.fn = fn
-        self.passes = tuple(passes)
-        self.fusion = fusion
-        self.signature_fn = signature_fn or default_signature
-        self.constants = tuple(constants)
-        self.max_plans = max_plans
         self.plans: Dict[Tuple, ExecutionPlan] = {}
         self.stats = CompileStats()
         self.last_session: Optional[ReplaySession] = None
@@ -132,13 +103,7 @@ class CompiledStep:
             # Nested compiled regions collapse into the outer one.
             self.stats.eager_calls += 1
             return self.fn(*args, **kwargs)
-        try:
-            signature = self.signature_fn(args, kwargs)
-            hash(signature)
-        except TypeError:
-            self.stats.eager_calls += 1
-            return self.fn(*args, **kwargs)
-
+        signature = default_signature(args, kwargs)
         plan = self.plans.get(signature)
         if plan is None:
             return self._capture(device, signature, args, kwargs)
@@ -146,14 +111,14 @@ class CompiledStep:
 
     # ------------------------------------------------------------------
     def _capture(self, device, signature: Tuple, args, kwargs) -> Any:
-        tracer = Tracer(constants=self.constants)
+        tracer = Tracer()
         with device.capturing(tracer):
             result = self.fn(*args, **kwargs)
         ir = tracer.finish(outputs=result)
-        decisions, stats = run_passes(ir, self.passes, self.fusion)
+        decisions, stats = run_passes(ir)
         ir.release_arrays()
         plan = build_plan(ir, decisions, stats)
-        if len(self.plans) >= self.max_plans:
+        if len(self.plans) >= MAX_PLANS:
             oldest = next(iter(self.plans))
             del self.plans[oldest]
         self.plans[signature] = plan

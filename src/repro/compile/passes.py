@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.compile.ir import GraphIR, IRNode, PassStats
 from repro.compile.tracer import content_hash
@@ -32,9 +32,10 @@ ACTION_SKIP = "skip"
 ACTION_FUSE_HEAD = "fuse_head"
 ACTION_FUSE_MEMBER = "fuse_member"
 
-DEFAULT_PASSES = ("dce", "cse", "fold", "attention", "fuse")
-
 _F32 = 4
+
+#: Largest number of kernels merged into one fused launch.
+MAX_GROUP = 8
 
 #: Kernels that are elementwise maps over their inputs: they can join a
 #: fusion chain in any position after the head.  Backward kernels of
@@ -57,30 +58,8 @@ ELEMENTWISE_KERNELS = frozenset(
 )
 
 #: Kernels that must never participate in fusion (synchronisation points,
-#: host-mediated collectives).  Extend via ``FusionConfig.barrier_kernels``.
-DEFAULT_BARRIERS = frozenset({"all_reduce", "broadcast"})
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Knobs of the greedy elementwise/epilogue fusion pass."""
-
-    #: Largest number of kernels merged into one fused launch.
-    max_group: int = 8
-    #: Additional kernel names treated as elementwise chain members.
-    extra_elementwise: frozenset = frozenset()
-    #: Kernel names that break chains unconditionally.
-    barrier_kernels: frozenset = DEFAULT_BARRIERS
-
-    def __post_init__(self) -> None:
-        if self.max_group < 2:
-            raise ValueError("max_group must be at least 2")
-
-    def is_elementwise(self, name: str) -> bool:
-        return name in ELEMENTWISE_KERNELS or name in self.extra_elementwise
-
-    def is_barrier(self, name: str) -> bool:
-        return name in self.barrier_kernels
+#: host-mediated collectives).
+BARRIERS = frozenset({"all_reduce", "broadcast"})
 
 
 @dataclass
@@ -171,26 +150,20 @@ def common_subexpression_elimination(
 # ----------------------------------------------------------------------
 # constant folding
 # ----------------------------------------------------------------------
-def constant_folding(
-    ir: GraphIR,
-    decisions: List[NodeDecision],
-    stats: PassStats,
-    max_fold_size: int = 1,
-) -> None:
-    """Skip tiny autograd-free ops whose inputs are all plan constants.
+def constant_folding(ir: GraphIR, decisions: List[NodeDecision], stats: PassStats) -> None:
+    """Skip one-element autograd-free ops whose inputs are all plan constants.
 
     A compiled artifact bakes shape-derived scalars (normalisation factors,
     epsilon offsets) into the fused kernels instead of launching a kernel
     to recompute them every step.  Inputs count as constant when they are
-    leaves registered via ``CompiledStep(constants=...)`` (scalar literals
-    coerced during capture are registered automatically) or outputs of
-    already-folded nodes.
+    scalar literals coerced during capture (registered automatically) or
+    outputs of already-folded nodes.
     """
     constant_values: Set[int] = {ir.resolve(c) for c in ir.constant_ids}
     for node in ir.nodes:
         if not node.has_dataflow or decisions[node.index].action == ACTION_SKIP:
             continue
-        if node.requires_grad or node.out_size > max_fold_size:
+        if node.requires_grad or node.out_size > 1:
             continue
         if not node.parent_ids or ir.is_output(node):
             continue
@@ -208,12 +181,7 @@ def _next_group_id(decisions: List[NodeDecision]) -> int:
     return max((d.group for d in decisions if d.group is not None), default=-1) + 1
 
 
-def fuse_attention(
-    ir: GraphIR,
-    decisions: List[NodeDecision],
-    stats: PassStats,
-    config: Optional[FusionConfig] = None,
-) -> None:
+def fuse_attention(ir: GraphIR, decisions: List[NodeDecision], stats: PassStats) -> None:
     """Collapse SDDMM → edge-softmax → SpMM pipelines into one launch group.
 
     The attention pattern every GAT-class model lowers to: a GSDDMM kernel
@@ -230,7 +198,6 @@ def fuse_attention(
     the same python kernels and only re-times them — and the replay
     session's name guard falls back to eager execution on any divergence.
     """
-    config = config or FusionConfig()
     group_id = _next_group_id(decisions)
     chain: List[IRNode] = []
     saw_softmax = False
@@ -253,7 +220,7 @@ def fuse_attention(
             name.startswith("gspmm")
             and not is_backward
             and saw_softmax
-            and len(chain) < config.max_group
+            and len(chain) < MAX_GROUP
         ):
             chain.append(node)
             _mark_chain(ir, decisions, chain, group_id)
@@ -264,13 +231,13 @@ def fuse_attention(
             chain = []
             saw_softmax = False
             continue
-        elif config.is_elementwise(name) and not config.is_barrier(name):
+        elif name in ELEMENTWISE_KERNELS and name not in BARRIERS:
             chain.append(node)
         else:
             chain = []
             saw_softmax = False
             continue
-        if len(chain) >= config.max_group:
+        if len(chain) >= MAX_GROUP:
             chain = []
             saw_softmax = False
 
@@ -278,12 +245,7 @@ def fuse_attention(
 # ----------------------------------------------------------------------
 # greedy elementwise / epilogue fusion
 # ----------------------------------------------------------------------
-def fuse_elementwise(
-    ir: GraphIR,
-    decisions: List[NodeDecision],
-    stats: PassStats,
-    config: Optional[FusionConfig] = None,
-) -> None:
+def fuse_elementwise(ir: GraphIR, decisions: List[NodeDecision], stats: PassStats) -> None:
     """Greedy epilogue fusion over the surviving kernel stream.
 
     Walks the stream in launch order; any kernel may *head* a chain
@@ -301,7 +263,6 @@ def fuse_elementwise(
     the dominant term in the launch-bound regime the paper measures — but
     keep their byte costs.
     """
-    config = config or FusionConfig()
     chains: List[List[IRNode]] = []
     current: List[IRNode] = []
     for node in ir.nodes:
@@ -311,12 +272,12 @@ def fuse_elementwise(
             chains.append(current)
             current = []
             continue
-        if config.is_barrier(node.name):
+        if node.name in BARRIERS:
             chains.append(current)
             current = []
             chains.append([node])
             continue
-        if config.is_elementwise(node.name) and current and len(current) < config.max_group:
+        if node.name in ELEMENTWISE_KERNELS and current and len(current) < MAX_GROUP:
             current.append(node)
             continue
         chains.append(current)
@@ -360,25 +321,17 @@ def _mark_chain(
 
 
 # ----------------------------------------------------------------------
-def run_passes(
-    ir: GraphIR,
-    passes: Sequence[str] = DEFAULT_PASSES,
-    fusion: Optional[FusionConfig] = None,
-) -> Tuple[List[NodeDecision], PassStats]:
-    """Run the named passes in order; returns per-node decisions + stats."""
+def run_passes(ir: GraphIR) -> Tuple[List[NodeDecision], PassStats]:
+    """Run DCE, CSE, constant folding, attention fusion and elementwise fusion
+    in that order; returns per-node decisions + stats."""
     decisions = [NodeDecision() for _ in ir.nodes]
     stats = PassStats()
-    for name in passes:
-        if name == "dce":
-            dead_code_elimination(ir, decisions, stats)
-        elif name == "cse":
-            common_subexpression_elimination(ir, decisions, stats)
-        elif name == "fold":
-            constant_folding(ir, decisions, stats)
-        elif name == "attention":
-            fuse_attention(ir, decisions, stats, fusion)
-        elif name == "fuse":
-            fuse_elementwise(ir, decisions, stats, fusion)
-        else:
-            raise ValueError(f"unknown pass {name!r}; options: {DEFAULT_PASSES}")
+    for run in (
+        dead_code_elimination,
+        common_subexpression_elimination,
+        constant_folding,
+        fuse_attention,
+        fuse_elementwise,
+    ):
+        run(ir, decisions, stats)
     return decisions, stats

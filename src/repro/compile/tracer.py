@@ -43,13 +43,11 @@ def content_hash(array) -> Optional[str]:
 class Tracer:
     """Records the kernel stream + dataflow of one step under capture."""
 
-    def __init__(self, constants: Sequence[object] = ()) -> None:
+    def __init__(self) -> None:
         self.nodes: List[IRNode] = []
         self.aliases: Dict[int, int] = {}
         self.constant_ids: Set[int] = set()
         self._pins: List[object] = []  # strong refs keeping ids stable
-        for const in constants:
-            self.mark_constant(const)
 
     # ------------------------------------------------------------------
     # hooks called by the device / tensor engine
@@ -89,7 +87,7 @@ class Tracer:
         self.aliases[id(out)] = id(source)
 
     def mark_constant(self, tensor) -> None:
-        """Declare a leaf tensor constant for the lifetime of the plan."""
+        """Declare a leaf tensor (a coerced scalar literal) constant for the plan."""
         self._pins.append(tensor)
         self.constant_ids.add(id(tensor))
 

@@ -9,7 +9,7 @@ role of the CUDA current-device context.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.device.clock import SimClock
 from repro.device.gpu import GPUSpec, RTX_2080TI, kernel_efficiency
@@ -307,15 +307,9 @@ class Device:
         if gap > 0:
             self.clock.advance_wait(gap)
 
-    def synchronize(self, target: Union[Stream, Event, None] = None) -> None:
-        """Block the host until ``target`` (or every stream) has drained."""
-        if isinstance(target, Event):
-            timestamp = target.timestamp
-        elif isinstance(target, Stream):
-            timestamp = target.ready
-        else:
-            timestamp = max(s.ready for s in self._streams.values())
-        gap = timestamp - self.clock.elapsed
+    def synchronize(self) -> None:
+        """Block the host until every stream has drained."""
+        gap = max(s.ready for s in self._streams.values()) - self.clock.elapsed
         if gap > 0:
             self.clock.advance_wait(gap)
 

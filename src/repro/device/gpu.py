@@ -97,7 +97,6 @@ KERNEL_EFFICIENCY = (
     ("segment_reduce", 0.45),
     ("segment_sum", 0.45),
     ("segment_mean", 0.45),
-    ("segment_max", 0.45),
     ("scatter", 0.5),
     ("gather", 0.5),
     ("grad_accumulate", 0.85),

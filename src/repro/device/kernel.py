@@ -11,7 +11,7 @@ active at launch time.  Model layers push their name onto the scope stack in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,6 @@ class KernelRecord:
     #: older call sites stay valid.
     phase: str = ""
 
-    def in_scope(self, prefix: Sequence[str]) -> bool:
-        """True if this kernel ran under the given scope prefix."""
-        prefix = tuple(prefix)
-        return self.scope[: len(prefix)] == prefix
-
 
 class Profiler:
     """Collects :class:`KernelRecord` objects when enabled.
@@ -66,8 +61,6 @@ class Profiler:
     # ------------------------------------------------------------------
     # aggregation used by the Fig. 3 bench
     # ------------------------------------------------------------------
-    def total_time(self, prefix: Optional[Sequence[str]] = None) -> float:
-        """Sum of kernel durations, optionally restricted to a scope prefix."""
-        if prefix is None:
-            return sum(r.duration for r in self.records)
-        return sum(r.duration for r in self.records if r.in_scope(prefix))
+    def total_time(self) -> float:
+        """Sum of kernel durations."""
+        return sum(r.duration for r in self.records)

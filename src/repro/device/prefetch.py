@@ -36,20 +36,20 @@ from repro.device.streams import Event
 WORKER_STREAM = "prefetch"
 COPY_STREAM = "h2d"
 
+#: Batches collated ahead of use: 2 is double buffering.
+DEPTH = 2
+
 
 class PrefetchLoader:
-    """Iterate ``inner`` with ``depth`` batches collated ahead of use.
+    """Iterate ``inner`` with :data:`DEPTH` batches collated ahead of use.
 
-    ``depth=2`` is double buffering: while the consumer trains on batch
-    *i*, batch *i+1* is already collated and its H2D copy in flight, and
-    batch *i+2* starts collating the moment *i* is dequeued.
+    Double buffering: while the consumer trains on batch *i*, batch *i+1*
+    is already collated and its H2D copy in flight, and batch *i+2* starts
+    collating the moment *i* is dequeued.
     """
 
-    def __init__(self, inner: Any, depth: int = 2) -> None:
-        if depth < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {depth!r}")
+    def __init__(self, inner: Any) -> None:
         self.inner = inner
-        self.depth = depth
 
     def __len__(self) -> int:
         return len(self.inner)
@@ -74,7 +74,7 @@ class PrefetchLoader:
             queue.append((item, ready))
             return True
 
-        for _ in range(self.depth):
+        for _ in range(DEPTH):
             if not pump():
                 break
         while queue:
@@ -85,4 +85,4 @@ class PrefetchLoader:
             yield item
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.inner!r}, depth={self.depth})"
+        return f"{type(self).__name__}({self.inner!r})"

@@ -17,7 +17,7 @@ from repro.dglx.loader import GraphDataLoader
 from repro.dglx.models import build_model
 from repro.dglx.neighbor_loader import NeighborLoader
 from repro.dglx.prefetch import PrefetchDataLoader
-from repro.dglx.readout import max_nodes, mean_nodes, sum_nodes
+from repro.dglx.readout import mean_nodes
 
 __all__ = [
     "DGLGraph",
@@ -32,6 +32,4 @@ __all__ = [
     "models",
     "build_model",
     "mean_nodes",
-    "sum_nodes",
-    "max_nodes",
 ]

@@ -4,7 +4,7 @@
 paper's datasets need (one node type, one edge type).  This module provides
 the general form DGL actually implements — named node types, canonical edge
 types ``(src_type, relation, dst_type)``, per-type frames and per-relation
-message passing — which is precisely the machinery whose bookkeeping the
+edge lists — which is precisely the machinery whose bookkeeping the
 homogeneous graphs still pay for during batching (Section IV-C).
 
 The ``ablation_heterograph_types`` record uses this class to
@@ -14,15 +14,14 @@ underlying structure is identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.device import current_device
-from repro.dglx.function import MessageFunc, ReduceFunc
 from repro.dglx.heterograph import Frame
 from repro.graph.graph import collate_arrays
-from repro.tensor import CSRGraph, Tensor, gspmm
+from repro.tensor import Tensor
 
 CanonicalEtype = Tuple[str, str, str]
 
@@ -49,8 +48,6 @@ class HeteroDGLGraph:
                 raise ValueError(f"src/dst mismatch for {etype}")
             self._edges[etype] = (src, dst)
         self.nodes_frames: Dict[str, Frame] = {t: Frame() for t in self._num_nodes}
-        self.edges_frames: Dict[CanonicalEtype, Frame] = {e: Frame() for e in self._edges}
-        self._csr: Dict[CanonicalEtype, CSRGraph] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -64,61 +61,9 @@ class HeteroDGLGraph:
     def num_nodes(self, ntype: str) -> int:
         return self._num_nodes[ntype]
 
-    def num_edges(self, etype: CanonicalEtype) -> int:
-        return len(self._edges[etype][0])
-
     def ndata(self, ntype: str) -> Frame:
         """The feature frame of one node type."""
         return self.nodes_frames[ntype]
-
-    def edata(self, etype: CanonicalEtype) -> Frame:
-        """The feature frame of one edge type."""
-        return self.edges_frames[etype]
-
-    def csr(self, etype: CanonicalEtype) -> CSRGraph:
-        """Per-relation CSR, built lazily (one format set per relation)."""
-        if etype not in self._csr:
-            src_type, _, dst_type = etype
-            src, dst = self._edges[etype]
-            current_device().launch(
-                "coo_to_csr", flops=float(len(src)), bytes_moved=16.0 * len(src)
-            )
-            self._csr[etype] = CSRGraph.from_edge_index(
-                src, dst, self._num_nodes[src_type], self._num_nodes[dst_type]
-            )
-        return self._csr[etype]
-
-    # ------------------------------------------------------------------
-    def update_all(
-        self,
-        message: MessageFunc,
-        reduce: ReduceFunc,
-        etype: Optional[CanonicalEtype] = None,
-    ) -> None:
-        """Message passing over one relation (or the only one).
-
-        Output lands in the destination type's frame under
-        ``reduce.out_field``; multi-relation aggregation composes these
-        calls, as DGL's ``multi_update_all`` does.
-        """
-        if etype is None:
-            if len(self._edges) != 1:
-                raise ValueError("etype is required for a multi-relation graph")
-            etype = next(iter(self._edges))
-        if message.out_field != reduce.msg_field:
-            raise ValueError("message out_field must feed the reduce msg_field")
-        device = current_device()
-        device.host(device.host_costs.dgl_update_all_overhead)
-        src_type, _, dst_type = etype
-        x = self.nodes_frames[src_type][message.src_field]
-        if message.op == "copy_u":
-            out = gspmm(self.csr(etype), x, None, reduce=reduce.op)
-        elif message.op == "u_mul_e":
-            weight = self.edges_frames[etype][message.edge_field]
-            out = gspmm(self.csr(etype), x, weight, reduce=reduce.op)
-        else:
-            raise ValueError(f"unsupported message op {message.op!r}")
-        self.nodes_frames[dst_type][reduce.out_field] = out
 
 
 def batch_hetero(graphs: Sequence[HeteroDGLGraph]) -> HeteroDGLGraph:

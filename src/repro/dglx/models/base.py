@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.device import current_device
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.readout import max_nodes, mean_nodes, sum_nodes
+from repro.dglx.readout import mean_nodes
 from repro.models import MLPReadout, ModelConfig
 from repro.nn import Dropout, Module
 from repro.tensor import Tensor
@@ -60,16 +60,5 @@ class DGLXNet(Module):
             return h
         g.ndata["h_final"] = h
         with current_device().scope("pooling"):
-            hg = self._readout(g)
+            hg = mean_nodes(g, "h_final")
         return self.classifier(hg)
-
-    def _readout(self, g: DGLGraph) -> Tensor:
-        """Graph readout per ``config.readout`` (Table II/III: mean)."""
-        readout = self.config.readout
-        if readout == "mean":
-            return mean_nodes(g, "h_final")
-        if readout == "sum":
-            return sum_nodes(g, "h_final")
-        if readout == "max":
-            return max_nodes(g, "h_final")
-        raise ValueError(f"unknown readout {readout!r}")

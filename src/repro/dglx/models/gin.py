@@ -22,12 +22,8 @@ class GINConv(Module):
         rng,
         learn_eps: bool,
         activation: bool = True,
-        neighbor_aggr: str = "sum",
     ) -> None:
         super().__init__()
-        if neighbor_aggr not in ("sum", "mean", "max"):
-            raise ValueError(f"unknown neighbour aggregation {neighbor_aggr!r}")
-        self.neighbor_aggr = neighbor_aggr
         self.fc_v = Linear(d_in, d_out, rng=rng)
         self.bn = BatchNorm1d(d_out)
         self.fc_w = Linear(d_out, d_out, rng=rng)
@@ -36,8 +32,7 @@ class GINConv(Module):
 
     def forward(self, g: DGLGraph, h: Tensor) -> Tensor:
         g.ndata["h_tmp"] = h
-        reducer = getattr(fn, self.neighbor_aggr)
-        g.update_all(fn.copy_u("h_tmp", "m"), reducer("m", "h_agg"))
+        g.update_all(fn.copy_u("h_tmp", "m"), fn.sum("m", "h_agg"))
         if self.eps is not None:
             scaled = ops.mul(h, ops.add(self.eps, Tensor(np.ones(1, np.float32))))
         else:
@@ -60,5 +55,4 @@ class GINNet(DGLXNet):
             rng,
             config.learn_eps_gin,
             activation=activation,
-            neighbor_aggr=config.neighbor_aggr_gin,
         )

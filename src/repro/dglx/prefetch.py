@@ -11,7 +11,6 @@ batches themselves are identical to the wrapped loader's.
 from __future__ import annotations
 
 from repro.device.prefetch import PrefetchLoader
-from repro.dglx.loader import GraphDataLoader
 
 
 class PrefetchDataLoader(PrefetchLoader):
@@ -21,6 +20,3 @@ class PrefetchDataLoader(PrefetchLoader):
 
         loader = PrefetchDataLoader(GraphDataLoader(graphs, batch_size=16))
     """
-
-    def __init__(self, inner: GraphDataLoader, depth: int = 2) -> None:
-        super().__init__(inner, depth=depth)

@@ -8,19 +8,10 @@ operator" (Section IV-C).
 from __future__ import annotations
 
 from repro.dglx.heterograph import DGLGraph
-from repro.tensor import Tensor, segment_reduce
+from repro.tensor import Tensor, segment_mean
 
 
 def mean_nodes(g: DGLGraph, field: str) -> Tensor:
     """Average ``ndata[field]`` per batched graph."""
-    return segment_reduce(g.ndata[field], g.node_offsets(), reduce="mean")
+    return segment_mean(g.ndata[field], g.node_offsets())
 
-
-def sum_nodes(g: DGLGraph, field: str) -> Tensor:
-    """Sum ``ndata[field]`` per batched graph."""
-    return segment_reduce(g.ndata[field], g.node_offsets(), reduce="sum")
-
-
-def max_nodes(g: DGLGraph, field: str) -> Tensor:
-    """Max-reduce ``ndata[field]`` per batched graph."""
-    return segment_reduce(g.ndata[field], g.node_offsets(), reduce="max")

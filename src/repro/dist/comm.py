@@ -90,7 +90,6 @@ class Communicator:
         world_size: int,
         device: Optional[Device] = None,
         link: LinkSpec = NVLINK,
-        fabric: Optional[Fabric] = None,
         record_transfers: bool = False,
     ) -> None:
         if world_size < 1:
@@ -99,13 +98,7 @@ class Communicator:
         self.device = device or current_device()
         self.stats = CommStats()
         if world_size > 1:
-            self.fabric = fabric or Fabric(world_size, spec=link,
-                                           record=record_transfers)
-            if self.fabric.world_size < world_size:
-                raise ValueError(
-                    f"fabric of world_size={self.fabric.world_size} cannot "
-                    f"carry a communicator of world_size={world_size}"
-                )
+            self.fabric = Fabric(world_size, spec=link, record=record_transfers)
             self.streams = [self.device.stream(f"replica{r}/comm")
                             for r in range(world_size)]
         else:

@@ -77,7 +77,6 @@ class DistributedDataParallel:
         module: Module,
         comm: Communicator,
         bucket_bytes: int = DEFAULT_BUCKET_BYTES,
-        algorithm: str = "auto",
     ) -> None:
         if bucket_bytes < 1:
             raise ValueError("bucket_bytes must be positive")
@@ -85,7 +84,6 @@ class DistributedDataParallel:
         self.comm = comm
         self.world_size = comm.world_size
         self.bucket_bytes = int(bucket_bytes)
-        self.algorithm = algorithm
         self._sync_enabled = True
         #: Per-remote-rank gradients staged for the next synchronised
         #: backward: ``{rank: {param_name: np.ndarray}}``.
@@ -226,9 +224,7 @@ class DistributedDataParallel:
             staged = self._staged[rank]
             flats.append(self._flatten(bucket,
                                        lambda name, p: staged.get(name)))
-        reduced = self.comm.all_reduce(flats, op="mean",
-                                       algorithm=self.algorithm,
-                                       label=f"bucket{bucket.index}")
+        reduced = self.comm.all_reduce(flats, op="mean", label=f"bucket{bucket.index}")
         offset = 0
         for name, param in bucket.params:
             chunk = reduced[offset:offset + param.size]

@@ -43,9 +43,7 @@ class FaultPlan:
 
     Rates are per-event Bernoulli probabilities: ``kernel_fault_rate`` is
     evaluated once per :meth:`Device.launch`, ``oom_rate`` once per
-    :meth:`MemoryPool.alloc`.  ``max_faults`` caps the total number of
-    *errors* injected (stalls do not count), so a plan can model "a bad
-    minute" rather than a permanently degraded device.
+    :meth:`MemoryPool.alloc`.
     """
 
     seed: int = 0
@@ -54,8 +52,6 @@ class FaultPlan:
     stall_rate: float = 0.0
     #: Host seconds charged per injected stall.
     stall_seconds: float = 1e-4
-    #: Cap on injected errors (OOM + kernel); ``None`` = unbounded.
-    max_faults: Optional[int] = None
 
     def __post_init__(self) -> None:
         _rate("oom_rate", self.oom_rate)
@@ -63,8 +59,6 @@ class FaultPlan:
         _rate("stall_rate", self.stall_rate)
         if self.stall_seconds < 0:
             raise ValueError("stall_seconds must be non-negative")
-        if self.max_faults is not None and self.max_faults < 0:
-            raise ValueError("max_faults must be non-negative when set")
 
     def start(self) -> "FaultInjector":
         """Create a fresh injector with this plan's seeded decision streams."""
@@ -81,10 +75,6 @@ class FaultStats:
     kernel_faults_injected: int = 0
     stalls_injected: int = 0
     stall_seconds_total: float = 0.0
-
-    @property
-    def errors_injected(self) -> int:
-        return self.ooms_injected + self.kernel_faults_injected
 
 
 class FaultInjector:
@@ -106,10 +96,6 @@ class FaultInjector:
         self._alloc_rng = np.random.default_rng(seeds[1])
 
     # ------------------------------------------------------------------
-    def _budget_left(self) -> bool:
-        cap = self.plan.max_faults
-        return cap is None or self.stats.errors_injected < cap
-
     def on_launch(self, name: str) -> Tuple[float, Optional[KernelFault]]:
         """Decide one launch: ``(stall seconds, failure or None)``.
 
@@ -124,11 +110,7 @@ class FaultInjector:
             self.stats.stalls_injected += 1
             self.stats.stall_seconds_total += plan.stall_seconds
             stall = plan.stall_seconds
-        if (
-            plan.kernel_fault_rate
-            and self._budget_left()
-            and self._launch_rng.random() < plan.kernel_fault_rate
-        ):
+        if plan.kernel_fault_rate and self._launch_rng.random() < plan.kernel_fault_rate:
             self.stats.kernel_faults_injected += 1
             return stall, KernelFault(name, self.stats.launches_seen - 1)
         return stall, None
@@ -139,11 +121,7 @@ class FaultInjector:
 
         plan = self.plan
         self.stats.allocs_seen += 1
-        if (
-            plan.oom_rate
-            and self._budget_left()
-            and self._alloc_rng.random() < plan.oom_rate
-        ):
+        if plan.oom_rate and self._alloc_rng.random() < plan.oom_rate:
             self.stats.ooms_injected += 1
             raise OutOfMemoryError(
                 f"injected device out of memory: requested {nbytes} bytes "

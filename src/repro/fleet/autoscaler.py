@@ -1,13 +1,11 @@
-"""Queue-depth / p99-driven replica autoscaling.
+"""Queue-depth-driven replica autoscaling.
 
 The control loop the ROADMAP's production fleet needs: every ``interval``
-simulated seconds the autoscaler looks at (a) mean queued requests per up
-replica and (b) the sliding-window p99 latency
-(:meth:`ServerMetrics.window_latency_percentiles` — the nearest-rank
-estimator that stays well-defined on near-empty windows), and scales one
-replica at a time.  Scale-ups are *not free*: the new replica warms first
-(weights over PCIe via the device cost model) and only joins the routable
-set when warm — exactly the lag that makes flash crowds hard.
+simulated seconds the autoscaler looks at the mean queued requests per up
+replica and scales one replica at a time.  Scale-ups are *not free*: the
+new replica warms first (weights over PCIe via the device cost model) and
+only joins the routable set when warm — exactly the lag that makes flash
+crowds hard.
 """
 
 from __future__ import annotations
@@ -26,13 +24,8 @@ class AutoscalerConfig:
     interval: float = 0.02
     #: Scale up when mean queued requests per up replica exceeds this.
     scale_up_queue_depth: float = 12.0
-    #: ... or when the sliding-window p99 exceeds this (``None`` disables).
-    scale_up_p99: Optional[float] = None
-    #: Scale down when mean queue depth per up replica falls below this
-    #: (and the p99 signal, when configured, is also comfortable).
+    #: Scale down when mean queue depth per up replica falls below this.
     scale_down_queue_depth: float = 1.0
-    #: Responses in the sliding latency window.
-    window: int = 64
     #: Minimum seconds between two scaling actions (either direction).
     cooldown: float = 0.05
     #: Fixed host-side boot cost added to the weight-transfer warm time.
@@ -45,8 +38,6 @@ class AutoscalerConfig:
             raise ValueError("max_replicas must be >= min_replicas")
         if self.interval <= 0:
             raise ValueError("interval must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
         if self.cooldown < 0:
             raise ValueError("cooldown must be non-negative")
 
@@ -62,7 +53,7 @@ class Autoscaler:
         self.scale_downs = 0
 
     # ------------------------------------------------------------------
-    def decide(self, now: float, replicas: Sequence, window_p99: float) -> int:
+    def decide(self, now: float, replicas: Sequence) -> int:
         """Return +1 (scale up), -1 (scale down) or 0 (hold) at ``now``.
 
         ``replicas`` is the full fleet roster; warming replicas count
@@ -84,16 +75,11 @@ class Autoscaler:
                 return +1
             return 0
         depth = sum(len(r.queue) for r in up) / len(up)
-        over_depth = depth > config.scale_up_queue_depth
-        over_p99 = (
-            config.scale_up_p99 is not None and window_p99 > config.scale_up_p99
-        )
-        if (over_depth or over_p99) and len(alive) < config.max_replicas:
+        if depth > config.scale_up_queue_depth and len(alive) < config.max_replicas:
             self._last_action = now
             self.scale_ups += 1
             return +1
-        calm_p99 = config.scale_up_p99 is None or window_p99 <= config.scale_up_p99
-        if depth < config.scale_down_queue_depth and calm_p99 and len(up) > config.min_replicas:
+        if depth < config.scale_down_queue_depth and len(up) > config.min_replicas:
             # Only shrink when some up replica is actually idle.
             if any(r.free and len(r.queue) == 0 for r in up):
                 self._last_action = now

@@ -174,11 +174,7 @@ class FleetSimulator:
 
                 # 5. autoscaler tick.
                 if scaler is not None and now >= scaler.next_eval:
-                    decision = scaler.decide(
-                        now,
-                        self.replicas,
-                        metrics.window_latency_percentiles(scaler.config.window)[99.0],
-                    )
+                    decision = scaler.decide(now, self.replicas)
                     if decision > 0:
                         self._scale_up(scaler, retired, now)
                     elif decision < 0:

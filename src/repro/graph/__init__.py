@@ -2,7 +2,6 @@
 
 from repro.graph.big_graph import CSRBigGraph, gather_rows
 from repro.graph.generators import (
-    chung_lu_edges,
     clique_motif,
     connected_chain_backbone,
     knn_edges,
@@ -22,7 +21,6 @@ __all__ = [
     "gather_rows",
     "planted_partition",
     "rmat_edges",
-    "chung_lu_edges",
     "connected_chain_backbone",
     "ring_motif",
     "clique_motif",

@@ -141,50 +141,6 @@ def rmat_edges(
     return keys // n_nodes, keys % n_nodes
 
 
-def chung_lu_edges(
-    n_nodes: int,
-    n_edges: int,
-    rng: np.random.Generator,
-    exponent: float = 2.5,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Seeded Chung-Lu power-law directed edge list.
-
-    Expected node weights follow ``w_i ~ (i + 1) ** (-1 / (exponent - 1))``
-    (so realised degrees follow a power law with the given ``exponent``);
-    both endpoints of every edge are drawn independently proportional to
-    the weights via one inverse-CDF ``searchsorted`` per round — ``O(E)``
-    memory, no dense intermediates, deterministic for a fixed seed.  Low
-    node ids are the hubs.  Self loops and duplicate directed edges are
-    rejected and rounds repeat until ``n_edges`` unique edges exist.
-    """
-    if exponent <= 1.0:
-        raise ValueError(f"power-law exponent must exceed 1, got {exponent}")
-    if n_nodes <= 1 or n_edges <= 0:
-        return _EMPTY, _EMPTY
-    if n_edges > n_nodes * (n_nodes - 1):
-        raise ValueError(
-            f"cannot place {n_edges} unique directed edges on {n_nodes} nodes"
-        )
-    weights = np.power(np.arange(1, n_nodes + 1, dtype=np.float64), -1.0 / (exponent - 1.0))
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-
-    keys = _EMPTY
-    for _ in range(200):
-        need = n_edges - len(keys)
-        if need <= 0:
-            break
-        m = int(need * 1.5) + 64
-        src = np.searchsorted(cdf, rng.random(m), side="left")
-        dst = np.searchsorted(cdf, rng.random(m), side="left")
-        keep = src != dst
-        new_keys = src[keep].astype(np.int64) * n_nodes + dst[keep]
-        keys = np.concatenate([keys, new_keys])
-        keys = keys[_first_occurrence_unique(keys)]
-    keys = keys[:n_edges]
-    return keys // n_nodes, keys % n_nodes
-
-
 def connected_chain_backbone(n_nodes: int, rng: np.random.Generator):
     """A random spanning chain guaranteeing connectivity."""
     order = rng.permutation(n_nodes)

@@ -25,7 +25,7 @@ truncated epoch exactly once.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -141,21 +141,18 @@ class SeedLoader:
         batch_size: int,
         shuffle: bool = False,
         rng: RngLike = None,
-        labels: Optional[np.ndarray] = None,
         ensure_self_loops: bool = False,
         full_graph_norm: bool = False,
     ) -> None:
         _check_batch_size(batch_size)
-        if labels is None:
-            labels = graph.y
-        if labels is None:
-            raise ValueError("graph has no labels; pass labels= explicitly")
+        if graph.y is None:
+            raise ValueError("graph has no labels (y is None)")
         self.graph = graph
         self.seeds = np.asarray(seeds, dtype=np.int64)
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = as_generator(rng)
-        self.labels = np.asarray(labels)
+        self.labels = np.asarray(graph.y)
         self.ensure_self_loops = ensure_self_loops
         self.full_graph_norm = full_graph_norm
         self.sampler = NeighborSampler(graph, fanouts, rng=self.rng)

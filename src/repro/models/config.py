@@ -29,20 +29,15 @@ class ModelConfig:
     n_layers: int
     lr: float
     dropout: float = 0.0
-    readout: str = "mean"
     # model-specific knobs (Table II/III "Other" column)
     n_heads: int = 8  # GAT
     kernels: int = 2  # MoNet Gaussian kernels
     pseudo_dim: int = 2  # MoNet pseudo-coordinate dim
-    sage_aggregator: str = "mean_pool"
-    neighbor_aggr_gin: str = "sum"
     learn_eps_gin: bool = True
-    edge_feat: bool = False  # GatedGCN explicit edge features
     # learning setup (Table III)
     lr_reduce_factor: float = 0.5
     lr_patience: int = 25
     min_lr: float = 1e-6
-    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_NAMES:

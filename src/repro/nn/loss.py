@@ -9,13 +9,13 @@ from repro.tensor import Tensor, log_softmax
 from repro.tensor.ops_nn import nll_loss
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Softmax cross entropy between ``(N, C)`` logits and integer targets.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean softmax cross entropy between ``(N, C)`` logits and integer targets.
 
     Composed of a ``log_softmax`` kernel and an ``nll_loss`` kernel, matching
     PyTorch's ``F.cross_entropy`` lowering.
     """
-    return nll_loss(log_softmax(logits, axis=-1), targets, reduction=reduction)
+    return nll_loss(log_softmax(logits, axis=-1), targets)
 
 
 def accuracy(logits: Tensor, targets: np.ndarray) -> float:

@@ -23,10 +23,10 @@ from repro.tensor import Tensor
 class Parameter(Tensor):
     """A tensor that is a learnable module parameter."""
 
-    def __init__(self, data, requires_grad: bool = True) -> None:
+    def __init__(self, data) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        super().__init__(data, requires_grad=requires_grad)
+        super().__init__(data, requires_grad=True)
 
 
 class Module:

@@ -20,12 +20,10 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         device = current_device()
         self._m = []
@@ -47,8 +45,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             # A fused Adam would be one kernel; PyTorch's default eager Adam
             # launches several per parameter, which we mirror.
             n = grad.size

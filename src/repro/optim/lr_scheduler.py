@@ -19,7 +19,6 @@ class ReduceLROnPlateau:
         optimizer: Optimizer,
         factor: float = 0.5,
         patience: int = 25,
-        min_lr: float = 0.0,
     ) -> None:
         if not 0.0 < factor < 1.0:
             raise ValueError("factor must be in (0, 1)")
@@ -28,7 +27,6 @@ class ReduceLROnPlateau:
         self.optimizer = optimizer
         self.factor = factor
         self.patience = patience
-        self.min_lr = min_lr
         self.best = float("inf")
         self.num_bad_epochs = 0
 
@@ -44,7 +42,7 @@ class ReduceLROnPlateau:
             return
         self.num_bad_epochs += 1
         if self.num_bad_epochs > self.patience:
-            self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
+            self.optimizer.lr *= self.factor
             self.num_bad_epochs = 0
 
     # ------------------------------------------------------------------

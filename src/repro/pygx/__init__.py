@@ -13,11 +13,10 @@ from repro.pygx import models
 from repro.pygx.cached_loader import CachedDataLoader
 from repro.pygx.data import Batch, Data
 from repro.pygx.loader import DataLoader
-from repro.pygx.message_passing import MessagePassing
 from repro.pygx.models import build_model
 from repro.pygx.neighbor_loader import NeighborBatch, NeighborLoader
 from repro.pygx.prefetch import PrefetchDataLoader
-from repro.pygx.pool import global_add_pool, global_max_pool, global_mean_pool
+from repro.pygx.pool import global_mean_pool
 from repro.pygx.softmax import edge_softmax
 
 __all__ = [
@@ -28,11 +27,8 @@ __all__ = [
     "PrefetchDataLoader",
     "NeighborLoader",
     "NeighborBatch",
-    "MessagePassing",
     "build_model",
     "models",
     "global_mean_pool",
-    "global_add_pool",
-    "global_max_pool",
     "edge_softmax",
 ]

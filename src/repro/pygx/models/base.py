@@ -5,6 +5,13 @@ per-node logits (node classification, the last conv maps to classes) or a
 mean-pool readout plus MLP classifier (graph classification, Section
 IV-B.4).  Conv layers are registered as attributes ``conv1``..``convL`` so
 profiler scopes line up with the paper's Fig. 3 labels.
+
+Each conv is a plain :class:`~repro.nn.Module` that runs the gather ->
+message -> scatter pipeline in its own ``forward``: per-edge features are
+*materialised* with gather kernels (``index_rows``), combined into
+messages, and aggregated with a scatter kernel.  This is the unfused
+counterpart of DGL's GSpMM — more launches and more edge-level memory
+traffic, but each step is a tuned dense primitive, the trade PyG makes.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from repro.device import current_device
 from repro.models import MLPReadout, ModelConfig
 from repro.nn import Dropout, Module
 from repro.pygx.data import Batch
-from repro.pygx.pool import global_add_pool, global_max_pool, global_mean_pool
+from repro.pygx.pool import global_mean_pool
 from repro.tensor import Tensor
 
 
@@ -71,16 +78,5 @@ class PyGXNet(Module):
         if self.config.task == "node":
             return x
         with current_device().scope("pooling"):
-            hg = self._readout(x, batch)
+            hg = global_mean_pool(x, batch.batch, batch.num_graphs)
         return self.classifier(hg)
-
-    def _readout(self, x: Tensor, batch: Batch) -> Tensor:
-        """Graph readout per ``config.readout`` (Table II/III: mean)."""
-        readout = self.config.readout
-        if readout == "mean":
-            return global_mean_pool(x, batch.batch, batch.num_graphs)
-        if readout == "sum":
-            return global_add_pool(x, batch.batch, batch.num_graphs)
-        if readout == "max":
-            return global_max_pool(x, batch.batch, batch.num_graphs)
-        raise ValueError(f"unknown readout {readout!r}")

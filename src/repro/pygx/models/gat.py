@@ -15,15 +15,14 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.models import ModelConfig
-from repro.nn import Linear, Parameter
-from repro.pygx.message_passing import MessagePassing
+from repro.nn import Linear, Module, Parameter
 from repro.pygx.models.base import PyGXNet
 from repro.pygx.softmax import edge_softmax
 from repro.tensor import Tensor, elu, index_rows, leaky_relu, ops, scatter_sum
 from repro.tensor.creation import randn
 
 
-class GATConv(MessagePassing):
+class GATConv(Module):
     """One multi-head GAT layer; output width is ``heads * head_dim``."""
 
     def __init__(
@@ -34,7 +33,7 @@ class GATConv(MessagePassing):
         rng,
         concat_heads: bool = True,
     ) -> None:
-        super().__init__(aggr="sum")
+        super().__init__()
         self.heads = heads
         self.head_dim = head_dim
         self.concat_heads = concat_heads

@@ -1,4 +1,4 @@
-"""GatedGCN under the PyG-style framework (``edge_feat: False``).
+"""GatedGCN under the PyG-style framework (no explicit edge features).
 
 The anisotropic update of Eq. (4) with edge gates:
 
@@ -18,19 +18,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models import ModelConfig
-from repro.nn import BatchNorm1d, Linear
-from repro.pygx.message_passing import MessagePassing
+from repro.nn import BatchNorm1d, Linear, Module
 from repro.pygx.models.base import PyGXNet
 from repro.tensor import Tensor, index_rows, ops, relu, scatter_sum, sigmoid
 
 
-class GatedGCNConv(MessagePassing):
+class GatedGCNConv(Module):
     """One GatedGCN layer without explicit edge features."""
 
     def __init__(
         self, d_in: int, d_out: int, rng, activation: bool = True
     ) -> None:
-        super().__init__(aggr="sum")
+        super().__init__()
         self.activation = activation
         self.fc_u = Linear(d_in, d_out, rng=rng)
         self.fc_v = Linear(d_in, d_out, rng=rng)

@@ -13,13 +13,12 @@ from typing import Optional
 import numpy as np
 
 from repro.models import ModelConfig
-from repro.nn import Linear
+from repro.nn import Linear, Module
 from repro.pygx.models.base import PyGXNet
-from repro.pygx.message_passing import MessagePassing
 from repro.tensor import Tensor, index_rows, ops, relu, scatter_sum
 
 
-class GCNConv(MessagePassing):
+class GCNConv(Module):
     """One PyG-style GCN layer with symmetric normalisation."""
 
     #: Signals ``PyGXNet.forward`` that this conv accepts the optional
@@ -27,7 +26,7 @@ class GCNConv(MessagePassing):
     full_graph_norm_capable = True
 
     def __init__(self, d_in: int, d_out: int, rng, activation: bool = True) -> None:
-        super().__init__(aggr="sum")
+        super().__init__()
         self.linear = Linear(d_in, d_out, rng=rng)
         self.activation = activation
 

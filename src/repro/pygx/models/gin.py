@@ -9,13 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models import ModelConfig
-from repro.nn import BatchNorm1d, Linear, Parameter
-from repro.pygx.message_passing import MessagePassing
+from repro.nn import BatchNorm1d, Linear, Module, Parameter
 from repro.pygx.models.base import PyGXNet
-from repro.tensor import Tensor, index_rows, ops, relu, scatter
+from repro.tensor import Tensor, index_rows, ops, relu, scatter_sum
 
 
-class GINConv(MessagePassing):
+class GINConv(Module):
     """One GIN layer: sum aggregation + 2-layer MLP with BatchNorm."""
 
     def __init__(
@@ -25,9 +24,8 @@ class GINConv(MessagePassing):
         rng,
         learn_eps: bool,
         activation: bool = True,
-        neighbor_aggr: str = "sum",
     ) -> None:
-        super().__init__(aggr=neighbor_aggr)
+        super().__init__()
         self.fc_v = Linear(d_in, d_out, rng=rng)
         self.bn = BatchNorm1d(d_out)
         self.fc_w = Linear(d_out, d_out, rng=rng)
@@ -40,7 +38,7 @@ class GINConv(MessagePassing):
 
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
         src, dst = edge_index[0], edge_index[1]
-        agg = scatter(index_rows(x, src), dst, num_nodes, reduce=self.aggr)
+        agg = scatter_sum(index_rows(x, src), dst, num_nodes)
         if self.eps is not None:
             scaled = ops.mul(x, ops.add(self.eps, Tensor(np.ones(1, np.float32))))
         else:
@@ -64,5 +62,4 @@ class GINNet(PyGXNet):
             rng,
             learn_eps=config.learn_eps_gin,
             activation=activation,
-            neighbor_aggr=config.neighbor_aggr_gin,
         )

@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models import ModelConfig
-from repro.nn import Linear, Parameter
-from repro.pygx.message_passing import MessagePassing
+from repro.nn import Linear, Module, Parameter
 from repro.pygx.models.base import PyGXNet
 from repro.tensor import Tensor, exp, index_rows, ops, relu, scatter_sum, tanh
 from repro.tensor.creation import randn
 
 
-class GMMConv(MessagePassing):
+class GMMConv(Module):
     """One MoNet layer with ``K`` Gaussian kernels over pseudo-coordinates."""
 
     def __init__(
@@ -31,7 +30,7 @@ class GMMConv(MessagePassing):
         rng,
         activation: bool = True,
     ) -> None:
-        super().__init__(aggr="sum")
+        super().__init__()
         self.kernels = kernels
         self.pseudo_dim = pseudo_dim
         self.d_out = d_out

@@ -10,47 +10,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models import ModelConfig
-from repro.nn import Linear
+from repro.nn import Linear, Module
 from repro.nn.functional import l2_normalize
-from repro.pygx.message_passing import MessagePassing
 from repro.pygx.models.base import PyGXNet
-from repro.tensor import Tensor, concat, index_rows, relu, scatter_max, scatter_mean
+from repro.tensor import Tensor, concat, index_rows, relu, scatter_mean
 
 
-AGGREGATORS = ("mean", "mean_pool", "max_pool")
+class SAGEConv(Module):
+    """One GraphSAGE layer with the mean-pool aggregator."""
 
-
-class SAGEConv(MessagePassing):
-    """One GraphSAGE layer (aggregators: mean, mean_pool, max_pool)."""
-
-    def __init__(
-        self,
-        d_in: int,
-        d_out: int,
-        rng,
-        activation: bool = True,
-        aggregator: str = "mean_pool",
-    ) -> None:
-        super().__init__(aggr="mean")
-        if aggregator not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {aggregator!r}; options: {AGGREGATORS}")
-        self.aggregator = aggregator
-        agg_dim = d_in if aggregator == "mean" else d_out
-        self.fc_pool = None if aggregator == "mean" else Linear(d_in, d_out, rng=rng)
-        self.fc = Linear(d_in + agg_dim, d_out, rng=rng)
+    def __init__(self, d_in: int, d_out: int, rng, activation: bool = True) -> None:
+        super().__init__()
+        self.fc_pool = Linear(d_in, d_out, rng=rng)
+        self.fc = Linear(d_in + d_out, d_out, rng=rng)
         self.activation = activation
 
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
         src, dst = edge_index[0], edge_index[1]
-        if self.aggregator == "mean":
-            agg = scatter_mean(index_rows(x, src), dst, num_nodes)
-        else:
-            pooled = relu(self.fc_pool(x))
-            gathered = index_rows(pooled, src)
-            if self.aggregator == "max_pool":
-                agg = scatter_max(gathered, dst, num_nodes)
-            else:
-                agg = scatter_mean(gathered, dst, num_nodes)
+        pooled = relu(self.fc_pool(x))
+        gathered = index_rows(pooled, src)
+        agg = scatter_mean(gathered, dst, num_nodes)
         h = self.fc(concat([x, agg], axis=1))
         if not self.activation:  # final node-classification layer: raw logits
             return h
@@ -63,6 +42,4 @@ class SAGENet(PyGXNet):
     def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
         last = index == config.n_layers - 1
         activation = not (last and config.task == "node")
-        return SAGEConv(
-            d_in, d_out, rng, activation=activation, aggregator=config.sage_aggregator
-        )
+        return SAGEConv(d_in, d_out, rng, activation=activation)

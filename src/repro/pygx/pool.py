@@ -8,19 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Tensor, scatter_max, scatter_mean, scatter_sum
+from repro.tensor import Tensor, scatter_mean
 
 
 def global_mean_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     """Average node features per graph."""
     return scatter_mean(x, batch, num_graphs)
 
-
-def global_add_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
-    """Sum node features per graph."""
-    return scatter_sum(x, batch, num_graphs)
-
-
-def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
-    """Max-reduce node features per graph."""
-    return scatter_max(x, batch, num_graphs)

@@ -11,7 +11,6 @@ only where the collation/transfer time *lands* changes.
 from __future__ import annotations
 
 from repro.device.prefetch import PrefetchLoader
-from repro.pygx.loader import DataLoader
 
 
 class PrefetchDataLoader(PrefetchLoader):
@@ -22,6 +21,3 @@ class PrefetchDataLoader(PrefetchLoader):
 
         loader = PrefetchDataLoader(DataLoader(graphs, batch_size=16))
     """
-
-    def __init__(self, inner: DataLoader, depth: int = 2) -> None:
-        super().__init__(inner, depth=depth)

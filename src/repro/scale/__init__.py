@@ -3,7 +3,7 @@ fanout neighbor sampling and sampled/partitioned execution.
 
 The paper's protocol only covers graphs that fit one device; this package
 adds the large-graph regime — seeded synthetic graphs
-(:mod:`repro.scale.dataset` over the R-MAT / Chung-Lu generators),
+(:mod:`repro.scale.dataset` over the R-MAT generator),
 degree-balanced row-block partitioning with halo metadata
 (:mod:`repro.scale.partition`), GraphSAGE-style fanout sampling
 (:mod:`repro.scale.sample`) and per-partition halo-exchange inference
@@ -12,7 +12,7 @@ framework packs' ``NeighborLoader``\\ s and
 :class:`repro.train.SampledNodeTrainer`.
 """
 
-from repro.scale.dataset import GENERATORS, ScaleNodeDataset, make_scale_dataset
+from repro.scale.dataset import ScaleNodeDataset, make_scale_dataset
 from repro.scale.halo import (
     full_graph_training_memory_floor,
     part_local_graph,
@@ -31,7 +31,6 @@ from repro.scale.sample import (
 )
 
 __all__ = [
-    "GENERATORS",
     "ScaleNodeDataset",
     "make_scale_dataset",
     "Part",

@@ -1,16 +1,15 @@
 """Seeded million-node node-classification tasks over generated graphs.
 
 Builds a :class:`ScaleNodeDataset` — a CSR-backed graph with features,
-labels and splits — from the scalable generators
-(:func:`~repro.graph.generators.rmat_edges`,
-:func:`~repro.graph.generators.chung_lu_edges`).  Labels are contiguous
-node-id blocks (one block per class); because both generators concentrate
-edge mass near the diagonal / at low ids, block labels inherit a degree of
-homophily without any dense intermediate.  Features are noisy class
+labels and splits — from the scalable R-MAT generator
+(:func:`~repro.graph.generators.rmat_edges`).  Labels are contiguous
+node-id blocks (one block per class); because R-MAT concentrates edge mass
+near the diagonal, block labels inherit a degree of homophily without any
+dense intermediate.  Features are noisy class
 centroids, so the task is learnable by a shallow GNN while still
 benefiting from aggregation.
 
-Everything is a pure function of ``(generator, sizes, seed)`` — the same
+Everything is a pure function of ``(sizes, seed)`` — the same
 arguments always produce bitwise-identical graphs, features and splits.
 """
 
@@ -24,9 +23,7 @@ import numpy as np
 from repro.datasets.base import NodeClassificationDataset
 from repro.graph import GraphSample
 from repro.graph.big_graph import CSRBigGraph
-from repro.graph.generators import chung_lu_edges, rmat_edges
-
-GENERATORS = ("rmat", "chung_lu")
+from repro.graph.generators import rmat_edges
 
 
 @dataclass
@@ -70,7 +67,6 @@ def make_scale_dataset(
     avg_degree: float = 8.0,
     n_classes: int = 8,
     n_features: int = 32,
-    generator: str = "rmat",
     seed: int = 0,
     feature_signal: float = 2.0,
     train_fraction: float = 0.1,
@@ -97,26 +93,21 @@ def make_scale_dataset(
     entirely on neighbour homophily and diverges between the sampled and
     full-batch training regimes.
     """
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}; options: {GENERATORS}")
     if n_classes < 1 or n_nodes < n_classes:
         raise ValueError("need at least one node per class")
     if train_fraction + val_fraction + test_fraction > 1.0:
         raise ValueError("split fractions exceed 1.0")
     rng = np.random.default_rng(seed)
     n_edges = int(round(n_nodes * avg_degree))
-    if generator == "rmat":
-        a, b, c = rmat_abc
-        src, dst = rmat_edges(n_nodes, n_edges, rng, a=a, b=b, c=c)
-    else:
-        src, dst = chung_lu_edges(n_nodes, n_edges, rng)
+    a, b, c = rmat_abc
+    src, dst = rmat_edges(n_nodes, n_edges, rng, a=a, b=b, c=c)
     if self_loops:
         loops = np.arange(n_nodes, dtype=np.int64)
         src = np.concatenate([src, loops])
         dst = np.concatenate([dst, loops])
 
-    # Contiguous id blocks as classes: both generators put correlated mass
-    # near the diagonal, so block labels are homophilous without any
+    # Contiguous id blocks as classes: R-MAT puts correlated mass near the
+    # diagonal, so block labels are homophilous without any
     # post-processing over the edge list.
     y = (np.arange(n_nodes, dtype=np.int64) * n_classes) // n_nodes
     centroids = rng.normal(0.0, 1.0, size=(n_classes, n_features))
@@ -129,7 +120,7 @@ def make_scale_dataset(
     n_val = max(int(n_nodes * val_fraction), 1)
     n_test = max(int(n_nodes * test_fraction), 1)
     return ScaleNodeDataset(
-        name=f"{generator}-{n_nodes}",
+        name=f"rmat-{n_nodes}",
         graph=graph,
         num_classes=n_classes,
         train_idx=np.sort(order[:n_train]),

@@ -15,7 +15,6 @@ from repro.serve.metrics import (
     LATENCY_PERCENTILES,
     ServerMetrics,
     ServingResult,
-    nearest_rank_percentile,
 )
 from repro.serve.queue import AdmissionController, RequestQueue
 from repro.serve.registry import InferenceModel, ModelRegistry
@@ -35,7 +34,6 @@ __all__ = [
     "ServerMetrics",
     "ServingResult",
     "LATENCY_PERCENTILES",
-    "nearest_rank_percentile",
     "ServeSimulator",
     "poisson_trace",
     "bursty_trace",

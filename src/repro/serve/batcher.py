@@ -1,11 +1,11 @@
-"""Dynamic micro-batching under a node/edge budget.
+"""Dynamic micro-batching under a node budget.
 
 The paper's central performance result is that small-graph workloads are
 launch-bound: batching many graphs into one big disconnected graph nearly
 halves forward+backward time per doubling of batch size (Figs. 1-2), while
 the per-batch collation cost barely grows.  The same economics hold at
 inference time, so the serving layer coalesces whatever is queued into one
-micro-batch per dispatch — bounded by a node/edge budget so one batch of
+micro-batch per dispatch — bounded by a node budget so one batch of
 large graphs cannot blow the latency (or memory) of everything queued
 behind it.
 """
@@ -19,7 +19,7 @@ from repro.serve.request import InferenceRequest
 
 
 class DynamicBatcher:
-    """Greedy FIFO coalescing with batch-size / node / edge budgets.
+    """Greedy FIFO coalescing with batch-size / node budgets.
 
     ``max_batch_size=1`` degenerates to request-at-a-time serving, which is
     the baseline the serving benchmark compares against.
@@ -29,26 +29,18 @@ class DynamicBatcher:
         self,
         max_batch_size: int = 32,
         max_nodes: Optional[int] = None,
-        max_edges: Optional[int] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
         if max_nodes is not None and max_nodes <= 0:
             raise ValueError("max_nodes must be positive when set")
-        if max_edges is not None and max_edges <= 0:
-            raise ValueError("max_edges must be positive when set")
         self.max_batch_size = max_batch_size
         self.max_nodes = max_nodes
-        self.max_edges = max_edges
 
-    def _fits(self, nodes: int, edges: int, taken: int) -> bool:
+    def _fits(self, nodes: int, taken: int) -> bool:
         if taken >= self.max_batch_size:
             return False
-        if self.max_nodes is not None and nodes > self.max_nodes:
-            return False
-        if self.max_edges is not None and edges > self.max_edges:
-            return False
-        return True
+        return self.max_nodes is None or nodes <= self.max_nodes
 
     @staticmethod
     def split(batch: List[InferenceRequest]) -> Tuple[List[InferenceRequest], List[InferenceRequest]]:
@@ -70,21 +62,19 @@ class DynamicBatcher:
         Queue order is preserved (FIFO within a priority lane).  Requests
         whose deadline lapsed while queued are popped and returned in
         ``expired`` for the caller to count as shed.  The head request is
-        always taken even if it alone exceeds the node/edge budget — a
+        always taken even if it alone exceeds the node budget — a
         single over-budget graph must still be served, just unaccompanied.
         """
         batch: List[InferenceRequest] = []
         expired: List[InferenceRequest] = []
         nodes = 0
-        edges = 0
         while len(queue) > 0:
             head = queue.peek()
             if head.expired(now):
                 expired.append(queue.pop())
                 continue
-            if batch and not self._fits(nodes + head.num_nodes, edges + head.num_edges, len(batch)):
+            if batch and not self._fits(nodes + head.num_nodes, len(batch)):
                 break
             batch.append(queue.pop())
             nodes += batch[-1].num_nodes
-            edges += batch[-1].num_edges
         return batch, expired

@@ -19,24 +19,6 @@ from repro.serve.request import InferenceRequest, InferenceResponse
 LATENCY_PERCENTILES = (50.0, 95.0, 99.0)
 
 
-def nearest_rank_percentile(values, p: float) -> float:
-    """Nearest-rank percentile, well-defined on 0- and 1-sample windows.
-
-    The classic nearest-rank formula ``sorted[ceil(p/100 * n) - 1]`` indexes
-    past the end of a 0-sample window and is ambiguous at ``p=0``; this
-    version pins both edges: an empty window reports ``0.0`` (no latency
-    observed yet — the value an autoscaler should treat as "no signal"),
-    and a 1-sample window reports that sample for every percentile.
-    """
-    if not 0.0 <= p <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    if xs.size == 0:
-        return 0.0
-    rank = int(np.ceil(p / 100.0 * xs.size))
-    return float(xs[min(max(rank, 1), xs.size) - 1])
-
-
 @dataclass
 class ServingResult:
     """Summary of one serving run (one model under one traffic trace).
@@ -184,20 +166,6 @@ class ServerMetrics:
         if lat.size == 0:
             return {p: 0.0 for p in LATENCY_PERCENTILES}
         return {p: float(np.percentile(lat, p)) for p in LATENCY_PERCENTILES}
-
-    def window_latency_percentiles(self, window: int) -> Dict[float, float]:
-        """p50/p95/p99 over the most recent ``window`` responses.
-
-        Uses the nearest-rank estimator (:func:`nearest_rank_percentile`), so
-        the result is an *observed* latency, and 0- and 1-sample windows are
-        well-defined (``0.0`` / the sample) instead of indexing past the end.
-        This is the sliding signal load-aware control loops (the fleet
-        autoscaler) consume mid-run, when the window may hold almost nothing.
-        """
-        if window <= 0:
-            raise ValueError("window must be positive")
-        recent = [r.latency for r in self.responses[-window:]]
-        return {p: nearest_rank_percentile(recent, p) for p in LATENCY_PERCENTILES}
 
     def summary(
         self,

@@ -37,16 +37,14 @@ class InferenceModel:
         self._compiled = None
 
     # ------------------------------------------------------------------
-    def enable_compile(self, **kwargs) -> "InferenceModel":
+    def enable_compile(self) -> "InferenceModel":
         """Capture-and-replay the forward pass through ``repro.compile``.
 
-        Keyword arguments pass through to
-        :class:`~repro.compile.CompiledStep` (passes, fusion config, ...).
         Returns ``self`` for chaining.
         """
         from repro.compile import CompiledStep
 
-        self._compiled = CompiledStep(self.model, **kwargs)
+        self._compiled = CompiledStep(self.model)
         return self
 
     @property

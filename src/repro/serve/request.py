@@ -32,10 +32,6 @@ class InferenceRequest:
         return self.sample.num_nodes
 
     @property
-    def num_edges(self) -> int:
-        return self.sample.num_edges
-
-    @property
     def priority(self) -> int:
         """Queue lane, lower dispatches first; the single server has one."""
         return 0

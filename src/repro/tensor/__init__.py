@@ -44,13 +44,10 @@ from repro.tensor.ops import (  # noqa: A004 - mirrors numpy naming
 from repro.tensor.ops_nn import batch_norm, nll_loss
 from repro.tensor.ops_scatter import (
     index_rows,
-    scatter,
     scatter_max,
     scatter_mean,
     scatter_sum,
-    segment_max,
     segment_mean,
-    segment_reduce,
     segment_sum,
 )
 from repro.tensor.ops_sparse import (
@@ -101,14 +98,11 @@ __all__ = [
     "batch_norm",
     "nll_loss",
     "index_rows",
-    "scatter",
     "scatter_sum",
     "scatter_mean",
     "scatter_max",
-    "segment_reduce",
     "segment_sum",
     "segment_mean",
-    "segment_max",
     "CSRGraph",
     "gspmm",
     "gsddmm",

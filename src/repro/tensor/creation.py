@@ -21,29 +21,25 @@ def _shape(shape: Shape) -> tuple:
     return tuple(shape)
 
 
-def zeros(shape: Shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(_shape(shape), dtype=np.float32), requires_grad=requires_grad)
+def zeros(shape: Shape) -> Tensor:
+    return Tensor(np.zeros(_shape(shape), dtype=np.float32))
 
 
-def ones(shape: Shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(_shape(shape), dtype=np.float32), requires_grad=requires_grad)
+def ones(shape: Shape) -> Tensor:
+    return Tensor(np.ones(_shape(shape), dtype=np.float32))
 
 
-def full(shape: Shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(
-        np.full(_shape(shape), value, dtype=np.float32), requires_grad=requires_grad
-    )
+def full(shape: Shape, value: float) -> Tensor:
+    return Tensor(np.full(_shape(shape), value, dtype=np.float32))
 
 
 def randn(
     shape: Shape,
     rng: Optional[np.random.Generator] = None,
     std: float = 1.0,
-    requires_grad: bool = False,
 ) -> Tensor:
     rng = rng or np.random.default_rng()
-    data = rng.normal(0.0, std, size=_shape(shape)).astype(np.float32)
-    return Tensor(data, requires_grad=requires_grad)
+    return Tensor(rng.normal(0.0, std, size=_shape(shape)).astype(np.float32))
 
 
 def uniform(
@@ -51,8 +47,6 @@ def uniform(
     low: float,
     high: float,
     rng: Optional[np.random.Generator] = None,
-    requires_grad: bool = False,
 ) -> Tensor:
     rng = rng or np.random.default_rng()
-    data = rng.uniform(low, high, size=_shape(shape)).astype(np.float32)
-    return Tensor(data, requires_grad=requires_grad)
+    return Tensor(rng.uniform(low, high, size=_shape(shape)).astype(np.float32))

@@ -72,8 +72,8 @@ def batch_norm(
     return make_op("batch_norm", out, (x, gamma, beta), backward, flops, nbytes)
 
 
-def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood of integer ``targets`` under ``log_probs``.
+def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of integer ``targets`` under ``log_probs``.
 
     ``log_probs`` has shape ``(N, C)`` (output of ``log_softmax``);
     ``targets`` is an ``(N,)`` integer array.
@@ -84,12 +84,9 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") ->
     n, c = log_probs.shape
     if targets.shape != (n,):
         raise ValueError(f"targets must have shape ({n},), got {targets.shape}")
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     picked = log_probs.data[np.arange(n), targets]
     value = -picked.sum()
-    if reduction == "mean":
-        value /= n
+    value /= n
     out = np.float32(value)
     flops = float(n)
     nbytes = float(_F32 * 2 * n)
@@ -97,7 +94,7 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") ->
     def backward(grad: np.ndarray):
         launch_backward("nll_loss_backward", float(n), _F32 * 2.0 * n)
         gx = np.zeros((n, c), dtype=np.float32)
-        scale = float(grad) * (1.0 / n if reduction == "mean" else 1.0)
+        scale = float(grad) * (1.0 / n)
         gx[np.arange(n), targets] = -scale
         return (gx,)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tensor._reduce import check_index, check_offsets, scatter_add_rows
-from repro.tensor.ops_sparse import _segment_max_csr
 from repro.tensor.tensor import Tensor, launch_backward, make_op
 
 _F32 = 4
@@ -107,17 +106,6 @@ def scatter_max(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     return _max_reduce(src, out, index, "scatter_max", "scatter_max_backward")
 
 
-def scatter(src: Tensor, index: np.ndarray, dim_size: int, reduce: str = "sum") -> Tensor:
-    """Dispatch to a scatter reduction by name (``sum``/``mean``/``max``)."""
-    if reduce == "sum":
-        return scatter_sum(src, index, dim_size)
-    if reduce == "mean":
-        return scatter_mean(src, index, dim_size)
-    if reduce == "max":
-        return scatter_max(src, index, dim_size)
-    raise ValueError(f"unknown scatter reduction {reduce!r}")
-
-
 # ----------------------------------------------------------------------
 # segment reductions (DGL style)
 # ----------------------------------------------------------------------
@@ -157,21 +145,3 @@ def segment_mean(src: Tensor, offsets: np.ndarray) -> Tensor:
     # Chain through segment_sum's autograd by dividing the Tensor directly.
     return make_op("segment_reduce_mean_div", out, (summed,), backward, flops, nbytes)
 
-
-def segment_max(src: Tensor, offsets: np.ndarray) -> Tensor:
-    """Max over contiguous row segments; empty segments yield zero."""
-    offsets = check_offsets(offsets, len(src))
-    index = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    out = _segment_max_csr(src.data, offsets)
-    return _max_reduce(src, out, index, "segment_reduce_max", "segment_max_backward")
-
-
-def segment_reduce(src: Tensor, offsets: np.ndarray, reduce: str = "sum") -> Tensor:
-    """Dispatch to a segment reduction by name (``sum``/``mean``/``max``)."""
-    if reduce == "sum":
-        return segment_sum(src, offsets)
-    if reduce == "mean":
-        return segment_mean(src, offsets)
-    if reduce == "max":
-        return segment_max(src, offsets)
-    raise ValueError(f"unknown segment reduction {reduce!r}")

@@ -68,8 +68,6 @@ class DDPTrainer(GraphClassificationTrainer):
         prefetch: bool = False,
         link: LinkSpec = NVLINK,
         bucket_bytes: int = DEFAULT_BUCKET_BYTES,
-        algorithm: str = "auto",
-        record_transfers: bool = False,
     ) -> None:
         super().__init__(
             framework,
@@ -86,8 +84,6 @@ class DDPTrainer(GraphClassificationTrainer):
         self.world_size = batch.replicas
         self.link = link
         self.bucket_bytes = bucket_bytes
-        self.algorithm = algorithm
-        self.record_transfers = record_transfers
         #: The :class:`~repro.dist.Communicator` of the most recent
         #: :meth:`run_fold` (for its collective stats and fabric).
         self.communicator: Optional[Communicator] = None
@@ -147,11 +143,8 @@ class DDPTrainer(GraphClassificationTrainer):
             # replicas' loading time is discarded with their clocks anyway.
             loaders[0] = self.pack.prefetch(loaders[0])
 
-        comm = Communicator(world, device=self.device, link=self.link,
-                            record_transfers=self.record_transfers)
-        ddp = DistributedDataParallel(model, comm,
-                                      bucket_bytes=self.bucket_bytes,
-                                      algorithm=self.algorithm)
+        comm = Communicator(world, device=self.device, link=self.link)
+        ddp = DistributedDataParallel(model, comm, bucket_bytes=self.bucket_bytes)
         self.communicator, self.ddp = comm, ddp
         shadows = [Device(self.device.spec, self.device.host_costs)
                    for _ in range(world - 1)]

@@ -54,7 +54,6 @@ class SampledNodeTrainer:
         compile: bool = False,
         prefetch: bool = False,
         max_batches: Optional[int] = None,
-        eval_batch_size: Optional[int] = None,
         ensure_self_loops: bool = False,
         full_graph_norm: bool = False,
     ) -> None:
@@ -80,7 +79,6 @@ class SampledNodeTrainer:
         self.compile = compile
         self.prefetch = prefetch
         self.max_batches = max_batches
-        self.eval_batch_size = eval_batch_size or batch_size
         self.ensure_self_loops = ensure_self_loops
         self.full_graph_norm = full_graph_norm
         #: The :class:`~repro.compile.CompiledStep` of the latest
@@ -177,7 +175,7 @@ class SampledNodeTrainer:
         """Sampled-inference accuracy of ``model`` over arbitrary seeds."""
         with use_device(self.device):
             loader = self._loader(
-                np.asarray(seeds, dtype=np.int64), self.eval_batch_size,
+                np.asarray(seeds, dtype=np.int64), self.batch_size,
                 shuffle=False, rng=seed, prefetch=False,
             )
             return self._evaluate(model, loader)

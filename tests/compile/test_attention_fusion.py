@@ -16,7 +16,6 @@ from repro.compile.passes import (
     NodeDecision,
     fuse_attention,
     fuse_elementwise,
-    run_passes,
 )
 from repro.datasets import load_dataset
 from repro.models import graph_config
@@ -142,6 +141,14 @@ def _attention_stream():
     )
 
 
+def _attention_then_fuse(ir):
+    decisions = [NodeDecision() for _ in ir.nodes]
+    stats = PassStats()
+    fuse_attention(ir, decisions, stats)
+    fuse_elementwise(ir, decisions, stats)
+    return decisions, stats
+
+
 class TestPassMechanics:
     def test_chain_without_softmax_is_not_fused(self):
         ir = GraphIR(
@@ -173,7 +180,7 @@ class TestPassMechanics:
         # attention then fuse: the elementwise pass must neither extend
         # nor renumber the attention group.
         ir = _attention_stream()
-        decisions, stats = run_passes(ir, passes=("attention", "fuse"))
+        decisions, stats = _attention_then_fuse(ir)
         assert stats.attention_groups == 1
         attention_group = decisions[0].group
         assert attention_group is not None
@@ -188,7 +195,7 @@ class TestPassMechanics:
             ],
             output_ids={7},
         )
-        decisions, stats = run_passes(ir, passes=("attention", "fuse"))
+        decisions, stats = _attention_then_fuse(ir)
         assert stats.attention_groups == 1
         assert stats.fused_groups == 2
         assert decisions[5].group is not None

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compile import CompiledStep, FusionConfig, default_signature
+from repro.compile import CompiledStep, default_signature
+from repro.compile.compiled import MAX_PLANS
 from repro.device import Device, current_device, use_device
 from repro.tensor import Tensor, ops
 
@@ -46,17 +47,15 @@ class TestPlanCaching:
         assert len(cs.plans) == 2
 
     def test_max_plans_evicts_fifo(self):
-        cs = CompiledStep(lambda x: ops.exp(x), max_plans=2)
-        for width in (2, 3, 4):
+        cs = CompiledStep(lambda x: ops.exp(x))
+        widths = range(2, 2 + MAX_PLANS + 1)
+        for width in widths:
             cs(Tensor(np.ones((1, width))))
-        assert len(cs.plans) == 2
-        assert cs.stats.captures == 3
-
-    def test_unhashable_signature_falls_back_to_eager(self):
-        cs = CompiledStep(lambda x: ops.exp(x), signature_fn=lambda a, k: [1])
-        cs(Tensor(np.ones(2)))
-        assert cs.stats.eager_calls == 1
-        assert cs.stats.captures == 0
+        assert MAX_PLANS == 16
+        assert len(cs.plans) == MAX_PLANS
+        assert cs.stats.captures == MAX_PLANS + 1
+        kept = [default_signature((Tensor(np.ones((1, w))),), {}) for w in widths]
+        assert list(cs.plans) == kept[1:]  # the first plan went first
 
 
 class TestGuardRecapture:

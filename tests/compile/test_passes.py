@@ -12,7 +12,6 @@ from repro.compile import (
     ACTION_FUSE_MEMBER,
     ACTION_SKIP,
     CompiledStep,
-    FusionConfig,
     GraphIR,
     IRNode,
     PassStats,
@@ -20,6 +19,7 @@ from repro.compile import (
     run_passes,
 )
 from repro.compile.passes import (
+    MAX_GROUP,
     common_subexpression_elimination,
     constant_folding,
     dead_code_elimination,
@@ -132,7 +132,8 @@ class TestCSE:
             return ops.add(norms[0], norms[1])
 
         _, ir = capture(step)
-        decisions, stats = run_passes(ir, passes=("cse",))
+        decisions, stats = _fresh(ir)
+        common_subexpression_elimination(ir, decisions, stats)
         assert stats.cse_removed == 2  # second clamp_min + second pow
 
     def test_capture_hashes_nothing_and_cse_only_possible_duplicates(self):
@@ -150,7 +151,8 @@ class TestCSE:
         _, ir = capture(step)
         assert all(node.out_hash is None for node in ir.nodes)
         assert all(node.out_data.shape == node.out_shape for node in ir.nodes)
-        decisions, stats = run_passes(ir, passes=("cse",))
+        decisions, stats = _fresh(ir)
+        common_subexpression_elimination(ir, decisions, stats)
         assert stats.cse_removed == 1 and decisions[1].action == ACTION_SKIP
         hashed = [node.name for node in ir.nodes if node.out_hash is not None]
         assert hashed == ["clamp_min", "clamp_min"]
@@ -197,14 +199,10 @@ class TestConstantFolding:
     def test_scalar_literal_math_folds_on_real_capture(self):
         x = Tensor(np.ones(1))
         _, ir = capture(lambda: x * 2.0 * 3.0)
-        decisions, stats = run_passes(ir, passes=("fold",))
-        # x is not constant, so nothing folds without registration...
+        decisions, stats = _fresh(ir)
+        constant_folding(ir, decisions, stats)
+        # The literals are constants, but x is not, so neither mul folds.
         assert stats.folded == 0
-        _, ir = capture(lambda: x * 2.0 * 3.0, constants=(x,))
-        decisions, stats = run_passes(ir, passes=("fold",))
-        # ...with it registered the first mul folds; the second produces
-        # the step output, which stays observable.
-        assert stats.folded == 1
 
 
 class TestFusion:
@@ -263,14 +261,17 @@ class TestFusion:
         assert decisions[2].action == ACTION_FUSE_MEMBER
 
     def test_max_group_splits_chains(self):
+        count = 2 * MAX_GROUP + 1
         nodes = [_node(i, "relu", out_id=i + 1, parent_ids=(i,) if i else ())
-                 for i in range(7)]
-        ir = GraphIR(nodes, output_ids={7})
+                 for i in range(count)]
+        ir = GraphIR(nodes, output_ids={count})
         decisions, stats = _fresh(ir)
-        fuse_elementwise(ir, decisions, stats, FusionConfig(max_group=3))
-        heads = [d.action for d in decisions].count(ACTION_FUSE_HEAD)
-        assert heads == 2  # 3 + 3 + 1 -> the trailing singleton stays eager
-        assert decisions[6].action == ACTION_EAGER
+        fuse_elementwise(ir, decisions, stats)
+        assert MAX_GROUP == 8
+        groups = [d.group for d in decisions]
+        # 8 + 8 + 1 -> the trailing singleton stays eager
+        assert groups == [0] * 8 + [1] * 8 + [None]
+        assert decisions[-1].action == ACTION_EAGER
         assert stats.fused_groups == 2
 
     def test_barrier_kernel_breaks_chains(self):
@@ -284,17 +285,8 @@ class TestFusion:
         fuse_elementwise(ir, decisions, stats)
         assert all(d.action == ACTION_EAGER for d in decisions)
 
-    def test_max_group_validation(self):
-        with pytest.raises(ValueError):
-            FusionConfig(max_group=1)
-
 
 class TestRunPasses:
-    def test_unknown_pass_rejected(self):
-        ir = GraphIR([], output_ids=set())
-        with pytest.raises(ValueError, match="unknown pass"):
-            run_passes(ir, passes=("dce", "loop_unroll"))
-
     def test_pass_order_respected_dce_enables_fusion(self):
         # dead gather between matmul and relu: with dce first, fusion sees
         # an adjacent pair.

@@ -10,16 +10,24 @@ from repro.compile import (
     ACTION_SKIP,
     ReplaySession,
     build_plan,
+    PassStats,
     capture,
     run_passes,
 )
+from repro.compile.passes import NodeDecision, dead_code_elimination, fuse_elementwise
 from repro.device import Device, current_device, use_device
 from repro.tensor import Tensor, ops
 
 
-def _plan_for(fn, passes=("dce", "cse", "fold", "fuse")):
+def _plan_for(fn, *passes):
+    """Plan of one capture of ``fn``: the whole pipeline, or only ``passes`` in order."""
     _, ir = capture(fn)
-    decisions, stats = run_passes(ir, passes=passes)
+    if passes:
+        decisions, stats = [NodeDecision() for _ in ir.nodes], PassStats()
+        for run in passes:
+            run(ir, decisions, stats)
+    else:
+        decisions, stats = run_passes(ir)
     return build_plan(ir, decisions, stats), ir
 
 
@@ -55,7 +63,7 @@ class TestReplayAccounting:
             dead = ops.exp(x)  # unobserved
             return ops.log(x)
 
-        plan, _ = _plan_for(step, passes=("dce",))
+        plan, _ = _plan_for(step, dead_code_elimination)
         device = Device()
         with use_device(device):
             session = ReplaySession(plan)
@@ -76,7 +84,7 @@ class TestReplayAccounting:
         def step():
             return ops.relu(ops.exp(ops.log(x)))
 
-        plan, _ = _plan_for(step, passes=("fuse",))
+        plan, _ = _plan_for(step, fuse_elementwise)
         assert plan.compiled_launches == 1
         compiled_dev = Device()
         with use_device(compiled_dev):
@@ -95,7 +103,7 @@ class TestReplayAccounting:
         def step():
             return ops.relu(ops.exp(ops.log(x)))
 
-        plan, _ = _plan_for(step, passes=("fuse",))
+        plan, _ = _plan_for(step, fuse_elementwise)
         device = Device()
         device.profiler.enabled = True
         with use_device(device):
@@ -164,7 +172,7 @@ class TestGuards:
         def step():
             return ops.relu(ops.exp(ops.log(x)))
 
-        plan, _ = _plan_for(step, passes=("fuse",))
+        plan, _ = _plan_for(step, fuse_elementwise)
         device = Device()
         device.profiler.enabled = True
         with use_device(device):

@@ -266,20 +266,9 @@ class TestProfiler:
                 dev.launch("matmul", flops=2e9)
         profiler = dev.profiler
         assert [r.scope for r in profiler.records] == [("net", "conv1"), ("net", "conv2")]
-        conv1, conv2 = (profiler.total_time(("net", c)) for c in ("conv1", "conv2"))
+        conv1, conv2 = (r.duration for r in profiler.records)
         assert 0 < conv1 < conv2
         assert conv1 + conv2 == pytest.approx(profiler.total_time())
-
-    def test_in_scope_prefix(self):
-        dev = Device()
-        dev.profiler.enabled = True
-        with dev.scope("a"):
-            with dev.scope("b"):
-                dev.launch("k")
-        rec = dev.profiler.records[0]
-        assert rec.in_scope(("a",))
-        assert rec.in_scope(("a", "b"))
-        assert not rec.in_scope(("b",))
 
 
 class TestDeviceContext:

@@ -36,10 +36,6 @@ class TestPrefetchLoader:
     def test_len_delegates(self):
         assert len(PrefetchLoader(FakeLoader(7, 0.01))) == 7
 
-    def test_rejects_zero_depth(self):
-        with pytest.raises(ValueError):
-            PrefetchLoader(FakeLoader(3, 0.01), depth=0)
-
     def test_hides_collation_behind_compute(self, fresh_device):
         """compute > collate: epoch time converges to the compute total."""
         n, collate, work = 20, 0.01, 0.02

@@ -8,9 +8,7 @@ from repro.dglx import (
     GraphDataLoader,
     batch,
     function as fn,
-    max_nodes,
     mean_nodes,
-    sum_nodes,
 )
 from repro.dglx.function import EDGE_BINARY_OPS, EDGE_TARGETS, EdgeFunc
 from repro.graph import GraphSample
@@ -258,14 +256,6 @@ class TestReadout:
     def test_mean_nodes(self):
         out = mean_nodes(self.make_batched(), "h")
         np.testing.assert_allclose(out.data, [[2.0], [3.0]])
-
-    def test_sum_nodes(self):
-        out = sum_nodes(self.make_batched(), "h")
-        np.testing.assert_allclose(out.data, [[4.0], [9.0]])
-
-    def test_max_nodes(self):
-        out = max_nodes(self.make_batched(), "h")
-        np.testing.assert_allclose(out.data, [[3.0], [6.0]])
 
 
 class TestGraphDataLoader:

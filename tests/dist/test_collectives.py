@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.device import Fabric, NVLINK, PCIE_P2P, current_device
+from repro.device import NVLINK, PCIE_P2P, current_device
 from repro.dist import COMM_PHASE, Communicator, reduce_fixed_order
 
 
@@ -127,7 +127,7 @@ class TestTimingModel:
         comm.all_reduce(small, algorithm="auto")
         assert comm.stats.by_kind == {"tree_all_reduce": 1}
         big = [np.ones(1_000_000, np.float32) for _ in range(8)]
-        comm2 = Communicator(8, fabric=Fabric(8))
+        comm2 = Communicator(8)
         comm2.all_reduce(big, algorithm="auto")
         assert comm2.stats.by_kind == {"ring_all_reduce": 1}
 
@@ -149,8 +149,7 @@ class TestTimingModel:
 
         def elapsed(link):
             device = current_device()
-            comm = Communicator(4, link=link,
-                                fabric=Fabric(4, spec=link))
+            comm = Communicator(4, link=link)
             before = device.clock.elapsed
             comm.all_reduce(big, algorithm="ring")
             comm.synchronize()
@@ -169,7 +168,3 @@ class TestTimingModel:
         assert {r.phase for r in records} == {COMM_PHASE}
         assert {r.stream for r in records} == {s.id for s in comm.streams}
         assert sum(r.duration for r in records) > 0
-
-    def test_fabric_must_be_large_enough(self):
-        with pytest.raises(ValueError):
-            Communicator(4, fabric=Fabric(2))

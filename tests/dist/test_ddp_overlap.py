@@ -9,7 +9,7 @@ from repro.dist import (
     Communicator,
     DistributedDataParallel,
 )
-from repro.nn import Linear, Module, ReLU, Sequential
+from repro.nn import Linear, Module, ModuleList, ReLU
 from repro.tensor import Tensor
 
 
@@ -20,10 +20,12 @@ class MLP(Module):
         for _ in range(depth):
             layers.append(Linear(width, width, rng=rng))
             layers.append(ReLU())
-        self.body = Sequential(*layers)
+        self.body = ModuleList(layers)
 
     def forward(self, x):
-        return self.body(x)
+        for layer in self.body:
+            x = layer(x)
+        return x
 
     @property
     def width(self):

@@ -43,7 +43,6 @@ class TestAutoscalerConfig:
             {"min_replicas": 0},
             {"min_replicas": 4, "max_replicas": 2},
             {"interval": 0.0},
-            {"window": 0},
             {"cooldown": -0.1},
         ],
     )
@@ -59,74 +58,55 @@ class TestDecide:
     def test_holds_under_light_load(self):
         scaler = Autoscaler(_config(min_replicas=1))
         # Depth 2 sits between the down (1.0) and up (4.0) thresholds.
-        assert scaler.decide(1.0, [_busy(0, 2)], window_p99=0.0) == 0
+        assert scaler.decide(1.0, [_busy(0, 2)]) == 0
 
     def test_scales_up_on_queue_depth(self):
         scaler = Autoscaler(_config())
-        assert scaler.decide(1.0, [_busy(0, 10)], window_p99=0.0) == +1
+        assert scaler.decide(1.0, [_busy(0, 10)]) == +1
         assert scaler.scale_ups == 1
-
-    def test_scales_up_on_p99(self):
-        scaler = Autoscaler(_config(scale_up_p99=0.1))
-        assert scaler.decide(1.0, [_busy(0, 0)], window_p99=0.5) == +1
-
-    def test_p99_signal_disabled_by_default(self):
-        scaler = Autoscaler(_config())
-        assert scaler.decide(1.0, [_busy(0, 0)], window_p99=99.0) == 0
 
     def test_population_cap_blocks_scale_up(self):
         scaler = Autoscaler(_config(max_replicas=2))
         roster = [_busy(0, 10), _busy(1, 10)]
-        assert scaler.decide(1.0, roster, window_p99=0.0) == 0
+        assert scaler.decide(1.0, roster) == 0
 
     def test_warming_replicas_count_toward_the_cap(self):
         scaler = Autoscaler(_config(max_replicas=2))
         roster = [_busy(0, 10), FakeReplica(id=1, state="warming")]
-        assert scaler.decide(1.0, roster, window_p99=0.0) == 0
+        assert scaler.decide(1.0, roster) == 0
 
     def test_warming_replicas_do_not_dilute_the_load_average(self):
         scaler = Autoscaler(_config(max_replicas=8))
         roster = [_busy(0, 5), FakeReplica(id=1, state="warming")]
         # Depth is 5/1 over up replicas, not 5/2: still above threshold.
-        assert scaler.decide(1.0, roster, window_p99=0.0) == +1
+        assert scaler.decide(1.0, roster) == +1
 
     def test_cooldown_suppresses_back_to_back_actions(self):
         scaler = Autoscaler(_config(cooldown=0.05))
-        assert scaler.decide(1.0, [_busy(0, 10)], window_p99=0.0) == +1
-        assert scaler.decide(1.01, [_busy(0, 10)], window_p99=0.0) == 0
-        assert scaler.decide(1.06, [_busy(0, 10)], window_p99=0.0) == +1
+        assert scaler.decide(1.0, [_busy(0, 10)]) == +1
+        assert scaler.decide(1.01, [_busy(0, 10)]) == 0
+        assert scaler.decide(1.06, [_busy(0, 10)]) == +1
 
     def test_scales_down_only_with_an_idle_replica(self):
         scaler = Autoscaler(_config(min_replicas=1))
         busy_pair = [_busy(0, 0), _busy(1, 0)]
-        assert scaler.decide(1.0, busy_pair, window_p99=0.0) == 0
+        assert scaler.decide(1.0, busy_pair) == 0
         with_idle = [_busy(0, 0), FakeReplica(id=1)]
-        assert scaler.decide(2.0, with_idle, window_p99=0.0) == -1
+        assert scaler.decide(2.0, with_idle) == -1
         assert scaler.scale_downs == 1
 
     def test_min_replicas_floor_blocks_scale_down(self):
         scaler = Autoscaler(_config(min_replicas=1))
-        assert scaler.decide(1.0, [FakeReplica(id=0)], window_p99=0.0) == 0
-
-    def test_hot_p99_blocks_scale_down(self):
-        scaler = Autoscaler(_config(scale_up_p99=0.1, max_replicas=2))
-        roster = [_busy(0, 0), FakeReplica(id=1)]
-        assert scaler.decide(1.0, roster, window_p99=0.05) == -1
-        scaler = Autoscaler(_config(scale_up_p99=0.01, max_replicas=4))
-        # p99 above threshold scales *up* instead.
-        assert scaler.decide(1.0, roster, window_p99=0.05) == +1
-        scaler = Autoscaler(_config(scale_up_p99=0.01, max_replicas=2))
-        # ... unless the population cap is already reached: hold, don't shrink.
-        assert scaler.decide(1.0, roster, window_p99=0.05) == 0
+        assert scaler.decide(1.0, [FakeReplica(id=0)]) == 0
 
     def test_all_replicas_lost_adds_capacity(self):
         scaler = Autoscaler(_config(max_replicas=2))
         roster = [FakeReplica(id=0, state="down")]
-        assert scaler.decide(1.0, roster, window_p99=0.0) == +1
+        assert scaler.decide(1.0, roster) == +1
 
     def test_decide_advances_next_eval(self):
         scaler = Autoscaler(_config(interval=0.01))
-        scaler.decide(1.0, [FakeReplica(id=0)], window_p99=0.0)
+        scaler.decide(1.0, [FakeReplica(id=0)])
         assert scaler.next_eval == pytest.approx(1.01)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     GraphSample,
-    chung_lu_edges,
     clique_motif,
     connected_chain_backbone,
     dedupe_edges,
@@ -103,11 +102,6 @@ class TestMotifs:
 
 
 class TestRandomGenerators:
-    def test_chung_lu_degree(self, rng):
-        s, d = chung_lu_edges(200, 600, rng)
-        assert len(s) == len(d) == 600  # average degree 2 * 600 / 200 = 6
-        assert not np.any(s == d)
-
     def test_planted_partition_homophily(self, rng):
         labels = np.repeat(np.arange(4), 100)
         s, d = planted_partition(labels, 2000, intra_fraction=0.9, rng=rng)

@@ -1,11 +1,10 @@
-"""Scalable generators (R-MAT, Chung-Lu) plus the vectorised
+"""The scalable R-MAT generator plus the vectorised
 planted-partition rewrite and the generator edge cases."""
 
 import numpy as np
 import pytest
 
 from repro.graph import (
-    chung_lu_edges,
     planted_partition,
     rmat_edges,
 )
@@ -138,40 +137,3 @@ class TestRmat:
     def test_rejects_bad_probabilities(self, rng):
         with pytest.raises(ValueError):
             rmat_edges(16, 10, rng, a=0.6, b=0.3, c=0.3)  # sums past 1
-
-
-# ----------------------------------------------------------------------
-# Chung-Lu
-# ----------------------------------------------------------------------
-class TestChungLu:
-    def test_deterministic(self):
-        s1, d1 = chung_lu_edges(3000, 20_000, np.random.default_rng(9))
-        s2, d2 = chung_lu_edges(3000, 20_000, np.random.default_rng(9))
-        np.testing.assert_array_equal(s1, s2)
-        np.testing.assert_array_equal(d1, d2)
-
-    def test_exact_count_unique_no_self_loops(self, rng):
-        n = 3000
-        s, d = chung_lu_edges(n, 20_000, rng)
-        assert len(s) == 20_000
-        assert np.all(s != d)
-        assert len(np.unique(s * n + d)) == 20_000
-        assert max(s.max(), d.max()) < n
-
-    def test_power_law_hubs(self, rng):
-        n = 3000
-        s, d = chung_lu_edges(n, 30_000, rng)
-        deg = np.bincount(d, minlength=n)
-        # Heavy-tailed: the top percentile of nodes carries a large
-        # multiple of the average degree.
-        assert deg.max() > 5 * deg.mean()
-        assert deg[: n // 10].sum() > deg[n // 2:].sum()
-
-    def test_degenerate_sizes(self, rng):
-        for n_nodes, n_edges in [(0, 10), (1, 10), (10, 0)]:
-            s, d = chung_lu_edges(n_nodes, n_edges, rng)
-            assert len(s) == 0 and len(d) == 0
-
-    def test_rejects_bad_exponent(self, rng):
-        with pytest.raises(ValueError):
-            chung_lu_edges(100, 50, rng, exponent=1.0)

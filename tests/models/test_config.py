@@ -37,9 +37,6 @@ class TestTableII:
     def test_two_layers_for_node_task(self):
         assert node_config("gcn", 10, 3).n_layers == 2
 
-    def test_readout_mean(self):
-        assert node_config("gcn", 10, 3).readout == "mean"
-
     def test_gat_heads_fixed_to_8(self):
         assert node_config("gat", 10, 3).n_heads == 8
 
@@ -76,9 +73,6 @@ class TestTableIII:
         assert cfg.lr_reduce_factor == 0.5
         assert cfg.lr_patience == 25
         assert cfg.min_lr == 1e-6
-
-    def test_gatedgcn_edge_feat_false(self):
-        assert not graph_config("gatedgcn", 18, 6).edge_feat
 
     def test_gin_learns_eps(self):
         assert graph_config("gin", 18, 6).learn_eps_gin

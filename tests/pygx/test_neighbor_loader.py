@@ -84,5 +84,5 @@ class TestValidation:
 
         bare = CSRBigGraph(dataset.graph.indptr, dataset.graph.indices,
                            x=dataset.graph.x)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"graph has no labels \(y is None\)$"):
             NeighborLoader(bare, dataset.train_idx, (4,), batch_size=8)

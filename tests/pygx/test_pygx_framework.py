@@ -8,10 +8,7 @@ from repro.pygx import (
     Batch,
     Data,
     DataLoader,
-    MessagePassing,
     edge_softmax,
-    global_add_pool,
-    global_max_pool,
     global_mean_pool,
 )
 from repro.tensor import Tensor
@@ -102,12 +99,6 @@ class TestDataLoader:
             DataLoader(self.graphs(4), batch_size=0)
 
 
-class TestMessagePassing:
-    def test_invalid_aggregation(self):
-        with pytest.raises(ValueError):
-            MessagePassing(aggr="median")
-
-
 class TestEdgeSoftmax:
     def test_sums_to_one_per_destination(self, rng):
         scores = Tensor(rng.normal(size=(6, 2)).astype(np.float32))
@@ -140,13 +131,3 @@ class TestPooling:
         x = Tensor(np.array([[2.0], [4.0], [9.0]], np.float32))
         out = global_mean_pool(x, np.array([0, 0, 1]), 2)
         np.testing.assert_allclose(out.data, [[3.0], [9.0]])
-
-    def test_add_pool(self):
-        x = Tensor(np.ones((4, 2), np.float32))
-        out = global_add_pool(x, np.array([0, 0, 0, 1]), 2)
-        np.testing.assert_allclose(out.data, [[3.0, 3.0], [1.0, 1.0]])
-
-    def test_max_pool(self):
-        x = Tensor(np.array([[1.0], [5.0], [3.0]], np.float32))
-        out = global_max_pool(x, np.array([0, 0, 0]), 1)
-        np.testing.assert_allclose(out.data, [[5.0]])

@@ -56,11 +56,6 @@ class TestStructure:
                                     rmat_abc=(0.75, 0.10, 0.10))
         assert homophily(skewed) > homophily(base)
 
-    def test_chung_lu_generator(self):
-        ds = make_scale_dataset(1000, generator="chung_lu", seed=0)
-        assert ds.graph.num_nodes == 1000
-        assert ds.name == "chung_lu-1000"
-
     def test_to_node_dataset_round_trip(self):
         ds = make_scale_dataset(300, seed=0)
         full = ds.to_node_dataset()
@@ -70,10 +65,6 @@ class TestStructure:
 
 
 class TestErrors:
-    def test_unknown_generator(self):
-        with pytest.raises(ValueError):
-            make_scale_dataset(100, generator="barabasi")
-
     def test_fractions_exceed_one(self):
         with pytest.raises(ValueError):
             make_scale_dataset(100, train_fraction=0.8, val_fraction=0.2,

@@ -73,10 +73,10 @@ class TestDegenerate:
 
 class TestBalance:
     def test_edge_balance_beats_naive_split_on_skewed_graph(self):
-        # Power-law graph: equal node ranges pile the hub edges into one
-        # part; the edge-prefix cut keeps every part near the mean.
-        ds = make_scale_dataset(5000, avg_degree=8.0, generator="chung_lu",
-                                seed=3)
+        # R-MAT graph: low ids are the hubs, so equal node ranges pile
+        # their edges into one part; the edge-prefix cut keeps every part
+        # near the mean.
+        ds = make_scale_dataset(5000, avg_degree=8.0, seed=3)
         k = 8
         stats = degree_balanced_partition(ds.graph, k).stats()
         assert stats.edge_balance < 1.5

@@ -42,13 +42,6 @@ class TestDynamicBatcher:
         batch, _ = batcher.next_batch(queue, 0.0)
         assert len(batch) == 2  # 10 + 10 fits, +10 would exceed 25
 
-    def test_edge_budget_bounds_batch(self):
-        # nodes=5 -> 4 chain edges per graph
-        queue = filled_queue([make_request(i, nodes=5) for i in range(4)])
-        batcher = DynamicBatcher(max_batch_size=8, max_edges=9)
-        batch, _ = batcher.next_batch(queue, 0.0)
-        assert len(batch) == 2
-
     def test_single_oversized_graph_still_served(self):
         queue = filled_queue([make_request(0, nodes=100), make_request(1)])
         batcher = DynamicBatcher(max_batch_size=8, max_nodes=10)
@@ -71,5 +64,3 @@ class TestDynamicBatcher:
             DynamicBatcher(max_batch_size=0)
         with pytest.raises(ValueError):
             DynamicBatcher(max_nodes=0)
-        with pytest.raises(ValueError):
-            DynamicBatcher(max_edges=-1)

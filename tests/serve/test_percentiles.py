@@ -1,20 +1,9 @@
-"""Latency percentile estimators on degenerate windows.
-
-Regression tests for the 0- and 1-sample edge cases: the classic
-nearest-rank formula indexes past the end of an empty window and is
-ambiguous at p=0, and interpolating estimators are undefined on a single
-observation.  These cases are exactly what a mid-run control loop (the
-fleet autoscaler) feeds the estimators, so they must stay well-defined.
-"""
+"""Latency percentiles of a serving run, including 0- and 1-sample runs."""
 
 import numpy as np
 import pytest
 
-from repro.serve.metrics import (
-    LATENCY_PERCENTILES,
-    ServerMetrics,
-    nearest_rank_percentile,
-)
+from repro.serve.metrics import LATENCY_PERCENTILES, ServerMetrics
 from repro.serve.request import InferenceResponse
 
 
@@ -23,40 +12,6 @@ def _response(request_id, latency):
         request_id=request_id, prediction=0, arrival_time=0.0,
         dispatch_time=0.0, completion_time=latency, batch_size=1,
     )
-
-
-class TestNearestRankPercentile:
-    def test_empty_window_reports_zero(self):
-        assert nearest_rank_percentile([], 99.0) == 0.0
-        assert nearest_rank_percentile([], 0.0) == 0.0
-
-    def test_single_sample_is_every_percentile(self):
-        for p in (0.0, 50.0, 99.0, 100.0):
-            assert nearest_rank_percentile([0.7], p) == 0.7
-
-    def test_known_values(self):
-        values = [0.1, 0.2, 0.3, 0.4, 0.5]
-        assert nearest_rank_percentile(values, 50.0) == 0.3
-        assert nearest_rank_percentile(values, 95.0) == 0.5
-        assert nearest_rank_percentile(values, 20.0) == 0.1
-
-    def test_edges_are_pinned(self):
-        values = [0.3, 0.1, 0.2]
-        assert nearest_rank_percentile(values, 0.0) == 0.1
-        assert nearest_rank_percentile(values, 100.0) == 0.3
-
-    def test_result_is_an_observed_value(self):
-        values = [0.1, 0.9]
-        for p in (25.0, 50.0, 75.0, 99.0):
-            assert nearest_rank_percentile(values, p) in values
-
-    def test_input_order_does_not_matter(self):
-        assert nearest_rank_percentile([0.5, 0.1, 0.3], 50.0) == 0.3
-
-    @pytest.mark.parametrize("p", [-0.1, 100.1, 200.0])
-    def test_out_of_range_percentile_rejected(self, p):
-        with pytest.raises(ValueError, match="percentile"):
-            nearest_rank_percentile([0.1], p)
 
 
 class TestLatencyPercentiles:
@@ -80,37 +35,3 @@ class TestLatencyPercentiles:
         assert percentiles[50.0] == pytest.approx(
             float(np.percentile(np.arange(1, 101) * 0.01, 50.0))
         )
-
-
-class TestWindowLatencyPercentiles:
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError, match="window"):
-            ServerMetrics().window_latency_percentiles(0)
-        with pytest.raises(ValueError, match="window"):
-            ServerMetrics().window_latency_percentiles(-4)
-
-    def test_empty_history_reports_zeros(self):
-        assert ServerMetrics().window_latency_percentiles(16) == {
-            p: 0.0 for p in LATENCY_PERCENTILES
-        }
-
-    def test_single_response_window(self):
-        metrics = ServerMetrics()
-        metrics.record_batch([_response(0, 0.2)])
-        assert metrics.window_latency_percentiles(16) == {
-            p: pytest.approx(0.2) for p in LATENCY_PERCENTILES
-        }
-
-    def test_window_sees_only_the_most_recent_responses(self):
-        metrics = ServerMetrics()
-        metrics.record_batch([_response(i, 10.0) for i in range(5)])
-        metrics.record_batch([_response(5 + i, 0.1) for i in range(5)])
-        windowed = metrics.window_latency_percentiles(5)
-        assert windowed[99.0] == pytest.approx(0.1)
-        # The full history still carries the slow head.
-        assert metrics.window_latency_percentiles(10)[99.0] == pytest.approx(10.0)
-
-    def test_window_larger_than_history_uses_everything(self):
-        metrics = ServerMetrics()
-        metrics.record_batch([_response(0, 0.1), _response(1, 0.3)])
-        assert metrics.window_latency_percentiles(100)[99.0] == pytest.approx(0.3)

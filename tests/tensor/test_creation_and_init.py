@@ -30,9 +30,6 @@ class TestCreation:
         assert t.data.min() >= -2.0
         assert t.data.max() <= 3.0
 
-    def test_requires_grad_flag(self):
-        assert creation.zeros(3, requires_grad=True).requires_grad
-
     def test_dtype_float32(self):
         assert creation.ones((2, 2)).data.dtype == np.float32
 

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from repro.tensor import (
     Tensor,
     index_rows,
-    scatter,
     scatter_max,
     scatter_mean,
     scatter_sum,
-    segment_max,
     segment_mean,
-    segment_reduce,
     segment_sum,
 )
 
@@ -83,12 +80,6 @@ class TestScatter:
         scatter_mean(src, np.array([0, 0, 0, 1]), 2).sum().backward()
         np.testing.assert_allclose(src.grad, [[1 / 3]] * 3 + [[1.0]], rtol=1e-5)
 
-    def test_dispatch_and_unknown_reduce(self):
-        src = t([[1.0]])
-        assert scatter(src, np.array([0]), 1, "sum").data[0, 0] == 1.0
-        with pytest.raises(ValueError):
-            scatter(src, np.array([0]), 1, "median")
-
     def test_index_length_mismatch(self):
         with pytest.raises(ValueError):
             scatter_sum(t([[1.0], [2.0]]), np.array([0]), 2)
@@ -116,11 +107,6 @@ class TestSegment:
         out = segment_mean(src, np.array([0, 2, 3]))
         np.testing.assert_allclose(out.data, [[3.0], [9.0]])
 
-    def test_max_with_empty(self):
-        src = t([[-3.0], [-1.0]])
-        out = segment_max(src, np.array([0, 2, 2]))
-        np.testing.assert_allclose(out.data, [[-1.0], [0.0]])
-
     def test_sum_backward_repeats(self):
         src = Tensor(np.ones((4, 1), np.float32), requires_grad=True)
         out = segment_sum(src, np.array([0, 1, 4]))
@@ -137,14 +123,6 @@ class TestSegment:
             segment_sum(t(np.ones((3, 1))), np.array([0, 2]))  # must end at 3
         with pytest.raises(ValueError):
             segment_sum(t(np.ones((3, 1))), np.array([0, 2, 1, 3]))
-
-    def test_dispatch(self):
-        src = t(np.ones((2, 1)))
-        offsets = np.array([0, 2])
-        for reduce in ("sum", "mean", "max"):
-            assert segment_reduce(src, offsets, reduce).shape == (1, 1)
-        with pytest.raises(ValueError):
-            segment_reduce(src, offsets, "prod")
 
 
 @settings(max_examples=30, deadline=None)

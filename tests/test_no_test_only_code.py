@@ -15,15 +15,21 @@ by name) in a real caller:
 Tests are not callers: code only they reach is deleted with them, unless
 :data:`ALLOWED` names it with its reason.
 
-The option rule applies the same callers to switches: a ``True`` / ``False``
-default of a public ``def`` (``__init__`` and the methods of public classes
-included) must be set off its default by some real call, or the switch
-selects a mode only tests run; :data:`ALLOWED_OPTIONS` takes exceptions with
-their reasons.  A call sets a switch when it passes a keyword of the
-switch's name any value but the default constant.  Like the name rule, this
-matches names, not callees: the packs call their loaders through aliases
-(``pack.graph_loader(...)``).  A value passed by position or through
-``**kwargs`` is not seen, so pass a switch by keyword.
+The option rule applies the same callers to options.  An option is a
+``True`` / ``False``, string or ``None`` default of a public ``def``
+(``__init__`` and the methods of public classes included), or of a field of
+a public frozen dataclass, which counts as a parameter of its class.  Some
+real call must set it off its default, or it selects a mode only tests run;
+:data:`ALLOWED_OPTIONS` takes exceptions with their reasons, and the options
+of a name in :data:`ALLOWED` are not checked.  A call sets an option when it
+binds it any value but the default constant.  A call that names a public
+``def`` (a function, a class, or a public method) binds its positional and
+keyword arguments to every public ``def`` of that name; keywords a
+``**kwargs`` would take bind by name.  A call through any other name
+(``pack.graph_loader(...)``, ``super().__init__(...)``) binds its keywords by
+name, whatever the callee.  A value passed after a ``*args`` or through
+``**kwargs`` is not seen, so pass an option by keyword or by plain position.
+Numeric and tuple defaults are not options.
 
 The last rule keeps the modules free of unused imports, which the
 critical-only ruff gate does not look for.
@@ -31,7 +37,10 @@ critical-only ruff gate does not look for.
 
 import ast
 import importlib.util
+import itertools
+from collections import defaultdict
 from pathlib import Path
+from typing import Dict, List, NamedTuple, Set
 
 import pytest
 
@@ -53,7 +62,16 @@ ALLOWED = {
 }
 
 #: ``"<module under src/repro>::<callable>(<parameter>=)"`` -> why it stays.
-ALLOWED_OPTIONS = {}
+ALLOWED_OPTIONS = {
+    "dist/comm.py::Communicator.__init__(record_transfers=)": (
+        "the only way to get the timeline's interconnect track: it makes the "
+        "communicator's Fabric keep every LinkTransfer (docs/cost_model.md)"
+    ),
+    "device/timeline.py::write_chrome_trace(fabric=)": (
+        "writes that recorded interconnect track into the trace file; "
+        "to_chrome_trace, which it forwards to, is how the track is drawn"
+    ),
+}
 
 
 def _load_check_docs():
@@ -261,107 +279,228 @@ def test_a_class_and_each_public_method_are_reached_separately(tmp_path):
     assert unreached(_tree(tmp_path, files)) == {"pkg/mod.py::Public": 9}
 
 
-def _switches(src):
-    """``{key: (parameter, default)}`` for each ``True`` / ``False`` default of a public
-    ``def``, method or ``__init__`` under ``src``."""
-    found = {}
+class _Signature(NamedTuple):
+    """What a call binds to: positional names in order, every name, ``**kwargs``, defaults."""
+
+    positional: List[str]
+    names: Set[str]
+    var_keyword: bool
+    defaults: Dict[str, ast.expr]
+
+
+def _function_signature(func, method):
+    args = func.args
+    ordered = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+    positional = [a.arg for a in ordered][1 if method and not static else 0:]
+    with_default = ordered[len(ordered) - len(args.defaults):]
+    defaults = dict(zip([a.arg for a in with_default], args.defaults))
+    defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    names = set(positional) | {a.arg for a in args.kwonlyargs}
+    return _Signature(positional, names, args.kwarg is not None, defaults)
+
+
+def _is_frozen_dataclass(node):
+    return any(
+        isinstance(dec, ast.Call)
+        and getattr(dec.func, "id", getattr(dec.func, "attr", None)) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in dec.keywords)
+        for dec in node.decorator_list
+    )
+
+
+def _fields_signature(node):
+    fields = [
+        f for f in node.body
+        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+        and "ClassVar" not in ast.dump(f.annotation)
+    ]
+    names = [f.target.id for f in fields]
+    defaults = {f.target.id: f.value for f in fields if f.value is not None}
+    return _Signature(names, set(names), False, defaults)
+
+
+def _callables(src):
+    """``(key, callee name, signature)`` of each public ``def`` under ``src``: a function,
+    a class (its ``__init__``, or the fields of a frozen dataclass) and a public method."""
+    found = []
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         for node in ast.parse(path.read_text()).body:
             if not _is_public(node):
                 continue
-            funcs = [(node.name, node)]
-            if isinstance(node, ast.ClassDef):
-                funcs = [(f"{node.name}.{m.name}", m) for m in node.body
-                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-                         and (_is_public(m) or m.name == "__init__")]
-            for qual, func in funcs:
-                args = func.args
-                positional = args.posonlyargs + args.args
-                pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
-                pairs += zip(args.kwonlyargs, args.kw_defaults)
-                for arg, default in pairs:
-                    if isinstance(default, ast.Constant) and isinstance(default.value, bool):
-                        found[f"{rel}::{qual}({arg.arg}=)"] = (arg.arg, default.value)
+            if not isinstance(node, ast.ClassDef):
+                found.append((f"{rel}::{node.name}", node.name, _function_signature(node, False)))
+                continue
+            funcs = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for func in funcs:
+                if func.name == "__init__":
+                    key, name = f"{rel}::{node.name}.__init__", node.name
+                elif _is_public(func):
+                    key, name = f"{rel}::{node.name}.{func.name}", func.name
+                else:
+                    continue
+                found.append((key, name, _function_signature(func, True)))
+            if _is_frozen_dataclass(node) and not any(f.name == "__init__" for f in funcs):
+                found.append((f"{rel}::{node.name}", node.name, _fields_signature(node)))
     return found
 
 
-def dead_options(root, allowed=()):
-    """Sorted keys of the switches under ``root/src/repro`` no real call sets off default."""
+def _is_option(default):
+    """A ``True`` / ``False``, string or ``None`` default: a switch, a mode or "unset"."""
+    return isinstance(default, ast.Constant) and (
+        default.value is None or isinstance(default.value, (bool, str))
+    )
+
+
+def _is_default(value, default):
+    return (
+        isinstance(value, ast.Constant)
+        and type(value.value) is type(default.value)
+        and value.value == default.value
+    )
+
+
+def _passed(trees, callables):
+    """What real calls pass: ``{(key, parameter): values}`` for calls that name a public
+    ``def``, and ``{keyword: values}`` for the rest."""
+    by_callee = defaultdict(list)
+    for key, name, signature in callables:
+        by_callee[name].append((key, signature))
+    bound, by_keyword = defaultdict(list), defaultdict(list)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = [k for k in call.keywords if k.arg]
+            targets = by_callee.get(name, ())
+            if not targets:
+                for keyword in keywords:
+                    by_keyword[keyword.arg].append(keyword.value)
+                continue
+            args = list(itertools.takewhile(lambda a: not isinstance(a, ast.Starred), call.args))
+            for key, signature in targets:
+                for param, value in zip(signature.positional, args):
+                    bound[key, param].append(value)
+                for keyword in keywords:
+                    if keyword.arg in signature.names:
+                        bound[key, keyword.arg].append(keyword.value)
+                    elif signature.var_keyword:
+                        by_keyword[keyword.arg].append(keyword.value)
+    return bound, by_keyword
+
+
+def dead_options(root, allowed=(), exempt=()):
+    """Sorted keys of the options under ``root/src/repro`` no real call sets off default;
+    ``allowed`` holds option keys, ``exempt`` the name keys whose options are not checked."""
     src = root / "src" / "repro"
     trees = [ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))]
-    passed = {}
-    for tree in [*trees, *_caller_trees(root)]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.keyword) and node.arg:
-                passed.setdefault(node.arg, []).append(node.value)
+    callables = _callables(src)
+    bound, by_keyword = _passed([*trees, *_caller_trees(root)], callables)
     return sorted(
-        key
-        for key, (param, default) in _switches(src).items()
-        if key not in allowed
-        and all(isinstance(v, ast.Constant) and v.value is default for v in passed.get(param, ()))
+        f"{key}({param}=)"
+        for key, _, signature in callables
+        if key not in exempt and key.removesuffix(".__init__") not in exempt
+        for param, default in signature.defaults.items()
+        if _is_option(default)
+        and f"{key}({param}=)" not in allowed
+        and all(_is_default(v, default) for v in bound[key, param] + by_keyword[param])
     )
 
 
 def test_no_public_switch_is_set_only_from_tests():
-    found = dead_options(ROOT, ALLOWED_OPTIONS)
+    found = dead_options(ROOT, ALLOWED_OPTIONS, ALLOWED)
     assert found == [], (
-        f"{len(found)} boolean options that no src, tools, benchmarks, examples, "
-        f"hostbench or executed docs snippet sets off its default: {found}. Delete "
-        "the mode each selects with its tests and keep the default's behaviour; "
-        "ALLOWED_OPTIONS is for the few with a reason."
+        f"{len(found)} options that no src, tools, benchmarks, examples, hostbench or "
+        f"executed docs snippet sets off its default: {found}. Delete the mode each "
+        "selects with its tests and keep the default's behaviour; ALLOWED_OPTIONS is "
+        "for the few with a reason."
     )
-    assert set(ALLOWED_OPTIONS) <= set(dead_options(ROOT)), "an ALLOWED_OPTIONS entry is unused"
+    assert set(ALLOWED_OPTIONS) <= set(dead_options(ROOT, exempt=ALLOWED)), (
+        "an ALLOWED_OPTIONS entry is unused"
+    )
 
 
-SWITCHES = {"src/repro/pkg/mod.py": (
-    "def run(x, fast=False, *, loud=True, name=None):\n    return x\n\n\n"
+OPTIONS = {"src/repro/pkg/mod.py": (
+    "from dataclasses import dataclass\n\n\n"
+    "def run(x, fast=False, *, loud=True, mode='sum', out=None, size=3):\n    return x\n\n\n"
     "class Engine:\n    def __init__(self, cached=False):\n        pass\n\n"
     "    def go(self, eager=True):\n        pass\n\n"
     "    def _stop(self, force=False):\n        pass\n\n\n"
+    "@dataclass(frozen=True)\nclass Config:\n    width: int\n    kind: str = 'mean'\n"
+    "    rate: float = 0.5\n\n\n"
+    "@dataclass\nclass Mutable:\n    kind: str = 'mean'\n\n\n"
     "class _Hidden:\n    def __init__(self, flag=False):\n        pass\n\n\n"
     "def _private(flag=False):\n    pass\n"
 )}
-EVERY_SWITCH = [
+EVERY_OPTION = [
+    "pkg/mod.py::Config(kind=)",
     "pkg/mod.py::Engine.__init__(cached=)", "pkg/mod.py::Engine.go(eager=)",
-    "pkg/mod.py::run(fast=)", "pkg/mod.py::run(loud=)",
+    "pkg/mod.py::run(fast=)", "pkg/mod.py::run(loud=)", "pkg/mod.py::run(mode=)",
+    "pkg/mod.py::run(out=)",
 ]
 
-#: One real call each, and the switch it sets.
+#: One real call each, and the option it sets.
 SETTING = {
     "keyword": ("run(1, fast=True)\n", "pkg/mod.py::run(fast=)"),
     "keyword-only": ("run(1, loud=False)\n", "pkg/mod.py::run(loud=)"),
     "non-constant": ("run(1, fast=flag)\n", "pkg/mod.py::run(fast=)"),
+    "string default": ("run(1, mode='max')\n", "pkg/mod.py::run(mode=)"),
+    "None default": ("run(1, out=buffer)\n", "pkg/mod.py::run(out=)"),
+    "dataclass field": ("Config(4, kind='max')\n", "pkg/mod.py::Config(kind=)"),
+    "positional": ("run(1, True)\n", "pkg/mod.py::run(fast=)"),
+    "positional dataclass field": ("Config(4, 'max')\n", "pkg/mod.py::Config(kind=)"),
+    "positional method": ("engine.go(False)\n", "pkg/mod.py::Engine.go(eager=)"),
     "__init__ through its class": ("Engine(cached=True)\n", "pkg/mod.py::Engine.__init__(cached=)"),
+    "__init__ by position": ("Engine(True)\n", "pkg/mod.py::Engine.__init__(cached=)"),
     "method": ("engine.go(eager=False)\n", "pkg/mod.py::Engine.go(eager=)"),
     "an alias of the callee": ("loader = pack.engine(cached=True)\n",
                                "pkg/mod.py::Engine.__init__(cached=)"),
+    "super().__init__": ("class Fast(Engine):\n    def __init__(self):\n"
+                         "        super().__init__(cached=True)\n",
+                         "pkg/mod.py::Engine.__init__(cached=)"),
 }
 
-#: Calls that set no switch off its default.
+#: Calls that set no option off its default.
 NOT_SETTING = {
-    "the default spelled out": "run(1, fast=False, loud=True)\nEngine(cached=False)\n",
-    "positional": "run(1, True)\nengine.go(False)\n",
+    "the default spelled out": (
+        "run(1, fast=False, loud=True, mode='sum', out=None)\nEngine(cached=False)\n"
+        "Config(4, 'mean')\nengine.go(True)\n"
+    ),
     "**kwargs": "run(1, **{'fast': True})\n",
-    "another keyword": "run(1, name=True)\n",
+    "*args": "run(*[1, True])\n",
+    "another keyword": "run(1, size=4)\nConfig(4, rate=0.1)\n",
+    "a resolved callee binds only its own parameters": "run(1, cached=True, eager=False)\n",
+    "a field of a dataclass that is not frozen": "Mutable('max')\n",
 }
 
 
 @pytest.mark.parametrize("source, key", SETTING.values(), ids=list(SETTING))
 def test_a_real_call_sets_a_switch(tmp_path, source, key):
-    root = _tree(tmp_path, {**SWITCHES, "tools/run.py": source})
-    assert dead_options(root) == [k for k in EVERY_SWITCH if k != key]
+    root = _tree(tmp_path, {**OPTIONS, "tools/run.py": source})
+    assert dead_options(root) == [k for k in EVERY_OPTION if k != key]
 
 
 @pytest.mark.parametrize("source", NOT_SETTING.values(), ids=list(NOT_SETTING))
 def test_a_call_that_keeps_the_default_sets_nothing(tmp_path, source):
-    assert dead_options(_tree(tmp_path, {**SWITCHES, "tools/run.py": source})) == EVERY_SWITCH
+    assert dead_options(_tree(tmp_path, {**OPTIONS, "tools/run.py": source})) == EVERY_OPTION
+
+
+def test_the_options_of_an_allowed_name_are_exempt(tmp_path):
+    root = _tree(tmp_path, OPTIONS)
+    assert dead_options(root, exempt={"pkg/mod.py::run", "pkg/mod.py::Engine"}) == [
+        "pkg/mod.py::Config(kind=)", "pkg/mod.py::Engine.go(eager=)",
+    ]
+    assert dead_options(root, allowed={"pkg/mod.py::run(out=)"}) == [
+        k for k in EVERY_OPTION if k != "pkg/mod.py::run(out=)"
+    ]
 
 
 SET = "target(fast=True)\n"
 
 #: Files that call ``target(fast=True)``, and whether they are real callers.
-SWITCH_CALLERS = {
+OPTION_CALLERS = {
     "src body": ({"src/repro/pkg/user.py": f"def _main():\n    return {SET}"}, True),
     "example": ({"examples/demo.py": SET}, True),
     "hostbench": ({"hostbench/run.py": SET}, True),
@@ -373,7 +512,7 @@ SWITCH_CALLERS = {
 }
 
 
-@pytest.mark.parametrize("files, real", SWITCH_CALLERS.values(), ids=list(SWITCH_CALLERS))
+@pytest.mark.parametrize("files, real", OPTION_CALLERS.values(), ids=list(OPTION_CALLERS))
 def test_the_switch_rule_has_the_name_rules_callers(tmp_path, files, real):
     target = {"src/repro/pkg/mod.py": "def target(fast=False):\n    return 1\n"}
     found = dead_options(_tree(tmp_path, {**target, **files}))

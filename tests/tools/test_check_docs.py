@@ -41,6 +41,7 @@ class TestRealRepo:
         assert tool.main(["--root", REPO_ROOT, "--skip-snippets"]) == 0
         out = capsys.readouterr().out
         assert "api coverage: OK" in out and "links: OK" in out
+        assert "references: OK" in out
 
     def test_every_public_package_is_documented(self):
         assert tool.check_api_coverage(pathlib.Path(REPO_ROOT)) == []
@@ -106,6 +107,42 @@ class TestLinks:
         assert tool.slugify("## `repro.alpha`".lstrip("#")) == "reproalpha"
         assert (tool.slugify("Streams, events, and overlap accounting")
                 == "streams-events-and-overlap-accounting")
+
+
+class TestReferences:
+    @pytest.fixture()
+    def named(self, repo):
+        (repo / "src" / "repro" / "alpha" / "__init__.py").write_text(
+            "class Thing:\n    def run(self):\n        pass\n"
+        )
+        (repo / "src" / "repro" / "alpha" / "inner.py").write_text("LIMIT = 3\n")
+        return repo
+
+    def test_modules_and_attributes_resolve(self, named):
+        (named / "docs" / "refs.md").write_text(
+            "`repro.alpha`, `repro.alpha.Thing.run`, `repro.alpha.inner.LIMIT`,\n"
+            "`python -m repro.alpha` and `repro.alpha.Thing(x)`.\n"
+        )
+        assert tool.check_references(named) == []
+
+    def test_a_missing_name_fails_with_its_line(self, named):
+        (named / "docs" / "refs.md").write_text(
+            "intro\n\nsee `repro.alpha.Thing.gone` and `repro.beta`\n"
+        )
+        assert tool.check_references(named) == [
+            "docs/refs.md:3: `repro.alpha.Thing.gone` does not resolve",
+            "docs/refs.md:3: `repro.beta` does not resolve",
+        ]
+
+    def test_readme_is_checked(self, named):
+        (named / "README.md").write_text("`repro.alpha.nope`\n")
+        assert tool.check_references(named) == ["README.md:1: `repro.alpha.nope` does not resolve"]
+
+    def test_fences_plain_text_and_other_prefixes_ignored(self, named):
+        (named / "docs" / "refs.md").write_text(
+            "```\n`repro.alpha.gone`\n```\nrepro.alpha.gone and `myrepro.gone`\n"
+        )
+        assert tool.check_references(named) == []
 
 
 class TestSnippets:

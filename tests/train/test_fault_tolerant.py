@@ -89,7 +89,8 @@ class TestFaultTolerantRun:
         )
         # The test only bites if faults actually interrupted the run.
         assert faulted.restarts > 0
-        assert faulted.fault_stats.errors_injected >= faulted.restarts
+        stats = faulted.fault_stats
+        assert stats.ooms_injected + stats.kernel_faults_injected >= faulted.restarts
         assert _curve(faulted.result) == _curve(baseline)
 
     def test_compiled_faulted_run_matches_eager_fault_free(

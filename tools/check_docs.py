@@ -1,6 +1,6 @@
 """Documentation consistency gate.
 
-Three independent checks over README.md and docs/*.md, each fatal:
+Four independent checks over README.md and docs/*.md, each fatal:
 
 1. **API coverage** — every public package under ``src/repro/`` (a
    directory with an ``__init__.py`` whose name does not start with an
@@ -16,6 +16,11 @@ Three independent checks over README.md and docs/*.md, each fatal:
    snippets are exempt — they are full training runs).  Tag a block
    ```` ```python no-run ```` to exempt it (for deliberately partial
    fragments).
+4. **References** — every backticked ```repro.<path>``` outside a fence
+   (``repro`` starting a dotted name anywhere in the span) must resolve
+   under ``PYTHONPATH=src``: the longest importable module prefix, then
+   attributes for the rest.  A doc line naming a deleted or moved name
+   fails.
 
 Usage::
 
@@ -27,6 +32,7 @@ Exit status 0 when all checks pass, 1 with a per-failure report otherwise.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import pathlib
 import re
@@ -39,7 +45,34 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\S*)[ \t]*(.*)$")
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+REFERENCE_RE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 SNIPPET_TIMEOUT = 300
+
+#: Reads a JSON list of dotted paths on stdin, prints the unresolved ones as
+#: the last line of its output.
+RESOLVE = """
+import importlib, json, sys
+
+def resolves(path):
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            found = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if (name + ".").startswith(str(exc.name) + "."):
+                continue  # this prefix (or a shorter one) is no module
+            return False
+        for attr in parts[cut:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
+
+print(json.dumps([path for path in json.load(sys.stdin) if not resolves(path)]))
+"""
 
 
 def doc_files(root: pathlib.Path) -> List[pathlib.Path]:
@@ -135,10 +168,15 @@ def python_snippets(path: pathlib.Path):
             block.append(line)
 
 
-def check_snippets(root: pathlib.Path) -> List[str]:
-    failures = []
+def _src_env(root: pathlib.Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
+    return env
+
+
+def check_snippets(root: pathlib.Path) -> List[str]:
+    failures = []
+    env = _src_env(root)
     with tempfile.TemporaryDirectory() as scratch:
         for doc in sorted((root / "docs").glob("*.md")):
             rel = doc.relative_to(root)
@@ -157,6 +195,38 @@ def check_snippets(root: pathlib.Path) -> List[str]:
     return failures
 
 
+def references(root: pathlib.Path):
+    """Yield ("file:line", dotted path) per backticked ``repro.<path>`` outside fences."""
+    for doc in doc_files(root):
+        rel = doc.relative_to(root)
+        in_fence = False
+        for lineno, line in enumerate(doc.read_text().splitlines(), start=1):
+            if line.lstrip().startswith("```"):
+                in_fence = not in_fence
+            elif not in_fence:
+                for span in SPAN_RE.findall(line):
+                    for path in REFERENCE_RE.findall(span):
+                        yield f"{rel}:{lineno}", path
+
+
+def check_references(root: pathlib.Path) -> List[str]:
+    found = list(references(root))
+    if not found:
+        return []
+    with tempfile.TemporaryDirectory() as scratch:
+        proc = subprocess.run(
+            [sys.executable, "-c", RESOLVE],
+            input=json.dumps(sorted({path for _, path in found})),
+            cwd=scratch, env=_src_env(root), capture_output=True,
+            text=True, timeout=SNIPPET_TIMEOUT,
+        )
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1:]
+        return [f"reference resolver failed (rc={proc.returncode}) {' '.join(tail)}"]
+    missing = set(json.loads(proc.stdout.splitlines()[-1]))  # after any import chatter
+    return [f"{where}: `{path}` does not resolve" for where, path in found if path in missing]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path, default=ROOT)
@@ -164,7 +234,11 @@ def main(argv=None) -> int:
                         help="skip executing fenced python blocks")
     args = parser.parse_args(argv)
 
-    checks = [("api coverage", check_api_coverage), ("links", check_links)]
+    checks = [
+        ("api coverage", check_api_coverage),
+        ("links", check_links),
+        ("references", check_references),
+    ]
     if not args.skip_snippets:
         checks.append(("snippets", check_snippets))
 
