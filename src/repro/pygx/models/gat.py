@@ -18,7 +18,7 @@ from repro.models import ModelConfig
 from repro.nn import Linear, Module, Parameter
 from repro.pygx.models.base import PyGXNet
 from repro.pygx.softmax import edge_softmax
-from repro.tensor import Tensor, elu, index_rows, leaky_relu, ops, scatter_sum
+from repro.tensor import Tensor, elu, gather_mul, index_rows, leaky_relu, ops, scatter_sum
 from repro.tensor.creation import randn
 
 
@@ -52,8 +52,8 @@ class GATConv(Module):
             negative_slope=0.2,
         )
         attention = edge_softmax(logits, dst, num_nodes)  # (E, H)
-        z_j = index_rows(z, src)  # (E, H, D)
-        messages = ops.mul(z_j, attention.reshape(len(src), self.heads, 1))
+        # x_j * alpha; the tape keeps (z, src), which the halves above save anyway.
+        messages = gather_mul(z, src, attention)  # (E, H, D)
         out = scatter_sum(messages, dst, num_nodes)  # (N, H, D)
         if self.concat_heads:
             return elu(out.reshape(num_nodes, self.heads * self.head_dim))

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.device import current_device
 from repro.tensor._reduce import check_index, check_offsets, scatter_add_rows
-from repro.tensor.tensor import Tensor, launch_backward, make_op
+from repro.tensor.tensor import Tensor, launch_backward, make_op, unbroadcast
 
 _F32 = 4
+#: Edges per block when :func:`gather_mul`'s backward re-gathers ``x[index]``
+#: (1 MB of float32 at 8 heads x 32 features).
+GATHER_MUL_BLOCK = 1024
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +43,62 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
         return (scatter_add_rows(grad, index, num_rows),)
 
     return make_op("gather", out, (x,), backward, flops, nbytes)
+
+
+def gather_mul(x: Tensor, index: np.ndarray, weight: Tensor) -> Tensor:
+    """Per-edge messages ``x[index] * weight[..., None]`` (PyG's ``x_j * alpha``).
+
+    ``weight`` holds one scale per gathered row and leading feature axis:
+    shape ``(len(index),) + x.shape[1:-1]``.  The op is the chain
+    ``ops.mul(index_rows(x, index), weight.reshape(weight.shape + (1,)))``:
+    the same tape nodes, launches, FLOPs, bytes and pool charges, in that
+    order (the view is made after the gather, as the chain makes it).  Only
+    what the product's node saves differs.  The chain saves the gathered
+    rows for ``weight``'s gradient; this op saves ``(x.data, index)`` and
+    re-gathers the rows in blocks of :data:`GATHER_MUL_BLOCK` edges,
+    reducing each block's product as the chain reduces the whole (bit-equal:
+    each row's sum is unchanged).  The rows' charge moves to a zero-size
+    stand-in that the node holds, so the device pays for them until this
+    backward runs, as it did, while the host frees them when the forward
+    returns.  (Under capture the tracer holds the rows until the capture
+    ends, and with them their charge, as it held the chain's.)
+
+    Precondition: something else keeps ``x.data`` until after this backward
+    (pygx GAT's attention halves save ``z``), or saving it lengthens ``x``'s
+    charge.
+    """
+    if x.ndim < 2 or weight.shape != (len(index),) + x.shape[1:-1]:
+        raise ValueError(
+            f"weight must have shape {(len(index),) + x.shape[1:-1]} for x {x.shape}, "
+            f"got {weight.shape}"
+        )
+    gathered = index_rows(x, index)  # validates ``index``
+    scale = weight.reshape(weight.shape + (1,))
+    out = gathered.data * scale.data
+    size, w_shape = out.size, scale.shape
+    w_data = scale.data if gathered.requires_grad else None
+    x_data = charged = None
+    if scale.requires_grad:
+        # ``charged`` holds the gathered rows' pool charge until this node is
+        # freed.  Under capture that is the rows themselves, which the tracer
+        # keeps until the capture ends anyway; otherwise a zero-size stand-in.
+        x_data, charged = x.data, gathered.data
+        device = current_device()
+        if device.tracer is None:
+            charged = np.empty(0, np.float32)
+            device.memory.hand_over(gathered.data, charged)
+
+    def backward(grad: np.ndarray):
+        launch_backward("mul_backward", float(grad.size), _F32 * 3.0 * grad.size)
+        gw = None
+        if charged is not None:
+            gw = np.empty(w_shape, np.float32)
+            for start in range(0, len(index), GATHER_MUL_BLOCK):
+                block = slice(start, start + GATHER_MUL_BLOCK)
+                gw[block] = unbroadcast(grad[block] * x_data[index[block]], gw[block].shape)
+        return None if w_data is None else grad * w_data, gw
+
+    return make_op("mul", out, (gathered, scale), backward, float(size), _F32 * 3.0 * size)
 
 
 # ----------------------------------------------------------------------

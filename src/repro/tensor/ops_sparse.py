@@ -191,8 +191,7 @@ def gspmm(
 
     flops = 2.0 * e * feat_dim
     # The kernel reads one source row per edge (random access), the weight
-    # per edge, and writes the output — plus the selected format's index
-    # arrays when the graph has been format-tuned.
+    # per edge and the input, and writes the output.
     nbytes = float(_F32 * (e * feat_dim + e + x.size + out.size))
     parents: Tuple[Tensor, ...] = (x,) if edge_weight is None else (x, edge_weight)
     x_size, x_trailing = x.data.size, x.data.shape[1:]

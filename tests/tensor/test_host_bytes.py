@@ -13,7 +13,7 @@ import pytest
 
 from repro._random import BLOCK, random_at
 from repro.datasets import cora
-from repro.tensor import CSRGraph, Tensor, gspmm, ops
+from repro.tensor import CSRGraph, Tensor, gather_mul, gspmm, ops
 from repro.tensor._declared import DeclaredTensor, sparse_rows
 
 _F32 = 4
@@ -96,6 +96,31 @@ def test_a_broadcast_operands_gradient_is_reduced_before_the_other_is_allocated(
     # needs at once, the reduced gradient and slack — the broadcast operand's
     # product is gone before the other operand's gradient is allocated.
     assert host <= products * product + e * h * _F32 + 2**16, host
+
+
+def test_gather_mul_keeps_the_recipe_not_the_gathered_rows(fresh_device):
+    n, e, h, d = 500, 20000, 4, 16
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((n, h, d)).astype(np.float32), requires_grad=True)
+    weight = Tensor(rng.uniform(1.0, 2.0, (e, h)).astype(np.float32), requires_grad=True)
+    src = rng.integers(0, n, e)
+    charged_before = fresh_device.memory.current
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = gather_mul(x, src, weight)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    # The host keeps the output and the node's small arrays, not the (E, H, D) rows...
+    assert kept < out.nbytes + 2**16, kept
+    # ...whose charge the pool still holds, beside the output and the weight's view.
+    assert fresh_device.memory.current - charged_before == 2 * out.nbytes + weight.nbytes
+    saved = _closure_arrays(out)
+    edge_rows = [a for a in saved if a.dtype == np.float32 and a.ndim and len(a) == e]
+    assert len(edge_rows) == 1 and np.shares_memory(edge_rows[0], weight.data)
+    assert any(a is x.data for a in saved)
 
 
 #: ``name -> (op on Cora's features and a column, share of the dense output bytes the host may allocate)``.

@@ -20,6 +20,7 @@ from repro.tensor import (
     Tensor,
     batch_norm,
     edge_softmax,
+    gather_mul,
     gsddmm,
     gspmm,
     index_rows,
@@ -68,6 +69,7 @@ BUILDERS = {
     "scatter_sum": lambda: scatter_sum(*_live((7, 3)), DST, 5),
     "sum": lambda: ops.sum(*_live((4, 3)), axis=0),
     "index_rows": lambda: index_rows(*_live((5, 3)), SRC),
+    "gather_mul": lambda: (lambda x, w: gather_mul(x, SRC, w))(*_live((5, 2, 3), (7, 2))),
     "add": lambda: ops.add(*_live((4, 3), (1, 3))),
     "sub": lambda: ops.sub(*_live((4, 3), (1, 3))),
     "reshape": lambda: ops.reshape(*_live((4, 3)), (12,)),

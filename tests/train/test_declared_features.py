@@ -49,8 +49,16 @@ def _one_epoch(monkeypatch, framework, model, dataset):
         return rows
 
     monkeypatch.setattr(ops, "sparse_rows", spy)
-    # A declared output hands its charge over exactly when it builds its dense array.
-    monkeypatch.setattr(MemoryPool, "hand_over", lambda pool, holder, array: built.append(holder))
+    # A declared output hands its charge over exactly when it builds its dense
+    # array; other holders (pygx GAT's gathered rows) hand theirs over too.
+    hand_over = MemoryPool.hand_over
+
+    def spy_hand_over(pool, holder, array):
+        if isinstance(holder, DeclaredTensor):
+            built.append(holder)
+        hand_over(pool, holder, array)
+
+    monkeypatch.setattr(MemoryPool, "hand_over", spy_hand_over)
     device = Device()
     device.profiler.enabled = True
     result = NodeClassificationTrainer(framework, model, dataset, max_epochs=1, device=device).run()
