@@ -40,9 +40,12 @@ def capture(fn, *args, **kwargs):
     from repro.device import current_device
 
     tracer = Tracer()
-    with current_device().capturing(tracer):
-        result = fn(*args, **kwargs)
-    return result, tracer.finish(outputs=result)
+    try:
+        with current_device().capturing(tracer):
+            result = fn(*args, **kwargs)
+        return result, tracer.finish(outputs=result)
+    finally:
+        tracer.release()
 
 
 __all__ = [

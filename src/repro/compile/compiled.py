@@ -112,11 +112,14 @@ class CompiledStep:
     # ------------------------------------------------------------------
     def _capture(self, device, signature: Tuple, args, kwargs) -> Any:
         tracer = Tracer()
-        with device.capturing(tracer):
-            result = self.fn(*args, **kwargs)
-        ir = tracer.finish(outputs=result)
-        decisions, stats = run_passes(ir)
-        ir.release_arrays()
+        try:
+            with device.capturing(tracer):
+                result = self.fn(*args, **kwargs)
+            ir = tracer.finish(outputs=result)
+            decisions, stats = run_passes(ir)
+            ir.release_arrays()
+        finally:
+            tracer.release()
         plan = build_plan(ir, decisions, stats)
         if len(self.plans) >= MAX_PLANS:
             oldest = next(iter(self.plans))

@@ -22,13 +22,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 class IRNode:
     """One kernel launch of the captured step.
 
-    ``out_id``/``parent_ids`` are capture-time tensor identities (``id()``
-    of the Tensor objects, kept alive by the tracer for the duration of the
-    capture so they cannot be recycled).  ``out_id`` is ``None`` for opaque
-    nodes (backward/optimizer kernels launched outside ``make_op``).
-    ``out_data`` is the output array itself, kept only until the passes have
-    run (:meth:`GraphIR.release_arrays`): CSE fingerprints it into
-    ``out_hash`` for the nodes it could eliminate, and for no others.
+    ``out_id``/``parent_ids`` are capture-local tensor serials, opaque
+    ints the tracer never gives two tensors.  ``out_id`` is ``None`` for
+    opaque nodes (backward/optimizer kernels launched outside ``make_op``).
+    ``out_data`` is the output array of a node outside the autograd graph,
+    kept only until the passes have run (:meth:`GraphIR.release_arrays`):
+    CSE fingerprints it into ``out_hash`` for the nodes it could eliminate,
+    and for no others.
     """
 
     index: int

@@ -6,21 +6,32 @@ eager step costs, on the simulated clock and on the host: nothing is
 hashed or copied while the step runs) while the device forwards every
 kernel launch to the active tracer.  :func:`repro.tensor.make_op`
 additionally annotates the launch it just made with the output/parent
-tensors, giving the IR its dataflow edges, and the output array, which CSE
-fingerprints afterwards for the few nodes it could eliminate.
+tensors, giving the IR its dataflow edges, and — for an output outside the
+autograd graph — the output array, which CSE fingerprints afterwards for
+the few nodes it could eliminate.
 
-The tracer holds strong references to every tensor it sees so CPython
-cannot recycle an ``id()`` mid-capture; the references are dropped when the
-capture context exits.
+Tensor identities in the IR are capture-local serials, not ``id()``s.  The
+tracer holds each tensor it sees through a weak reference whose callback
+retires its serial, so a tensor that reuses a dead one's ``id()`` gets a new
+serial.  It keeps no tensor alive: the host frees what an eager step frees.
+The device keeps charging every tensor the tracer saw until the capture
+ends (:meth:`MemoryPool.hold <repro.device.memory.MemoryPool.hold>`), and
+the tracer keeps each seen tensor's autograd node as long, so a backward
+that never runs holds what it saved until then too: the step is charged as
+if every tensor it made lived until the capture ends.
 """
 
 from __future__ import annotations
+
+import itertools
+import weakref
 
 import numpy as np
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.compile.ir import GraphIR, IRNode
+from repro.device import current_device
 
 #: Arrays larger than this are not content-fingerprinted (CSE treats their
 #: tensors as unique); hashing is capture-only but should stay cheap.
@@ -40,14 +51,53 @@ def content_hash(array) -> Optional[str]:
     return digest.hexdigest()
 
 
+class _Seen(weakref.ref):
+    """Weak reference to a tensor the tracer has seen, carrying its serial."""
+
+    __slots__ = ("key", "serial")
+
+
 class Tracer:
-    """Records the kernel stream + dataflow of one step under capture."""
+    """Records the kernel stream + dataflow of one step under capture.
+
+    Built on the device it will capture on; call :meth:`release` once the
+    IR's arrays are dropped (or the capture failed) to end the device's hold
+    on what the step allocated.
+    """
 
     def __init__(self) -> None:
         self.nodes: List[IRNode] = []
         self.aliases: Dict[int, int] = {}
         self.constant_ids: Set[int] = set()
-        self._pins: List[object] = []  # strong refs keeping ids stable
+        self._pool = current_device().memory
+        self._seen: Dict[int, _Seen] = {}
+        self._serials = itertools.count()
+
+        def retire(ref: _Seen, seen=self._seen) -> None:
+            # Runs while the tensor is collected, before its id can be reused.
+            if seen.get(ref.key) is ref:
+                del seen[ref.key]
+
+        self._retire = retire
+        # Autograd nodes of seen tensors: a backward that never runs keeps
+        # what it saved until the capture ends.
+        self._grad_nodes: List[object] = []
+
+    def _serial(self, tensor) -> int:
+        """``tensor``'s capture-local serial; the first sight holds its charge."""
+        ref = self._seen.get(id(tensor))
+        if ref is not None:
+            return ref.serial
+        ref = _Seen(tensor, self._retire)
+        ref.key = id(tensor)
+        ref.serial = next(self._serials)
+        self._seen[ref.key] = ref
+        # An unbuilt DeclaredTensor is charged as itself; ``.data`` would build it.
+        unbuilt = getattr(tensor, "_dense", ()) is None
+        self._pool.hold(tensor if unbuilt else tensor.data)
+        if tensor._node is not None:
+            self._grad_nodes.append(tensor._node)
+        return ref.serial
 
     # ------------------------------------------------------------------
     # hooks called by the device / tensor engine
@@ -71,25 +121,22 @@ class Tracer:
         if not self.nodes:
             raise RuntimeError("annotate_op called before any launch was traced")
         node = self.nodes[-1]
-        self._pins.append(out)
-        self._pins.extend(parents)
-        node.out_id = id(out)
+        node.out_id = self._serial(out)
         node.out_shape = tuple(out.shape)
         node.out_size = int(out.size)
-        node.out_data = out.data
         node.requires_grad = bool(out.requires_grad)
-        node.parent_ids = tuple(id(p) for p in parents)
+        if not node.requires_grad:
+            # Only CSE reads it, and only for nodes outside the autograd graph.
+            node.out_data = out.data
+        node.parent_ids = tuple(self._serial(p) for p in parents)
 
     def alias(self, out, source) -> None:
         """Record that ``out`` is a kernel-free view of ``source``."""
-        self._pins.append(out)
-        self._pins.append(source)
-        self.aliases[id(out)] = id(source)
+        self.aliases[self._serial(out)] = self._serial(source)
 
     def mark_constant(self, tensor) -> None:
         """Declare a leaf tensor (a coerced scalar literal) constant for the plan."""
-        self._pins.append(tensor)
-        self.constant_ids.add(id(tensor))
+        self.constant_ids.add(self._serial(tensor))
 
     # ------------------------------------------------------------------
     def finish(self, outputs: Sequence[object] = ()) -> GraphIR:
@@ -98,16 +145,23 @@ class Tracer:
         ``outputs`` are the step's returned tensors; their producing nodes
         are roots of the liveness analysis in DCE.
         """
-        output_ids = set()
-        for out in _flatten(outputs):
-            self._pins.append(out)
-            output_ids.add(id(out))
         return GraphIR(
             nodes=self.nodes,
-            output_ids=output_ids,
+            output_ids={self._serial(out) for out in _flatten(outputs)},
             aliases=self.aliases,
             constant_ids=self.constant_ids,
         )
+
+    def release(self) -> None:
+        """End the capture's hold: the device frees what the step no longer holds.
+
+        Drops the seen tensors' autograd nodes and identities too.  Call it
+        after :meth:`GraphIR.release_arrays` when the IR is done with, or
+        while a failed capture unwinds.
+        """
+        self._pool.release_held()
+        self._seen.clear()
+        self._grad_nodes.clear()
 
 
 def _flatten(value) -> List[object]:

@@ -9,7 +9,9 @@ reads, as PyTorch's saved tensors do.  An activation no backward reads is
 freed as soon as the forward stops using it, and a saved one is freed once
 backward has propagated through its node.  So the peak lands at the end of
 the forward pass, where PyTorch's peak sits, at the size of what the step
-saves rather than of everything it computed.
+saves rather than of everything it computed.  Under graph capture the pool
+also holds the charge of every array the tracer saw until the capture
+ends (:meth:`MemoryPool.hold`), though the host frees the array as usual.
 
 The paper reads peak usage off ``nvidia-smi``; benchmarks here read it off
 :meth:`MemoryPool.peak`.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import ctypes
 import os
 import weakref
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 # <malloc.h> parameter numbers, and what they are raised to: no trimming
 # below 1 GiB of free heap top, and ``mmap`` only past 32 MiB — the ceiling
@@ -78,9 +80,12 @@ class OutOfMemoryError(RuntimeError):
 
 
 class _TrackedRef(weakref.ref):
-    """Weak reference to a tracked array, carrying what its death gives back."""
+    """Weak reference to a tracked array, carrying what its death gives back.
 
-    __slots__ = ("key", "nbytes")
+    ``hold`` is the ref's place in the pool's capture hold, or ``None``.
+    """
+
+    __slots__ = ("key", "nbytes", "hold")
 
 
 class MemoryPool:
@@ -100,6 +105,9 @@ class MemoryPool:
         # the array is being collected, before its id can be handed out
         # again, and removes only its own entry — CPython id reuse is safe.
         self._tracked: Dict[int, _TrackedRef] = {}
+        # The capture hold (:meth:`hold`): refs whose charge outlives their
+        # array until :meth:`release_held`, in the order they were first held.
+        self._held: List[_TrackedRef] = []
 
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int) -> None:
@@ -136,30 +144,65 @@ class MemoryPool:
             return
         nbytes = int(array.nbytes * scale)
         self.alloc(nbytes)
+        self._tracked[key] = self._ref(array, nbytes)
+
+    def _ref(self, array: Any, nbytes: int) -> _TrackedRef:
         ref = _TrackedRef(array, self._release)
-        ref.key = key
+        ref.key = id(array)
         ref.nbytes = nbytes
-        self._tracked[key] = ref
+        ref.hold = None
+        return ref
 
     def hand_over(self, holder: Any, array: Any) -> None:
         """Move ``holder``'s charge to ``array``, to be freed when ``array`` is.
 
         Neither an alloc nor a free: the bytes stay charged and only the
-        object whose collection frees them changes.  For an object that
-        builds its array lazily and then keeps it (``DeclaredTensor``), so the
-        charge lasts until both are gone.  ``holder`` must be tracked here.
+        object whose collection frees them changes.  Two callers: an object
+        that builds its array lazily and then keeps it (``DeclaredTensor``),
+        so the charge lasts until both are gone, and ``gather_mul``, whose
+        zero-size stand-in keeps the gathered rows' charge while the host
+        frees the rows.  A held charge stays held: the new ref takes the old
+        one's place in the hold.  ``holder`` must be tracked here.
         """
         old = self._tracked.pop(id(holder))
         # ``old`` dies with this frame, so its callback never runs.
-        ref = _TrackedRef(array, self._release)
-        ref.key = id(array)
-        ref.nbytes = old.nbytes
+        ref = self._ref(array, old.nbytes)
+        if old.hold is not None:
+            ref.hold = old.hold
+            self._held[ref.hold] = ref
         self._tracked[ref.key] = ref
+
+    def hold(self, array: Any) -> None:
+        """Keep the charges of ``array`` and its bases until :meth:`release_held`.
+
+        A graph capture holds every array its tracer sees: the device pays
+        for each one until the capture ends, or later if the array lives
+        longer, while the host frees it as an eager step would.  Untracked
+        arrays and those already held are skipped.
+        """
+        while array is not None:
+            ref = self._tracked.get(id(array))
+            if ref is not None and ref.hold is None:
+                ref.hold = len(self._held)
+                self._held.append(ref)
+            array = getattr(array, "base", None)
+
+    def release_held(self) -> None:
+        """End the hold: free the held charges whose arrays are gone, in hold order.
+
+        A held array still alive is freed at its death, like any other.
+        """
+        held, self._held = self._held, []
+        for ref in held:
+            ref.hold = None
+            if ref() is None:
+                self.free(ref.nbytes)
 
     def _release(self, ref: _TrackedRef) -> None:
         if self._tracked.get(ref.key) is ref:
             del self._tracked[ref.key]
-        self.free(ref.nbytes)
+        if ref.hold is None:
+            self.free(ref.nbytes)
 
     # ------------------------------------------------------------------
     @property

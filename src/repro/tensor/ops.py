@@ -388,13 +388,13 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     # by reporting zero flops/bytes through a named launch would overstate
     # cost, so reshape does not launch at all.
     result = Tensor(out)
+    if a.requires_grad and grad_enabled():
+        a_shape = a.data.shape
+        _attach_node(result, (a,), lambda grad: (grad.reshape(a_shape),))
     tracer = current_device().tracer
     if tracer is not None:
         # No kernel, but the dataflow edge must survive into the IR.
         tracer.alias(result, a)
-    if a.requires_grad and grad_enabled():
-        a_shape = a.data.shape
-        _attach_node(result, (a,), lambda grad: (grad.reshape(a_shape),))
     return result
 
 

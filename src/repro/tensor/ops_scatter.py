@@ -60,8 +60,7 @@ def gather_mul(x: Tensor, index: np.ndarray, weight: Tensor) -> Tensor:
     each row's sum is unchanged).  The rows' charge moves to a zero-size
     stand-in that the node holds, so the device pays for them until this
     backward runs, as it did, while the host frees them when the forward
-    returns.  (Under capture the tracer holds the rows until the capture
-    ends, and with them their charge, as it held the chain's.)
+    returns.
 
     Precondition: something else keeps ``x.data`` until after this backward
     (pygx GAT's attention halves save ``z``), or saving it lengthens ``x``'s
@@ -79,14 +78,10 @@ def gather_mul(x: Tensor, index: np.ndarray, weight: Tensor) -> Tensor:
     w_data = scale.data if gathered.requires_grad else None
     x_data = charged = None
     if scale.requires_grad:
-        # ``charged`` holds the gathered rows' pool charge until this node is
-        # freed.  Under capture that is the rows themselves, which the tracer
-        # keeps until the capture ends anyway; otherwise a zero-size stand-in.
-        x_data, charged = x.data, gathered.data
-        device = current_device()
-        if device.tracer is None:
-            charged = np.empty(0, np.float32)
-            device.memory.hand_over(gathered.data, charged)
+        # A zero-size stand-in holds the gathered rows' pool charge until
+        # this node is freed.
+        x_data, charged = x.data, np.empty(0, np.float32)
+        current_device().memory.hand_over(gathered.data, charged)
 
     def backward(grad: np.ndarray):
         launch_backward("mul_backward", float(grad.size), _F32 * 3.0 * grad.size)

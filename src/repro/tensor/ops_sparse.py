@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.device import current_device
 from repro.tensor._reduce import csr_product, scatter_add_rows, segment_add_rows
+from repro.tensor.ops_scatter import GATHER_MUL_BLOCK
 from repro.tensor.tensor import Tensor, launch_backward, make_op, unbroadcast
 
 _F32 = 4
@@ -127,18 +128,30 @@ def _per_head_product(
     return out
 
 
-def _edge_weight_grad(graph: CSRGraph, prod: np.ndarray, w_shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce a CSR-ordered per-edge product to the weight's shape, in edge order.
+def _edge_weight_grad(
+    graph: CSRGraph, g: np.ndarray, dst: Optional[np.ndarray], x_data: np.ndarray, w_shape: Tuple[int, ...]
+) -> np.ndarray:
+    """The weight's gradient: the CSR-ordered products ``g[dst] * x[src]``, reduced, in edge order.
 
-    Sums out the trailing feature axes the weight does not carry, then
-    unbroadcasts any remaining size-1 axes.
+    ``g`` is per destination node (``dst`` maps CSR slots to it) or, with
+    ``dst=None``, already per CSR slot.  Each product sums out the trailing
+    feature axes the weight does not carry, then unbroadcasts any remaining
+    size-1 axes.  It is formed :data:`GATHER_MUL_BLOCK` edges at a time, so
+    no ``(E, H, D)`` product is ever whole; bit-equal, since each row's sum
+    is unchanged.
     """
     target_shape = (graph.num_edges,) + w_shape[1:]
-    extra = prod.ndim - len(target_shape)
-    if extra > 0:
-        prod = prod.sum(axis=tuple(range(prod.ndim - extra, prod.ndim)))
+    gw_sorted = np.empty(target_shape, dtype=np.float32)
+    for start in range(0, graph.num_edges, GATHER_MUL_BLOCK):
+        block = slice(start, start + GATHER_MUL_BLOCK)
+        g_block = g[block] if dst is None else g[dst[block]]
+        prod = g_block * x_data[graph.indices[block]]
+        extra = prod.ndim - len(target_shape)
+        if extra > 0:
+            prod = prod.sum(axis=tuple(range(prod.ndim - extra, prod.ndim)))
+        gw_sorted[block] = unbroadcast(prod, gw_sorted[block].shape)
     gw = np.zeros(w_shape, dtype=np.float32)
-    gw[graph.edge_ids] = unbroadcast(prod, target_shape)
+    gw[graph.edge_ids] = gw_sorted
     return gw
 
 
@@ -234,8 +247,7 @@ def gspmm(
         launch_backward("gspmm_backward_w", 2.0 * e * feat_dim, _F32 * (2 * e * feat_dim + e))
         if x_data is None:
             return (gx, None)
-        prod = g[graph.rows] * x_data[graph.indices]
-        return (gx, _edge_weight_grad(graph, prod, w_shape))
+        return (gx, _edge_weight_grad(graph, g, graph.rows, x_data, w_shape))
 
     return make_op("gspmm", out, parents, backward, flops, nbytes)
 
@@ -490,7 +502,6 @@ def _gspmm_max(graph: CSRGraph, x: Tensor, edge_weight: Optional[Tensor]) -> Ten
             return (gx,)
         if x_data is None:
             return (gx, None)
-        prod = (g_edges * x_data[graph.indices]).astype(np.float32)
-        return (gx, _edge_weight_grad(graph, prod, w_shape))
+        return (gx, _edge_weight_grad(graph, g_edges, None, x_data, w_shape))
 
     return make_op("gspmm_max", out, parents, backward, flops, nbytes)

@@ -88,9 +88,12 @@ class TestTracer:
     def test_capture_sees_reshape_alias(self):
         x = Tensor(np.ones((2, 6)))
         result, ir = capture(lambda: ops.exp(x.reshape(3, 4)))
-        # reshape launches nothing but the exp's parent must resolve to x.
+        # reshape launches nothing but the exp's parent must resolve to x:
+        # the view's serial is an alias of the serial x got, which no node produced.
         assert [n.name for n in ir.nodes] == ["exp"]
-        assert ir.resolve(ir.nodes[0].parent_ids[0]) == id(x)
+        (view,) = ir.nodes[0].parent_ids
+        assert ir.resolve(view) == ir.aliases[view] != view
+        assert ir.producer(view) is None and ir.resolve(view) not in ir.output_ids
 
     def test_content_hash_distinguishes_values_and_caps_size(self):
         a = np.arange(8, dtype=np.float32)

@@ -150,7 +150,12 @@ class TestCSE:
 
         _, ir = capture(step)
         assert all(node.out_hash is None for node in ir.nodes)
-        assert all(node.out_data.shape == node.out_shape for node in ir.nodes)
+        # Only nodes outside the autograd graph keep their output: CSE reads no other.
+        assert [node.requires_grad for node in ir.nodes] == [False, False, False, True, True, False, True, True, True]
+        assert all(
+            node.out_data is None if node.requires_grad else node.out_data.shape == node.out_shape
+            for node in ir.nodes
+        )
         decisions, stats = _fresh(ir)
         common_subexpression_elimination(ir, decisions, stats)
         assert stats.cse_removed == 1 and decisions[1].action == ACTION_SKIP

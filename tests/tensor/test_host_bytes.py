@@ -123,6 +123,25 @@ def test_gather_mul_keeps_the_recipe_not_the_gathered_rows(fresh_device):
     assert any(a is x.data for a in saved)
 
 
+def test_gspmm_forms_a_per_head_weight_gradient_a_block_at_a_time(fresh_device):
+    n, e, h, d = 300, 12000, 4, 32
+    rng = np.random.default_rng(0)
+    graph = CSRGraph.from_edge_index(rng.integers(0, n, e), rng.integers(0, n, e), n, n)
+    x = Tensor(rng.standard_normal((n, h, d)).astype(np.float32))
+    weight = Tensor(rng.uniform(0.5, 1.5, (e, h, 1)).astype(np.float32), requires_grad=True)
+    seed = rng.standard_normal((n, h, d)).astype(np.float32)
+    out = gspmm(graph, x, weight)
+    _, host = _traced_peak(lambda: ops.mul(out, Tensor(seed)).sum().backward())
+
+    # One (E, H, D) product is 6 MB; the blocked gradient never forms one.
+    edge_product = e * h * d * _F32
+    assert host < edge_product / 2, host
+    # Bit-equal to reducing the whole product at once.
+    whole = np.zeros(weight.shape, np.float32)
+    whole[graph.edge_ids] = (seed[graph.rows] * x.data[graph.indices]).sum(axis=2, keepdims=True)
+    assert weight.grad.tobytes() == whole.tobytes()
+
+
 #: ``name -> (op on Cora's features and a column, share of the dense output bytes the host may allocate)``.
 #: Dropout keeps half the nonzeros: their CSR alone is 1/11 of the dense bytes,
 #: and its temporaries take it to 1/6; a dense bool mask would be 1/4 more.
