@@ -92,9 +92,8 @@ class Tracer:
         ref.key = id(tensor)
         ref.serial = next(self._serials)
         self._seen[ref.key] = ref
-        # An unbuilt DeclaredTensor is charged as itself; ``.data`` would build it.
-        unbuilt = getattr(tensor, "_dense", ()) is None
-        self._pool.hold(tensor if unbuilt else tensor.data)
+        # A DeclaredTensor is tracked as itself; ``.data`` would build it.
+        self._pool.hold(tensor if hasattr(tensor, "charge") else tensor.data)
         if tensor._node is not None:
             self._grad_nodes.append(tensor._node)
         return ref.serial

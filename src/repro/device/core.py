@@ -15,7 +15,7 @@ from repro.device.clock import SimClock
 from repro.device.gpu import GPUSpec, RTX_2080TI, kernel_efficiency
 from repro.device.host import DEFAULT_HOST_COSTS, HostCostModel
 from repro.device.kernel import KernelRecord, Profiler
-from repro.device.memory import MemoryPool
+from repro.device.memory import Charge, MemoryPool
 from repro.device.streams import Event, Stream
 
 
@@ -450,13 +450,17 @@ class Device:
     # ------------------------------------------------------------------
     # memory
     # ------------------------------------------------------------------
-    def track(self, array) -> None:
-        """Account a numpy buffer against device memory (freed on GC).
+    def track(self, array) -> Charge:
+        """Account a numpy buffer against device memory (freed on GC); its charge.
 
         Under fp16 precision the charge is half the array's fp32 bytes —
         tensors ship at half width, so peak memory effectively doubles.
         """
-        self.memory.track(array, scale=self._byte_scale)
+        return self.memory.track(array, scale=self._byte_scale)
+
+    def reserve(self, nbytes: int) -> Charge:
+        """Charge ``nbytes`` of fp32 buffer that no array holds, scaled as :meth:`track`."""
+        return self.memory.reserve(int(nbytes * self._byte_scale))
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

@@ -1,17 +1,17 @@
 """Simulated device memory pool with peak tracking.
 
-Every tensor (and gradient buffer) that the engine materialises "on the GPU"
-registers its byte size here.  Buffers are released when the owning numpy
-array is garbage collected, which mirrors the lifetime behaviour of a real
-caching allocator closely enough for the paper's purposes.  The autograd
-tape holds grad nodes, and each node holds only the arrays its backward
-reads, as PyTorch's saved tensors do.  An activation no backward reads is
-freed as soon as the forward stops using it, and a saved one is freed once
-backward has propagated through its node.  So the peak lands at the end of
-the forward pass, where PyTorch's peak sits, at the size of what the step
-saves rather than of everything it computed.  Under graph capture the pool
-also holds the charge of every array the tracer saw until the capture
-ends (:meth:`MemoryPool.hold`), though the host frees the array as usual.
+The unit of account is a :class:`Charge`: bytes allocated once and freed
+once, when its last holder drops it.  A tracked array holds its charge (an
+array maps to it by identity); a backward closure, a ``DeclaredTensor`` or
+the capture hold keeps one by holding a reference to it, so the device can
+pay for a buffer the host has freed, or never made.  The autograd tape
+holds grad nodes, and each node holds only what its backward reads, as
+PyTorch's saved tensors do: an activation no backward reads is freed as
+soon as the forward stops using it, and a saved one once backward has
+propagated through its node.  So the peak lands at the end of the forward
+pass, where PyTorch's sits.  Under graph capture the pool also holds the
+charge of every array the tracer saw until the capture ends
+(:meth:`MemoryPool.hold`), though the host frees the array as usual.
 
 The paper reads peak usage off ``nvidia-smi``; benchmarks here read it off
 :meth:`MemoryPool.peak`.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import ctypes
 import os
 import weakref
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 # <malloc.h> parameter numbers, and what they are raised to: no trimming
 # below 1 GiB of free heap top, and ``mmap`` only past 32 MiB — the ceiling
@@ -79,13 +79,24 @@ class OutOfMemoryError(RuntimeError):
     """Raised when an allocation would exceed the device capacity."""
 
 
-class _TrackedRef(weakref.ref):
-    """Weak reference to a tracked array, carrying what its death gives back.
+class Charge:
+    """Bytes a pool allocated (:meth:`MemoryPool.reserve`), freed when its last holder drops it.
 
-    ``hold`` is the ref's place in the pool's capture hold, or ``None``.
+    ``pool`` is a weak reference: the charges of a pool that is gone free nothing.
     """
 
-    __slots__ = ("key", "nbytes", "hold")
+    __slots__ = ("pool", "nbytes")
+
+    def __del__(self) -> None:
+        pool = self.pool()
+        if pool is not None:
+            pool.free(self.nbytes)
+
+
+class _Holding(weakref.ref):
+    """A tracked array's hold on its charge, dropped by the pool when the array dies."""
+
+    __slots__ = ("key", "charge")
 
 
 class MemoryPool:
@@ -100,18 +111,24 @@ class MemoryPool:
         #: Active :class:`~repro.faults.FaultInjector`, installed by
         #: :meth:`Device.injecting`; consulted on every :meth:`alloc`.
         self.injector = None
-        # numpy arrays are unhashable, so track identities: id -> the weak
-        # reference whose callback frees the bytes.  The callback runs while
-        # the array is being collected, before its id can be handed out
-        # again, and removes only its own entry — CPython id reuse is safe.
-        self._tracked: Dict[int, _TrackedRef] = {}
-        # The capture hold (:meth:`hold`): refs whose charge outlives their
-        # array until :meth:`release_held`, in the order they were first held.
-        self._held: List[_TrackedRef] = []
+        # numpy arrays are unhashable, so track identities: id -> holding.
+        tracked: Dict[int, _Holding] = {}
+
+        def drop(ref: _Holding) -> None:
+            # Runs while the array is collected, before its id can be reused,
+            # and removes only its own entry: CPython id reuse is safe.
+            if tracked.get(ref.key) is ref:
+                del tracked[ref.key]
+
+        self._tracked = tracked
+        self._drop = drop
+        self._weakself = weakref.ref(self)
+        # The capture hold (:meth:`hold`): id -> charge, in the order first held.
+        self._held: Dict[int, Charge] = {}
 
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int) -> None:
-        """Reserve ``nbytes``; raises :class:`OutOfMemoryError` on overflow."""
+        """Allocate ``nbytes``; raises :class:`OutOfMemoryError` on overflow."""
         if nbytes < 0:
             raise ValueError("allocation size must be non-negative")
         if self.injector is not None:
@@ -127,82 +144,58 @@ class MemoryPool:
             self._peak = self.current
 
     def free(self, nbytes: int) -> None:
-        """Release ``nbytes`` previously reserved with :meth:`alloc`."""
-        self.current = max(0, self.current - nbytes)
+        """Release ``nbytes`` taken by :meth:`alloc`; more than is in use raises."""
+        if not 0 <= nbytes <= self.current:
+            raise ValueError(f"cannot free {nbytes} bytes with {self.current} in use")
+        self.current -= nbytes
 
-    def track(self, array: Any, scale: float = 1.0) -> None:
-        """Account ``array`` (a numpy ndarray) against this pool.
+    def reserve(self, nbytes: int) -> Charge:
+        """Allocate ``nbytes`` as a new :class:`Charge` that no array holds yet."""
+        self.alloc(nbytes)
+        charge = Charge()
+        charge.pool, charge.nbytes = self._weakself, nbytes
+        return charge
 
-        The bytes are freed automatically when the array is garbage
-        collected.  Tracking the same array twice is a no-op, so wrapping an
-        already-tracked buffer in a second view or Tensor is safe.
-        ``scale`` adjusts the charged size (0.5 under the device's fp16
-        precision mode: tensors ship at half width).
+    def track(self, array: Any, scale: float = 1.0) -> Charge:
+        """Charge ``array`` (a numpy ndarray) to this pool, held by the array; the charge.
+
+        Tracking an array again returns the charge it holds, so wrapping a
+        tracked buffer in a second Tensor is safe.  ``scale`` adjusts the
+        charged size (0.5 under the device's fp16 precision mode).
         """
         key = id(array)
         if key in self._tracked:
-            return
-        nbytes = int(array.nbytes * scale)
-        self.alloc(nbytes)
-        self._tracked[key] = self._ref(array, nbytes)
+            return self._tracked[key].charge
+        charge = self.reserve(int(array.nbytes * scale))
+        # :meth:`share`, inlined: this runs for every array an op makes.
+        ref = self._tracked[key] = _Holding(array, self._drop)
+        ref.key, ref.charge = key, charge
+        return charge
 
-    def _ref(self, array: Any, nbytes: int) -> _TrackedRef:
-        ref = _TrackedRef(array, self._release)
-        ref.key = id(array)
-        ref.nbytes = nbytes
-        ref.hold = None
-        return ref
-
-    def hand_over(self, holder: Any, array: Any) -> None:
-        """Move ``holder``'s charge to ``array``, to be freed when ``array`` is.
-
-        Neither an alloc nor a free: the bytes stay charged and only the
-        object whose collection frees them changes.  Two callers: an object
-        that builds its array lazily and then keeps it (``DeclaredTensor``),
-        so the charge lasts until both are gone, and ``gather_mul``, whose
-        zero-size stand-in keeps the gathered rows' charge while the host
-        frees the rows.  A held charge stays held: the new ref takes the old
-        one's place in the hold.  ``holder`` must be tracked here.
-        """
-        old = self._tracked.pop(id(holder))
-        # ``old`` dies with this frame, so its callback never runs.
-        ref = self._ref(array, old.nbytes)
-        if old.hold is not None:
-            ref.hold = old.hold
-            self._held[ref.hold] = ref
-        self._tracked[ref.key] = ref
+    def share(self, array: Any, charge: Charge) -> None:
+        """Make untracked ``array`` one more holder of ``charge``: no alloc, no free."""
+        ref = self._tracked[id(array)] = _Holding(array, self._drop)
+        ref.key, ref.charge = id(array), charge
 
     def hold(self, array: Any) -> None:
-        """Keep the charges of ``array`` and its bases until :meth:`release_held`.
+        """Hold the charges of ``array`` and its bases until :meth:`release_held`.
 
         A graph capture holds every array its tracer sees: the device pays
-        for each one until the capture ends, or later if the array lives
-        longer, while the host frees it as an eager step would.  Untracked
-        arrays and those already held are skipped.
+        for each until the capture ends (or its last other holder goes),
+        while the host frees it as an eager step would.  Untracked arrays
+        are skipped; a charge already held is held once.
         """
         while array is not None:
             ref = self._tracked.get(id(array))
-            if ref is not None and ref.hold is None:
-                ref.hold = len(self._held)
-                self._held.append(ref)
+            if ref is not None:
+                self._held.setdefault(id(ref.charge), ref.charge)
             array = getattr(array, "base", None)
 
     def release_held(self) -> None:
-        """End the hold: free the held charges whose arrays are gone, in hold order.
-
-        A held array still alive is freed at its death, like any other.
-        """
-        held, self._held = self._held, []
-        for ref in held:
-            ref.hold = None
-            if ref() is None:
-                self.free(ref.nbytes)
-
-    def _release(self, ref: _TrackedRef) -> None:
-        if self._tracked.get(ref.key) is ref:
-            del self._tracked[ref.key]
-        if ref.hold is None:
-            self.free(ref.nbytes)
+        """End the hold: drop the held charges in hold order, freeing those it alone held."""
+        held, self._held = self._held, {}
+        for key in list(held):
+            del held[key]
 
     # ------------------------------------------------------------------
     @property

@@ -123,12 +123,12 @@ class DeclaredTensor(Tensor):
     :attr:`rows` and keeps it.
 
     The pool is charged the dense bytes from creation until the last holder
-    is gone, as for the dense output it stands for: the object itself is
-    charged, and the first read hands that charge to the array it builds,
-    which this object then keeps alive (no second alloc, no free).
+    is gone, as for the dense output it stands for: the object is tracked
+    as itself, and the array a read builds is one more holder of its
+    :attr:`charge`.
     """
 
-    __slots__ = ("rows", "_shape", "_pool", "_dense")
+    __slots__ = ("rows", "_shape", "charge", "_dense")
 
     def __init__(self, rows: SparseRows, shape: Tuple[int, ...]) -> None:
         self.rows = rows
@@ -138,9 +138,7 @@ class DeclaredTensor(Tensor):
         self.grad = None
         self._node = None
         self._post_accumulate_hooks = None
-        device = current_device()
-        self._pool = device.memory
-        device.track(self)
+        self.charge = current_device().track(self)
 
     @property
     def data(self) -> np.ndarray:
@@ -150,7 +148,7 @@ class DeclaredTensor(Tensor):
             dense = np.zeros(self._shape, dtype=np.float32)
             dense.reshape(-1)[rows.positions] = rows.data
             _register(dense, rows)
-            self._pool.hand_over(self, dense)
+            self.charge.pool().share(dense, self.charge)
             self._dense = dense
         return dense
 

@@ -191,8 +191,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     nbytes = float(_F32 * (n * k + k * m + n * m))
     # Each operand is saved only for the other's gradient; a sparse lhs is
     # saved as well, unread, so the pool frees its dense bytes when it would
-    # (a declared output as itself, which holds that charge, not a dense copy).
-    a_data = (a if declared else a.data) if b.requires_grad else None
+    # (a declared output as its charge: it has no dense array to save).
+    a_data = (a.charge if declared else a.data) if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
 
     def backward(grad: np.ndarray):

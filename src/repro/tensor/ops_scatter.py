@@ -57,10 +57,9 @@ def gather_mul(x: Tensor, index: np.ndarray, weight: Tensor) -> Tensor:
     rows for ``weight``'s gradient; this op saves ``(x.data, index)`` and
     re-gathers the rows in blocks of :data:`GATHER_MUL_BLOCK` edges,
     reducing each block's product as the chain reduces the whole (bit-equal:
-    each row's sum is unchanged).  The rows' charge moves to a zero-size
-    stand-in that the node holds, so the device pays for them until this
-    backward runs, as it did, while the host frees them when the forward
-    returns.
+    each row's sum is unchanged).  The node holds the rows' charge, so the
+    device pays for them until this backward runs, as it did, while the
+    host frees them when the forward returns.
 
     Precondition: something else keeps ``x.data`` until after this backward
     (pygx GAT's attention halves save ``z``), or saving it lengthens ``x``'s
@@ -76,17 +75,15 @@ def gather_mul(x: Tensor, index: np.ndarray, weight: Tensor) -> Tensor:
     out = gathered.data * scale.data
     size, w_shape = out.size, scale.shape
     w_data = scale.data if gathered.requires_grad else None
-    x_data = charged = None
+    x_data = rows_charge = None
     if scale.requires_grad:
-        # A zero-size stand-in holds the gathered rows' pool charge until
-        # this node is freed.
-        x_data, charged = x.data, np.empty(0, np.float32)
-        current_device().memory.hand_over(gathered.data, charged)
+        # The rows are tracked already: this is their charge, not a second one.
+        x_data, rows_charge = x.data, current_device().track(gathered.data)
 
     def backward(grad: np.ndarray):
         launch_backward("mul_backward", float(grad.size), _F32 * 3.0 * grad.size)
         gw = None
-        if charged is not None:
+        if rows_charge is not None:
             gw = np.empty(w_shape, np.float32)
             for start in range(0, len(index), GATHER_MUL_BLOCK):
                 block = slice(start, start + GATHER_MUL_BLOCK)

@@ -216,18 +216,16 @@ def gspmm(
     # edge per feature (plus CSR-ordered weight copies); it stays allocated
     # while the autograd graph holds this kernel's backward closure, which
     # is what pushes DGL's peak memory above PyG's in Fig. 4.  Nothing reads
-    # or writes it, so the pool is charged its full ``nbytes`` through a
-    # zero-stride view of one float and the host holds four bytes.
+    # or writes it, so the closure holds its charge and no host array.
     device = current_device()
-    workspace = np.ndarray((2, e, feat_dim), np.float32, np.empty(1, np.float32), strides=(0, 0, 0))
-    device.track(workspace)
+    workspace = device.reserve(_F32 * 2 * e * feat_dim)
     if w_csr_scalar is not None:
         device.track(w_csr_scalar)
     if w_sorted is not None:
         device.track(w_sorted)
 
     def backward(grad: np.ndarray):
-        _ = workspace  # saved-for-backward workspace, freed after this runs
+        _ = workspace  # the saved workspace's charge, freed after this runs
         g = grad.astype(np.float32, copy=False)
         if reduce == "mean":
             g = g / degrees.reshape((-1,) + (1,) * (g.ndim - 1))

@@ -340,9 +340,9 @@ def make_op(
     own kernels to the device when it runs.  It is kept on the tape until it
     has run, so it must close over what its gradient formula reads — arrays,
     shapes, flags fixed at forward time — and never over a Tensor, whose
-    ``.data`` it would keep alive whether the formula reads it or not.  (A
-    ``DeclaredTensor`` holds no dense array until one is read: ``matmul``
-    saves one unread, to keep its dense charge for as long as the array's.)
+    ``.data`` it would keep alive whether the formula reads it or not.  To
+    keep paying for a buffer it does not read, it holds the buffer's
+    :class:`~repro.device.memory.Charge`.
     """
     device = current_device()
     device.launch(name, flops=flops, bytes_moved=bytes_moved)

@@ -5,13 +5,14 @@ array it saw until the capture ends.  ``PinningTracer`` below is the tracer
 that held strong references instead (every tensor it saw, and every node's
 output array), which is what kept the device's charges and, with them, the
 host's bytes.  It runs the two-op chain pygx GAT's ``gather_mul`` stands
-for, whose rows it pinned, as the tracer did before ``gather_mul`` handed
-their charge to a stand-in under capture too.  Swapped into
+for, whose rows it pinned, as the tracer did before ``gather_mul``'s node
+kept the rows' charge without the rows.  Swapped into
 :class:`CompiledStep`, both must charge a step alike: the launch records
 (name, FLOPs, bytes, the pool's ``current``), the pool's ``current`` at
 every alloc and once the capture has returned, its peak, and
-``CompileStats``.  Then the host side: what the device still charges, the
-host has freed; and a capture that raises leaves nothing held.
+``CompileStats``; and under either, a step that is gone has freed every
+byte it allocated, once.  Then the host side: what the device still
+charges, the host has freed; and a capture that raises leaves nothing held.
 """
 
 import weakref
@@ -82,12 +83,17 @@ def _observe(monkeypatch, tracer_cls, run):
         monkeypatch.setattr(gat, "gather_mul", _chain)
     device = Device()
     device.profiler.enabled = True
-    at_alloc, after_capture = [], []
-    alloc, capture = MemoryPool.alloc, CompiledStep._capture
+    at_alloc, after_capture, allocated, freed = [], [], [], []
+    alloc, free, capture = MemoryPool.alloc, MemoryPool.free, CompiledStep._capture
 
     def alloc_spy(pool, nbytes):
         alloc(pool, nbytes)
         at_alloc.append(pool.current)
+        allocated.append(nbytes)
+
+    def free_spy(pool, nbytes):
+        free(pool, nbytes)
+        freed.append(nbytes)
 
     def capture_spy(step, device, *args):
         result = capture(step, device, *args)
@@ -95,6 +101,7 @@ def _observe(monkeypatch, tracer_cls, run):
         return result
 
     monkeypatch.setattr(MemoryPool, "alloc", alloc_spy)
+    monkeypatch.setattr(MemoryPool, "free", free_spy)
     monkeypatch.setattr(CompiledStep, "_capture", capture_spy)
     with use_device(device):
         stats = run()
@@ -105,6 +112,10 @@ def _observe(monkeypatch, tracer_cls, run):
         "after_capture": after_capture,
         "peak": device.memory.peak,
         "stats": stats,
+        # Once ``run()`` has returned: what was allocated and freed, and what is left.
+        "allocated": sum(allocated),
+        "freed": sum(freed),
+        "current": device.memory.current,
     }
 
 
@@ -202,7 +213,7 @@ def _view_of_an_unseen_array():
 
 
 @_twice
-def _hand_overs():
+def _shared_charges():
     rng = np.random.default_rng(1)
     z = Tensor(rng.standard_normal((5, 2, 3)).astype(np.float32), requires_grad=True)
     src = np.array([0, 4, 4, 1, 2, 3, 0])
@@ -213,8 +224,8 @@ def _hand_overs():
 
     def step():
         w.grad = z.grad = None
-        # Dropout of a declared input returns a DeclaredTensor, built when
-        # the tracer reads it; gather_mul moves the rows' charge to a stand-in.
+        # Dropout of a declared input returns a DeclaredTensor, whose built
+        # array shares its charge; gather_mul's node keeps the rows' charge.
         dropped = ops.dropout(x, 0.5, True, np.random.default_rng(3))
         weight = ops.sigmoid(index_rows(ops.matmul(dropped, w), src))
         loss = gat.gather_mul(z, src, weight).sum()
@@ -233,8 +244,9 @@ CASES = {
     "scalar_constant": _scalar_constant,
     "unused_backward": _unused_backward,
     "view_of_an_unseen_array": _view_of_an_unseen_array,
-    "hand_overs": _hand_overs,
+    "shared_charges": _shared_charges,
 }
+STEPS = ["reshape_alias", "scalar_constant", "unused_backward", "view_of_an_unseen_array", "shared_charges"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -248,6 +260,17 @@ def test_capture_charges_as_the_pinning_tracer(monkeypatch, case):
     assert "replays=0" not in held["stats"] and "guard_failures=0" in held["stats"]
     for key in ("launches", "current_at_alloc", "after_capture", "peak", "stats"):
         assert held[key] == pinned[key], f"{key} moved"
+
+
+@pytest.mark.parametrize("tracer", ["Tracer", "PinningTracer"])
+@pytest.mark.parametrize("case", STEPS)
+def test_a_step_that_is_gone_has_freed_every_byte_it_allocated_once(monkeypatch, case, tracer):
+    from repro.compile.tracer import Tracer
+
+    seen = _observe(monkeypatch, {"Tracer": Tracer, "PinningTracer": PinningTracer}[tracer], CASES[case])
+    assert seen["allocated"] > 0
+    assert seen["freed"] == seen["allocated"]
+    assert seen["current"] == 0, "the fresh device did not end where it started"
 
 
 def _events(monkeypatch, label=None):
@@ -314,8 +337,7 @@ def test_a_capture_that_raises_holds_nothing_afterwards(monkeypatch):
 
         with pytest.raises(ValueError, match="mid-capture"):
             CompiledStep(step)()
-        assert device.memory._held == []
-        assert all(ref.hold is None for ref in device.memory._tracked.values())
+        assert device.memory._held == {}
         w.grad = None
         assert device.memory.current == before
         events = _events(monkeypatch)

@@ -141,6 +141,18 @@ class TestClockAndLaunch:
         assert Device().clock.utilization() == 0.0
 
 
+def _spy_frees(pool):
+    """The sizes ``pool`` frees from now on, in order."""
+    frees, free = [], pool.free
+    pool.free = lambda nbytes: (frees.append(nbytes), free(nbytes))[1]
+    return frees
+
+
+def _keeping(charge):
+    """A closure that holds ``charge``, as a backward closure does."""
+    return lambda: charge
+
+
 class TestMemoryPool:
     def test_alloc_free_peak(self):
         pool = MemoryPool(100)
@@ -191,13 +203,71 @@ class TestMemoryPool:
         pool = MemoryPool(10**6)
         first, second = np.empty(4, np.float32), np.empty(8, np.float32)
         pool.track(first)
-        pool.track(second)
+        charge = pool.track(second)
         stale = pool._tracked.pop(id(first))
         # As if ``second`` had been handed ``first``'s id before the callback ran.
         pool._tracked[stale.key] = pool._tracked.pop(id(second))
-        pool._release(stale)
-        assert list(pool._tracked) == [stale.key] and pool._tracked[stale.key] is not stale
+        pool._drop(stale)
+        assert list(pool._tracked) == [stale.key] and pool._tracked[stale.key].charge is charge
+        del stale  # the stale hold was the last on ``first``'s charge
         assert pool.current == 32
+
+    def test_a_free_of_more_than_is_in_use_is_refused(self):
+        pool = MemoryPool(100)
+        pool.alloc(30)
+        with pytest.raises(ValueError, match="cannot free 31 bytes with 30 in use"):
+            pool.free(31)
+        assert pool.current == 30
+
+    def test_a_charge_with_no_array_is_freed_when_its_holder_goes(self):
+        pool = MemoryPool(10**6)
+        charge = pool.reserve(64)
+        assert pool.current == 64 and pool._tracked == {}
+        del charge
+        assert pool.current == 0
+
+    @pytest.mark.parametrize("first_to_go", ["array", "closure"])
+    def test_a_charge_held_by_its_array_and_a_closure_is_freed_once_by_the_later(self, first_to_go):
+        pool = MemoryPool(10**6)
+        frees = _spy_frees(pool)
+        holders = {"array": np.empty(4, np.float32)}
+        holders["closure"] = _keeping(pool.track(holders["array"]))
+        del holders[first_to_go]
+        assert pool.current == 16 and frees == []
+        holders.clear()
+        assert pool.current == 0 and frees == [16]
+
+    def test_holding_a_charge_twice_holds_it_once(self):
+        pool = MemoryPool(10**6)
+        frees = _spy_frees(pool)
+        array, shared = np.empty(4, np.float32), np.empty(4, np.float32)
+        charge = pool.track(array)
+        pool.share(shared, charge)
+        view = array[1:]
+        pool.track(view)
+        for held in (array, shared, view, array):
+            pool.hold(held)
+        assert [c.nbytes for c in pool._held.values()] == [16, 12]
+        del array, shared, view, held, charge
+        assert frees == []
+        pool.release_held()
+        assert frees == [16, 12] and pool.current == 0
+
+    def test_release_held_frees_in_hold_order_and_leaves_live_charges_charged(self):
+        pool = MemoryPool(10**6)
+        frees = _spy_frees(pool)
+        arrays = [np.empty(n, np.float32) for n in (1, 2, 3)]
+        live = np.empty(5, np.float32)
+        for array in arrays + [live]:
+            pool.track(array)
+        for array in (arrays[2], live, arrays[0], arrays[1]):
+            pool.hold(array)
+        del arrays, array  # the host frees them; the hold keeps their charges
+        assert pool.current == 44 and frees == []
+        pool.release_held()
+        assert frees == [12, 4, 8] and pool.current == 20 and pool._held == {}
+        del live
+        assert frees == [12, 4, 8, 20] and pool.current == 0
 
     def test_out_of_memory_registers_nothing(self):
         pool = MemoryPool(100)

@@ -6,8 +6,7 @@ the same output and gradients bit for bit, the same launch records (name,
 FLOPs, bytes and the pool's ``current`` at each launch) and the same pool
 alloc / free sequence and peak — eagerly, under ``CompiledStep`` capture and
 under replay.  Only what the product's node saves differs: ``(x.data,
-index)`` and a zero-size stand-in holding the gathered rows' charge, never
-the rows themselves.
+index)`` and the gathered rows' charge, never the rows themselves.
 """
 
 import weakref

@@ -17,7 +17,6 @@ import pytest
 from repro.datasets import cora
 from repro.datasets.base import NodeClassificationDataset
 from repro.device import Device
-from repro.device.memory import MemoryPool
 from repro.graph import GraphSample
 from repro.tensor import ops
 from repro.tensor._declared import DeclaredTensor
@@ -49,16 +48,15 @@ def _one_epoch(monkeypatch, framework, model, dataset):
         return rows
 
     monkeypatch.setattr(ops, "sparse_rows", spy)
-    # A declared output hands its charge over exactly when it builds its dense
-    # array; other holders (pygx GAT's gathered rows) hand theirs over too.
-    hand_over = MemoryPool.hand_over
+    # A declared output builds its dense array on the first read of ``.data``.
+    read = DeclaredTensor.data.fget
 
-    def spy_hand_over(pool, holder, array):
-        if isinstance(holder, DeclaredTensor):
-            built.append(holder)
-        hand_over(pool, holder, array)
+    def spy_read(tensor):
+        if tensor._dense is None:
+            built.append(tensor.shape)
+        return read(tensor)
 
-    monkeypatch.setattr(MemoryPool, "hand_over", spy_hand_over)
+    monkeypatch.setattr(DeclaredTensor, "data", property(spy_read))
     device = Device()
     device.profiler.enabled = True
     result = NodeClassificationTrainer(framework, model, dataset, max_epochs=1, device=device).run()
