@@ -8,7 +8,9 @@ kernel launch to the active tracer.  :func:`repro.tensor.make_op`
 additionally annotates the launch it just made with the output/parent
 tensors, giving the IR its dataflow edges, and — for an output outside the
 autograd graph — the output array, which CSE fingerprints afterwards for
-the few nodes it could eliminate.
+the few nodes it could eliminate.  A fused op annotates the launches of the
+chain it stands for itself, naming each interior output by its charge
+(:meth:`Tracer.annotate_interior`).
 
 Tensor identities in the IR are capture-local serials, not ``id()``s.  The
 tracer holds each tensor it sees through a weak reference whose callback
@@ -24,6 +26,7 @@ if every tensor it made lived until the capture ends.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -32,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.compile.ir import GraphIR, IRNode
 from repro.device import current_device
+from repro.device.memory import Charge
 
 #: Arrays larger than this are not content-fingerprinted (CSE treats their
 #: tensors as unique); hashing is capture-only but should stay cheap.
@@ -92,6 +96,10 @@ class Tracer:
         ref.key = id(tensor)
         ref.serial = next(self._serials)
         self._seen[ref.key] = ref
+        if type(tensor) is Charge:
+            # A fused op's interior output: no array, no node, only its charge.
+            self._pool.hold(tensor)
+            return ref.serial
         # A DeclaredTensor is tracked as itself; ``.data`` would build it.
         self._pool.hold(tensor if hasattr(tensor, "charge") else tensor.data)
         if tensor._node is not None:
@@ -117,17 +125,31 @@ class Tracer:
 
     def annotate_op(self, out, parents: Sequence[object]) -> None:
         """Attach dataflow of a ``make_op`` call to the latest launch."""
+        node = self.annotate_interior(out, out.shape, out.requires_grad, parents)
+        if not node.requires_grad:
+            # Only CSE reads it, and only for nodes outside the autograd graph.
+            node.out_data = out.data
+
+    def annotate_interior(
+        self, out, shape: Tuple[int, ...], requires_grad: bool, parents: Sequence[object]
+    ) -> IRNode:
+        """Attach dataflow to the latest launch; the node.
+
+        ``out`` may be the :class:`~repro.device.memory.Charge` of a fused
+        op's interior output, the tensor its unfused chain made: it takes a
+        serial as that tensor did, and the pool holds it until the capture
+        ends.  With no array behind it, CSE treats it as unique, as it
+        treats an array over :data:`MAX_HASH_BYTES`.
+        """
         if not self.nodes:
             raise RuntimeError("annotate_op called before any launch was traced")
         node = self.nodes[-1]
         node.out_id = self._serial(out)
-        node.out_shape = tuple(out.shape)
-        node.out_size = int(out.size)
-        node.requires_grad = bool(out.requires_grad)
-        if not node.requires_grad:
-            # Only CSE reads it, and only for nodes outside the autograd graph.
-            node.out_data = out.data
+        node.out_shape = tuple(shape)
+        node.out_size = math.prod(shape)
+        node.requires_grad = bool(requires_grad)
         node.parent_ids = tuple(self._serial(p) for p in parents)
+        return node
 
     def alias(self, out, source) -> None:
         """Record that ``out`` is a kernel-free view of ``source``."""

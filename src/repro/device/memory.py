@@ -32,7 +32,7 @@ from __future__ import annotations
 import ctypes
 import os
 import weakref
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 # <malloc.h> parameter numbers, and what they are raised to: no trimming
 # below 1 GiB of free heap top, and ``mmap`` only past 32 MiB — the ceiling
@@ -83,9 +83,11 @@ class Charge:
     """Bytes a pool allocated (:meth:`MemoryPool.reserve`), freed when its last holder drops it.
 
     ``pool`` is a weak reference: the charges of a pool that is gone free nothing.
+    A charge may stand in for an array the host never built (a fused op's
+    interior output), so a capture tracer can name it by a weak reference.
     """
 
-    __slots__ = ("pool", "nbytes")
+    __slots__ = ("pool", "nbytes", "__weakref__")
 
     def __del__(self) -> None:
         pool = self.pool()
@@ -177,19 +179,32 @@ class MemoryPool:
         ref = self._tracked[id(array)] = _Holding(array, self._drop)
         ref.key, ref.charge = id(array), charge
 
+    def charges(self, array: Any) -> Tuple[Charge, ...]:
+        """The charges of ``array`` and of each numpy base under it, nearest first.
+
+        Untracked arrays in the chain are skipped.  Holding these keeps the
+        device paying for ``array`` as holding the array itself would, while
+        the host may free it.
+        """
+        found = []
+        while array is not None:
+            ref = self._tracked.get(id(array))
+            if ref is not None:
+                found.append(ref.charge)
+            array = getattr(array, "base", None)
+        return tuple(found)
+
     def hold(self, array: Any) -> None:
         """Hold the charges of ``array`` and its bases until :meth:`release_held`.
 
         A graph capture holds every array its tracer sees: the device pays
         for each until the capture ends (or its last other holder goes),
-        while the host frees it as an eager step would.  Untracked arrays
-        are skipped; a charge already held is held once.
+        while the host frees it as an eager step would.  ``array`` may be a
+        :class:`Charge` itself, held as it is.  Untracked arrays are skipped;
+        a charge already held is held once.
         """
-        while array is not None:
-            ref = self._tracked.get(id(array))
-            if ref is not None:
-                self._held.setdefault(id(ref.charge), ref.charge)
-            array = getattr(array, "base", None)
+        for charge in (array,) if type(array) is Charge else self.charges(array):
+            self._held.setdefault(id(charge), charge)
 
     def release_held(self) -> None:
         """End the hold: drop the held charges in hold order, freeing those it alone held."""

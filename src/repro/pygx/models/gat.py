@@ -18,7 +18,7 @@ from repro.models import ModelConfig
 from repro.nn import Linear, Module, Parameter
 from repro.pygx.models.base import PyGXNet
 from repro.pygx.softmax import edge_softmax
-from repro.tensor import Tensor, elu, gather_mul, index_rows, leaky_relu, ops, scatter_sum
+from repro.tensor import Tensor, elu, gather_mul_sum, index_rows, leaky_relu, ops
 from repro.tensor.creation import randn
 
 
@@ -52,9 +52,9 @@ class GATConv(Module):
             negative_slope=0.2,
         )
         attention = edge_softmax(logits, dst, num_nodes)  # (E, H)
-        # x_j * alpha; the tape keeps (z, src), which the halves above save anyway.
-        messages = gather_mul(z, src, attention)  # (E, H, D)
-        out = scatter_sum(messages, dst, num_nodes)  # (N, H, D)
+        # sum_j alpha_ij x_j.  ``messages`` is the charge of PyG's (E, H, D)
+        # message tensor, held while this layer runs; the host never builds it.
+        out, messages = gather_mul_sum(z, src, attention, dst, num_nodes)  # (N, H, D)
         if self.concat_heads:
             return elu(out.reshape(num_nodes, self.heads * self.head_dim))
         return out.mean(axis=1)  # average heads: final layer logits

@@ -43,7 +43,7 @@ from repro.tensor.ops import (  # noqa: A004 - mirrors numpy naming
 )
 from repro.tensor.ops_nn import batch_norm, nll_loss
 from repro.tensor.ops_scatter import (
-    gather_mul,
+    gather_mul_sum,
     index_rows,
     scatter_max,
     scatter_mean,
@@ -99,7 +99,7 @@ __all__ = [
     "batch_norm",
     "nll_loss",
     "index_rows",
-    "gather_mul",
+    "gather_mul_sum",
     "scatter_sum",
     "scatter_mean",
     "scatter_max",

@@ -89,19 +89,19 @@ def check_offsets(offsets: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(offsets, dtype=np.int64)
 
 
-def _matvecs(kernel, num_rows, num_cols, indptr, indices, data, x) -> np.ndarray:
-    """``kernel`` (one sparsetools loop) over validated arrays, into a fresh buffer.
+def _matvecs(kernel, out, num_cols, indptr, indices, data, x) -> np.ndarray:
+    """``kernel`` (one sparsetools loop) over validated arrays, adding into ``out``.
 
-    Returns ``num_rows`` float32 rows with the trailing shape of ``x``.
+    ``out`` is float32 rows with the trailing shape of ``x``, returned; the
+    loop never zeroes it, so a fresh result starts from ``np.zeros``.
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
-    out = np.zeros((num_rows,) + x.shape[1:], dtype=np.float32)
     if out.size and len(data):
         assert indptr.dtype == indices.dtype == np.int64, "index arrays must share int64"
         assert data.dtype == np.float32 and data.flags.c_contiguous, "data must be dense float32"
         assert out.flags.c_contiguous, "a copied output buffer would lose the result"
-        width = out.size // num_rows
-        kernel(num_rows, num_cols, width, indptr, indices, data, x.ravel(), out.ravel())
+        num_rows = out.shape[0]
+        kernel(num_rows, num_cols, out.size // num_rows, indptr, indices, data, x.ravel(), out.ravel())
     return out
 
 
@@ -114,7 +114,20 @@ def scatter_add_rows(values: np.ndarray, index: np.ndarray, dim_size: int) -> np
     n = len(values)
     index = check_index(index, n, dim_size)
     ones, starts = np.ones(n, dtype=np.float32), np.arange(n + 1, dtype=np.int64)
-    return _matvecs(csc_matvecs, dim_size, n, starts, index, ones, values)
+    out = np.zeros((dim_size,) + values.shape[1:], dtype=np.float32)
+    return _matvecs(csc_matvecs, out, n, starts, index, ones, values)
+
+
+def scatter_add_rows_into(out: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """:func:`scatter_add_rows` adding into the float32 buffer ``out`` (returned).
+
+    ``index`` must have passed :func:`check_index` for ``len(out)`` rows.  The
+    loop adds row ``i`` after row ``i - 1``, so calls over consecutive slices
+    of one index, in order, leave the bits of one call over the whole.
+    """
+    n = len(values)
+    ones, starts = np.ones(n, dtype=np.float32), np.arange(n + 1, dtype=np.int64)
+    return _matvecs(csc_matvecs, out, n, starts, index, ones, values)
 
 
 def segment_add_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -126,7 +139,8 @@ def segment_add_rows(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     n = len(values)
     indptr = check_offsets(indptr, n)
     ones, columns = np.ones(n, dtype=np.float32), np.arange(n, dtype=np.int64)
-    return _matvecs(csr_matvecs, len(indptr) - 1, n, indptr, columns, ones, values)
+    out = np.zeros((len(indptr) - 1,) + values.shape[1:], dtype=np.float32)
+    return _matvecs(csr_matvecs, out, n, indptr, columns, ones, values)
 
 
 def csr_product(
@@ -164,6 +178,7 @@ def csr_product(
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.shape != (nnz,):
             raise ValueError(f"data must be 1-D with length {nnz}, got {data.shape}")
+    out = np.zeros((num_rows,) + x.shape[1:], dtype=np.float32)
     if transpose:
-        return _matvecs(csc_matvecs, num_rows, stored_rows, indptr, indices, data, x)
-    return _matvecs(csr_matvecs, num_rows, len(x), indptr, indices, data, x)
+        return _matvecs(csc_matvecs, out, stored_rows, indptr, indices, data, x)
+    return _matvecs(csr_matvecs, out, len(x), indptr, indices, data, x)

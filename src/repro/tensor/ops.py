@@ -248,30 +248,33 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.01) -> Tensor:
     return make_op("leaky_relu", out, (a,), backward, flops, nbytes)
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    """ELU, branch-free: ``max(x, 0) + alpha * (exp(min(x, 0)) - 1)``.
+def elu(a: Tensor) -> Tensor:
+    """ELU (``alpha = 1``), branch-free: ``max(x, 0) + (exp(min(x, 0)) - 1)``.
 
     The second term is exactly 0 where ``x > 0``, so the result has the bits
     of the ``where(x > 0, x, ...)`` form.  The backward factor is
-    ``(min(out, 0) + alpha) * (1 - [x > 0]) + [x > 0]``: finite for every
-    input (``+inf`` included) and exact for ``alpha >= 0``, which is all this
-    tree uses (docs/kernels.md, "Activation numerics").
+    ``min(out, 0) + 1``: ``[out > 0]`` is ``[x > 0]`` for every input, and
+    the factor is exactly 1 there, so it has the bits of the select form's
+    ``(min(out, 0) + 1) * (1 - [x > 0]) + [x > 0]`` for every input, ``+inf``
+    and ``nan`` included (docs/kernels.md, "Activation numerics").  So the
+    closure saves only the output, and the input's charges (its array's and
+    each base's): the device pays for the input until this backward runs,
+    as when it was saved, while the host frees it when the forward is done
+    with it.
     """
     x = a.data
     out = np.minimum(x, 0.0)
     np.exp(out, out=out)
     out -= 1.0
-    out *= alpha
     out += np.maximum(x, 0.0)
     flops, nbytes = _ew_cost(out, 1)
+    charges = current_device().memory.charges(x)
 
     def backward(grad: np.ndarray):
+        _ = charges  # the saved input's charges, freed after this runs
         launch_backward("elu_backward", *_ew_cost(grad, 1))
-        positive = x > 0.0
         local = np.minimum(out, 0.0)
-        local += alpha
-        local *= ~positive
-        local += positive
+        local += 1.0
         local *= grad
         return (local,)
 

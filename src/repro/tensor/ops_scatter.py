@@ -10,15 +10,20 @@ explicitly contrasts these two pooling paths in Section IV-C.
 
 from __future__ import annotations
 
+import math
+from typing import Tuple
+
 import numpy as np
 
 from repro.device import current_device
-from repro.tensor._reduce import check_index, check_offsets, scatter_add_rows
-from repro.tensor.tensor import Tensor, launch_backward, make_op, unbroadcast
+from repro.device.memory import Charge
+from repro.tensor._reduce import check_index, check_offsets, scatter_add_rows, scatter_add_rows_into
+from repro.tensor.autograd import grad_enabled
+from repro.tensor.tensor import Tensor, _GradNode, launch_backward, make_op, unbroadcast
 
 _F32 = 4
-#: Edges per block when :func:`gather_mul`'s backward re-gathers ``x[index]``
-#: (1 MB of float32 at 8 heads x 32 features).
+#: Edges per block of :func:`gather_mul_sum` and of GSpMM's edge-weight
+#: gradient (1 MB of float32 at 8 heads x 32 features).
 GATHER_MUL_BLOCK = 1024
 
 
@@ -45,52 +50,106 @@ def index_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return make_op("gather", out, (x,), backward, flops, nbytes)
 
 
-def gather_mul(x: Tensor, index: np.ndarray, weight: Tensor) -> Tensor:
-    """Per-edge messages ``x[index] * weight[..., None]`` (PyG's ``x_j * alpha``).
+def gather_mul_sum(
+    x: Tensor, src: np.ndarray, weight: Tensor, dst: np.ndarray, num_nodes: int
+) -> Tuple[Tensor, Charge]:
+    """Weighted aggregation ``out[dst[e]] += x[src[e]] * weight[e, ..., None]`` (PyG's GAT).
 
-    ``weight`` holds one scale per gathered row and leading feature axis:
-    shape ``(len(index),) + x.shape[1:-1]``.  The op is the chain
-    ``ops.mul(index_rows(x, index), weight.reshape(weight.shape + (1,)))``:
-    the same tape nodes, launches, FLOPs, bytes and pool charges, in that
-    order (the view is made after the gather, as the chain makes it).  Only
-    what the product's node saves differs.  The chain saves the gathered
-    rows for ``weight``'s gradient; this op saves ``(x.data, index)`` and
-    re-gathers the rows in blocks of :data:`GATHER_MUL_BLOCK` edges,
-    reducing each block's product as the chain reduces the whole (bit-equal:
-    each row's sum is unchanged).  The node holds the rows' charge, so the
-    device pays for them until this backward runs, as it did, while the
-    host frees them when the forward returns.
+    ``weight`` holds one scale per edge and leading feature axis: shape
+    ``(len(src),) + x.shape[1:-1]``.  To the device this is the chain
+    ``scatter_sum(ops.mul(index_rows(x, src), weight.reshape(weight.shape +
+    (1,))), dst, num_nodes)``: the same launches, FLOPs and bytes, forward and
+    backward, the same pool charges in the same order, and under capture the
+    same IR.  Returns the ``(num_nodes,) + x.shape[1:]`` output and the
+    charge of the chain's per-edge product, which the caller holds as long as
+    the chain's caller held the product (pygx GAT: until its layer returns).
+
+    The host never builds an ``(E,) + x.shape[1:]`` array.  The gathered rows
+    and their product are charges with no array (the rows' is held by the
+    tape node until this backward runs, as the product's node held the
+    rows).  Forward and backward run :data:`GATHER_MUL_BLOCK` edges at a time,
+    each block adding into one output or gradient buffer in edge order
+    through the chain's own loop, so results are bit-equal to the chain's.
+    ``src``, ``dst`` and ``weight`` are checked before any launch.
 
     Precondition: something else keeps ``x.data`` until after this backward
-    (pygx GAT's attention halves save ``z``), or saving it lengthens ``x``'s
-    charge.
+    (pygx GAT's attention halves save ``z``), or saving it for ``weight``'s
+    gradient lengthens ``x``'s charge.
     """
-    if x.ndim < 2 or weight.shape != (len(index),) + x.shape[1:-1]:
+    n_edges = len(src)
+    if x.ndim < 2 or weight.shape != (n_edges,) + x.shape[1:-1]:
         raise ValueError(
-            f"weight must have shape {(len(index),) + x.shape[1:-1]} for x {x.shape}, "
+            f"weight must have shape {(n_edges,) + x.shape[1:-1]} for x {x.shape}, "
             f"got {weight.shape}"
         )
-    gathered = index_rows(x, index)  # validates ``index``
+    src = check_index(src, n_edges, len(x))
+    dst = check_index(dst, n_edges, num_nodes)
+    device = current_device()
+    size = n_edges * math.prod(x.shape[1:])
+    edge_shape = (n_edges,) + x.shape[1:]
+    grad_on = grad_enabled()
+    x_grad = grad_on and x.requires_grad
+
+    device.launch("gather", flops=0.0, bytes_moved=float(_F32 * 2 * size))
+    rows = device.reserve(_F32 * size)
+    if device.tracer is not None:
+        device.tracer.annotate_interior(rows, edge_shape, x_grad, (x,))
     scale = weight.reshape(weight.shape + (1,))
-    out = gathered.data * scale.data
-    size, w_shape = out.size, scale.shape
-    w_data = scale.data if gathered.requires_grad else None
-    x_data = rows_charge = None
-    if scale.requires_grad:
-        # The rows are tracked already: this is their charge, not a second one.
-        x_data, rows_charge = x.data, current_device().track(gathered.data)
+    w_grad = scale.requires_grad
+    device.launch("mul", flops=float(size), bytes_moved=float(_F32 * 3 * size))
+    product = device.reserve(_F32 * size)
+    if device.tracer is not None:
+        device.tracer.annotate_interior(product, edge_shape, x_grad or w_grad, (rows, scale))
+
+    out_data = np.zeros((num_nodes,) + x.shape[1:], np.float32)
+    for start in range(0, n_edges, GATHER_MUL_BLOCK):
+        block = slice(start, start + GATHER_MUL_BLOCK)
+        messages = x.data[src[block]]
+        messages *= scale.data[block]
+        scatter_add_rows_into(out_data, messages, dst[block])
+    # The chain's product node: what it saved, and its parents.  An operand
+    # needing no gradient is a constant vertex (the rows, here their charge;
+    # the view), which the tape holds until the walk passes it.  What nothing
+    # holds goes before the scatter launches, as the chain's did (rows first).
+    x_data, saved_rows = (x.data, rows) if w_grad else (None, None)
+    view = scale.data if x_grad else None
+    parents = None
+    if x_grad or w_grad:
+        x_vertex = (x if x._node is None else x._node) if x_grad else rows
+        parents = (x_vertex, scale if scale._node is None else scale._node)
+    del rows, scale
+    x_shape, w_shape = x.shape, weight.shape + (1,)
 
     def backward(grad: np.ndarray):
-        launch_backward("mul_backward", float(grad.size), _F32 * 3.0 * grad.size)
-        gw = None
-        if rows_charge is not None:
-            gw = np.empty(w_shape, np.float32)
-            for start in range(0, len(index), GATHER_MUL_BLOCK):
-                block = slice(start, start + GATHER_MUL_BLOCK)
-                gw[block] = unbroadcast(grad[block] * x_data[index[block]], gw[block].shape)
-        return None if w_data is None else grad * w_data, gw
+        nonlocal saved_rows, view
+        launch_backward("scatter_sum_backward_gather", 0.0, _F32 * 2.0 * size)
+        launch_backward("mul_backward", float(size), _F32 * 3.0 * size)
+        gx = None if view is None else np.zeros(x_shape, np.float32)
+        gw = None if saved_rows is None else np.empty(w_shape, np.float32)
+        for start in range(0, n_edges, GATHER_MUL_BLOCK):
+            block = slice(start, start + GATHER_MUL_BLOCK)
+            g_messages = grad[dst[block]]
+            if gw is not None:
+                gw[block] = unbroadcast(g_messages * x_data[src[block]], gw[block].shape)
+            if gx is not None:
+                g_messages *= view[block]
+                scatter_add_rows_into(gx, g_messages, src[block])
+        # The product's node is done: its view and rows go before the gather's backward.
+        view = saved_rows = None
+        if gx is not None:
+            launch_backward("gather_backward_scatter_add", float(size), _F32 * 3.0 * size)
+        return gx, gw
 
-    return make_op("mul", out, (gathered, scale), backward, float(size), _F32 * 3.0 * size)
+    device.launch(
+        "scatter_sum", flops=float(size), bytes_moved=float(_F32 * (size + out_data.size))
+    )
+    out = Tensor(out_data)
+    if parents is not None:
+        out.requires_grad = True
+        out._node = _GradNode(backward, parents, out_data.size, out_data.nbytes)
+    if device.tracer is not None:
+        device.tracer.annotate_op(out, (product,))
+    return out, product
 
 
 # ----------------------------------------------------------------------

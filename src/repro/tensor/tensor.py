@@ -142,6 +142,7 @@ class Tensor:
                     "by the first backward()"
                 )
             parent_grads = vertex.backward(vertex_grad)
+            vertex_grad = None  # consumed: the host frees it before the parents' sums
             for parent, pgrad in zip(vertex.parents, parent_grads):
                 key = id(parent)
                 if key not in grads:
@@ -156,9 +157,11 @@ class Tensor:
                 if pgrad is not None:
                     grads[key] = pgrad if grads[key] is None else grads[key] + pgrad
             # Free what the closure saved, like PyTorch releasing saved
-            # tensors once their gradient has been used.
+            # tensors once their gradient has been used.  A parent stays
+            # only while the walk holds it, not in this loop's variable.
             vertex.backward = None
             vertex.parents = ()
+            parent = None
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -4,9 +4,10 @@
 array it saw until the capture ends.  ``PinningTracer`` below is the tracer
 that held strong references instead (every tensor it saw, and every node's
 output array), which is what kept the device's charges and, with them, the
-host's bytes.  It runs the two-op chain pygx GAT's ``gather_mul`` stands
-for, whose rows it pinned, as the tracer did before ``gather_mul``'s node
-kept the rows' charge without the rows.  Swapped into
+host's bytes.  It runs the three-op chain pygx GAT's ``gather_mul_sum``
+fuses, whose rows and product it pinned, as the tracer did before those
+became charges with no array (the fused op's own capture is held to both
+tracers in ``tests/tensor/test_gather_mul_sum.py``).  Swapped into
 :class:`CompiledStep`, both must charge a step alike: the launch records
 (name, FLOPs, bytes, the pool's ``current``), the pool's ``current`` at
 every alloc and once the capture has returned, its peak, and
@@ -15,6 +16,7 @@ byte it allocated, once.  Then the host side: what the device still
 charges, the host has freed; and a capture that raises leaves nothing held.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.datasets import enzymes
 from repro.device import Device, current_device, use_device
 from repro.device.memory import MemoryPool
 from repro.pygx.models import gat
-from repro.tensor import CSRGraph, Tensor, gspmm, index_rows, ops
+from repro.tensor import CSRGraph, Tensor, gspmm, index_rows, ops, scatter_sum
 from repro.tensor._declared import declare_sparse
 from repro.train import GraphClassificationTrainer
 
@@ -45,15 +47,20 @@ class PinningTracer:
         self.nodes.append(IRNode(index=len(self.nodes), name=name, scope=scope, flops=flops, bytes_moved=bytes_moved))
 
     def annotate_op(self, out, parents) -> None:
+        node = self.annotate_interior(out, out.shape, out.requires_grad, parents)
+        node.out_data = out.data
+
+    def annotate_interior(self, out, shape, requires_grad, parents):
+        """A fused op's interior output is its charge: pinned as a tensor would be."""
         node = self.nodes[-1]
         self._pins.append(out)
         self._pins.extend(parents)
         node.out_id = id(out)
-        node.out_shape = tuple(out.shape)
-        node.out_size = int(out.size)
-        node.out_data = out.data
-        node.requires_grad = bool(out.requires_grad)
+        node.out_shape = tuple(shape)
+        node.out_size = math.prod(shape)
+        node.requires_grad = bool(requires_grad)
         node.parent_ids = tuple(id(p) for p in parents)
+        return node
 
     def alias(self, out, source) -> None:
         self._pins += [out, source]
@@ -72,15 +79,23 @@ class PinningTracer:
         """Nothing: the pins die with the tracer, when the capture returns."""
 
 
-def _chain(x, index, weight):
-    return ops.mul(index_rows(x, index), weight.reshape(weight.shape + (1,)))
+def _chain(calls):
+    """The three ops ``gather_mul_sum`` fuses, counting its calls in ``calls``."""
+
+    def gather_mul_sum(x, src, weight, dst, num_nodes):
+        calls.append(len(src))
+        messages = ops.mul(index_rows(x, src), weight.reshape(weight.shape + (1,)))
+        return scatter_sum(messages, dst, num_nodes), messages
+
+    return gather_mul_sum
 
 
 def _observe(monkeypatch, tracer_cls, run):
     """What ``run()`` charged on a fresh device with ``tracer_cls`` capturing."""
     monkeypatch.setattr(compiled, "Tracer", tracer_cls)
+    chain_calls = []
     if tracer_cls is PinningTracer:
-        monkeypatch.setattr(gat, "gather_mul", _chain)
+        monkeypatch.setattr(gat, "gather_mul_sum", _chain(chain_calls))
     device = Device()
     device.profiler.enabled = True
     at_alloc, after_capture, allocated, freed = [], [], [], []
@@ -116,6 +131,7 @@ def _observe(monkeypatch, tracer_cls, run):
         "allocated": sum(allocated),
         "freed": sum(freed),
         "current": device.memory.current,
+        "chain_calls": len(chain_calls),
     }
 
 
@@ -216,7 +232,7 @@ def _view_of_an_unseen_array():
 def _shared_charges():
     rng = np.random.default_rng(1)
     z = Tensor(rng.standard_normal((5, 2, 3)).astype(np.float32), requires_grad=True)
-    src = np.array([0, 4, 4, 1, 2, 3, 0])
+    src, dst = np.array([0, 4, 4, 1, 2, 3, 0]), np.array([1, 1, 0, 3, 4, 2, 0])
     features = np.zeros((5, 6), np.float32)
     features[[0, 2, 4], [1, 3, 5]] = 1.0
     declare_sparse(features)
@@ -225,10 +241,10 @@ def _shared_charges():
     def step():
         w.grad = z.grad = None
         # Dropout of a declared input returns a DeclaredTensor, whose built
-        # array shares its charge; gather_mul's node keeps the rows' charge.
+        # array shares its charge; gather_mul_sum's rows and product are charges.
         dropped = ops.dropout(x, 0.5, True, np.random.default_rng(3))
         weight = ops.sigmoid(index_rows(ops.matmul(dropped, w), src))
-        loss = gat.gather_mul(z, src, weight).sum()
+        loss = gat.gather_mul_sum(z, src, weight, dst, 5)[0].sum()
         loss.backward()
         return loss
 
@@ -258,6 +274,8 @@ def test_capture_charges_as_the_pinning_tracer(monkeypatch, case):
     assert len(held["launches"]) == len(pinned["launches"]) > 0
     assert held["after_capture"], "nothing was captured"
     assert "replays=0" not in held["stats"] and "guard_failures=0" in held["stats"]
+    if case in ("pygx_gat", "shared_charges"):
+        assert pinned["chain_calls"] > 0 and held["chain_calls"] == 0, "the chain was not patched in"
     for key in ("launches", "current_at_alloc", "after_capture", "peak", "stats"):
         assert held[key] == pinned[key], f"{key} moved"
 

@@ -1,12 +1,14 @@
-"""A compiled, prefetched pygx GAT epoch is the one the two-op chain ran.
+"""A compiled, prefetched pygx GAT epoch is the one the three-op chain ran.
 
-pygx ``GATConv`` builds its messages with ``gather_mul``, whose tape saves
-``(z, src)`` and moves the gathered rows' charge off the rows outside
-capture.  ``train_compiled`` is the one workload that captures and replays
-that step, so an epoch with ``compile=True, prefetch=True`` must equal, bit
-for bit, the same epoch with the chain it replaced put back into
-``repro.pygx.models.gat``: losses, launch records, pool peak, clock and
-``CompileStats``, at several seeds (batches of different shapes).
+pygx ``GATConv`` aggregates with ``gather_mul_sum``, which never builds the
+per-edge rows or messages on the host and stands their charges in for them,
+under capture too.  ``train_compiled`` is the one workload that captures and
+replays that step, so an epoch with ``compile=True, prefetch=True`` must
+equal, bit for bit, the same epoch with the chain it fuses —
+``index_rows`` -> ``mul`` -> ``scatter_sum``, the messages held until the
+layer returns — put back into ``repro.pygx.models.gat``: losses, launch
+records, pool peak, clock and ``CompileStats``, at several seeds (batches of
+different shapes).
 """
 
 import numpy as np
@@ -15,12 +17,8 @@ import pytest
 from repro.datasets import enzymes
 from repro.device import Device
 from repro.pygx.models import gat
-from repro.tensor import index_rows, ops
 from repro.train import GraphClassificationTrainer
-
-
-def _chain(x, index, weight):
-    return ops.mul(index_rows(x, index), weight.reshape(weight.shape + (1,)))
+from tests.compile.test_capture_charges import _chain
 
 
 def _epoch(seed):
@@ -42,10 +40,12 @@ def _epoch(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_compiled_gat_epoch_equals_the_two_op_chain(monkeypatch, seed):
+def test_compiled_gat_epoch_equals_the_three_op_chain(monkeypatch, seed):
     fused = _epoch(seed)
-    monkeypatch.setattr(gat, "gather_mul", _chain)
+    calls = []
+    monkeypatch.setattr(gat, "gather_mul_sum", _chain(calls))
     chain = _epoch(seed)
+    assert calls, "the chain was never called: the comparison is vacuous"
     assert fused["compile"] == chain["compile"]
     assert "replays=0" not in fused["compile"], "the epoch never replayed"
     assert len(fused["launches"]) == len(chain["launches"]) > 0

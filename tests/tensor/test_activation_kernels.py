@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.tensor import Tensor, ops
 from repro.tensor.gradcheck import gradcheck
 
-ALPHAS = (1.0, 0.5, 2.0)
 SLOPES = (0.01, 0.2, 0.0, 1.0)
 
 _TINY = float(np.finfo(np.float32).tiny)
@@ -39,7 +38,7 @@ ELEMENTS = st.one_of(
 # ----------------------------------------------------------------------
 # the oracle: the select-based kernels, as they were
 # ----------------------------------------------------------------------
-def _where_elu(x, grad, alpha):
+def _where_elu(x, grad, alpha=1.0):
     out = np.where(x > 0.0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0)).astype(np.float32)
     local = np.where(x > 0.0, 1.0, out + alpha).astype(np.float32)
     return out, grad * local
@@ -69,13 +68,13 @@ def inputs(draw):
     return x, grad.astype(np.float32)
 
 
-def _check_against_oracle(op, oracle, x, grad, parameter):
+def _check_against_oracle(op, oracle, x, grad, *parameter):
     before = x.copy()
     with np.errstate(all="ignore"):
-        want_out, want_grad = oracle(x, grad, parameter)
+        want_out, want_grad = oracle(x, grad, *parameter)
         t = Tensor(x, requires_grad=True)
         assert t.data is x  # the kernel sees the view itself, not a contiguous copy
-        out = op(t, parameter)
+        out = op(t, *parameter)
         out.backward(grad)
     assert out.data.dtype == np.float32 and t.grad.dtype == np.float32
     assert out.shape == x.shape and t.grad.shape == x.shape
@@ -85,9 +84,9 @@ def _check_against_oracle(op, oracle, x, grad, parameter):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=inputs(), alpha=st.sampled_from(ALPHAS))
-def test_elu_is_the_where_form(data, alpha):
-    _check_against_oracle(ops.elu, _where_elu, *data, alpha)
+@given(data=inputs())
+def test_elu_is_the_where_form(data):
+    _check_against_oracle(ops.elu, _where_elu, *data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -96,18 +95,51 @@ def test_leaky_relu_is_the_where_form(data, slope):
     _check_against_oracle(ops.leaky_relu, _where_leaky_relu, *data, slope)
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_elu_backward_is_finite_at_infinity(alpha):
-    """``(out + alpha) * 0`` would be NaN at ``x = +inf``; ``min(out, 0)`` keeps it 1."""
+def test_elu_backward_is_finite_at_infinity():
+    """``(out + 1) * 0`` would be NaN at ``x = +inf``; ``min(out, 0)`` keeps it 1."""
     t = Tensor(np.array([np.inf, -np.inf, 0.0], np.float32), requires_grad=True)
-    ops.elu(t, alpha).backward(np.ones(3, np.float32))
-    np.testing.assert_array_equal(t.grad, np.array([1.0, 0.0, alpha], np.float32))
+    ops.elu(t).backward(np.ones(3, np.float32))
+    np.testing.assert_array_equal(t.grad, np.array([1.0, 0.0, 1.0], np.float32))
+
+
+def _elu_grad_from_input(x, out, grad):
+    """ELU's gradient as it was computed before, from the input's sign: ``[x > 0]``."""
+    positive = x > 0.0
+    local = np.minimum(out, 0.0)
+    local += 1.0
+    local *= ~positive
+    local += positive
+    local *= grad
+    return local
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_elu_gradient_from_its_output_has_the_bits_of_the_one_from_its_input(layout):
+    """``[out > 0]`` is ``[x > 0]`` for every input, so reading only ``out`` moves no bit."""
+    specials = np.array(
+        [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, _TINY / 4, -_TINY / 4, _TINY, -_TINY,
+         1e-9, -1e-9, -1e-8, -2.0**-25, -2.0**-24, 2.0**-149, -(2.0**-149)],
+        np.float32,
+    )
+    rng = np.random.default_rng(0)
+    x = np.concatenate([specials, rng.standard_normal(64).astype(np.float32)])
+    # Negatives whose ``exp`` rounds to 1: ``out`` is a zero, which must not read as positive.
+    with np.errstate(all="ignore"):
+        assert (np.exp(-np.abs(x[10:16])) == np.float32(1.0)).any()
+    if layout == "strided":
+        x = np.repeat(x, 2)[::2]
+    grad = rng.standard_normal(x.shape).astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    with np.errstate(all="ignore"):
+        out = ops.elu(t)
+        out.backward(grad)
+        want = _elu_grad_from_input(x, out.data, grad)
+    assert t.grad.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
     "fn",
-    [lambda t: ops.elu(t, 1.0), lambda t: ops.elu(t, 2.0),
-     lambda t: ops.leaky_relu(t, 0.2), lambda t: ops.leaky_relu(t, 0.01)],
+    [lambda t: ops.elu(t), lambda t: ops.leaky_relu(t, 0.2), lambda t: ops.leaky_relu(t, 0.01)],
 )
 def test_gradcheck_still_passes(fn):
     x = np.random.default_rng(7).normal(size=(5, 4)).astype(np.float32)

@@ -36,5 +36,5 @@ def _resolves(name):
 
 def test_every_listed_op_and_kernel_is_an_attribute_of_repro_tensor():
     names = _listed_names()
-    assert {"add", "ops.neg", "batch_norm", "gather_mul", "edge_softmax"} <= set(names)
+    assert {"add", "ops.neg", "batch_norm", "gather_mul_sum", "edge_softmax"} <= set(names)
     assert [name for name in names if not _resolves(name)] == []

@@ -13,7 +13,7 @@ import pytest
 
 from repro._random import BLOCK, random_at
 from repro.datasets import cora
-from repro.tensor import CSRGraph, Tensor, gather_mul, gspmm, ops
+from repro.tensor import CSRGraph, Tensor, gather_mul_sum, gspmm, ops
 from repro.tensor._declared import DeclaredTensor, sparse_rows
 
 _F32 = 4
@@ -98,29 +98,30 @@ def test_a_broadcast_operands_gradient_is_reduced_before_the_other_is_allocated(
     assert host <= products * product + e * h * _F32 + 2**16, host
 
 
-def test_gather_mul_keeps_the_recipe_not_the_gathered_rows(fresh_device):
-    n, e, h, d = 500, 20000, 4, 16
+def test_gather_mul_sum_never_builds_an_edge_feature_array(fresh_device):
+    n, e, h, d = 300, 12000, 8, 32
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((n, h, d)).astype(np.float32), requires_grad=True)
-    weight = Tensor(rng.uniform(1.0, 2.0, (e, h)).astype(np.float32), requires_grad=True)
-    src = rng.integers(0, n, e)
+    weight = Tensor(rng.uniform(0.5, 1.5, (e, h)).astype(np.float32), requires_grad=True)
+    src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+    seed = Tensor(rng.standard_normal((n, h, d)).astype(np.float32))
+    edge_bytes = e * h * d * _F32  # one (E, H, D) float32 array: 12 MB
     charged_before = fresh_device.memory.current
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = gather_mul(x, src, weight)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
 
-    # The host keeps the output and the node's small arrays, not the (E, H, D) rows...
-    assert kept < out.nbytes + 2**16, kept
-    # ...whose charge the pool still holds, beside the output and the weight's view.
-    assert fresh_device.memory.current - charged_before == 2 * out.nbytes + weight.nbytes
-    saved = _closure_arrays(out)
-    edge_rows = [a for a in saved if a.dtype == np.float32 and a.ndim and len(a) == e]
-    assert len(edge_rows) == 1 and np.shares_memory(edge_rows[0], weight.data)
-    assert any(a is x.data for a in saved)
+    def step():
+        out, product = gather_mul_sum(x, src, weight, dst, n)
+        charged = fresh_device.memory.current - charged_before
+        ops.mul(out, seed).sum().backward()
+        return out, product, charged
+
+    (out, product, charged), host = _traced_peak(step)
+
+    # Forward and backward together: blocks, the output and the gradients.
+    assert host < edge_bytes / 2, host
+    # The pool is charged what the chain allocated: the rows and their
+    # product, beside the output and the weight's (E, H, 1) view.
+    assert charged == out.nbytes + weight.nbytes + 2 * edge_bytes
+    assert product.nbytes == edge_bytes and x.grad is not None and weight.grad is not None
 
 
 def test_gspmm_forms_a_per_head_weight_gradient_a_block_at_a_time(fresh_device):

@@ -45,7 +45,7 @@ class TestActivations:
         )
 
     def test_elu_negative_branch(self):
-        out = ops.elu(t([-1.0]), alpha=1.0)
+        out = ops.elu(t([-1.0]))
         assert out.data[0] == pytest.approx(np.expm1(-1.0), rel=1e-5)
 
     def test_sigmoid_range_and_midpoint(self):

@@ -7,6 +7,7 @@ walk frees each node once it has propagated, so activations are collected
 while backward runs, as PyTorch frees saved tensors.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.tensor import (
     Tensor,
     batch_norm,
     edge_softmax,
-    gather_mul,
+    gather_mul_sum,
     gsddmm,
     gspmm,
     index_rows,
@@ -28,6 +29,7 @@ from repro.tensor import (
     ops,
     scatter_sum,
 )
+from repro.tensor.ops_scatter import GATHER_MUL_BLOCK
 from repro.tensor.ops_sparse import GSDDMM_OPS
 from tests.tensor.test_dead_gradients import OPERANDS
 
@@ -69,7 +71,7 @@ BUILDERS = {
     "scatter_sum": lambda: scatter_sum(*_live((7, 3)), DST, 5),
     "sum": lambda: ops.sum(*_live((4, 3)), axis=0),
     "index_rows": lambda: index_rows(*_live((5, 3)), SRC),
-    "gather_mul": lambda: (lambda x, w: gather_mul(x, SRC, w))(*_live((5, 2, 3), (7, 2))),
+    "gather_mul_sum": lambda: (lambda x, w: gather_mul_sum(x, SRC, w, DST, 5)[0])(*_live((5, 2, 3), (7, 2))),
     "add": lambda: ops.add(*_live((4, 3), (1, 3))),
     "sub": lambda: ops.sub(*_live((4, 3), (1, 3))),
     "reshape": lambda: ops.reshape(*_live((4, 3)), (12,)),
@@ -109,22 +111,35 @@ def test_a_second_backward_through_a_freed_graph_raises():
         (b * 3.0).sum().backward()
 
 
-def test_pygx_gat_step_frees_activations_while_backward_runs(monkeypatch):
-    from repro.pygx import Batch, Data, build_model
-    from repro.pygx.models import gat
+def test_elu_keeps_its_inputs_charges_and_not_its_input(fresh_device):
+    """ELU's backward reads only its output; the device still pays for its input until it runs."""
+    (a,) = _live((6, 2, 4))
+    b = Tensor(np.ones((6, 2, 4), np.float32))
+    charged = fresh_device.memory.current
+    hidden = ops.add(a, b)  # saves shapes only
+    view = hidden.reshape(6, 8)  # GAT's ELU input: a view, charged apart from its base
+    arrays = [weakref.ref(view.data), weakref.ref(hidden.data)]
+    out = ops.elu(view)
+    del hidden, view
+    assert [ref() for ref in arrays] == [None, None], "the closure kept its input array"
+    # The view's charge and its base's, beside the output.
+    assert fresh_device.memory.current - charged == 3 * out.nbytes
+    out.backward(np.ones(out.shape, np.float32))
+    assert fresh_device.memory.current - charged == out.nbytes + a.grad.nbytes
 
-    graphs = enzymes(seed=0, num_graphs=4).graphs
+
+def test_pygx_gat_step_frees_activations_while_backward_runs_and_never_holds_edge_features(monkeypatch):
+    from repro.device import Device
+    from repro.pygx import Batch, Data, build_model
+
+    graphs = enzymes(seed=0, num_graphs=24).graphs
     batch = Batch.from_data_list([Data.from_sample(g) for g in graphs])
     model = build_model(graph_config("gat", in_dim=18, n_classes=6), np.random.default_rng(0))
+    n_edges = batch.edge_index.shape[1]
+    edge_bytes = n_edges * model.conv1.heads * model.conv1.head_dim * 4  # one (E, H, D) float32 array
+    assert n_edges > 3 * GATHER_MUL_BLOCK, "a block would be the whole edge set"
 
-    messages, activations = [], []
-    scatter = gat.scatter_sum
-
-    def spy_scatter_sum(src, index, dim_size):
-        messages.append(weakref.ref(src.data))
-        return scatter(src, index, dim_size)
-
-    monkeypatch.setattr(gat, "scatter_sum", spy_scatter_sum)
+    activations = []
     for module in (model.conv1.fc, model.conv1):
         forward = module.forward
 
@@ -135,15 +150,29 @@ def test_pygx_gat_step_frees_activations_while_backward_runs(monkeypatch):
 
         monkeypatch.setattr(module, "forward", spy_forward)
 
+    # The largest live host allocation at every launch of the step.
+    largest, launch = [], Device.launch
+
+    def spy_launch(device, *args, **kwargs):
+        largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+        return launch(device, *args, **kwargs)
+
+    monkeypatch.setattr(Device, "launch", spy_launch)
     alive_at_hook = []
     for param in model.parameters():
         param.register_post_accumulate_grad_hook(
             lambda _: alive_at_hook.append([ref() is not None for ref in activations])
         )
 
-    loss = cross_entropy(model(batch), batch.y)
-    assert len(messages) == 4 and len(activations) == 2
-    assert messages[0]() is None  # scatter_sum saves nothing of its input
-    assert all(ref() is not None for ref in activations)  # saved for backward
-    loss.backward()
+    tracemalloc.start()
+    try:
+        loss = cross_entropy(model(batch), batch.y)
+        assert len(activations) == 2
+        assert all(ref() is not None for ref in activations)  # saved for backward
+        loss.backward()
+    finally:
+        tracemalloc.stop()
     assert alive_at_hook[-1] == [False, False]
+    # Neither pass builds per-edge features: not the gathered rows, the
+    # messages, nor either's gradient.
+    assert len(largest) > 100 and max(largest) < edge_bytes / 2, (max(largest), edge_bytes)
