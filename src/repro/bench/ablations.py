@@ -23,6 +23,7 @@ from repro.optim import Adam
 from repro.packs import get_pack
 from repro.tensor import CSRGraph, Tensor, gspmm, index_rows, scatter_sum
 from repro.train import GraphClassificationTrainer
+from repro.train.loop import train_step
 
 
 def batching_cells(frameworks: Sequence[str], batch_sizes: Sequence[int],
@@ -63,13 +64,10 @@ def _step_cost(kind: str, model: str, dataset) -> Dict:
             pack = get_pack(kind)
             net = pack.build_model(config, rng)
             inputs, labels = pack.collate(dataset.graphs)
-        optimizer = Adam(net.parameters(), lr=config.lr)
+        step = train_step(net, Adam(net.parameters(), lr=config.lr), device.clock, cross_entropy)
         device.memory.reset_peak()
         start = device.clock.snapshot()
-        loss = cross_entropy(net(inputs), labels)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
+        step(inputs, labels)
         return {"step_time": start.delta(device.clock).elapsed,
                 "peak_memory": device.memory.peak}
 
@@ -189,7 +187,7 @@ def _epochs_with_loader(cached: bool, dataset, batch_size: int, epochs: int):
     with use_device(device):
         rng = np.random.default_rng(0)
         net = build_model(config, rng)
-        optimizer = Adam(net.parameters(), lr=config.lr)
+        step = train_step(net, Adam(net.parameters(), lr=config.lr), device.clock, cross_entropy)
         if cached:
             loader = CachedDataLoader(dataset.graphs, batch_size=batch_size, rng=rng)
         else:
@@ -199,13 +197,7 @@ def _epochs_with_loader(cached: bool, dataset, batch_size: int, epochs: int):
         for _ in range(epochs):
             before = clock.snapshot()
             for batch in loader:
-                with clock.phase("forward"):
-                    loss = cross_entropy(net(batch), batch.y)
-                with clock.phase("backward"):
-                    optimizer.zero_grad()
-                    loss.backward()
-                with clock.phase("update"):
-                    optimizer.step()
+                step(batch, batch.y)
             times.append(before.delta(clock).elapsed)
         return times, clock.utilization()
 

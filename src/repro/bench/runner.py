@@ -27,6 +27,7 @@ from repro.train import (
     NodeClassificationTrainer,
     RunResult,
 )
+from repro.train.loop import train_step
 
 PHASE_ORDER = ("data_loading", "forward", "backward", "update", "other")
 
@@ -133,21 +134,14 @@ def layerwise_profile(
     with use_device(device):
         rng = np.random.default_rng(seed)
         net, inputs, labels = _single_batch(framework, config, dataset, batch_size, rng)
-        optimizer = Adam(net.parameters(), lr=config.lr)
-        # Warm-up step (allocators, CSR caches), then profile one step.
-        loss = cross_entropy(net(inputs), labels)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
+        step = train_step(net, Adam(net.parameters(), lr=config.lr), device.clock, cross_entropy)
+        step(inputs, labels)  # warm-up (allocators, CSR caches), then profile one step
 
         device.profiler.enabled = True
         device.profiler.clear()
         before_scopes = dict(device.scope_elapsed)
         before = device.clock.snapshot()
-        loss = cross_entropy(net(inputs), labels)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
+        step(inputs, labels)
         device.profiler.enabled = False
 
         scopes: Dict[str, float] = {}
@@ -186,25 +180,14 @@ def step_kernel_records(
         rng = np.random.default_rng(seed)
         net, inputs, labels = _single_batch(framework, config, dataset, batch_size, rng)
         optimizer = Adam(net.parameters(), lr=config.lr)
-
-        def train_step():
-            loss = cross_entropy(net(inputs), labels)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            return loss
-
-        train_step()  # warm-up: allocators + framework CSR caches
+        step = train_step(net, optimizer, device.clock, cross_entropy)
+        step(inputs, labels)  # warm-up: allocators + framework CSR caches
         if compiled:
-            from repro.compile import CompiledStep
-
-            step = CompiledStep(train_step)
-            step()  # capture step (runs eagerly, builds the plan)
-        else:
-            step = train_step
+            step = train_step(net, optimizer, device.clock, cross_entropy, compile=True)
+            step(inputs, labels)  # capture step (runs eagerly, builds the plan)
         device.profiler.enabled = True
         device.profiler.clear()
-        step()
+        step(inputs, labels)
         device.profiler.enabled = False
         return list(device.profiler.records)
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.densex.data import DenseBatch
-from repro.models import MLPReadout, ModelConfig
+from repro.models import Lowering, ModelConfig, Net
 from repro.nn import Linear, Module
 from repro.tensor import Tensor, relu
 
@@ -26,37 +25,17 @@ class DenseGCNConv(Module):
         return relu(out) if self.activation else out
 
 
-class DenseGCNNet(Module):
+_LOWERING = Lowering(
+    convs={"gcn": DenseGCNConv},
+    features=lambda batch: batch.x,
+    run=lambda conv, batch, x: conv(batch.adj, x),
+    readout=lambda batch, x: batch.pool @ x,  # dense mean readout
+    scope_prefix="Dense",
+)
+
+
+def DenseGCNNet(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Net:
     """GCN stack on dense adjacency; mean readout via the pooling matmul."""
-
-    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if config.model != "gcn":
-            raise ValueError("the dense baseline implements GCN only")
-        self.config = config
-        rng = rng or np.random.default_rng()
-        dims: List[Tuple[int, int]] = []
-        width_in = config.in_dim
-        for i in range(config.n_layers):
-            last = i == config.n_layers - 1
-            width_out = config.out_dim if last else config.hidden
-            dims.append((width_in, width_out))
-            width_in = width_out
-        self.conv_names: List[str] = []
-        for i, (d_in, d_out) in enumerate(dims):
-            name = f"conv{i + 1}"
-            last = i == config.n_layers - 1
-            activation = not (last and config.task == "node")
-            setattr(self, name, DenseGCNConv(d_in, d_out, rng, activation=activation))
-            self.conv_names.append(name)
-        if config.task == "graph":
-            self.classifier = MLPReadout(config.out_dim, config.n_classes, rng=rng)
-
-    def forward(self, batch: DenseBatch) -> Tensor:
-        x = batch.x
-        for name in self.conv_names:
-            x = getattr(self, name)(batch.adj, x)
-        if self.config.task == "node":
-            return x
-        hg = batch.pool @ x  # dense mean readout
-        return self.classifier(hg)
+    if config.model != "gcn":
+        raise ValueError("the dense baseline implements GCN only")
+    return Net(config, _LOWERING, rng)

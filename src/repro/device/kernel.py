@@ -5,7 +5,7 @@ aggregates them per conv layer (Fig. 3).  We reproduce that observable by
 recording every simulated kernel launch together with the *scope stack*
 active at launch time.  Model layers push their name onto the scope stack in
 ``Module.__call__``, so a record's scope looks like
-``("GCNNet", "layers.0", "linear")`` and Fig. 3 is a group-by over prefixes.
+``("GCNNet", "conv1", "linear")`` and Fig. 3 is a group-by over prefixes.
 """
 
 from __future__ import annotations

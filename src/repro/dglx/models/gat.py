@@ -12,12 +12,8 @@ separate left/right projections).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.models.base import DGLXNet
-from repro.models import ModelConfig
 from repro.nn import Linear, Module, Parameter
 from repro.tensor import Tensor, edge_softmax, elu, leaky_relu, ops
 from repro.tensor.creation import randn
@@ -55,28 +51,3 @@ class GATConv(Module):
         if self.concat_heads:
             return elu(out.reshape(n, self.heads * self.head_dim))
         return out.mean(axis=1)
-
-
-class GATNet(DGLXNet):
-    """Stack of :class:`GATConv` layers (same head layout as pygx)."""
-
-    def layer_dims(self, config: ModelConfig) -> List[Tuple[int, int]]:
-        dims: List[Tuple[int, int]] = []
-        width_in = config.in_dim
-        for i in range(config.n_layers):
-            last = i == config.n_layers - 1
-            if config.task == "node":
-                width_out = config.n_classes if last else config.hidden
-            else:
-                width_out = config.out_dim if last else config.hidden * config.n_heads
-            dims.append((width_in, width_out))
-            width_in = width_out
-        return dims
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        if config.task == "node" and last:
-            return GATConv(d_in, d_out, heads=1, rng=rng, concat_heads=False)
-        heads = config.n_heads
-        head_dim = max(d_out // heads, 1)
-        return GATConv(d_in, head_dim, heads, rng=rng)

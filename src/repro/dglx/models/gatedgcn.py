@@ -17,12 +17,8 @@ and Fig. 4.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.models.base import DGLXNet
-from repro.models import ModelConfig
 from repro.nn import BatchNorm1d, Linear, Module
 from repro.tensor import Tensor, ops, relu, sigmoid
 from repro.tensor.creation import ones
@@ -74,24 +70,3 @@ class GatedGCNConv(Module):
             e_out = ops.add(e, e_out)
         g.edata["e_feat"] = e_out
         return h_new
-
-
-class GatedGCNNet(DGLXNet):
-    """Stack of :class:`GatedGCNConv` layers with an edge-feature embedding."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return GatedGCNConv(d_in, d_out, rng, activation=activation)
-
-    def __init__(self, config: ModelConfig, rng=None) -> None:
-        super().__init__(config, rng)
-        rng = rng or np.random.default_rng()
-        first_width = self.layer_dims(config)[0][0]
-        self.edge_embed = Linear(1, first_width, rng=rng)
-
-    def forward(self, g: DGLGraph) -> Tensor:
-        # Initialise the mandatory edge-feature state (the "edge types
-        # parameter" the paper had to set even though the data has none).
-        g.edata["e_feat"] = self.edge_embed(ones((g.num_edges(), 1)))
-        return super().forward(g)

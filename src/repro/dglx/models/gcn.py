@@ -13,8 +13,6 @@ import numpy as np
 
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.models.base import DGLXNet
-from repro.models import ModelConfig
 from repro.nn import Linear, Module
 from repro.tensor import Tensor, ops, relu
 
@@ -54,12 +52,3 @@ class GraphConv(Module):
         g.update_all(fn.copy_u("h_tmp", "m"), fn.sum("m", "h_agg"))
         out = ops.mul(g.ndata["h_agg"], norm)
         return relu(out) if self.activation else out
-
-
-class GCNNet(DGLXNet):
-    """Stack of :class:`GraphConv` layers."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return GraphConv(d_in, d_out, rng, activation=activation)

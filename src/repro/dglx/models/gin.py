@@ -6,8 +6,6 @@ import numpy as np
 
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.models.base import DGLXNet
-from repro.models import ModelConfig
 from repro.nn import BatchNorm1d, Linear, Module, Parameter
 from repro.tensor import Tensor, ops, relu
 
@@ -41,18 +39,3 @@ class GINConv(Module):
         out = relu(self.bn(self.fc_v(out)))
         out = self.fc_w(out)
         return relu(out) if self.activation else out
-
-
-class GINNet(DGLXNet):
-    """Stack of :class:`GINConv` layers."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return GINConv(
-            d_in,
-            d_out,
-            rng,
-            config.learn_eps_gin,
-            activation=activation,
-        )

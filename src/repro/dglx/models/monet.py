@@ -11,8 +11,6 @@ import numpy as np
 
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.models.base import DGLXNet
-from repro.models import ModelConfig
 from repro.nn import Linear, Module, Parameter
 from repro.tensor import Tensor, exp, index_rows, ops, relu, tanh
 from repro.tensor.creation import randn
@@ -64,14 +62,3 @@ class GMMConv(Module):
         g.update_all(fn.u_mul_e("h_k", "w_k", "m"), fn.sum("m", "h_agg"))
         out = g.ndata["h_agg"].mean(axis=1)  # (N, D)
         return relu(out) if self.activation else out
-
-
-class MoNetNet(DGLXNet):
-    """Stack of :class:`GMMConv` layers."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return GMMConv(
-            d_in, d_out, config.kernels, config.pseudo_dim, rng, activation=activation
-        )

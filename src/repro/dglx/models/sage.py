@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from repro.dglx import function as fn
 from repro.dglx.heterograph import DGLGraph
-from repro.dglx.models.base import DGLXNet
-from repro.models import ModelConfig
 from repro.nn import Linear, Module
 from repro.nn.functional import l2_normalize
 from repro.tensor import Tensor, ops, relu
@@ -34,12 +32,3 @@ class SAGEConv(Module):
         if not self.activation:  # final node-classification layer: raw logits
             return out
         return l2_normalize(relu(out))
-
-
-class SAGENet(DGLXNet):
-    """Stack of :class:`SAGEConv` layers."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return SAGEConv(d_in, d_out, rng, activation=activation)

@@ -1,4 +1,4 @@
-"""Shared model configuration (Tables II/III) and common heads."""
+"""Shared model configuration (Tables II/III), the network skeleton and its head."""
 
 from repro.models.config import (
     ANISOTROPIC,
@@ -9,6 +9,7 @@ from repro.models.config import (
     node_config,
 )
 from repro.models.mlp import MLPReadout
+from repro.models.net import Lowering, Net
 
 __all__ = [
     "ModelConfig",
@@ -18,4 +19,6 @@ __all__ = [
     "ISOTROPIC",
     "ANISOTROPIC",
     "MLPReadout",
+    "Net",
+    "Lowering",
 ]

@@ -10,13 +10,9 @@ class logits (the original GAT design).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
-from repro.models import ModelConfig
 from repro.nn import Linear, Module, Parameter
-from repro.pygx.models.base import PyGXNet
 from repro.pygx.softmax import edge_softmax
 from repro.tensor import Tensor, elu, gather_mul_sum, index_rows, leaky_relu, ops
 from repro.tensor.creation import randn
@@ -58,30 +54,3 @@ class GATConv(Module):
         if self.concat_heads:
             return elu(out.reshape(num_nodes, self.heads * self.head_dim))
         return out.mean(axis=1)  # average heads: final layer logits
-
-
-class GATNet(PyGXNet):
-    """Stack of :class:`GATConv` layers (Table II/III head layout)."""
-
-    def layer_dims(self, config: ModelConfig) -> List[Tuple[int, int]]:
-        dims: List[Tuple[int, int]] = []
-        width_in = config.in_dim
-        for i in range(config.n_layers):
-            last = i == config.n_layers - 1
-            if config.task == "node":
-                # hidden is the total width; the final layer is single-head.
-                width_out = config.n_classes if last else config.hidden
-            else:
-                # hidden is per-head width; heads concatenate to out_dim.
-                width_out = config.out_dim if last else config.hidden * config.n_heads
-            dims.append((width_in, width_out))
-            width_in = width_out
-        return dims
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        if config.task == "node" and last:
-            return GATConv(d_in, d_out, heads=1, rng=rng, concat_heads=False)
-        heads = config.n_heads
-        head_dim = max(d_out // heads, 1)
-        return GATConv(d_in, head_dim, heads, rng=rng)

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models import ModelConfig
 from repro.nn import BatchNorm1d, Linear, Module
-from repro.pygx.models.base import PyGXNet
 from repro.tensor import Tensor, index_rows, ops, relu, scatter_sum, sigmoid
 
 
@@ -55,12 +53,3 @@ class GatedGCNConv(Module):
         if self.residual:
             h = ops.add(x, h)
         return h
-
-
-class GatedGCNNet(PyGXNet):
-    """Stack of :class:`GatedGCNConv` layers with residual connections."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return GatedGCNConv(d_in, d_out, rng, activation=activation)

@@ -12,17 +12,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.models import ModelConfig
 from repro.nn import Linear, Module
-from repro.pygx.models.base import PyGXNet
 from repro.tensor import Tensor, index_rows, ops, relu, scatter_sum
 
 
 class GCNConv(Module):
     """One PyG-style GCN layer with symmetric normalisation."""
 
-    #: Signals ``PyGXNet.forward`` that this conv accepts the optional
-    #: ``true_in_degrees`` of a sampled batch (full-graph normalisation).
+    #: Signals the pack's conv call (``repro.pygx.models``) that this conv
+    #: accepts the optional ``true_in_degrees`` of a sampled batch
+    #: (full-graph normalisation).
     full_graph_norm_capable = True
 
     def __init__(self, d_in: int, d_out: int, rng, activation: bool = True) -> None:
@@ -61,13 +60,3 @@ class GCNConv(Module):
         messages = ops.mul(h_j, norm.reshape(-1, 1))
         out = scatter_sum(messages, dst, num_nodes)
         return relu(out) if self.activation else out
-
-
-class GCNNet(PyGXNet):
-    """Stack of :class:`GCNConv` layers (Table II/III shapes)."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        # The final layer of a node classifier emits raw class logits.
-        activation = not (last and config.task == "node")
-        return GCNConv(d_in, d_out, rng, activation=activation)

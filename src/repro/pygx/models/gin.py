@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models import ModelConfig
 from repro.nn import BatchNorm1d, Linear, Module, Parameter
-from repro.pygx.models.base import PyGXNet
 from repro.tensor import Tensor, index_rows, ops, relu, scatter_sum
 
 
@@ -48,18 +46,3 @@ class GINConv(Module):
         h = relu(self.bn(h))
         h = self.fc_w(h)
         return relu(h) if self.activation else h
-
-
-class GINNet(PyGXNet):
-    """Stack of :class:`GINConv` layers."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return GINConv(
-            d_in,
-            d_out,
-            rng,
-            learn_eps=config.learn_eps_gin,
-            activation=activation,
-        )

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models import ModelConfig
 from repro.nn import Linear, Module, Parameter
-from repro.pygx.models.base import PyGXNet
 from repro.tensor import Tensor, exp, index_rows, ops, relu, scatter_sum, tanh
 from repro.tensor.creation import randn
 
@@ -63,14 +61,3 @@ class GMMConv(Module):
         messages = ops.mul(h_j, weights.reshape(-1, self.kernels, 1))
         out = scatter_sum(messages, dst, num_nodes).mean(axis=1)  # (N, D)
         return relu(out) if self.activation else out
-
-
-class MoNetNet(PyGXNet):
-    """Stack of :class:`GMMConv` layers."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return GMMConv(
-            d_in, d_out, config.kernels, config.pseudo_dim, rng, activation=activation
-        )

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models import ModelConfig
 from repro.nn import Linear, Module
 from repro.nn.functional import l2_normalize
-from repro.pygx.models.base import PyGXNet
 from repro.tensor import Tensor, concat, index_rows, relu, scatter_mean
 
 
@@ -34,12 +32,3 @@ class SAGEConv(Module):
         if not self.activation:  # final node-classification layer: raw logits
             return h
         return l2_normalize(relu(h))
-
-
-class SAGENet(PyGXNet):
-    """Stack of :class:`SAGEConv` layers."""
-
-    def build_conv(self, index: int, d_in: int, d_out: int, config: ModelConfig, rng):
-        last = index == config.n_layers - 1
-        activation = not (last and config.task == "node")
-        return SAGEConv(d_in, d_out, rng, activation=activation)

@@ -27,8 +27,8 @@ from repro.tensor import Tensor
 class NeighborBatch:
     """One sampled subgraph on the device; duck-types :class:`~repro.pygx.Batch`.
 
-    ``x``/``edge_index``/``num_nodes`` feed ``PyGXNet.forward`` unchanged
-    (node task); rows ``[:n_seeds]`` of the model output correspond to
+    ``x``/``edge_index``/``num_nodes`` feed ``repro.models.Net.forward``
+    unchanged (node task); rows ``[:n_seeds]`` of the model output correspond to
     ``seed_nodes`` and ``y``.
     """
 

@@ -181,8 +181,9 @@ def scatter_mean(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
 
     def backward(grad: np.ndarray):
         launch_backward("scatter_mean_backward", float(grad.size), _F32 * 2.0 * size)
-        scale = (1.0 / safe)[index].reshape((len(index),) + trailing)
-        return (grad[index] * scale,)
+        gathered = grad[index]  # fresh: scale it in place, not into a second copy
+        gathered *= (1.0 / safe)[index].reshape((len(index),) + trailing)
+        return (gathered,)
 
     return make_op("scatter_mean", out, (src,), backward, flops, nbytes)
 

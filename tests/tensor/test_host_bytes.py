@@ -13,7 +13,7 @@ import pytest
 
 from repro._random import BLOCK, random_at
 from repro.datasets import cora
-from repro.tensor import CSRGraph, Tensor, gather_mul_sum, gspmm, ops
+from repro.tensor import CSRGraph, Tensor, gather_mul_sum, gspmm, ops, scatter_mean
 from repro.tensor._declared import DeclaredTensor, sparse_rows
 
 _F32 = 4
@@ -122,6 +122,25 @@ def test_gather_mul_sum_never_builds_an_edge_feature_array(fresh_device):
     # product, beside the output and the weight's (E, H, 1) view.
     assert charged == out.nbytes + weight.nbytes + 2 * edge_bytes
     assert product.nbytes == edge_bytes and x.grad is not None and weight.grad is not None
+
+
+def test_scatter_means_gradient_is_one_edge_array(fresh_device):
+    n, e, feat = 500, 100000, 16
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((e, feat)).astype(np.float32), requires_grad=True)
+    index = rng.integers(0, n, e)
+    out = scatter_mean(x, index, n)
+    grad = rng.standard_normal(out.shape).astype(np.float32)
+    backward = out._node.backward
+
+    (g_x,), host = _traced_peak(lambda: backward(grad))
+
+    # The gathered gradient, scaled where it lies: one (E, F) array, the
+    # (E,) per-row scale and slack.
+    assert host <= e * feat * _F32 + 2 * e * _F32 + 2**16, host
+    count = np.maximum(np.bincount(index, minlength=n), 1).astype(np.float32)
+    expected = grad[index] * (1.0 / count)[index].reshape(-1, 1)
+    assert g_x.tobytes() == expected.tobytes()
 
 
 def test_gspmm_forms_a_per_head_weight_gradient_a_block_at_a_time(fresh_device):
