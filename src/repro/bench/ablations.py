@@ -30,17 +30,13 @@ def batching_cells(frameworks: Sequence[str], batch_sizes: Sequence[int],
                    num_graphs: int) -> List[Dict]:
     """Loader only (no model, no training): simulated seconds to collate
     every ENZYMES graph once, PyG-style vectorised vs DGL-style per-type."""
-    from repro.dglx import GraphDataLoader
-    from repro.pygx import DataLoader
-
-    loaders = {"pygx": DataLoader, "dglx": GraphDataLoader}
     graphs = load_dataset("enzymes", num_graphs=num_graphs).graphs
     cells = []
     for framework in frameworks:
         for batch_size in batch_sizes:
             device = Device()
             with use_device(device):
-                for _ in loaders[framework](graphs, batch_size):
+                for _ in get_pack(framework).graph_loader(graphs, batch_size):
                     pass
             cells.append({"framework": framework, "batch_size": batch_size,
                           "seconds": device.clock.elapsed})

@@ -23,8 +23,8 @@ page by page.  Importing this module raises both thresholds once per
 process (:data:`HOST_HEAP_RETAINED`), so freed activations stay mapped for
 the next step — what a caching allocator does.
 ``MALLOC_TRIM_THRESHOLD_`` and the other glibc malloc settings in the
-environment switch this off; see docs/architecture.md, "What a step pays
-for memory it already had".
+environment switch this off; see docs/architecture.md, "A step keeps the
+host memory it already had".
 """
 
 from __future__ import annotations

@@ -266,7 +266,11 @@ def elu(a: Tensor) -> Tensor:
     out = np.minimum(x, 0.0)
     np.exp(out, out=out)
     out -= 1.0
-    out += np.maximum(x, 0.0)
+    # max(x, 0) a block of ~64 Ki elements at a time: no full-size temporary,
+    # and no masked copy (it mispredicts on the sign as ``where`` does).
+    rows = 1 + (1 << 16) * len(x) // (x.size + 1)
+    for start in range(0, len(x), rows):
+        out[start : start + rows] += np.maximum(x[start : start + rows], 0.0)
     flops, nbytes = _ew_cost(out, 1)
     charges = current_device().memory.charges(x)
 

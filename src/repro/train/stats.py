@@ -62,8 +62,8 @@ def compare_accuracies(
         )
     # Welch's statistic in closed form, as ``ttest_ind(a, b, equal_var=False)``
     # evaluates it: importing the whole stats package for this one call was
-    # half of every process's start-up (docs/architecture.md, "What a process
-    # costs before its first step").
+    # half of every process's start-up (docs/architecture.md, "A process
+    # imports only what it runs").
     from scipy.special import stdtr
 
     va = a.var(ddof=1) / len(a)

@@ -4,7 +4,7 @@ glibc's defaults give a step's freed activations back to the kernel and
 fault them in again on the next step; importing ``repro.device`` raises the
 trim and mmap thresholds so they stay mapped.  Every case runs in a fresh
 interpreter: the allocator's settings are per process and cannot be undone.
-See docs/architecture.md, "What a step pays for memory it already had".
+See docs/architecture.md, "A step keeps the host memory it already had".
 """
 
 import json
@@ -71,7 +71,7 @@ def test_freed_arrays_stay_resident_after_importing_repro_device():
     assert kept["flag"] is True
     assert kept["dropped_mb"] <= 8, (
         f"48 MB of freed arrays went back to the kernel ({kept}); the next step faults them "
-        "in again — see docs/architecture.md, 'What a step pays for memory it already had'."
+        "in again — see docs/architecture.md, 'A step keeps the host memory it already had'."
     )
 
 

@@ -30,7 +30,7 @@ LAUNCH_OWNER = (
 DISPATCH_OWNER = (
     "ROADMAP aim 1 names autograd dispatch and device accounting as layers a perf "
     "claim must account for: Tensor construction, memory tracking and make_op "
-    "spend from this budget (docs/architecture.md, 'What an op costs on the host')"
+    "spend from this budget (docs/architecture.md, 'The per-op path has a call budget')"
 )
 KERNEL_OWNER = (
     "ROADMAP aim 1, tensor-kernel layer: repro.tensor._reduce calls the sparsetools "

@@ -124,6 +124,18 @@ def test_gather_mul_sum_never_builds_an_edge_feature_array(fresh_device):
     assert product.nbytes == edge_bytes and x.grad is not None and weight.grad is not None
 
 
+def test_elus_forward_allocates_no_full_size_temporary(fresh_device):
+    x = np.random.default_rng(0).standard_normal((1000, 1000)).astype(np.float32)
+    x[:4, :4] = [[np.inf, -np.inf, np.nan, -0.0]] * 4
+    out, host = _traced_peak(lambda: ops.elu(Tensor(x)))
+
+    # The output, then at most a byte per element (what a bool mask would
+    # cost) and slack: no full-size float32 ``max(x, 0)`` beside the output.
+    assert host <= out.data.nbytes + x.size + 2**16, host
+    select_form = np.where(x > 0.0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
+    assert out.data.tobytes() == select_form.tobytes()
+
+
 def test_scatter_means_gradient_is_one_edge_array(fresh_device):
     n, e, feat = 500, 100000, 16
     rng = np.random.default_rng(0)

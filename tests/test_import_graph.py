@@ -7,7 +7,7 @@ no workload calls; the ``scipy.sparse`` package around the two C loops
 ``_reduce`` is measured here in fresh interpreters: what it leaves in
 ``sys.modules``, that a later (or earlier) ``import scipy.sparse`` shares
 its module, and that its fallback is the plain import.  See
-docs/architecture.md, "What a process costs before its first step".
+docs/architecture.md, "A process imports only what it runs".
 """
 
 import json
@@ -59,7 +59,7 @@ def test_importing_every_repro_module_loads_no_scipy_beyond_sparse():
     assert seen["after_import"] == [SPARSETOOLS], (
         f"importing repro left {seen['after_import'][:6]} in sys.modules, expected the one "
         "extension module repro.tensor._reduce loads. Import scipy inside the function that "
-        "needs it — see docs/architecture.md, 'What a process costs before its first step'."
+        "needs it — see docs/architecture.md, 'A process imports only what it runs'."
     )
     # The one function-level import still works after the direct load: the
     # t-distribution's CDF, not scipy.stats.

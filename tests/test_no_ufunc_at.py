@@ -121,7 +121,7 @@ def test_scipy_is_imported_by_the_kernel_module_and_inside_one_function():
         "scipy.sparse package a third of what was left): nothing in src/ imports a scipy "
         "package at module level — tensor/_reduce.py loads one extension file, anything "
         "else is imported inside the function that calls it. See docs/architecture.md, "
-        "'What a process costs before its first step'; tests/test_import_graph.py measures "
+        "'A process imports only what it runs'; tests/test_import_graph.py measures "
         "the same thing in a fresh interpreter."
     )
 

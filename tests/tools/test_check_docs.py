@@ -41,7 +41,7 @@ class TestRealRepo:
         assert tool.main(["--root", REPO_ROOT, "--skip-snippets"]) == 0
         out = capsys.readouterr().out
         assert "api coverage: OK" in out and "links: OK" in out
-        assert "references: OK" in out
+        assert "references: OK" in out and "citations: OK" in out
 
     def test_every_public_package_is_documented(self):
         assert tool.check_api_coverage(pathlib.Path(REPO_ROOT)) == []
@@ -143,6 +143,99 @@ class TestReferences:
             "```\n`repro.alpha.gone`\n```\nrepro.alpha.gone and `myrepro.gone`\n"
         )
         assert tool.check_references(named) == []
+
+
+class TestCitations:
+    @pytest.fixture()
+    def cited(self, repo):
+        (repo / "docs" / "guide.md").write_text(
+            "# Guide\n\n## Reduction numerics\n\n"
+            "1. **Everything meets at `Device.launch`, and only `Device`\n"
+            "   charges.** Wrapped onto a second line.\n"
+            "- **Set both or neither.** More.\n"
+            "- **The opt-out is glibc's own.**\n\n"
+            "**A bold paragraph.** Not a list item.\n"
+        )
+        (repo / "tests").mkdir()
+        (repo / "tests" / "test_thing.py").write_text(
+            "class TestThing:\n    def test_a(self):\n        pass\n\n"
+            "def test_b():\n    pass\n"
+        )
+        return repo
+
+    def _cite(self, repo, source):
+        # Written as ``DOCS/`` here, so this file cites nothing itself.
+        (repo / "src" / "repro" / "alpha" / "mod.py").write_text(source.replace("DOCS/", "docs/"))
+        return tool.check_citations(repo)
+
+    def test_headings_and_bold_list_items_match(self, cited):
+        assert self._cite(cited, (
+            '# see DOCS/guide.md, "Reduction numerics".\n'
+            "X = \"DOCS/guide.md, 'Everything meets at Device.launch, and only Device charges'\"\n"
+            '"""DOCS/guide.md ("Set both or neither")."""\n'
+            '# DOCS/guide.md, "The opt-out is glibc\'s own"\n'
+        )) == []
+        assert len(list(tool.citations(cited))) == 4
+
+    def test_a_stale_title_fails_with_its_line(self, cited):
+        assert self._cite(cited, 'x = 1\n# DOCS/guide.md, "What an op costs on the host"\n') == [
+            'src/repro/alpha/mod.py:2: cites "What an op costs on the host" in docs/guide.md, '
+            "which has no such heading or bold-lead list item"
+        ]
+
+    def test_a_bold_paragraph_is_not_a_section(self, cited):
+        assert len(self._cite(cited, '# DOCS/guide.md, "A bold paragraph"\n')) == 1
+
+    def test_a_missing_doc_fails(self, cited):
+        assert self._cite(cited, '# DOCS/gone.md, "Anything"\n') == [
+            "src/repro/alpha/mod.py:1: cites docs/gone.md, which does not exist"
+        ]
+
+    def test_concatenated_literals_and_wrapped_comments_are_one_title(self, cited):
+        source = (
+            'MESSAGE = ("see DOCS/guide.md, \'Reduction "\n'
+            '           "numerics\'; and DOCS/guide.md, \'Reduction "\n'
+            '           "nonsense\'")\n'
+            '# wrapped (DOCS/guide.md, "Set both\n'
+            '# or neither").\n'
+        )
+        failures = self._cite(cited, source)
+        assert [c[2] for c in tool.citations(cited)] == [
+            "Reduction numerics", "Reduction nonsense", "Set both or neither"]
+        assert len(failures) == 1 and "Reduction nonsense" in failures[0]
+
+    def test_ci_files_are_read(self, cited):
+        workflows = cited / ".github" / "workflows"
+        workflows.mkdir(parents=True)
+        (workflows / "ci.yml").write_text('# DOCS/guide.md, "Gone section"\n'.replace("DOCS/", "docs/"))
+        assert self._cite(cited, "") == [
+            '.github/workflows/ci.yml:1: cites "Gone section" in docs/guide.md, '
+            "which has no such heading or bold-lead list item"
+        ]
+
+    def test_plain_mentions_are_not_citations(self, cited):
+        assert self._cite(cited, (
+            "# DOCS/guide.md's policy; (DOCS/guide.md) and DOCS/guide.md\n"
+            'x = {"DOCS/guide.md": "text"}\n'
+        )) == []
+
+    def test_cited_test_paths_must_exist(self, cited):
+        (cited / "docs" / "refs.md").write_text(
+            "`tests/test_thing.py`, `tests/test_thing.py::TestThing::test_a`,\n"
+            "`tests/test_thing.py::test_b`,\n"
+            "```\n`tests/fenced_gone.py`\n```\n"
+            "`tests/gone.py` and `pytest tests/test_thing.py::test_c`\n"
+            "`tests/test_thing.py::TestThing::test_b`\n"
+        )
+        assert tool.check_citations(cited) == [
+            "docs/refs.md:6: `tests/gone.py` does not exist",
+            "docs/refs.md:6: `tests/test_thing.py::test_c` is not defined",
+            "docs/refs.md:7: `tests/test_thing.py::TestThing::test_b` is not defined",
+        ]
+
+    def test_readme_test_paths_are_checked(self, cited):
+        (cited / "README.md").write_text("Run `tests/missing.py`.\n")
+        assert tool.check_citations(cited) == ["README.md:1: `tests/missing.py` does not exist"]
 
 
 class TestSnippets:

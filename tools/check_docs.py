@@ -1,6 +1,6 @@
 """Documentation consistency gate.
 
-Four independent checks over README.md and docs/*.md, each fatal:
+Five independent checks over README.md and docs/*.md, each fatal:
 
 1. **API coverage** — every public package under ``src/repro/`` (a
    directory with an ``__init__.py`` whose name does not start with an
@@ -21,6 +21,14 @@ Four independent checks over README.md and docs/*.md, each fatal:
    under ``PYTHONPATH=src``: the longest importable module prefix, then
    attributes for the rest.  A doc line naming a deleted or moved name
    fails.
+5. **Citations** — a ``docs/<file>.md`` followed by a quoted section title
+   (``docs/kernels.md, "Reduction numerics"``), anywhere under ``src/``,
+   ``tests/``, ``tools/``, ``benchmarks/``, ``examples/`` or ``.github/``,
+   must name a heading or a bold-lead list item of that file (backticks and
+   a trailing period ignored; a title split across concatenated string
+   literals or wrapped comment lines counts as one).  And every backticked
+   ``tests/<path>.py`` outside a fence in the docs must exist; with
+   ``::name`` (``::Class::method``), that name must be defined in it.
 
 Usage::
 
@@ -32,6 +40,7 @@ Exit status 0 when all checks pass, 1 with a per-failure report otherwise.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import pathlib
@@ -47,6 +56,16 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\S*)[ \t]*(.*)$")
 SPAN_RE = re.compile(r"`([^`\n]+)`")
 REFERENCE_RE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+CITED_DOC_RE = re.compile(r"docs/(\w+)\.md")
+CITATION_RE = re.compile(r"docs/(\w+)\.md[\"'`]?(?:,\s*|\s*\(\s*|\s+)(?:see\s+)?(?:\"([^\"]+)\"|'([^']+)')")
+#: A closing quote, a line break and an opening quote: implicit string
+#: concatenation.  Then a line break and any comment leader: a wrapped line.
+CONCATENATION_RE = re.compile(r"[\"'][ \t]*\n\s*[rRbBuUfF]*[\"']")
+WRAP_RE = re.compile(r"\s*\n\s*(?:#+\s*)?")
+HEADING_RE = re.compile(r"^#{1,6}\s+(.+)$", re.M)
+BOLD_ITEM_RE = re.compile(r"^\s*(?:[-*+]|\d+\.)\s+\*\*(.+?)\*\*", re.M | re.S)
+TEST_PATH_RE = re.compile(r"(?<![\w/])tests/[\w/]+\.py(?:::\w+)*")
+CITING_DIRS = ("src", "tests", "tools", "benchmarks", "examples", ".github")
 SNIPPET_TIMEOUT = 300
 
 #: Reads a JSON list of dotted paths on stdin, prints the unresolved ones as
@@ -111,15 +130,18 @@ def slugify(heading: str) -> str:
     return slug.replace(" ", "-")
 
 
-def heading_anchors(path: pathlib.Path) -> set:
-    anchors = set()
+def prose_lines(path: pathlib.Path):
+    """Yield (line number, line) for every line of ``path`` outside fenced code blocks."""
     in_fence = False
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
-        elif not in_fence and re.match(r"^#{1,6}\s", line):
-            anchors.add(slugify(line.lstrip("#")))
-    return anchors
+        elif not in_fence:
+            yield lineno, line
+
+
+def heading_anchors(path: pathlib.Path) -> set:
+    return {slugify(line.lstrip("#")) for _, line in prose_lines(path) if re.match(r"^#{1,6}\s", line)}
 
 
 def iter_links(text: str):
@@ -197,16 +219,17 @@ def check_snippets(root: pathlib.Path) -> List[str]:
 
 def references(root: pathlib.Path):
     """Yield ("file:line", dotted path) per backticked ``repro.<path>`` outside fences."""
+    for where, span in spans(root):
+        for path in REFERENCE_RE.findall(span):
+            yield where, path
+
+
+def spans(root: pathlib.Path):
+    """Yield ("file:line", span) per backticked span outside fences in README.md and docs/."""
     for doc in doc_files(root):
-        rel = doc.relative_to(root)
-        in_fence = False
-        for lineno, line in enumerate(doc.read_text().splitlines(), start=1):
-            if line.lstrip().startswith("```"):
-                in_fence = not in_fence
-            elif not in_fence:
-                for span in SPAN_RE.findall(line):
-                    for path in REFERENCE_RE.findall(span):
-                        yield f"{rel}:{lineno}", path
+        for lineno, line in prose_lines(doc):
+            for span in SPAN_RE.findall(line):
+                yield f"{doc.relative_to(root)}:{lineno}", span
 
 
 def check_references(root: pathlib.Path) -> List[str]:
@@ -227,6 +250,66 @@ def check_references(root: pathlib.Path) -> List[str]:
     return [f"{where}: `{path}` does not resolve" for where, path in found if path in missing]
 
 
+def _title(text: str) -> str:
+    return " ".join(text.replace("`", "").split()).rstrip(".:")
+
+
+def section_titles(path: pathlib.Path) -> set:
+    """Headings and bold-lead list items of one doc, as citations name them."""
+    text = "\n".join(line for _, line in prose_lines(path))
+    found = HEADING_RE.findall(text) + BOLD_ITEM_RE.findall(text)
+    return {_title(title) for title in found}
+
+
+def citations(root: pathlib.Path):
+    """Yield ("file:line", doc name, title) per section citation in code, tests and CI."""
+    for directory in CITING_DIRS:
+        for path in sorted((root / directory).rglob("*")):
+            if path.suffix not in (".py", ".yml", ".yaml", ".md") or not path.is_file():
+                continue
+            text = path.read_text(errors="replace")
+            rel = path.relative_to(root)
+            for found in CITED_DOC_RE.finditer(text):
+                window = text[found.start():found.start() + 400]
+                match = CITATION_RE.match(WRAP_RE.sub(" ", CONCATENATION_RE.sub("", window)))
+                if match:
+                    line = text.count("\n", 0, found.start()) + 1
+                    yield f"{rel}:{line}", match.group(1), _title(match.group(2) or match.group(3))
+
+
+def _defined(path: pathlib.Path, names: List[str]) -> bool:
+    """Whether ``names[0]`` is a test or class of ``path`` and each later name one inside the previous class."""
+    body = ast.parse(path.read_text()).body
+    for name in names:
+        found = [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def check_citations(root: pathlib.Path) -> List[str]:
+    failures = []
+    titles = {}
+    for where, doc, title in citations(root):
+        path = root / "docs" / f"{doc}.md"
+        if doc not in titles:
+            titles[doc] = section_titles(path) if path.exists() else None
+        if titles[doc] is None:
+            failures.append(f"{where}: cites docs/{doc}.md, which does not exist")
+        elif title not in titles[doc]:
+            failures.append(f"{where}: cites \"{title}\" in docs/{doc}.md, which has no such "
+                            "heading or bold-lead list item")
+    for where, span in spans(root):
+        for cited in TEST_PATH_RE.findall(span):
+            file, *names = cited.split("::")
+            if not (root / file).is_file():
+                failures.append(f"{where}: `{file}` does not exist")
+            elif names and not _defined(root / file, names):
+                failures.append(f"{where}: `{cited}` is not defined")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path, default=ROOT)
@@ -238,6 +321,7 @@ def main(argv=None) -> int:
         ("api coverage", check_api_coverage),
         ("links", check_links),
         ("references", check_references),
+        ("citations", check_citations),
     ]
     if not args.skip_snippets:
         checks.append(("snippets", check_snippets))
