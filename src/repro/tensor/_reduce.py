@@ -150,6 +150,7 @@ def csr_product(
     x: np.ndarray,
     num_rows: int,
     transpose: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``A @ x``, or ``A.T @ x``, for the CSR matrix ``A = (data, indices, indptr)``.
 
@@ -160,7 +161,9 @@ def csr_product(
     the unweighted (all-ones) matrix.  Accumulation is in storage order
     either way: ``out[r] += data[k] * x[indices[k]]`` for ``k`` ascending
     within row ``r``, or ``out[indices[k]] += data[k] * x[r]`` for ``k``
-    ascending overall.
+    ascending overall.  ``out``, if given, is the zeroed float32 result
+    buffer to add into and return: a C-contiguous view of it lets the caller
+    keep the result's base in another shape.
     """
     nnz = len(indices)
     indptr = check_offsets(indptr, nnz)
@@ -178,7 +181,10 @@ def csr_product(
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.shape != (nnz,):
             raise ValueError(f"data must be 1-D with length {nnz}, got {data.shape}")
-    out = np.zeros((num_rows,) + x.shape[1:], dtype=np.float32)
+    if out is None:
+        out = np.zeros((num_rows,) + x.shape[1:], dtype=np.float32)
+    elif out.shape != (num_rows,) + x.shape[1:] or out.dtype != np.float32:
+        raise ValueError(f"out must be float32 {(num_rows,) + x.shape[1:]}, got {out.dtype} {out.shape}")
     if transpose:
         return _matvecs(csc_matvecs, out, stored_rows, indptr, indices, data, x)
     return _matvecs(csr_matvecs, out, len(x), indptr, indices, data, x)

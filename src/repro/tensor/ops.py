@@ -18,7 +18,7 @@ from repro.device import current_device
 from repro.tensor._declared import DeclaredTensor, SparseRows, sparse_rows
 from repro.tensor._reduce import csr_product
 from repro.tensor.autograd import grad_enabled
-from repro.tensor.tensor import Tensor, _attach_node, launch_backward, make_op, unbroadcast
+from repro.tensor.tensor import Tensor, _attach_node, block_rows, launch_backward, make_op, unbroadcast
 
 Axis = Union[None, int, Tuple[int, ...]]
 
@@ -224,6 +224,17 @@ def relu(a: Tensor) -> Tensor:
     return make_op("relu", out, (a,), backward, flops, nbytes)
 
 
+def _add_positive_part(out: np.ndarray, x: np.ndarray) -> None:
+    """``out += max(x, 0)`` a block of rows at a time.
+
+    No full-size temporary, and no masked copy (it mispredicts on the sign
+    as ``where`` does).
+    """
+    rows = block_rows(x)
+    for start in range(0, len(x), rows):
+        out[start : start + rows] += np.maximum(x[start : start + rows], 0.0)
+
+
 def leaky_relu(a: Tensor, negative_slope: float = 0.01) -> Tensor:
     """Leaky ReLU, branch-free: ``max(x, 0) + slope * min(x, 0)``.
 
@@ -234,7 +245,7 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.01) -> Tensor:
     x = a.data
     out = np.minimum(x, 0.0)
     out *= negative_slope
-    out += np.maximum(x, 0.0)
+    _add_positive_part(out, x)
     flops, nbytes = _ew_cost(out, 1)
 
     def backward(grad: np.ndarray):
@@ -266,11 +277,7 @@ def elu(a: Tensor) -> Tensor:
     out = np.minimum(x, 0.0)
     np.exp(out, out=out)
     out -= 1.0
-    # max(x, 0) a block of ~64 Ki elements at a time: no full-size temporary,
-    # and no masked copy (it mispredicts on the sign as ``where`` does).
-    rows = 1 + (1 << 16) * len(x) // (x.size + 1)
-    for start in range(0, len(x), rows):
-        out[start : start + rows] += np.maximum(x[start : start + rows], 0.0)
+    _add_positive_part(out, x)
     flops, nbytes = _ew_cost(out, 1)
     charges = current_device().memory.charges(x)
 

@@ -19,7 +19,7 @@ from repro.device import current_device
 from repro.device.memory import Charge
 from repro.tensor._reduce import check_index, check_offsets, scatter_add_rows, scatter_add_rows_into
 from repro.tensor.autograd import grad_enabled
-from repro.tensor.tensor import Tensor, _GradNode, launch_backward, make_op, unbroadcast
+from repro.tensor.tensor import Tensor, _GradNode, block_rows, launch_backward, make_op, unbroadcast
 
 _F32 = 4
 #: Edges per block of :func:`gather_mul_sum` and of GSpMM's edge-weight
@@ -225,11 +225,26 @@ def segment_sum(src: Tensor, offsets: np.ndarray) -> Tensor:
     """Sum contiguous row segments ``src[offsets[i]:offsets[i+1]]``."""
     offsets = check_offsets(offsets, len(src))
     lengths = np.diff(offsets)
-    # Exclusive prefix sums make every segment (including empty ones) exact.
-    csum = np.zeros((len(src) + 1,) + src.shape[1:], dtype=np.float64)
-    np.cumsum(src.data, axis=0, dtype=np.float64, out=csum[1:])
-    out = (csum[offsets[1:]] - csum[offsets[:-1]]).astype(np.float32)
-    size = src.data.size
+    # Exclusive float64 prefix sums make every segment (including empty ones)
+    # exact.  The prefix is built a block of rows at a time: row 0 of the
+    # buffer carries the prefix so far, an in-place cumsum extends it (the
+    # very additions of one cumsum over all rows), and only the rows at
+    # segment offsets are kept.  The first block has no carry row, so its
+    # first prefix is the first row itself, as one cumsum's is (-0.0 stays).
+    n, x = len(src), src.data
+    rows = block_rows(x)
+    prefix = np.zeros((len(offsets),) + x.shape[1:], dtype=np.float64)
+    buf = np.zeros((min(rows, n) + 1,) + x.shape[1:], dtype=np.float64)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buf[0 if start else 1 : stop - start + 1]
+        buf[1 : stop - start + 1] = x[start:stop]
+        np.cumsum(block, axis=0, out=block)
+        lo, hi = np.searchsorted(offsets, (start, stop), side="right")
+        prefix[lo:hi] = buf[offsets[lo:hi] - start]
+        buf[0] = buf[stop - start]
+    out = (prefix[1:] - prefix[:-1]).astype(np.float32)
+    size = x.size
     flops = float(size)
     nbytes = float(_F32 * (size + out.size))
 

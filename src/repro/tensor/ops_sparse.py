@@ -18,7 +18,7 @@ The kernel contract is documented in ``docs/kernels.md``.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class CSRGraph:
         device = current_device()
         for array in (self.indptr, self.indices, self.edge_ids, self.rows):
             device.track(array)
+        self._head_csr: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_edge_index(
@@ -96,6 +97,29 @@ class CSRGraph:
         """In-degree of each destination node."""
         return np.diff(self.indptr)
 
+    def head_expansion(self, heads: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, perm)`` of the CSR that runs ``heads`` weighted copies of this one.
+
+        Row ``r * heads + h`` holds row ``r``'s slots ``k`` in order, at
+        column ``indices[k] * heads + h``; ``perm`` maps each of its slots to
+        ``k * heads + h``, the position of its weight in a flattened
+        CSR-ordered ``(E, heads)`` array.  So ``(N, heads, D)`` features are
+        its ``(N * heads, D)`` operand as they lie, and its product already
+        has the ``(rows, heads, D)`` layout.  Built on first use and cached
+        per head count, as DGL caches formats on a graph; a host-only layout,
+        never charged (docs/cost_model.md, "Memory").
+        """
+        cached = self._head_csr.get(heads)
+        if cached is None:
+            indptr = np.zeros(self.num_dst * heads + 1, dtype=np.int64)
+            np.cumsum(np.repeat(np.diff(self.indptr), heads), out=indptr[1:])
+            row = np.repeat(np.arange(self.num_dst * heads), np.diff(indptr))
+            head = row % heads
+            slot = self.indptr[row // heads] + np.arange(len(row)) - indptr[row]
+            cached = indptr, self.indices[slot] * heads + head, slot * heads + head
+            self._head_csr[heads] = cached
+        return cached
+
 
 def _as_scalar_weight(w: np.ndarray) -> Optional[np.ndarray]:
     """Return a flat ``(E,)`` view of a scalar per-edge weight, else None."""
@@ -112,19 +136,26 @@ def _per_head_product(
     """``A_h @ feat[:, h]`` (or ``A_h.T @``) for every head ``h``, as ``(num_rows, H, D)``.
 
     ``A_h`` is the adjacency weighted by head ``h`` of the CSR-ordered
-    ``(E, H, 1)`` weights.  One :func:`csr_product` per head over head-major
-    contiguous copies multiplies inside the reduction loop — the fusion
-    GSpMM is named for — instead of materialising ``(E, H, D)`` messages;
-    products and accumulation order are those of the materialised path.
+    ``(E, H, 1)`` weights.  One :func:`csr_product` over the graph's
+    :meth:`~CSRGraph.head_expansion` multiplies inside the reduction loop —
+    the fusion GSpMM is named for — instead of materialising ``(E, H, D)``
+    messages.  Each result row adds the same products in the same order as
+    one call per head would, so the bits are those of a per-head loop.  The
+    result is the buffer the kernel fills, never a view, so the pool
+    charges it as a fresh array.
     """
-    heads = w_sorted.shape[1]
-    w_heads = np.ascontiguousarray(w_sorted[:, :, 0].T)
-    feat_heads = np.ascontiguousarray(feat.transpose(1, 0, 2), dtype=np.float32)
-    out = np.empty((num_rows, heads, feat.shape[2]), dtype=np.float32)
-    for h in range(heads):
-        out[:, h] = csr_product(
-            graph.indptr, graph.indices, w_heads[h], feat_heads[h], num_rows, transpose
-        )
+    heads, dim = w_sorted.shape[1], feat.shape[2]
+    indptr, indices, perm = graph.head_expansion(heads)
+    out = np.zeros((num_rows, heads, dim), dtype=np.float32)
+    csr_product(
+        indptr,
+        indices,
+        w_sorted.reshape(-1)[perm],
+        feat.reshape(len(feat) * heads, dim),
+        num_rows * heads,
+        transpose,
+        out=out.reshape(num_rows * heads, dim),
+    )
     return out
 
 
@@ -144,8 +175,11 @@ def _edge_weight_grad(
     gw_sorted = np.empty(target_shape, dtype=np.float32)
     for start in range(0, graph.num_edges, GATHER_MUL_BLOCK):
         block = slice(start, start + GATHER_MUL_BLOCK)
-        g_block = g[block] if dst is None else g[dst[block]]
-        prod = g_block * x_data[graph.indices[block]]
+        if dst is None:
+            prod = g[block] * x_data[graph.indices[block]]
+        else:
+            prod = g[dst[block]]  # fresh: multiply in place, not into a second block
+            prod *= x_data[graph.indices[block]]
         extra = prod.ndim - len(target_shape)
         if extra > 0:
             prod = prod.sum(axis=tuple(range(prod.ndim - extra, prod.ndim)))

@@ -373,6 +373,15 @@ def launch_backward(name: str, flops: float = 0.0, bytes_moved: float = 0.0) -> 
     current_device().launch(name, flops=flops, bytes_moved=bytes_moved)
 
 
+def block_rows(x: np.ndarray) -> int:
+    """Rows of ``x`` in a block of about 64 Ki elements (at least one).
+
+    Kernels that work a block of rows at a time keep a temporary this size
+    instead of one as large as ``x``.
+    """
+    return 1 + (1 << 16) * len(x) // (x.size + 1)
+
+
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:

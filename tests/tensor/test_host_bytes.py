@@ -13,7 +13,7 @@ import pytest
 
 from repro._random import BLOCK, random_at
 from repro.datasets import cora
-from repro.tensor import CSRGraph, Tensor, gather_mul_sum, gspmm, ops, scatter_mean
+from repro.tensor import CSRGraph, Tensor, gather_mul_sum, gspmm, ops, scatter_mean, segment_sum
 from repro.tensor._declared import DeclaredTensor, sparse_rows
 
 _F32 = 4
@@ -134,6 +134,50 @@ def test_elus_forward_allocates_no_full_size_temporary(fresh_device):
     assert host <= out.data.nbytes + x.size + 2**16, host
     select_form = np.where(x > 0.0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
     assert out.data.tobytes() == select_form.tobytes()
+
+
+def test_leaky_relus_forward_allocates_no_full_size_temporary(fresh_device):
+    x = np.random.default_rng(0).standard_normal((1000, 1000)).astype(np.float32)
+    x[:4, :4] = [[np.inf, -np.inf, np.nan, -0.0]] * 4
+    out, host = _traced_peak(lambda: ops.leaky_relu(Tensor(x), 0.2))
+
+    # As for ELU: the output, at most a byte per element and slack.
+    assert host <= out.data.nbytes + x.size + 2**16, host
+    # Bit-equal to adding max(x, 0) over the whole array at once.
+    whole = np.minimum(x, 0.0)
+    whole *= 0.2
+    whole += np.maximum(x, 0.0)
+    assert out.data.tobytes() == whole.tobytes()
+
+
+def test_segment_sum_builds_its_float64_prefix_a_block_at_a_time(fresh_device):
+    n, feat = 100000, 16
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, feat)).astype(np.float32)
+    offsets = np.r_[0, np.sort(rng.integers(0, n + 1, 63)), n]
+    out, host = _traced_peak(lambda: segment_sum(Tensor(x), offsets))
+
+    # One whole (N + 1, F) float64 prefix is 12.8 MB; the blocks stay far below it.
+    prefix = (n + 1) * feat * 8
+    assert host < prefix / 4, host
+    csum = np.zeros((n + 1, feat), np.float64)
+    np.cumsum(x, axis=0, dtype=np.float64, out=csum[1:])
+    assert out.data.tobytes() == (csum[offsets[1:]] - csum[offsets[:-1]]).astype(np.float32).tobytes()
+
+
+def test_a_per_head_gspmm_forward_makes_no_head_major_copy_of_the_features(fresh_device):
+    n, e, h, d = 2000, 4000, 8, 64
+    rng = np.random.default_rng(0)
+    graph = CSRGraph.from_edge_index(rng.integers(0, n, e), rng.integers(0, n, e), n, n)
+    x = Tensor(rng.standard_normal((n, h, d)).astype(np.float32))
+    weight = Tensor(rng.uniform(0.5, 1.5, (e, h, 1)).astype(np.float32))
+    gspmm(graph, x, weight)  # builds and caches the graph's head expansion
+    out, host = _traced_peak(lambda: gspmm(graph, x, weight))
+
+    # The output, the CSR-ordered weights and their expanded copy, and
+    # slack: the (N, H, D) features (4 MB) are read where they lie.
+    assert host <= out.data.nbytes + 2 * e * h * _F32 + 2**17, host
+    assert out.data.nbytes == x.data.nbytes
 
 
 def test_scatter_means_gradient_is_one_edge_array(fresh_device):

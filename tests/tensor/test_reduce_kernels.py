@@ -284,6 +284,15 @@ class TestCsrProduct:
         with pytest.raises(TypeError, match="integer array"):
             csr_product(np.array([0, 1, 2]), np.array([0.0, 1.0]), None, x, 2)
 
+    def test_an_out_buffer_is_filled_and_checked(self):
+        indptr, indices, x = np.array([0, 1, 3]), np.array([1, 0, 1]), np.arange(4, dtype=np.float32).reshape(2, 2)
+        base = np.zeros((2, 1, 2), np.float32)
+        out = csr_product(indptr, indices, None, x, 2, out=base.reshape(2, 2))
+        assert out.base is base and base.tobytes() == csr_product(indptr, indices, None, x, 2).tobytes()
+        for wrong in (np.zeros((2, 3), np.float32), np.zeros((2, 2), np.float64)):
+            with pytest.raises(ValueError, match="out must be float32"):
+                csr_product(indptr, indices, None, x, 2, out=wrong)
+
 
 def test_sparsetools_contract():
     """Both C entry points, called the way ``_reduce`` calls them, on a 3x3 example.

@@ -144,6 +144,24 @@ class TestReferences:
         )
         assert tool.check_references(named) == []
 
+    def test_capital_names_resolve_against_src_and_tools(self, named):
+        (named / "tools").mkdir()
+        (named / "tools" / "build.py").write_text('SECTIONS: tuple = ()\nENV = {"OMP_NUM_THREADS": "1"}\n')
+        (named / "docs" / "refs.md").write_text(
+            "`LIMIT`, `LIMIT = 3`, `SECTIONS`, `ENV` and `OMP_NUM_THREADS`;\n"
+            "`N`, `(E, H, D)`, `Thing` and `repro.alpha.inner.LIMIT` are no bare capital names.\n"
+        )
+        assert tool.check_references(named) == []
+
+    def test_a_deleted_constant_fails_with_its_line(self, named):
+        (named / "docs" / "refs.md").write_text(
+            "intro\n\nthe order is `DEFAULT_PASSES = (\"dce\", \"cse\")`, at most `LIMIT`\n"
+            "```\nGONE_TOO = 1\n`GONE_TOO`\n```\n"
+        )
+        assert tool.check_references(named) == [
+            "docs/refs.md:3: `DEFAULT_PASSES` is no module-level name in src/ or tools/",
+        ]
+
 
 class TestCitations:
     @pytest.fixture()

@@ -19,8 +19,11 @@ Five independent checks over README.md and docs/*.md, each fatal:
 4. **References** — every backticked ```repro.<path>``` outside a fence
    (``repro`` starting a dotted name anywhere in the span) must resolve
    under ``PYTHONPATH=src``: the longest importable module prefix, then
-   attributes for the rest.  A doc line naming a deleted or moved name
-   fails.
+   attributes for the rest.  And a span that is a bare ``ALL_CAPS`` name
+   (``GATHER_MUL_BLOCK``, or ``NAME = value``) must be a module-level name,
+   or a string literal such as an environment variable's name, in some
+   ``.py`` under ``src/`` or ``tools/``.  A doc line naming a deleted or
+   moved name fails; an acronym goes without backticks.
 5. **Citations** — a ``docs/<file>.md`` followed by a quoted section title
    (``docs/kernels.md, "Reduction numerics"``), anywhere under ``src/``,
    ``tests/``, ``tools/``, ``benchmarks/``, ``examples/`` or ``.github/``,
@@ -65,6 +68,7 @@ WRAP_RE = re.compile(r"\s*\n\s*(?:#+\s*)?")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.+)$", re.M)
 BOLD_ITEM_RE = re.compile(r"^\s*(?:[-*+]|\d+\.)\s+\*\*(.+?)\*\*", re.M | re.S)
 TEST_PATH_RE = re.compile(r"(?<![\w/])tests/[\w/]+\.py(?:::\w+)*")
+CAPS_RE = re.compile(r"([A-Z][A-Z0-9]*(?:_[A-Z0-9]*)+|[A-Z][A-Z0-9]+)(?:\s*=.*)?")
 CITING_DIRS = ("src", "tests", "tools", "benchmarks", "examples", ".github")
 SNIPPET_TIMEOUT = 300
 
@@ -232,7 +236,33 @@ def spans(root: pathlib.Path):
                 yield f"{doc.relative_to(root)}:{lineno}", span
 
 
+def defined_names(root: pathlib.Path) -> set:
+    """Names assigned at module level, and string literals, in every ``.py`` under ``src/`` and ``tools/``."""
+    names = set()
+    for directory in ("src", "tools"):
+        for path in sorted((root / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in tree.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+            names.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return names
+
+
 def check_references(root: pathlib.Path) -> List[str]:
+    return _unknown_capitals(root) + _unresolved_paths(root)
+
+
+def _unknown_capitals(root: pathlib.Path) -> List[str]:
+    matches = [(where, CAPS_RE.fullmatch(span)) for where, span in spans(root)]
+    capitals = [(where, match.group(1)) for where, match in matches if match]
+    names = defined_names(root) if capitals else set()
+    return [f"{where}: `{name}` is no module-level name in src/ or tools/"
+            for where, name in capitals if name not in names]
+
+
+def _unresolved_paths(root: pathlib.Path) -> List[str]:
     found = list(references(root))
     if not found:
         return []
